@@ -11,6 +11,8 @@ Two guards keep the loop from stalling on unit-only discoveries: goals
 whose lifts validated false-positive are not chased again, and a
 function whose rounds go winnerless FUTILE_ROUNDS times in a row drops
 out of selection, handing the budget back to system-level batches.
+Once no function can be selected any more, bridge runs stop being
+traced and carved: nothing carved after that point could be fuzzed.
 
 Budgets are charged on one of two clocks: wall time for real runs, or
 an exact count of VM steps (every system and unit execution included)
@@ -23,7 +25,10 @@ import statistics
 import time
 from dataclasses import asdict, dataclass, field
 
-from .carving import CarvePolicy, CarveStats, CarvedTest, carve_with_stats
+from .carving import (
+    CarvePolicy, CarveStats, CarvedTest, carve_with_stats,
+    input_reading_functions,
+)
 from .errors import ConfigError
 from .lang.goals import BranchGoal, enumerate_goals, goals_in_function
 from .lifting import UnmappedParameter, lift, validate
@@ -165,6 +170,8 @@ def _check(cfg: RunConfig, seeds) -> None:
             raise ConfigError("wall budget must be positive")
     elif cfg.deterministic_clock <= 0:
         raise ConfigError("step budget must be positive")
+    if cfg.max_dump_bytes <= 0:
+        raise ConfigError("max_dump_bytes must be positive")
     if cfg.n_per_seed < 1:
         raise ConfigError("n_per_seed must be at least 1")
     if cfg.unit_budget < 1:
@@ -180,9 +187,9 @@ class _Campaign:
         self.cfg = cfg
         self.program_name = program_name
         self.opts = RunOptions(step_limit=cfg.step_limit,
-                               trace_limit=cfg.trace_limit)
-        self.policy = CarvePolicy(max_dump_bytes=cfg.max_dump_bytes,
-                                  per_fn_cap=cfg.per_fn_cap)
+                               trace_limit=cfg.trace_limit,
+                               max_dump_bytes=cfg.max_dump_bytes)
+        self.policy = CarvePolicy(per_fn_cap=cfg.per_fn_cap)
         self.map_opts = MapOptions(min_match_len=cfg.min_match_len)
         self.clock = (StepClock() if cfg.deterministic_clock is not None
                       else WallClock())
@@ -196,6 +203,14 @@ class _Campaign:
         self.all_goals = enumerate_goals(program)
         self.cov = CoverageMap()
         self.state = SelectionState()
+        self.input_dependent = input_reading_functions(program)
+        # Goals of the functions a carve can be taken of: not the entry,
+        # not input-dependent (see carve_with_stats).
+        self.carvable_goals = {
+            f.name: goals_in_function(program, f.name)
+            for f in program.functions
+            if f.name != program.entry and f.name not in self.input_dependent}
+        self._selectable = True
         # Goals whose lifts validated false-positive: unit-reachable but
         # (apparently) not system-reachable.  Fuzzing stops chasing them.
         self.fp_goals: set[BranchGoal] = set()
@@ -238,10 +253,28 @@ class _Campaign:
     def point(self) -> None:
         self.series.append((self.clock.now(), self.fraction()))
 
+    def selectable(self) -> bool:
+        """Whether select_next can still return a carve, now or later.
+
+        True while some carvable function is not skipped and has
+        uncovered goals.  All carvable functions count, not only those in
+        the pool, because a function not carved yet can still enter it.
+        Skips and discoveries only accumulate, so once this is false it
+        stays false: no carve can be selected again, and tracing and
+        carving further runs would change nothing but the carve counts.
+        """
+        if self._selectable:
+            skipped, discovered = self.state.skipped, self.cov.discovered
+            self._selectable = any(
+                fn not in skipped and not goals <= discovered
+                for fn, goals in self.carvable_goals.items())
+        return self._selectable
+
     # -- execution
 
     def run_one(self, s, origin_id: str, source: str, traced: bool):
         result = None
+        traced = traced and self.selectable()
         if traced:
             try:
                 result = run_with_tracing(self.program, s, self.opts)
@@ -257,8 +290,9 @@ class _Campaign:
             self.cov.record(g, self.clock.now(), source)
         self.point()
         if traced and result.trace is not None:
-            carves, stats = carve_with_stats(self.program, result,
-                                             self.policy, origin=origin_id)
+            carves, stats = carve_with_stats(
+                self.program, result, self.policy, origin=origin_id,
+                input_dependent=self.input_dependent)
             self.origins[origin_id] = s
             self.pool.extend(carves)
             for k, v in asdict(stats).items():

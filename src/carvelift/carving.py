@@ -2,7 +2,8 @@
 
 A carve is one user-function invocation plus the context it ran against:
 the argument values, every global, and the slice of the heap reachable
-from either, all copied at call time.  Replaying a carve hands that
+from either, all copied at call time by the tracer, under the run's
+``RunOptions.max_dump_bytes`` budget.  Replaying a carve hands that
 context to ``call_function``; for a complete (non-truncated) context the
 replay covers exactly the goals the original call covered.
 
@@ -31,9 +32,12 @@ from .lang.goals import BranchGoal
 from .vm.interp import RunResult
 from .vm.trace import BranchEvent, CallEvent, ReturnEvent
 from .vm.values import (
-    Record, Ref, Segment, SegmentTable, copy_segments, decode_segment,
-    decode_value, encode_segment, encode_value, iter_refs, segment_byte_size,
+    Record, Ref, SegmentTable, copy_segments, decode_segment, decode_value,
+    encode_segment, encode_value,
 )
+# The tracer takes each call's snapshot (RunOptions.max_dump_bytes); it is
+# re-exported here because a carve's context is that snapshot.
+from .vm.values import snapshot_reachable  # noqa: F401
 
 SNAPSHOT_VERSION = 1
 
@@ -166,7 +170,6 @@ class CarvedTest:
 
 @dataclass(frozen=True)
 class CarvePolicy:
-    max_dump_bytes: int = 65536
     per_fn_cap: int = 8
     allowlist: Optional[frozenset[str]] = None
 
@@ -179,64 +182,6 @@ class CarveStats:
     skipped_capped: int = 0
     skipped_filtered: int = 0
     skipped_input_dependent: int = 0
-
-
-# ---------------------------------------------------------------- snapshots
-
-def _sever(v, keep: set[int]):
-    """Replace refs into dropped segments with null."""
-    if isinstance(v, Ref):
-        return v if v.seg in keep else None
-    if isinstance(v, tuple):
-        return tuple(_sever(x, keep) for x in v)
-    if isinstance(v, Record):
-        return Record(v.rtype, {k: _sever(x, keep) for k, x in v.fields.items()})
-    return v
-
-
-def snapshot_reachable(roots, table: SegmentTable,
-                       max_bytes: int) -> tuple[SegmentTable, bool]:
-    """Breadth-first heap slice under a byte budget.
-
-    Traversal stops entirely at the first segment that would push the
-    accumulated size past max_bytes, so growing the budget only ever adds
-    segments.  Refs out of the kept slice are severed to null.
-    """
-    if max_bytes <= 0:
-        raise ValueError("max_bytes must be positive")
-    queue: list[int] = []
-    seen: set[int] = set()
-
-    def discover(v):
-        for r in iter_refs(v):
-            if r.seg not in seen and r.seg in table:
-                seen.add(r.seg)
-                queue.append(r.seg)
-
-    for v in roots:
-        discover(v)
-
-    kept: SegmentTable = {}
-    used = 0
-    truncated = False
-    qi = 0
-    while qi < len(queue):
-        sid = queue[qi]
-        qi += 1
-        seg = table[sid]
-        size = segment_byte_size(seg)
-        if used + size > max_bytes:
-            truncated = True
-            break
-        used += size
-        kept[sid] = seg.copy()
-        for elem in seg.elems:
-            discover(elem)
-
-    keep_ids = set(kept)
-    for seg in kept.values():
-        seg.elems = [_sever(x, keep_ids) for x in seg.elems]
-    return kept, truncated
 
 
 # ---------------------------------------------------------------- carving
@@ -301,13 +246,21 @@ def input_reading_functions(program: Program) -> frozenset[str]:
 
 
 def carve_with_stats(program: Program, result: RunResult, policy: CarvePolicy,
-                     origin: str = "") -> tuple[list[CarvedTest], CarveStats]:
-    """Carve every admissible completed call out of a traced run."""
+                     origin: str = "",
+                     input_dependent: frozenset[str] | None = None,
+                     ) -> tuple[list[CarvedTest], CarveStats]:
+    """Carve every admissible completed call out of a traced run.
+
+    Each carve's context is the snapshot its call event took, used as it
+    is.  `input_dependent` is input_reading_functions(program), computed
+    here when not given; callers carving many runs of one program pass it.
+    """
     if result.trace is None:
         raise ValueError("carving needs a traced run (use run_with_tracing)")
 
     stats = CarveStats()
-    input_dependent = input_reading_functions(program)
+    if input_dependent is None:
+        input_dependent = input_reading_functions(program)
 
     open_calls: dict[int, tuple[CallEvent, set]] = {}
     completed: list[tuple[CallEvent, frozenset]] = []
@@ -346,15 +299,10 @@ def carve_with_stats(program: Program, result: RunResult, policy: CarvePolicy,
             f"arg[{i}]": v for i, v in enumerate(ev.args)}
         for name in sorted(ev.globals):
             roots[f"global:{name}"] = ev.globals[name]
-        segs, truncated = snapshot_reachable(
-            roots.values(), ev.segments, policy.max_dump_bytes)
-        if truncated:
-            stats.truncated += 1
-            keep = set(segs)
-            roots = {p: _sever(v, keep) for p, v in roots.items()}
+        stats.truncated += ev.truncated
         out.append(CarvedTest(
             start=(ev.fn, ev.call_index),
-            context=Context(roots, segs, truncated),
+            context=Context(roots, ev.segments, ev.truncated),
             origin=origin,
             observed_coverage=goals,
         ))

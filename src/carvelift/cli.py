@@ -165,9 +165,9 @@ def _cmd_replay(args) -> int:
 def _cmd_carve(args) -> int:
     program, _ = resolve_program(args.program)
     s = read_input_file(args.input)
-    result = run_with_tracing(program, s)
-    policy = CarvePolicy(max_dump_bytes=args.max_dump_bytes)
-    pool = carve(program, result, policy, origin=str(args.input))
+    result = run_with_tracing(
+        program, s, RunOptions(max_dump_bytes=args.max_dump_bytes))
+    pool = carve(program, result, CarvePolicy(), origin=str(args.input))
     print(f"system status: {_describe(result.status)}; "
           f"{len(pool)} carves")
     for i, c in enumerate(pool):

@@ -19,9 +19,6 @@ class SystemInput:
     def elements(self) -> list[bytes]:
         return [*self.argv, self.stdin]
 
-    def element_label(self, index: int) -> str:
-        return f"argv[{index}]" if index < len(self.argv) else "stdin"
-
     def replace_element(self, index: int, data: bytes) -> "SystemInput":
         if index < len(self.argv):
             argv = list(self.argv)

@@ -5,7 +5,7 @@ from .interp import (
 )
 from .trace import (
     AllocEvent, BranchEvent, CallEvent, GlobalStoreEvent, ReturnEvent,
-    TraceEvent, read_trace, write_trace,
+    TraceEvent,
 )
 from .values import (
     INT64_MAX, INT64_MIN, Record, Ref, Segment, SegmentTable, copy_segments,
@@ -17,7 +17,7 @@ __all__ = [
     "GlobalStoreEvent", "INT64_MAX", "INT64_MIN", "Record", "Ref",
     "ReturnEvent", "RunOptions", "RunResult", "RunStatus", "Segment",
     "SegmentTable", "TraceEvent", "TraceOverflow", "TypeMismatch",
-    "call_function", "copy_segments", "read_trace", "run_system",
+    "call_function", "copy_segments", "run_system",
     "run_with_tracing", "segment_byte_size", "serialize_run_result",
-    "value_byte_size", "wrap64", "write_trace",
+    "value_byte_size", "wrap64",
 ]

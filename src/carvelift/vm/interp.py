@@ -25,7 +25,7 @@ Semantics notes that matter for reproducibility:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..errors import ToolError
@@ -42,14 +42,15 @@ from .trace import (
     TraceEvent,
 )
 from .values import (
-    Record, Ref, Segment, SegmentTable, encode_value, reachable_segments,
-    value_type_name, wrap64,
+    Record, Ref, Segment, SegmentTable, encode_value, sever,
+    snapshot_reachable, value_type_name, wrap64,
 )
 
 MAX_CALL_DEPTH = 256
 
 DEFAULT_STEP_LIMIT = 5_000_000
 DEFAULT_TRACE_LIMIT = 500_000
+DEFAULT_MAX_DUMP_BYTES = 65536
 
 CRASH_KINDS = ("oob", "div-zero", "abort", "type-error")
 
@@ -66,10 +67,11 @@ class TypeMismatch(ToolError):
 class RunOptions:
     step_limit: int = DEFAULT_STEP_LIMIT
     trace_limit: int = DEFAULT_TRACE_LIMIT
+    max_dump_bytes: int = DEFAULT_MAX_DUMP_BYTES   # per traced call snapshot
 
     def unit(self) -> "RunOptions":
         """Budget for carved-unit executions: a tenth of the system budget."""
-        return RunOptions(max(1, self.step_limit // 10), self.trace_limit)
+        return replace(self, step_limit=max(1, self.step_limit // 10))
 
 
 @dataclass(frozen=True)
@@ -202,14 +204,7 @@ class _Interp:
         call_index = self.call_counter
         self.call_counter += 1
         if self.tracing:
-            roots = list(args) + list(self.globals.values())
-            self.emit(CallEvent(
-                call_index=call_index,
-                fn=fn.name,
-                args=list(args),
-                globals=dict(self.globals),
-                segments=reachable_segments(roots, self.segments),
-            ))
+            self.emit(self.call_event(call_index, fn.name, args))
         frame = {name: value for (name, _), value in zip(fn.params, args)}
         self.depth += 1
         self.fn_stack.append(fn.name)
@@ -223,6 +218,24 @@ class _Interp:
         if self.tracing:
             self.emit(ReturnEvent(call_index))
         return flow[1] if flow is not None else None
+
+    def call_event(self, call_index: int, name: str, args: list) -> CallEvent:
+        """The call's event, with its context snapshot taken now.
+
+        Roots are the arguments, then the globals by name.  The entry call
+        is never carved, so it gets no snapshot.
+        """
+        globals_ = dict(self.globals)
+        if name == self.program.entry:
+            return CallEvent(call_index, name, list(args), globals_, None, False)
+        segments, truncated = snapshot_reachable(
+            [*args, *(globals_[n] for n in sorted(globals_))], self.segments,
+            self.opts.max_dump_bytes)
+        if truncated:
+            args = [sever(v, segments) for v in args]
+            globals_ = {n: sever(v, segments) for n, v in globals_.items()}
+        return CallEvent(call_index, name, list(args), globals_, segments,
+                         truncated)
 
     # ------------------------------------------------------------ statements
 
@@ -640,11 +653,6 @@ def run_with_tracing(program: Program, system_input: SystemInput,
     carving that test.
     """
     return _run(program, system_input, opts, tracing=True)
-
-
-_TYPE_TAGS = {
-    "int": "int", "float": "float", "bytes": "bytes",
-}
 
 
 def _arg_fits(value, declared) -> bool:

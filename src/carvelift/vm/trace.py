@@ -1,41 +1,47 @@
-"""Trace events and their line-delimited file format.
+"""Trace events and their canonical JSON encoding.
 
-One JSON object per line.  The `kind` field selects the event; the other
-fields are fixed per kind (schema version 1):
+One event per instrumentation point, in execution order.  The `kind`
+field of the encoding selects the event; the other fields are fixed per
+kind:
 
     call          call_index, fn, args (argument values, the global values
-                  at call time, and a deep copy of every segment reachable
-                  from either; this is the invocation dump carving reads)
+                  at call time, the byte-budgeted snapshot of every
+                  segment reachable from either, and whether the budget
+                  truncated it; the entry call has no snapshot)
     return        call_index
     global-store  global, value
     alloc         segment, len, origin
     branch        goal
 
-Byte strings inside values are base64.  Bit-exactness of this format is
-only promised within one tool version.
+Byte strings inside values are base64.  The encoding exists for
+determinism checks (`serialize_run_result`); traces are not persisted.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from typing import Optional
 
-from ..errors import FormatError
 from ..lang.goals import BranchGoal
-from .values import (
-    SegmentTable, decode_segment, decode_value, encode_segment, encode_value,
-)
-
-TRACE_VERSION = "1"
+from .values import SegmentTable, encode_segment, encode_value
 
 
 @dataclass
 class CallEvent:
+    """One call, with the context a carve of it replays.
+
+    `segments` is the heap slice reachable from the arguments and globals
+    at call time, copied under the run's byte budget; it is None for the
+    entry call, which is never carved.  When `truncated` is set, refs out
+    of the slice (in args, globals and segments alike) are null.
+    """
+
     call_index: int
     fn: str
     args: list
     globals: dict[str, object]
-    segments: SegmentTable
+    segments: Optional[SegmentTable]
+    truncated: bool
 
 
 @dataclass
@@ -73,7 +79,10 @@ def encode_event(ev: TraceEvent) -> dict:
             "args": {
                 "values": [encode_value(v) for v in ev.args],
                 "globals": {k: encode_value(v) for k, v in sorted(ev.globals.items())},
-                "segments": {str(sid): encode_segment(s) for sid, s in sorted(ev.segments.items())},
+                "segments": None if ev.segments is None else {
+                    str(sid): encode_segment(s)
+                    for sid, s in sorted(ev.segments.items())},
+                "truncated": ev.truncated,
             },
         }
     if isinstance(ev, ReturnEvent):
@@ -85,47 +94,3 @@ def encode_event(ev: TraceEvent) -> dict:
     if isinstance(ev, BranchEvent):
         return {"kind": "branch", "goal": str(ev.goal)}
     raise TypeError(f"not a trace event: {ev!r}")
-
-
-def decode_event(obj: dict) -> TraceEvent:
-    kind = obj.get("kind")
-    if kind == "call":
-        dump = obj["args"]
-        return CallEvent(
-            call_index=int(obj["call_index"]),
-            fn=str(obj["fn"]),
-            args=[decode_value(v) for v in dump["values"]],
-            globals={k: decode_value(v) for k, v in dump["globals"].items()},
-            segments={int(sid): decode_segment(s) for sid, s in dump["segments"].items()},
-        )
-    if kind == "return":
-        return ReturnEvent(int(obj["call_index"]))
-    if kind == "global-store":
-        return GlobalStoreEvent(str(obj["global"]), decode_value(obj["value"]))
-    if kind == "alloc":
-        return AllocEvent(int(obj["segment"]), int(obj["len"]), str(obj["origin"]))
-    if kind == "branch":
-        return BranchEvent(BranchGoal.parse(obj["goal"]))
-    raise FormatError(f"unknown trace event kind: {kind!r}")
-
-
-def write_trace(path, events: list[TraceEvent]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps({"kind": "header", "version": TRACE_VERSION}, sort_keys=True))
-        fh.write("\n")
-        for ev in events:
-            fh.write(json.dumps(encode_event(ev), sort_keys=True))
-            fh.write("\n")
-
-
-def read_trace(path) -> list[TraceEvent]:
-    events: list[TraceEvent] = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = json.loads(fh.readline())
-        if header.get("kind") != "header" or header.get("version") != TRACE_VERSION:
-            raise FormatError(f"unsupported trace header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if line:
-                events.append(decode_event(json.loads(line)))
-    return events

@@ -77,9 +77,6 @@ class Record:
         return f"{self.rtype}{{{inner}}}"
 
 
-ORIGINS = ("heap", "global", "argv", "input")
-
-
 @dataclass
 class Segment:
     """One allocation: a fixed-length run of values."""
@@ -125,14 +122,6 @@ def value_type_name(v) -> str:
     raise TypeError(f"not a runtime value: {v!r}")
 
 
-def is_value(v) -> bool:
-    try:
-        value_type_name(v)
-        return True
-    except TypeError:
-        return False
-
-
 # ---------------------------------------------------------------- sizing
 #
 # Deterministic byte accounting used by snapshot budgets.  Scalars and refs
@@ -156,7 +145,10 @@ def value_byte_size(v) -> int:
 
 
 def segment_byte_size(seg: Segment) -> int:
-    return HEADER_SIZE + sum(value_byte_size(x) for x in seg.elems)
+    size = HEADER_SIZE
+    for x in seg.elems:   # ints, the common element, skip the call
+        size += SCALAR_SIZE if type(x) is int else value_byte_size(x)
+    return size
 
 
 # ---------------------------------------------------------------- encoding
@@ -234,26 +226,56 @@ def iter_refs(v):
             yield from iter_refs(x)
 
 
-def reachable_segments(roots, table: SegmentTable) -> SegmentTable:
-    """Deep copy of every segment reachable from the given root values.
+def sever(v, keep):
+    """Replace refs into segments whose ids are not in `keep` with null."""
+    if isinstance(v, Ref):
+        return v if v.seg in keep else None
+    if isinstance(v, tuple):
+        return tuple(sever(x, keep) for x in v)
+    if isinstance(v, Record):
+        return Record(v.rtype, {k: sever(x, keep) for k, x in v.fields.items()})
+    return v
 
-    Breadth-first over refs; the result is closed under ref traversal.
+
+def snapshot_reachable(roots, table: SegmentTable,
+                       max_bytes: int) -> tuple[SegmentTable, bool]:
+    """Copy of the heap slice reachable from `roots`, under a byte budget.
+
+    Breadth-first over refs, roots in the order given.  Traversal stops
+    entirely at the first segment that would push the accumulated size
+    past max_bytes, so growing the budget only ever adds segments.  An
+    untruncated slice is closed under ref traversal; in a truncated one,
+    refs out of the kept slice are severed to null (the caller severs the
+    roots).  Returns (kept segments, truncated).
     """
+    if max_bytes <= 0:
+        raise ValueError("max_bytes must be positive")
     queue: list[int] = []
     seen: set[int] = set()
-    for v in roots:
+
+    def discover(v):
         for r in iter_refs(v):
             if r.seg not in seen and r.seg in table:
                 seen.add(r.seg)
                 queue.append(r.seg)
-    out: SegmentTable = {}
-    while queue:
-        sid = queue.pop(0)
+
+    for v in roots:
+        discover(v)
+
+    kept: SegmentTable = {}
+    used = 0
+    qi = 0
+    while qi < len(queue):
+        sid = queue[qi]
+        qi += 1
         seg = table[sid]
-        out[sid] = seg.copy()
+        used += segment_byte_size(seg)
+        if used > max_bytes:
+            for k in kept.values():
+                k.elems = [sever(x, kept) for x in k.elems]
+            return kept, True
+        kept[sid] = seg.copy()
         for elem in seg.elems:
-            for r in iter_refs(elem):
-                if r.seg not in seen and r.seg in table:
-                    seen.add(r.seg)
-                    queue.append(r.seg)
-    return out
+            if type(elem) is not int:
+                discover(elem)
+    return kept, False

@@ -7,8 +7,12 @@ keycheck bridge-vs-baseline behavior predicted by the subject's
 control flow.
 """
 
+import json
+
 import pytest
 
+import carvelift.campaign as campaign_module
+from carvelift.bundled import resolve_program, resolve_seeds
 from carvelift.campaign import (
     CoverageMap,
     RunConfig,
@@ -22,10 +26,11 @@ from carvelift.carving import CarvedTest, Context
 from carvelift.errors import ConfigError
 from carvelift.lang.goals import enumerate_goals, goals_in_function
 from carvelift.lang.parser import parse
+from carvelift.reporting import serialize_report
 from carvelift.rng import Rng
 from carvelift.sysgen import read_corpus
 
-from conftest import load_subject, mk_input
+from conftest import SUBJECT_NAMES, load_subject, mk_input
 
 # five functions with 1, 2, 2, 3, 0 conditional statements
 POOL_PROG = parse("""
@@ -289,3 +294,63 @@ def test_branchless_subject_finishes_with_seed_coverage_only():
     assert r.discovered == 0
     assert r.lift_stats.lift_attempts == 0
     assert r.speedup.system_executions >= 1
+
+
+# ----------------------------------------------------------- tracing cut
+
+# At this clock the cut happens in mini_dc and mini_cut, not in the others.
+CUT_CLOCK = 200_000
+
+
+def bundled_bridge(name):
+    program, name = resolve_program(name)
+    cfg = RunConfig(mode="bridge", deterministic_clock=CUT_CLOCK, rng_seed=7)
+    return run_campaign(program, resolve_seeds(None, name), cfg,
+                        program_name=name)
+
+
+def without_carve_counts(report):
+    """The serialized report minus wall times and carve counts."""
+    doc = json.loads(serialize_report(report))
+    for key in ("total_wall_s", "system_wall_total_s", "carve_stats"):
+        del doc[key]
+    for key in ("median_system_ms", "median_unit_ms", "speedup"):
+        del doc["speedup"][key]
+    for row in doc["functions"]:
+        del row["carves"]
+    return doc
+
+
+@pytest.mark.parametrize("name", SUBJECT_NAMES)
+def test_tracing_cut_changes_only_carve_counts(name, monkeypatch):
+    cut = bundled_bridge(name)
+    monkeypatch.setattr(campaign_module._Campaign, "selectable",
+                        lambda self: True)
+    full = bundled_bridge(name)
+    assert without_carve_counts(cut) == without_carve_counts(full)
+    assert cut.carve_stats["carved"] <= full.carve_stats["carved"]
+
+
+def test_mini_dc_is_not_traced_once_nothing_is_selectable(monkeypatch):
+    log = []
+    selectable = campaign_module._Campaign.selectable
+    traced_run = campaign_module.run_with_tracing
+
+    def logged_selectable(self):
+        ok = selectable(self)
+        log.append("selectable" if ok else "unselectable")
+        return ok
+
+    def logged_traced_run(*args, **kwargs):
+        log.append("traced")
+        return traced_run(*args, **kwargs)
+
+    monkeypatch.setattr(campaign_module._Campaign, "selectable",
+                        logged_selectable)
+    monkeypatch.setattr(campaign_module, "run_with_tracing", logged_traced_run)
+    report = bundled_bridge("mini_dc")
+    cut = log.index("unselectable")
+    assert "traced" in log[:cut]
+    assert "traced" not in log[cut:]
+    assert log[cut:].count("unselectable") > 1   # runs went on, untraced
+    assert report.carve_stats["carved"] > 0

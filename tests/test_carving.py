@@ -17,7 +17,7 @@ from carvelift.carving import (
 from carvelift.errors import FormatError
 from carvelift.lang.parser import parse
 from carvelift.rng import Rng
-from carvelift.vm.interp import call_function, run_with_tracing
+from carvelift.vm.interp import RunOptions, call_function, run_with_tracing
 from carvelift.vm.trace import BranchEvent, CallEvent, ReturnEvent
 from carvelift.vm.values import Record, Ref, Segment
 
@@ -227,13 +227,36 @@ def test_snapshot_monotone_in_budget():
 
 def test_truncated_context_severs_root_refs():
     prog = load_subject("keycheck")
-    result = run_with_tracing(prog, mk_input([b"admin", b"pw"]))
-    carves = carve(prog, result, CarvePolicy(max_dump_bytes=8))
+    result = run_with_tracing(prog, mk_input([b"admin", b"pw"]),
+                              RunOptions(max_dump_bytes=8))
+    carves = carve(prog, result, CarvePolicy())
     assert carves, "expected carves even under a tiny budget"
     for c in carves:
         assert c.context.truncated is True
         assert c.context.roots["global:db"] is None
         assert c.context.segments == {}
+
+
+def test_context_is_taken_at_call_time_not_at_return():
+    prog = parse("""
+global cells: ref int = alloc_array(2, 0);
+fn bump(r: ref int) -> int {
+    let before = r[0];
+    r[0] = before + 41;
+    cells[1] = 9;
+    return before;
+}
+fn main() -> int {
+    cells[0] = 1;
+    return bump(cells);
+}
+""")
+    result = run_with_tracing(prog, mk_input())
+    carved = next(c for c in carve(prog, result, CarvePolicy())
+                  if c.start[0] == "bump")
+    ref = carved.context.roots["arg[0]"]
+    assert carved.context.segments[ref.seg].elems == [1, 0]
+    assert replay(prog, carved).return_value == 1
 
 
 # ------------------------------------------------------------ context model
