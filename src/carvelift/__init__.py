@@ -17,8 +17,8 @@ from .campaign import (
     CoverageMap, RunConfig, SelectionState, run_campaign, select_next,
 )
 from .carving import (
-    CarvePolicy, CarveStats, CarvedTest, Context, carve, carve_with_stats,
-    context_to_world, load_snapshot, save_snapshot,
+    CarveStats, CarvedTest, Context, carve_with_stats, context_to_world,
+    load_snapshot, save_snapshot,
 )
 from .errors import ConfigError, FormatError, SubjectLoadError, ToolError
 from .inputs import SystemInput
@@ -39,14 +39,13 @@ from .sysgen import (
 )
 from .unitgen import (
     FuzzStats, NoParameters, ParamAssignment, UnitOutcome, UnknownParameter,
-    apply_assignment, fuzz_unit, fuzz_unit_with_stats,
+    apply_assignment, fuzz_unit_with_stats,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CampaignReport",
-    "CarvePolicy",
     "CarveStats",
     "CarvedTest",
     "ConfigError",
@@ -81,11 +80,9 @@ __all__ = [
     "build_mapping",
     "bundled_seeds",
     "bundled_subject_names",
-    "carve",
     "carve_with_stats",
     "context_to_world",
     "emit_series",
-    "fuzz_unit",
     "fuzz_unit_with_stats",
     "generate_batch",
     "hrvar",

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import statistics
 import time
+from collections.abc import Set
 from dataclasses import asdict, dataclass, field
 
 from .carving import (
-    CarvePolicy, CarveStats, CarvedTest, carve_with_stats,
-    input_reading_functions,
+    CarveStats, CarvedTest, carve_with_stats, input_reading_functions,
 )
 from .errors import ConfigError
 from .lang.goals import BranchGoal, enumerate_goals, goals_in_function
@@ -79,10 +79,7 @@ class WallClock:
     def now(self) -> float:
         return time.monotonic() - self._t0
 
-    def charge(self, result) -> None:
-        pass
-
-    def charge_steps(self, steps: int) -> None:
+    def charge(self, steps: int) -> None:
         pass
 
 
@@ -95,10 +92,7 @@ class StepClock:
     def now(self) -> float:
         return float(self.steps)
 
-    def charge(self, result) -> None:
-        self.steps += result.steps
-
-    def charge_steps(self, steps: int) -> None:
+    def charge(self, steps: int) -> None:
         self.steps += steps
 
 
@@ -111,17 +105,15 @@ class SelectionState:
         self.skipped.add(fn)
 
 
-def select_next(pool: list[CarvedTest], cov, program,
-                state: SelectionState | None = None) -> CarvedTest | None:
+def select_next(pool: list[CarvedTest], discovered: Set[BranchGoal], program,
+                state: SelectionState) -> CarvedTest | None:
     """Pick a carve of the function with the most uncovered goals.
 
     Ties break toward the function selected fewer times, then the
     lexicographically smaller name.  Within a function the carves
-    rotate with the selection count.  Returns None when no pool
-    function has uncovered goals.
+    rotate with the selection count, which `state` keeps.  Returns None
+    when no pool function has uncovered goals.
     """
-    state = state if state is not None else SelectionState()
-    discovered = set(getattr(cov, "discovered", cov))
     by_fn: dict[str, list[CarvedTest]] = {}
     for c in pool:
         fn = c.start[0]
@@ -189,7 +181,6 @@ class _Campaign:
         self.opts = RunOptions(step_limit=cfg.step_limit,
                                trace_limit=cfg.trace_limit,
                                max_dump_bytes=cfg.max_dump_bytes)
-        self.policy = CarvePolicy(per_fn_cap=cfg.per_fn_cap)
         self.map_opts = MapOptions(min_match_len=cfg.min_match_len)
         self.clock = (StepClock() if cfg.deterministic_clock is not None
                       else WallClock())
@@ -253,6 +244,12 @@ class _Campaign:
     def point(self) -> None:
         self.series.append((self.clock.now(), self.fraction()))
 
+    def record(self, goals: Set[BranchGoal], source: str) -> None:
+        """Log the goals not discovered yet, stamped with the clock now."""
+        now = self.clock.now()
+        for g in sorted(goals - self.cov.discovered, key=str):
+            self.cov.record(g, now, source)
+
     def selectable(self) -> bool:
         """Whether select_next can still return a carve, now or later.
 
@@ -282,17 +279,17 @@ class _Campaign:
                 result = None   # too chatty to carve; coverage still counts
         if result is None:
             result = run_system(self.program, s, self.opts)
-        self.clock.charge(result)
+        self.clock.charge(result.steps)
         self.n_sys_execs += 1
         self.sys_walls.append(result.wall_time_s)
         self.wall_sys_total += result.wall_time_s
-        for g in sorted(result.coverage - self.cov.discovered, key=str):
-            self.cov.record(g, self.clock.now(), source)
+        self.record(result.coverage, source)
         self.point()
         if traced and result.trace is not None:
             carves, stats = carve_with_stats(
-                self.program, result, self.policy, origin=origin_id,
-                input_dependent=self.input_dependent)
+                self.program, result, origin=origin_id,
+                input_dependent=self.input_dependent,
+                per_fn_cap=self.cfg.per_fn_cap)
             self.origins[origin_id] = s
             self.pool.extend(carves)
             for k, v in asdict(stats).items():
@@ -331,7 +328,7 @@ class _Campaign:
             self.program, sel, m, self.cfg.unit_budget,
             self.cov.discovered | self.fp_goals,
             self.rng_unit.split(), self.opts)
-        self.clock.charge_steps(fstats.steps)
+        self.clock.charge(fstats.steps)
         self.unit_walls.extend(fstats.wall_times_s)
         self.n_unit_execs += fstats.executions
         self.n_unit_winners += len(winners)
@@ -353,10 +350,12 @@ class _Campaign:
             except UnmappedParameter:
                 continue
             self.n_lift_attempts += 1
-            out = validate(self.program, lifted, w.new_goals, self.cov,
-                           unit_crash, elapsed=self.clock.now(),
-                           opts=self.opts)
-            self.clock.charge_steps(out.steps)
+            out = validate(self.program, lifted, w.new_goals,
+                           self.cov.discovered, unit_crash, self.opts)
+            # Recorded before the run's steps are charged: on the step
+            # clock a lift goal carries the time its validating run began.
+            self.record(out.discovered, "lift")
+            self.clock.charge(out.steps)
             self.n_sys_execs += 1
             self.sys_walls.append(out.wall_time_s)
             self.wall_sys_total += out.wall_time_s
@@ -389,7 +388,8 @@ class _Campaign:
                 break
             self.run_one(s, self.gen_id(), "system-gen", traced=True)
         while not self.exhausted() and self.uncovered():
-            sel = select_next(self.pool, self.cov, self.program, self.state)
+            sel = select_next(self.pool, self.cov.discovered, self.program,
+                              self.state)
             if sel is None:
                 self.system_batch(traced=True)
                 continue

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import FormatError
 from .lang.ast import (
@@ -100,9 +99,6 @@ class Context:
     segments: SegmentTable
     truncated: bool
 
-    def var(self) -> tuple[str, ...]:
-        return tuple(self.roots)
-
     def leaves(self):
         """Yield (path, value) for every scalar leaf, argument roots first.
 
@@ -168,19 +164,12 @@ class CarvedTest:
     observed_coverage: frozenset[BranchGoal]
 
 
-@dataclass(frozen=True)
-class CarvePolicy:
-    per_fn_cap: int = 8
-    allowlist: Optional[frozenset[str]] = None
-
-
 @dataclass
 class CarveStats:
     carved: int = 0
     truncated: int = 0
     skipped_incomplete: int = 0
     skipped_capped: int = 0
-    skipped_filtered: int = 0
     skipped_input_dependent: int = 0
 
 
@@ -245,15 +234,16 @@ def input_reading_functions(program: Program) -> frozenset[str]:
     return frozenset(tainted)
 
 
-def carve_with_stats(program: Program, result: RunResult, policy: CarvePolicy,
-                     origin: str = "",
+def carve_with_stats(program: Program, result: RunResult, origin: str = "",
                      input_dependent: frozenset[str] | None = None,
+                     per_fn_cap: int = 8,
                      ) -> tuple[list[CarvedTest], CarveStats]:
     """Carve every admissible completed call out of a traced run.
 
     Each carve's context is the snapshot its call event took, used as it
-    is.  `input_dependent` is input_reading_functions(program), computed
-    here when not given; callers carving many runs of one program pass it.
+    is.  Calls of one function past the first `per_fn_cap` are skipped.
+    `input_dependent` is input_reading_functions(program), computed here
+    when not given; callers carving many runs of one program pass it.
     """
     if result.trace is None:
         raise ValueError("carving needs a traced run (use run_with_tracing)")
@@ -287,10 +277,7 @@ def carve_with_stats(program: Program, result: RunResult, policy: CarvePolicy,
         if ev.fn in input_dependent:
             stats.skipped_input_dependent += 1
             continue
-        if policy.allowlist is not None and ev.fn not in policy.allowlist:
-            stats.skipped_filtered += 1
-            continue
-        if per_fn.get(ev.fn, 0) >= policy.per_fn_cap:
+        if per_fn.get(ev.fn, 0) >= per_fn_cap:
             stats.skipped_capped += 1
             continue
         per_fn[ev.fn] = per_fn.get(ev.fn, 0) + 1
@@ -308,11 +295,6 @@ def carve_with_stats(program: Program, result: RunResult, policy: CarvePolicy,
         ))
     stats.carved = len(out)
     return out, stats
-
-
-def carve(program: Program, result: RunResult, policy: CarvePolicy,
-          origin: str = "") -> list[CarvedTest]:
-    return carve_with_stats(program, result, policy, origin)[0]
 
 
 def context_to_world(ctx: Context):

@@ -13,7 +13,7 @@ import sys
 
 from .bundled import resolve_program, resolve_seeds
 from .campaign import RunConfig, run_campaign
-from .carving import CarvePolicy, carve, context_to_world, load_snapshot, \
+from .carving import carve_with_stats, context_to_world, load_snapshot, \
     save_snapshot
 from .errors import ToolError
 from .lang.goals import enumerate_goals
@@ -167,7 +167,7 @@ def _cmd_carve(args) -> int:
     s = read_input_file(args.input)
     result = run_with_tracing(
         program, s, RunOptions(max_dump_bytes=args.max_dump_bytes))
-    pool = carve(program, result, CarvePolicy(), origin=str(args.input))
+    pool = carve_with_stats(program, result, origin=str(args.input))[0]
     print(f"system status: {_describe(result.status)}; "
           f"{len(pool)} carves")
     for i, c in enumerate(pool):

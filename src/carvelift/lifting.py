@@ -8,10 +8,12 @@ classifies whether the unit-level discovery survived the trip.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 
 from .errors import ToolError
 from .inputs import SystemInput
+from .lang.goals import BranchGoal
 from .mapping import ENC_DECIMAL, Mapping, Match
 from .unitgen import ParamAssignment
 from .vm.interp import RunOptions, RunStatus, TypeMismatch, run_system
@@ -86,17 +88,9 @@ class LiftOutcome:
     wall_time_s: float = 0.0
 
 
-def _merge(cov, goals, elapsed: float) -> None:
-    if hasattr(cov, "record"):
-        for g in sorted(goals, key=str):
-            cov.record(g, elapsed, "lift")
-    else:
-        cov.update(goals)
-
-
-def validate(program, lifted: LiftedInput, sought: frozenset, cov,
+def validate(program, lifted: LiftedInput, sought: frozenset,
+             known: Set[BranchGoal],
              unit_crash: tuple[str, str] | None = None,
-             elapsed: float = 0.0,
              opts: RunOptions = RunOptions()) -> LiftOutcome:
     """Run the lifted input at system level and classify the result.
 
@@ -105,13 +99,13 @@ def validate(program, lifted: LiftedInput, sought: frozenset, cov,
     other-goal: no sought goal, but some goal new to the campaign.
     false-positive: nothing new at all.
 
-    Newly discovered goals are merged into cov in every case; a lift
-    that misses its target still paid for real coverage.
+    `known` is the goal set already discovered; it is only read.  The
+    goals new relative to it come back as `discovered` in every case,
+    for the caller to record: a lift that misses its target still paid
+    for real coverage.
     """
-    known = set(getattr(cov, "discovered", cov))
     result = run_system(program, lifted.input, opts)
     discovered = frozenset(result.coverage - known)
-    _merge(cov, discovered, elapsed)
 
     sought = frozenset(sought)
     reproduced = (

@@ -15,6 +15,7 @@ carved out of the program's own state.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass, field
 
 from .carving import CarvedTest, Context, context_to_world, parse_path
@@ -203,14 +204,14 @@ def apply_assignment(c: CarvedTest, a: ParamAssignment):
 # ---------------------------------------------------------------- fuzzing
 
 def fuzz_unit_with_stats(program: Program, c: CarvedTest, m: Mapping,
-                         budget: int, cov, rng: Rng,
+                         budget: int, known: Set[BranchGoal], rng: Rng,
                          opts: RunOptions = RunOptions()):
     """Run up to `budget` single-parameter variations of a carved call.
 
-    `cov` is the goal set already discovered (a CoverageMap or a plain
-    set); only executions that crash or reach beyond it are returned.
-    Each returned crash signature appears once per batch.  Unit runs get
-    a tenth of the system step budget.
+    `known` is the goal set already discovered; it is only read.  Only
+    executions that crash or reach beyond it are returned, as
+    (winners, FuzzStats).  Each returned crash signature appears once
+    per batch.  Unit runs get a tenth of the system step budget.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -227,7 +228,7 @@ def fuzz_unit_with_stats(program: Program, c: CarvedTest, m: Mapping,
         else:
             streams.append((path, int_mutations(leaf, child)))
 
-    working = set(getattr(cov, "discovered", cov))
+    working = set(known)
     unit_opts = opts.unit()
     stats = FuzzStats()
     outcomes: list[UnitOutcome] = []
@@ -255,8 +256,3 @@ def fuzz_unit_with_stats(program: Program, c: CarvedTest, m: Mapping,
             outcomes.append(UnitOutcome(
                 assignment, r.status, new_goals, r.status.is_crash()))
     return outcomes, stats
-
-
-def fuzz_unit(program: Program, c: CarvedTest, m: Mapping, budget: int,
-              cov, rng: Rng, opts: RunOptions = RunOptions()) -> list[UnitOutcome]:
-    return fuzz_unit_with_stats(program, c, m, budget, cov, rng, opts)[0]

@@ -15,10 +15,9 @@ import pytest
 from carvelift.bundled import resolve_seeds
 from carvelift.campaign import RunConfig, run_campaign
 from carvelift.carving import (
-    CarvePolicy,
     CarvedTest,
     Context,
-    carve,
+    carve_with_stats,
     context_to_world,
 )
 from carvelift.inputs import SystemInput
@@ -57,7 +56,6 @@ def carve_corpus():
     """Carves from 5 subjects x 20 random inputs, with setup seconds."""
     t0 = time.monotonic()
     entries = []
-    policy = CarvePolicy()
     for si, name in enumerate(SUBJECT_NAMES):
         program = load_subject(name)
         rng = Rng(0xACCE9700 + si)
@@ -66,7 +64,7 @@ def carve_corpus():
             r = _traced_or_none(program, s)
             if r is None:
                 continue
-            for c in carve(program, r, policy, origin="acceptance"):
+            for c in carve_with_stats(program, r, origin="acceptance")[0]:
                 entries.append((name, program, c, s))
     return entries, time.monotonic() - t0
 

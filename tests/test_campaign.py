@@ -7,7 +7,9 @@ keycheck bridge-vs-baseline behavior predicted by the subject's
 control flow.
 """
 
+import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -82,26 +84,24 @@ def oracle_select(pool, covered, program, counts, skipped):
 # ----------------------------------------------------------- select_next
 
 def test_select_empty_pool_is_none():
-    assert select_next([], CoverageMap(), POOL_PROG, SelectionState()) is None
+    assert select_next([], frozenset(), POOL_PROG, SelectionState()) is None
 
 
 def test_select_prefers_most_uncovered_function():
     pool = [fake_carve("fa", 0), fake_carve("fd", 1)]
-    got = select_next(pool, CoverageMap(), POOL_PROG, SelectionState())
+    got = select_next(pool, frozenset(), POOL_PROG, SelectionState())
     assert got.start[0] == "fd"
 
 
 def test_select_none_when_everything_is_covered():
     pool = [fake_carve("fa", 0)]
-    cov = CoverageMap()
-    for g in sorted(goals_in_function(POOL_PROG, "fa"), key=str):
-        cov.record(g, 0.0, "system-seed")
-    assert select_next(pool, cov, POOL_PROG, SelectionState()) is None
+    covered = goals_in_function(POOL_PROG, "fa")
+    assert select_next(pool, covered, POOL_PROG, SelectionState()) is None
 
 
 def test_zero_goal_functions_are_never_selected():
     pool = [fake_carve("fe", 0)]
-    assert select_next(pool, CoverageMap(), POOL_PROG, SelectionState()) is None
+    assert select_next(pool, frozenset(), POOL_PROG, SelectionState()) is None
 
 
 def test_skip_is_permanent():
@@ -109,15 +109,14 @@ def test_skip_is_permanent():
     state = SelectionState()
     state.skip("fd")
     for _ in range(3):
-        got = select_next(pool, CoverageMap(), POOL_PROG, state)
+        got = select_next(pool, frozenset(), POOL_PROG, state)
         assert got.start[0] == "fa"
 
 
 def test_equal_scores_alternate_between_functions():
     pool = [fake_carve("fb", 0), fake_carve("fc", 1)]
     state = SelectionState()
-    cov = CoverageMap()
-    picks = [select_next(pool, cov, POOL_PROG, state).start[0]
+    picks = [select_next(pool, frozenset(), POOL_PROG, state).start[0]
              for _ in range(4)]
     assert picks == ["fb", "fc", "fb", "fc"]
 
@@ -125,7 +124,7 @@ def test_equal_scores_alternate_between_functions():
 def test_rotation_cycles_through_a_functions_carves():
     pool = [fake_carve("fd", i) for i in range(3)]
     state = SelectionState()
-    picks = [select_next(pool, CoverageMap(), POOL_PROG, state).start[1]
+    picks = [select_next(pool, frozenset(), POOL_PROG, state).start[1]
              for _ in range(6)]
     assert picks == [0, 1, 2, 0, 1, 2]
 
@@ -163,11 +162,11 @@ def test_clocks():
     wall = WallClock()
     assert wall.now() >= 0.0
     step = StepClock()
-    class R:
-        steps = 120
-    step.charge(R())
-    step.charge_steps(30)
+    step.charge(120)
+    step.charge(30)
     assert step.now() == 150.0
+    wall.charge(120)
+    assert wall.now() < 120.0
 
 
 # ----------------------------------------------------------- config
@@ -254,6 +253,35 @@ def test_step_clock_campaigns_reproduce_exactly(keycheck_bridge_report):
     assert again.first_discovery == keycheck_bridge_report.first_discovery
     assert again.coverage_series == keycheck_bridge_report.coverage_series
     assert again.discovered == keycheck_bridge_report.discovered
+
+
+def test_lift_goals_are_stamped_before_validation_is_charged(monkeypatch):
+    clocks, validations = [], []
+
+    class LoggedStepClock(campaign_module.StepClock):
+        def __init__(self):
+            super().__init__()
+            clocks.append(self)
+
+    validate = campaign_module.validate
+
+    def logged_validate(*args, **kwargs):
+        before = clocks[-1].now()
+        out = validate(*args, **kwargs)
+        validations.append((before, out))
+        return out
+
+    monkeypatch.setattr(campaign_module, "StepClock", LoggedStepClock)
+    monkeypatch.setattr(campaign_module, "validate", logged_validate)
+    r = run_campaign(load_subject("keycheck"), KEY_SEEDS, bridge_cfg())
+    stamps = {str(g): (before, out.steps)
+              for before, out in validations for g in out.discovered}
+    lifted = {g: e for e, g, src in r.first_discovery if src == "lift"}
+    assert lifted and lifted.keys() == stamps.keys()
+    for g, e in lifted.items():
+        before, steps = stamps[g]
+        assert steps > 0
+        assert e == before
 
 
 def test_recarving_makes_lifted_functions_carvable(keycheck_bridge_report):
@@ -354,3 +382,51 @@ def test_mini_dc_is_not_traced_once_nothing_is_selectable(monkeypatch):
     assert "traced" not in log[cut:]
     assert log[cut:].count("unselectable") > 1   # runs went on, untraced
     assert report.carve_stats["carved"] > 0
+
+
+# ----------------------------------------------------------- golden reports
+
+# sha256 of each bundled subject's step-clock report, wall-time fields
+# zeroed, at rng seed 7 and a 100k-step clock.  Anything that changes
+# what a step-clock campaign does or reports changes one of these; such
+# a change must say why in CHANGES.md and pin the new values.
+GOLDEN_CLOCK = 100_000
+GOLDEN_DIGESTS = {
+    ("keycheck", "bridge"):
+        "566ce1073431100caef94491e9e752857354e6d5d5542326b4437b19839288e1",
+    ("keycheck", "system-only"):
+        "d93d0e44e2f92ae5e5450e0cb2de870a4602a2680c50fd7cfc0c1dd9844bc30e",
+    ("mini_dc", "bridge"):
+        "872b2fd4e447101974e3035c5630b91f531e18ad17e045cbd35deca2d672f8b2",
+    ("mini_dc", "system-only"):
+        "ef764b1ee688d7e4f042e9d2e5a263f9a338d78e121ff0b682213fb5c78c2857",
+    ("mini_sed", "bridge"):
+        "d3549f97fd0168c1fa00c7caaee02fc9e37395ac268ebf4954502b3b7157e6e0",
+    ("mini_sed", "system-only"):
+        "1731e1c2222342d5500e8b8235306c188921a96a1281e07052c5cec1cf9755e1",
+    ("mini_cut", "bridge"):
+        "3a1f9a8ec79eb28978959a7ae0adddf4415cc2b63abf38c1f7d366c7c8d9b293",
+    ("mini_cut", "system-only"):
+        "7e5f778328755dc6050b290766715940094560467753684decb2d048a4a8e98c",
+    ("mini_tac", "bridge"):
+        "b8bb34eae29b7828d4279a9136ca83b327dc32063a36803c1fbc16655faa79b1",
+    ("mini_tac", "system-only"):
+        "ca9df724e355323f4ff6967fcae22c799a894d6e9a7cba9b09e6ba1171e96c7c",
+}
+
+
+def timeless_digest(report):
+    timeless = replace(
+        report, total_wall_s=0.0, system_wall_total_s=0.0,
+        speedup=replace(report.speedup, median_system_ms=0.0,
+                        median_unit_ms=0.0, speedup=0.0))
+    return hashlib.sha256(serialize_report(timeless).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,mode", sorted(GOLDEN_DIGESTS))
+def test_step_clock_reports_match_golden_digests(name, mode):
+    program, name = resolve_program(name)
+    cfg = RunConfig(mode=mode, deterministic_clock=GOLDEN_CLOCK, rng_seed=7)
+    report = run_campaign(program, resolve_seeds(None, name), cfg,
+                          program_name=name)
+    assert timeless_digest(report) == GOLDEN_DIGESTS[name, mode]

@@ -11,8 +11,8 @@ import dataclasses
 import pytest
 
 from carvelift.carving import (
-    CarvePolicy, CarvedTest, Context, carve, carve_with_stats,
-    context_to_world, load_snapshot, save_snapshot, snapshot_reachable,
+    CarvedTest, Context, carve_with_stats, context_to_world, load_snapshot,
+    save_snapshot, snapshot_reachable,
 )
 from carvelift.errors import FormatError
 from carvelift.lang.parser import parse
@@ -53,7 +53,7 @@ def replay(program, carved):
 def test_empty_main_carves_nothing():
     prog = parse("fn main() -> int { return 0; }")
     result = run_with_tracing(prog, mk_input())
-    assert carve(prog, result, CarvePolicy()) == []
+    assert carve_with_stats(prog, result)[0] == []
 
 
 def test_carve_requires_trace():
@@ -61,7 +61,7 @@ def test_carve_requires_trace():
     from carvelift.vm.interp import run_system
     result = run_system(prog, mk_input())
     with pytest.raises(ValueError):
-        carve(prog, result, CarvePolicy())
+        carve_with_stats(prog, result)
 
 
 def test_carve_fidelity_on_subjects():
@@ -71,7 +71,7 @@ def test_carve_fidelity_on_subjects():
         for _ in range(6):
             sysin = random_input_for(name, rng)
             result = run_with_tracing(prog, sysin)
-            for carved in carve(prog, result, CarvePolicy()):
+            for carved in carve_with_stats(prog, result)[0]:
                 assert carved.observed_coverage == slice_goals(
                     result.trace, carved.start[1]), (name, carved.start)
                 if carved.context.truncated:
@@ -95,7 +95,7 @@ fn main() -> int {
 }
 """)
     result = run_with_tracing(prog, mk_input())
-    carves = carve(prog, result, CarvePolicy())
+    carves = carve_with_stats(prog, result)[0]
     outer_carves = [c for c in carves if c.start[0] == "outer"]
     assert len(outer_carves) == 1
     got = outer_carves[0].observed_coverage
@@ -114,7 +114,7 @@ fn main() -> int {
 """)
     result = run_with_tracing(prog, mk_input())
     assert result.status.is_crash() and result.status.crash_kind == "oob"
-    carves, stats = carve_with_stats(prog, result, CarvePolicy())
+    carves, stats = carve_with_stats(prog, result)
     assert carves == []
     assert stats.skipped_incomplete == 1
 
@@ -130,28 +130,15 @@ fn main() -> int {
 }
 """)
     result = run_with_tracing(prog, mk_input())
-    carves, stats = carve_with_stats(prog, result, CarvePolicy(per_fn_cap=8))
+    carves, stats = carve_with_stats(prog, result, per_fn_cap=8)
     assert len(carves) == 8
     assert stats.skipped_capped == 12
     indices = [c.start[1] for c in carves]
     assert indices == sorted(indices)
     # first call captures acc == 0, so the cap kept the earliest calls
     assert carves[0].context.roots["arg[0]"] == 0
-    assert carve(prog, result, CarvePolicy(per_fn_cap=100)) != carves
-    assert len(carve(prog, result, CarvePolicy(per_fn_cap=100))) == 20
-
-
-def test_allowlist_filters_functions():
-    prog = parse("""
-fn f(x: int) -> int { return x; }
-fn g(x: int) -> int { return x; }
-fn main() -> int { return f(1) + g(2); }
-""")
-    result = run_with_tracing(prog, mk_input())
-    carves, stats = carve_with_stats(
-        prog, result, CarvePolicy(allowlist=frozenset({"g"})))
-    assert [c.start[0] for c in carves] == ["g"]
-    assert stats.skipped_filtered == 1
+    assert carve_with_stats(prog, result, per_fn_cap=100)[0] != carves
+    assert len(carve_with_stats(prog, result, per_fn_cap=100)[0]) == 20
 
 
 def test_input_reading_functions_are_not_carved():
@@ -166,7 +153,7 @@ fn main() -> int {
 }
 """)
     result = run_with_tracing(prog, mk_input([b"one"]))
-    carves, stats = carve_with_stats(prog, result, CarvePolicy())
+    carves, stats = carve_with_stats(prog, result)
     assert [c.start[0] for c in carves] == ["pure"]
     # peek called directly, and again through wrap; wrap itself also skipped
     assert stats.skipped_input_dependent == 3
@@ -229,7 +216,7 @@ def test_truncated_context_severs_root_refs():
     prog = load_subject("keycheck")
     result = run_with_tracing(prog, mk_input([b"admin", b"pw"]),
                               RunOptions(max_dump_bytes=8))
-    carves = carve(prog, result, CarvePolicy())
+    carves = carve_with_stats(prog, result)[0]
     assert carves, "expected carves even under a tiny budget"
     for c in carves:
         assert c.context.truncated is True
@@ -252,7 +239,7 @@ fn main() -> int {
 }
 """)
     result = run_with_tracing(prog, mk_input())
-    carved = next(c for c in carve(prog, result, CarvePolicy())
+    carved = next(c for c in carve_with_stats(prog, result)[0]
                   if c.start[0] == "bump")
     ref = carved.context.roots["arg[0]"]
     assert carved.context.segments[ref.seg].elems == [1, 0]
@@ -275,7 +262,6 @@ def test_leaves_enumeration_order_and_paths():
         },
         truncated=False,
     )
-    assert ctx.var() == ("arg[0]", "global:g")
     assert list(ctx.leaves()) == [
         ("arg[0]", b"abc"),
         ("global:g[0].a", 1),
@@ -320,7 +306,7 @@ def test_resolve_follows_paths():
 def test_context_to_world_isolates_replays(subjects):
     prog = subjects["keycheck"]
     result = run_with_tracing(prog, mk_input([b"admin", b"opensesame"]))
-    carved = next(c for c in carve(prog, result, CarvePolicy())
+    carved = next(c for c in carve_with_stats(prog, result)[0]
                   if c.start[0] == "check_user")
     before = dataclasses.replace(carved)
     first = replay(prog, carved)
@@ -335,7 +321,7 @@ def test_context_to_world_isolates_replays(subjects):
 def test_keycheck_snapshot_round_trip(tmp_path, subjects):
     prog = subjects["keycheck"]
     result = run_with_tracing(prog, mk_input([b"d7wfv", b"xczZ7tz"]))
-    carves = carve(prog, result, CarvePolicy(), origin="seed-0")
+    carves = carve_with_stats(prog, result, origin="seed-0")[0]
     target = next(c for c in carves if c.start[0] == "check_user")
     assert target.context.roots["arg[0]"] == b"d7wfv"
     names = [
@@ -357,8 +343,8 @@ def test_random_snapshot_round_trips(tmp_path):
         prog = load_subject(name)
         for i in range(4):
             result = run_with_tracing(prog, random_input_for(name, rng))
-            for j, carved in enumerate(carve(prog, result, CarvePolicy(),
-                                             origin=f"{name}-{i}")):
+            carves = carve_with_stats(prog, result, origin=f"{name}-{i}")[0]
+            for j, carved in enumerate(carves):
                 path = tmp_path / f"{name}-{i}-{j}.snap"
                 save_snapshot(carved, path)
                 assert load_snapshot(path) == carved
@@ -372,7 +358,8 @@ fn f(x: int) -> int { return x; }
 fn main() -> int { return f(3); }
 """)
     result = run_with_tracing(prog, mk_input())
-    carved = carve(prog, result, CarvePolicy())[0]
+    carves, _ = carve_with_stats(prog, result)
+    carved = carves[0]
     path = tmp_path / "c.snap"
     save_snapshot(carved, path)
     import json

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from carvelift.carving import CarvePolicy, carve, save_snapshot
+from carvelift.carving import carve_with_stats, save_snapshot
 from carvelift.cli import main
 from carvelift.lang.goals import enumerate_goals
 from carvelift.reporting import parse_report
@@ -83,7 +83,7 @@ def test_replay_crashing_input_exits_1(tmp_path, capsys):
 def test_replay_snapshot_checks_stored_coverage(tmp_path, capsys):
     prog = load_subject("keycheck")
     result = run_with_tracing(prog, mk_input((b"d7wfv", b"xczZ7tz")))
-    carved = next(c for c in carve(prog, result, CarvePolicy())
+    carved = next(c for c in carve_with_stats(prog, result)[0]
                   if c.start[0] == "check_user")
     snap = tmp_path / "c.snap"
     save_snapshot(carved, snap)

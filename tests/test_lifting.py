@@ -8,11 +8,11 @@ and the mini_cut backwards-range abort).
 
 import pytest
 
-from carvelift.carving import CarvePolicy, CarvedTest, Context, carve
+from carvelift.carving import CarvedTest, Context, carve_with_stats
 from carvelift.lifting import LiftedInput, UnmappedParameter, lift, validate
 from carvelift.mapping import MapOptions, build_mapping, hrvar
 from carvelift.rng import Rng
-from carvelift.unitgen import ParamAssignment, fuzz_unit
+from carvelift.unitgen import ParamAssignment, fuzz_unit_with_stats
 from carvelift.vm.interp import run_system, run_with_tracing
 
 from conftest import load_subject, mk_input
@@ -38,7 +38,7 @@ def test_lift_identity_reproduces_origin():
     origin = mk_input((b"d7wfv", b"xczZ7tz"))
     result = run_with_tracing(prog, origin)
     lifted_any = 0
-    for carved in carve(prog, result, CarvePolicy()):
+    for carved in carve_with_stats(prog, result)[0]:
         m = build_mapping(carved, origin, MapOptions())
         if not m.parameters:
             continue
@@ -54,7 +54,7 @@ def test_lift_replaces_the_mapped_argv_element():
     prog = load_subject("keycheck")
     origin = mk_input((b"d7wfv", b"xczZ7tz"))
     result = run_with_tracing(prog, origin)
-    carved = next(c for c in carve(prog, result, CarvePolicy())
+    carved = next(c for c in carve_with_stats(prog, result)[0]
                   if c.start[0] == "check_user")
     m = build_mapping(carved, origin, MapOptions())
     li = lift(m, ParamAssignment({"arg[0]": b"admin"}, "harvested"), origin)
@@ -105,7 +105,7 @@ def test_lift_without_matches_is_rejected():
     prog = load_subject("keycheck")
     origin = mk_input((b"admin", b"wrongpw"))
     result = run_with_tracing(prog, origin)
-    carved = next(c for c in carve(prog, result, CarvePolicy())
+    carved = next(c for c in carve_with_stats(prog, result)[0]
                   if c.start[0] == "check_pass")
     m = build_mapping(carved, origin, MapOptions())
     # the hash argument never maps, so it cannot be lifted
@@ -142,11 +142,11 @@ def keycheck_unit_winner(user=b"d7wfv", pw=b"xczZ7tz", budget=200):
     prog = load_subject("keycheck")
     origin = mk_input((user, pw))
     result = run_with_tracing(prog, origin)
-    carved = next(c for c in carve(prog, result, CarvePolicy())
+    carved = next(c for c in carve_with_stats(prog, result)[0]
                   if c.start[0] == "check_user")
     m = build_mapping(carved, origin, MapOptions())
-    cov = set(result.coverage)
-    winners = fuzz_unit(prog, carved, m, budget, cov, Rng(0))
+    cov = frozenset(result.coverage)
+    winners = fuzz_unit_with_stats(prog, carved, m, budget, cov, Rng(0))[0]
     return prog, origin, carved, m, cov, winners
 
 
@@ -155,11 +155,10 @@ def test_effective_lift_reaches_the_sought_goal():
     admin = next(w for w in winners
                  if w.assignment.assignments.get("arg[0]") == b"admin")
     li = lift(m, admin.assignment, origin)
-    before = set(cov)
     out = validate(prog, li, admin.new_goals, cov)
     assert out.classification == "effective"
     assert out.sought & out.discovered
-    assert cov == before | out.discovered
+    assert out.discovered == run_system(prog, li.input).coverage - cov
     assert li.input.argv[0] == b"admin"
 
 
@@ -183,12 +182,14 @@ def test_anonymous_name_lift_is_other_goal_when_the_rejection_is_new():
     unit_goals = frozenset(
         g for g in load_goals(prog, "check_user") if g.outcome == "then")
     li = lift(m, probe, origin)
-    before = set(cov)
-    out = validate(prog, li, unit_goals, cov)
+    known = set(cov)
+    out = validate(prog, li, unit_goals, known)
     assert out.classification == "other-goal"
     assert out.discovered, "the rejection branch of main is new here"
-    # discovered goals merge into coverage even when not effective
-    assert cov == before | out.discovered
+    # the new goals come back even when not effective; recording them
+    # is the caller's job, so the known set is left as it was
+    assert not out.discovered & known
+    assert known == cov
 
 
 def load_goals(prog, fn):
@@ -200,7 +201,7 @@ def test_crash_reproduction_counts_as_effective():
     prog = load_subject("mini_cut")
     origin = mk_input((b"2-4",), b"aa,bb,cc,dd\n")
     result = run_with_tracing(prog, origin)
-    carved = next(c for c in carve(prog, result, CarvePolicy())
+    carved = next(c for c in carve_with_stats(prog, result)[0]
                   if c.start[0] == "parse_range")
     m = build_mapping(carved, origin, MapOptions())
     assert "arg[0]" in m.parameters
@@ -221,7 +222,7 @@ def test_crash_mismatch_does_not_count():
     prog = load_subject("mini_cut")
     origin = mk_input((b"2-4",), b"aa,bb,cc,dd\n")
     result = run_with_tracing(prog, origin)
-    carved = next(c for c in carve(prog, result, CarvePolicy())
+    carved = next(c for c in carve_with_stats(prog, result)[0]
                   if c.start[0] == "parse_range")
     m = build_mapping(carved, origin, MapOptions())
     cov = set(result.coverage)

@@ -7,7 +7,7 @@ search strategy.
 
 import pytest
 
-from carvelift.carving import CarvePolicy, CarvedTest, Context, carve
+from carvelift.carving import CarvedTest, Context, carve_with_stats
 from carvelift.mapping import (
     MapOptions, Match, Mapping, build_mapping, classify_leaf, hrvar,
 )
@@ -211,7 +211,7 @@ def test_keycheck_user_name_is_a_parameter():
     prog = load_subject("keycheck")
     s = mk_input([b"d7wfv", b"xczZ7tz"])
     result = run_with_tracing(prog, s)
-    carves = {c.start[0]: c for c in carve(prog, result, CarvePolicy())}
+    carves = {c.start[0]: c for c in carve_with_stats(prog, result)[0]}
 
     m_user = build_mapping(carves["check_user"], s, MapOptions())
     assert "arg[0]" in m_user.parameters
@@ -223,7 +223,7 @@ def test_keycheck_hashed_password_is_never_mapped():
     prog = load_subject("keycheck")
     s = mk_input([b"admin", b"wrongpw"])
     result = run_with_tracing(prog, s)
-    carves = {c.start[0]: c for c in carve(prog, result, CarvePolicy())}
+    carves = {c.start[0]: c for c in carve_with_stats(prog, result)[0]}
 
     m_pass = build_mapping(carves["check_pass"], s, MapOptions())
     # the stored name "admin" coincides with argv[0]; the hash argument
@@ -242,7 +242,7 @@ def test_mini_dc_carves_have_no_parameters_outside_the_tokenizer():
     seen_other = 0
     for s in inputs:
         result = run_with_tracing(prog, s)
-        for c in carve(prog, result, CarvePolicy()):
+        for c in carve_with_stats(prog, result)[0]:
             m = build_mapping(c, s, MapOptions())
             if c.start[0] != "to_internal":
                 seen_other += 1

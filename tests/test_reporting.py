@@ -40,8 +40,7 @@ def sample_report(series=((0.0, 0.0), (12.5, 0.25), (99.0, 1 / 3))):
             FunctionRow("hash_pw", 4, 4, 5, 0, False, True),
         ),
         carve_stats={"carved": 8, "truncated": 1, "skipped_incomplete": 0,
-                     "skipped_capped": 2, "skipped_filtered": 0,
-                     "skipped_input_dependent": 3},
+                     "skipped_capped": 2, "skipped_input_dependent": 3},
         lift_stats=LiftStats(unit_executions=400, unit_winners=12,
                              lift_attempts=10, effective=3, other_goal=2,
                              false_positive=5),

@@ -7,12 +7,14 @@ coverage.
 
 import pytest
 
-from carvelift.carving import CarvePolicy, CarvedTest, Context, carve, context_to_world
+from carvelift.carving import (
+    CarvedTest, Context, carve_with_stats, context_to_world,
+)
 from carvelift.mapping import MapOptions, build_mapping
 from carvelift.rng import Rng
 from carvelift.unitgen import (
     NoParameters, UnknownParameter, ParamAssignment, apply_assignment,
-    bytes_mutations, fuzz_unit, fuzz_unit_with_stats, int_mutations,
+    bytes_mutations, fuzz_unit_with_stats, int_mutations,
 )
 from carvelift.vm.interp import RunOptions, TypeMismatch, call_function, run_with_tracing
 from carvelift.vm.values import INT64_MAX, INT64_MIN, Record, Ref, Segment
@@ -154,7 +156,7 @@ def test_assignment_rejects_unknown_paths_and_wrong_types():
         apply_assignment(carved, ParamAssignment({"arg[0]": 9}, "t"))
 
 
-# ------------------------------------------------------------ fuzz_unit
+# ------------------------------------------------------------ fuzzing
 
 HARVEST_PROG = """
 global key: bytes = "SECRET99";
@@ -177,7 +179,8 @@ def harvest_setup():
     prog = parse(HARVEST_PROG)
     s = mk_input((b"aaa", b"bbb"))
     result = run_with_tracing(prog, s)
-    carved = carve(prog, result, CarvePolicy())[0]
+    carves, _ = carve_with_stats(prog, result)
+    carved = carves[0]
     mapping = build_mapping(carved, s, MapOptions())
     assert set(mapping.parameters) == {"arg[0]", "arg[1]"}
     return prog, result, carved, mapping
@@ -185,7 +188,8 @@ def harvest_setup():
 
 def test_fuzz_unit_finds_goals_for_every_parameter():
     prog, result, carved, mapping = harvest_setup()
-    winners = fuzz_unit(prog, carved, mapping, 60, result.coverage, Rng(21))
+    winners = fuzz_unit_with_stats(
+        prog, carved, mapping, 60, result.coverage, Rng(21))[0]
     hit_paths = set()
     for w in winners:
         assert not w.crashed
@@ -197,7 +201,8 @@ def test_fuzz_unit_finds_goals_for_every_parameter():
 
 def test_fuzz_unit_winners_replay_exactly():
     prog, result, carved, mapping = harvest_setup()
-    winners = fuzz_unit(prog, carved, mapping, 60, result.coverage, Rng(21))
+    winners = fuzz_unit_with_stats(
+        prog, carved, mapping, 60, result.coverage, Rng(21))[0]
     assert winners
     for w in winners:
         args, world = apply_assignment(carved, w.assignment)
@@ -228,11 +233,13 @@ fn main() -> int { return f(1); }
 """)
     s = mk_input()
     result = run_with_tracing(prog, s)
-    carved = carve(prog, result, CarvePolicy())[0]
+    carves, _ = carve_with_stats(prog, result)
+    carved = carves[0]
     mapping = build_mapping(carved, s, MapOptions())
     assert mapping.parameters == frozenset()
     with pytest.raises(NoParameters):
-        fuzz_unit(prog, carved, mapping, 10, result.coverage, Rng(1))
+        fuzz_unit_with_stats(prog, carved, mapping, 10, result.coverage,
+                             Rng(1))
 
 
 def test_fuzz_unit_reports_nothing_when_nothing_new_is_reachable():
@@ -246,9 +253,11 @@ fn main() -> int { return same(arg(0)); }
 """)
     s = mk_input((b"tok",))
     result = run_with_tracing(prog, s)
-    carved = carve(prog, result, CarvePolicy())[0]
+    carves, _ = carve_with_stats(prog, result)
+    carved = carves[0]
     mapping = build_mapping(carved, s, MapOptions())
-    winners = fuzz_unit(prog, carved, mapping, 50, result.coverage, Rng(2))
+    winners = fuzz_unit_with_stats(
+        prog, carved, mapping, 50, result.coverage, Rng(2))[0]
     assert winners == []
 
 
@@ -256,9 +265,10 @@ def test_fuzz_unit_discovers_admin_on_keycheck():
     prog = load_subject("keycheck")
     s = mk_input((b"d7wfv", b"xczZ7tz"))
     result = run_with_tracing(prog, s)
-    carved = next(c for c in carve(prog, result, CarvePolicy())
+    carved = next(c for c in carve_with_stats(prog, result)[0]
                   if c.start[0] == "check_user")
     mapping = build_mapping(carved, s, MapOptions())
-    winners = fuzz_unit(prog, carved, mapping, 200, result.coverage, Rng(0))
+    winners = fuzz_unit_with_stats(
+        prog, carved, mapping, 200, result.coverage, Rng(0))[0]
     values = {w.assignment.assignments["arg[0]"] for w in winners}
     assert b"admin" in values

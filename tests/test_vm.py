@@ -403,10 +403,10 @@ def test_call_function_sees_an_empty_outside_world():
 
 
 def test_call_function_success_branch_in_a_carved_world():
-    from carvelift.carving import CarvePolicy, carve, context_to_world
+    from carvelift.carving import carve_with_stats, context_to_world
     prog = load_subject("keycheck")
     traced = run_with_tracing(prog, mk_input((b"admin", b"pw")))
-    carved = next(c for c in carve(prog, traced, CarvePolicy())
+    carved = next(c for c in carve_with_stats(prog, traced)[0]
                   if c.start[0] == "check_user")
     args, world = context_to_world(carved.context)
     hit = call_function(prog, "check_user", [b"admin"], world)
