@@ -30,6 +30,7 @@ from .carving import (
     CarveStats, CarvedTest, carve_with_stats, input_reading_functions,
 )
 from .errors import ConfigError
+from .lang.ast import ENTRY
 from .lang.goals import BranchGoal, enumerate_goals, goals_in_function
 from .lifting import UnmappedParameter, lift, validate
 from .mapping import build_mapping, MapOptions
@@ -164,6 +165,8 @@ def _check(cfg: RunConfig, seeds) -> None:
         raise ConfigError("step budget must be positive")
     if cfg.max_dump_bytes <= 0:
         raise ConfigError("max_dump_bytes must be positive")
+    if cfg.min_match_len < 1:
+        raise ConfigError("min_match_len must be at least 1")
     if cfg.n_per_seed < 1:
         raise ConfigError("n_per_seed must be at least 1")
     if cfg.unit_budget < 1:
@@ -200,7 +203,7 @@ class _Campaign:
         self.carvable_goals = {
             f.name: goals_in_function(program, f.name)
             for f in program.functions
-            if f.name != program.entry and f.name not in self.input_dependent}
+            if f.name != ENTRY and f.name not in self.input_dependent}
         self._selectable = True
         # Goals whose lifts validated false-positive: unit-reachable but
         # (apparently) not system-reachable.  Fuzzing stops chasing them.
@@ -217,12 +220,7 @@ class _Campaign:
         self.unit_walls: list[float] = []
         self.wall_sys_total = 0.0
         self.n_sys_execs = 0
-        self.n_unit_execs = 0
-        self.n_unit_winners = 0
-        self.n_lift_attempts = 0
-        self.n_effective = 0
-        self.n_other_goal = 0
-        self.n_false_positive = 0
+        self.lift = LiftStats()
         self.effective: list[tuple[object, tuple[str, ...], str | None]] = []
         self._gen_i = 0
         self._lift_i = 0
@@ -330,8 +328,8 @@ class _Campaign:
             self.rng_unit.split(), self.opts)
         self.clock.charge(fstats.steps)
         self.unit_walls.extend(fstats.wall_times_s)
-        self.n_unit_execs += fstats.executions
-        self.n_unit_winners += len(winners)
+        self.lift.unit_executions += fstats.executions
+        self.lift.unit_winners += len(winners)
         self.point()
         if winners:
             self.futile[fn] = 0
@@ -349,7 +347,7 @@ class _Campaign:
                               self.cfg.first_occurrence_only)
             except UnmappedParameter:
                 continue
-            self.n_lift_attempts += 1
+            self.lift.lift_attempts += 1
             out = validate(self.program, lifted, w.new_goals,
                            self.cov.discovered, unit_crash, self.opts)
             # Recorded before the run's steps are charged: on the step
@@ -361,7 +359,7 @@ class _Campaign:
             self.wall_sys_total += out.wall_time_s
             self.point()
             if out.classification == "effective":
-                self.n_effective += 1
+                self.lift.effective += 1
                 crash = None
                 if out.status.is_crash():
                     crash = f"{out.status.crash_kind}@{out.status.crash_fn}"
@@ -373,9 +371,9 @@ class _Campaign:
                     self.run_one(lifted.input, f"lift-{self._lift_i - 1}",
                                  "system-gen", traced=True)
             elif out.classification == "other-goal":
-                self.n_other_goal += 1
+                self.lift.other_goal += 1
             else:
-                self.n_false_positive += 1
+                self.lift.false_positive += 1
                 self.fp_goals |= w.new_goals
 
     def run_bridge(self) -> None:
@@ -418,7 +416,7 @@ class _Campaign:
             for i, (s, goals, crash) in enumerate(self.effective))
         rows = []
         for fn in sorted(f.name for f in self.program.functions
-                         if f.name != "main"):
+                         if f.name != ENTRY):
             fgoals = goals_in_function(self.program, fn)
             rows.append(FunctionRow(
                 name=fn,
@@ -446,16 +444,10 @@ class _Campaign:
                                   for e, g, src in self.cov.log),
             functions=tuple(rows),
             carve_stats=dict(self.carve_totals),
-            lift_stats=LiftStats(
-                unit_executions=self.n_unit_execs,
-                unit_winners=self.n_unit_winners,
-                lift_attempts=self.n_lift_attempts,
-                effective=self.n_effective,
-                other_goal=self.n_other_goal,
-                false_positive=self.n_false_positive),
+            lift_stats=self.lift,
             speedup=SpeedupStats(
                 system_executions=self.n_sys_execs,
-                unit_executions=self.n_unit_execs,
+                unit_executions=self.lift.unit_executions,
                 median_system_ms=med_sys * 1000.0,
                 median_unit_ms=med_unit * 1000.0,
                 speedup=speedup),

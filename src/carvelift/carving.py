@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 from .errors import FormatError
 from .lang.ast import (
-    EArrayLit, EBinary, ECall, EField, EIndex, ERecordLit, EUnary, Expr,
-    Program, SAssign, SExpr, SIf, SIndexSet, SLet, SReturn, SWhile,
-    iter_stmts,
+    ENTRY, ECall, Program, SAssign, SExpr, SIf, SIndexSet, SLet, SReturn,
+    SWhile, iter_stmts, walk_expr,
 )
 from .lang.goals import BranchGoal
 from .vm.interp import RunResult
@@ -175,29 +174,6 @@ class CarveStats:
 
 # ---------------------------------------------------------------- carving
 
-def _calls_in(expr: Expr):
-    if isinstance(expr, ECall):
-        yield expr.name
-        for a in expr.args:
-            yield from _calls_in(a)
-    elif isinstance(expr, EUnary):
-        yield from _calls_in(expr.operand)
-    elif isinstance(expr, EBinary):
-        yield from _calls_in(expr.left)
-        yield from _calls_in(expr.right)
-    elif isinstance(expr, EIndex):
-        yield from _calls_in(expr.obj)
-        yield from _calls_in(expr.index)
-    elif isinstance(expr, EField):
-        yield from _calls_in(expr.obj)
-    elif isinstance(expr, ERecordLit):
-        for _, x in expr.fields:
-            yield from _calls_in(x)
-    elif isinstance(expr, EArrayLit):
-        for x in expr.items:
-            yield from _calls_in(x)
-
-
 def _stmt_exprs(s):
     if isinstance(s, (SLet, SAssign, SExpr, SReturn)):
         if s.value is not None:
@@ -219,7 +195,8 @@ def input_reading_functions(program: Program) -> frozenset[str]:
         names: set[str] = set()
         for s in iter_stmts(fn.body):
             for e in _stmt_exprs(s):
-                names.update(_calls_in(e))
+                names.update(x.name for x in walk_expr(e)
+                             if isinstance(x, ECall))
         callees[fn.name] = names
 
     tainted = {f for f, ns in callees.items()
@@ -266,13 +243,13 @@ def carve_with_stats(program: Program, result: RunResult, origin: str = "",
                 goals.add(ev.goal)
 
     stats.skipped_incomplete = sum(
-        1 for ev, _ in open_calls.values() if ev.fn != program.entry)
+        1 for ev, _ in open_calls.values() if ev.fn != ENTRY)
 
     completed.sort(key=lambda entry: entry[0].call_index)
     per_fn: dict[str, int] = {}
     out: list[CarvedTest] = []
     for ev, goals in completed:
-        if ev.fn == program.entry:
+        if ev.fn == ENTRY:
             continue
         if ev.fn in input_dependent:
             stats.skipped_input_dependent += 1

@@ -15,7 +15,7 @@ from .bundled import resolve_program, resolve_seeds
 from .campaign import RunConfig, run_campaign
 from .carving import carve_with_stats, context_to_world, load_snapshot, \
     save_snapshot
-from .errors import ToolError
+from .errors import ConfigError, ToolError
 from .lang.goals import enumerate_goals
 from .reporting import emit_series, serialize_report
 from .sysgen import read_input_file
@@ -163,6 +163,8 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_carve(args) -> int:
+    if args.max_dump_bytes <= 0:
+        raise ConfigError("max_dump_bytes must be positive")
     program, _ = resolve_program(args.program)
     s = read_input_file(args.input)
     result = run_with_tracing(

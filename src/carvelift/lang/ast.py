@@ -216,12 +216,15 @@ class FunctionDef:
     pos: Pos
 
 
+# The function every system run starts in; it takes no parameters.
+ENTRY = "main"
+
+
 @dataclass
 class Program:
     records: list[RecordDef]
     globals: list[GlobalDef]
     functions: list[FunctionDef]
-    entry: str = "main"
 
     def function(self, name: str) -> FunctionDef | None:
         for f in self.functions:
@@ -252,6 +255,30 @@ def iter_stmts(body: list[Stmt]):
                 yield from iter_stmts(s.else_body)
         elif isinstance(s, SWhile):
             yield from iter_stmts(s.body)
+
+
+def walk_expr(e: Expr):
+    """Pre-order walk over an expression and all its subexpressions."""
+    yield e
+    if isinstance(e, EUnary):
+        yield from walk_expr(e.operand)
+    elif isinstance(e, EBinary):
+        yield from walk_expr(e.left)
+        yield from walk_expr(e.right)
+    elif isinstance(e, ECall):
+        for a in e.args:
+            yield from walk_expr(a)
+    elif isinstance(e, EIndex):
+        yield from walk_expr(e.obj)
+        yield from walk_expr(e.index)
+    elif isinstance(e, EField):
+        yield from walk_expr(e.obj)
+    elif isinstance(e, ERecordLit):
+        for _, v in e.fields:
+            yield from walk_expr(v)
+    elif isinstance(e, EArrayLit):
+        for v in e.items:
+            yield from walk_expr(v)
 
 
 def number_statements(program: Program) -> None:

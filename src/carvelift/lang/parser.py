@@ -7,11 +7,11 @@ with the same statement ids, or raises the same diagnostic.
 from __future__ import annotations
 
 from .ast import (
-    EArrayLit, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt, ENull,
-    ERecordLit, EUnary, EVar, Expr, FunctionDef, GlobalDef, Pos, Program,
+    ENTRY, EArrayLit, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt,
+    ENull, ERecordLit, EUnary, EVar, Expr, FunctionDef, GlobalDef, Pos, Program,
     RecordDef, SAssign, SExpr, SIf, SIndexSet, SLet, SReturn, SWhile, Stmt,
     TArray, TBytes, TFloat, TInt, TRecord, TRef, Type,
-    iter_stmts, number_statements,
+    number_statements, walk_expr,
 )
 from .errors import DuplicateDefinition, MiniSyntaxError, UnresolvedReference
 from .lexer import Token, tokenize
@@ -322,29 +322,6 @@ class _Parser:
 
 # -------------------------------------------------------------- static checks
 
-def _walk_expr(e: Expr):
-    yield e
-    if isinstance(e, EUnary):
-        yield from _walk_expr(e.operand)
-    elif isinstance(e, EBinary):
-        yield from _walk_expr(e.left)
-        yield from _walk_expr(e.right)
-    elif isinstance(e, ECall):
-        for a in e.args:
-            yield from _walk_expr(a)
-    elif isinstance(e, EIndex):
-        yield from _walk_expr(e.obj)
-        yield from _walk_expr(e.index)
-    elif isinstance(e, EField):
-        yield from _walk_expr(e.obj)
-    elif isinstance(e, ERecordLit):
-        for _, v in e.fields:
-            yield from _walk_expr(v)
-    elif isinstance(e, EArrayLit):
-        for v in e.items:
-            yield from _walk_expr(v)
-
-
 def _check_duplicates(program: Program) -> None:
     seen: dict[str, str] = {}
     for r in program.records:
@@ -378,7 +355,7 @@ def _check_types_resolve(program: Program, ty: Type, pos: Pos) -> None:
 
 def _check_expr(program: Program, e: Expr, bound: set[str], fn_names: set[str],
                 allow_user_calls: bool) -> None:
-    for node in _walk_expr(e):
+    for node in walk_expr(e):
         if isinstance(node, EVar):
             if node.name not in bound:
                 raise UnresolvedReference(node.pos, f"unbound name {node.name!r}")
@@ -477,11 +454,11 @@ def parse(source: str) -> Program:
         _check_expr(program, g.init, visible, fn_names, False)
         visible.add(g.name)
 
-    main = program.function("main")
+    main = program.function(ENTRY)
     if main is None:
-        raise UnresolvedReference(Pos(1, 1), "program does not define 'main'")
+        raise UnresolvedReference(Pos(1, 1), f"program does not define {ENTRY!r}")
     if main.params:
-        raise UnresolvedReference(main.pos, "'main' must take no parameters")
+        raise UnresolvedReference(main.pos, f"{ENTRY!r} must take no parameters")
 
     for fn in program.functions:
         if fn.name in BUILTINS:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import FormatError
 
@@ -28,8 +29,10 @@ class FunctionRow:
     skipped: bool   # dropped from selection: unmapped, or repeatedly sterile
 
 
-@dataclass(frozen=True)
+@dataclass
 class LiftStats:
+    """Unit-to-system lift tallies; the campaign counts straight into one."""
+
     unit_executions: int = 0
     unit_winners: int = 0
     lift_attempts: int = 0
@@ -93,57 +96,40 @@ def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
 
-def _unb64(text: str) -> bytes:
-    return base64.b64decode(text.encode("ascii"))
-
-
 def serialize_report(r: CampaignReport) -> str:
-    doc = {
-        "version": r.version,
-        "program": r.program,
-        "mode": r.mode,
-        "rng_seed": r.rng_seed,
-        "config": r.config,
-        "total_goals": r.total_goals,
-        "discovered": r.discovered,
-        "coverage_series": [[e, f] for e, f in r.coverage_series],
-        "first_discovery": [[e, g, s] for e, g, s in r.first_discovery],
-        "functions": [
-            {"name": f.name, "goals": f.goals, "covered": f.covered,
-             "carves": f.carves, "selections": f.selections,
-             "parameterized": f.parameterized, "skipped": f.skipped}
-            for f in r.functions
-        ],
-        "carve_stats": r.carve_stats,
-        "lift_stats": {
-            "unit_executions": r.lift_stats.unit_executions,
-            "unit_winners": r.lift_stats.unit_winners,
-            "lift_attempts": r.lift_stats.lift_attempts,
-            "effective": r.lift_stats.effective,
-            "other_goal": r.lift_stats.other_goal,
-            "false_positive": r.lift_stats.false_positive,
-            # derived, for human readers; parse recomputes them
-            "pct_lifted": r.lift_stats.pct_lifted,
-            "pct_effective": r.lift_stats.pct_effective,
-        },
-        "speedup": {
-            "system_executions": r.speedup.system_executions,
-            "unit_executions": r.speedup.unit_executions,
-            "median_system_ms": r.speedup.median_system_ms,
-            "median_unit_ms": r.speedup.median_unit_ms,
-            "speedup": r.speedup.speedup,
-        },
-        "effective_inputs": [
-            {"argv": [_b64(a) for a in e.argv], "stdin": _b64(e.stdin),
-             "goals": list(e.goals), "crash": e.crash,
-             "corpus_path": e.corpus_path}
-            for e in r.effective_inputs
-        ],
-        "total_wall_s": r.total_wall_s,
-        "budget_used": r.budget_used,
-        "system_wall_total_s": r.system_wall_total_s,
-    }
+    """The report as JSON: every dataclass field in declaration order,
+    bytes as base64, and lift_stats followed by its derived pct_* values.
+    """
+    doc = asdict(r)
+    doc["lift_stats"].update(pct_lifted=r.lift_stats.pct_lifted,
+                             pct_effective=r.lift_stats.pct_effective)
+    for e in doc["effective_inputs"]:
+        e["argv"] = [_b64(a) for a in e["argv"]]
+        e["stdin"] = _b64(e["stdin"])
     return json.dumps(doc, indent=2)
+
+
+def _decode(tp, value):
+    """`value` from a JSON document as the declared type `tp`.
+
+    Dataclasses are built field by field (keys they do not declare, such
+    as pct_*, are ignored), tuples element-wise, bytes from base64 and
+    floats with float(); any other value is taken as it is.
+    """
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        return tp(**{f.name: _decode(hints[f.name], value[f.name])
+                     for f in fields(tp)})
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        if args[-1] is Ellipsis:
+            return tuple(_decode(args[0], v) for v in value)
+        return tuple(_decode(a, v) for a, v in zip(args, value, strict=True))
+    if tp is bytes:
+        return base64.b64decode(value.encode("ascii"))
+    if tp is float:
+        return float(value)
+    return value
 
 
 def parse_report(text: str) -> CampaignReport:
@@ -158,49 +144,8 @@ def parse_report(text: str) -> CampaignReport:
             f"unsupported report version {doc.get('version')!r}, "
             f"expected {REPORT_VERSION}")
     try:
-        ls = doc["lift_stats"]
-        sp = doc["speedup"]
-        return CampaignReport(
-            version=doc["version"],
-            program=doc["program"],
-            mode=doc["mode"],
-            rng_seed=doc["rng_seed"],
-            config=doc["config"],
-            total_goals=doc["total_goals"],
-            discovered=doc["discovered"],
-            coverage_series=tuple((float(e), float(f))
-                                  for e, f in doc["coverage_series"]),
-            first_discovery=tuple((float(e), str(g), str(s))
-                                  for e, g, s in doc["first_discovery"]),
-            functions=tuple(
-                FunctionRow(f["name"], f["goals"], f["covered"], f["carves"],
-                            f["selections"], f["parameterized"], f["skipped"])
-                for f in doc["functions"]),
-            carve_stats=doc["carve_stats"],
-            lift_stats=LiftStats(
-                unit_executions=ls["unit_executions"],
-                unit_winners=ls["unit_winners"],
-                lift_attempts=ls["lift_attempts"],
-                effective=ls["effective"],
-                other_goal=ls["other_goal"],
-                false_positive=ls["false_positive"]),
-            speedup=SpeedupStats(
-                system_executions=sp["system_executions"],
-                unit_executions=sp["unit_executions"],
-                median_system_ms=sp["median_system_ms"],
-                median_unit_ms=sp["median_unit_ms"],
-                speedup=sp["speedup"]),
-            effective_inputs=tuple(
-                EffectiveInput(argv=tuple(_unb64(a) for a in e["argv"]),
-                               stdin=_unb64(e["stdin"]),
-                               goals=tuple(e["goals"]), crash=e["crash"],
-                               corpus_path=e["corpus_path"])
-                for e in doc["effective_inputs"]),
-            total_wall_s=doc["total_wall_s"],
-            budget_used=doc["budget_used"],
-            system_wall_total_s=doc["system_wall_total_s"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return _decode(CampaignReport, doc)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(f"report document is malformed: {exc!r}") from exc
 
 

@@ -3,21 +3,16 @@ from .interp import (
     TypeMismatch, call_function, run_system, run_with_tracing,
     serialize_run_result,
 )
-from .trace import (
-    AllocEvent, BranchEvent, CallEvent, GlobalStoreEvent, ReturnEvent,
-    TraceEvent,
-)
+from .trace import BranchEvent, CallEvent, ReturnEvent, TraceEvent
 from .values import (
     INT64_MAX, INT64_MIN, Record, Ref, Segment, SegmentTable, copy_segments,
     segment_byte_size, value_byte_size, wrap64,
 )
 
 __all__ = [
-    "AllocEvent", "BranchEvent", "CallEvent", "CRASH_KINDS",
-    "GlobalStoreEvent", "INT64_MAX", "INT64_MIN", "Record", "Ref",
-    "ReturnEvent", "RunOptions", "RunResult", "RunStatus", "Segment",
-    "SegmentTable", "TraceEvent", "TraceOverflow", "TypeMismatch",
-    "call_function", "copy_segments", "run_system",
-    "run_with_tracing", "segment_byte_size", "serialize_run_result",
-    "value_byte_size", "wrap64",
+    "BranchEvent", "CallEvent", "CRASH_KINDS", "INT64_MAX", "INT64_MIN",
+    "Record", "Ref", "ReturnEvent", "RunOptions", "RunResult", "RunStatus",
+    "Segment", "SegmentTable", "TraceEvent", "TraceOverflow", "TypeMismatch",
+    "call_function", "copy_segments", "run_system", "run_with_tracing",
+    "segment_byte_size", "serialize_run_result", "value_byte_size", "wrap64",
 ]

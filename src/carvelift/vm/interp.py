@@ -31,16 +31,12 @@ from typing import Optional
 from ..errors import ToolError
 from ..inputs import SystemInput
 from ..lang.ast import (
-    EArrayLit, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt, ENull,
-    ERecordLit, EUnary, EVar, FunctionDef, Program, SAssign, SExpr, SIf,
-    SIndexSet, SLet, SReturn, SWhile,
+    ENTRY, EArrayLit, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt,
+    ENull, ERecordLit, EUnary, EVar, FunctionDef, Program, SAssign, SExpr,
+    SIf, SIndexSet, SLet, SReturn, SWhile,
 )
 from ..lang.goals import BranchGoal
-from ..lang.parser import BUILTINS
-from .trace import (
-    AllocEvent, BranchEvent, CallEvent, GlobalStoreEvent, ReturnEvent,
-    TraceEvent,
-)
+from .trace import BranchEvent, CallEvent, ReturnEvent, TraceEvent
 from .values import (
     Record, Ref, Segment, SegmentTable, encode_value, sever,
     snapshot_reachable, value_type_name, wrap64,
@@ -226,7 +222,7 @@ class _Interp:
         is never carved, so it gets no snapshot.
         """
         globals_ = dict(self.globals)
-        if name == self.program.entry:
+        if name == ENTRY:
             return CallEvent(call_index, name, list(args), globals_, None, False)
         segments, truncated = snapshot_reachable(
             [*args, *(globals_[n] for n in sorted(globals_))], self.segments,
@@ -250,8 +246,6 @@ class _Interp:
                     frame[s.name] = value
                 elif s.name in self.globals:
                     self.globals[s.name] = value
-                    if self.tracing:
-                        self.emit(GlobalStoreEvent(s.name, value))
                 else:
                     frame[s.name] = value
             elif cls is SExpr:
@@ -570,10 +564,8 @@ class _Interp:
                 self.crash("oob", f"alloc_array length {n} is negative")
             sid = self.next_seg
             self.next_seg += 1
-            seg = Segment(value_type_name(init), n, [init] * n, self.alloc_origin)
-            self.segments[sid] = seg
-            if self.tracing:
-                self.emit(AllocEvent(sid, n, seg.origin))
+            self.segments[sid] = Segment(value_type_name(init), n, [init] * n,
+                                         self.alloc_origin)
             return Ref(sid, 0)
         if name == "abort":
             msg = args[0]
@@ -622,8 +614,7 @@ def _run(program: Program, system_input: SystemInput, opts: RunOptions,
 
     def runner():
         interp.init_globals()
-        main = interp.functions["main"]
-        return interp.call_user(main, [])
+        return interp.call_user(interp.functions[ENTRY], [])
 
     status, value = _finish(runner)
     return RunResult(

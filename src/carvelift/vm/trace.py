@@ -9,8 +9,6 @@ kind:
                   segment reachable from either, and whether the budget
                   truncated it; the entry call has no snapshot)
     return        call_index
-    global-store  global, value
-    alloc         segment, len, origin
     branch        goal
 
 Byte strings inside values are base64.  The encoding exists for
@@ -50,24 +48,11 @@ class ReturnEvent:
 
 
 @dataclass
-class GlobalStoreEvent:
-    name: str
-    value: object
-
-
-@dataclass
-class AllocEvent:
-    segment: int
-    length: int
-    origin: str
-
-
-@dataclass
 class BranchEvent:
     goal: BranchGoal
 
 
-TraceEvent = CallEvent | ReturnEvent | GlobalStoreEvent | AllocEvent | BranchEvent
+TraceEvent = CallEvent | ReturnEvent | BranchEvent
 
 
 def encode_event(ev: TraceEvent) -> dict:
@@ -87,10 +72,6 @@ def encode_event(ev: TraceEvent) -> dict:
         }
     if isinstance(ev, ReturnEvent):
         return {"kind": "return", "call_index": ev.call_index}
-    if isinstance(ev, GlobalStoreEvent):
-        return {"kind": "global-store", "global": ev.name, "value": encode_value(ev.value)}
-    if isinstance(ev, AllocEvent):
-        return {"kind": "alloc", "segment": ev.segment, "len": ev.length, "origin": ev.origin}
     if isinstance(ev, BranchEvent):
         return {"kind": "branch", "goal": str(ev.goal)}
     raise TypeError(f"not a trace event: {ev!r}")

@@ -430,3 +430,20 @@ def test_step_clock_reports_match_golden_digests(name, mode):
     report = run_campaign(program, resolve_seeds(None, name), cfg,
                           program_name=name)
     assert timeless_digest(report) == GOLDEN_DIGESTS[name, mode]
+
+
+# The same digest of keycheck_bridge_report (KEY_SEEDS, 2M-step clock, rng
+# seed 7).  Unlike the 100k-step campaigns above it goes down the lift
+# path: three lift attempts, one of each classification, and an effective
+# input with argv bytes, so the lift stamps, the base64 fields and the
+# derived pct_* values are all in the hashed document.
+LIFT_PATH_DIGEST = (
+    "21e176d5d3b943157df8108d50f45e0c6045770574c7c19effe3acf07b9cf843")
+
+
+def test_lift_path_report_matches_golden_digest(keycheck_bridge_report):
+    r = keycheck_bridge_report
+    assert (r.lift_stats.lift_attempts, r.lift_stats.effective,
+            r.lift_stats.other_goal, r.lift_stats.false_positive) == (3, 1, 1, 1)
+    assert r.effective_inputs and all(r.effective_inputs[0].argv)
+    assert timeless_digest(r) == LIFT_PATH_DIGEST

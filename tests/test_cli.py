@@ -39,6 +39,19 @@ def test_contradictory_config_is_a_usage_error(capsys):
     assert main(["run", "--program", "keycheck", "--mode", "sideways"]) == 2
 
 
+def test_non_positive_dump_budget_is_a_usage_error(tmp_path, capsys):
+    seed = keycheck_seed_file(tmp_path)
+    assert main(["carve", "--program", "keycheck", "--input", str(seed),
+                 "--max-dump-bytes", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: max_dump_bytes")
+
+
+def test_min_match_len_below_one_is_a_usage_error(capsys):
+    assert main(["run", "--program", "keycheck", "--deterministic-clock",
+                 "1000", "--min-match-len", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: min_match_len")
+
+
 def test_missing_seed_dir_is_a_usage_error(tmp_path, capsys):
     assert main(["run", "--program", "keycheck",
                  "--seeds", str(tmp_path / "nowhere")]) == 2

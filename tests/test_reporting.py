@@ -87,6 +87,30 @@ def test_parse_rejects_malformed_documents():
         parse_report(json.dumps({"version": REPORT_VERSION}))
 
 
+def test_parse_rejects_malformed_records():
+    def drop_row_key(doc):
+        del doc["functions"][0]["skipped"]
+
+    def drop_tally(doc):
+        del doc["lift_stats"]["effective"]
+
+    def list_for_record(doc):
+        doc["speedup"] = [31, 400]
+
+    def short_pair(doc):
+        doc["coverage_series"].append([1.0])
+
+    def stdin_not_base64(doc):
+        doc["effective_inputs"][0]["stdin"] = 5
+
+    for breakage in (drop_row_key, drop_tally, list_for_record, short_pair,
+                     stdin_not_base64):
+        doc = json.loads(serialize_report(sample_report()))
+        breakage(doc)
+        with pytest.raises(FormatError):
+            parse_report(json.dumps(doc))
+
+
 def test_percentages_derive_from_counts():
     ls = LiftStats(unit_executions=400, unit_winners=12, lift_attempts=10,
                    effective=3, other_goal=2, false_positive=5)

@@ -27,10 +27,8 @@ from carvelift.vm.interp import (
     run_with_tracing,
     serialize_run_result,
 )
-from carvelift.vm.trace import (
-    AllocEvent, BranchEvent, CallEvent, GlobalStoreEvent, ReturnEvent,
-)
-from carvelift.vm.values import Ref, wrap64
+from carvelift.vm.trace import BranchEvent, CallEvent, ReturnEvent
+from carvelift.vm.values import Ref, Segment, copy_segments, wrap64
 
 from conftest import SUBJECT_NAMES, load_subject, mk_input, random_input_for
 
@@ -51,10 +49,8 @@ class NaiveCounter:
     """Re-interpretation that counts trace events by rule.
 
     One call event per user-function invocation (main included), one
-    return per completed call, one global-store per assignment that
-    rebinds a global, one alloc per alloc_array, one branch per
-    conditional evaluation (so a loop emits enter once per iteration
-    plus exit once).
+    return per completed call, one branch per conditional evaluation (so
+    a loop emits enter once per iteration plus exit once).
     """
 
     def __init__(self, program, argv, stdin):
@@ -96,7 +92,6 @@ class NaiveCounter:
                     frame[s.name] = v
                 elif s.name in self.globals:
                     self.globals[s.name] = v
-                    self.counts["global-store"] += 1
                 else:
                     frame[s.name] = v
             elif cls is SExpr:
@@ -222,15 +217,12 @@ class NaiveCounter:
             sid = self.next_sid
             self.next_sid += 1
             self.segments[sid] = [args[1]] * args[0]
-            self.counts["alloc"] += 1
             return NRef(sid, 0)
         raise AssertionError(name)
 
 
 def event_counts(trace):
-    kinds = {CallEvent: "call", ReturnEvent: "return",
-             GlobalStoreEvent: "global-store", AllocEvent: "alloc",
-             BranchEvent: "branch"}
+    kinds = {CallEvent: "call", ReturnEvent: "return", BranchEvent: "branch"}
     c = Counter()
     for ev in trace:
         c[kinds[type(ev)]] += 1
@@ -267,15 +259,6 @@ def test_empty_program_runs_to_exit_zero():
     assert r.status.kind == "exit" and r.status.code == 0
     assert r.coverage == frozenset()
     assert [type(e) for e in r.trace] == [CallEvent, ReturnEvent]
-
-
-def test_one_global_write_emits_one_store_event():
-    p = parse("global g: int = 5;\nfn main() { g = g + 1; }")
-    r = run_with_tracing(p, mk_input(()))
-    stores = [e for e in r.trace if isinstance(e, GlobalStoreEvent)]
-    assert len(stores) == 1
-    assert stores[0].name == "g"
-    assert stores[0].value == 6
 
 
 def test_keycheck_rejects_the_unknown_user():
@@ -333,11 +316,24 @@ def test_coverage_equals_the_branch_events():
 
 
 def test_allocation_ids_are_never_reused():
-    prog = load_subject("mini_dc")
-    r = run_with_tracing(prog, mk_input((b"12 34 + p",)))
-    sids = [e.segment for e in r.trace if isinstance(e, AllocEvent)]
-    assert len(sids) == len(set(sids))
-    assert sids == sorted(sids)
+    # call_function allocates into the caller's segment table: each new
+    # segment takes a fresh id past every id already in the world.
+    p = parse("""
+    fn grow(n: int) -> int {
+        let i = 0;
+        while (i < n) { let a = alloc_array(i + 1, i); i = i + 1; }
+        return n;
+    }
+    fn main() { let x = grow(1); }
+    """)
+    held = {2: Segment("int", 1, [7]), 5: Segment("int", 2, [8, 9])}
+    segments = copy_segments(held)
+    r = call_function(p, "grow", [4], ({}, segments))
+    assert r.status.kind == "exit"
+    assert {sid: segments[sid] for sid in held} == held
+    fresh = sorted(set(segments) - set(held))
+    assert fresh == [6, 7, 8, 9]
+    assert [segments[sid].length for sid in fresh] == [1, 2, 3, 4]
 
 
 # ------------------------------------------------------- failure statuses
