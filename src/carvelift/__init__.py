@@ -14,7 +14,7 @@ from .bundled import (
     resolve_program, resolve_seeds,
 )
 from .campaign import (
-    CoverageMap, RunConfig, SelectionState, run_campaign, select_next,
+    CoverageMap, FunctionState, RunConfig, run_campaign, select_next,
 )
 from .carving import (
     CarveStats, CarvedTest, Context, carve_with_stats, context_to_world,
@@ -57,6 +57,7 @@ __all__ = [
     "EmptySeedSet",
     "FormatError",
     "FunctionRow",
+    "FunctionState",
     "FuzzStats",
     "LiftOutcome",
     "LiftStats",
@@ -68,7 +69,6 @@ __all__ = [
     "ParamAssignment",
     "Rng",
     "RunConfig",
-    "SelectionState",
     "SpeedupStats",
     "SubjectLoadError",
     "SystemInput",

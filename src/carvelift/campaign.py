@@ -98,43 +98,45 @@ class StepClock:
 
 
 @dataclass
-class SelectionState:
-    counts: dict[str, int] = field(default_factory=dict)
-    skipped: set[str] = field(default_factory=set)
+class FunctionState:
+    """What the campaign knows of one non-entry function.
 
-    def skip(self, fn: str) -> None:
-        self.skipped.add(fn)
+    `carvable` is false for input-dependent functions, which are never
+    carved.  `carves` holds the function's pooled carves in the order
+    they were taken, and `selections` counts how often select_next
+    picked the function.  A function is `skipped` for good once a carve
+    of it maps no parameter, or once `futile` (its winnerless fuzz
+    rounds in a row) reaches FUTILE_ROUNDS.
+    """
+    goals: frozenset[BranchGoal]
+    carvable: bool = True
+    carves: list[CarvedTest] = field(default_factory=list)
+    selections: int = 0
+    parameterized: bool = False
+    skipped: bool = False
+    futile: int = 0
 
 
-def select_next(pool: list[CarvedTest], discovered: Set[BranchGoal], program,
-                state: SelectionState) -> CarvedTest | None:
+def select_next(fns: dict[str, FunctionState],
+                discovered: Set[BranchGoal]) -> CarvedTest | None:
     """Pick a carve of the function with the most uncovered goals.
 
-    Ties break toward the function selected fewer times, then the
-    lexicographically smaller name.  Within a function the carves
-    rotate with the selection count, which `state` keeps.  Returns None
-    when no pool function has uncovered goals.
+    Only functions with carves that are not skipped compete.  Ties break
+    toward the function selected fewer times, then the lexicographically
+    smaller name.  Within a function the carves rotate with its
+    selection count.  Returns None when no competing function has
+    uncovered goals.
     """
-    by_fn: dict[str, list[CarvedTest]] = {}
-    for c in pool:
-        fn = c.start[0]
-        if fn not in state.skipped:
-            by_fn.setdefault(fn, []).append(c)
-    best_key = None
-    best_fn = None
-    for fn, entries in by_fn.items():
-        uncovered = len(goals_in_function(program, fn) - discovered)
-        if uncovered == 0:
-            continue
-        key = (-uncovered, state.counts.get(fn, 0), fn)
-        if best_key is None or key < best_key:
-            best_key, best_fn = key, fn
-    if best_fn is None:
+    # A key that starts with 0 (nothing uncovered) is the least only
+    # when every competing key does.
+    best = min(((-len(st.goals - discovered), st.selections, name)
+                for name, st in fns.items() if st.carves and not st.skipped),
+               default=None)
+    if best is None or best[0] == 0:
         return None
-    entries = by_fn[best_fn]
-    prior = state.counts.get(best_fn, 0)
-    state.counts[best_fn] = prior + 1
-    return entries[prior % len(entries)]
+    st = fns[best[2]]
+    st.selections += 1
+    return st.carves[(st.selections - 1) % len(st.carves)]
 
 
 @dataclass(frozen=True)
@@ -196,30 +198,25 @@ class _Campaign:
 
         self.all_goals = enumerate_goals(program)
         self.cov = CoverageMap()
-        self.state = SelectionState()
         self.input_dependent = input_reading_functions(program)
-        # Goals of the functions a carve can be taken of: not the entry,
-        # not input-dependent (see carve_with_stats).
-        self.carvable_goals = {
-            f.name: goals_in_function(program, f.name)
-            for f in program.functions
-            if f.name != ENTRY and f.name not in self.input_dependent}
+        # One record per non-entry function, in name order: selection
+        # reads them and the report's function rows are made from them.
+        self.fns = {
+            name: FunctionState(
+                goals=frozenset(goals_in_function(program, name)),
+                carvable=name not in self.input_dependent)
+            for name in sorted(f.name for f in program.functions
+                               if f.name != ENTRY)}
         self._selectable = True
         # Goals whose lifts validated false-positive: unit-reachable but
         # (apparently) not system-reachable.  Fuzzing stops chasing them.
         self.fp_goals: set[BranchGoal] = set()
-        self.futile: dict[str, int] = {}
-        self.pool: list[CarvedTest] = []
         self.origins: dict[str, object] = {}
         self.series: list[tuple[float, float]] = []
         self.carve_totals: dict[str, int] = {
             k: 0 for k in asdict(CarveStats())}
-        self.carves_by_fn: dict[str, int] = {}
-        self.parameterized_fns: set[str] = set()
         self.sys_walls: list[float] = []
         self.unit_walls: list[float] = []
-        self.wall_sys_total = 0.0
-        self.n_sys_execs = 0
         self.lift = LiftStats()
         self.effective: list[tuple[object, tuple[str, ...], str | None]] = []
         self._gen_i = 0
@@ -252,17 +249,17 @@ class _Campaign:
         """Whether select_next can still return a carve, now or later.
 
         True while some carvable function is not skipped and has
-        uncovered goals.  All carvable functions count, not only those in
-        the pool, because a function not carved yet can still enter it.
+        uncovered goals.  All carvable functions count, not only those
+        with carves, because a function not carved yet can still be.
         Skips and discoveries only accumulate, so once this is false it
         stays false: no carve can be selected again, and tracing and
         carving further runs would change nothing but the carve counts.
         """
         if self._selectable:
-            skipped, discovered = self.state.skipped, self.cov.discovered
+            discovered = self.cov.discovered
             self._selectable = any(
-                fn not in skipped and not goals <= discovered
-                for fn, goals in self.carvable_goals.items())
+                st.carvable and not st.skipped and not st.goals <= discovered
+                for st in self.fns.values())
         return self._selectable
 
     # -- execution
@@ -278,9 +275,7 @@ class _Campaign:
         if result is None:
             result = run_system(self.program, s, self.opts)
         self.clock.charge(result.steps)
-        self.n_sys_execs += 1
         self.sys_walls.append(result.wall_time_s)
-        self.wall_sys_total += result.wall_time_s
         self.record(result.coverage, source)
         self.point()
         if traced and result.trace is not None:
@@ -289,12 +284,10 @@ class _Campaign:
                 input_dependent=self.input_dependent,
                 per_fn_cap=self.cfg.per_fn_cap)
             self.origins[origin_id] = s
-            self.pool.extend(carves)
             for k, v in asdict(stats).items():
                 self.carve_totals[k] += v
             for c in carves:
-                fn = c.start[0]
-                self.carves_by_fn[fn] = self.carves_by_fn.get(fn, 0) + 1
+                self.fns[c.start[0]].carves.append(c)
         return result
 
     def gen_id(self) -> str:
@@ -315,13 +308,13 @@ class _Campaign:
     # -- bridge loop
 
     def fuzz_round(self, sel: CarvedTest) -> None:
-        fn = sel.start[0]
+        st = self.fns[sel.start[0]]
         origin = self.origins[sel.origin]
         m = build_mapping(sel, origin, self.map_opts)
         if not m.parameters:
-            self.state.skip(fn)
+            st.skipped = True
             return
-        self.parameterized_fns.add(fn)
+        st.parameterized = True
         winners, fstats = fuzz_unit_with_stats(
             self.program, sel, m, self.cfg.unit_budget,
             self.cov.discovered | self.fp_goals,
@@ -331,12 +324,9 @@ class _Campaign:
         self.lift.unit_executions += fstats.executions
         self.lift.unit_winners += len(winners)
         self.point()
-        if winners:
-            self.futile[fn] = 0
-        else:
-            self.futile[fn] = self.futile.get(fn, 0) + 1
-            if self.futile[fn] >= FUTILE_ROUNDS:
-                self.state.skip(fn)
+        st.futile = 0 if winners else st.futile + 1
+        if st.futile >= FUTILE_ROUNDS:
+            st.skipped = True
         for w in winners:
             if self.exhausted():
                 return
@@ -354,9 +344,7 @@ class _Campaign:
             # clock a lift goal carries the time its validating run began.
             self.record(out.discovered, "lift")
             self.clock.charge(out.steps)
-            self.n_sys_execs += 1
             self.sys_walls.append(out.wall_time_s)
-            self.wall_sys_total += out.wall_time_s
             self.point()
             if out.classification == "effective":
                 self.lift.effective += 1
@@ -386,8 +374,7 @@ class _Campaign:
                 break
             self.run_one(s, self.gen_id(), "system-gen", traced=True)
         while not self.exhausted() and self.uncovered():
-            sel = select_next(self.pool, self.cov.discovered, self.program,
-                              self.state)
+            sel = select_next(self.fns, self.cov.discovered)
             if sel is None:
                 self.system_batch(traced=True)
                 continue
@@ -414,19 +401,12 @@ class _Campaign:
             EffectiveInput(argv=s.argv, stdin=s.stdin, goals=goals,
                            crash=crash, corpus_path=paths[i])
             for i, (s, goals, crash) in enumerate(self.effective))
-        rows = []
-        for fn in sorted(f.name for f in self.program.functions
-                         if f.name != ENTRY):
-            fgoals = goals_in_function(self.program, fn)
-            rows.append(FunctionRow(
-                name=fn,
-                goals=len(fgoals),
-                covered=len(fgoals & self.cov.discovered),
-                carves=self.carves_by_fn.get(fn, 0),
-                selections=self.state.counts.get(fn, 0),
-                parameterized=fn in self.parameterized_fns,
-                skipped=fn in self.state.skipped,
-            ))
+        rows = tuple(
+            FunctionRow(name=name, goals=len(st.goals),
+                        covered=len(st.goals & self.cov.discovered),
+                        carves=len(st.carves), selections=st.selections,
+                        parameterized=st.parameterized, skipped=st.skipped)
+            for name, st in self.fns.items())
         med_sys = statistics.median(self.sys_walls) if self.sys_walls else 0.0
         med_unit = (statistics.median(self.unit_walls)
                     if self.unit_walls else 0.0)
@@ -442,11 +422,11 @@ class _Campaign:
             coverage_series=tuple(self.series),
             first_discovery=tuple((e, str(g), src)
                                   for e, g, src in self.cov.log),
-            functions=tuple(rows),
+            functions=rows,
             carve_stats=dict(self.carve_totals),
             lift_stats=self.lift,
             speedup=SpeedupStats(
-                system_executions=self.n_sys_execs,
+                system_executions=len(self.sys_walls),
                 unit_executions=self.lift.unit_executions,
                 median_system_ms=med_sys * 1000.0,
                 median_unit_ms=med_unit * 1000.0,
@@ -454,7 +434,7 @@ class _Campaign:
             effective_inputs=eff,
             total_wall_s=time.monotonic() - wall_start,
             budget_used=self.clock.now(),
-            system_wall_total_s=self.wall_sys_total,
+            system_wall_total_s=sum(self.sys_walls),
         )
 
 

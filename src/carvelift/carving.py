@@ -309,21 +309,30 @@ def save_snapshot(carved: CarvedTest, path) -> None:
 
 
 def load_snapshot(path) -> CarvedTest:
-    with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("version") != SNAPSHOT_VERSION:
+    """The carve save_snapshot wrote; FormatError if the file is malformed."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:   # not JSON, or not ASCII
+        raise FormatError(f"snapshot is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError("snapshot document must be a JSON object")
+    if doc.get("version") != SNAPSHOT_VERSION:
         raise FormatError(
             f"unsupported snapshot version: {doc.get('version')!r}")
-    ctx = Context(
-        roots={p: decode_value(v) for p, v in doc["roots"]},
-        segments={int(sid): decode_segment(s)
-                  for sid, s in doc["segments"].items()},
-        truncated=bool(doc["truncated"]),
-    )
-    return CarvedTest(
-        start=(str(doc["start"]["fn"]), int(doc["start"]["call_index"])),
-        context=ctx,
-        origin=str(doc["origin"]),
-        observed_coverage=frozenset(
-            BranchGoal.parse(g) for g in doc["observed_coverage"]),
-    )
+    try:
+        ctx = Context(
+            roots={p: decode_value(v) for p, v in doc["roots"]},
+            segments={int(sid): decode_segment(s)
+                      for sid, s in doc["segments"].items()},
+            truncated=bool(doc["truncated"]),
+        )
+        return CarvedTest(
+            start=(str(doc["start"]["fn"]), int(doc["start"]["call_index"])),
+            context=ctx,
+            origin=str(doc["origin"]),
+            observed_coverage=frozenset(
+                BranchGoal.parse(g) for g in doc["observed_coverage"]),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(f"snapshot document is malformed: {exc!r}") from exc

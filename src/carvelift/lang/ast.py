@@ -238,12 +238,6 @@ class Program:
                 return r
         return None
 
-    def global_def(self, name: str) -> GlobalDef | None:
-        for g in self.globals:
-            if g.name == name:
-                return g
-        return None
-
 
 def iter_stmts(body: list[Stmt]):
     """Pre-order walk over a statement list, descending into branch bodies."""

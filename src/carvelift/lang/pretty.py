@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from .ast import (
     EArrayLit, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt, ENull,
-    ERecordLit, EUnary, EVar, Expr, FunctionDef, Program, SAssign, SExpr,
-    SIf, SIndexSet, SLet, SReturn, SWhile, Stmt,
+    ERecordLit, EUnary, EVar, Expr, Program, SAssign, SExpr, SIf,
+    SIndexSet, SLet, SReturn, SWhile, Stmt,
 )
 
 _PRECEDENCE = {

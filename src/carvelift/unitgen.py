@@ -25,7 +25,7 @@ from .lang.goals import BranchGoal
 from .mapping import Mapping, hrvar
 from .rng import Rng
 from .vm.interp import RunOptions, RunStatus, TypeMismatch, call_function
-from .vm.values import INT64_MAX, INT64_MIN, Record, Ref, wrap64
+from .vm.values import INT64_MAX, INT64_MIN, Ref, wrap64
 
 
 class NoParameters(ToolError):

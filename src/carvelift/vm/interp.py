@@ -155,7 +155,6 @@ class _Interp:
         self.fn_stack: list[str] = []
         self.current_stmt = -1
         self.functions = {f.name: f for f in program.functions}
-        self.records = {r.name: r for r in program.records}
 
     # ------------------------------------------------------------ plumbing
 

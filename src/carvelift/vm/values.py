@@ -19,7 +19,7 @@ length is the segment length minus the offset.
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import FormatError
 

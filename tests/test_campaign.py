@@ -17,14 +17,14 @@ import carvelift.campaign as campaign_module
 from carvelift.bundled import resolve_program, resolve_seeds
 from carvelift.campaign import (
     CoverageMap,
+    FunctionState,
     RunConfig,
-    SelectionState,
     StepClock,
     WallClock,
     run_campaign,
     select_next,
 )
-from carvelift.carving import CarvedTest, Context
+from carvelift.carving import CarvedTest, Context, input_reading_functions
 from carvelift.errors import ConfigError
 from carvelift.lang.goals import enumerate_goals, goals_in_function
 from carvelift.lang.parser import parse
@@ -65,6 +65,18 @@ def fake_carve(fn, idx):
                       frozenset())
 
 
+def fn_states(pool, counts=None, skipped=()):
+    """POOL_PROG's FunctionState records, holding `pool`'s carves."""
+    counts = counts or {}
+    fns = {fn: FunctionState(goals=frozenset(goals_in_function(POOL_PROG, fn)),
+                             selections=counts.get(fn, 0),
+                             skipped=fn in skipped)
+           for fn in FNS}
+    for c in pool:
+        fns[c.start[0]].carves.append(c)
+    return fns
+
+
 def oracle_select(pool, covered, program, counts, skipped):
     by_fn = {}
     for c in pool:
@@ -84,48 +96,46 @@ def oracle_select(pool, covered, program, counts, skipped):
 # ----------------------------------------------------------- select_next
 
 def test_select_empty_pool_is_none():
-    assert select_next([], frozenset(), POOL_PROG, SelectionState()) is None
+    assert select_next(fn_states([]), frozenset()) is None
 
 
 def test_select_prefers_most_uncovered_function():
     pool = [fake_carve("fa", 0), fake_carve("fd", 1)]
-    got = select_next(pool, frozenset(), POOL_PROG, SelectionState())
+    got = select_next(fn_states(pool), frozenset())
     assert got.start[0] == "fd"
 
 
 def test_select_none_when_everything_is_covered():
     pool = [fake_carve("fa", 0)]
     covered = goals_in_function(POOL_PROG, "fa")
-    assert select_next(pool, covered, POOL_PROG, SelectionState()) is None
+    assert select_next(fn_states(pool), covered) is None
 
 
 def test_zero_goal_functions_are_never_selected():
     pool = [fake_carve("fe", 0)]
-    assert select_next(pool, frozenset(), POOL_PROG, SelectionState()) is None
+    assert select_next(fn_states(pool), frozenset()) is None
 
 
 def test_skip_is_permanent():
     pool = [fake_carve("fd", 0), fake_carve("fa", 1)]
-    state = SelectionState()
-    state.skip("fd")
+    fns = fn_states(pool)
+    fns["fd"].skipped = True
     for _ in range(3):
-        got = select_next(pool, frozenset(), POOL_PROG, state)
+        got = select_next(fns, frozenset())
         assert got.start[0] == "fa"
 
 
 def test_equal_scores_alternate_between_functions():
     pool = [fake_carve("fb", 0), fake_carve("fc", 1)]
-    state = SelectionState()
-    picks = [select_next(pool, frozenset(), POOL_PROG, state).start[0]
-             for _ in range(4)]
+    fns = fn_states(pool)
+    picks = [select_next(fns, frozenset()).start[0] for _ in range(4)]
     assert picks == ["fb", "fc", "fb", "fc"]
 
 
 def test_rotation_cycles_through_a_functions_carves():
     pool = [fake_carve("fd", i) for i in range(3)]
-    state = SelectionState()
-    picks = [select_next(pool, frozenset(), POOL_PROG, state).start[1]
-             for _ in range(6)]
+    fns = fn_states(pool)
+    picks = [select_next(fns, frozenset()).start[1] for _ in range(6)]
     assert picks == [0, 1, 2, 0, 1, 2]
 
 
@@ -138,13 +148,13 @@ def test_select_matches_brute_force_on_random_pools():
         covered = {g for g in all_goals if rng.randrange(3) == 0}
         counts = {fn: rng.randrange(4) for fn in FNS if rng.randrange(2)}
         skipped = {fn for fn in FNS if rng.randrange(6) == 0}
-        state = SelectionState()
-        state.counts.update(counts)
-        for fn in skipped:
-            state.skip(fn)
+        fns = fn_states(pool, counts, skipped)
         expected = oracle_select(pool, covered, POOL_PROG, counts, skipped)
-        got = select_next(pool, covered, POOL_PROG, state)
+        got = select_next(fns, covered)
         assert got is expected
+        picked = got.start[0] if got is not None else None
+        assert {fn: st.selections for fn, st in fns.items()} == {
+            fn: counts.get(fn, 0) + (fn == picked) for fn in FNS}
 
 
 # ----------------------------------------------------------- coverage map
@@ -307,11 +317,44 @@ def test_effective_corpus_is_written(tmp_path, keycheck_bridge_report):
 
 def test_function_rows_echo_the_program(keycheck_bridge_report):
     prog = load_subject("keycheck")
-    rows = {f.name: f for f in keycheck_bridge_report.functions}
+    r = keycheck_bridge_report
+    rows = {f.name: f for f in r.functions}
     assert "main" not in rows
+    input_dependent = input_reading_functions(prog)
     for name, row in rows.items():
         assert row.goals == len(goals_in_function(prog, name))
         assert 0 <= row.covered <= row.goals
+        if row.carves == 0:
+            assert row.selections == 0
+        if row.parameterized:
+            assert row.selections >= 1
+        if name in input_dependent:
+            assert row.carves == 0
+    assert sum(row.carves for row in rows.values()) == r.carve_stats["carved"]
+
+
+def test_input_dependent_functions_are_not_selectable(monkeypatch):
+    # peek reads the input, so no carve of it can be fuzzed: with no other
+    # function, nothing is selectable and no run is traced.
+    prog = parse("""
+fn peek() -> int { if (arg_count() > 1) { return 1; } return 0; }
+fn main() -> int { return peek(); }
+""")
+    traced = []
+    traced_run = campaign_module.run_with_tracing
+
+    def logged_traced_run(*args, **kwargs):
+        traced.append(args)
+        return traced_run(*args, **kwargs)
+
+    monkeypatch.setattr(campaign_module, "run_with_tracing", logged_traced_run)
+    r = run_campaign(prog, [mk_input((b"a",))],
+                     RunConfig(mode="bridge", deterministic_clock=20_000))
+    assert traced == []
+    (row,) = r.functions
+    assert (row.name, row.carves, row.selections, row.parameterized,
+            row.skipped) == ("peek", 0, 0, False, False)
+    assert r.speedup.system_executions > 1
 
 
 def test_branchless_subject_finishes_with_seed_coverage_only():

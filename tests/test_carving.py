@@ -7,12 +7,13 @@ call_function to check it reproduces that slice.
 """
 
 import dataclasses
+import json
 
 import pytest
 
 from carvelift.carving import (
-    CarvedTest, Context, carve_with_stats, context_to_world, load_snapshot,
-    save_snapshot, snapshot_reachable,
+    Context, carve_with_stats, context_to_world, load_snapshot, save_snapshot,
+    snapshot_reachable,
 )
 from carvelift.errors import FormatError
 from carvelift.lang.parser import parse
@@ -352,19 +353,53 @@ def test_random_snapshot_round_trips(tmp_path):
     assert seen >= 20
 
 
-def test_snapshot_version_mismatch(tmp_path):
+def small_snapshot(tmp_path):
     prog = parse("""
 fn f(x: int) -> int { return x; }
 fn main() -> int { return f(3); }
 """)
     result = run_with_tracing(prog, mk_input())
     carves, _ = carve_with_stats(prog, result)
-    carved = carves[0]
     path = tmp_path / "c.snap"
-    save_snapshot(carved, path)
-    import json
+    save_snapshot(carves[0], path)
+    return path
+
+
+def test_snapshot_version_mismatch(tmp_path):
+    path = small_snapshot(tmp_path)
     doc = json.loads(path.read_text())
     doc["version"] = 99
     path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError):
+        load_snapshot(path)
+
+
+def with_coverage(entry):
+    def edit(doc):
+        doc["observed_coverage"] = [entry]
+        return json.dumps(doc)
+    return edit
+
+
+# Each rewrites a valid snapshot document into a malformed file's text.
+MALFORMED_SNAPSHOTS = {
+    "json-list": lambda doc: "[1]",
+    "version-only": lambda doc: '{"version": 1}',
+    "not-json": lambda doc: "carve of f, call 0\n",
+    "non-ascii": lambda doc: json.dumps(doc, ensure_ascii=False) + "\u00e9",
+    "goal-without-outcome": with_coverage("f:1"),
+    "goal-with-text-stmt": with_coverage("f:one:then"),
+    "goal-not-a-string": with_coverage(7),
+    "roots-not-pairs": lambda doc: json.dumps({**doc, "roots": 3}),
+    "bad-base64-leaf": lambda doc: json.dumps(
+        {**doc, "roots": [["arg[0]", {"t": "bytes", "v": "abc"}]]}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_SNAPSHOTS))
+def test_malformed_snapshot_is_a_format_error(tmp_path, kind):
+    path = small_snapshot(tmp_path)
+    doc = json.loads(path.read_text())
+    path.write_text(MALFORMED_SNAPSHOTS[kind](doc), encoding="utf-8")
     with pytest.raises(FormatError):
         load_snapshot(path)

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from carvelift.carving import carve_with_stats, save_snapshot
 from carvelift.cli import main
 from carvelift.lang.goals import enumerate_goals
@@ -110,6 +108,23 @@ def test_replay_snapshot_checks_stored_coverage(tmp_path, capsys):
     assert main(["replay", "--program", "keycheck",
                  "--snapshot", str(bad)]) == 1
     assert "mismatch" in capsys.readouterr().out
+
+
+def test_replay_malformed_snapshot_is_a_usage_error(tmp_path, capsys):
+    good = tmp_path / "c.snap"
+    prog = load_subject("keycheck")
+    save_snapshot(carve_with_stats(prog, run_with_tracing(
+        prog, mk_input((b"d7wfv", b"xczZ7tz"))))[0][0], good)
+    doc = json.loads(good.read_text())
+    bad_goal = json.dumps({**doc, "observed_coverage": ["check_user"]})
+    for i, text in enumerate(("[1]", '{"version": 1}', "not json\n",
+                              bad_goal)):
+        bad = tmp_path / f"bad-{i}.snap"
+        bad.write_text(text)
+        assert main(["replay", "--program", "keycheck",
+                     "--snapshot", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_replay_needs_exactly_one_artifact(tmp_path, capsys):

@@ -1,0 +1,57 @@
+"""Source hygiene checks over the package's own modules.
+
+A top-level import whose name the module never uses is dead weight and
+hides what the module really depends on.  Package __init__ files are
+left out: they import names to re-export them.  An import that is kept
+on purpose carries a `# noqa: F401` marker.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "carvelift"
+
+
+def unused_imports(text):
+    """(line, name) of each top-level import whose name is never loaded."""
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            if name not in used:
+                unused.append((node.lineno, name))
+    return unused
+
+
+def test_scanner_finds_only_unused_names():
+    text = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from a import (b,\n"
+        "               c)\n"
+        "from d import e  # noqa: F401\n"
+        "import sys\n"
+        "def f(x: b) -> int:\n"
+        "    return os.path.join(x)\n"
+    )
+    assert unused_imports(text) == [(3, "js"), (4, "c"), (7, "sys")]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(p for p in PACKAGE.rglob("*.py")
+                     if p.name != "__init__.py")
+    assert len(modules) > 10
+    found = [f"{p.relative_to(PACKAGE)}:{line}: {name}"
+             for p in modules for line, name in unused_imports(p.read_text())]
+    assert found == []

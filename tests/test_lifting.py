@@ -9,7 +9,7 @@ and the mini_cut backwards-range abort).
 import pytest
 
 from carvelift.carving import CarvedTest, Context, carve_with_stats
-from carvelift.lifting import LiftedInput, UnmappedParameter, lift, validate
+from carvelift.lifting import UnmappedParameter, lift, validate
 from carvelift.mapping import MapOptions, build_mapping, hrvar
 from carvelift.rng import Rng
 from carvelift.unitgen import ParamAssignment, fuzz_unit_with_stats

@@ -9,7 +9,7 @@ import pytest
 
 from carvelift.carving import CarvedTest, Context, carve_with_stats
 from carvelift.mapping import (
-    MapOptions, Match, Mapping, build_mapping, classify_leaf, hrvar,
+    MapOptions, build_mapping, classify_leaf, hrvar,
 )
 from carvelift.rng import Rng
 from carvelift.vm.interp import run_with_tracing
