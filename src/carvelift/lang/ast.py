@@ -225,6 +225,11 @@ class Program:
     records: list[RecordDef]
     globals: list[GlobalDef]
     functions: list[FunctionDef]
+    # The VM's code for this program by variant (traced or not), built
+    # on the first run of each (vm/interp.py); kept here so it lives
+    # exactly as long as the program does.
+    compiled: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def function(self, name: str) -> FunctionDef | None:
         for f in self.functions:

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import FormatError
+from .vm.values import decode_b64
 
 REPORT_VERSION = 1
 
@@ -126,7 +127,7 @@ def _decode(tp, value):
             return tuple(_decode(args[0], v) for v in value)
         return tuple(_decode(a, v) for a, v in zip(args, value, strict=True))
     if tp is bytes:
-        return base64.b64decode(value.encode("ascii"))
+        return decode_b64(value)
     if tp is float:
         return float(value)
     return value

@@ -1,10 +1,21 @@
-"""Deterministic tree-walking interpreter.
+"""Deterministic VM: each function is compiled once into Python closures.
 
 Three entry points:
 
     run_system        execute main against a SystemInput, coverage only
     run_with_tracing  same, but record the instrumentation event stream
     call_function     execute one function against a carved world
+
+A Program is compiled on its first run, and the code is kept on the
+Program, so it lives exactly as long as the Program does.  Every
+statement and expression becomes a closure `f(state, frame)` (Feeley and
+Lapalme, "Using Closures for Code Generation", 1987).  Operators, call
+targets, branch goals and crash positions are resolved while compiling,
+so a run does no per-node dispatch; the operations themselves are in
+ops.py.  Each variant, untraced and traced, is compiled on its first
+use.  The traced one differs only in user calls, which emit their
+events, and in the coverage set of its runs, which emits the branch
+events.
 
 All three are deterministic: the language has no clocks, no randomness,
 and no addresses observable to the subject, so identical inputs yield
@@ -18,28 +29,37 @@ Semantics notes that matter for reproducibility:
   * conditions must be int; nonzero is true.
   * == and != compare structurally; null compares equal only to null.
     Ordering is defined for int/int and float/float only.
+  * every statement, loop test and expression node costs one step.  A
+    run that exceeds the step limit ends budget-exhausted at limit + 1
+    steps, with nothing done past the step that exceeded it.
+  * a crash reports the statement lexically enclosing the failing node,
+    as (function, statement id), or ("<init>", -1) in a global
+    initializer.
   * the call stack is capped at 256 frames; exceeding it is an abort
-    crash, keeping the host stack bounded.
+    crash at the caller, keeping the host stack bounded.
 """
 
 from __future__ import annotations
 
+import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 from ..errors import ToolError
 from ..inputs import SystemInput
 from ..lang.ast import (
     ENTRY, EArrayLit, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt,
-    ENull, ERecordLit, EUnary, EVar, FunctionDef, Program, SAssign, SExpr,
-    SIf, SIndexSet, SLet, SReturn, SWhile,
+    ENull, ERecordLit, EUnary, EVar, FunctionDef, Program, SExpr, SIf,
+    SIndexSet, SLet, SReturn, SWhile, iter_stmts,
 )
 from ..lang.goals import BranchGoal
+from . import ops
+from .ops import Crash, OutOfSteps, fail, spent
 from .trace import BranchEvent, CallEvent, ReturnEvent, TraceEvent
 from .values import (
-    Record, Ref, Segment, SegmentTable, encode_value, sever,
-    snapshot_reachable, value_type_name, wrap64,
+    INT64_MAX, INT64_MIN, Record, Ref, SegmentTable, encode_value, sever,
+    snapshot_reachable, value_type_name,
 )
 
 MAX_CALL_DEPTH = 256
@@ -100,14 +120,7 @@ def serialize_run_result(result: RunResult) -> dict:
     from .trace import encode_event
 
     return {
-        "status": {
-            "kind": result.status.kind,
-            "code": result.status.code,
-            "crash_kind": result.status.crash_kind,
-            "crash_fn": result.status.crash_fn,
-            "crash_stmt": result.status.crash_stmt,
-            "message": result.status.message,
-        },
+        "status": asdict(result.status),
         "coverage": sorted(str(g) for g in result.coverage),
         "steps": result.steps,
         "output": result.output.decode("latin-1"),
@@ -116,521 +129,453 @@ def serialize_run_result(result: RunResult) -> dict:
     }
 
 
-class _Crash(Exception):
-    def __init__(self, kind: str, message: str, fn: str, stmt: int):
-        self.kind = kind
-        self.message = message
-        self.fn = fn
-        self.stmt = stmt
+# ---------------------------------------------------------------- run state
 
+class _Events(set):
+    """The coverage of a traced run, keeping its event stream: every
+    branch it records is also emitted."""
 
-class _Budget(Exception):
-    pass
-
-
-_RETURN = object()  # flow sentinel
-
-
-class _Interp:
-    def __init__(self, program: Program, opts: RunOptions, tracing: bool,
-                 argv: tuple[bytes, ...], stdin: bytes,
-                 globals_: dict | None = None,
-                 segments: SegmentTable | None = None):
-        self.program = program
-        self.opts = opts
-        self.tracing = tracing
-        self.argv = argv
-        self.stdin = stdin
-        self.globals: dict[str, object] = globals_ if globals_ is not None else {}
-        self.segments: SegmentTable = segments if segments is not None else {}
-        self.next_seg = (max(self.segments) + 1) if self.segments else 0
-        self.alloc_origin = "heap"
-        self.steps = 0
-        self.step_limit = opts.step_limit
-        self.coverage: set[BranchGoal] = set()
-        self.trace: list[TraceEvent] = []
-        self.output = bytearray()
-        self.call_counter = 0
-        self.depth = 0
-        self.fn_stack: list[str] = []
-        self.current_stmt = -1
-        self.functions = {f.name: f for f in program.functions}
-
-    # ------------------------------------------------------------ plumbing
-
-    def tick(self) -> None:
-        self.steps += 1
-        if self.steps > self.step_limit:
-            raise _Budget()
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+        self.events: list[TraceEvent] = []
 
     def emit(self, event: TraceEvent) -> None:
-        if len(self.trace) >= self.opts.trace_limit:
-            raise TraceOverflow(
-                f"trace exceeded {self.opts.trace_limit} events")
-        self.trace.append(event)
+        if len(self.events) >= self.limit:
+            raise TraceOverflow(f"trace exceeded {self.limit} events")
+        self.events.append(event)
 
-    def crash(self, kind: str, message: str):
-        # Position must be captured here: the frame stack unwinds before
-        # the exception reaches the run loop.
-        fn, stmt = self.here()
-        raise _Crash(kind, message, fn, stmt)
+    def add(self, goal: BranchGoal) -> None:
+        set.add(self, goal)
+        self.emit(BranchEvent(goal))
 
-    def here(self) -> tuple[str, int]:
-        fn = self.fn_stack[-1] if self.fn_stack else "<init>"
-        return fn, self.current_stmt
 
-    # ------------------------------------------------------------ setup
+class _State:
+    """One run.  `fuel` is the steps left.  Nodes subtract their steps
+    without a test.  Every call and loop test checks that fuel is not
+    negative, which bounds the run, and so does whatever could show an
+    effect (a branch, an event, output, a store to the world, the run's
+    end), so an exhausted run shows nothing past its limit."""
 
-    def init_globals(self) -> None:
-        self.alloc_origin = "global"
-        self.fn_stack.append("<init>")
-        try:
-            for g in self.program.globals:
-                self.globals[g.name] = self.eval(g.init, {})
-        finally:
-            self.fn_stack.pop()
-            self.alloc_origin = "heap"
+    __slots__ = ("opts", "fuel", "coverage", "globals", "segments", "next_seg",
+                 "origin", "output", "argv", "stdin", "depth", "calls")
 
-    # ------------------------------------------------------------ calls
+    def __init__(self, opts: RunOptions, traced: bool, argv=(), stdin=b"",
+                 globals_: dict | None = None,
+                 segments: SegmentTable | None = None):
+        self.opts = opts
+        self.fuel = opts.step_limit
+        self.coverage = _Events(opts.trace_limit) if traced else set()
+        self.globals = {} if globals_ is None else globals_
+        self.segments = {} if segments is None else segments
+        self.next_seg = max(self.segments, default=-1) + 1
+        self.origin = "heap"
+        self.output = bytearray()
+        self.argv = argv
+        self.stdin = stdin
+        self.depth = self.calls = 0
 
-    def call_user(self, fn: FunctionDef, args: list):
-        if self.depth >= MAX_CALL_DEPTH:
-            self.crash("abort", "call stack overflow")
-        call_index = self.call_counter
-        self.call_counter += 1
-        if self.tracing:
-            self.emit(self.call_event(call_index, fn.name, args))
-        frame = {name: value for (name, _), value in zip(fn.params, args)}
-        self.depth += 1
-        self.fn_stack.append(fn.name)
-        saved_stmt = self.current_stmt
-        try:
-            flow = self.exec_body(fn.body, frame)
-        finally:
-            self.fn_stack.pop()
-            self.depth -= 1
-            self.current_stmt = saved_stmt
-        if self.tracing:
-            self.emit(ReturnEvent(call_index))
-        return flow[1] if flow is not None else None
 
-    def call_event(self, call_index: int, name: str, args: list) -> CallEvent:
-        """The call's event, with its context snapshot taken now.
+def _call_event(st: _State, call_index: int, name: str, args: list) -> CallEvent:
+    """The call's event, with its context snapshot taken now.
 
-        Roots are the arguments, then the globals by name.  The entry call
-        is never carved, so it gets no snapshot.
-        """
-        globals_ = dict(self.globals)
-        if name == ENTRY:
-            return CallEvent(call_index, name, list(args), globals_, None, False)
-        segments, truncated = snapshot_reachable(
-            [*args, *(globals_[n] for n in sorted(globals_))], self.segments,
-            self.opts.max_dump_bytes)
-        if truncated:
-            args = [sever(v, segments) for v in args]
-            globals_ = {n: sever(v, segments) for n, v in globals_.items()}
-        return CallEvent(call_index, name, list(args), globals_, segments,
-                         truncated)
+    Roots are the arguments, then the globals by name.  The entry call
+    is never carved, so it gets no snapshot.
+    """
+    globals_ = dict(st.globals)
+    if name == ENTRY:
+        return CallEvent(call_index, name, list(args), globals_, None, False)
+    segments, truncated = snapshot_reachable(
+        [*args, *(globals_[n] for n in sorted(globals_))], st.segments,
+        st.opts.max_dump_bytes)
+    if truncated:
+        args = [sever(v, segments) for v in args]
+        globals_ = {n: sever(v, segments) for n, v in globals_.items()}
+    return CallEvent(call_index, name, list(args), globals_, segments, truncated)
+
+
+def _call(st: _State, at, target: "_Target", args: list):
+    """Enter a user function from a call at `at`."""
+    if st.fuel < 0:
+        spent(st)
+    if st.depth >= MAX_CALL_DEPTH:
+        fail(at, "abort", "call stack overflow")
+    st.depth += 1
+    flow = target.body(st, dict(zip(target.params, args)))
+    st.depth -= 1
+    return flow[0] if flow is not None else None
+
+
+def _call_traced(st: _State, at, target: "_Target", args: list):
+    """_call between the call's event and its return event."""
+    if st.fuel < 0:
+        spent(st)
+    if st.depth >= MAX_CALL_DEPTH:
+        fail(at, "abort", "call stack overflow")
+    call_index = st.calls
+    st.calls += 1
+    st.coverage.emit(_call_event(st, call_index, target.name, args))
+    value = _call(st, at, target, args)
+    if st.fuel < 0:
+        spent(st)
+    st.coverage.emit(ReturnEvent(call_index))
+    return value
+
+
+# ---------------------------------------------------------------- compiler
+
+class _Target:
+    """A user function; `body` is set once all are compiled, so calls can
+    recurse."""
+
+    __slots__ = ("name", "params", "body")
+
+    def __init__(self, fn: FunctionDef):
+        self.name = fn.name
+        self.params = tuple(p for p, _ in fn.params)
+
+
+def _code(program: Program, traced: bool) -> "_Code":
+    """One variant of `program`'s code, compiled on its first run."""
+    code = program.compiled.get(traced)
+    if code is None:
+        code = program.compiled[traced] = _Code(program, traced)
+    return code
+
+
+class _Code:
+    """A program compiled into closures `f(st, fr)` over the run state and
+    the frame.  A statement's closure returns None, or (value,) once the
+    function returns.
+
+    While a statement compiles, `at` is its crash position, `bound` the
+    names certain to be in the frame (parameters and the lets before it
+    in enclosing blocks) and `maybe` every name the frame can hold.
+    `frames` bounds the host stack a run can use: MAX_CALL_DEPTH calls at
+    the deepest nesting, at most two Python frames per closure.
+    """
+
+    def __init__(self, program: Program, traced: bool):
+        self.traced = traced
+        self.global_names = {g.name for g in program.globals}
+        self.targets = {f.name: _Target(f) for f in program.functions}
+        self.nesting = self.deepest = 0
+        for fn in program.functions:
+            self.enter(fn.name, [p for p, _ in fn.params],
+                       [s.name for s in iter_stmts(fn.body) if isinstance(s, SLet)])
+            self.targets[fn.name].body = self.block(fn.body)
+        self.enter("<init>", (), ())
+        self.inits = [(g.name, self.expr(g.init)) for g in program.globals]
+        self.frames = 2 * MAX_CALL_DEPTH * (self.deepest + 4)
+
+    def enter(self, fn_name: str, params, lets) -> None:
+        self.fn_name, self.at = fn_name, (fn_name, -1)
+        self.bound, self.maybe = set(params), frozenset(params) | set(lets)
+
+    def run(self, st: _State, name: str, args: list, init: bool):
+        """Call `name` as the outermost call, after the global
+        initializers when `init` is set."""
+        if init:
+            st.origin = "global"
+            for gname, value in self.inits:
+                st.globals[gname] = value(st, {})
+            st.origin = "heap"
+        enter = _call_traced if self.traced else _call
+        return enter(st, None, self.targets[name], args)   # at depth 0
 
     # ------------------------------------------------------------ statements
 
-    def exec_body(self, body, frame):
-        for s in body:
-            self.tick()
-            self.current_stmt = s.stmt_id
-            cls = type(s)
-            if cls is SLet or cls is SAssign:
-                value = self.eval(s.value, frame)
-                if cls is SLet or s.name in frame:
-                    frame[s.name] = value
-                elif s.name in self.globals:
-                    self.globals[s.name] = value
-                else:
-                    frame[s.name] = value
-            elif cls is SExpr:
-                self.eval(s.value, frame)
-            elif cls is SIf:
-                taken = self.truth(self.eval(s.cond, frame))
-                self.branch(s.stmt_id, "then" if taken else "else")
-                chosen = s.then_body if taken else s.else_body
-                if chosen is not None:
-                    flow = self.exec_body(chosen, frame)
-                    if flow is not None:
-                        return flow
-            elif cls is SWhile:
-                while True:
-                    self.tick()
-                    self.current_stmt = s.stmt_id
-                    if not self.truth(self.eval(s.cond, frame)):
-                        self.branch(s.stmt_id, "loop-exit")
-                        break
-                    self.branch(s.stmt_id, "loop-enter")
-                    flow = self.exec_body(s.body, frame)
-                    if flow is not None:
-                        return flow
-            elif cls is SReturn:
-                value = self.eval(s.value, frame) if s.value is not None else None
-                return (_RETURN, value)
-            elif cls is SIndexSet:
-                obj = self.eval(s.obj, frame)
-                index = self.eval(s.index, frame)
-                value = self.eval(s.value, frame)
-                self.store_index(obj, index, value)
-            else:  # pragma: no cover - parser emits no other statements
-                raise ToolError(f"unhandled statement {s!r}")
-        return None
+    def block(self, body):
+        outer, self.bound = self.bound, set(self.bound)
+        self.nesting += 2       # the block's closure, then each statement's
+        self.deepest = max(self.deepest, self.nesting)
+        stmts = tuple(self.stmt(s) for s in body)
+        self.nesting -= 2
+        self.bound = outer
 
-    def branch(self, stmt_id: int, outcome: str) -> None:
-        goal = BranchGoal(self.fn_stack[-1], stmt_id, outcome)
-        self.coverage.add(goal)
-        if self.tracing:
-            self.emit(BranchEvent(goal))
+        def block(st, fr):
+            for s in stmts:
+                flow = s(st, fr)
+                if flow is not None:
+                    return flow
+        return block
 
-    def truth(self, v) -> bool:
-        if type(v) is int:
-            return v != 0
-        self.crash("type-error", f"condition must be int, got {value_type_name(v)}")
+    def stmt(self, s):
+        self.at = at = (self.fn_name, s.stmt_id)
+        cls = type(s)
+        if cls is SIf or cls is SWhile:
+            return self.branch(s, at)
+        if cls is SIndexSet:
+            return self.apply(ops.store, [s.obj, s.index, s.value], 1, at)
+        value = (self.expr(s.value, 1) if s.value is not None
+                 else self.node(ENull(s.pos), 1))   # a bare return
+        if cls is SReturn:
+            return lambda st, fr: (value(st, fr),)
+        if cls is SExpr:
+            def expr_stmt(st, fr):
+                value(st, fr)
+            return expr_stmt
+        name = s.name
+        if cls is SLet:
+            self.bound.add(name)
+        if cls is SLet or name in self.bound or name not in self.global_names:
+            def assign_local(st, fr):
+                fr[name] = value(st, fr)
+            return assign_local
+        maybe_local = name in self.maybe
 
-    def store_index(self, obj, index, value) -> None:
-        if not isinstance(obj, Ref):
-            if obj is None:
-                self.crash("type-error", "store through null")
-            self.crash("type-error", f"cannot store into {value_type_name(obj)}")
-        seg = self.segments.get(obj.seg)
-        if seg is None:
-            self.crash("type-error", "dangling reference")
-        if type(index) is not int:
-            self.crash("type-error", "index must be int")
-        absolute = obj.off + index
-        if index < 0 or absolute >= seg.length:
-            self.crash("oob", f"store index {index} out of range")
-        seg.elems[absolute] = value
+        def assign_global(st, fr):
+            v = value(st, fr)
+            if maybe_local and name in fr:
+                fr[name] = v
+                return
+            if st.fuel < 0:
+                spent(st)
+            st.globals[name] = v
+        return assign_global
+
+    def branch(self, s, at):
+        """An if or a while: its test, the goals it covers, its bodies."""
+        cond = self.expr(s.cond, 1)
+        loop = type(s) is SWhile
+        yes, no = (BranchGoal(self.fn_name, s.stmt_id, outcome) for outcome in
+                   (("loop-enter", "loop-exit") if loop else ("then", "else")))
+        then = self.block(s.body if loop else s.then_body)
+        other = None if loop or s.else_body is None else self.block(s.else_body)
+
+        def if_stmt(st, fr):
+            c = cond(st, fr)
+            if st.fuel < 0:
+                spent(st)
+            if type(c) is not int:
+                fail(at, "type-error", f"condition must be int, got {value_type_name(c)}")
+            if c:
+                st.coverage.add(yes)
+                return then(st, fr)
+            st.coverage.add(no)
+            if other is not None:
+                return other(st, fr)
+
+        def while_stmt(st, fr):
+            st.fuel -= 1
+            while True:
+                c = cond(st, fr)
+                if st.fuel < 0:
+                    spent(st)
+                if type(c) is not int:
+                    fail(at, "type-error", f"condition must be int, got {value_type_name(c)}")
+                if not c:
+                    st.coverage.add(no)
+                    return None
+                st.coverage.add(yes)
+                flow = then(st, fr)
+                if flow is not None:
+                    return flow
+        return while_stmt if loop else if_stmt
 
     # ------------------------------------------------------------ expressions
 
-    def eval(self, e, frame):
-        self.tick()
+    def leaf(self, e):
+        """A closure for `e` when nothing can observe reading it (a
+        constant, a local bound here), else None."""
         cls = type(e)
-        if cls is EInt or cls is EFloat or cls is EBytes:
-            return e.value
-        if cls is EVar:
+        if cls is EInt or cls is EFloat or cls is EBytes or cls is ENull:
+            value = None if cls is ENull else e.value
+            return lambda st, fr: value
+        if cls is EVar and e.name in self.bound:
             name = e.name
-            if name in frame:
-                return frame[name]
-            try:
-                return self.globals[name]
-            except KeyError:  # pragma: no cover - statically rejected
-                self.crash("type-error", f"unbound name {name!r}")
+            return lambda st, fr: fr[name]
+        return None
+
+    def children(self, exprs, k):
+        """Closures for operands evaluated in order, and the steps their
+        parent subtracts on entry: its own `k`, plus one for each leaf
+        before the first other operand; those leaves subtract nothing."""
+        out, leading = [], True
+        for e in exprs:
+            leaf = self.leaf(e) if leading else None
+            leading = leaf is not None
+            if leading:
+                k += 1
+            out.append(leaf if leading else self.expr(e))
+        return out, k
+
+    def expr(self, e, extra=0):
+        """A closure evaluating `e`, subtracting its own step and the
+        `extra` steps due just before it."""
+        self.nesting += 1
+        self.deepest = max(self.deepest, self.nesting)
+        closure = self.node(e, extra + 1)
+        self.nesting -= 1
+        return closure
+
+    def node(self, e, k):
+        at, cls = self.at, type(e)
+        if cls is EVar:
+            return self.var(e.name, k, at)
         if cls is EBinary:
-            return self.binary(e, frame)
+            return self.binary(e, k, at)
+        if cls is ECall and e.name in self.targets:
+            return self.call(e, k, at, self.targets[e.name])
         if cls is ECall:
-            fn = self.functions.get(e.name)
-            if fn is not None:
-                args = [self.eval(a, frame) for a in e.args]
-                return self.call_user(fn, args)
-            return self.builtin(e, frame)
+            return self.apply(ops.BUILTINS[e.name], e.args, k, at)
         if cls is EIndex:
-            return self.load_index(self.eval(e.obj, frame), self.eval(e.index, frame))
+            return self.apply(ops.index, [e.obj, e.index], k, at)
         if cls is EField:
-            obj = self.eval(e.obj, frame)
-            if isinstance(obj, Record):
-                try:
-                    return obj.fields[e.name]
-                except KeyError:
-                    self.crash("type-error", f"record {obj.rtype!r} has no field {e.name!r}")
-            if obj is None:
-                self.crash("type-error", "field access on null")
-            self.crash("type-error", f"field access on {value_type_name(obj)}")
+            return self.apply(ops.field(e.name), [e.obj], k, at)
         if cls is EUnary:
-            v = self.eval(e.operand, frame)
-            if e.op == "-":
-                if type(v) is int:
-                    return wrap64(-v)
-                if type(v) is float:
-                    return -v
-                self.crash("type-error", f"unary - on {value_type_name(v)}")
-            if type(v) is int:
-                return 0 if v != 0 else 1
-            self.crash("type-error", f"unary ! on {value_type_name(v)}")
-        if cls is ENull:
-            return None
+            return self.apply(ops.UNARY[e.op], [e.operand], k, at)
         if cls is ERecordLit:
-            return Record(e.name, {name: self.eval(v, frame) for name, v in e.fields})
+            rtype, names = e.name, [n for n, _ in e.fields]
+            return self.apply(
+                lambda st, at, *values: Record(rtype, dict(zip(names, values))),
+                [v for _, v in e.fields], k, at)
         if cls is EArrayLit:
-            return tuple(self.eval(v, frame) for v in e.items)
-        raise ToolError(f"unhandled expression {e!r}")  # pragma: no cover
+            return self.apply(lambda st, at, *items: items, e.items, k, at)
+        value = None if cls is ENull else e.value   # a constant
 
-    def load_index(self, obj, index):
-        if type(index) is not int:
-            self.crash("type-error", "index must be int")
-        if isinstance(obj, Ref):
-            seg = self.segments.get(obj.seg)
-            if seg is None:
-                self.crash("type-error", "dangling reference")
-            absolute = obj.off + index
-            if index < 0 or absolute >= seg.length:
-                self.crash("oob", f"index {index} out of range")
-            return seg.elems[absolute]
-        if isinstance(obj, tuple):
-            if index < 0 or index >= len(obj):
-                self.crash("oob", f"index {index} out of range")
-            return obj[index]
-        if obj is None:
-            self.crash("type-error", "index into null")
-        self.crash("type-error", f"cannot index {value_type_name(obj)}")
+        def const(st, fr):
+            st.fuel -= k
+            return value
+        return const
 
-    def binary(self, e, frame):
-        op = e.op
-        if op == "&&":
-            left = self.eval(e.left, frame)
-            if type(left) is not int:
-                self.crash("type-error", "&& needs int operands")
-            if left == 0:
-                return 0
-            right = self.eval(e.right, frame)
-            if type(right) is not int:
-                self.crash("type-error", "&& needs int operands")
-            return 1 if right != 0 else 0
-        if op == "||":
-            left = self.eval(e.left, frame)
-            if type(left) is not int:
-                self.crash("type-error", "|| needs int operands")
-            if left != 0:
-                return 1
-            right = self.eval(e.right, frame)
-            if type(right) is not int:
-                self.crash("type-error", "|| needs int operands")
-            return 1 if right != 0 else 0
+    def var(self, name, k, at):
+        if name in self.bound:
+            def local(st, fr):
+                st.fuel -= k
+                return fr[name]
+            return local
+        maybe_local = name in self.maybe
 
-        left = self.eval(e.left, frame)
-        right = self.eval(e.right, frame)
-        if op == "==":
-            return 1 if self.equal(left, right) else 0
-        if op == "!=":
-            return 0 if self.equal(left, right) else 1
+        def var(st, fr):
+            st.fuel -= k
+            if maybe_local and name in fr:
+                return fr[name]
+            try:
+                return st.globals[name]
+            except KeyError:
+                fail(at, "type-error", f"unbound name {name!r}")
+        return var
 
-        tl, tr = type(left), type(right)
-        if op in ("<", "<=", ">", ">="):
-            if (tl is int and tr is int) or (tl is float and tr is float):
-                if op == "<":
-                    return 1 if left < right else 0
-                if op == "<=":
-                    return 1 if left <= right else 0
-                if op == ">":
-                    return 1 if left > right else 0
-                return 1 if left >= right else 0
-            self.crash("type-error",
-                       f"cannot order {value_type_name(left)} and {value_type_name(right)}")
+    def apply(self, op, exprs, k, at):
+        """Evaluate `exprs` in order, then `op(st, at, *values)`."""
+        args, k = self.children(exprs, k)
+        if len(args) == 1:
+            (a,) = args
 
-        if tl is int and tr is int:
-            if op == "+":
-                return wrap64(left + right)
-            if op == "-":
-                return wrap64(left - right)
-            if op == "*":
-                return wrap64(left * right)
-            if op == "/":
-                if right == 0:
-                    self.crash("div-zero", "integer division by zero")
-                q = abs(left) // abs(right)
-                return wrap64(q if (left < 0) == (right < 0) else -q)
-            if op == "%":
-                if right == 0:
-                    self.crash("div-zero", "integer modulo by zero")
-                q = abs(left) // abs(right)
-                q = q if (left < 0) == (right < 0) else -q
-                return wrap64(left - wrap64(q * right))
-        if tl is float and tr is float:
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                if right == 0.0:
-                    self.crash("div-zero", "float division by zero")
-                return left / right
-            if op == "%":
-                if right == 0.0:
-                    self.crash("div-zero", "float modulo by zero")
-                return left - right * float(int(left / right))
-        self.crash("type-error",
-                   f"{op} on {value_type_name(left)} and {value_type_name(right)}")
+            def apply1(st, fr):
+                st.fuel -= k
+                return op(st, at, a(st, fr))
+            return apply1
 
-    def equal(self, left, right) -> bool:
-        if left is None or right is None:
-            return left is None and right is None
-        tl, tr = type(left), type(right)
-        if tl is not tr and not (isinstance(left, Record) and isinstance(right, Record)):
-            self.crash("type-error",
-                       f"== on {value_type_name(left)} and {value_type_name(right)}")
-        return left == right
+        def apply(st, fr):
+            st.fuel -= k
+            return op(st, at, *[a(st, fr) for a in args])
+        return apply
 
-    # ------------------------------------------------------------ builtins
+    def binary(self, e, k, at):
+        slow, fast = ops.BINARY.get(e.op), ops.FAST.get(e.op)
+        if slow is None:   # && or ||: the right operand only sometimes
+            (left,), k = self.children([e.left], k)
+            right = self.expr(e.right)
+            decided = 0 if e.op == "&&" else 1   # the left value that decides
+            message = f"{e.op} needs int operands"
 
-    def builtin(self, e, frame):
-        name = e.name
-        args = [self.eval(a, frame) for a in e.args]
-        if name == "len":
-            v = args[0]
-            if isinstance(v, bytes):
-                return len(v)
-            if isinstance(v, tuple):
-                return len(v)
-            if isinstance(v, Ref):
-                seg = self.segments.get(v.seg)
-                if seg is None:
-                    self.crash("type-error", "dangling reference")
-                return seg.length - v.off
-            self.crash("type-error", f"len of {value_type_name(v)}")
-        if name == "byte_at":
-            b, i = args
-            if not isinstance(b, bytes):
-                self.crash("type-error", "byte_at needs bytes")
-            if type(i) is not int:
-                self.crash("type-error", "byte_at index must be int")
-            if i < 0 or i >= len(b):
-                self.crash("oob", f"byte_at index {i} out of range")
-            return b[i]
-        if name == "slice":
-            v = args[0]
-            if isinstance(v, bytes):
-                if len(args) != 3:
-                    self.crash("type-error", "slice on bytes takes (bytes, start, end)")
-                _, i, j = args
-                if type(i) is not int or type(j) is not int:
-                    self.crash("type-error", "slice bounds must be int")
-                if i < 0 or j < i or j > len(v):
-                    self.crash("oob", f"slice [{i}, {j}) out of range")
-                return v[i:j]
-            if isinstance(v, Ref):
-                if len(args) != 2:
-                    self.crash("type-error", "slice on a ref takes (ref, offset)")
-                k = args[1]
-                if type(k) is not int:
-                    self.crash("type-error", "slice offset must be int")
-                seg = self.segments.get(v.seg)
-                if seg is None:
-                    self.crash("type-error", "dangling reference")
-                if k < 0 or v.off + k > seg.length:
-                    self.crash("oob", f"slice offset {k} out of range")
-                return Ref(v.seg, v.off + k)
-            self.crash("type-error", f"slice of {value_type_name(v)}")
-        if name == "concat":
-            a, b = args
-            if isinstance(a, bytes) and isinstance(b, bytes):
-                return a + b
-            self.crash("type-error", "concat needs bytes")
-        if name == "arg_count":
-            return len(self.argv)
-        if name == "arg":
-            i = args[0]
-            if type(i) is not int:
-                self.crash("type-error", "arg index must be int")
-            if i < 0 or i >= len(self.argv):
-                self.crash("oob", f"arg index {i} out of range")
-            return self.argv[i]
-        if name == "read_all_input":
-            return self.stdin
-        if name == "print":
-            self.output.extend(self.render(args[0]))
-            self.output.extend(b"\n")
-            return 0
-        if name == "parse_int":
-            b = args[0]
-            if not isinstance(b, bytes):
-                self.crash("type-error", "parse_int needs bytes")
-            text = b.decode("latin-1")
-            body = text[1:] if text.startswith("-") else text
-            if not body or not body.isascii() or not body.isdigit():
-                self.crash("type-error", f"parse_int on non-decimal input {text!r}")
-            return wrap64(int(text))
-        if name == "to_string":
-            v = args[0]
-            if type(v) is int:
-                return str(v).encode("ascii")
-            if type(v) is float:
-                return repr(v).encode("ascii")
-            if isinstance(v, bytes):
-                return v
-            self.crash("type-error", f"to_string of {value_type_name(v)}")
-        if name == "alloc_array":
-            n, init = args
-            if type(n) is not int:
-                self.crash("type-error", "alloc_array length must be int")
-            if n < 0:
-                self.crash("oob", f"alloc_array length {n} is negative")
-            sid = self.next_seg
-            self.next_seg += 1
-            self.segments[sid] = Segment(value_type_name(init), n, [init] * n,
-                                         self.alloc_origin)
-            return Ref(sid, 0)
-        if name == "abort":
-            msg = args[0]
-            text = msg.decode("latin-1") if isinstance(msg, bytes) else repr(msg)
-            self.crash("abort", text)
-        raise ToolError(f"unhandled builtin {name!r}")  # pragma: no cover
+            def logic(st, fr):
+                st.fuel -= k
+                a = left(st, fr)
+                if type(a) is not int:
+                    fail(at, "type-error", message)
+                if (a != 0) == decided:
+                    return decided
+                b = right(st, fr)
+                if type(b) is not int:
+                    fail(at, "type-error", message)
+                return 1 if b != 0 else 0
+            return logic
+        (left, right), k = self.children([e.left, e.right], k)
+        if fast is None:
+            def division(st, fr):
+                st.fuel -= k
+                return slow(at, left(st, fr), right(st, fr))
+            return division
+        if type(e.left) is EVar and e.left.name in self.bound and type(e.right) is EInt:
+            a_name, b = e.left.name, e.right.value
 
-    def render(self, v) -> bytes:
-        if isinstance(v, bytes):
-            return v
-        if type(v) is int:
-            return str(v).encode("ascii")
-        if type(v) is float:
-            return repr(v).encode("ascii")
-        if v is None:
-            return b"null"
-        if isinstance(v, Ref):
-            return f"ref({v.seg}, {v.off})".encode("ascii")
-        if isinstance(v, tuple):
-            return b"[" + b", ".join(self.render(x) for x in v) + b"]"
-        if isinstance(v, Record):
-            inner = b", ".join(
-                k.encode("ascii") + b": " + self.render(x) for k, x in v.fields.items())
-            return v.rtype.encode("ascii") + b"{" + inner + b"}"
-        raise ToolError(f"cannot render {v!r}")  # pragma: no cover
+            def local_const(st, fr):   # the commonest shape: i < 10, n + 1
+                st.fuel -= k
+                a = fr[a_name]
+                if type(a) is int:
+                    r = fast(a, b) + 0   # + 0 makes a comparison's bool 0 or 1
+                    if INT64_MIN <= r <= INT64_MAX:
+                        return r
+                return slow(at, a, b)
+            return local_const
+
+        def binary(st, fr):
+            st.fuel -= k
+            a = left(st, fr)
+            b = right(st, fr)
+            if type(a) is int and type(b) is int:
+                r = fast(a, b) + 0
+                if INT64_MIN <= r <= INT64_MAX:
+                    return r
+            return slow(at, a, b)
+        return binary
+
+    def call(self, e, k, at, target):
+        args, k = self.children(e.args, k)
+        enter = _call_traced if self.traced else _call
+
+        def call(st, fr):
+            st.fuel -= k
+            return enter(st, at, target, [a(st, fr) for a in args])
+        return call
 
 
-def _finish(runner) -> tuple[RunStatus, object]:
-    """Run `runner`, folding crashes and budget exhaustion into a status."""
+# ---------------------------------------------------------------- entry points
+
+def _finish(st: _State, code: _Code, name: str, args: list, init: bool,
+            started: float) -> RunResult:
+    """Run `name`, folding crashes and budget exhaustion into a status."""
+    host_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(host_limit, code.frames))
+    value = None
     try:
-        value = runner()
-    except _Crash as c:
-        return RunStatus("crash", code=0, crash_kind=c.kind, crash_fn=c.fn,
-                         crash_stmt=c.stmt, message=c.message), None
-    except _Budget:
-        return RunStatus("budget-exhausted"), None
-    code = value if type(value) is int else 0
-    return RunStatus("exit", code=code), value
+        value = code.run(st, name, args, init)
+        status = RunStatus("exit", code=value if type(value) is int else 0)
+    except Crash as c:
+        kind, message, fn, stmt = c.args
+        status = RunStatus("crash", code=0, crash_kind=kind, crash_fn=fn,
+                           crash_stmt=stmt, message=message)
+    except OutOfSteps:
+        pass
+    finally:
+        sys.setrecursionlimit(host_limit)
+    if st.fuel < 0:   # the budget ran out before that exit or crash
+        st.fuel, value, status = -1, None, RunStatus("budget-exhausted")
+    return RunResult(
+        status=status,
+        coverage=frozenset(st.coverage),
+        trace=st.coverage.events if code.traced else None,
+        steps=st.opts.step_limit - st.fuel,
+        wall_time_s=time.perf_counter() - started,
+        output=bytes(st.output),
+        return_value=value,
+    )
 
 
 def _run(program: Program, system_input: SystemInput, opts: RunOptions,
-         tracing: bool) -> RunResult:
+         traced: bool) -> RunResult:
     started = time.perf_counter()
-    interp = _Interp(program, opts, tracing,
-                     tuple(system_input.argv), system_input.stdin)
-
-    def runner():
-        interp.init_globals()
-        return interp.call_user(interp.functions[ENTRY], [])
-
-    status, value = _finish(runner)
-    return RunResult(
-        status=status,
-        coverage=frozenset(interp.coverage),
-        trace=interp.trace if tracing else None,
-        steps=interp.steps,
-        wall_time_s=time.perf_counter() - started,
-        output=bytes(interp.output),
-        return_value=value,
-    )
+    st = _State(opts, traced, tuple(system_input.argv), system_input.stdin)
+    return _finish(st, _code(program, traced), ENTRY, [], True, started)
 
 
 def run_system(program: Program, system_input: SystemInput,
                opts: RunOptions = RunOptions()) -> RunResult:
     """Execute main against a system input; coverage only, no trace."""
-    return _run(program, system_input, opts, tracing=False)
+    return _run(program, system_input, opts, traced=False)
 
 
 def run_with_tracing(program: Program, system_input: SystemInput,
@@ -642,7 +587,7 @@ def run_with_tracing(program: Program, system_input: SystemInput,
     opts.trace_limit; callers should fall back to run_system and skip
     carving that test.
     """
-    return _run(program, system_input, opts, tracing=True)
+    return _run(program, system_input, opts, traced=True)
 
 
 def _arg_fits(value, declared) -> bool:
@@ -703,8 +648,6 @@ def call_function(program: Program, fn_name: str, args: list,
     for gdef in program.globals:
         if gdef.name not in globals_:
             raise TypeMismatch(f"world is missing global {gdef.name!r}")
-    interp = _Interp(program, opts, tracing=False, argv=(), stdin=b"",
-                     globals_=globals_, segments=segments)
 
     if _find_dangling(args, globals_, segments):
         status = RunStatus("crash", crash_kind="type-error", crash_fn=fn_name,
@@ -712,13 +655,6 @@ def call_function(program: Program, fn_name: str, args: list,
         return RunResult(status, frozenset(), None, 0,
                          time.perf_counter() - started, b"")
 
-    status, value = _finish(lambda: interp.call_user(fn, list(args)))
-    return RunResult(
-        status=status,
-        coverage=frozenset(interp.coverage),
-        trace=None,
-        steps=interp.steps,
-        wall_time_s=time.perf_counter() - started,
-        output=bytes(interp.output),
-        return_value=value,
-    )
+    st = _State(opts, False, globals_=globals_, segments=segments)
+    return _finish(st, _code(program, False), fn_name, list(args), False,
+                   started)

@@ -173,6 +173,14 @@ def encode_value(v) -> object:
     raise TypeError(f"not a runtime value: {v!r}")
 
 
+def decode_b64(text) -> bytes:
+    """Strict base64: any character outside the alphabet is a FormatError."""
+    try:
+        return base64.b64decode(text, validate=True)
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"malformed base64 {text!r}: {exc}") from exc
+
+
 def decode_value(obj: object):
     if not isinstance(obj, dict) or "t" not in obj:
         raise FormatError(f"malformed value encoding: {obj!r}")
@@ -184,7 +192,7 @@ def decode_value(obj: object):
     if t == "float":
         return float(obj["v"])
     if t == "bytes":
-        return base64.b64decode(obj["v"])
+        return decode_b64(obj["v"])
     if t == "array":
         return tuple(decode_value(x) for x in obj["v"])
     if t == "record":

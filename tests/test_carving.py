@@ -393,6 +393,11 @@ MALFORMED_SNAPSHOTS = {
     "roots-not-pairs": lambda doc: json.dumps({**doc, "roots": 3}),
     "bad-base64-leaf": lambda doc: json.dumps(
         {**doc, "roots": [["arg[0]", {"t": "bytes", "v": "abc"}]]}),
+    # Non-alphabet characters: a lax decoder drops them ("Y!WJj" -> b"abc").
+    "base64-leaf-with-junk": lambda doc: json.dumps(
+        {**doc, "roots": [["arg[0]", {"t": "bytes", "v": "Y!WJj"}]]}),
+    "base64-leaf-all-junk": lambda doc: json.dumps(
+        {**doc, "roots": [["arg[0]", {"t": "bytes", "v": "!"}]]}),
 }
 
 

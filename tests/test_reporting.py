@@ -103,8 +103,14 @@ def test_parse_rejects_malformed_records():
     def stdin_not_base64(doc):
         doc["effective_inputs"][0]["stdin"] = 5
 
+    def stdin_with_junk(doc):   # a lax decoder reads b"abc"
+        doc["effective_inputs"][0]["stdin"] = "Y!WJj"
+
+    def argv_all_junk(doc):     # a lax decoder reads b""
+        doc["effective_inputs"][0]["argv"] = ["!"]
+
     for breakage in (drop_row_key, drop_tally, list_for_record, short_pair,
-                     stdin_not_base64):
+                     stdin_not_base64, stdin_with_junk, argv_all_junk):
         doc = json.loads(serialize_report(sample_report()))
         breakage(doc)
         with pytest.raises(FormatError):

@@ -1,0 +1,416 @@
+"""Golden digests of run results.
+
+Each digest is the sha256 of the `serialize_run_result` documents of a
+fixed set of runs:
+
+  * every bundled subject over its bundled seeds plus a fixed
+    `generate_batch`, untraced and traced, and its first seed under a
+    step limit too small to finish (budget-exhausted);
+  * `call_function` over the carves of a traced seed run, together with
+    the world each call leaves behind, once at the default snapshot
+    budget and once at one small enough to truncate contexts;
+  * two small programs run over many inputs: one that computes and
+    prints values of every type, and one that crashes in every kind and
+    from every kind of position (nested call arguments, loop tests,
+    callees, global initializers, the call-stack limit).
+
+Anything that changes what the VM computes, charges, records or reports
+for a crash moves one of these; such a change must say why in
+CHANGES.md and pin the new values.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from carvelift import resolve_program, resolve_seeds
+from carvelift.carving import carve_with_stats, context_to_world
+from carvelift.lang.parser import parse
+from carvelift.rng import Rng
+from carvelift.sysgen import generate_batch
+from carvelift.vm.interp import (
+    RunOptions, call_function, run_system, run_with_tracing,
+    serialize_run_result,
+)
+from carvelift.vm.values import encode_segment, encode_value
+
+from conftest import SUBJECT_NAMES, mk_input
+
+BATCH_RNG_SEED = 2024
+BATCH_PER_SEED = 8
+SMALL_STEP_LIMIT = 150
+SMALL_DUMP_BYTES = 64
+
+
+def digest(docs) -> str:
+    return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+
+
+def encode_world(world) -> dict:
+    globals_, segments = world
+    return {"globals": {k: encode_value(v) for k, v in sorted(globals_.items())},
+            "segments": {str(sid): encode_segment(s)
+                         for sid, s in sorted(segments.items())}}
+
+
+def subject_inputs(name):
+    seeds = resolve_seeds(None, name)
+    return seeds + generate_batch(seeds, BATCH_PER_SEED, Rng(BATCH_RNG_SEED))
+
+
+def run_docs(program, inputs, runner, opts=RunOptions()):
+    return [serialize_run_result(runner(program, s, opts)) for s in inputs]
+
+
+def unit_docs(program, seed, opts: RunOptions):
+    """Each carve of one traced seed run replayed, with its world after."""
+    traced = run_with_tracing(program, seed, opts)
+    docs = []
+    for carved in carve_with_stats(program, traced)[0]:
+        args, world = context_to_world(carved.context)
+        r = call_function(program, carved.start[0], args, world, opts.unit())
+        docs.append({"start": list(carved.start),
+                     "truncated": carved.context.truncated,
+                     "result": serialize_run_result(r),
+                     "world": encode_world(world)})
+    return docs
+
+
+# ------------------------------------------------------- subjects
+
+SUBJECT_GOLDENS = {
+    "keycheck": {
+        "system":
+            "910f3df84cee4efad8e4e6be6472012682c3428eb4dad94462bcea444e27df90",
+        "traced":
+            "fea0509010ac78d2b8b9b8cc63309a0f81e302c5c1330cf22145834509308d40",
+        "budget":
+            "27a0e6ae36a9d42da72f9def58de170a6c974d949ccc467be67ef7d69956cc78",
+        "units":
+            "fdaafc89902732251daaf049cf7167a2de767bb47fea59acb6b4f67ef20aeb76",
+        "units_truncated":
+            "39917365add5993cd1931f8268c330e879b05e07b20d0e0ac753ff39efb32409",
+    },
+    "mini_cut": {
+        "system":
+            "9b63ca3e09dd5b1655cba08e641957561b2c13a362ea3f1ba24fc85f79a8ff41",
+        "traced":
+            "488f5787875c5c8c956a2098ebfafc1a61bef9504491f165670823130e8f0972",
+        "budget":
+            "213bbe181de113397c8556768ba18f545c13b02f89646b59e79033d32afe762c",
+        "units":
+            "df48d0bb91eea67100e4272393951f4a2be99c202f9692024d15e2a88436c8f5",
+        "units_truncated":
+            "df48d0bb91eea67100e4272393951f4a2be99c202f9692024d15e2a88436c8f5",
+    },
+    "mini_dc": {
+        "system":
+            "d350402c400fbc21dafa37d5bb4c2e8a4821c54d95bd17f188440758ef215623",
+        "traced":
+            "7cb6a1eba0b85513c753f02ff6582b9dc8628ec48c006adce57044a6a5d09aa9",
+        "budget":
+            "4d1477bf224c686f327f2fb6dd3be53563b07d1513b23d5daf6438a29af9d13f",
+        "units":
+            "a222e3773c6ec638b36bbecf9974f352b9b6a7fb391ed669105331ef97e5df9c",
+        "units_truncated":
+            "098c85e9614aae925bee17f418bd2db136f6295ee4ba4d91b024b3590c538965",
+    },
+    "mini_sed": {
+        "system":
+            "1bc7b421ad17bb881432127d8d1fc9f645f420efed0b1e82b3c5955d9939baef",
+        "traced":
+            "c00c61fe3c0b3b1f974a632287a1170dea36a5fd29a232fe032cdf5036847eed",
+        "budget":
+            "a29dca660ab161dac2bf88db706741c06ca2a49fa7c3f6b0a0a6fe9eb8d98835",
+        "units":
+            "5ee99709c7fb7b1975f948f5e9d3b09c9e45ed70d3db9e47b762eb34148674ee",
+        "units_truncated":
+            "7c25bb9e8fd60dc6f83f38a5bce70318f03004183a9a2cc716de4e6be6550f35",
+    },
+    "mini_tac": {
+        "system":
+            "c7e7beee91657b123104f6cb78064f90757cbb28498221b9b7a3aacf333c2e3e",
+        "traced":
+            "9b9d143e66d2822cb529f2616dcd9124d4902b3e0a376f4bdabdac66ab0b2177",
+        "budget":
+            "5b1a0140b62285c1255ef71fc1a3dddbdff7d40f7f09bb23acd303e816c245d1",
+        "units":
+            "a4cd01f429f63dae1495e37638ea256e292d18b7047e15028026bd9e614e6c89",
+        "units_truncated":
+            "a4cd01f429f63dae1495e37638ea256e292d18b7047e15028026bd9e614e6c89",
+    },
+}
+
+
+def subject_digests(name) -> dict[str, str]:
+    program, _ = resolve_program(name)
+    inputs = subject_inputs(name)
+    small = RunOptions(step_limit=SMALL_STEP_LIMIT)
+    return {
+        "system": digest(run_docs(program, inputs, run_system)),
+        "traced": digest(run_docs(program, inputs, run_with_tracing)),
+        "budget": digest(run_docs(program, inputs[:1], run_system, small)
+                         + run_docs(program, inputs[:1], run_with_tracing, small)),
+        "units": digest(unit_docs(program, inputs[0], RunOptions())),
+        "units_truncated": digest(unit_docs(
+            program, inputs[0], RunOptions(max_dump_bytes=SMALL_DUMP_BYTES))),
+    }
+
+
+@pytest.mark.parametrize("name", SUBJECT_NAMES)
+def test_subject_run_results_match_golden_digests(name):
+    assert subject_digests(name) == SUBJECT_GOLDENS[name]
+
+
+def test_golden_runs_cover_what_they_claim():
+    """The budget runs exhaust and the small snapshot budget truncates."""
+    small = RunOptions(step_limit=SMALL_STEP_LIMIT)
+    truncated = 0
+    for name in SUBJECT_NAMES:
+        program, _ = resolve_program(name)
+        seed = subject_inputs(name)[0]
+        assert run_system(program, seed, small).status.kind == "budget-exhausted"
+        traced = run_with_tracing(program, seed,
+                                  RunOptions(max_dump_bytes=SMALL_DUMP_BYTES))
+        truncated += carve_with_stats(program, traced)[1].truncated
+    assert truncated > 0
+
+
+# ------------------------------------------------------- small programs
+
+VALUES_SOURCE = """
+record P { x: int, y: float }
+record Q { x: int }
+
+global base: int = 7;
+global pair: P = P { x: base * 2, y: 0.5 };
+global cells: ref int = alloc_array(4, base);
+
+fn twice(v: int) -> int { return v + v; }
+
+fn show_small(v: int) {
+    if (v > 2 || v < -2) { return; }
+    print(v);
+}
+
+fn fill(r: ref int, n: int) -> ref int {
+    let i = 0;
+    while (i < n) {
+        r[i] = i * i - base;
+        i = i + 1;
+    }
+    return slice(r, 1);
+}
+
+fn main() -> int {
+    let k = parse_int(arg(0));
+    let big = 9223372036854775807;
+    let small = -big - 1;
+    print(big + k);
+    print(small - k);
+    print(small * -1);
+    print(small / -1);
+    print(small % -1);
+    print(-k / 2);
+    print(-k % 2);
+    print(k * 1000003 * 1000003 * 1000003);
+    let f = 7.5;
+    print(f / 2.0);
+    print(f % 2.0);
+    print(-f % 2.0);
+    print(-f);
+    print(!k);
+    print(k < 3 && k > -3);
+    print(k < 0 || twice(k) > 4);
+    print(to_string(f * 1.0));
+    print(concat(to_string(k), to_string(pair.y)));
+    print(pair);
+    print([1, 2, [k, k + 1]]);
+    print(P { y: 1.0, x: k } == P { x: k, y: 1.0 });
+    print(P { x: 1, y: 1.0 } == Q { x: 1 });
+    print([k, 2] == [k, 2]);
+    print(null == null);
+    print(cells == cells);
+    let r = fill(cells, len(cells));
+    print(r);
+    print(len(r));
+    print(r[0] + r[2]);
+    print(slice(r, 3) == slice(cells, 4));
+    let t = "hello, world";
+    print(slice(t, (k % 5 + 5) % 5, 5));
+    print(byte_at(t, (k % 12 + 12) % 12));
+    print(len(t) + arg_count());
+    let acc = 0;
+    let i = 0;
+    while (i < k % 40) {
+        if (i % 3 == 0) { acc = acc + twice(i); } else { acc = acc - 1; }
+        i = i + 1;
+    }
+    print(acc);
+    base = acc;
+    print(twice(base));
+    show_small(k);
+    show_small(1);
+    return k % 256;
+}
+"""
+
+VALUES_ARGV = ["0", "1", "2", "-3", "13", "39", "-9223372036854775808",
+               "9223372036854775807", "4611686018427387904"]
+
+CRASH_SOURCE = """
+record P { x: int }
+record Q { y: int }
+
+global g: int = 3;
+
+fn id(v: int) -> int { return v; }
+fn deep(n: int) -> int { return deep(n + 1); }
+fn nested(a: ref int) -> int {
+    let i = 0;
+    while (i < 10) {
+        a[i] = i;
+        i = i + 1;
+    }
+    return 0;
+}
+fn field_y(p: Q) -> int { return p.y; }
+
+fn main() -> int {
+    let k = parse_int(arg(0));
+    let a = alloc_array(3, 0);
+    let arr = [1, 2];
+    let zero = k - k;
+    if (k == 0) { let x = id(1 / zero); }
+    if (k == 1) { let x = id(id(5) % zero); }
+    if (k == 2) { let x = 1.5 / 0.0; }
+    if (k == 3) { let x = 1.5 % 0.0; }
+    if (k == 4) { let x = a[3]; }
+    if (k == 5) { let x = arr[-1]; }
+    if (k == 6) { a[zero - 1] = 1; }
+    if (k == 7) { let x = nested(a); }
+    if (k == 8) { let x = byte_at("ab", 2); }
+    if (k == 9) { let x = slice("ab", 1, 3); }
+    if (k == 10) { let x = slice(a, 4); }
+    if (k == 11) { let x = arg(5); }
+    if (k == 12) { let x = alloc_array(-1, 0); }
+    if (k == 13) { abort("stop here"); }
+    if (k == 14) { abort(k); }
+    if (k == 15) { let x = deep(0); }
+    if (k == 16) { while ("s") { k = 0; } }
+    if (k == 17) { if (1.0) { k = 0; } }
+    if (k == 18) { let x = 1 && "s"; }
+    if (k == 19) { let x = "s" || 1; }
+    if (k == 20) { let x = 1 < 1.0; }
+    if (k == 21) { let x = 1 == "1"; }
+    if (k == 22) { let x = null.x; }
+    if (k == 23) { let x = k.x; }
+    if (k == 24) { let x = field_y(P { x: 1 }); }
+    if (k == 25) { let n = null; let x = n[0]; }
+    if (k == 26) { let x = a["0"]; }
+    if (k == 27) { let n = null; n[0] = 1; }
+    if (k == 28) { k[0] = 1; }
+    if (k == 29) { let x = len(k); }
+    if (k == 30) { let x = -"s"; }
+    if (k == 31) { let x = !1.0; }
+    if (k == 32) { let x = parse_int("1x"); }
+    if (k == 33) { let x = to_string(null); }
+    if (k == 34) { let x = concat("a", 1); }
+    if (k == 35) { let x = 1 + 1.0; }
+    if (k == 36) { let x = "a" * 2; }
+    if (k == 37) { if (g > 100) { let late = 1; } print(late); }
+    if (k == 38) { let x = [1] < [2]; }
+    if (k == 39) { while (id(k) / (k - 39) > 0) { k = 0; } }
+    if (k == 40) { while (k / zero > 0) { k = 0; } }
+    if (k == 41) { let x = slice(a, "1"); }
+    if (k == 42) { let x = slice("ab", 1); }
+    if (k == 43) { let x = byte_at(1, 1); }
+    return k;
+}
+"""
+
+GLOBAL_INIT_CRASHES = [
+    "global a: int = 1;\nglobal b: int = a / (a - 1);\nfn main() {}",
+    "global a: ref int = alloc_array(2, 0);\nglobal b: int = a[2];\nfn main() {}",
+]
+
+
+def small_program_docs() -> dict[str, list]:
+    values = parse(VALUES_SOURCE)
+    crashes = parse(CRASH_SOURCE)
+    crash_inputs = [mk_input((str(k).encode(),)) for k in range(45)]
+    value_inputs = [mk_input((a.encode(),)) for a in VALUES_ARGV]
+    docs = {"values": [], "crashes": []}
+    for runner in (run_system, run_with_tracing):
+        docs["values"] += run_docs(values, value_inputs, runner)
+        docs["crashes"] += run_docs(crashes, crash_inputs, runner)
+        docs["crashes"] += [serialize_run_result(runner(parse(src), mk_input()))
+                            for src in GLOBAL_INIT_CRASHES]
+    return docs
+
+
+def budget_sweep_docs() -> list:
+    """Runs cut short at every step limit up to where they end.
+
+    The values program at each limit, the crash program at each of the
+    last few limits before each crash, and each mini_dc carve (global
+    stores, segment stores, allocation) at each unit limit, with the
+    world it leaves.
+    """
+    docs = []
+    values = parse(VALUES_SOURCE)
+    value_input = mk_input((b"13",))
+    full = run_system(values, value_input).steps
+    for limit in range(1, full + 2):
+        for runner in (run_system, run_with_tracing):
+            docs.append(serialize_run_result(
+                runner(values, value_input, RunOptions(step_limit=limit))))
+    crashes = parse(CRASH_SOURCE)
+    for k in range(45):
+        s = mk_input((str(k).encode(),))
+        end = run_system(crashes, s).steps
+        for limit in range(max(1, end - 4), end + 1):
+            docs.append(serialize_run_result(
+                run_system(crashes, s, RunOptions(step_limit=limit))))
+    program, _ = resolve_program("mini_dc")
+    seed = subject_inputs("mini_dc")[0]
+    for carved in carve_with_stats(program, run_with_tracing(program, seed))[0]:
+        end = None
+        limit = 1
+        while end is None or limit <= end + 1:
+            args, world = context_to_world(carved.context)
+            r = call_function(program, carved.start[0], args, world,
+                              RunOptions(step_limit=limit))
+            if r.status.kind != "budget-exhausted" and end is None:
+                end = r.steps
+            docs.append({"result": serialize_run_result(r),
+                         "world": encode_world(world)})
+            limit += 1
+    return docs
+
+
+BUDGET_SWEEP_GOLDEN = (
+    "07723b8a3064ec8e93681445cd4e04c4a6ac4a110af3eebb1e45270a83b38aa4")
+
+
+def test_budget_sweep_matches_golden_digest():
+    assert digest(budget_sweep_docs()) == BUDGET_SWEEP_GOLDEN
+
+
+SMALL_PROGRAM_GOLDENS = {
+    "values":
+        "6340492dde32b48933a70901a78198dcfe7042b25092bbfc1d1f022b8c2ea882",
+    "crashes":
+        "0a8d7c83d7d0c99df08840e2e79c14e915791c4593e9166d9e4abf2b197134b2",
+}
+
+
+def test_small_program_run_results_match_golden_digests():
+    docs = small_program_docs()
+    assert {k: digest(v) for k, v in docs.items()} == SMALL_PROGRAM_GOLDENS
+
+
+def test_crash_program_hits_every_crash_kind():
+    kinds = {d["status"]["crash_kind"] for d in small_program_docs()["crashes"]}
+    assert kinds == {"oob", "div-zero", "abort", "type-error", None}

@@ -373,6 +373,133 @@ def test_step_budget_exhaustion_is_not_a_crash():
     assert r.steps <= 501
 
 
+def test_step_limit_bounds_recursion_without_loops():
+    # No loop and no if: only the calls themselves can stop this run,
+    # which would otherwise make about 2**60 of them.
+    p = parse("fn f(n: int) -> int { return n > 0 && f(n - 1) + f(n - 1) >= 0; }\n"
+              "fn main() { print(f(60)); }")
+    opts = RunOptions(step_limit=1000)
+    for r in (run_system(p, mk_input(()), opts),
+              run_with_tracing(p, mk_input(()), opts),
+              call_function(p, "f", [60], ({}, {}), opts)):
+        assert (r.status.kind, r.steps, r.output) == ("budget-exhausted", 1001, b"")
+
+
+FAST_PATH_SOURCE = """
+fn nothing() { return; }
+
+fn main() {
+    let max = 9223372036854775807;
+    let min = -max - 1;
+    print(max + 1);
+    print(min - 1);
+    print(min * -1);
+    print(min / -1);
+    print(-7 / 2);
+    print(-7 % 2);
+    print(7.5 % 2.0);
+    print(-7.5 % 2.0);
+    print(null == null);
+    print(3 == 3);
+    print(2 < 3);
+    nothing();
+}
+"""
+
+
+def test_int_fast_paths_keep_the_language_semantics():
+    r = run_system(parse(FAST_PATH_SOURCE), mk_input())
+    assert r.status.kind == "exit"
+    assert r.output.decode().split("\n")[:-1] == [
+        "-9223372036854775808", "9223372036854775807", "-9223372036854775808",
+        "-9223372036854775808", "-3", "-1", "1.5", "-1.5", "1", "1", "1"]
+
+
+def test_steps_and_crash_positions_follow_the_source():
+    def run(source):
+        return run_system(parse(source), mk_input())
+
+    # One step per statement and per expression node; a bare return is
+    # its statement's step alone, and && and || leave their right side
+    # unevaluated: 1 + 1 (the call) + 1 (the return), then 3 per let.
+    for op, left in (("&&", 0), ("||", 1)):
+        r = run(f"fn f() {{ return; }}\n"
+                f"fn main() {{ f(); let x = {left} {op} (1 / 0); }}")
+        assert (r.status.kind, r.steps) == ("exit", 6)
+    mixed = run("fn main() { let x = 1 == 1.0; }")
+    assert (mixed.status.crash_kind, mixed.status.message) == (
+        "type-error", "== on int and float")
+    # A crash in a callee's argument expression is the caller's statement
+    # (stmt 1 is id's return; main's lets are 2 and 3).
+    arg = run("fn id(v: int) -> int { return v; }\n"
+              "fn main() { let a = 0; let b = id(1 / a); }")
+    assert (arg.status.crash_kind, arg.status.crash_fn,
+            arg.status.crash_stmt) == ("div-zero", "main", 3)
+    init = run("global a: int = 0;\nglobal b: int = 1 / a;\nfn main() {}")
+    assert (init.status.crash_kind, init.status.crash_fn,
+            init.status.crash_stmt) == ("div-zero", "<init>", -1)
+    # The 257th call fails at its call site, the return in r.
+    deep = run("fn r(n: int) -> int { return r(n + 1); }\n"
+               "fn main() { let x = r(0); }")
+    assert (deep.status.crash_kind, deep.status.crash_fn,
+            deep.status.crash_stmt, deep.status.message) == (
+        "abort", "r", 1, "call stack overflow")
+
+
+def test_recursion_to_the_depth_limit_needs_no_host_stack_setting():
+    # Each call nests an if, a return and an addition around the next
+    # one, so 255 of them are many more host frames than 255.
+    source = ("fn r(n: int) -> int {\n"
+              "    if (n > 0) { if (n > -1) { return 1 + (1 + r(n - 1)) - 1; } }\n"
+              "    return 0;\n"
+              "}\n"
+              "fn main() { print(r(%d)); }")
+    ok = run_system(parse(source % 254), mk_input())
+    assert (ok.status.kind, ok.output) == ("exit", b"254\n")
+    over = run_system(parse(source % 255), mk_input())
+    assert (over.status.crash_kind, over.status.crash_fn) == ("abort", "r")
+    traced = run_with_tracing(parse(source % 254), mk_input())
+    assert traced.output == b"254\n"
+
+
+def test_each_program_compiles_once_per_variant(monkeypatch):
+    from carvelift import resolve_program
+    from carvelift.carving import carve_with_stats, context_to_world
+    from carvelift.vm import interp
+
+    built = []
+
+    class CountingCode(interp._Code):
+        def __init__(self, program, traced):
+            built.append(traced)
+            super().__init__(program, traced)
+
+    monkeypatch.setattr(interp, "_Code", CountingCode)
+    prog, _ = resolve_program("keycheck")
+    assert prog.compiled == {}          # parsing compiles nothing
+    traced = None
+    for _ in range(3):
+        run_system(prog, mk_input((b"admin", b"pw")))
+        traced = run_with_tracing(prog, mk_input((b"admin", b"pw")))
+        for carved in carve_with_stats(prog, traced)[0]:
+            args, world = context_to_world(carved.context)
+            call_function(prog, carved.start[0], args, world)
+    assert built == [False, True]
+
+
+def test_compiled_code_dies_with_its_program():
+    import gc
+    import weakref
+
+    prog = load_subject("mini_dc")
+    run_system(prog, mk_input((), b"1 2 + p"))
+    run_with_tracing(prog, mk_input((), b"1 2 + p"))
+    refs = [weakref.ref(prog)] + [weakref.ref(c) for c in prog.compiled.values()]
+    del prog
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+
+
 def test_trace_overflow_signals_the_caller():
     prog = load_subject("keycheck")
     with pytest.raises(TraceOverflow):
