@@ -26,11 +26,9 @@ import time
 from collections.abc import Set
 from dataclasses import asdict, dataclass, field
 
-from .carving import (
-    CarveStats, CarvedTest, carve_with_stats, input_reading_functions,
-)
+from .carving import CarveStats, CarvedTest, carve_with_stats
 from .errors import ConfigError
-from .lang.ast import ENTRY
+from .lang.ast import ENTRY, input_reading_functions
 from .lang.goals import BranchGoal, enumerate_goals, goals_in_function
 from .lifting import UnmappedParameter, lift, validate
 from .mapping import build_mapping, MapOptions
@@ -45,7 +43,7 @@ from .reporting import (
 from .rng import Rng
 from .sysgen import generate_batch, mutate_input, write_corpus
 from .unitgen import fuzz_unit_with_stats
-from .vm.interp import RunOptions, TraceOverflow, run_system, run_with_tracing
+from .vm.interp import RunOptions, run_system, run_with_tracing
 
 MODES = ("bridge", "system-only")
 FALLBACK_BATCH = 10
@@ -154,7 +152,7 @@ class RunConfig:
     recarve_effective: bool = True
     corpus_out: str | None = None
     step_limit: int = 5_000_000
-    trace_limit: int = 500_000
+    trace_limit: int = 500_000      # unread; every report's config has it
 
 
 def _check(cfg: RunConfig, seeds) -> None:
@@ -184,8 +182,8 @@ class _Campaign:
         self.cfg = cfg
         self.program_name = program_name
         self.opts = RunOptions(step_limit=cfg.step_limit,
-                               trace_limit=cfg.trace_limit,
-                               max_dump_bytes=cfg.max_dump_bytes)
+                               max_dump_bytes=cfg.max_dump_bytes,
+                               per_fn_cap=cfg.per_fn_cap)
         self.map_opts = MapOptions(min_match_len=cfg.min_match_len)
         self.clock = (StepClock() if cfg.deterministic_clock is not None
                       else WallClock())
@@ -198,13 +196,13 @@ class _Campaign:
 
         self.all_goals = enumerate_goals(program)
         self.cov = CoverageMap()
-        self.input_dependent = input_reading_functions(program)
+        input_dependent = input_reading_functions(program)
         # One record per non-entry function, in name order: selection
         # reads them and the report's function rows are made from them.
         self.fns = {
             name: FunctionState(
                 goals=frozenset(goals_in_function(program, name)),
-                carvable=name not in self.input_dependent)
+                carvable=name not in input_dependent)
             for name in sorted(f.name for f in program.functions
                                if f.name != ENTRY)}
         self._selectable = True
@@ -265,24 +263,17 @@ class _Campaign:
     # -- execution
 
     def run_one(self, s, origin_id: str, source: str, traced: bool):
-        result = None
-        traced = traced and self.selectable()
-        if traced:
-            try:
-                result = run_with_tracing(self.program, s, self.opts)
-            except TraceOverflow:
-                result = None   # too chatty to carve; coverage still counts
-        if result is None:
+        if traced and self.selectable():
+            result = run_with_tracing(self.program, s, self.opts)
+        else:
             result = run_system(self.program, s, self.opts)
         self.clock.charge(result.steps)
         self.sys_walls.append(result.wall_time_s)
         self.record(result.coverage, source)
         self.point()
-        if traced and result.trace is not None:
-            carves, stats = carve_with_stats(
-                self.program, result, origin=origin_id,
-                input_dependent=self.input_dependent,
-                per_fn_cap=self.cfg.per_fn_cap)
+        if result.trace is not None:
+            carves, stats = carve_with_stats(self.program, result,
+                                             origin=origin_id)
             self.origins[origin_id] = s
             for k, v in asdict(stats).items():
                 self.carve_totals[k] += v

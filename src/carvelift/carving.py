@@ -3,7 +3,8 @@
 A carve is one user-function invocation plus the context it ran against:
 the argument values, every global, and the slice of the heap reachable
 from either, all copied at call time by the tracer, under the run's
-``RunOptions.max_dump_bytes`` budget.  Replaying a carve hands that
+``RunOptions.max_dump_bytes`` budget.  The tracer also decides which
+calls are carved (``vm/trace.py``).  Replaying a carve hands that
 context to ``call_function``; for a complete (non-truncated) context the
 replay covers exactly the goals the original call covered.
 
@@ -22,27 +23,21 @@ import json
 from dataclasses import dataclass
 
 from .errors import FormatError
-from .lang.ast import (
-    ENTRY, ECall, Program, SAssign, SExpr, SIf, SIndexSet, SLet, SReturn,
-    SWhile, iter_stmts, walk_expr,
-)
+from .lang.ast import Program
 from .lang.goals import BranchGoal
 from .vm.interp import RunResult
-from .vm.trace import BranchEvent, CallEvent, ReturnEvent
+from .vm.trace import CarveStats
 from .vm.values import (
     Record, Ref, SegmentTable, copy_segments, decode_segment, decode_value,
     encode_segment, encode_value,
 )
-# The tracer takes each call's snapshot (RunOptions.max_dump_bytes); it is
-# re-exported here because a carve's context is that snapshot.
+# The tracer takes each call's snapshot (RunOptions.max_dump_bytes) and
+# skips the calls of input-reading functions; both are re-exported here
+# because a carve's context is that snapshot, taken of a carvable call.
+from .lang.ast import input_reading_functions  # noqa: F401
 from .vm.values import snapshot_reachable  # noqa: F401
 
 SNAPSHOT_VERSION = 1
-
-# Builtins that read the outside world.  A function that can reach one of
-# these would observe a different world inside a replay, so it is never
-# carved.
-_INPUT_BUILTINS = ("arg", "arg_count", "read_all_input")
 
 
 # ---------------------------------------------------------------- contexts
@@ -163,115 +158,30 @@ class CarvedTest:
     observed_coverage: frozenset[BranchGoal]
 
 
-@dataclass
-class CarveStats:
-    carved: int = 0
-    truncated: int = 0
-    skipped_incomplete: int = 0
-    skipped_capped: int = 0
-    skipped_input_dependent: int = 0
-
-
 # ---------------------------------------------------------------- carving
 
-def _stmt_exprs(s):
-    if isinstance(s, (SLet, SAssign, SExpr, SReturn)):
-        if s.value is not None:
-            yield s.value
-    elif isinstance(s, SIndexSet):
-        yield s.obj
-        yield s.index
-        yield s.value
-    elif isinstance(s, SIf):
-        yield s.cond
-    elif isinstance(s, SWhile):
-        yield s.cond
-
-
-def input_reading_functions(program: Program) -> frozenset[str]:
-    """Functions that may (transitively) call an input builtin."""
-    callees: dict[str, set[str]] = {}
-    for fn in program.functions:
-        names: set[str] = set()
-        for s in iter_stmts(fn.body):
-            for e in _stmt_exprs(s):
-                names.update(x.name for x in walk_expr(e)
-                             if isinstance(x, ECall))
-        callees[fn.name] = names
-
-    tainted = {f for f, ns in callees.items()
-               if any(b in ns for b in _INPUT_BUILTINS)}
-    changed = True
-    while changed:
-        changed = False
-        for f, ns in callees.items():
-            if f not in tainted and ns & tainted:
-                tainted.add(f)
-                changed = True
-    return frozenset(tainted)
-
-
 def carve_with_stats(program: Program, result: RunResult, origin: str = "",
-                     input_dependent: frozenset[str] | None = None,
-                     per_fn_cap: int = 8,
                      ) -> tuple[list[CarvedTest], CarveStats]:
-    """Carve every admissible completed call out of a traced run.
+    """A carve of each call the traced run `result` of `program` kept,
+    in call order, and the run's carve counts.
 
-    Each carve's context is the snapshot its call event took, used as it
-    is.  Calls of one function past the first `per_fn_cap` are skipped.
-    `input_dependent` is input_reading_functions(program), computed here
-    when not given; callers carving many runs of one program pass it.
+    Each carve's context is the snapshot its call took, used as it is.
     """
     if result.trace is None:
         raise ValueError("carving needs a traced run (use run_with_tracing)")
-
-    stats = CarveStats()
-    if input_dependent is None:
-        input_dependent = input_reading_functions(program)
-
-    open_calls: dict[int, tuple[CallEvent, set]] = {}
-    completed: list[tuple[CallEvent, frozenset]] = []
-    for ev in result.trace:
-        if isinstance(ev, CallEvent):
-            open_calls[ev.call_index] = (ev, set())
-        elif isinstance(ev, ReturnEvent):
-            entry = open_calls.pop(ev.call_index, None)
-            if entry is not None:
-                completed.append((entry[0], frozenset(entry[1])))
-        elif isinstance(ev, BranchEvent):
-            for _, goals in open_calls.values():
-                goals.add(ev.goal)
-
-    stats.skipped_incomplete = sum(
-        1 for ev, _ in open_calls.values() if ev.fn != ENTRY)
-
-    completed.sort(key=lambda entry: entry[0].call_index)
-    per_fn: dict[str, int] = {}
     out: list[CarvedTest] = []
-    for ev, goals in completed:
-        if ev.fn == ENTRY:
-            continue
-        if ev.fn in input_dependent:
-            stats.skipped_input_dependent += 1
-            continue
-        if per_fn.get(ev.fn, 0) >= per_fn_cap:
-            stats.skipped_capped += 1
-            continue
-        per_fn[ev.fn] = per_fn.get(ev.fn, 0) + 1
-
+    for call in result.trace:
         roots: dict[str, object] = {
-            f"arg[{i}]": v for i, v in enumerate(ev.args)}
-        for name in sorted(ev.globals):
-            roots[f"global:{name}"] = ev.globals[name]
-        stats.truncated += ev.truncated
+            f"arg[{i}]": v for i, v in enumerate(call.args)}
+        for name in sorted(call.globals):
+            roots[f"global:{name}"] = call.globals[name]
         out.append(CarvedTest(
-            start=(ev.fn, ev.call_index),
-            context=Context(roots, ev.segments, ev.truncated),
+            start=(call.fn, call.call_index),
+            context=Context(roots, call.segments, call.truncated),
             origin=origin,
-            observed_coverage=goals,
+            observed_coverage=call.coverage,
         ))
-    stats.carved = len(out)
-    return out, stats
+    return out, result.carve_stats
 
 
 def context_to_world(ctx: Context):

@@ -225,11 +225,11 @@ class Program:
     records: list[RecordDef]
     globals: list[GlobalDef]
     functions: list[FunctionDef]
-    # The VM's code for this program by variant (traced or not), built
-    # on the first run of each (vm/interp.py); kept here so it lives
-    # exactly as long as the program does.
-    compiled: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    # The VM's code for this program, built on its first run
+    # (vm/interp.py); kept here so it lives exactly as long as the
+    # program does.
+    compiled: object = field(default=None, init=False, repr=False,
+                             compare=False)
 
     def function(self, name: str) -> FunctionDef | None:
         for f in self.functions:
@@ -278,6 +278,50 @@ def walk_expr(e: Expr):
     elif isinstance(e, EArrayLit):
         for v in e.items:
             yield from walk_expr(v)
+
+
+# Builtins that read the outside world.  A function that can reach one of
+# these would observe a different world inside a replay, so it is never
+# carved.
+_INPUT_BUILTINS = ("arg", "arg_count", "read_all_input")
+
+
+def stmt_exprs(s: Stmt):
+    """The expressions a statement holds itself, in evaluation order."""
+    if isinstance(s, (SLet, SAssign, SExpr, SReturn)):
+        if s.value is not None:
+            yield s.value
+    elif isinstance(s, SIndexSet):
+        yield s.obj
+        yield s.index
+        yield s.value
+    elif isinstance(s, SIf):
+        yield s.cond
+    elif isinstance(s, SWhile):
+        yield s.cond
+
+
+def input_reading_functions(program: Program) -> frozenset[str]:
+    """Functions that may (transitively) call an input builtin."""
+    callees: dict[str, set[str]] = {}
+    for fn in program.functions:
+        names: set[str] = set()
+        for s in iter_stmts(fn.body):
+            for e in stmt_exprs(s):
+                names.update(x.name for x in walk_expr(e)
+                             if isinstance(x, ECall))
+        callees[fn.name] = names
+
+    tainted = {f for f, ns in callees.items()
+               if any(b in ns for b in _INPUT_BUILTINS)}
+    changed = True
+    while changed:
+        changed = False
+        for f, ns in callees.items():
+            if f not in tainted and ns & tainted:
+                tainted.add(f)
+                changed = True
+    return frozenset(tainted)
 
 
 def number_statements(program: Program) -> None:

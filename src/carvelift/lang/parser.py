@@ -11,7 +11,7 @@ from .ast import (
     ENull, ERecordLit, EUnary, EVar, Expr, FunctionDef, GlobalDef, Pos, Program,
     RecordDef, SAssign, SExpr, SIf, SIndexSet, SLet, SReturn, SWhile, Stmt,
     TArray, TBytes, TFloat, TInt, TRecord, TRef, Type,
-    number_statements, walk_expr,
+    number_statements, stmt_exprs, walk_expr,
 )
 from .errors import DuplicateDefinition, MiniSyntaxError, UnresolvedReference
 from .lexer import Token, tokenize
@@ -402,30 +402,18 @@ def _check_function(program: Program, fn: FunctionDef, global_names: set[str],
 
     def check_body(body: list[Stmt]) -> None:
         for s in body:
+            if isinstance(s, SAssign) and s.name not in bound:
+                raise UnresolvedReference(s.pos, f"assignment to unbound name {s.name!r}")
+            for e in stmt_exprs(s):
+                _check_expr(program, e, bound, fn_names, True)
             if isinstance(s, SLet):
-                _check_expr(program, s.value, bound, fn_names, True)
                 bound.add(s.name)
-            elif isinstance(s, SAssign):
-                if s.name not in bound:
-                    raise UnresolvedReference(s.pos, f"assignment to unbound name {s.name!r}")
-                _check_expr(program, s.value, bound, fn_names, True)
-            elif isinstance(s, SIndexSet):
-                _check_expr(program, s.obj, bound, fn_names, True)
-                _check_expr(program, s.index, bound, fn_names, True)
-                _check_expr(program, s.value, bound, fn_names, True)
             elif isinstance(s, SIf):
-                _check_expr(program, s.cond, bound, fn_names, True)
                 check_body(s.then_body)
                 if s.else_body is not None:
                     check_body(s.else_body)
             elif isinstance(s, SWhile):
-                _check_expr(program, s.cond, bound, fn_names, True)
                 check_body(s.body)
-            elif isinstance(s, SReturn):
-                if s.value is not None:
-                    _check_expr(program, s.value, bound, fn_names, True)
-            elif isinstance(s, SExpr):
-                _check_expr(program, s.value, bound, fn_names, True)
 
     check_body(fn.body)
 

@@ -3,7 +3,7 @@
 Three entry points:
 
     run_system        execute main against a SystemInput, coverage only
-    run_with_tracing  same, but record the instrumentation event stream
+    run_with_tracing  same, but record the calls carving keeps (trace.py)
     call_function     execute one function against a carved world
 
 A Program is compiled on its first run, and the code is kept on the
@@ -12,10 +12,9 @@ statement and expression becomes a closure `f(state, frame)` (Feeley and
 Lapalme, "Using Closures for Code Generation", 1987).  Operators, call
 targets, branch goals and crash positions are resolved while compiling,
 so a run does no per-node dispatch; the operations themselves are in
-ops.py.  Each variant, untraced and traced, is compiled on its first
-use.  The traced one differs only in user calls, which emit their
-events, and in the coverage set of its runs, which emits the branch
-events.
+ops.py.  Tracing is run state, not code: every user call checks whether
+its run has a tracer, and branches add to the run state's coverage set,
+which the tracer points at the innermost recorded call's set.
 
 All three are deterministic: the language has no clocks, no randomness,
 and no addresses observable to the subject, so identical inputs yield
@@ -51,28 +50,23 @@ from ..inputs import SystemInput
 from ..lang.ast import (
     ENTRY, EArrayLit, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt,
     ENull, ERecordLit, EUnary, EVar, FunctionDef, Program, SExpr, SIf,
-    SIndexSet, SLet, SReturn, SWhile, iter_stmts,
+    SIndexSet, SLet, SReturn, SWhile, input_reading_functions, iter_stmts,
 )
 from ..lang.goals import BranchGoal
 from . import ops
 from .ops import Crash, OutOfSteps, fail, spent
-from .trace import BranchEvent, CallEvent, ReturnEvent, TraceEvent
+from .trace import CallEvent, CarveStats, Tracer, encode_call
 from .values import (
-    INT64_MAX, INT64_MIN, Record, Ref, SegmentTable, encode_value, sever,
-    snapshot_reachable, value_type_name,
+    INT64_MAX, INT64_MIN, Record, Ref, SegmentTable, encode_value,
+    value_type_name,
 )
 
 MAX_CALL_DEPTH = 256
 
 DEFAULT_STEP_LIMIT = 5_000_000
-DEFAULT_TRACE_LIMIT = 500_000
 DEFAULT_MAX_DUMP_BYTES = 65536
 
 CRASH_KINDS = ("oob", "div-zero", "abort", "type-error")
-
-
-class TraceOverflow(ToolError):
-    """The event stream outgrew opts.trace_limit; skip carving this run."""
 
 
 class TypeMismatch(ToolError):
@@ -82,8 +76,9 @@ class TypeMismatch(ToolError):
 @dataclass(frozen=True)
 class RunOptions:
     step_limit: int = DEFAULT_STEP_LIMIT
-    trace_limit: int = DEFAULT_TRACE_LIMIT
-    max_dump_bytes: int = DEFAULT_MAX_DUMP_BYTES   # per traced call snapshot
+    trace_limit: int = 500_000      # unread; kept for callers that pass it
+    max_dump_bytes: int = DEFAULT_MAX_DUMP_BYTES   # per recorded call snapshot
+    per_fn_cap: int = 8     # recorded calls kept per function and run
 
     def unit(self) -> "RunOptions":
         """Budget for carved-unit executions: a tenth of the system budget."""
@@ -107,65 +102,48 @@ class RunStatus:
 class RunResult:
     status: RunStatus
     coverage: frozenset[BranchGoal]
-    trace: Optional[list[TraceEvent]]
+    trace: Optional[list[CallEvent]]    # the kept calls of a traced run
     steps: int
     wall_time_s: float
     output: bytes
     return_value: object = None
+    carve_stats: Optional[CarveStats] = None    # of a traced run
 
 
 def serialize_run_result(result: RunResult) -> dict:
     """Canonical encoding for determinism checks; wall time is excluded
     because it is the one field the machine, not the program, decides."""
-    from .trace import encode_event
-
     return {
         "status": asdict(result.status),
         "coverage": sorted(str(g) for g in result.coverage),
         "steps": result.steps,
         "output": result.output.decode("latin-1"),
         "return_value": encode_value(result.return_value),
-        "trace": None if result.trace is None else [encode_event(e) for e in result.trace],
+        "trace": None if result.trace is None else {
+            "calls": [encode_call(c) for c in result.trace],
+            "stats": asdict(result.carve_stats)},
     }
 
 
 # ---------------------------------------------------------------- run state
 
-class _Events(set):
-    """The coverage of a traced run, keeping its event stream: every
-    branch it records is also emitted."""
-
-    def __init__(self, limit: int):
-        super().__init__()
-        self.limit = limit
-        self.events: list[TraceEvent] = []
-
-    def emit(self, event: TraceEvent) -> None:
-        if len(self.events) >= self.limit:
-            raise TraceOverflow(f"trace exceeded {self.limit} events")
-        self.events.append(event)
-
-    def add(self, goal: BranchGoal) -> None:
-        set.add(self, goal)
-        self.emit(BranchEvent(goal))
-
-
 class _State:
     """One run.  `fuel` is the steps left.  Nodes subtract their steps
     without a test.  Every call and loop test checks that fuel is not
     negative, which bounds the run, and so does whatever could show an
-    effect (a branch, an event, output, a store to the world, the run's
-    end), so an exhausted run shows nothing past its limit."""
+    effect (a branch, a call's return, output, a store to the world, the
+    run's end), so an exhausted run shows nothing past its limit.
+    `tracer` is None unless the run is traced."""
 
     __slots__ = ("opts", "fuel", "coverage", "globals", "segments", "next_seg",
-                 "origin", "output", "argv", "stdin", "depth", "calls")
+                 "origin", "output", "argv", "stdin", "depth", "tracer")
 
-    def __init__(self, opts: RunOptions, traced: bool, argv=(), stdin=b"",
+    def __init__(self, opts: RunOptions, argv=(), stdin=b"",
                  globals_: dict | None = None,
                  segments: SegmentTable | None = None):
         self.opts = opts
         self.fuel = opts.step_limit
-        self.coverage = _Events(opts.trace_limit) if traced else set()
+        self.coverage = set()
         self.globals = {} if globals_ is None else globals_
         self.segments = {} if segments is None else segments
         self.next_seg = max(self.segments, default=-1) + 1
@@ -173,25 +151,8 @@ class _State:
         self.output = bytearray()
         self.argv = argv
         self.stdin = stdin
-        self.depth = self.calls = 0
-
-
-def _call_event(st: _State, call_index: int, name: str, args: list) -> CallEvent:
-    """The call's event, with its context snapshot taken now.
-
-    Roots are the arguments, then the globals by name.  The entry call
-    is never carved, so it gets no snapshot.
-    """
-    globals_ = dict(st.globals)
-    if name == ENTRY:
-        return CallEvent(call_index, name, list(args), globals_, None, False)
-    segments, truncated = snapshot_reachable(
-        [*args, *(globals_[n] for n in sorted(globals_))], st.segments,
-        st.opts.max_dump_bytes)
-    if truncated:
-        args = [sever(v, segments) for v in args]
-        globals_ = {n: sever(v, segments) for n, v in globals_.items()}
-    return CallEvent(call_index, name, list(args), globals_, segments, truncated)
+        self.depth = 0
+        self.tracer = None
 
 
 def _call(st: _State, at, target: "_Target", args: list):
@@ -200,26 +161,17 @@ def _call(st: _State, at, target: "_Target", args: list):
         spent(st)
     if st.depth >= MAX_CALL_DEPTH:
         fail(at, "abort", "call stack overflow")
+    tracer = st.tracer
+    if tracer is not None:
+        call = tracer.enter(st, target.name, args)
     st.depth += 1
     flow = target.body(st, dict(zip(target.params, args)))
     st.depth -= 1
+    if tracer is not None:
+        if st.fuel < 0:
+            spent(st)
+        tracer.leave(st, call)
     return flow[0] if flow is not None else None
-
-
-def _call_traced(st: _State, at, target: "_Target", args: list):
-    """_call between the call's event and its return event."""
-    if st.fuel < 0:
-        spent(st)
-    if st.depth >= MAX_CALL_DEPTH:
-        fail(at, "abort", "call stack overflow")
-    call_index = st.calls
-    st.calls += 1
-    st.coverage.emit(_call_event(st, call_index, target.name, args))
-    value = _call(st, at, target, args)
-    if st.fuel < 0:
-        spent(st)
-    st.coverage.emit(ReturnEvent(call_index))
-    return value
 
 
 # ---------------------------------------------------------------- compiler
@@ -235,12 +187,11 @@ class _Target:
         self.params = tuple(p for p, _ in fn.params)
 
 
-def _code(program: Program, traced: bool) -> "_Code":
-    """One variant of `program`'s code, compiled on its first run."""
-    code = program.compiled.get(traced)
-    if code is None:
-        code = program.compiled[traced] = _Code(program, traced)
-    return code
+def _code(program: Program) -> "_Code":
+    """`program`'s code, compiled on its first run."""
+    if program.compiled is None:
+        program.compiled = _Code(program)
+    return program.compiled
 
 
 class _Code:
@@ -253,10 +204,11 @@ class _Code:
     in enclosing blocks) and `maybe` every name the frame can hold.
     `frames` bounds the host stack a run can use: MAX_CALL_DEPTH calls at
     the deepest nesting, at most two Python frames per closure.
+    `input_dependent` holds the input-reading functions: never recorded.
     """
 
-    def __init__(self, program: Program, traced: bool):
-        self.traced = traced
+    def __init__(self, program: Program):
+        self.input_dependent = input_reading_functions(program)
         self.global_names = {g.name for g in program.globals}
         self.targets = {f.name: _Target(f) for f in program.functions}
         self.nesting = self.deepest = 0
@@ -280,8 +232,7 @@ class _Code:
             for gname, value in self.inits:
                 st.globals[gname] = value(st, {})
             st.origin = "heap"
-        enter = _call_traced if self.traced else _call
-        return enter(st, None, self.targets[name], args)   # at depth 0
+        return _call(st, None, self.targets[name], args)   # at depth 0
 
     # ------------------------------------------------------------ statements
 
@@ -525,11 +476,10 @@ class _Code:
 
     def call(self, e, k, at, target):
         args, k = self.children(e.args, k)
-        enter = _call_traced if self.traced else _call
 
         def call(st, fr):
             st.fuel -= k
-            return enter(st, at, target, [a(st, fr) for a in args])
+            return _call(st, at, target, [a(st, fr) for a in args])
         return call
 
 
@@ -554,22 +504,28 @@ def _finish(st: _State, code: _Code, name: str, args: list, init: bool,
         sys.setrecursionlimit(host_limit)
     if st.fuel < 0:   # the budget ran out before that exit or crash
         st.fuel, value, status = -1, None, RunStatus("budget-exhausted")
+    tracer = st.tracer
+    trace = None if tracer is None else tracer.finish(st)
     return RunResult(
         status=status,
         coverage=frozenset(st.coverage),
-        trace=st.coverage.events if code.traced else None,
+        trace=trace,
         steps=st.opts.step_limit - st.fuel,
         wall_time_s=time.perf_counter() - started,
         output=bytes(st.output),
         return_value=value,
+        carve_stats=None if tracer is None else tracer.stats,
     )
 
 
 def _run(program: Program, system_input: SystemInput, opts: RunOptions,
          traced: bool) -> RunResult:
     started = time.perf_counter()
-    st = _State(opts, traced, tuple(system_input.argv), system_input.stdin)
-    return _finish(st, _code(program, traced), ENTRY, [], True, started)
+    code = _code(program)
+    st = _State(opts, tuple(system_input.argv), system_input.stdin)
+    if traced:
+        st.tracer = Tracer(opts.per_fn_cap, code.input_dependent, st.coverage)
+    return _finish(st, code, ENTRY, [], True, started)
 
 
 def run_system(program: Program, system_input: SystemInput,
@@ -580,12 +536,11 @@ def run_system(program: Program, system_input: SystemInput,
 
 def run_with_tracing(program: Program, system_input: SystemInput,
                      opts: RunOptions = RunOptions()) -> RunResult:
-    """Execute main and record the event stream carving consumes.
+    """Execute main and record the calls carving keeps (see trace.py),
+    with the counts of those it does not keep in `carve_stats`.
 
-    Instrumentation is transparent: status and coverage always equal the
-    untraced run.  Raises TraceOverflow when the stream exceeds
-    opts.trace_limit; callers should fall back to run_system and skip
-    carving that test.
+    Instrumentation is transparent: status, coverage, output and steps
+    always equal the untraced run's.
     """
     return _run(program, system_input, opts, traced=True)
 
@@ -655,6 +610,5 @@ def call_function(program: Program, fn_name: str, args: list,
         return RunResult(status, frozenset(), None, 0,
                          time.perf_counter() - started, b"")
 
-    st = _State(opts, False, globals_=globals_, segments=segments)
-    return _finish(st, _code(program, False), fn_name, list(args), False,
-                   started)
+    st = _State(opts, globals_=globals_, segments=segments)
+    return _finish(st, _code(program), fn_name, list(args), False, started)

@@ -1,9 +1,17 @@
 import importlib.resources
+from typing import NamedTuple
 
 import pytest
 
 from carvelift.inputs import SystemInput
+from carvelift.lang.ast import (
+    EArrayLit, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt, ENull,
+    ERecordLit, EUnary, EVar, SAssign, SExpr, SIf, SIndexSet, SLet, SReturn,
+    SWhile,
+)
+from carvelift.lang.goals import BranchGoal
 from carvelift.lang.parser import parse
+from carvelift.vm.values import wrap64
 
 SUBJECT_NAMES = ["keycheck", "mini_dc", "mini_sed", "mini_cut", "mini_tac"]
 
@@ -65,6 +73,230 @@ def random_input_for(name: str, rng) -> SystemInput:
         body = rng.randbytes(rng.randrange(30))
         return mk_input((), body)
     raise ValueError(f"unknown subject {name!r}")
+
+
+# ------------------------------------------------------- the naive oracle
+#
+# A second interpreter that re-executes a program by rule.  It shares only
+# the parser with the real VM; evaluation, branching and allocation are
+# re-implemented from scratch here.
+
+class NRef(NamedTuple):
+    sid: int
+    off: int
+
+
+class _Ret(Exception):
+    def __init__(self, value):
+        self.value = value
+
+
+class NaiveStop(Exception):
+    """The naive run ended early: a crash, or a loop past its bound."""
+
+
+class NaiveCounter:
+    """Re-interpretation that records each call's branch goals by rule.
+
+    Calls are numbered in the order they start, main included.  A branch
+    goal (one per conditional evaluation, so a loop reaches enter once
+    per iteration plus exit once) is added to the run's coverage and to
+    the set of every call open at that moment.  `calls[i]` is (function,
+    its set) once call i has returned, and (function, None) while it is
+    open.  The run stops at an abort, at a Python error where the VM
+    would crash, or when one loop runs more than `max_iterations` times.
+    """
+
+    def __init__(self, program, argv, stdin, max_iterations=None):
+        self.functions = {f.name: f for f in program.functions}
+        self.program = program
+        self.argv = argv
+        self.stdin = stdin
+        self.max_iterations = max_iterations
+        self.globals = {}
+        self.segments = {}
+        self.next_sid = 0
+        self.coverage = set()
+        self.calls = []
+        self.open = []      # (function name, goal set) per open call
+        self.out = bytearray()
+
+    def run(self):
+        """The exit code, or None when the run stopped early."""
+        try:
+            for g in self.program.globals:
+                self.globals[g.name] = self.ev(g.init, {})
+            value = self.call(self.functions["main"], [])
+        except (NaiveStop, ArithmeticError, LookupError, TypeError):
+            return None
+        return value if isinstance(value, int) else 0
+
+    def call(self, fn, args):
+        index = len(self.calls)
+        self.calls.append((fn.name, None))
+        goals = set()
+        self.open.append((fn.name, goals))
+        frame = {name: v for (name, _), v in zip(fn.params, args)}
+        try:
+            self.body(fn.body, frame)
+            value = None
+        except _Ret as r:
+            value = r.value
+        self.open.pop()
+        self.calls[index] = (fn.name, frozenset(goals))
+        return value
+
+    def branch(self, s, outcome):
+        goal = BranchGoal(self.open[-1][0], s.stmt_id, outcome)
+        self.coverage.add(goal)
+        for _, goals in self.open:
+            goals.add(goal)
+
+    def body(self, stmts, frame):
+        for s in stmts:
+            cls = type(s)
+            if cls is SLet:
+                frame[s.name] = self.ev(s.value, frame)
+            elif cls is SAssign:
+                v = self.ev(s.value, frame)
+                if s.name in frame:
+                    frame[s.name] = v
+                elif s.name in self.globals:
+                    self.globals[s.name] = v
+                else:
+                    frame[s.name] = v
+            elif cls is SExpr:
+                self.ev(s.value, frame)
+            elif cls is SIf:
+                if self.ev(s.cond, frame) != 0:
+                    self.branch(s, "then")
+                    self.body(s.then_body, frame)
+                else:
+                    self.branch(s, "else")
+                    if s.else_body is not None:
+                        self.body(s.else_body, frame)
+            elif cls is SWhile:
+                n = 0
+                while self.ev(s.cond, frame) != 0:
+                    n += 1
+                    if self.max_iterations is not None and n > self.max_iterations:
+                        raise NaiveStop("loop bound")
+                    self.branch(s, "loop-enter")
+                    self.body(s.body, frame)
+                self.branch(s, "loop-exit")
+            elif cls is SReturn:
+                raise _Ret(self.ev(s.value, frame)
+                           if s.value is not None else None)
+            elif cls is SIndexSet:
+                ref = self.ev(s.obj, frame)
+                idx = self.ev(s.index, frame)
+                self.segments[ref.sid][ref.off + idx] = self.ev(s.value, frame)
+            else:
+                raise AssertionError(s)
+
+    def ev(self, e, frame):
+        cls = type(e)
+        if cls in (EInt, EFloat, EBytes):
+            return e.value
+        if cls is EVar:
+            return frame[e.name] if e.name in frame else self.globals[e.name]
+        if cls is ENull:
+            return None
+        if cls is EUnary:
+            v = self.ev(e.operand, frame)
+            if e.op == "-":
+                return wrap64(-v) if type(v) is int else -v
+            return 0 if v != 0 else 1
+        if cls is EBinary:
+            return self.binop(e, frame)
+        if cls is ECall:
+            if e.name in self.functions:
+                return self.call(self.functions[e.name],
+                                 [self.ev(a, frame) for a in e.args])
+            return self.builtin(e.name, [self.ev(a, frame) for a in e.args])
+        if cls is EIndex:
+            obj = self.ev(e.obj, frame)
+            idx = self.ev(e.index, frame)
+            if isinstance(obj, NRef):
+                return self.segments[obj.sid][obj.off + idx]
+            return obj[idx]
+        if cls is EField:
+            return self.ev(e.obj, frame)[1][e.name]
+        if cls is ERecordLit:
+            return (e.name, {n: self.ev(v, frame) for n, v in e.fields})
+        if cls is EArrayLit:
+            return tuple(self.ev(v, frame) for v in e.items)
+        raise AssertionError(e)
+
+    def binop(self, e, frame):
+        op = e.op
+        if op == "&&":
+            return 1 if self.ev(e.left, frame) != 0 \
+                and self.ev(e.right, frame) != 0 else 0
+        if op == "||":
+            return 1 if self.ev(e.left, frame) != 0 \
+                or self.ev(e.right, frame) != 0 else 0
+        a, b = self.ev(e.left, frame), self.ev(e.right, frame)
+        if op == "==":
+            return 1 if a == b else 0
+        if op == "!=":
+            return 0 if a == b else 1
+        if op in ("<", "<=", ">", ">="):
+            return 1 if {"<": a < b, "<=": a <= b,
+                         ">": a > b, ">=": a >= b}[op] else 0
+        if type(a) is int:
+            if op == "+":
+                return wrap64(a + b)
+            if op == "-":
+                return wrap64(a - b)
+            if op == "*":
+                return wrap64(a * b)
+            q = abs(a) // abs(b)
+            q = q if (a < 0) == (b < 0) else -q
+            if op == "/":
+                return wrap64(q)
+            return wrap64(a - wrap64(q * b))
+        return {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[op]
+
+    def builtin(self, name, args):
+        if name == "len":
+            v = args[0]
+            if isinstance(v, NRef):
+                return len(self.segments[v.sid]) - v.off
+            return len(v)
+        if name == "byte_at":
+            return args[0][args[1]]
+        if name == "slice":
+            v = args[0]
+            if isinstance(v, NRef):
+                return NRef(v.sid, v.off + args[1])
+            return v[args[1]:args[2]]
+        if name == "concat":
+            return args[0] + args[1]
+        if name == "arg_count":
+            return len(self.argv)
+        if name == "arg":
+            return self.argv[args[0]]
+        if name == "read_all_input":
+            return self.stdin
+        if name == "print":
+            v = args[0]
+            self.out += v if isinstance(v, bytes) else str(v).encode()
+            self.out += b"\n"
+            return 0
+        if name == "parse_int":
+            return wrap64(int(args[0]))
+        if name == "to_string":
+            v = args[0]
+            return v if isinstance(v, bytes) else str(v).encode()
+        if name == "abort":
+            raise NaiveStop("abort")
+        if name == "alloc_array":
+            sid = self.next_sid
+            self.next_sid += 1
+            self.segments[sid] = [args[1]] * args[0]
+            return NRef(sid, 0)
+        raise AssertionError(name)
 
 
 # One summary line per acceptance criterion, keyed by test base name.

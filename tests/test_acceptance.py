@@ -28,7 +28,6 @@ from carvelift.rng import Rng
 from carvelift.unitgen import ParamAssignment
 from carvelift.vm.interp import (
     RunOptions,
-    TraceOverflow,
     call_function,
     run_system,
     run_with_tracing,
@@ -44,13 +43,6 @@ KEY_SEEDS = [mk_input((b"d7wfv", b"xczZ7tz"))]
 KEY_BUDGET = 1_500_000
 
 
-def _traced_or_none(program, s):
-    try:
-        return run_with_tracing(program, s, OPTS)
-    except TraceOverflow:
-        return None
-
-
 @pytest.fixture(scope="module")
 def carve_corpus():
     """Carves from 5 subjects x 20 random inputs, with setup seconds."""
@@ -61,9 +53,7 @@ def carve_corpus():
         rng = Rng(0xACCE9700 + si)
         for _ in range(20):
             s = random_input_for(name, rng)
-            r = _traced_or_none(program, s)
-            if r is None:
-                continue
+            r = run_with_tracing(program, s, OPTS)
             for c in carve_with_stats(program, r, origin="acceptance")[0]:
                 entries.append((name, program, c, s))
     return entries, time.monotonic() - t0

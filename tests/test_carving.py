@@ -1,9 +1,9 @@
 """Carving tests.
 
-The fidelity oracle is independent of the carver: expected per-call
-coverage is recomputed here by slicing the raw trace between each Call
-and its matching Return, and every carve is replayed through
-call_function to check it reproduces that slice.
+The fidelity oracle is independent of the tracer: expected per-call
+coverage comes from the naive interpreter in conftest, which collects
+each call's branch goals between its call and its return, and every
+carve is replayed through call_function to check it reproduces them.
 """
 
 import dataclasses
@@ -18,30 +18,20 @@ from carvelift.carving import (
 from carvelift.errors import FormatError
 from carvelift.lang.parser import parse
 from carvelift.rng import Rng
+from carvelift.vm import trace
 from carvelift.vm.interp import RunOptions, call_function, run_with_tracing
-from carvelift.vm.trace import BranchEvent, CallEvent, ReturnEvent
 from carvelift.vm.values import Record, Ref, Segment
 
-from conftest import SUBJECT_NAMES, load_subject, mk_input, random_input_for
+from conftest import (
+    SUBJECT_NAMES, NaiveCounter, load_subject, mk_input, random_input_for,
+)
 
 
-def slice_goals(trace, call_index):
-    """Oracle: goals observed between Call(call_index) and its Return."""
-    goals = set()
-    depth = None
-    for ev in trace:
-        if isinstance(ev, CallEvent) and ev.call_index == call_index:
-            depth = 0
-        elif depth is not None:
-            if isinstance(ev, CallEvent):
-                depth += 1
-            elif isinstance(ev, ReturnEvent):
-                if ev.call_index == call_index:
-                    return frozenset(goals)
-                depth -= 1
-            elif isinstance(ev, BranchEvent):
-                goals.add(ev.goal)
-    raise AssertionError(f"call {call_index} has no matching return")
+def naive_calls(program, system_input):
+    """Oracle: (function, goals between its call and its return) per call."""
+    naive = NaiveCounter(program, system_input.argv, system_input.stdin)
+    naive.run()
+    return naive.calls
 
 
 def replay(program, carved):
@@ -72,9 +62,10 @@ def test_carve_fidelity_on_subjects():
         for _ in range(6):
             sysin = random_input_for(name, rng)
             result = run_with_tracing(prog, sysin)
+            calls = naive_calls(prog, sysin)
             for carved in carve_with_stats(prog, result)[0]:
-                assert carved.observed_coverage == slice_goals(
-                    result.trace, carved.start[1]), (name, carved.start)
+                assert (carved.start[0], carved.observed_coverage) == calls[
+                    carved.start[1]], (name, carved.start)
                 if carved.context.truncated:
                     continue
                 rr = replay(prog, carved)
@@ -100,7 +91,8 @@ fn main() -> int {
     outer_carves = [c for c in carves if c.start[0] == "outer"]
     assert len(outer_carves) == 1
     got = outer_carves[0].observed_coverage
-    assert got == slice_goals(result.trace, outer_carves[0].start[1])
+    assert ("outer", got) == naive_calls(prog, mk_input())[
+        outer_carves[0].start[1]]
     outcomes = {(g.fn, g.outcome) for g in got}
     assert ("inner", "then") in outcomes and ("inner", "else") in outcomes
 
@@ -130,19 +122,83 @@ fn main() -> int {
     return acc;
 }
 """)
-    result = run_with_tracing(prog, mk_input())
-    carves, stats = carve_with_stats(prog, result, per_fn_cap=8)
+    result = run_with_tracing(prog, mk_input(), RunOptions(per_fn_cap=8))
+    carves, stats = carve_with_stats(prog, result)
     assert len(carves) == 8
     assert stats.skipped_capped == 12
     indices = [c.start[1] for c in carves]
     assert indices == sorted(indices)
     # first call captures acc == 0, so the cap kept the earliest calls
     assert carves[0].context.roots["arg[0]"] == 0
-    assert carve_with_stats(prog, result, per_fn_cap=100)[0] != carves
-    assert len(carve_with_stats(prog, result, per_fn_cap=100)[0]) == 20
+    uncapped = run_with_tracing(prog, mk_input(), RunOptions(per_fn_cap=100))
+    assert len(carve_with_stats(prog, uncapped)[0]) == 20
 
 
-def test_input_reading_functions_are_not_carved():
+def counting_snapshots(monkeypatch):
+    """A list that grows by one for each context snapshot a run takes."""
+    taken = []
+    snapshot = trace.snapshot_reachable
+
+    def counted(*args):
+        taken.append(args)
+        return snapshot(*args)
+    monkeypatch.setattr(trace, "snapshot_reachable", counted)
+    return taken
+
+
+def test_calls_over_the_cap_take_no_snapshot(monkeypatch):
+    prog = parse("""
+fn f(x: int) -> int { return x + 1; }
+fn main() -> int {
+    let i = 0;
+    let acc = 0;
+    while (i < 20) { acc = f(acc); i = i + 1; }
+    return acc;
+}
+""")
+    taken = counting_snapshots(monkeypatch)
+    result = run_with_tracing(prog, mk_input(), RunOptions(per_fn_cap=8))
+    assert len(taken) == 8
+    assert len(result.trace) == 8
+
+
+# f(2) calls f(1), which calls f(0); call indices 1, 2 and 3.
+RECURSION = """
+fn f(n: int) -> int {
+    if (n == 0) { return 0; }
+    let r = f(n - 1);
+    if (n == CRASH_AT) { abort("after the inner call returned"); }
+    return r + n;
+}
+fn main() -> int { return f(2); }
+"""
+
+
+def test_cap_keeps_the_one_inner_call_that_returned_before_a_crash():
+    # All three calls start before any returns, so all are recorded; only
+    # f(0) returns, and open calls hold no place under the cap.
+    prog = parse(RECURSION.replace("CRASH_AT", "1"))
+    result = run_with_tracing(prog, mk_input(), RunOptions(per_fn_cap=1))
+    assert result.status.crash_kind == "abort"
+    carves, stats = carve_with_stats(prog, result)
+    assert [c.start for c in carves] == [("f", 3)]
+    assert (stats.carved, stats.skipped_incomplete, stats.skipped_capped) == (
+        1, 2, 0)
+
+
+def test_cap_keeps_the_earliest_call_of_a_recursion_that_returns():
+    prog = parse(RECURSION.replace("CRASH_AT", "-1"))
+    result = run_with_tracing(prog, mk_input(), RunOptions(per_fn_cap=1))
+    assert result.status.kind == "exit" and result.status.code == 3
+    carves, stats = carve_with_stats(prog, result)
+    assert [c.start for c in carves] == [("f", 1)]
+    assert (stats.carved, stats.skipped_incomplete, stats.skipped_capped) == (
+        1, 0, 2)
+    # The kept carve covers its callees' goals too.
+    assert carves[0].observed_coverage == result.coverage
+
+
+def test_input_reading_functions_are_not_carved(monkeypatch):
     prog = parse("""
 fn peek() -> int { return arg_count(); }
 fn wrap() -> int { return peek(); }
@@ -153,7 +209,10 @@ fn main() -> int {
     return pure(a + b);
 }
 """)
+    taken = counting_snapshots(monkeypatch)
     result = run_with_tracing(prog, mk_input([b"one"]))
+    assert [c.fn for c in result.trace] == ["pure"]
+    assert len(taken) == 1      # only pure's call is recorded
     carves, stats = carve_with_stats(prog, result)
     assert [c.start[0] for c in carves] == ["pure"]
     # peek called directly, and again through wrap; wrap itself also skipped

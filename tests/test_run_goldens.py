@@ -84,9 +84,9 @@ SUBJECT_GOLDENS = {
         "system":
             "910f3df84cee4efad8e4e6be6472012682c3428eb4dad94462bcea444e27df90",
         "traced":
-            "fea0509010ac78d2b8b9b8cc63309a0f81e302c5c1330cf22145834509308d40",
+            "53dfb1356bd9b676c031fb437dfc7f15544ac084afe34cc000126b4cc76e0f7c",
         "budget":
-            "27a0e6ae36a9d42da72f9def58de170a6c974d949ccc467be67ef7d69956cc78",
+            "19ce55338401780160c23bbe7d74ed485baeda901ab4049b00eb6d42478f29cc",
         "units":
             "fdaafc89902732251daaf049cf7167a2de767bb47fea59acb6b4f67ef20aeb76",
         "units_truncated":
@@ -96,9 +96,9 @@ SUBJECT_GOLDENS = {
         "system":
             "9b63ca3e09dd5b1655cba08e641957561b2c13a362ea3f1ba24fc85f79a8ff41",
         "traced":
-            "488f5787875c5c8c956a2098ebfafc1a61bef9504491f165670823130e8f0972",
+            "6ce9a491a5bfeec4bc556319a31008558910524f727ccbd1a0c678c7e24d1072",
         "budget":
-            "213bbe181de113397c8556768ba18f545c13b02f89646b59e79033d32afe762c",
+            "debb4ee27469216444b84b4e300dd7637fba1fab4e368852f9dbeaa41747d1c4",
         "units":
             "df48d0bb91eea67100e4272393951f4a2be99c202f9692024d15e2a88436c8f5",
         "units_truncated":
@@ -108,9 +108,9 @@ SUBJECT_GOLDENS = {
         "system":
             "d350402c400fbc21dafa37d5bb4c2e8a4821c54d95bd17f188440758ef215623",
         "traced":
-            "7cb6a1eba0b85513c753f02ff6582b9dc8628ec48c006adce57044a6a5d09aa9",
+            "3de8e29c6746b90fb2b60e3245ccfa248ed022593df29e6ec85bff95d57ef865",
         "budget":
-            "4d1477bf224c686f327f2fb6dd3be53563b07d1513b23d5daf6438a29af9d13f",
+            "4b1c6d5ec45b430cd4f80c9e40cc0c907086b32e7c016b6add339884baa842fd",
         "units":
             "a222e3773c6ec638b36bbecf9974f352b9b6a7fb391ed669105331ef97e5df9c",
         "units_truncated":
@@ -120,9 +120,9 @@ SUBJECT_GOLDENS = {
         "system":
             "1bc7b421ad17bb881432127d8d1fc9f645f420efed0b1e82b3c5955d9939baef",
         "traced":
-            "c00c61fe3c0b3b1f974a632287a1170dea36a5fd29a232fe032cdf5036847eed",
+            "f650a34a8e04ed7b32007818c69e963913ebf8defbf1066579e2df3e81b317b6",
         "budget":
-            "a29dca660ab161dac2bf88db706741c06ca2a49fa7c3f6b0a0a6fe9eb8d98835",
+            "793472740ab8e67ab5f2b188917a4b84c135acbef998db994a1201c6ce1b82d0",
         "units":
             "5ee99709c7fb7b1975f948f5e9d3b09c9e45ed70d3db9e47b762eb34148674ee",
         "units_truncated":
@@ -132,9 +132,9 @@ SUBJECT_GOLDENS = {
         "system":
             "c7e7beee91657b123104f6cb78064f90757cbb28498221b9b7a3aacf333c2e3e",
         "traced":
-            "9b9d143e66d2822cb529f2616dcd9124d4902b3e0a376f4bdabdac66ab0b2177",
+            "948e09f58b8d7943d5844edb33030283326f5a377b9ee48fc20a87840df07f0e",
         "budget":
-            "5b1a0140b62285c1255ef71fc1a3dddbdff7d40f7f09bb23acd303e816c245d1",
+            "a548c1c1eaaf49dc62bb9de61e7a1bef24df394f0996af3f4d612986383ee534",
         "units":
             "a4cd01f429f63dae1495e37638ea256e292d18b7047e15028026bd9e614e6c89",
         "units_truncated":
@@ -391,7 +391,7 @@ def budget_sweep_docs() -> list:
 
 
 BUDGET_SWEEP_GOLDEN = (
-    "07723b8a3064ec8e93681445cd4e04c4a6ac4a110af3eebb1e45270a83b38aa4")
+    "03d03da9a935ece79d5b6ce5d5ebc54d397648011ed325128897a2a6139e0b4b")
 
 
 def test_budget_sweep_matches_golden_digest():
@@ -400,9 +400,9 @@ def test_budget_sweep_matches_golden_digest():
 
 SMALL_PROGRAM_GOLDENS = {
     "values":
-        "6340492dde32b48933a70901a78198dcfe7042b25092bbfc1d1f022b8c2ea882",
+        "fdbfc13009fd605a7849f26e898d5af566ec1210326aaa55287a0008c67c69f0",
     "crashes":
-        "0a8d7c83d7d0c99df08840e2e79c14e915791c4593e9166d9e4abf2b197134b2",
+        "d76302e210098360c76b63777e1d82b6657266b8188d515ef41eed93bdb6e2cc",
 }
 
 

@@ -1,232 +1,29 @@
 """Interpreter tests.
 
-The trace stream is checked against a second, naive interpreter that
-re-executes the program by rule and counts the events each rule should
-emit.  It shares only the parser with the real VM; evaluation,
-branching, and allocation are re-implemented from scratch here.
+The calls a traced run records are checked against the naive
+interpreter in conftest, which re-executes the program by rule and
+records each call's branch goals between its call and its return.
 """
-
-from collections import Counter
-from typing import NamedTuple
 
 import pytest
 
-from carvelift.lang.ast import (
-    EArrayLit, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt, ENull,
-    ERecordLit, EUnary, EVar, SAssign, SExpr, SIf, SIndexSet, SLet, SReturn,
-    SWhile,
-)
+from carvelift.lang.ast import input_reading_functions
 from carvelift.lang.goals import enumerate_goals, goals_in_function
 from carvelift.lang.parser import parse
 from carvelift.rng import Rng
 from carvelift.vm.interp import (
+    DEFAULT_STEP_LIMIT,
     RunOptions,
-    TraceOverflow,
     call_function,
     run_system,
     run_with_tracing,
     serialize_run_result,
 )
-from carvelift.vm.trace import BranchEvent, CallEvent, ReturnEvent
-from carvelift.vm.values import Ref, Segment, copy_segments, wrap64
+from carvelift.vm.values import Ref, Segment, copy_segments
 
-from conftest import SUBJECT_NAMES, load_subject, mk_input, random_input_for
-
-
-# ------------------------------------------------------- the naive oracle
-
-class NRef(NamedTuple):
-    sid: int
-    off: int
-
-
-class _Ret(Exception):
-    def __init__(self, value):
-        self.value = value
-
-
-class NaiveCounter:
-    """Re-interpretation that counts trace events by rule.
-
-    One call event per user-function invocation (main included), one
-    return per completed call, one branch per conditional evaluation (so
-    a loop emits enter once per iteration plus exit once).
-    """
-
-    def __init__(self, program, argv, stdin):
-        self.functions = {f.name: f for f in program.functions}
-        self.program = program
-        self.argv = argv
-        self.stdin = stdin
-        self.globals = {}
-        self.segments = {}
-        self.next_sid = 0
-        self.counts = Counter()
-        self.out = bytearray()
-
-    def run(self):
-        for g in self.program.globals:
-            self.globals[g.name] = self.ev(g.init, {})
-        value = self.call(self.functions["main"], [])
-        return value if isinstance(value, int) else 0
-
-    def call(self, fn, args):
-        self.counts["call"] += 1
-        frame = {name: v for (name, _), v in zip(fn.params, args)}
-        try:
-            self.body(fn.body, frame)
-            value = None
-        except _Ret as r:
-            value = r.value
-        self.counts["return"] += 1
-        return value
-
-    def body(self, stmts, frame):
-        for s in stmts:
-            cls = type(s)
-            if cls is SLet:
-                frame[s.name] = self.ev(s.value, frame)
-            elif cls is SAssign:
-                v = self.ev(s.value, frame)
-                if s.name in frame:
-                    frame[s.name] = v
-                elif s.name in self.globals:
-                    self.globals[s.name] = v
-                else:
-                    frame[s.name] = v
-            elif cls is SExpr:
-                self.ev(s.value, frame)
-            elif cls is SIf:
-                self.counts["branch"] += 1
-                if self.ev(s.cond, frame) != 0:
-                    self.body(s.then_body, frame)
-                elif s.else_body is not None:
-                    self.body(s.else_body, frame)
-            elif cls is SWhile:
-                while True:
-                    self.counts["branch"] += 1
-                    if self.ev(s.cond, frame) == 0:
-                        break
-                    self.body(s.body, frame)
-            elif cls is SReturn:
-                raise _Ret(self.ev(s.value, frame)
-                           if s.value is not None else None)
-            elif cls is SIndexSet:
-                ref = self.ev(s.obj, frame)
-                idx = self.ev(s.index, frame)
-                self.segments[ref.sid][ref.off + idx] = self.ev(s.value, frame)
-            else:
-                raise AssertionError(s)
-
-    def ev(self, e, frame):
-        cls = type(e)
-        if cls in (EInt, EFloat, EBytes):
-            return e.value
-        if cls is EVar:
-            return frame[e.name] if e.name in frame else self.globals[e.name]
-        if cls is ENull:
-            return None
-        if cls is EUnary:
-            v = self.ev(e.operand, frame)
-            if e.op == "-":
-                return wrap64(-v) if type(v) is int else -v
-            return 0 if v != 0 else 1
-        if cls is EBinary:
-            return self.binop(e, frame)
-        if cls is ECall:
-            if e.name in self.functions:
-                return self.call(self.functions[e.name],
-                                 [self.ev(a, frame) for a in e.args])
-            return self.builtin(e.name, [self.ev(a, frame) for a in e.args])
-        if cls is EIndex:
-            obj = self.ev(e.obj, frame)
-            idx = self.ev(e.index, frame)
-            if isinstance(obj, NRef):
-                return self.segments[obj.sid][obj.off + idx]
-            return obj[idx]
-        if cls is EField:
-            return self.ev(e.obj, frame)[1][e.name]
-        if cls is ERecordLit:
-            return (e.name, {n: self.ev(v, frame) for n, v in e.fields})
-        if cls is EArrayLit:
-            return tuple(self.ev(v, frame) for v in e.items)
-        raise AssertionError(e)
-
-    def binop(self, e, frame):
-        op = e.op
-        if op == "&&":
-            return 1 if self.ev(e.left, frame) != 0 \
-                and self.ev(e.right, frame) != 0 else 0
-        if op == "||":
-            return 1 if self.ev(e.left, frame) != 0 \
-                or self.ev(e.right, frame) != 0 else 0
-        a, b = self.ev(e.left, frame), self.ev(e.right, frame)
-        if op == "==":
-            return 1 if a == b else 0
-        if op == "!=":
-            return 0 if a == b else 1
-        if op in ("<", "<=", ">", ">="):
-            return 1 if {"<": a < b, "<=": a <= b,
-                         ">": a > b, ">=": a >= b}[op] else 0
-        if type(a) is int:
-            if op == "+":
-                return wrap64(a + b)
-            if op == "-":
-                return wrap64(a - b)
-            if op == "*":
-                return wrap64(a * b)
-            q = abs(a) // abs(b)
-            q = q if (a < 0) == (b < 0) else -q
-            if op == "/":
-                return wrap64(q)
-            return wrap64(a - wrap64(q * b))
-        return {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[op]
-
-    def builtin(self, name, args):
-        if name == "len":
-            v = args[0]
-            if isinstance(v, NRef):
-                return len(self.segments[v.sid]) - v.off
-            return len(v)
-        if name == "byte_at":
-            return args[0][args[1]]
-        if name == "slice":
-            v = args[0]
-            if isinstance(v, NRef):
-                return NRef(v.sid, v.off + args[1])
-            return v[args[1]:args[2]]
-        if name == "concat":
-            return args[0] + args[1]
-        if name == "arg_count":
-            return len(self.argv)
-        if name == "arg":
-            return self.argv[args[0]]
-        if name == "read_all_input":
-            return self.stdin
-        if name == "print":
-            v = args[0]
-            self.out += v if isinstance(v, bytes) else str(v).encode()
-            self.out += b"\n"
-            return 0
-        if name == "parse_int":
-            return wrap64(int(args[0]))
-        if name == "to_string":
-            v = args[0]
-            return v if isinstance(v, bytes) else str(v).encode()
-        if name == "alloc_array":
-            sid = self.next_sid
-            self.next_sid += 1
-            self.segments[sid] = [args[1]] * args[0]
-            return NRef(sid, 0)
-        raise AssertionError(name)
-
-
-def event_counts(trace):
-    kinds = {CallEvent: "call", ReturnEvent: "return", BranchEvent: "branch"}
-    c = Counter()
-    for ev in trace:
-        c[kinds[type(ev)]] += 1
-    return c
+from conftest import (
+    SUBJECT_NAMES, NaiveCounter, load_subject, mk_input, random_input_for,
+)
 
 
 ORACLE_RUNS = [
@@ -241,14 +38,60 @@ ORACLE_RUNS = [
 
 @pytest.mark.parametrize("name,argv,stdin", ORACLE_RUNS)
 def test_trace_events_match_the_naive_interpreter(name, argv, stdin):
-    prog = load_subject(name)
-    result = run_with_tracing(prog, mk_input(argv, stdin))
+    result, code = check_recorded_calls(name, argv, stdin)
     assert result.status.kind == "exit"
-    naive = NaiveCounter(prog, argv, stdin)
-    code = naive.run()
-    assert event_counts(result.trace) == naive.counts
     assert result.status.code == code
+
+
+# (subject, argv, stdin, step limit, how the run ends)
+EARLY_END_RUNS = [
+    ("mini_dc", (), b"5 d p + + p", DEFAULT_STEP_LIMIT, "crash"),
+    # The limit falls inside hash_pw's 600 stretching rounds.
+    ("keycheck", (b"admin", b"pw"), b"", 3000, "budget-exhausted"),
+]
+
+
+@pytest.mark.parametrize("name,argv,stdin,limit,kind", EARLY_END_RUNS)
+def test_recorded_calls_match_the_naive_interpreter_in_runs_that_end_early(
+        name, argv, stdin, limit, kind):
+    result, code = check_recorded_calls(name, argv, stdin, limit,
+                                        max_iterations=300)
+    assert result.status.kind == kind
+    assert code is None
+
+
+def check_recorded_calls(name, argv, stdin, step_limit=DEFAULT_STEP_LIMIT,
+                         max_iterations=None):
+    """With a cap that records every carvable call, the run records
+    exactly the oracle's completed calls of functions other than main
+    and the input readers, each with the oracle's goal set; the counts
+    and the run's coverage and output agree with the oracle too.
+
+    Returns the run and the oracle's exit code.
+    """
+    prog = load_subject(name)
+    result = run_with_tracing(prog, mk_input(argv, stdin),
+                              RunOptions(step_limit=step_limit,
+                                         per_fn_cap=10_000))
+    naive = NaiveCounter(prog, argv, stdin, max_iterations)
+    code = naive.run()
+    skip = input_reading_functions(prog) | {"main"}
+    expected = {i: (fn, goals) for i, (fn, goals) in enumerate(naive.calls)
+                if goals is not None and fn not in skip}
+    assert {c.call_index: (c.fn, c.coverage) for c in result.trace} == expected
+    assert [c.call_index for c in result.trace] == sorted(expected)
+    stats = result.carve_stats
+    assert stats.carved == len(expected)
+    assert stats.skipped_capped == 0
+    assert stats.skipped_incomplete == sum(
+        1 for fn, goals in naive.calls if goals is None and fn != "main")
+    assert stats.skipped_input_dependent == sum(
+        1 for fn, goals in naive.calls
+        if goals is not None and fn in skip - {"main"})
+    assert result.coverage == naive.coverage
+    assert result.coverage <= enumerate_goals(prog)
     assert result.output == bytes(naive.out)
+    return result, code
 
 
 # ------------------------------------------------------- basic shapes
@@ -258,7 +101,7 @@ def test_empty_program_runs_to_exit_zero():
     r = run_with_tracing(p, mk_input(()))
     assert r.status.kind == "exit" and r.status.code == 0
     assert r.coverage == frozenset()
-    assert [type(e) for e in r.trace] == [CallEvent, ReturnEvent]
+    assert r.trace == [] and r.carve_stats.skipped_incomplete == 0
 
 
 def test_keycheck_rejects_the_unknown_user():
@@ -305,14 +148,6 @@ def test_runs_are_deterministic_including_the_trace():
         a = serialize_run_result(run_with_tracing(prog, s))
         b = serialize_run_result(run_with_tracing(prog, s))
         assert a == b
-
-
-def test_coverage_equals_the_branch_events():
-    prog = load_subject("mini_sed")
-    r = run_with_tracing(prog, mk_input((b"pdp",), b"alpha\nbeta\n"))
-    branched = {e.goal for e in r.trace if isinstance(e, BranchEvent)}
-    assert branched == set(r.coverage)
-    assert r.coverage <= enumerate_goals(prog)
 
 
 def test_allocation_ids_are_never_reused():
@@ -470,13 +305,13 @@ def test_each_program_compiles_once_per_variant(monkeypatch):
     built = []
 
     class CountingCode(interp._Code):
-        def __init__(self, program, traced):
-            built.append(traced)
-            super().__init__(program, traced)
+        def __init__(self, program):
+            built.append(program)
+            super().__init__(program)
 
     monkeypatch.setattr(interp, "_Code", CountingCode)
     prog, _ = resolve_program("keycheck")
-    assert prog.compiled == {}          # parsing compiles nothing
+    assert prog.compiled is None        # parsing compiles nothing
     traced = None
     for _ in range(3):
         run_system(prog, mk_input((b"admin", b"pw")))
@@ -484,7 +319,7 @@ def test_each_program_compiles_once_per_variant(monkeypatch):
         for carved in carve_with_stats(prog, traced)[0]:
             args, world = context_to_world(carved.context)
             call_function(prog, carved.start[0], args, world)
-    assert built == [False, True]
+    assert built == [prog]      # one code for traced and untraced runs
 
 
 def test_compiled_code_dies_with_its_program():
@@ -494,17 +329,10 @@ def test_compiled_code_dies_with_its_program():
     prog = load_subject("mini_dc")
     run_system(prog, mk_input((), b"1 2 + p"))
     run_with_tracing(prog, mk_input((), b"1 2 + p"))
-    refs = [weakref.ref(prog)] + [weakref.ref(c) for c in prog.compiled.values()]
+    refs = [weakref.ref(prog), weakref.ref(prog.compiled)]
     del prog
     gc.collect()
-    assert [r() for r in refs] == [None, None, None]
-
-
-def test_trace_overflow_signals_the_caller():
-    prog = load_subject("keycheck")
-    with pytest.raises(TraceOverflow):
-        run_with_tracing(prog, mk_input((b"d7wfv", b"x")),
-                         RunOptions(trace_limit=10))
+    assert [r() for r in refs] == [None, None]
 
 
 # ------------------------------------------------------- unit invocation
