@@ -272,8 +272,7 @@ class _Campaign:
         self.record(result.coverage, source)
         self.point()
         if result.trace is not None:
-            carves, stats = carve_with_stats(self.program, result,
-                                             origin=origin_id)
+            carves, stats = carve_with_stats(result, origin=origin_id)
             self.origins[origin_id] = s
             for k, v in asdict(stats).items():
                 self.carve_totals[k] += v

@@ -169,7 +169,7 @@ def _cmd_carve(args) -> int:
     s = read_input_file(args.input)
     result = run_with_tracing(
         program, s, RunOptions(max_dump_bytes=args.max_dump_bytes))
-    pool = carve_with_stats(program, result, origin=str(args.input))[0]
+    pool = carve_with_stats(result, origin=str(args.input))[0]
     print(f"system status: {_describe(result.status)}; "
           f"{len(pool)} carves")
     for i, c in enumerate(pool):

@@ -164,7 +164,7 @@ def _updated(value, steps, new_value, segments):
         if isinstance(value, Ref):
             seg = segments[value.seg]
             idx = value.off + key
-            seg.elems[idx] = _updated(seg.elems[idx], rest, new_value, segments)
+            seg[idx] = _updated(seg[idx], rest, new_value, segments)
             return value
         items = list(value)
         items[key] = _updated(items[key], rest, new_value, segments)

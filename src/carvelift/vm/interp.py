@@ -3,7 +3,7 @@
 Three entry points:
 
     run_system        execute main against a SystemInput, coverage only
-    run_with_tracing  same, but record the calls carving keeps (trace.py)
+    run_with_tracing  same, but record each kept call as a carve (trace.py)
     call_function     execute one function against a carved world
 
 A Program is compiled on its first run, and the code is kept on the
@@ -55,7 +55,7 @@ from ..lang.ast import (
 from ..lang.goals import BranchGoal
 from . import ops
 from .ops import Crash, OutOfSteps, fail, spent
-from .trace import CallEvent, CarveStats, Tracer, encode_call
+from .trace import CarvedTest, CarveStats, Tracer, encode_carve
 from .values import (
     INT64_MAX, INT64_MIN, Record, Ref, SegmentTable, encode_value,
     value_type_name,
@@ -102,7 +102,7 @@ class RunStatus:
 class RunResult:
     status: RunStatus
     coverage: frozenset[BranchGoal]
-    trace: Optional[list[CallEvent]]    # the kept calls of a traced run
+    trace: Optional[list[CarvedTest]]   # the carves a traced run kept
     steps: int
     wall_time_s: float
     output: bytes
@@ -120,7 +120,7 @@ def serialize_run_result(result: RunResult) -> dict:
         "output": result.output.decode("latin-1"),
         "return_value": encode_value(result.return_value),
         "trace": None if result.trace is None else {
-            "calls": [encode_call(c) for c in result.trace],
+            "calls": [encode_carve(c) for c in result.trace],
             "stats": asdict(result.carve_stats)},
     }
 
@@ -136,7 +136,7 @@ class _State:
     `tracer` is None unless the run is traced."""
 
     __slots__ = ("opts", "fuel", "coverage", "globals", "segments", "next_seg",
-                 "origin", "output", "argv", "stdin", "depth", "tracer")
+                 "output", "argv", "stdin", "depth", "tracer")
 
     def __init__(self, opts: RunOptions, argv=(), stdin=b"",
                  globals_: dict | None = None,
@@ -147,7 +147,6 @@ class _State:
         self.globals = {} if globals_ is None else globals_
         self.segments = {} if segments is None else segments
         self.next_seg = max(self.segments, default=-1) + 1
-        self.origin = "heap"
         self.output = bytearray()
         self.argv = argv
         self.stdin = stdin
@@ -228,10 +227,8 @@ class _Code:
         """Call `name` as the outermost call, after the global
         initializers when `init` is set."""
         if init:
-            st.origin = "global"
             for gname, value in self.inits:
                 st.globals[gname] = value(st, {})
-            st.origin = "heap"
         return _call(st, None, self.targets[name], args)   # at depth 0
 
     # ------------------------------------------------------------ statements
@@ -536,8 +533,8 @@ def run_system(program: Program, system_input: SystemInput,
 
 def run_with_tracing(program: Program, system_input: SystemInput,
                      opts: RunOptions = RunOptions()) -> RunResult:
-    """Execute main and record the calls carving keeps (see trace.py),
-    with the counts of those it does not keep in `carve_stats`.
+    """Execute main and record a carve of each call carving keeps (see
+    trace.py), with the counts of those it does not keep in `carve_stats`.
 
     Instrumentation is transparent: status, coverage, output and steps
     always equal the untraced run's.
@@ -563,15 +560,6 @@ def _arg_fits(value, declared) -> bool:
     return False
 
 
-def _find_dangling(args: list, globals_: dict, segments: SegmentTable) -> bool:
-    from .values import iter_refs
-
-    values = list(args) + list(globals_.values())
-    for seg in segments.values():
-        values.extend(seg.elems)
-    return any(r.seg not in segments for v in values for r in iter_refs(v))
-
-
 def call_function(program: Program, fn_name: str, args: list,
                   world: tuple[dict, SegmentTable],
                   opts: RunOptions = RunOptions()) -> RunResult:
@@ -579,10 +567,12 @@ def call_function(program: Program, fn_name: str, args: list,
 
     `world` is (globals map, segment table); the callee mutates it in
     place, so the caller owns isolation (carved contexts hand out deep
-    copies).  A dangling ref anywhere in the world is an incomplete
-    context and is reported as a unit-level type-error crash, not as a
-    tool error.  Inside the call the outside world is empty: arg_count()
-    is 0 and read_all_input() returns the empty string.
+    copies).  A ref into a segment the world lacks is a type-error crash
+    ("dangling reference") where the callee dereferences it, as in any
+    run; a carve's context never holds one, since truncation severs refs
+    out of the slice to null.  Inside the call the outside world is
+    empty: arg_count() is 0 and read_all_input() returns the empty
+    string.
     """
     from ..lang.errors import UnknownFunction
 
@@ -603,12 +593,6 @@ def call_function(program: Program, fn_name: str, args: list,
     for gdef in program.globals:
         if gdef.name not in globals_:
             raise TypeMismatch(f"world is missing global {gdef.name!r}")
-
-    if _find_dangling(args, globals_, segments):
-        status = RunStatus("crash", crash_kind="type-error", crash_fn=fn_name,
-                           message="incomplete context: dangling reference")
-        return RunResult(status, frozenset(), None, 0,
-                         time.perf_counter() - started, b"")
 
     st = _State(opts, globals_=globals_, segments=segments)
     return _finish(st, _code(program), fn_name, list(args), False, started)

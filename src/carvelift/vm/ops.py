@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 
 from ..errors import ToolError
-from .values import Record, Ref, Segment, value_type_name, wrap64
+from .values import Record, Ref, value_type_name, wrap64
 
 
 class Crash(Exception):
@@ -119,9 +119,9 @@ def index(st, at, o, i):
         fail(at, "type-error", "index must be int")
     if isinstance(o, Ref):
         seg = _segment(st, at, o)
-        if i < 0 or o.off + i >= seg.length:
+        if i < 0 or o.off + i >= len(seg):
             fail(at, "oob", f"index {i} out of range")
-        return seg.elems[o.off + i]
+        return seg[o.off + i]
     if isinstance(o, tuple):
         if i < 0 or i >= len(o):
             fail(at, "oob", f"index {i} out of range")
@@ -139,11 +139,11 @@ def store(st, at, o, i, v):
     seg = _segment(st, at, o)
     if type(i) is not int:
         fail(at, "type-error", "index must be int")
-    if i < 0 or o.off + i >= seg.length:
+    if i < 0 or o.off + i >= len(seg):
         fail(at, "oob", f"store index {i} out of range")
     if st.fuel < 0:
         spent(st)
-    seg.elems[o.off + i] = v
+    seg[o.off + i] = v
 
 
 def field(name):
@@ -164,7 +164,7 @@ def _len(st, at, v):
     if isinstance(v, (bytes, tuple)):
         return len(v)
     if isinstance(v, Ref):
-        return _segment(st, at, v).length - v.off
+        return len(_segment(st, at, v)) - v.off
     fail(at, "type-error", f"len of {value_type_name(v)}")
 
 
@@ -194,7 +194,7 @@ def _slice(st, at, v, *rest):
         k = rest[0]
         if type(k) is not int:
             fail(at, "type-error", "slice offset must be int")
-        if k < 0 or v.off + k > _segment(st, at, v).length:
+        if k < 0 or v.off + k > len(_segment(st, at, v)):
             fail(at, "oob", f"slice offset {k} out of range")
         return Ref(v.seg, v.off + k)
     fail(at, "type-error", f"slice of {value_type_name(v)}")
@@ -250,7 +250,7 @@ def _alloc_array(st, at, n, init):
         spent(st)
     sid = st.next_seg
     st.next_seg += 1
-    st.segments[sid] = Segment(value_type_name(init), n, [init] * n, st.origin)
+    st.segments[sid] = [init] * n
     return Ref(sid, 0)
 
 

@@ -1,4 +1,11 @@
-"""The calls a traced run records, and their canonical JSON encoding.
+"""Carves: the calls a traced run records, and their JSON encoding.
+
+A carve is one user-function invocation plus the context it ran against:
+the argument values, every global, and the heap slice reachable from
+either, copied at call time under `RunOptions.max_dump_bytes`.  The
+tracer records each call it keeps as a `CarvedTest`.  Replaying an
+untruncated carve's context through `call_function` covers exactly the
+goals the call covered.
 
 A traced run records only the calls carving keeps.  The entry function
 and input-reading functions are never recorded.  Any other call is
@@ -13,9 +20,17 @@ A recorded call's coverage is the set of branch goals reached while it
 was open, its callees' included: a branch adds to the innermost open
 recorded call's set, and a return merges that set into the one below.
 
-The encoding of a call (`encode_call`) exists for determinism checks
-(`serialize_run_result`); byte strings inside values are base64, and
-traces are not persisted.
+Context root paths follow the language's own access syntax:
+
+    arg[0]                first argument
+    global:db             a global
+    global:db[2].name     ref index, then record field
+
+so a path printed in a report can be read back against the source.
+
+One encoding of a carve (`encode_carve`, read back by `decode_carve`)
+serves both the snapshot file and the determinism checks of
+`serialize_run_result`; byte strings inside values are base64.
 """
 
 from __future__ import annotations
@@ -23,30 +38,137 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from ..errors import FormatError
 from ..lang.ast import ENTRY
 from ..lang.goals import BranchGoal
 from .values import (
-    SegmentTable, encode_segment, encode_value, sever, snapshot_reachable,
+    Record, Ref, SegmentTable, decode_segments, decode_value,
+    encode_segments, encode_value, sever, snapshot_reachable,
 )
 
 
-@dataclass
-class CallEvent:
-    """One recorded call, with the context a carve of it replays.
+def parse_path(path: str):
+    """Split a context path into its root and access steps.
 
-    `segments` is the heap slice reachable from the arguments and globals
-    at call time, copied under the run's byte budget.  When `truncated`
-    is set, refs out of the slice (in args, globals and segments alike)
-    are null.  `coverage` is filled in when the call returns.
+    Returns (root, steps) where steps is a list of ("index", i) and
+    ("field", name) entries.  Raises KeyError on malformed paths so that
+    lookup and parse failures surface the same way.
     """
+    if path.startswith("arg["):
+        end = path.find("]")
+        if end < 0 or not path[4:end].isdigit():
+            raise KeyError(path)
+        root, rest = path[:end + 1], path[end + 1:]
+    elif path.startswith("global:"):
+        i = 7
+        while i < len(path) and (path[i].isalnum() or path[i] == "_"):
+            i += 1
+        if i == 7:
+            raise KeyError(path)
+        root, rest = path[:i], path[i:]
+    else:
+        raise KeyError(path)
 
-    call_index: int
-    fn: str
-    args: list
-    globals: dict[str, object]
+    steps = []
+    while rest:
+        if rest[0] == "[":
+            end = rest.find("]")
+            if end < 0 or not rest[1:end].isdigit():
+                raise KeyError(path)
+            steps.append(("index", int(rest[1:end])))
+            rest = rest[end + 1:]
+        elif rest[0] == ".":
+            i = 1
+            while i < len(rest) and (rest[i].isalnum() or rest[i] == "_"):
+                i += 1
+            if i == 1:
+                raise KeyError(path)
+            steps.append(("field", rest[1:i]))
+            rest = rest[i:]
+        else:
+            raise KeyError(path)
+    return root, steps
+
+
+@dataclass
+class Context:
+    """Everything one invocation could see: args, globals, reachable heap."""
+
+    roots: dict[str, object]
     segments: SegmentTable
     truncated: bool
-    coverage: frozenset[BranchGoal] = frozenset()
+
+    def leaves(self):
+        """Yield (path, value) for every scalar leaf, argument roots first.
+
+        Aliased segments are walked once, claimed by the first path that
+        reaches them; that also terminates cyclic structures.
+        """
+        visited: set[int] = set()
+
+        def walk(path, v):
+            if isinstance(v, (int, float, bytes)):
+                yield path, v
+            elif isinstance(v, tuple):
+                for i, x in enumerate(v):
+                    yield from walk(f"{path}[{i}]", x)
+            elif isinstance(v, Record):
+                for name, x in v.fields.items():
+                    yield from walk(f"{path}.{name}", x)
+            elif isinstance(v, Ref):
+                if v.seg in visited or v.seg not in self.segments:
+                    return
+                visited.add(v.seg)
+                for i, x in enumerate(self.segments[v.seg][v.off:]):
+                    yield from walk(f"{path}[{i}]", x)
+
+        for root, v in self.roots.items():
+            yield from walk(root, v)
+
+    def resolve(self, path: str):
+        """Look up the value a path denotes. Raises KeyError when absent."""
+        root, steps = parse_path(path)
+        if root not in self.roots:
+            raise KeyError(path)
+        v = self.roots[root]
+        for kind, key in steps:
+            if kind == "index":
+                if isinstance(v, Ref):
+                    seg = self.segments.get(v.seg)
+                    if seg is None:
+                        raise KeyError(path)
+                    idx = v.off + key
+                    if not 0 <= idx < len(seg):
+                        raise KeyError(path)
+                    v = seg[idx]
+                elif isinstance(v, tuple):
+                    if not 0 <= key < len(v):
+                        raise KeyError(path)
+                    v = v[key]
+                else:
+                    raise KeyError(path)
+            else:
+                if not isinstance(v, Record) or key not in v.fields:
+                    raise KeyError(path)
+                v = v.fields[key]
+        return v
+
+
+@dataclass
+class CarvedTest:
+    """One recorded call and the context it replays.
+
+    The context's segments are the heap slice reachable from its roots
+    at call time, copied under the run's byte budget.  When it is
+    `truncated`, refs out of the slice (in roots and segments alike) are
+    null.  `observed_coverage` is filled in when the call returns, and
+    `origin` (the system input's id) by `carving.carve_with_stats`.
+    """
+
+    start: tuple[str, int]  # (function name, call index in the origin trace)
+    context: Context
+    origin: str
+    observed_coverage: frozenset[BranchGoal]
 
 
 @dataclass
@@ -72,12 +194,12 @@ class Tracer:
         self.input_dependent = input_dependent
         self.calls = 0              # call indices handed out, main's too
         self.returned: Counter[str] = Counter()   # recorded, per function
-        self.done: list[CallEvent] = []
+        self.done: list[CarvedTest] = []
         self.sets = [coverage]
         self.stats = CarveStats()
 
     def enter(self, st, name: str, args: list):
-        """Number the call; what `leave` needs: its record when it is
+        """Number the call; what `leave` needs: its carve when it is
         recorded, else its name, or None for the entry function."""
         call_index = self.calls
         self.calls += 1
@@ -87,17 +209,17 @@ class Tracer:
         if name in self.input_dependent or self.returned[name] >= self.cap:
             return name
         # The context: the arguments, then the globals by name.
-        globals_ = dict(st.globals)
+        roots = {f"arg[{i}]": v for i, v in enumerate(args)}
+        for n in sorted(st.globals):
+            roots[f"global:{n}"] = st.globals[n]
         segments, truncated = snapshot_reachable(
-            [*args, *(globals_[n] for n in sorted(globals_))], st.segments,
-            st.opts.max_dump_bytes)
+            roots.values(), st.segments, st.opts.max_dump_bytes)
         if truncated:
-            args = [sever(v, segments) for v in args]
-            globals_ = {n: sever(v, segments) for n, v in globals_.items()}
+            roots = {p: sever(v, segments) for p, v in roots.items()}
         st.coverage = set()
         self.sets.append(st.coverage)
-        return CallEvent(call_index, name, list(args), globals_, segments,
-                         truncated)
+        return CarvedTest((name, call_index),
+                          Context(roots, segments, truncated), "", frozenset())
 
     def leave(self, st, call) -> None:
         """The call `enter` returned `call` for has returned."""
@@ -111,40 +233,56 @@ class Tracer:
                 self.stats.skipped_capped += 1
             return
         inner = self.sets.pop()
-        call.coverage = frozenset(inner)
+        call.observed_coverage = frozenset(inner)
         st.coverage = self.sets[-1]
         st.coverage |= inner
-        self.returned[call.fn] += 1
+        self.returned[call.start[0]] += 1
         self.done.append(call)
 
-    def finish(self, st) -> list[CallEvent]:
+    def finish(self, st) -> list[CarvedTest]:
         """The kept calls in call order, once the run has ended.  Leaves
         the whole run's coverage in `st.coverage`."""
         run = self.sets[0]
         for inner in self.sets[1:]:     # calls open when the run ended
             run |= inner
         st.coverage = run
-        kept: list[CallEvent] = []
+        kept: list[CarvedTest] = []
         per_fn: Counter[str] = Counter()
-        for call in sorted(self.done, key=lambda c: c.call_index):
-            if per_fn[call.fn] >= self.cap:
+        for call in sorted(self.done, key=lambda c: c.start[1]):
+            if per_fn[call.start[0]] >= self.cap:
                 self.stats.skipped_capped += 1
                 continue
-            per_fn[call.fn] += 1
+            per_fn[call.start[0]] += 1
             kept.append(call)
         self.stats.carved = len(kept)
-        self.stats.truncated = sum(c.truncated for c in kept)
+        self.stats.truncated = sum(c.context.truncated for c in kept)
         return kept
 
 
-def encode_call(call: CallEvent) -> dict:
+def encode_carve(carve: CarvedTest) -> dict:
+    """A carve as JSON: a snapshot file's body, and a traced run's call."""
+    ctx = carve.context
     return {
-        "call_index": call.call_index,
-        "fn": call.fn,
-        "args": [encode_value(v) for v in call.args],
-        "globals": {k: encode_value(v) for k, v in sorted(call.globals.items())},
-        "segments": {str(sid): encode_segment(s)
-                     for sid, s in sorted(call.segments.items())},
-        "truncated": call.truncated,
-        "coverage": sorted(str(g) for g in call.coverage),
+        "start": {"fn": carve.start[0], "call_index": carve.start[1]},
+        "origin": carve.origin,
+        "truncated": ctx.truncated,
+        "roots": [[p, encode_value(v)] for p, v in ctx.roots.items()],
+        "segments": encode_segments(ctx.segments),
+        "observed_coverage": sorted(str(g) for g in carve.observed_coverage),
     }
+
+
+def decode_carve(doc: dict) -> CarvedTest:
+    """The carve `encode_carve` wrote; FormatError if `doc` is malformed."""
+    try:
+        ctx = Context({p: decode_value(v) for p, v in doc["roots"]},
+                      decode_segments(doc["segments"]), bool(doc["truncated"]))
+        return CarvedTest(
+            start=(str(doc["start"]["fn"]), int(doc["start"]["call_index"])),
+            context=ctx,
+            origin=str(doc["origin"]),
+            observed_coverage=frozenset(
+                BranchGoal.parse(g) for g in doc["observed_coverage"]),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(f"carve document is malformed: {exc!r}") from exc

@@ -11,15 +11,18 @@ Values are represented with plain Python types where possible:
     Record -> immutable named record
     Ref    -> (segment id, element offset) into a SegmentTable
 
-Mutable storage lives only in segments.  A Ref with a nonzero offset is a
-derived pointer: indexing is relative to the offset and the remaining
-length is the segment length minus the offset.
+Mutable storage lives only in segments.  A segment is the plain list of
+its elements; its length is fixed at allocation.  A Ref with a nonzero
+offset is a derived pointer: indexing is relative to the offset and the
+remaining length is the segment length minus the offset.
+
+The JSON encoding (docs/formats.md) writes each value as a tagged object
+and each segment as the list of its encoded elements.
 """
 
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass
 
 from ..errors import FormatError
 
@@ -77,20 +80,7 @@ class Record:
         return f"{self.rtype}{{{inner}}}"
 
 
-@dataclass
-class Segment:
-    """One allocation: a fixed-length run of values."""
-
-    elem_type: str
-    length: int
-    elems: list
-    origin: str = "heap"
-
-    def copy(self) -> "Segment":
-        return Segment(self.elem_type, self.length, list(self.elems), self.origin)
-
-
-SegmentTable = dict[int, Segment]
+SegmentTable = dict[int, list]
 
 
 def copy_segments(table: SegmentTable) -> SegmentTable:
@@ -99,7 +89,7 @@ def copy_segments(table: SegmentTable) -> SegmentTable:
     Element values themselves are immutable, so copying each element list
     is a full isolation boundary.
     """
-    return {sid: seg.copy() for sid, seg in table.items()}
+    return {sid: list(seg) for sid, seg in table.items()}
 
 
 def value_type_name(v) -> str:
@@ -144,9 +134,9 @@ def value_byte_size(v) -> int:
     raise TypeError(f"not a runtime value: {v!r}")
 
 
-def segment_byte_size(seg: Segment) -> int:
+def segment_byte_size(seg: list) -> int:
     size = HEADER_SIZE
-    for x in seg.elems:   # ints, the common element, skip the call
+    for x in seg:   # ints, the common element, skip the call
         size += SCALAR_SIZE if type(x) is int else value_byte_size(x)
     return size
 
@@ -198,28 +188,27 @@ def decode_value(obj: object):
     if t == "record":
         return Record(obj["name"], {k: decode_value(x) for k, x in obj["fields"]})
     if t == "ref":
-        return Ref(int(obj["seg"]), int(obj["off"]))
+        off = int(obj["off"])
+        if off < 0:
+            raise FormatError(f"ref offset {off} is negative")
+        return Ref(int(obj["seg"]), off)
     raise FormatError(f"unknown value tag: {t!r}")
 
 
-def encode_segment(seg: Segment) -> object:
-    return {
-        "type": seg.elem_type,
-        "len": seg.length,
-        "elems": [encode_value(x) for x in seg.elems],
-        "origin": seg.origin,
-    }
+def encode_segments(table: SegmentTable) -> dict:
+    """A segment table as JSON: each segment its list of encoded elements,
+    keyed by its id as a string."""
+    return {str(sid): [encode_value(x) for x in seg]
+            for sid, seg in sorted(table.items())}
 
 
-def decode_segment(obj: object) -> Segment:
-    if not isinstance(obj, dict):
-        raise FormatError(f"malformed segment encoding: {obj!r}")
-    return Segment(
-        elem_type=str(obj["type"]),
-        length=int(obj["len"]),
-        elems=[decode_value(x) for x in obj["elems"]],
-        origin=str(obj["origin"]),
-    )
+def decode_segments(obj: dict) -> SegmentTable:
+    table = {}
+    for sid, seg in obj.items():
+        if not isinstance(seg, list):
+            raise FormatError(f"segment {sid} is not a list: {seg!r}")
+        table[int(sid)] = [decode_value(x) for x in seg]
+    return table
 
 
 def iter_refs(v):
@@ -280,10 +269,10 @@ def snapshot_reachable(roots, table: SegmentTable,
         used += segment_byte_size(seg)
         if used > max_bytes:
             for k in kept.values():
-                k.elems = [sever(x, kept) for x in k.elems]
+                k[:] = [sever(x, kept) for x in k]
             return kept, True
-        kept[sid] = seg.copy()
-        for elem in seg.elems:
+        kept[sid] = list(seg)
+        for elem in seg:
             if type(elem) is not int:
                 discover(elem)
     return kept, False

@@ -32,7 +32,7 @@ from carvelift.vm.interp import (
     run_system,
     run_with_tracing,
 )
-from carvelift.vm.values import Record, Ref, Segment
+from carvelift.vm.values import Record, Ref
 
 from conftest import SUBJECT_NAMES, load_subject, mk_input, random_input_for
 
@@ -54,7 +54,7 @@ def carve_corpus():
         for _ in range(20):
             s = random_input_for(name, rng)
             r = run_with_tracing(program, s, OPTS)
-            for c in carve_with_stats(program, r, origin="acceptance")[0]:
+            for c in carve_with_stats(r, origin="acceptance")[0]:
                 entries.append((name, program, c, s))
     return entries, time.monotonic() - t0
 
@@ -122,9 +122,7 @@ def _rand_context(rng) -> Context:
 
     def fresh_segment():
         sid = len(segments) + 1
-        elems = [_rand_leaf(rng) for _ in range(rng.randint(1, 4))]
-        segments[sid] = Segment(elem_type="mixed", length=len(elems),
-                                elems=elems)
+        segments[sid] = [_rand_leaf(rng) for _ in range(rng.randint(1, 4))]
         return Ref(sid, 0)
 
     def node():

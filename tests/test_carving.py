@@ -12,15 +12,15 @@ import json
 import pytest
 
 from carvelift.carving import (
-    Context, carve_with_stats, context_to_world, load_snapshot, save_snapshot,
-    snapshot_reachable,
+    SNAPSHOT_VERSION, Context, carve_with_stats, context_to_world,
+    load_snapshot, save_snapshot, snapshot_reachable,
 )
 from carvelift.errors import FormatError
 from carvelift.lang.parser import parse
 from carvelift.rng import Rng
 from carvelift.vm import trace
 from carvelift.vm.interp import RunOptions, call_function, run_with_tracing
-from carvelift.vm.values import Record, Ref, Segment
+from carvelift.vm.values import Record, Ref
 
 from conftest import (
     SUBJECT_NAMES, NaiveCounter, load_subject, mk_input, random_input_for,
@@ -44,7 +44,7 @@ def replay(program, carved):
 def test_empty_main_carves_nothing():
     prog = parse("fn main() -> int { return 0; }")
     result = run_with_tracing(prog, mk_input())
-    assert carve_with_stats(prog, result)[0] == []
+    assert carve_with_stats(result)[0] == []
 
 
 def test_carve_requires_trace():
@@ -52,7 +52,7 @@ def test_carve_requires_trace():
     from carvelift.vm.interp import run_system
     result = run_system(prog, mk_input())
     with pytest.raises(ValueError):
-        carve_with_stats(prog, result)
+        carve_with_stats(result)
 
 
 def test_carve_fidelity_on_subjects():
@@ -63,7 +63,7 @@ def test_carve_fidelity_on_subjects():
             sysin = random_input_for(name, rng)
             result = run_with_tracing(prog, sysin)
             calls = naive_calls(prog, sysin)
-            for carved in carve_with_stats(prog, result)[0]:
+            for carved in carve_with_stats(result)[0]:
                 assert (carved.start[0], carved.observed_coverage) == calls[
                     carved.start[1]], (name, carved.start)
                 if carved.context.truncated:
@@ -87,7 +87,7 @@ fn main() -> int {
 }
 """)
     result = run_with_tracing(prog, mk_input())
-    carves = carve_with_stats(prog, result)[0]
+    carves = carve_with_stats(result)[0]
     outer_carves = [c for c in carves if c.start[0] == "outer"]
     assert len(outer_carves) == 1
     got = outer_carves[0].observed_coverage
@@ -107,7 +107,7 @@ fn main() -> int {
 """)
     result = run_with_tracing(prog, mk_input())
     assert result.status.is_crash() and result.status.crash_kind == "oob"
-    carves, stats = carve_with_stats(prog, result)
+    carves, stats = carve_with_stats(result)
     assert carves == []
     assert stats.skipped_incomplete == 1
 
@@ -123,7 +123,7 @@ fn main() -> int {
 }
 """)
     result = run_with_tracing(prog, mk_input(), RunOptions(per_fn_cap=8))
-    carves, stats = carve_with_stats(prog, result)
+    carves, stats = carve_with_stats(result)
     assert len(carves) == 8
     assert stats.skipped_capped == 12
     indices = [c.start[1] for c in carves]
@@ -131,7 +131,7 @@ fn main() -> int {
     # first call captures acc == 0, so the cap kept the earliest calls
     assert carves[0].context.roots["arg[0]"] == 0
     uncapped = run_with_tracing(prog, mk_input(), RunOptions(per_fn_cap=100))
-    assert len(carve_with_stats(prog, uncapped)[0]) == 20
+    assert len(carve_with_stats(uncapped)[0]) == 20
 
 
 def counting_snapshots(monkeypatch):
@@ -180,7 +180,7 @@ def test_cap_keeps_the_one_inner_call_that_returned_before_a_crash():
     prog = parse(RECURSION.replace("CRASH_AT", "1"))
     result = run_with_tracing(prog, mk_input(), RunOptions(per_fn_cap=1))
     assert result.status.crash_kind == "abort"
-    carves, stats = carve_with_stats(prog, result)
+    carves, stats = carve_with_stats(result)
     assert [c.start for c in carves] == [("f", 3)]
     assert (stats.carved, stats.skipped_incomplete, stats.skipped_capped) == (
         1, 2, 0)
@@ -190,7 +190,7 @@ def test_cap_keeps_the_earliest_call_of_a_recursion_that_returns():
     prog = parse(RECURSION.replace("CRASH_AT", "-1"))
     result = run_with_tracing(prog, mk_input(), RunOptions(per_fn_cap=1))
     assert result.status.kind == "exit" and result.status.code == 3
-    carves, stats = carve_with_stats(prog, result)
+    carves, stats = carve_with_stats(result)
     assert [c.start for c in carves] == [("f", 1)]
     assert (stats.carved, stats.skipped_incomplete, stats.skipped_capped) == (
         1, 0, 2)
@@ -211,9 +211,9 @@ fn main() -> int {
 """)
     taken = counting_snapshots(monkeypatch)
     result = run_with_tracing(prog, mk_input([b"one"]))
-    assert [c.fn for c in result.trace] == ["pure"]
+    assert [c.start[0] for c in result.trace] == ["pure"]
     assert len(taken) == 1      # only pure's call is recorded
-    carves, stats = carve_with_stats(prog, result)
+    carves, stats = carve_with_stats(result)
     assert [c.start[0] for c in carves] == ["pure"]
     # peek called directly, and again through wrap; wrap itself also skipped
     assert stats.skipped_input_dependent == 3
@@ -228,7 +228,7 @@ def linked_list(n):
     table = {}
     for i in range(n):
         nxt = Ref(i + 1, 0) if i + 1 < n else None
-        table[i] = Segment("int", 2, [i, nxt])
+        table[i] = [i, nxt]
     return table
 
 
@@ -242,7 +242,7 @@ def test_snapshot_whole_closure_when_budget_is_large():
     got, truncated = snapshot_reachable([Ref(0, 0)], table, 10 * NODE_BYTES)
     assert truncated is False
     assert sorted(got) == list(range(10))
-    assert got[9].elems[1] is None
+    assert got[9][1] is None
 
 
 def test_snapshot_budget_cuts_after_four_nodes():
@@ -251,9 +251,9 @@ def test_snapshot_budget_cuts_after_four_nodes():
     assert truncated is True
     assert sorted(got) == [0, 1, 2, 3], (100 // NODE_BYTES)
     # the ref out of the cut is severed, not dangling
-    assert got[3].elems[1] is None
+    assert got[3][1] is None
     # originals are untouched
-    assert table[3].elems[1] == Ref(4, 0)
+    assert table[3][1] == Ref(4, 0)
 
 
 def test_snapshot_zero_keep_still_truncates():
@@ -276,7 +276,7 @@ def test_truncated_context_severs_root_refs():
     prog = load_subject("keycheck")
     result = run_with_tracing(prog, mk_input([b"admin", b"pw"]),
                               RunOptions(max_dump_bytes=8))
-    carves = carve_with_stats(prog, result)[0]
+    carves = carve_with_stats(result)[0]
     assert carves, "expected carves even under a tiny budget"
     for c in carves:
         assert c.context.truncated is True
@@ -299,10 +299,10 @@ fn main() -> int {
 }
 """)
     result = run_with_tracing(prog, mk_input())
-    carved = next(c for c in carve_with_stats(prog, result)[0]
+    carved = next(c for c in carve_with_stats(result)[0]
                   if c.start[0] == "bump")
     ref = carved.context.roots["arg[0]"]
-    assert carved.context.segments[ref.seg].elems == [1, 0]
+    assert carved.context.segments[ref.seg] == [1, 0]
     assert replay(prog, carved).return_value == 1
 
 
@@ -315,10 +315,10 @@ def test_leaves_enumeration_order_and_paths():
             "global:g": Ref(0, 0),
         },
         segments={
-            0: Segment("record:P", 2, [
+            0: [
                 Record("P", {"a": 1, "b": (2.5, b"zz")}),
                 Record("P", {"a": 3, "b": (b"q",)}),
-            ]),
+            ],
         },
         truncated=False,
     )
@@ -335,7 +335,7 @@ def test_leaves_enumeration_order_and_paths():
 def test_leaves_deduplicate_aliased_segments():
     ctx = Context(
         roots={"global:a": Ref(0, 0), "global:b": Ref(0, 0)},
-        segments={0: Segment("int", 1, [7])},
+        segments={0: [7]},
         truncated=False,
     )
     assert list(ctx.leaves()) == [("global:a[0]", 7)]
@@ -344,7 +344,7 @@ def test_leaves_deduplicate_aliased_segments():
 def test_leaves_terminate_on_cycles():
     ctx = Context(
         roots={"global:a": Ref(0, 0)},
-        segments={0: Segment("int", 2, [Ref(0, 0), 5])},
+        segments={0: [Ref(0, 0), 5]},
         truncated=False,
     )
     assert list(ctx.leaves()) == [("global:a[1]", 5)]
@@ -353,7 +353,7 @@ def test_leaves_terminate_on_cycles():
 def test_resolve_follows_paths():
     ctx = Context(
         roots={"arg[0]": Ref(1, 0)},
-        segments={1: Segment("record:P", 1, [Record("P", {"a": (10, 20)})])},
+        segments={1: [Record("P", {"a": (10, 20)})]},
         truncated=False,
     )
     assert ctx.resolve("arg[0][0].a[1]") == 20
@@ -366,7 +366,7 @@ def test_resolve_follows_paths():
 def test_context_to_world_isolates_replays(subjects):
     prog = subjects["keycheck"]
     result = run_with_tracing(prog, mk_input([b"admin", b"opensesame"]))
-    carved = next(c for c in carve_with_stats(prog, result)[0]
+    carved = next(c for c in carve_with_stats(result)[0]
                   if c.start[0] == "check_user")
     before = dataclasses.replace(carved)
     first = replay(prog, carved)
@@ -381,13 +381,13 @@ def test_context_to_world_isolates_replays(subjects):
 def test_keycheck_snapshot_round_trip(tmp_path, subjects):
     prog = subjects["keycheck"]
     result = run_with_tracing(prog, mk_input([b"d7wfv", b"xczZ7tz"]))
-    carves = carve_with_stats(prog, result, origin="seed-0")[0]
+    carves = carve_with_stats(result, origin="seed-0")[0]
     target = next(c for c in carves if c.start[0] == "check_user")
     assert target.context.roots["arg[0]"] == b"d7wfv"
     names = [
-        seg.elems[0].fields["name"]
+        seg[0].fields["name"]
         for seg in target.context.segments.values()
-        if seg.elem_type == "record:User"
+        if seg and isinstance(seg[0], Record) and seg[0].rtype == "User"
     ]
     assert names and names[0] == b"admin"
 
@@ -403,7 +403,7 @@ def test_random_snapshot_round_trips(tmp_path):
         prog = load_subject(name)
         for i in range(4):
             result = run_with_tracing(prog, random_input_for(name, rng))
-            carves = carve_with_stats(prog, result, origin=f"{name}-{i}")[0]
+            carves = carve_with_stats(result, origin=f"{name}-{i}")[0]
             for j, carved in enumerate(carves):
                 path = tmp_path / f"{name}-{i}-{j}.snap"
                 save_snapshot(carved, path)
@@ -418,7 +418,7 @@ fn f(x: int) -> int { return x; }
 fn main() -> int { return f(3); }
 """)
     result = run_with_tracing(prog, mk_input())
-    carves, _ = carve_with_stats(prog, result)
+    carves, _ = carve_with_stats(result)
     path = tmp_path / "c.snap"
     save_snapshot(carves[0], path)
     return path
@@ -440,10 +440,29 @@ def with_coverage(entry):
     return edit
 
 
+def with_ref_offset(off):
+    def edit(doc):
+        return json.dumps({**doc, "roots": [
+            ["arg[0]", {"t": "ref", "seg": 0, "off": off}]],
+            "segments": {"0": [{"t": "int", "v": 7}] * 6}})
+    return edit
+
+
+# A version-1 segment: its elements and a type, length and origin.
+V1_SEGMENTS = {"0": {"type": "int", "len": 1, "elems": [{"t": "int", "v": 7}],
+                     "origin": "heap"}}
+
 # Each rewrites a valid snapshot document into a malformed file's text.
 MALFORMED_SNAPSHOTS = {
     "json-list": lambda doc: "[1]",
-    "version-only": lambda doc: '{"version": 1}',
+    "version-only": lambda doc: json.dumps({"version": SNAPSHOT_VERSION}),
+    "version-1": lambda doc: json.dumps(
+        {**doc, "version": 1, "segments": V1_SEGMENTS}),
+    "segment-not-a-list": lambda doc: json.dumps(
+        {**doc, "segments": V1_SEGMENTS}),
+    # Python's negative indexing would read from the segment's end.
+    "ref-offset-negative": with_ref_offset(-5),
+    "ref-offset-minus-one": with_ref_offset(-1),
     "not-json": lambda doc: "carve of f, call 0\n",
     "non-ascii": lambda doc: json.dumps(doc, ensure_ascii=False) + "\u00e9",
     "goal-without-outcome": with_coverage("f:1"),

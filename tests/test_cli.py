@@ -94,7 +94,7 @@ def test_replay_crashing_input_exits_1(tmp_path, capsys):
 def test_replay_snapshot_checks_stored_coverage(tmp_path, capsys):
     prog = load_subject("keycheck")
     result = run_with_tracing(prog, mk_input((b"d7wfv", b"xczZ7tz")))
-    carved = next(c for c in carve_with_stats(prog, result)[0]
+    carved = next(c for c in carve_with_stats(result)[0]
                   if c.start[0] == "check_user")
     snap = tmp_path / "c.snap"
     save_snapshot(carved, snap)
@@ -113,7 +113,7 @@ def test_replay_snapshot_checks_stored_coverage(tmp_path, capsys):
 def test_replay_malformed_snapshot_is_a_usage_error(tmp_path, capsys):
     good = tmp_path / "c.snap"
     prog = load_subject("keycheck")
-    save_snapshot(carve_with_stats(prog, run_with_tracing(
+    save_snapshot(carve_with_stats(run_with_tracing(
         prog, mk_input((b"d7wfv", b"xczZ7tz"))))[0][0], good)
     doc = json.loads(good.read_text())
     bad_goal = json.dumps({**doc, "observed_coverage": ["check_user"]})
@@ -121,6 +121,31 @@ def test_replay_malformed_snapshot_is_a_usage_error(tmp_path, capsys):
                               bad_goal)):
         bad = tmp_path / f"bad-{i}.snap"
         bad.write_text(text)
+        assert main(["replay", "--program", "keycheck",
+                     "--snapshot", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_replay_rejects_old_or_out_of_range_snapshots(tmp_path, capsys):
+    """A version-1 file, a segment that is not a list and a negative ref
+    offset (which would read from the segment's end) are usage errors."""
+    good = tmp_path / "c.snap"
+    prog = load_subject("keycheck")
+    save_snapshot(carve_with_stats(run_with_tracing(
+        prog, mk_input((b"d7wfv", b"xczZ7tz"))))[0][0], good)
+    doc = json.loads(good.read_text())
+    v1_segments = {"0": {"type": "int", "len": 9,
+                         "elems": [{"t": "int", "v": 7}], "origin": "heap"}}
+    docs = [{**doc, "version": 1, "segments": v1_segments},
+            {**doc, "segments": v1_segments}]
+    for off in (-5, -1):
+        docs.append({**doc,
+                     "roots": [["arg[0]", {"t": "ref", "seg": 0, "off": off}]],
+                     "segments": {"0": [{"t": "int", "v": 7}]}})
+    for i, bad_doc in enumerate(docs):
+        bad = tmp_path / f"bad-{i}.snap"
+        bad.write_text(json.dumps(bad_doc))
         assert main(["replay", "--program", "keycheck",
                      "--snapshot", str(bad)]) == 2
         err = capsys.readouterr().err

@@ -3,11 +3,15 @@
 A top-level import whose name the module never uses is dead weight and
 hides what the module really depends on.  Package __init__ files are
 left out: they import names to re-export them.  An import that is kept
-on purpose carries a `# noqa: F401` marker.
+on purpose carries a `# noqa: F401` marker.  What a package does export,
+its `__all__`, must name only what it defines.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "carvelift"
 
@@ -55,3 +59,10 @@ def test_no_module_imports_a_name_it_never_uses():
     found = [f"{p.relative_to(PACKAGE)}:{line}: {name}"
              for p in modules for line, name in unused_imports(p.read_text())]
     assert found == []
+
+
+@pytest.mark.parametrize("package", ["carvelift", "carvelift.vm",
+                                     "carvelift.lang"])
+def test_every_name_in_all_resolves(package):
+    module = importlib.import_module(package)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []

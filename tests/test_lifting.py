@@ -38,7 +38,7 @@ def test_lift_identity_reproduces_origin():
     origin = mk_input((b"d7wfv", b"xczZ7tz"))
     result = run_with_tracing(prog, origin)
     lifted_any = 0
-    for carved in carve_with_stats(prog, result)[0]:
+    for carved in carve_with_stats(result)[0]:
         m = build_mapping(carved, origin, MapOptions())
         if not m.parameters:
             continue
@@ -54,7 +54,7 @@ def test_lift_replaces_the_mapped_argv_element():
     prog = load_subject("keycheck")
     origin = mk_input((b"d7wfv", b"xczZ7tz"))
     result = run_with_tracing(prog, origin)
-    carved = next(c for c in carve_with_stats(prog, result)[0]
+    carved = next(c for c in carve_with_stats(result)[0]
                   if c.start[0] == "check_user")
     m = build_mapping(carved, origin, MapOptions())
     li = lift(m, ParamAssignment({"arg[0]": b"admin"}, "harvested"), origin)
@@ -105,7 +105,7 @@ def test_lift_without_matches_is_rejected():
     prog = load_subject("keycheck")
     origin = mk_input((b"admin", b"wrongpw"))
     result = run_with_tracing(prog, origin)
-    carved = next(c for c in carve_with_stats(prog, result)[0]
+    carved = next(c for c in carve_with_stats(result)[0]
                   if c.start[0] == "check_pass")
     m = build_mapping(carved, origin, MapOptions())
     # the hash argument never maps, so it cannot be lifted
@@ -142,7 +142,7 @@ def keycheck_unit_winner(user=b"d7wfv", pw=b"xczZ7tz", budget=200):
     prog = load_subject("keycheck")
     origin = mk_input((user, pw))
     result = run_with_tracing(prog, origin)
-    carved = next(c for c in carve_with_stats(prog, result)[0]
+    carved = next(c for c in carve_with_stats(result)[0]
                   if c.start[0] == "check_user")
     m = build_mapping(carved, origin, MapOptions())
     cov = frozenset(result.coverage)
@@ -201,7 +201,7 @@ def test_crash_reproduction_counts_as_effective():
     prog = load_subject("mini_cut")
     origin = mk_input((b"2-4",), b"aa,bb,cc,dd\n")
     result = run_with_tracing(prog, origin)
-    carved = next(c for c in carve_with_stats(prog, result)[0]
+    carved = next(c for c in carve_with_stats(result)[0]
                   if c.start[0] == "parse_range")
     m = build_mapping(carved, origin, MapOptions())
     assert "arg[0]" in m.parameters
@@ -222,7 +222,7 @@ def test_crash_mismatch_does_not_count():
     prog = load_subject("mini_cut")
     origin = mk_input((b"2-4",), b"aa,bb,cc,dd\n")
     result = run_with_tracing(prog, origin)
-    carved = next(c for c in carve_with_stats(prog, result)[0]
+    carved = next(c for c in carve_with_stats(result)[0]
                   if c.start[0] == "parse_range")
     m = build_mapping(carved, origin, MapOptions())
     cov = set(result.coverage)

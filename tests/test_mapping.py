@@ -13,7 +13,7 @@ from carvelift.mapping import (
 )
 from carvelift.rng import Rng
 from carvelift.vm.interp import run_with_tracing
-from carvelift.vm.values import Record, Ref, Segment
+from carvelift.vm.values import Record, Ref
 
 from conftest import load_subject, mk_input, random_input_for
 
@@ -122,7 +122,7 @@ def test_hrvar_is_path_lexicographic():
 def test_leaves_in_segments_participate():
     c = bare_context(
         {"global:db": Ref(4, 0)},
-        {4: Segment("record:U", 1, [Record("U", {"name": b"admin", "h": 12})])},
+        {4: [Record("U", {"name": b"admin", "h": 12})]},
     )
     m = build_mapping(c, mk_input((b"admin",)), MapOptions())
     assert m.parameters == {"global:db[0].name"}
@@ -181,8 +181,7 @@ def random_pair(rng):
         roots["global:g"] = (random_leaf_value(rng), random_leaf_value(rng))
     elif shape == 1:
         roots["global:g"] = Ref(0, 0)
-        segments[0] = Segment("int", 2,
-                              [random_leaf_value(rng), random_leaf_value(rng)])
+        segments[0] = [random_leaf_value(rng), random_leaf_value(rng)]
     else:
         roots["global:g"] = Record("P", {"a": random_leaf_value(rng),
                                          "b": random_leaf_value(rng)})
@@ -211,7 +210,7 @@ def test_keycheck_user_name_is_a_parameter():
     prog = load_subject("keycheck")
     s = mk_input([b"d7wfv", b"xczZ7tz"])
     result = run_with_tracing(prog, s)
-    carves = {c.start[0]: c for c in carve_with_stats(prog, result)[0]}
+    carves = {c.start[0]: c for c in carve_with_stats(result)[0]}
 
     m_user = build_mapping(carves["check_user"], s, MapOptions())
     assert "arg[0]" in m_user.parameters
@@ -223,7 +222,7 @@ def test_keycheck_hashed_password_is_never_mapped():
     prog = load_subject("keycheck")
     s = mk_input([b"admin", b"wrongpw"])
     result = run_with_tracing(prog, s)
-    carves = {c.start[0]: c for c in carve_with_stats(prog, result)[0]}
+    carves = {c.start[0]: c for c in carve_with_stats(result)[0]}
 
     m_pass = build_mapping(carves["check_pass"], s, MapOptions())
     # the stored name "admin" coincides with argv[0]; the hash argument
@@ -242,7 +241,7 @@ def test_mini_dc_carves_have_no_parameters_outside_the_tokenizer():
     seen_other = 0
     for s in inputs:
         result = run_with_tracing(prog, s)
-        for c in carve_with_stats(prog, result)[0]:
+        for c in carve_with_stats(result)[0]:
             m = build_mapping(c, s, MapOptions())
             if c.start[0] != "to_internal":
                 seen_other += 1

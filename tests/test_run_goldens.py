@@ -33,7 +33,7 @@ from carvelift.vm.interp import (
     RunOptions, call_function, run_system, run_with_tracing,
     serialize_run_result,
 )
-from carvelift.vm.values import encode_segment, encode_value
+from carvelift.vm.values import encode_segments, encode_value
 
 from conftest import SUBJECT_NAMES, mk_input
 
@@ -50,8 +50,7 @@ def digest(docs) -> str:
 def encode_world(world) -> dict:
     globals_, segments = world
     return {"globals": {k: encode_value(v) for k, v in sorted(globals_.items())},
-            "segments": {str(sid): encode_segment(s)
-                         for sid, s in sorted(segments.items())}}
+            "segments": encode_segments(segments)}
 
 
 def subject_inputs(name):
@@ -67,7 +66,7 @@ def unit_docs(program, seed, opts: RunOptions):
     """Each carve of one traced seed run replayed, with its world after."""
     traced = run_with_tracing(program, seed, opts)
     docs = []
-    for carved in carve_with_stats(program, traced)[0]:
+    for carved in carve_with_stats(traced)[0]:
         args, world = context_to_world(carved.context)
         r = call_function(program, carved.start[0], args, world, opts.unit())
         docs.append({"start": list(carved.start),
@@ -84,11 +83,11 @@ SUBJECT_GOLDENS = {
         "system":
             "910f3df84cee4efad8e4e6be6472012682c3428eb4dad94462bcea444e27df90",
         "traced":
-            "53dfb1356bd9b676c031fb437dfc7f15544ac084afe34cc000126b4cc76e0f7c",
+            "1e1c1441f17c1a3102b65892f07ce5437b8a58f42a096e66ca4fc79422678b5d",
         "budget":
             "19ce55338401780160c23bbe7d74ed485baeda901ab4049b00eb6d42478f29cc",
         "units":
-            "fdaafc89902732251daaf049cf7167a2de767bb47fea59acb6b4f67ef20aeb76",
+            "221db6adc809b821c074f504320f56a8b9d16ffb4a5f8f8beb8a12f5e591c6a2",
         "units_truncated":
             "39917365add5993cd1931f8268c330e879b05e07b20d0e0ac753ff39efb32409",
     },
@@ -96,9 +95,9 @@ SUBJECT_GOLDENS = {
         "system":
             "9b63ca3e09dd5b1655cba08e641957561b2c13a362ea3f1ba24fc85f79a8ff41",
         "traced":
-            "6ce9a491a5bfeec4bc556319a31008558910524f727ccbd1a0c678c7e24d1072",
+            "7fa362f0f1f36001e20aa71486b5e4af682721617e3d8384ed0417e53032ae5b",
         "budget":
-            "debb4ee27469216444b84b4e300dd7637fba1fab4e368852f9dbeaa41747d1c4",
+            "e965214439a58f049cfe976419ace79cfbd9d961259ec73efae4e40c65c45258",
         "units":
             "df48d0bb91eea67100e4272393951f4a2be99c202f9692024d15e2a88436c8f5",
         "units_truncated":
@@ -108,37 +107,37 @@ SUBJECT_GOLDENS = {
         "system":
             "d350402c400fbc21dafa37d5bb4c2e8a4821c54d95bd17f188440758ef215623",
         "traced":
-            "3de8e29c6746b90fb2b60e3245ccfa248ed022593df29e6ec85bff95d57ef865",
+            "0f65f1eeeb8a42adc1afeaaec0ac4c467a3651d8e4204e6f2ef69590331dcfe1",
         "budget":
             "4b1c6d5ec45b430cd4f80c9e40cc0c907086b32e7c016b6add339884baa842fd",
         "units":
-            "a222e3773c6ec638b36bbecf9974f352b9b6a7fb391ed669105331ef97e5df9c",
+            "ed485180b7c87eb106ff62f647947cbb93d79d7f9226cb3945f40d73b637d8a2",
         "units_truncated":
-            "098c85e9614aae925bee17f418bd2db136f6295ee4ba4d91b024b3590c538965",
+            "aa2c0c7ffed804a17ab36a066b3327b73037409ba1925699e468769baa158b0c",
     },
     "mini_sed": {
         "system":
             "1bc7b421ad17bb881432127d8d1fc9f645f420efed0b1e82b3c5955d9939baef",
         "traced":
-            "f650a34a8e04ed7b32007818c69e963913ebf8defbf1066579e2df3e81b317b6",
+            "f2f8259a294381cf452b5d2e8f5ebe66fe6e78356280b37ace20528017a6611e",
         "budget":
             "793472740ab8e67ab5f2b188917a4b84c135acbef998db994a1201c6ce1b82d0",
         "units":
-            "5ee99709c7fb7b1975f948f5e9d3b09c9e45ed70d3db9e47b762eb34148674ee",
+            "c53e7fa5e12a06185c46855e0485b8cfcec0f92731dd733d8610e8fcbd892f9f",
         "units_truncated":
-            "7c25bb9e8fd60dc6f83f38a5bce70318f03004183a9a2cc716de4e6be6550f35",
+            "052f42c9a2de3457703bb664dabbfcd8a991cc1fde8f165310efe46b03356777",
     },
     "mini_tac": {
         "system":
             "c7e7beee91657b123104f6cb78064f90757cbb28498221b9b7a3aacf333c2e3e",
         "traced":
-            "948e09f58b8d7943d5844edb33030283326f5a377b9ee48fc20a87840df07f0e",
+            "f70519b3b16f91d4a63b0972e004c4b3f29bcb7c2025a417209a10360e6d588d",
         "budget":
             "a548c1c1eaaf49dc62bb9de61e7a1bef24df394f0996af3f4d612986383ee534",
         "units":
-            "a4cd01f429f63dae1495e37638ea256e292d18b7047e15028026bd9e614e6c89",
+            "08f6f4cd1d66b97d16443c857c3c38cec53a02b01867c22d98db0059aeb474e0",
         "units_truncated":
-            "a4cd01f429f63dae1495e37638ea256e292d18b7047e15028026bd9e614e6c89",
+            "08f6f4cd1d66b97d16443c857c3c38cec53a02b01867c22d98db0059aeb474e0",
     },
 }
 
@@ -173,7 +172,7 @@ def test_golden_runs_cover_what_they_claim():
         assert run_system(program, seed, small).status.kind == "budget-exhausted"
         traced = run_with_tracing(program, seed,
                                   RunOptions(max_dump_bytes=SMALL_DUMP_BYTES))
-        truncated += carve_with_stats(program, traced)[1].truncated
+        truncated += carve_with_stats(traced)[1].truncated
     assert truncated > 0
 
 
@@ -375,7 +374,7 @@ def budget_sweep_docs() -> list:
                 run_system(crashes, s, RunOptions(step_limit=limit))))
     program, _ = resolve_program("mini_dc")
     seed = subject_inputs("mini_dc")[0]
-    for carved in carve_with_stats(program, run_with_tracing(program, seed))[0]:
+    for carved in carve_with_stats(run_with_tracing(program, seed))[0]:
         end = None
         limit = 1
         while end is None or limit <= end + 1:
@@ -391,7 +390,7 @@ def budget_sweep_docs() -> list:
 
 
 BUDGET_SWEEP_GOLDEN = (
-    "03d03da9a935ece79d5b6ce5d5ebc54d397648011ed325128897a2a6139e0b4b")
+    "f3eb9296335e89c5b0a1af0660c5a98fbc558d9a45b4390ca4a52836257a6abb")
 
 
 def test_budget_sweep_matches_golden_digest():
@@ -400,9 +399,9 @@ def test_budget_sweep_matches_golden_digest():
 
 SMALL_PROGRAM_GOLDENS = {
     "values":
-        "fdbfc13009fd605a7849f26e898d5af566ec1210326aaa55287a0008c67c69f0",
+        "fdc1cd16011921027b687bc911fb999ed140afe0b21412ea489557799320b3b4",
     "crashes":
-        "d76302e210098360c76b63777e1d82b6657266b8188d515ef41eed93bdb6e2cc",
+        "9eb22a09330416ceec6e2e0b2ad2acbca360702b45fc194b87197a7ef2512793",
 }
 
 

@@ -17,7 +17,7 @@ from carvelift.unitgen import (
     bytes_mutations, fuzz_unit_with_stats, int_mutations,
 )
 from carvelift.vm.interp import RunOptions, TypeMismatch, call_function, run_with_tracing
-from carvelift.vm.values import INT64_MAX, INT64_MIN, Record, Ref, Segment
+from carvelift.vm.values import INT64_MAX, INT64_MIN, Record, Ref
 
 from conftest import load_subject, mk_input
 
@@ -79,8 +79,7 @@ def test_bytes_stream_total_on_empty_value():
 def test_harvested_values_lead_the_stream():
     ctx = Context(
         {"arg[0]": b"d7wfv", "global:db": Ref(0, 0)},
-        {0: Segment("record:U", 1,
-                    [Record("U", {"name": b"admin", "hash": 1234567})])},
+        {0: [Record("U", {"name": b"admin", "hash": 1234567})]},
         False)
     got = take(bytes_mutations(b"d7wfv", ctx, Rng(4)), 40)
     harvested = [v for label, v in got if label == "harvested"]
@@ -116,7 +115,7 @@ def test_bytes_stream_reproducible():
 def test_empty_assignment_is_identity():
     carved = bare_carve(
         {"arg[0]": b"abc", "global:n": 7, "global:p": Ref(0, 0)},
-        {0: Segment("int", 2, [1, 2])})
+        {0: [1, 2]})
     args, (globals_, segments) = apply_assignment(
         carved, ParamAssignment({}, "none"))
     base_args, (base_globals, base_segments) = context_to_world(carved.context)
@@ -137,15 +136,15 @@ def test_assignment_replaces_only_the_target_leaf():
 def test_assignment_reaches_into_segments():
     carved = bare_carve(
         {"global:db": Ref(3, 0)},
-        {3: Segment("record:U", 2, [
+        {3: [
             Record("U", {"name": b"admin", "h": 1}),
             Record("U", {"name": b"guest", "h": 2}),
-        ])})
+        ]})
     _, (_, segments) = apply_assignment(
         carved, ParamAssignment({"global:db[1].name": b"evil"}, "test"))
-    assert segments[3].elems[1].fields["name"] == b"evil"
-    assert segments[3].elems[0].fields["name"] == b"admin"
-    assert carved.context.segments[3].elems[1].fields["name"] == b"guest"
+    assert segments[3][1].fields["name"] == b"evil"
+    assert segments[3][0].fields["name"] == b"admin"
+    assert carved.context.segments[3][1].fields["name"] == b"guest"
 
 
 def test_assignment_rejects_unknown_paths_and_wrong_types():
@@ -179,7 +178,7 @@ def harvest_setup():
     prog = parse(HARVEST_PROG)
     s = mk_input((b"aaa", b"bbb"))
     result = run_with_tracing(prog, s)
-    carves, _ = carve_with_stats(prog, result)
+    carves, _ = carve_with_stats(result)
     carved = carves[0]
     mapping = build_mapping(carved, s, MapOptions())
     assert set(mapping.parameters) == {"arg[0]", "arg[1]"}
@@ -233,7 +232,7 @@ fn main() -> int { return f(1); }
 """)
     s = mk_input()
     result = run_with_tracing(prog, s)
-    carves, _ = carve_with_stats(prog, result)
+    carves, _ = carve_with_stats(result)
     carved = carves[0]
     mapping = build_mapping(carved, s, MapOptions())
     assert mapping.parameters == frozenset()
@@ -253,7 +252,7 @@ fn main() -> int { return same(arg(0)); }
 """)
     s = mk_input((b"tok",))
     result = run_with_tracing(prog, s)
-    carves, _ = carve_with_stats(prog, result)
+    carves, _ = carve_with_stats(result)
     carved = carves[0]
     mapping = build_mapping(carved, s, MapOptions())
     winners = fuzz_unit_with_stats(
@@ -265,7 +264,7 @@ def test_fuzz_unit_discovers_admin_on_keycheck():
     prog = load_subject("keycheck")
     s = mk_input((b"d7wfv", b"xczZ7tz"))
     result = run_with_tracing(prog, s)
-    carved = next(c for c in carve_with_stats(prog, result)[0]
+    carved = next(c for c in carve_with_stats(result)[0]
                   if c.start[0] == "check_user")
     mapping = build_mapping(carved, s, MapOptions())
     winners = fuzz_unit_with_stats(

@@ -7,7 +7,7 @@ records each call's branch goals between its call and its return.
 
 import pytest
 
-from carvelift.lang.ast import input_reading_functions
+from carvelift.lang.ast import SWhile, input_reading_functions
 from carvelift.lang.goals import enumerate_goals, goals_in_function
 from carvelift.lang.parser import parse
 from carvelift.rng import Rng
@@ -19,7 +19,7 @@ from carvelift.vm.interp import (
     run_with_tracing,
     serialize_run_result,
 )
-from carvelift.vm.values import Ref, Segment, copy_segments
+from carvelift.vm.values import Ref, copy_segments
 
 from conftest import (
     SUBJECT_NAMES, NaiveCounter, load_subject, mk_input, random_input_for,
@@ -27,9 +27,10 @@ from conftest import (
 
 
 ORACLE_RUNS = [
-    ("mini_dc", (b"1 2 +",), b""),
-    ("mini_dc", (b"12 34 + p",), b""),
-    ("mini_dc", (b"5 d + p 777 x p",), b""),
+    # mini_dc reads its program from stdin.
+    pytest.param("mini_dc", (), b"1 2 +", id="mini_dc-stdin0"),
+    pytest.param("mini_dc", (), b"12 34 + p", id="mini_dc-stdin1"),
+    pytest.param("mini_dc", (), b"5 d + p 777 x p", id="mini_dc-stdin2"),
     ("keycheck", (b"d7wfv", b"xczZ7tz"), b""),
     ("keycheck", (b"admin", b"opensesame"), b""),
     ("mini_tac", (), b"first\nsecond\nthird\n"),
@@ -78,8 +79,9 @@ def check_recorded_calls(name, argv, stdin, step_limit=DEFAULT_STEP_LIMIT,
     skip = input_reading_functions(prog) | {"main"}
     expected = {i: (fn, goals) for i, (fn, goals) in enumerate(naive.calls)
                 if goals is not None and fn not in skip}
-    assert {c.call_index: (c.fn, c.coverage) for c in result.trace} == expected
-    assert [c.call_index for c in result.trace] == sorted(expected)
+    assert {c.start[1]: (c.start[0], c.observed_coverage)
+            for c in result.trace} == expected
+    assert [c.start[1] for c in result.trace] == sorted(expected)
     stats = result.carve_stats
     assert stats.carved == len(expected)
     assert stats.skipped_capped == 0
@@ -161,14 +163,14 @@ def test_allocation_ids_are_never_reused():
     }
     fn main() { let x = grow(1); }
     """)
-    held = {2: Segment("int", 1, [7]), 5: Segment("int", 2, [8, 9])}
+    held = {2: [7], 5: [8, 9]}
     segments = copy_segments(held)
     r = call_function(p, "grow", [4], ({}, segments))
     assert r.status.kind == "exit"
     assert {sid: segments[sid] for sid in held} == held
     fresh = sorted(set(segments) - set(held))
     assert fresh == [6, 7, 8, 9]
-    assert [segments[sid].length for sid in fresh] == [1, 2, 3, 4]
+    assert [len(segments[sid]) for sid in fresh] == [1, 2, 3, 4]
 
 
 # ------------------------------------------------------- failure statuses
@@ -316,7 +318,7 @@ def test_each_program_compiles_once_per_variant(monkeypatch):
     for _ in range(3):
         run_system(prog, mk_input((b"admin", b"pw")))
         traced = run_with_tracing(prog, mk_input((b"admin", b"pw")))
-        for carved in carve_with_stats(prog, traced)[0]:
+        for carved in carve_with_stats(traced)[0]:
             args, world = context_to_world(carved.context)
             call_function(prog, carved.start[0], args, world)
     assert built == [prog]      # one code for traced and untraced runs
@@ -357,7 +359,7 @@ def test_call_function_success_branch_in_a_carved_world():
     from carvelift.carving import carve_with_stats, context_to_world
     prog = load_subject("keycheck")
     traced = run_with_tracing(prog, mk_input((b"admin", b"pw")))
-    carved = next(c for c in carve_with_stats(prog, traced)[0]
+    carved = next(c for c in carve_with_stats(traced)[0]
                   if c.start[0] == "check_user")
     args, world = context_to_world(carved.context)
     hit = call_function(prog, "check_user", [b"admin"], world)
@@ -370,9 +372,14 @@ def test_call_function_success_branch_in_a_carved_world():
 
 
 def test_call_function_dangling_ref_is_a_unit_crash():
+    """A ref into a segment the world lacks crashes where it is read."""
     prog = load_subject("keycheck")
     world = ({"db": Ref(99, 0), "attempts": 0}, {})
     r = call_function(prog, "check_user", [b"admin"], world)
     assert r.status.is_crash()
     assert r.status.crash_kind == "type-error"
-    assert "incomplete context" in r.status.message
+    assert r.status.message == "dangling reference"
+    assert r.status.crash_fn == "check_user"
+    reads_db = next(s for s in prog.function("check_user").body
+                    if isinstance(s, SWhile))    # while (i < len(db))
+    assert r.status.crash_stmt == reads_db.stmt_id
