@@ -13,9 +13,7 @@ from .bundled import (
     bundled_seeds, bundled_subject_names, load_bundled_program,
     resolve_program, resolve_seeds,
 )
-from .campaign import (
-    CoverageMap, FunctionState, RunConfig, run_campaign, select_next,
-)
+from .campaign import FunctionState, RunConfig, run_campaign, select_next
 from .carving import (
     CarveStats, CarvedTest, Context, carve_with_stats, context_to_world,
     load_snapshot, save_snapshot,
@@ -26,7 +24,7 @@ from .lifting import (
     LiftOutcome, LiftedInput, UnmappedParameter, lift, validate,
 )
 from .mapping import (
-    ENC_DECIMAL, ENC_RAW, MapOptions, Mapping, Match, build_mapping, hrvar,
+    ENC_DECIMAL, ENC_RAW, Mapping, Match, build_mapping, hrvar,
 )
 from .reporting import (
     CampaignReport, EffectiveInput, FunctionRow, LiftStats, SpeedupStats,
@@ -50,7 +48,6 @@ __all__ = [
     "CarvedTest",
     "ConfigError",
     "Context",
-    "CoverageMap",
     "ENC_DECIMAL",
     "ENC_RAW",
     "EffectiveInput",
@@ -62,7 +59,6 @@ __all__ = [
     "LiftOutcome",
     "LiftStats",
     "LiftedInput",
-    "MapOptions",
     "Mapping",
     "Match",
     "NoParameters",

@@ -1,11 +1,14 @@
 """Campaign orchestration.
 
-Drives the end-to-end loop: execute seeds with carving, expand them
-with mutated system inputs, then repeatedly pick the carve whose
-function has the most uncovered branch goals, fuzz it at unit level,
-and lift the winners back to validated system inputs.  The system-only
-mode runs the same input generator without any carving or lifting as a
-baseline.
+One loop drives both modes.  It runs the seeds, then, while goals
+stay uncovered and budget is left, either fuzzes a selected carve or
+runs a batch of mutated system inputs.  Bridge mode adds the bridge: a
+generated batch after the seeds, system runs traced and carved, and
+rounds that pick the carve whose function has the most uncovered branch
+goals, fuzz it at unit level and lift the winners back to validated
+system inputs.  The system-only baseline is the same loop with the
+bridge off: no generated batch and no selection, so every round is a
+batch of mutated inputs, run untraced.
 
 Two guards keep the loop from stalling on unit-only discoveries: goals
 whose lifts validated false-positive are not chased again, and a
@@ -30,8 +33,8 @@ from .carving import CarveStats, CarvedTest, carve_with_stats
 from .errors import ConfigError
 from .lang.ast import ENTRY, input_reading_functions
 from .lang.goals import BranchGoal, enumerate_goals, goals_in_function
-from .lifting import UnmappedParameter, lift, validate
-from .mapping import build_mapping, MapOptions
+from .lifting import lift, validate
+from .mapping import MIN_MATCH_LEN, build_mapping
 from .reporting import (
     REPORT_VERSION,
     CampaignReport,
@@ -43,32 +46,16 @@ from .reporting import (
 from .rng import Rng
 from .sysgen import generate_batch, mutate_input, write_corpus
 from .unitgen import fuzz_unit_with_stats
-from .vm.interp import RunOptions, run_system, run_with_tracing
+from .vm.interp import (
+    DEFAULT_MAX_DUMP_BYTES, DEFAULT_STEP_LIMIT, RunOptions, run_system,
+    run_with_tracing,
+)
 
 MODES = ("bridge", "system-only")
 FALLBACK_BATCH = 10
 # A function whose fuzz rounds come back winnerless this many times in a
 # row stops being selected; its goals stay reachable through system runs.
 FUTILE_ROUNDS = 3
-
-
-class CoverageMap:
-    """Discovered branch goals plus the first-discovery log.
-
-    The log keeps (elapsed, goal, source) triples in discovery order;
-    sources are system-seed, system-gen, or lift.
-    """
-
-    def __init__(self):
-        self.discovered: set[BranchGoal] = set()
-        self.log: list[tuple[float, BranchGoal, str]] = []
-
-    def record(self, goal: BranchGoal, elapsed: float, source: str) -> bool:
-        if goal in self.discovered:
-            return False
-        self.discovered.add(goal)
-        self.log.append((elapsed, goal, source))
-        return True
 
 
 class WallClock:
@@ -145,13 +132,11 @@ class RunConfig:
     unit_budget: int = 200
     rng_seed: int = 0
     deterministic_clock: int | None = None   # step budget; replaces wall budget
-    max_dump_bytes: int = 65536
-    per_fn_cap: int = 8
-    min_match_len: int = 3
+    max_dump_bytes: int = DEFAULT_MAX_DUMP_BYTES
+    min_match_len: int = MIN_MATCH_LEN
     first_occurrence_only: bool = False
-    recarve_effective: bool = True
     corpus_out: str | None = None
-    step_limit: int = 5_000_000
+    step_limit: int = DEFAULT_STEP_LIMIT
     trace_limit: int = 500_000      # unread; every report's config has it
 
 
@@ -182,9 +167,7 @@ class _Campaign:
         self.cfg = cfg
         self.program_name = program_name
         self.opts = RunOptions(step_limit=cfg.step_limit,
-                               max_dump_bytes=cfg.max_dump_bytes,
-                               per_fn_cap=cfg.per_fn_cap)
-        self.map_opts = MapOptions(min_match_len=cfg.min_match_len)
+                               max_dump_bytes=cfg.max_dump_bytes)
         self.clock = (StepClock() if cfg.deterministic_clock is not None
                       else WallClock())
         self.budget = float(cfg.deterministic_clock
@@ -195,7 +178,10 @@ class _Campaign:
         self.rng_unit = rng.split()
 
         self.all_goals = enumerate_goals(program)
-        self.cov = CoverageMap()
+        self.discovered: set[BranchGoal] = set()
+        # (elapsed, goal, source) in discovery order; the sources are
+        # system-seed, system-gen and lift.
+        self.log: list[tuple[float, BranchGoal, str]] = []
         input_dependent = input_reading_functions(program)
         # One record per non-entry function, in name order: selection
         # reads them and the report's function rows are made from them.
@@ -227,12 +213,12 @@ class _Campaign:
         return self.clock.now() >= self.budget
 
     def uncovered(self) -> bool:
-        return bool(self.all_goals - self.cov.discovered)
+        return bool(self.all_goals - self.discovered)
 
     def fraction(self) -> float:
         if not self.all_goals:
             return 1.0
-        return len(self.cov.discovered) / len(self.all_goals)
+        return len(self.discovered) / len(self.all_goals)
 
     def point(self) -> None:
         self.series.append((self.clock.now(), self.fraction()))
@@ -240,8 +226,9 @@ class _Campaign:
     def record(self, goals: Set[BranchGoal], source: str) -> None:
         """Log the goals not discovered yet, stamped with the clock now."""
         now = self.clock.now()
-        for g in sorted(goals - self.cov.discovered, key=str):
-            self.cov.record(g, now, source)
+        for g in sorted(goals - self.discovered, key=str):
+            self.discovered.add(g)
+            self.log.append((now, g, source))
 
     def selectable(self) -> bool:
         """Whether select_next can still return a carve, now or later.
@@ -254,16 +241,16 @@ class _Campaign:
         carving further runs would change nothing but the carve counts.
         """
         if self._selectable:
-            discovered = self.cov.discovered
             self._selectable = any(
-                st.carvable and not st.skipped and not st.goals <= discovered
+                st.carvable and not st.skipped
+                and not st.goals <= self.discovered
                 for st in self.fns.values())
         return self._selectable
 
     # -- execution
 
-    def run_one(self, s, origin_id: str, source: str, traced: bool):
-        if traced and self.selectable():
+    def run_one(self, s, origin_id: str, source: str) -> None:
+        if self.cfg.mode == "bridge" and self.selectable():
             result = run_with_tracing(self.program, s, self.opts)
         else:
             result = run_system(self.program, s, self.opts)
@@ -278,13 +265,12 @@ class _Campaign:
                 self.carve_totals[k] += v
             for c in carves:
                 self.fns[c.start[0]].carves.append(c)
-        return result
 
     def gen_id(self) -> str:
         self._gen_i += 1
         return f"gen-{self._gen_i - 1}"
 
-    def system_batch(self, traced: bool) -> None:
+    def system_batch(self) -> None:
         batch = []
         for _ in range(FALLBACK_BATCH):
             base = self.seeds[self._rr_seed % len(self.seeds)]
@@ -293,21 +279,21 @@ class _Campaign:
         for s in batch:
             if self.exhausted() or not self.uncovered():
                 return
-            self.run_one(s, self.gen_id(), "system-gen", traced)
+            self.run_one(s, self.gen_id(), "system-gen")
 
     # -- bridge loop
 
     def fuzz_round(self, sel: CarvedTest) -> None:
         st = self.fns[sel.start[0]]
         origin = self.origins[sel.origin]
-        m = build_mapping(sel, origin, self.map_opts)
+        m = build_mapping(sel, origin, self.cfg.min_match_len)
         if not m.parameters:
             st.skipped = True
             return
         st.parameterized = True
         winners, fstats = fuzz_unit_with_stats(
             self.program, sel, m, self.cfg.unit_budget,
-            self.cov.discovered | self.fp_goals,
+            self.discovered | self.fp_goals,
             self.rng_unit.split(), self.opts)
         self.clock.charge(fstats.steps)
         self.unit_walls.extend(fstats.wall_times_s)
@@ -322,14 +308,11 @@ class _Campaign:
                 return
             unit_crash = ((w.status.crash_kind, w.status.crash_fn)
                           if w.crashed else None)
-            try:
-                lifted = lift(m, w.assignment, origin,
-                              self.cfg.first_occurrence_only)
-            except UnmappedParameter:
-                continue
+            lifted = lift(m, w.assignment, origin,
+                          self.cfg.first_occurrence_only)
             self.lift.lift_attempts += 1
             out = validate(self.program, lifted, w.new_goals,
-                           self.cov.discovered, unit_crash, self.opts)
+                           self.discovered, unit_crash, self.opts)
             # Recorded before the run's steps are charged: on the step
             # clock a lift goal carries the time its validating run began.
             self.record(out.discovered, "lift")
@@ -344,39 +327,34 @@ class _Campaign:
                 self.effective.append(
                     (lifted.input,
                      tuple(sorted(str(g) for g in out.discovered)), crash))
-                if self.cfg.recarve_effective and not self.exhausted():
+                if not self.exhausted():
                     self._lift_i += 1
                     self.run_one(lifted.input, f"lift-{self._lift_i - 1}",
-                                 "system-gen", traced=True)
+                                 "system-gen")
             elif out.classification == "other-goal":
                 self.lift.other_goal += 1
             else:
                 self.lift.false_positive += 1
                 self.fp_goals |= w.new_goals
 
-    def run_bridge(self) -> None:
+    def run(self) -> None:
+        bridge = self.cfg.mode == "bridge"
         for i, s in enumerate(self.seeds):
             if self.exhausted():
                 return
-            self.run_one(s, f"seed-{i}", "system-seed", traced=True)
-        for s in generate_batch(self.seeds, self.cfg.n_per_seed, self.rng_gen):
-            if self.exhausted() or not self.uncovered():
-                break
-            self.run_one(s, self.gen_id(), "system-gen", traced=True)
+            self.run_one(s, f"seed-{i}", "system-seed")
+        if bridge:
+            for s in generate_batch(self.seeds, self.cfg.n_per_seed,
+                                    self.rng_gen):
+                if self.exhausted() or not self.uncovered():
+                    break
+                self.run_one(s, self.gen_id(), "system-gen")
         while not self.exhausted() and self.uncovered():
-            sel = select_next(self.fns, self.cov.discovered)
+            sel = select_next(self.fns, self.discovered) if bridge else None
             if sel is None:
-                self.system_batch(traced=True)
-                continue
-            self.fuzz_round(sel)
-
-    def run_system_only(self) -> None:
-        for i, s in enumerate(self.seeds):
-            if self.exhausted():
-                return
-            self.run_one(s, f"seed-{i}", "system-seed", traced=False)
-        while not self.exhausted() and self.uncovered():
-            self.system_batch(traced=False)
+                self.system_batch()
+            else:
+                self.fuzz_round(sel)
 
     # -- report assembly
 
@@ -393,7 +371,7 @@ class _Campaign:
             for i, (s, goals, crash) in enumerate(self.effective))
         rows = tuple(
             FunctionRow(name=name, goals=len(st.goals),
-                        covered=len(st.goals & self.cov.discovered),
+                        covered=len(st.goals & self.discovered),
                         carves=len(st.carves), selections=st.selections,
                         parameterized=st.parameterized, skipped=st.skipped)
             for name, st in self.fns.items())
@@ -408,10 +386,10 @@ class _Campaign:
             rng_seed=cfg.rng_seed,
             config=asdict(cfg),
             total_goals=len(self.all_goals),
-            discovered=len(self.cov.discovered),
+            discovered=len(self.discovered),
             coverage_series=tuple(self.series),
             first_discovery=tuple((e, str(g), src)
-                                  for e, g, src in self.cov.log),
+                                  for e, g, src in self.log),
             functions=rows,
             carve_stats=dict(self.carve_totals),
             lift_stats=self.lift,
@@ -433,8 +411,5 @@ def run_campaign(program, seeds, cfg: RunConfig,
     _check(cfg, seeds)
     wall_start = time.monotonic()
     c = _Campaign(program, seeds, cfg, program_name)
-    if cfg.mode == "bridge":
-        c.run_bridge()
-    else:
-        c.run_system_only()
+    c.run()
     return c.report(wall_start)

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 from .bundled import resolve_program, resolve_seeds
-from .campaign import RunConfig, run_campaign
+from .campaign import MODES, RunConfig, run_campaign
 from .carving import carve_with_stats, context_to_world, load_snapshot, \
     save_snapshot
 from .errors import ConfigError, ToolError
@@ -24,6 +26,7 @@ from .vm.interp import RunOptions, call_function, run_system, \
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    d = RunConfig()     # every run default is RunConfig's
     p = argparse.ArgumentParser(
         prog="carvelift",
         description="Carve unit tests from system runs, fuzz them, and "
@@ -35,32 +38,35 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="bundled subject name or path to a source file")
     run.add_argument("--seeds", default=None, metavar="DIR",
                      help="seed corpus directory (default: bundled seeds)")
-    run.add_argument("--mode", choices=("bridge", "system-only"),
-                     default="bridge", help="campaign mode (default: bridge)")
-    run.add_argument("--budget", type=float, default=60.0, metavar="SEC",
-                     help="wall-clock budget in seconds (default: 60)")
-    run.add_argument("--deterministic-clock", type=int, default=None,
-                     metavar="STEPS",
+    run.add_argument("--mode", choices=MODES, default=d.mode,
+                     help="campaign mode (default: %(default)s)")
+    run.add_argument("--budget", type=float, default=d.budget, metavar="SEC",
+                     help="wall-clock budget in seconds (default: %(default)g)")
+    run.add_argument("--deterministic-clock", type=int,
+                     default=d.deterministic_clock, metavar="STEPS",
                      help="budget as an exact VM step count instead of wall "
                           "time (default: off)")
-    run.add_argument("--rng-seed", type=int, default=0,
-                     help="campaign random seed (default: 0)")
-    run.add_argument("--n-per-seed", type=int, default=10,
-                     help="generated system tests per seed (default: 10)")
-    run.add_argument("--unit-budget", type=int, default=200,
-                     help="unit executions per fuzzing round (default: 200)")
-    run.add_argument("--max-dump-bytes", type=int, default=65536,
-                     help="context snapshot size budget (default: 65536)")
-    run.add_argument("--min-match-len", type=int, default=3,
-                     help="shortest mapped substring (default: 3)")
+    run.add_argument("--rng-seed", type=int, default=d.rng_seed,
+                     help="campaign random seed (default: %(default)s)")
+    run.add_argument("--n-per-seed", type=int, default=d.n_per_seed,
+                     help="generated system tests per seed "
+                          "(default: %(default)s)")
+    run.add_argument("--unit-budget", type=int, default=d.unit_budget,
+                     help="unit executions per fuzzing round "
+                          "(default: %(default)s)")
+    run.add_argument("--max-dump-bytes", type=int, default=d.max_dump_bytes,
+                     help="context snapshot size budget (default: %(default)s)")
+    run.add_argument("--min-match-len", type=int, default=d.min_match_len,
+                     help="shortest mapped substring (default: %(default)s)")
     run.add_argument("--first-occurrence-only", action="store_true",
+                     default=d.first_occurrence_only,
                      help="lift only the first matched occurrence per "
                           "parameter")
     run.add_argument("--report", default=None, metavar="PATH",
                      help="write the campaign report as JSON")
     run.add_argument("--series", default=None, metavar="PATH",
                      help="write the coverage-over-time series as text")
-    run.add_argument("--corpus-out", default=None, metavar="DIR",
+    run.add_argument("--corpus-out", default=d.corpus_out, metavar="DIR",
                      help="write effective lifted inputs as a seed corpus")
 
     rep = sub.add_parser("replay", help="re-execute a stored artifact")
@@ -75,8 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--input", required=True, metavar="PATH")
     cv.add_argument("--out", default=None, metavar="DIR",
                     help="write one snapshot file per carve")
-    cv.add_argument("--max-dump-bytes", type=int, default=65536,
-                    help="context snapshot size budget (default: 65536)")
+    cv.add_argument("--max-dump-bytes", type=int, default=d.max_dump_bytes,
+                    help="context snapshot size budget (default: %(default)s)")
 
     gl = sub.add_parser("goals", help="list a program's branch goals")
     gl.add_argument("--program", required=True)
@@ -95,18 +101,9 @@ def _describe(status) -> str:
 def _cmd_run(args) -> int:
     program, name = resolve_program(args.program)
     seeds = resolve_seeds(args.seeds, name)
-    cfg = RunConfig(
-        mode=args.mode,
-        budget=args.budget,
-        n_per_seed=args.n_per_seed,
-        unit_budget=args.unit_budget,
-        rng_seed=args.rng_seed,
-        deterministic_clock=args.deterministic_clock,
-        max_dump_bytes=args.max_dump_bytes,
-        min_match_len=args.min_match_len,
-        first_occurrence_only=args.first_occurrence_only,
-        corpus_out=args.corpus_out,
-    )
+    # Each run flag is stored under the name of its RunConfig field.
+    cfg = RunConfig(**{f.name: getattr(args, f.name)
+                       for f in fields(RunConfig) if hasattr(args, f.name)})
     report = run_campaign(program, seeds, cfg, program_name=name)
     if args.report:
         with open(args.report, "w", encoding="ascii") as fh:
@@ -178,7 +175,6 @@ def _cmd_carve(args) -> int:
         print(f"  [{i:03d}] {c.start[0]} call={c.start[1]} leaves={leaves} "
               f"goals={len(c.observed_coverage)}{trunc}")
     if args.out is not None:
-        from pathlib import Path
         d = Path(args.out)
         d.mkdir(parents=True, exist_ok=True)
         for i, c in enumerate(pool):

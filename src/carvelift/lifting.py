@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import ToolError
 from .inputs import SystemInput
 from .lang.goals import BranchGoal
-from .mapping import ENC_DECIMAL, Mapping, Match
+from .mapping import ENC_RAW, Mapping, Match, leaf_bytes
 from .unitgen import ParamAssignment
 from .vm.interp import RunOptions, RunStatus, TypeMismatch, run_system
 
@@ -28,16 +28,6 @@ class LiftedInput:
     input: SystemInput
     replaced: tuple[tuple[Match, bytes], ...]
     untouched: frozenset[int]
-
-
-def _encode(match: Match, value) -> bytes:
-    if match.encoding == ENC_DECIMAL:
-        if not isinstance(value, int):
-            raise TypeMismatch(f"{match.leaf} maps decimally, needs an int")
-        return str(value).encode("ascii")
-    if not isinstance(value, (bytes, bytearray)):
-        raise TypeMismatch(f"{match.leaf} maps raw bytes, needs bytes")
-    return bytes(value)
 
 
 def lift(mapping: Mapping, assignment: ParamAssignment,
@@ -58,7 +48,12 @@ def lift(mapping: Mapping, assignment: ParamAssignment,
             raise UnmappedParameter(f"no input bytes map to {path}")
         if first_occurrence_only:
             hits = hits[:1]
-        enc = _encode(hits[0], assignment.assignments[path])
+        value = assignment.assignments[path]
+        enc = leaf_bytes(value)
+        if enc is None or isinstance(value, bytes) != (
+                hits[0].encoding == ENC_RAW):
+            raise TypeMismatch(f"{path} maps as {hits[0].encoding}, "
+                               f"got {value!r}")
         for mt in hits:
             pending.setdefault(mt.input_index, []).append((mt, enc))
 

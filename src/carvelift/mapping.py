@@ -1,10 +1,12 @@
 """Substring-equality mapping between context leaves and system inputs.
 
 A context leaf becomes a parameter when its encoding occurs somewhere in
-the system input: byte-string leaves match raw, integer leaves match
-their shortest decimal rendering, floats never match.  Every occurrence
-is recorded (including overlapping ones); the lifter decides what to do
-with multiplicity.
+the system input, at least MIN_MATCH_LEN bytes long.  `leaf_bytes` is
+that encoding, the one the lifter writes back and the unit fuzzer
+harvests: byte-string leaves appear raw, integer leaves as their
+shortest decimal rendering, floats never.  Every occurrence is recorded
+(including overlapping ones); the lifter decides what to do with
+multiplicity.
 
 The mapping is a heuristic guess at which context values were copied in
 from the input.  Coincidental matches are possible and expected; lifting
@@ -22,10 +24,7 @@ from .inputs import SystemInput
 ENC_RAW = "raw-bytes"
 ENC_DECIMAL = "decimal-int"
 
-
-@dataclass(frozen=True)
-class MapOptions:
-    min_match_len: int = 3
+MIN_MATCH_LEN = 3   # shortest leaf encoding that may match
 
 
 @dataclass(frozen=True)
@@ -45,26 +44,26 @@ class Mapping:
     unmatched_inputs: frozenset[int]
 
 
-def _needle_for(value) -> tuple[bytes, str] | None:
+def leaf_bytes(value) -> bytes | None:
+    """How a leaf appears in an input: a bytes value raw, an int as its
+    decimal text, anything else (a float) never, which is None."""
     if isinstance(value, bytes):
-        return value, ENC_RAW
+        return value
     if isinstance(value, int):
-        return str(value).encode("ascii"), ENC_DECIMAL
+        return str(value).encode("ascii")
     return None
 
 
-def classify_leaf(value, s: SystemInput, opts: MapOptions):
+def classify_leaf(value, s: SystemInput, min_match_len: int = MIN_MATCH_LEN):
     """All occurrences of a leaf's encoding across the input elements.
 
     Returns (input index, (start, end), encoding) triples in element
     order, then offset order.  Overlapping occurrences all count.
     """
-    pair = _needle_for(value)
-    if pair is None:
+    needle = leaf_bytes(value)
+    if needle is None or len(needle) < min_match_len:
         return []
-    needle, encoding = pair
-    if len(needle) < opts.min_match_len:
-        return []
+    encoding = ENC_RAW if isinstance(value, bytes) else ENC_DECIMAL
     out = []
     for idx, elem in enumerate(s.elements()):
         pos = elem.find(needle)
@@ -75,10 +74,11 @@ def classify_leaf(value, s: SystemInput, opts: MapOptions):
 
 
 def build_mapping(c: CarvedTest, s: SystemInput,
-                  opts: MapOptions = MapOptions()) -> Mapping:
+                  min_match_len: int = MIN_MATCH_LEN) -> Mapping:
     matches = []
     for path, value in c.context.leaves():
-        for idx, (start, end), encoding in classify_leaf(value, s, opts):
+        for idx, (start, end), encoding in classify_leaf(value, s,
+                                                         min_match_len):
             matches.append(Match(path, idx, start, end, encoding))
     touched = {m.input_index for m in matches}
     return Mapping(

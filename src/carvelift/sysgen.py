@@ -14,6 +14,7 @@ that first newline is the stdin bytes, verbatim.
 from __future__ import annotations
 
 import base64
+import decimal
 import json
 import re
 from dataclasses import dataclass
@@ -93,9 +94,13 @@ def _int_perturb(data: bytes, rng: Rng) -> bytes:
     if not runs:
         return data
     run = rng.choice(runs)
-    value = int(run.group())
     delta = rng.choice((1, -1, 16, -16, None))
-    value = -value if delta is None else value + delta
+    # Exact decimal arithmetic: CPython's int refuses to convert from or
+    # to a string past 4,300 digits.  0 - value, not -value, keeps "-0"
+    # out, as int does.
+    ctx = decimal.Context(prec=len(run.group()) + 2)
+    value = decimal.Decimal(run.group().decode("ascii"))
+    value = ctx.subtract(0, value) if delta is None else ctx.add(value, delta)
     return data[:run.start()] + str(value).encode("ascii") + data[run.end():]
 
 

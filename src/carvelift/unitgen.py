@@ -22,7 +22,7 @@ from .carving import CarvedTest, Context, context_to_world, parse_path
 from .errors import ToolError
 from .lang.ast import Program
 from .lang.goals import BranchGoal
-from .mapping import Mapping, hrvar
+from .mapping import Mapping, hrvar, leaf_bytes
 from .rng import Rng
 from .vm.interp import RunOptions, RunStatus, TypeMismatch, call_function
 from .vm.values import INT64_MAX, INT64_MIN, Ref, wrap64
@@ -104,13 +104,8 @@ def bytes_mutations(v: bytes, ctx: Context, rng: Rng):
     def harvested():
         seen = set()
         for _, leaf in ctx.leaves():
-            if isinstance(leaf, bytes):
-                data = leaf
-            elif isinstance(leaf, int):
-                data = str(leaf).encode("ascii")
-            else:
-                continue
-            if data not in seen:
+            data = leaf_bytes(leaf)
+            if data is not None and data not in seen:
                 seen.add(data)
                 yield "harvested", data
 

@@ -50,9 +50,11 @@ from ..inputs import SystemInput
 from ..lang.ast import (
     ENTRY, EArrayLit, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt,
     ENull, ERecordLit, EUnary, EVar, FunctionDef, Program, SExpr, SIf,
-    SIndexSet, SLet, SReturn, SWhile, input_reading_functions, iter_stmts,
+    SIndexSet, SLet, SReturn, SWhile, TArray, TBytes, TFloat, TInt, TRecord,
+    TRef, input_reading_functions, iter_stmts,
 )
-from ..lang.goals import BranchGoal
+from ..lang.errors import UnknownFunction
+from ..lang.goals import OUTCOMES_IF, OUTCOMES_WHILE, BranchGoal
 from . import ops
 from .ops import Crash, OutOfSteps, fail, spent
 from .trace import CarvedTest, CarveStats, Tracer, encode_carve
@@ -287,7 +289,7 @@ class _Code:
         cond = self.expr(s.cond, 1)
         loop = type(s) is SWhile
         yes, no = (BranchGoal(self.fn_name, s.stmt_id, outcome) for outcome in
-                   (("loop-enter", "loop-exit") if loop else ("then", "else")))
+                   (OUTCOMES_WHILE if loop else OUTCOMES_IF))
         then = self.block(s.body if loop else s.then_body)
         other = None if loop or s.else_body is None else self.block(s.else_body)
 
@@ -543,8 +545,6 @@ def run_with_tracing(program: Program, system_input: SystemInput,
 
 
 def _arg_fits(value, declared) -> bool:
-    from ..lang.ast import TArray, TBytes, TFloat, TInt, TRecord, TRef
-
     if isinstance(declared, TInt):
         return type(value) is int
     if isinstance(declared, TFloat):
@@ -574,8 +574,6 @@ def call_function(program: Program, fn_name: str, args: list,
     empty: arg_count() is 0 and read_all_input() returns the empty
     string.
     """
-    from ..lang.errors import UnknownFunction
-
     fn = program.function(fn_name)
     if fn is None:
         raise UnknownFunction(f"no function named {fn_name!r}")

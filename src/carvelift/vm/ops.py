@@ -228,7 +228,10 @@ def _parse_int(st, at, b):
     body = text[1:] if text.startswith("-") else text
     if not body or not body.isascii() or not body.isdigit():
         fail(at, "type-error", f"parse_int on non-decimal input {text!r}")
-    return wrap64(int(text))
+    # 2**64 divides 10**64, so the last 64 digits fix the wrapped value;
+    # and int() refuses a string past CPython's digit limit.
+    value = int(body[-64:])
+    return wrap64(-value if text.startswith("-") else value)
 
 
 def _to_string(st, at, v):

@@ -37,13 +37,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from ..errors import FormatError
 from ..lang.ast import ENTRY
 from ..lang.goals import BranchGoal
 from .values import (
     Record, Ref, SegmentTable, decode_segments, decode_value,
-    encode_segments, encode_value, sever, snapshot_reachable,
+    encode_segments, encode_value, iter_refs, sever, snapshot_reachable,
 )
 
 
@@ -273,10 +274,19 @@ def encode_carve(carve: CarvedTest) -> dict:
 
 
 def decode_carve(doc: dict) -> CarvedTest:
-    """The carve `encode_carve` wrote; FormatError if `doc` is malformed."""
+    """The carve `encode_carve` wrote; FormatError if `doc` is malformed.
+
+    Every ref must point into the segment table, with an offset at most
+    its segment's length (`slice` can leave a ref at the end).
+    """
     try:
         ctx = Context({p: decode_value(v) for p, v in doc["roots"]},
                       decode_segments(doc["segments"]), bool(doc["truncated"]))
+        table = ctx.segments
+        for v in chain(ctx.roots.values(), *table.values()):
+            for r in iter_refs(v):
+                if r.seg not in table or r.off > len(table[r.seg]):
+                    raise FormatError(f"{r} lies outside the segment table")
         return CarvedTest(
             start=(str(doc["start"]["fn"]), int(doc["start"]["call_index"])),
             context=ctx,

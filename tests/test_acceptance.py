@@ -23,7 +23,7 @@ from carvelift.carving import (
 from carvelift.inputs import SystemInput
 from carvelift.lang.goals import BranchGoal
 from carvelift.lifting import lift
-from carvelift.mapping import MapOptions, build_mapping, hrvar
+from carvelift.mapping import build_mapping, hrvar
 from carvelift.rng import Rng
 from carvelift.unitgen import ParamAssignment
 from carvelift.vm.interp import (
@@ -199,7 +199,7 @@ def test_criterion_2_mapping_matches_brute_force():
         min_len = rng.choice([3, 3, 3, 4])
         carved = CarvedTest(start=("f", 0), context=ctx, origin="synthetic",
                             observed_coverage=frozenset())
-        m = build_mapping(carved, s, MapOptions(min_match_len=min_len))
+        m = build_mapping(carved, s, min_match_len=min_len)
         got = {(x.leaf, x.input_index, x.start, x.end, x.encoding)
                for x in m.matches}
         expected = _brute_matches(ctx, s, min_len)

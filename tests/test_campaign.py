@@ -16,7 +16,6 @@ import pytest
 import carvelift.campaign as campaign_module
 from carvelift.bundled import resolve_program, resolve_seeds
 from carvelift.campaign import (
-    CoverageMap,
     FunctionState,
     RunConfig,
     StepClock,
@@ -157,16 +156,7 @@ def test_select_matches_brute_force_on_random_pools():
             fn: counts.get(fn, 0) + (fn == picked) for fn in FNS}
 
 
-# ----------------------------------------------------------- coverage map
-
-def test_coverage_map_records_once():
-    cov = CoverageMap()
-    g = sorted(goals_in_function(POOL_PROG, "fa"), key=str)[0]
-    assert cov.record(g, 1.0, "system-seed")
-    assert not cov.record(g, 2.0, "lift")
-    assert len(cov.log) == 1
-    assert cov.discovered == {entry[1] for entry in cov.log}
-
+# ----------------------------------------------------------- clocks
 
 def test_clocks():
     wall = WallClock()
@@ -297,9 +287,6 @@ def test_lift_goals_are_stamped_before_validation_is_charged(monkeypatch):
 def test_recarving_makes_lifted_functions_carvable(keycheck_bridge_report):
     rows = {f.name: f for f in keycheck_bridge_report.functions}
     assert rows["check_pass"].carves >= 1
-    off = run_campaign(load_subject("keycheck"), KEY_SEEDS,
-                       bridge_cfg(recarve_effective=False))
-    assert {f.name: f for f in off.functions}["check_pass"].carves == 0
 
 
 def test_effective_corpus_is_written(tmp_path, keycheck_bridge_report):
@@ -436,25 +423,25 @@ def test_mini_dc_is_not_traced_once_nothing_is_selectable(monkeypatch):
 GOLDEN_CLOCK = 100_000
 GOLDEN_DIGESTS = {
     ("keycheck", "bridge"):
-        "566ce1073431100caef94491e9e752857354e6d5d5542326b4437b19839288e1",
+        "e5452091ab691209b00760e2db3f46a4bb39b9d55359062598fb1baad2da8937",
     ("keycheck", "system-only"):
-        "d93d0e44e2f92ae5e5450e0cb2de870a4602a2680c50fd7cfc0c1dd9844bc30e",
+        "05606408e0683e3c4127fe338c91fd705f63cf76a070afa4c0058f6b8cb6ce40",
     ("mini_dc", "bridge"):
-        "872b2fd4e447101974e3035c5630b91f531e18ad17e045cbd35deca2d672f8b2",
+        "056f77050210eb05570d1b780daccfb9ab296ff9c528e8b50b6f8d986ba17f01",
     ("mini_dc", "system-only"):
-        "ef764b1ee688d7e4f042e9d2e5a263f9a338d78e121ff0b682213fb5c78c2857",
+        "ce80192a95bc7fc616b59e0f372107b312f63bc9c985cf8b1acec9204137fc5f",
     ("mini_sed", "bridge"):
-        "d3549f97fd0168c1fa00c7caaee02fc9e37395ac268ebf4954502b3b7157e6e0",
+        "dca157946e3a3b6d7b3a80a13707dd77f7e659ac86f728412114dbf75ef01ae1",
     ("mini_sed", "system-only"):
-        "1731e1c2222342d5500e8b8235306c188921a96a1281e07052c5cec1cf9755e1",
+        "0fe16493f94e6b8fa2904cd44aece4f23257c144788f14e3d4746623b9cb50ef",
     ("mini_cut", "bridge"):
-        "3a1f9a8ec79eb28978959a7ae0adddf4415cc2b63abf38c1f7d366c7c8d9b293",
+        "71ac29d70d805810817b4f5a0996f2d5f8f50e70852df350083a06af6c86b25a",
     ("mini_cut", "system-only"):
-        "7e5f778328755dc6050b290766715940094560467753684decb2d048a4a8e98c",
+        "b76a3a0891ab52f373c2ab1fb04b399abdde527c1172369f16449b76d34effae",
     ("mini_tac", "bridge"):
-        "b8bb34eae29b7828d4279a9136ca83b327dc32063a36803c1fbc16655faa79b1",
+        "eb75caa670be7d6ba7fc0605d849d7c19876fbbfb5cf06fb0ca710c9dcfd3bd7",
     ("mini_tac", "system-only"):
-        "ca9df724e355323f4ff6967fcae22c799a894d6e9a7cba9b09e6ba1171e96c7c",
+        "abd6ff8f97a0e6ab11bb1e5343813c0b14661d3d6aca148e4b2fcdea3fd4ee80",
 }
 
 
@@ -481,7 +468,7 @@ def test_step_clock_reports_match_golden_digests(name, mode):
 # input with argv bytes, so the lift stamps, the base64 fields and the
 # derived pct_* values are all in the hashed document.
 LIFT_PATH_DIGEST = (
-    "21e176d5d3b943157df8108d50f45e0c6045770574c7c19effe3acf07b9cf843")
+    "621e69dc2b9c14044a6bd6d79a0d8ca644561aa5e72aeb765c12d1323310622e")
 
 
 def test_lift_path_report_matches_golden_digest(keycheck_bridge_report):

@@ -440,12 +440,19 @@ def with_coverage(entry):
     return edit
 
 
-def with_ref_offset(off):
+def with_ref(off, seg=0):
     def edit(doc):
         return json.dumps({**doc, "roots": [
-            ["arg[0]", {"t": "ref", "seg": 0, "off": off}]],
+            ["arg[0]", {"t": "ref", "seg": seg, "off": off}]],
             "segments": {"0": [{"t": "int", "v": 7}] * 6}})
     return edit
+
+
+def test_ref_at_its_segment_end_loads(tmp_path):
+    # slice(a, len(a), 0) makes such a ref; it reads nothing.
+    path = small_snapshot(tmp_path)
+    path.write_text(with_ref(6)(json.loads(path.read_text())))
+    assert load_snapshot(path).context.roots["arg[0]"] == Ref(0, 6)
 
 
 # A version-1 segment: its elements and a type, length and origin.
@@ -461,8 +468,12 @@ MALFORMED_SNAPSHOTS = {
     "segment-not-a-list": lambda doc: json.dumps(
         {**doc, "segments": V1_SEGMENTS}),
     # Python's negative indexing would read from the segment's end.
-    "ref-offset-negative": with_ref_offset(-5),
-    "ref-offset-minus-one": with_ref_offset(-1),
+    "ref-offset-negative": with_ref(-5),
+    "ref-offset-minus-one": with_ref(-1),
+    # len() of it would be negative.
+    "ref-offset-past-end": with_ref(7),
+    # It would crash replay as a dangling reference.
+    "ref-to-missing-segment": with_ref(0, seg=1),
     "not-json": lambda doc: "carve of f, call 0\n",
     "non-ascii": lambda doc: json.dumps(doc, ensure_ascii=False) + "\u00e9",
     "goal-without-outcome": with_coverage("f:1"),

@@ -1,10 +1,13 @@
 """Command-line interface tests."""
 
 import json
+from dataclasses import asdict
 
+from carvelift.campaign import RunConfig
 from carvelift.carving import carve_with_stats, save_snapshot
-from carvelift.cli import main
+from carvelift.cli import _build_parser, main
 from carvelift.lang.goals import enumerate_goals
+from carvelift.lang.parser import parse
 from carvelift.reporting import parse_report
 from carvelift.sysgen import write_input_file
 from carvelift.vm.interp import run_with_tracing
@@ -60,6 +63,19 @@ def test_run_help_documents_module_defaults(capsys):
     text = capsys.readouterr().out
     for token in ("10", "200", "65536", "3", "60"):
         assert f"default: {token}" in text
+
+
+def test_parser_defaults_are_the_run_config_defaults():
+    config = asdict(RunConfig())
+    parser = _build_parser()
+    for argv, flags in (
+            (["run", "--program", "keycheck"],
+             config.keys() - {"step_limit", "trace_limit"}),
+            (["carve", "--program", "keycheck", "--input", "x"],
+             {"max_dump_bytes"})):
+        parsed = vars(parser.parse_args(argv))
+        assert parsed.keys() & config.keys() == flags
+        assert {k: parsed[k] for k in flags} == {k: config[k] for k in flags}
 
 
 # ------------------------------------------------------------- goals
@@ -127,27 +143,38 @@ def test_replay_malformed_snapshot_is_a_usage_error(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+REF_PROGRAM = """
+fn f(r: ref int) -> int { return len(r); }
+fn main() -> int { return f(alloc_array(1, 7)); }
+"""
+
+
 def test_replay_rejects_old_or_out_of_range_snapshots(tmp_path, capsys):
-    """A version-1 file, a segment that is not a list and a negative ref
-    offset (which would read from the segment's end) are usage errors."""
+    """A version-1 file, a segment that is not a list, and a ref with a
+    negative offset (which would read from the segment's end), an offset
+    past its segment's end (len() of it would be negative) or a missing
+    segment (a dangling reference) are usage errors."""
+    program = tmp_path / "refs.ml"
+    program.write_text(REF_PROGRAM)
     good = tmp_path / "c.snap"
-    prog = load_subject("keycheck")
     save_snapshot(carve_with_stats(run_with_tracing(
-        prog, mk_input((b"d7wfv", b"xczZ7tz"))))[0][0], good)
+        parse(REF_PROGRAM), mk_input()))[0][0], good)
+    replay = ["replay", "--program", str(program), "--snapshot"]
+    assert main(replay + [str(good)]) == 0
+    capsys.readouterr()
     doc = json.loads(good.read_text())
     v1_segments = {"0": {"type": "int", "len": 9,
                          "elems": [{"t": "int", "v": 7}], "origin": "heap"}}
     docs = [{**doc, "version": 1, "segments": v1_segments},
             {**doc, "segments": v1_segments}]
-    for off in (-5, -1):
+    for seg, off in ((0, -5), (0, -1), (0, 5), (1, 0)):
         docs.append({**doc,
-                     "roots": [["arg[0]", {"t": "ref", "seg": 0, "off": off}]],
+                     "roots": [["arg[0]", {"t": "ref", "seg": seg, "off": off}]],
                      "segments": {"0": [{"t": "int", "v": 7}]}})
     for i, bad_doc in enumerate(docs):
         bad = tmp_path / f"bad-{i}.snap"
         bad.write_text(json.dumps(bad_doc))
-        assert main(["replay", "--program", "keycheck",
-                     "--snapshot", str(bad)]) == 2
+        assert main(replay + [str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -10,7 +10,7 @@ import pytest
 
 from carvelift.carving import CarvedTest, Context, carve_with_stats
 from carvelift.lifting import UnmappedParameter, lift, validate
-from carvelift.mapping import MapOptions, build_mapping, hrvar
+from carvelift.mapping import build_mapping, hrvar
 from carvelift.rng import Rng
 from carvelift.unitgen import ParamAssignment, fuzz_unit_with_stats
 from carvelift.vm.interp import run_system, run_with_tracing
@@ -39,7 +39,7 @@ def test_lift_identity_reproduces_origin():
     result = run_with_tracing(prog, origin)
     lifted_any = 0
     for carved in carve_with_stats(result)[0]:
-        m = build_mapping(carved, origin, MapOptions())
+        m = build_mapping(carved, origin)
         if not m.parameters:
             continue
         identity = ParamAssignment(
@@ -56,7 +56,7 @@ def test_lift_replaces_the_mapped_argv_element():
     result = run_with_tracing(prog, origin)
     carved = next(c for c in carve_with_stats(result)[0]
                   if c.start[0] == "check_user")
-    m = build_mapping(carved, origin, MapOptions())
+    m = build_mapping(carved, origin)
     li = lift(m, ParamAssignment({"arg[0]": b"admin"}, "harvested"), origin)
     assert li.input.argv == (b"admin", b"xczZ7tz")
     assert li.input.stdin == b""
@@ -67,7 +67,7 @@ def test_lift_replaces_the_mapped_argv_element():
 def test_overlapping_matches_collapse():
     c = bare_carve({"arg[0]": b"aa"})
     origin = mk_input((), b"aaa")
-    m = build_mapping(c, origin, MapOptions(min_match_len=2))
+    m = build_mapping(c, origin, min_match_len=2)
     li = lift(m, ParamAssignment({"arg[0]": b"b"}, "t"), origin)
     spans = [(mt.start, mt.end) for mt in m.matches]
     assert li.input.stdin == reference_rewrite(b"aaa", spans, b"b")
@@ -77,7 +77,7 @@ def test_overlapping_matches_collapse():
 def test_first_occurrence_only_flag():
     c = bare_carve({"arg[0]": b"tok"})
     origin = mk_input((), b"tok tok")
-    m = build_mapping(c, origin, MapOptions())
+    m = build_mapping(c, origin)
     wide = lift(m, ParamAssignment({"arg[0]": b"X"}, "t"), origin)
     narrow = lift(m, ParamAssignment({"arg[0]": b"X"}, "t"), origin,
                   first_occurrence_only=True)
@@ -88,7 +88,7 @@ def test_first_occurrence_only_flag():
 def test_unequal_length_replacement_shifts_right_to_left():
     c = bare_carve({"global:n": 42})
     origin = mk_input((), b"num=42, again 42")
-    m = build_mapping(c, origin, MapOptions(min_match_len=2))
+    m = build_mapping(c, origin, min_match_len=2)
     li = lift(m, ParamAssignment({"global:n": 31337}, "t"), origin)
     assert li.input.stdin == b"num=31337, again 31337"
 
@@ -96,7 +96,7 @@ def test_unequal_length_replacement_shifts_right_to_left():
 def test_decimal_matches_encode_assignments_as_decimal():
     c = bare_carve({"global:n": 250})
     origin = mk_input((b"len:250",))
-    m = build_mapping(c, origin, MapOptions())
+    m = build_mapping(c, origin)
     li = lift(m, ParamAssignment({"global:n": -7}, "t"), origin)
     assert li.input.argv == (b"len:-7",)
 
@@ -107,7 +107,7 @@ def test_lift_without_matches_is_rejected():
     result = run_with_tracing(prog, origin)
     carved = next(c for c in carve_with_stats(result)[0]
                   if c.start[0] == "check_pass")
-    m = build_mapping(carved, origin, MapOptions())
+    m = build_mapping(carved, origin)
     # the hash argument never maps, so it cannot be lifted
     assert "arg[1]" not in m.parameters
     with pytest.raises(UnmappedParameter):
@@ -124,7 +124,7 @@ def test_lift_against_reference_rewriter_randomized():
                      for _ in range(rng.randrange(3)))
         stdin = bytes(rng.choice(alphabet) for _ in range(rng.randrange(16)))
         origin = mk_input(argv, stdin)
-        m = build_mapping(c, origin, MapOptions())
+        m = build_mapping(c, origin)
         if "arg[0]" not in m.parameters:
             continue
         enc = rng.randbytes(rng.randrange(6))
@@ -144,7 +144,7 @@ def keycheck_unit_winner(user=b"d7wfv", pw=b"xczZ7tz", budget=200):
     result = run_with_tracing(prog, origin)
     carved = next(c for c in carve_with_stats(result)[0]
                   if c.start[0] == "check_user")
-    m = build_mapping(carved, origin, MapOptions())
+    m = build_mapping(carved, origin)
     cov = frozenset(result.coverage)
     winners = fuzz_unit_with_stats(prog, carved, m, budget, cov, Rng(0))[0]
     return prog, origin, carved, m, cov, winners
@@ -203,7 +203,7 @@ def test_crash_reproduction_counts_as_effective():
     result = run_with_tracing(prog, origin)
     carved = next(c for c in carve_with_stats(result)[0]
                   if c.start[0] == "parse_range")
-    m = build_mapping(carved, origin, MapOptions())
+    m = build_mapping(carved, origin)
     assert "arg[0]" in m.parameters
 
     # pretend the abort branch is already covered: the unit winner then
@@ -224,7 +224,7 @@ def test_crash_mismatch_does_not_count():
     result = run_with_tracing(prog, origin)
     carved = next(c for c in carve_with_stats(result)[0]
                   if c.start[0] == "parse_range")
-    m = build_mapping(carved, origin, MapOptions())
+    m = build_mapping(carved, origin)
     cov = set(result.coverage)
     cov |= run_system(prog, mk_input((b"9-1",), b"")).coverage
     # the lifted run aborts in parse_range; a claimed oob elsewhere is not it

@@ -9,7 +9,7 @@ import pytest
 
 from carvelift.carving import CarvedTest, Context, carve_with_stats
 from carvelift.mapping import (
-    MapOptions, build_mapping, classify_leaf, hrvar,
+    build_mapping, classify_leaf, hrvar,
 )
 from carvelift.rng import Rng
 from carvelift.vm.interp import run_with_tracing
@@ -51,36 +51,36 @@ def bare_context(roots, segments=None):
 
 def test_overlapping_occurrences_all_recorded():
     s = mk_input((), b"aaa")
-    got = classify_leaf(b"aa", s, MapOptions(min_match_len=2))
+    got = classify_leaf(b"aa", s, min_match_len=2)
     assert got == [(0, (0, 2), "raw-bytes"), (0, (1, 3), "raw-bytes")]
 
 
 def test_int_matches_shortest_decimal():
     s = mk_input((b"x42y",))
-    got = classify_leaf(42, s, MapOptions(min_match_len=2))
+    got = classify_leaf(42, s, min_match_len=2)
     assert got == [(0, (0 + 1, 3), "decimal-int")]
 
 
 def test_negative_int_matches_with_sign():
     s = mk_input((), b"t=-17;")
-    got = classify_leaf(-17, s, MapOptions(min_match_len=3))
+    got = classify_leaf(-17, s, min_match_len=3)
     assert got == [(0, (2, 5), "decimal-int")]
 
 
 def test_short_needles_are_ignored():
     s = mk_input((), b"ab ab ab")
-    assert classify_leaf(b"ab", s, MapOptions(min_match_len=3)) == []
-    assert classify_leaf(7, s, MapOptions()) == []
+    assert classify_leaf(b"ab", s, min_match_len=3) == []
+    assert classify_leaf(7, s) == []
 
 
 def test_floats_never_match():
     s = mk_input((), b"1.5")
-    assert classify_leaf(1.5, s, MapOptions(min_match_len=1)) == []
+    assert classify_leaf(1.5, s, min_match_len=1) == []
 
 
 def test_argv_elements_come_before_stdin():
     s = mk_input((b"zzz", b"needle"), b"needle")
-    got = classify_leaf(b"needle", s, MapOptions())
+    got = classify_leaf(b"needle", s)
     assert [idx for idx, _, _ in got] == [1, 2]
 
 
@@ -88,7 +88,7 @@ def test_argv_elements_come_before_stdin():
 
 def test_empty_context_maps_nothing():
     c = bare_context({})
-    m = build_mapping(c, mk_input((b"one",), b"two"), MapOptions())
+    m = build_mapping(c, mk_input((b"one",), b"two"))
     assert m.matches == ()
     assert m.parameters == frozenset()
     assert m.unmatched_inputs == {0, 1}
@@ -102,7 +102,7 @@ def test_parameters_are_leaves_with_matches():
         "global:tag": b"none",
     })
     s = mk_input((b"d7wfv", b"xczZ7tz"))
-    m = build_mapping(c, s, MapOptions())
+    m = build_mapping(c, s)
     assert m.parameters == {"arg[0]"}
     assert hrvar(m) == ("arg[0]",)
     # untouched: the second argv element and the (empty) stdin element
@@ -115,7 +115,7 @@ def test_hrvar_is_path_lexicographic():
         "arg[0]": b"xyz",
         "global:a": b"xyz",
     })
-    m = build_mapping(c, mk_input((), b"  xyz  "), MapOptions())
+    m = build_mapping(c, mk_input((), b"  xyz  "))
     assert hrvar(m) == ("arg[0]", "global:a", "global:b")
 
 
@@ -124,7 +124,7 @@ def test_leaves_in_segments_participate():
         {"global:db": Ref(4, 0)},
         {4: [Record("U", {"name": b"admin", "h": 12})]},
     )
-    m = build_mapping(c, mk_input((b"admin",)), MapOptions())
+    m = build_mapping(c, mk_input((b"admin",)))
     assert m.parameters == {"global:db[0].name"}
 
 
@@ -133,14 +133,14 @@ def test_truncated_context_still_maps():
         ("f", 3),
         Context({"arg[0]": b"token", "global:big": None}, {}, True),
         "test", frozenset())
-    m = build_mapping(c, mk_input((), b"a token b"), MapOptions())
+    m = build_mapping(c, mk_input((), b"a token b"))
     assert m.parameters == {"arg[0]"}
 
 
 def test_match_soundness_and_purity():
     c = bare_context({"arg[0]": b"aba", "arg[1]": 421})
     s = mk_input((b"aba421",), b"ababa 421421")
-    m = build_mapping(c, s, MapOptions())
+    m = build_mapping(c, s)
     elements = s.elements()
     for match in m.matches:
         chunk = elements[match.input_index][match.start:match.end]
@@ -149,7 +149,7 @@ def test_match_soundness_and_purity():
             assert chunk == leaf
         else:
             assert int(chunk) == leaf
-    again = build_mapping(c, s, MapOptions())
+    again = build_mapping(c, s)
     assert again.matches == m.matches
     assert again.parameters == m.parameters
     assert again.unmatched_inputs == m.unmatched_inputs
@@ -196,7 +196,7 @@ def test_mapping_equals_brute_force_scan(min_len):
     rng = Rng(0xA11CE + min_len)
     for _ in range(200):
         c, s = random_pair(rng)
-        m = build_mapping(c, s, MapOptions(min_match_len=min_len))
+        m = build_mapping(c, s, min_match_len=min_len)
         expected = oracle_scan(list(c.context.leaves()), s.elements(), min_len)
         assert as_tuples(m.matches) == expected
         assert m.parameters == {t[0] for t in expected}
@@ -212,7 +212,7 @@ def test_keycheck_user_name_is_a_parameter():
     result = run_with_tracing(prog, s)
     carves = {c.start[0]: c for c in carve_with_stats(result)[0]}
 
-    m_user = build_mapping(carves["check_user"], s, MapOptions())
+    m_user = build_mapping(carves["check_user"], s)
     assert "arg[0]" in m_user.parameters
 
 
@@ -224,7 +224,7 @@ def test_keycheck_hashed_password_is_never_mapped():
     result = run_with_tracing(prog, s)
     carves = {c.start[0]: c for c in carve_with_stats(result)[0]}
 
-    m_pass = build_mapping(carves["check_pass"], s, MapOptions())
+    m_pass = build_mapping(carves["check_pass"], s)
     # the stored name "admin" coincides with argv[0]; the hash argument
     # and the password element stay unmapped
     assert m_pass.parameters == {"global:db[0].name"}
@@ -242,7 +242,7 @@ def test_mini_dc_carves_have_no_parameters_outside_the_tokenizer():
     for s in inputs:
         result = run_with_tracing(prog, s)
         for c in carve_with_stats(result)[0]:
-            m = build_mapping(c, s, MapOptions())
+            m = build_mapping(c, s)
             if c.start[0] != "to_internal":
                 seen_other += 1
                 assert m.parameters == frozenset(), (c.start, m.parameters)

@@ -84,6 +84,22 @@ def test_int_perturb_rewrites_a_decimal_run():
     assert all(out.startswith(b"v=") and out.endswith(b";") for out in seen)
 
 
+def test_int_perturb_is_exact_on_runs_of_any_length():
+    from carvelift.sysgen import _MUTATORS_BY_NAME
+    m = _MUTATORS_BY_NAME["int-perturb"]
+    # Short runs, leading zeros and zero included: plain int arithmetic.
+    for run in (b"0", b"007", b"15", b"9" * 40):
+        outs = {m.apply(b"v=" + run, Rng(i)) for i in range(60)}
+        values = [int(run) + d for d in (1, -1, 16, -16)] + [-int(run)]
+        assert outs == {b"v=%d" % v for v in values}
+    # 5,000 digits, past CPython's default int-from-string limit.
+    sevens = b"7" * 5000
+    outs = {m.apply(b"x" + sevens, Rng(i)) for i in range(60)}
+    assert outs == {b"x" + sevens[:-1] + b"8", b"x" + sevens[:-1] + b"6",
+                    b"x" + sevens[:-2] + b"93", b"x" + sevens[:-2] + b"61",
+                    b"x-" + sevens}
+
+
 # ------------------------------------------------------------ mutate_input
 
 def test_empty_seed_still_mutates():

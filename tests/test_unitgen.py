@@ -10,7 +10,7 @@ import pytest
 from carvelift.carving import (
     CarvedTest, Context, carve_with_stats, context_to_world,
 )
-from carvelift.mapping import MapOptions, build_mapping
+from carvelift.mapping import build_mapping
 from carvelift.rng import Rng
 from carvelift.unitgen import (
     NoParameters, UnknownParameter, ParamAssignment, apply_assignment,
@@ -180,7 +180,7 @@ def harvest_setup():
     result = run_with_tracing(prog, s)
     carves, _ = carve_with_stats(result)
     carved = carves[0]
-    mapping = build_mapping(carved, s, MapOptions())
+    mapping = build_mapping(carved, s)
     assert set(mapping.parameters) == {"arg[0]", "arg[1]"}
     return prog, result, carved, mapping
 
@@ -234,7 +234,7 @@ fn main() -> int { return f(1); }
     result = run_with_tracing(prog, s)
     carves, _ = carve_with_stats(result)
     carved = carves[0]
-    mapping = build_mapping(carved, s, MapOptions())
+    mapping = build_mapping(carved, s)
     assert mapping.parameters == frozenset()
     with pytest.raises(NoParameters):
         fuzz_unit_with_stats(prog, carved, mapping, 10, result.coverage,
@@ -254,7 +254,7 @@ fn main() -> int { return same(arg(0)); }
     result = run_with_tracing(prog, s)
     carves, _ = carve_with_stats(result)
     carved = carves[0]
-    mapping = build_mapping(carved, s, MapOptions())
+    mapping = build_mapping(carved, s)
     winners = fuzz_unit_with_stats(
         prog, carved, mapping, 50, result.coverage, Rng(2))[0]
     assert winners == []
@@ -266,7 +266,7 @@ def test_fuzz_unit_discovers_admin_on_keycheck():
     result = run_with_tracing(prog, s)
     carved = next(c for c in carve_with_stats(result)[0]
                   if c.start[0] == "check_user")
-    mapping = build_mapping(carved, s, MapOptions())
+    mapping = build_mapping(carved, s)
     winners = fuzz_unit_with_stats(
         prog, carved, mapping, 200, result.coverage, Rng(0))[0]
     values = {w.assignment.assignments["arg[0]"] for w in winners}

@@ -19,7 +19,7 @@ from carvelift.vm.interp import (
     run_with_tracing,
     serialize_run_result,
 )
-from carvelift.vm.values import Ref, copy_segments
+from carvelift.vm.values import Ref, copy_segments, wrap64
 
 from conftest import (
     SUBJECT_NAMES, NaiveCounter, load_subject, mk_input, random_input_for,
@@ -242,6 +242,17 @@ fn main() {
     nothing();
 }
 """
+
+
+def test_parse_int_of_a_long_decimal_wraps_to_64_bits():
+    # 5,000 digits is past CPython's default int-from-string limit; the
+    # expected values come from int arithmetic, which has no such limit.
+    prog = parse("fn main() { print(parse_int(read_all_input())); }")
+    ones = (10 ** 5000 - 1) // 9
+    for sign, value in ((b"", ones), (b"-", -ones)):
+        r = run_system(prog, mk_input(stdin=sign + b"1" * 5000))
+        assert r.status.kind == "exit"
+        assert r.output == b"%d\n" % wrap64(value)
 
 
 def test_int_fast_paths_keep_the_language_semantics():
