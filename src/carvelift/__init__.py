@@ -15,17 +15,13 @@ from .bundled import (
 )
 from .campaign import FunctionState, RunConfig, run_campaign, select_next
 from .carving import (
-    CarveStats, CarvedTest, Context, carve_with_stats, context_to_world,
-    load_snapshot, save_snapshot,
+    CarveStats, CarvedTest, Context, carve_with_stats, load_snapshot,
+    save_snapshot,
 )
 from .errors import ConfigError, FormatError, SubjectLoadError, ToolError
 from .inputs import SystemInput
-from .lifting import (
-    LiftOutcome, LiftedInput, UnmappedParameter, lift, validate,
-)
-from .mapping import (
-    ENC_DECIMAL, ENC_RAW, Mapping, Match, build_mapping, hrvar,
-)
+from .lifting import LiftOutcome, UnmappedParameter, lift, validate
+from .mapping import ENC_DECIMAL, ENC_RAW, Mapping, Match, build_mapping
 from .reporting import (
     CampaignReport, EffectiveInput, FunctionRow, LiftStats, SpeedupStats,
     emit_series, parse_report, serialize_report,
@@ -58,7 +54,6 @@ __all__ = [
     "FuzzStats",
     "LiftOutcome",
     "LiftStats",
-    "LiftedInput",
     "Mapping",
     "Match",
     "NoParameters",
@@ -77,11 +72,9 @@ __all__ = [
     "bundled_seeds",
     "bundled_subject_names",
     "carve_with_stats",
-    "context_to_world",
     "emit_series",
     "fuzz_unit_with_stats",
     "generate_batch",
-    "hrvar",
     "lift",
     "load_bundled_program",
     "load_snapshot",

@@ -307,7 +307,7 @@ class _Campaign:
             if self.exhausted():
                 return
             unit_crash = ((w.status.crash_kind, w.status.crash_fn)
-                          if w.crashed else None)
+                          if w.status.is_crash() else None)
             lifted = lift(m, w.assignment, origin,
                           self.cfg.first_occurrence_only)
             self.lift.lift_attempts += 1
@@ -325,11 +325,11 @@ class _Campaign:
                 if out.status.is_crash():
                     crash = f"{out.status.crash_kind}@{out.status.crash_fn}"
                 self.effective.append(
-                    (lifted.input,
+                    (lifted,
                      tuple(sorted(str(g) for g in out.discovered)), crash))
                 if not self.exhausted():
                     self._lift_i += 1
-                    self.run_one(lifted.input, f"lift-{self._lift_i - 1}",
+                    self.run_one(lifted, f"lift-{self._lift_i - 1}",
                                  "system-gen")
             elif out.classification == "other-goal":
                 self.lift.other_goal += 1

@@ -1,11 +1,10 @@
-"""Carves out of traced system runs: origins, replay worlds, snapshots.
+"""Carves out of traced system runs: origins and snapshot files.
 
 The tracer records each carve as it is (``vm/trace.py``, where
-``CarvedTest``, ``Context`` and the context path syntax live; they are
-re-exported here).  This module stamps a run's carves with the id of the
-system input they came from, turns a carve's context into a world for
-``call_function``, and saves and loads carves as snapshot files
-(docs/formats.md).
+``CarvedTest`` and ``Context`` live; they are re-exported here, and
+``Context.world`` builds a carve's replay world).  This module stamps a
+run's carves with the id of the system input they came from, and saves
+and loads carves as snapshot files (docs/formats.md).
 """
 
 from __future__ import annotations
@@ -15,15 +14,12 @@ from dataclasses import replace
 
 from .errors import FormatError
 from .vm.interp import RunResult
-from .vm.trace import (
-    CarvedTest, CarveStats, Context, decode_carve, encode_carve,
-)
-from .vm.values import copy_segments
+from .vm.trace import CarvedTest, CarveStats, decode_carve, encode_carve
 # The tracer records carves, takes each call's snapshot
 # (RunOptions.max_dump_bytes) and skips the calls of input-reading
 # functions; these are re-exported here, where carves are used.
 from .lang.ast import input_reading_functions  # noqa: F401
-from .vm.trace import parse_path  # noqa: F401
+from .vm.trace import Context  # noqa: F401
 from .vm.values import snapshot_reachable  # noqa: F401
 
 SNAPSHOT_VERSION = 2
@@ -39,22 +35,6 @@ def carve_with_stats(result: RunResult, origin: str = "",
         raise ValueError("carving needs a traced run (use run_with_tracing)")
     return ([replace(c, origin=origin) for c in result.trace],
             result.carve_stats)
-
-
-def context_to_world(ctx: Context):
-    """Deep-copied (args, world) ready for call_function.
-
-    The copy keeps replays from contaminating the stored carve: the callee
-    mutates segments in place.
-    """
-    args = []
-    i = 0
-    while f"arg[{i}]" in ctx.roots:
-        args.append(ctx.roots[f"arg[{i}]"])
-        i += 1
-    globals_ = {path[len("global:"):]: v
-                for path, v in ctx.roots.items() if path.startswith("global:")}
-    return args, (globals_, copy_segments(ctx.segments))
 
 
 # ---------------------------------------------------------------- persistence

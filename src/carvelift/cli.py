@@ -15,8 +15,7 @@ from pathlib import Path
 
 from .bundled import resolve_program, resolve_seeds
 from .campaign import MODES, RunConfig, run_campaign
-from .carving import carve_with_stats, context_to_world, load_snapshot, \
-    save_snapshot
+from .carving import carve_with_stats, load_snapshot, save_snapshot
 from .errors import ConfigError, ToolError
 from .lang.goals import enumerate_goals
 from .reporting import emit_series, serialize_report
@@ -141,7 +140,7 @@ def _cmd_replay(args) -> int:
 
     snap = load_snapshot(args.snapshot)
     fn = snap.start[0]
-    cargs, world = context_to_world(snap.context)
+    cargs, world = snap.context.world()
     result = call_function(program, fn, cargs, world, RunOptions().unit())
     print(f"replayed {fn} (call {snap.start[1]} of {snap.origin or '?'}): "
           f"{_describe(result.status)}")

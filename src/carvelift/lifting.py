@@ -23,16 +23,10 @@ class UnmappedParameter(ToolError):
     """An assignment names a path the mapping has no byte range for."""
 
 
-@dataclass(frozen=True)
-class LiftedInput:
-    input: SystemInput
-    replaced: tuple[tuple[Match, bytes], ...]
-    untouched: frozenset[int]
-
-
 def lift(mapping: Mapping, assignment: ParamAssignment,
-         origin: SystemInput, first_occurrence_only: bool = False) -> LiftedInput:
-    """Rewrite every matched occurrence of each assigned parameter.
+         origin: SystemInput, first_occurrence_only: bool = False) -> SystemInput:
+    """`origin` with every matched occurrence of each assigned
+    parameter rewritten to its value.
 
     Within one input element replacements run right to left so earlier
     ranges stay valid while the buffer length changes.  Ranges that
@@ -57,33 +51,25 @@ def lift(mapping: Mapping, assignment: ParamAssignment,
         for mt in hits:
             pending.setdefault(mt.input_index, []).append((mt, enc))
 
-    replaced: list[tuple[Match, bytes]] = []
     for idx in sorted(pending):
         buf = elements[idx]
         for mt, enc in sorted(pending[idx], key=lambda t: t[0].start,
                               reverse=True):
             buf = buf[:mt.start] + enc + buf[mt.end:]
-            replaced.append((mt, enc))
         elements[idx] = buf
-
-    untouched = frozenset(range(len(elements))) - pending.keys()
-    argv = tuple(elements[:len(origin.argv)])
-    return LiftedInput(SystemInput(argv, elements[-1]), tuple(replaced),
-                       untouched)
+    return SystemInput(tuple(elements[:len(origin.argv)]), elements[-1])
 
 
 @dataclass(frozen=True)
 class LiftOutcome:
     classification: str     # effective | other-goal | false-positive
     discovered: frozenset   # system goals new relative to prior coverage
-    sought: frozenset
     status: RunStatus
-    lifted: LiftedInput
     steps: int = 0          # cost of the validation run, for budget clocks
     wall_time_s: float = 0.0
 
 
-def validate(program, lifted: LiftedInput, sought: frozenset,
+def validate(program, lifted: SystemInput, sought: frozenset,
              known: Set[BranchGoal],
              unit_crash: tuple[str, str] | None = None,
              opts: RunOptions = RunOptions()) -> LiftOutcome:
@@ -99,10 +85,9 @@ def validate(program, lifted: LiftedInput, sought: frozenset,
     for the caller to record: a lift that misses its target still paid
     for real coverage.
     """
-    result = run_system(program, lifted.input, opts)
+    result = run_system(program, lifted, opts)
     discovered = frozenset(result.coverage - known)
 
-    sought = frozenset(sought)
     reproduced = (
         unit_crash is not None
         and result.status.is_crash()
@@ -114,6 +99,5 @@ def validate(program, lifted: LiftedInput, sought: frozenset,
         classification = "other-goal"
     else:
         classification = "false-positive"
-    return LiftOutcome(classification, discovered, sought,
-                       result.status, lifted, result.steps,
-                       result.wall_time_s)
+    return LiftOutcome(classification, discovered, result.status,
+                       result.steps, result.wall_time_s)

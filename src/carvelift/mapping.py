@@ -38,10 +38,11 @@ class Match:
 
 @dataclass
 class Mapping:
-    carved: CarvedTest
+    """Every match of a carve's leaves in its input, and the matched
+    leaf paths, the parameters, in path order (the fuzzer gives each
+    its own rng stream in that order)."""
     matches: tuple[Match, ...]
-    parameters: frozenset[str]
-    unmatched_inputs: frozenset[int]
+    parameters: tuple[str, ...]
 
 
 def leaf_bytes(value) -> bytes | None:
@@ -80,15 +81,4 @@ def build_mapping(c: CarvedTest, s: SystemInput,
         for idx, (start, end), encoding in classify_leaf(value, s,
                                                          min_match_len):
             matches.append(Match(path, idx, start, end, encoding))
-    touched = {m.input_index for m in matches}
-    return Mapping(
-        carved=c,
-        matches=tuple(matches),
-        parameters=frozenset(m.leaf for m in matches),
-        unmatched_inputs=frozenset(range(len(s.elements()))) - touched,
-    )
-
-
-def hrvar(m: Mapping) -> tuple[str, ...]:
-    """Parameter paths in a stable (path-lexicographic) order."""
-    return tuple(sorted(m.parameters))
+    return Mapping(tuple(matches), tuple(sorted({m.leaf for m in matches})))

@@ -17,9 +17,7 @@ import base64
 import decimal
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from .errors import FormatError, ToolError
 from .inputs import SystemInput
@@ -28,12 +26,6 @@ from .rng import Rng
 
 class EmptySeedSet(ToolError):
     """generate_batch needs at least one seed input."""
-
-
-@dataclass(frozen=True)
-class SysMutator:
-    name: str
-    apply: Callable[[bytes, Rng], bytes]
 
 
 def _span(rng: Rng, n: int) -> tuple[int, int]:
@@ -139,23 +131,12 @@ def _append_ascii(data: bytes, rng: Rng) -> bytes:
     return data + bytes(rng.randint(32, 126) for _ in range(rng.randint(1, 8)))
 
 
-MUTATORS: tuple[SysMutator, ...] = (
-    SysMutator("bit-flip", _bit_flip),
-    SysMutator("byte-set", _byte_set),
-    SysMutator("byte-insert", _byte_insert),
-    SysMutator("byte-delete", _byte_delete),
-    SysMutator("byte-duplicate", _byte_duplicate),
-    SysMutator("chunk-swap", _chunk_swap),
-    SysMutator("chunk-repeat", _chunk_repeat),
-    SysMutator("int-perturb", _int_perturb),
-    SysMutator("line-delete", _line_delete),
-    SysMutator("line-duplicate", _line_duplicate),
-    SysMutator("line-shuffle", _line_shuffle),
-    SysMutator("truncate", _truncate),
-    SysMutator("append-ascii", _append_ascii),
+# The palette; mutate_input picks an operator by its position here.
+MUTATORS = (
+    _bit_flip, _byte_set, _byte_insert, _byte_delete, _byte_duplicate,
+    _chunk_swap, _chunk_repeat, _int_perturb, _line_delete,
+    _line_duplicate, _line_shuffle, _truncate, _append_ascii,
 )
-
-_MUTATORS_BY_NAME = {m.name: m for m in MUTATORS}
 
 _STACK_ONE_IN = 4  # stacked mutations hit with probability 1/4
 
@@ -167,7 +148,7 @@ def mutate_input(s: SystemInput, rng: Rng) -> SystemInput:
     data = elements[idx]
     count = rng.randint(2, 4) if rng.randrange(_STACK_ONE_IN) == 0 else 1
     for _ in range(count):
-        data = rng.choice(MUTATORS).apply(data, rng)
+        data = rng.choice(MUTATORS)(data, rng)
     return s.replace_element(idx, data)
 
 

@@ -18,14 +18,14 @@ from __future__ import annotations
 from collections.abc import Set
 from dataclasses import dataclass, field
 
-from .carving import CarvedTest, Context, context_to_world, parse_path
+from .carving import CarvedTest, Context
 from .errors import ToolError
 from .lang.ast import Program
 from .lang.goals import BranchGoal
-from .mapping import Mapping, hrvar, leaf_bytes
+from .mapping import Mapping, leaf_bytes
 from .rng import Rng
 from .vm.interp import RunOptions, RunStatus, TypeMismatch, call_function
-from .vm.values import INT64_MAX, INT64_MIN, Ref, wrap64
+from .vm.values import INT64_MAX, INT64_MIN, wrap64
 
 
 class NoParameters(ToolError):
@@ -47,7 +47,6 @@ class UnitOutcome:
     assignment: ParamAssignment
     status: RunStatus
     new_goals: frozenset[BranchGoal]
-    crashed: bool
 
 
 @dataclass
@@ -150,27 +149,13 @@ def bytes_mutations(v: bytes, ctx: Context, rng: Rng):
 
 # ---------------------------------------------------------------- assignment
 
-def _updated(value, steps, new_value, segments):
-    """Rebuild a value along an access path; segment stores mutate in place."""
-    if not steps:
-        return new_value
-    (kind, key), rest = steps[0], steps[1:]
-    if kind == "index":
-        if isinstance(value, Ref):
-            seg = segments[value.seg]
-            idx = value.off + key
-            seg[idx] = _updated(seg[idx], rest, new_value, segments)
-            return value
-        items = list(value)
-        items[key] = _updated(items[key], rest, new_value, segments)
-        return tuple(items)
-    return value.with_field(
-        key, _updated(value.fields[key], rest, new_value, segments))
-
-
 def apply_assignment(c: CarvedTest, a: ParamAssignment):
-    """A fresh (args, world) equal to the carve except at assigned leaves."""
-    args, (globals_, segments) = context_to_world(c.context)
+    """A fresh (args, world) equal to the carve except at assigned leaves.
+
+    Each assigned value must be of its leaf's kind, bytes or int; ints
+    wrap to 64 bits.
+    """
+    values = {}
     for path in sorted(a.assignments):
         new_value = a.assignments[path]
         try:
@@ -186,14 +171,8 @@ def apply_assignment(c: CarvedTest, a: ParamAssignment):
             new_value = wrap64(new_value)
         else:
             raise TypeMismatch(f"{path}: only bytes and int leaves take assignments")
-        root, steps = parse_path(path)
-        if root.startswith("arg["):
-            idx = int(root[4:-1])
-            args[idx] = _updated(args[idx], steps, new_value, segments)
-        else:
-            name = root[len("global:"):]
-            globals_[name] = _updated(globals_[name], steps, new_value, segments)
-    return args, (globals_, segments)
+        values[path] = new_value
+    return c.context.world(values)
 
 
 # ---------------------------------------------------------------- fuzzing
@@ -210,7 +189,7 @@ def fuzz_unit_with_stats(program: Program, c: CarvedTest, m: Mapping,
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    params = hrvar(m)
+    params = m.parameters
     if not params:
         raise NoParameters(f"{c.start[0]}: no leaf maps into the input")
 
@@ -248,6 +227,5 @@ def fuzz_unit_with_stats(program: Program, c: CarvedTest, m: Mapping,
                 crash_signatures.add(signature)
                 keep = True
         if keep:
-            outcomes.append(UnitOutcome(
-                assignment, r.status, new_goals, r.status.is_crash()))
+            outcomes.append(UnitOutcome(assignment, r.status, new_goals))
     return outcomes, stats

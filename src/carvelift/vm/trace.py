@@ -27,6 +27,9 @@ Context root paths follow the language's own access syntax:
     global:db[2].name     ref index, then record field
 
 so a path printed in a report can be read back against the source.
+`Context` alone reads and writes these paths: `leaves` names every
+scalar leaf, `resolve` looks one up, and `world` builds the replay
+world for `call_function` with chosen leaves replaced.
 
 One encoding of a carve (`encode_carve`, read back by `decode_carve`)
 serves both the snapshot file and the determinism checks of
@@ -35,6 +38,7 @@ serves both the snapshot file and the determinism checks of
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -43,9 +47,13 @@ from ..errors import FormatError
 from ..lang.ast import ENTRY
 from ..lang.goals import BranchGoal
 from .values import (
-    Record, Ref, SegmentTable, decode_segments, decode_value,
+    Record, Ref, SegmentTable, copy_segments, decode_segments, decode_value,
     encode_segments, encode_value, iter_refs, sever, snapshot_reachable,
 )
+
+
+_ROOT = re.compile(r"arg\[[0-9]+\]|global:\w+")
+_STEP = re.compile(r"\[([0-9]+)\]|\.(\w+)")
 
 
 def parse_path(path: str):
@@ -55,40 +63,19 @@ def parse_path(path: str):
     ("field", name) entries.  Raises KeyError on malformed paths so that
     lookup and parse failures surface the same way.
     """
-    if path.startswith("arg["):
-        end = path.find("]")
-        if end < 0 or not path[4:end].isdigit():
-            raise KeyError(path)
-        root, rest = path[:end + 1], path[end + 1:]
-    elif path.startswith("global:"):
-        i = 7
-        while i < len(path) and (path[i].isalnum() or path[i] == "_"):
-            i += 1
-        if i == 7:
-            raise KeyError(path)
-        root, rest = path[:i], path[i:]
-    else:
+    m = _ROOT.match(path)
+    if m is None:
         raise KeyError(path)
-
     steps = []
-    while rest:
-        if rest[0] == "[":
-            end = rest.find("]")
-            if end < 0 or not rest[1:end].isdigit():
-                raise KeyError(path)
-            steps.append(("index", int(rest[1:end])))
-            rest = rest[end + 1:]
-        elif rest[0] == ".":
-            i = 1
-            while i < len(rest) and (rest[i].isalnum() or rest[i] == "_"):
-                i += 1
-            if i == 1:
-                raise KeyError(path)
-            steps.append(("field", rest[1:i]))
-            rest = rest[i:]
-        else:
+    pos = m.end()
+    while pos < len(path):
+        step = _STEP.match(path, pos)
+        if step is None:
             raise KeyError(path)
-    return root, steps
+        steps.append(("index", int(step[1])) if step[1] is not None
+                      else ("field", step[2]))
+        pos = step.end()
+    return path[:m.end()], steps
 
 
 @dataclass
@@ -129,30 +116,72 @@ class Context:
     def resolve(self, path: str):
         """Look up the value a path denotes. Raises KeyError when absent."""
         root, steps = parse_path(path)
-        if root not in self.roots:
-            raise KeyError(path)
-        v = self.roots[root]
-        for kind, key in steps:
-            if kind == "index":
-                if isinstance(v, Ref):
-                    seg = self.segments.get(v.seg)
-                    if seg is None:
-                        raise KeyError(path)
-                    idx = v.off + key
-                    if not 0 <= idx < len(seg):
-                        raise KeyError(path)
-                    v = seg[idx]
-                elif isinstance(v, tuple):
-                    if not 0 <= key < len(v):
-                        raise KeyError(path)
-                    v = v[key]
-                else:
-                    raise KeyError(path)
-            else:
-                if not isinstance(v, Record) or key not in v.fields:
-                    raise KeyError(path)
-                v = v.fields[key]
+        try:
+            v = self.roots[root]
+            for step in steps:
+                holder, key = _slot(v, step, self.segments)
+                v = holder[key]
+        except KeyError:
+            raise KeyError(path) from None
         return v
+
+    def world(self, assign=None):
+        """A fresh (args, (globals, segments)) for `call_function`.
+
+        The segments are copied, since the callee stores into them, and
+        the leaf at each path of `assign` (in path order) is replaced by
+        its value; the context itself never changes.  Raises KeyError
+        for a path `resolve` cannot look up.
+        """
+        segments = copy_segments(self.segments)
+        roots = self.roots
+        if assign:
+            roots = dict(roots)
+            for path in sorted(assign):
+                root, steps = parse_path(path)
+                try:
+                    roots[root] = _replaced(roots[root], steps, assign[path],
+                                            segments)
+                except KeyError:
+                    raise KeyError(path) from None
+        args = []
+        while f"arg[{len(args)}]" in roots:
+            args.append(roots[f"arg[{len(args)}]"])
+        globals_ = {p[len("global:"):]: v for p, v in roots.items()
+                    if p.startswith("global:")}
+        return args, (globals_, segments)
+
+
+def _slot(v, step, segments):
+    """Where one access step from `v` leads: (holder, key) with the value
+    at holder[key], the holder a segment, a tuple or a record's fields.
+    Raises KeyError when the step leads nowhere."""
+    kind, key = step
+    if kind == "field":
+        if isinstance(v, Record) and key in v.fields:
+            return v.fields, key
+    elif isinstance(v, Ref):
+        seg = segments.get(v.seg)
+        if seg is not None and v.off + key < len(seg):
+            return seg, v.off + key
+    elif isinstance(v, tuple) and key < len(v):
+        return v, key
+    raise KeyError(key)
+
+
+def _replaced(v, steps, new, segments):
+    """`v` with the leaf `steps` lead to replaced by `new`; a leaf behind
+    a ref is stored into `segments` in place."""
+    if not steps:
+        return new
+    holder, key = _slot(v, steps[0], segments)
+    inner = _replaced(holder[key], steps[1:], new, segments)
+    if isinstance(v, Ref):
+        holder[key] = inner
+        return v
+    if isinstance(v, Record):
+        return v.with_field(key, inner)
+    return v[:key] + (inner,) + v[key + 1:]
 
 
 @dataclass

@@ -171,6 +171,14 @@ def decode_b64(text) -> bytes:
         raise FormatError(f"malformed base64 {text!r}: {exc}") from exc
 
 
+def _decode_int(obj: dict, key: str) -> int:
+    """A JSON integer (not a bool, a float or a string) at obj[key]."""
+    v = obj[key]
+    if type(v) is not int:
+        raise FormatError(f"{key} must be a JSON integer: {obj!r}")
+    return v
+
+
 def decode_value(obj: object):
     if not isinstance(obj, dict) or "t" not in obj:
         raise FormatError(f"malformed value encoding: {obj!r}")
@@ -178,7 +186,10 @@ def decode_value(obj: object):
     if t == "null":
         return None
     if t == "int":
-        return int(obj["v"])
+        v = _decode_int(obj, "v")
+        if not INT64_MIN <= v <= INT64_MAX:
+            raise FormatError(f"int {v} is outside the signed 64-bit range")
+        return v
     if t == "float":
         return float(obj["v"])
     if t == "bytes":
@@ -186,12 +197,16 @@ def decode_value(obj: object):
     if t == "array":
         return tuple(decode_value(x) for x in obj["v"])
     if t == "record":
-        return Record(obj["name"], {k: decode_value(x) for k, x in obj["fields"]})
+        name, fields = obj["name"], obj["fields"]
+        if not isinstance(name, str) or not all(
+                isinstance(k, str) for k, _ in fields):
+            raise FormatError(f"record and field names must be strings: {obj!r}")
+        return Record(name, {k: decode_value(x) for k, x in fields})
     if t == "ref":
-        off = int(obj["off"])
+        off = _decode_int(obj, "off")
         if off < 0:
             raise FormatError(f"ref offset {off} is negative")
-        return Ref(int(obj["seg"]), off)
+        return Ref(_decode_int(obj, "seg"), off)
     raise FormatError(f"unknown value tag: {t!r}")
 
 

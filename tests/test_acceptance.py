@@ -7,6 +7,7 @@ the run.  Shared fixtures run the expensive campaigns once per module.
 
 from __future__ import annotations
 
+import json
 import time
 from collections import Counter
 
@@ -18,12 +19,11 @@ from carvelift.carving import (
     CarvedTest,
     Context,
     carve_with_stats,
-    context_to_world,
 )
 from carvelift.inputs import SystemInput
 from carvelift.lang.goals import BranchGoal
 from carvelift.lifting import lift
-from carvelift.mapping import build_mapping, hrvar
+from carvelift.mapping import build_mapping
 from carvelift.rng import Rng
 from carvelift.unitgen import ParamAssignment
 from carvelift.vm.interp import (
@@ -32,7 +32,8 @@ from carvelift.vm.interp import (
     run_system,
     run_with_tracing,
 )
-from carvelift.vm.values import Record, Ref
+from carvelift.vm.trace import encode_carve
+from carvelift.vm.values import Record, Ref, wrap64
 
 from conftest import SUBJECT_NAMES, load_subject, mk_input, random_input_for
 
@@ -85,7 +86,7 @@ def test_criterion_1_carving_fidelity(carve_corpus):
     for name, program, c, _ in entries:
         if c.context.truncated:
             continue
-        args, world = context_to_world(c.context)
+        args, world = c.context.world()
         r = call_function(program, c.start[0], args, world, UNIT_OPTS)
         assert r.status.kind == "exit", (name, c.start, r.status)
         assert r.coverage == c.observed_coverage, (name, c.start)
@@ -204,10 +205,7 @@ def test_criterion_2_mapping_matches_brute_force():
                for x in m.matches}
         expected = _brute_matches(ctx, s, min_len)
         assert got == expected
-        assert m.parameters == {p for p, _, _, _, _ in expected}
-        touched = {idx for _, idx, _, _, _ in expected}
-        assert m.unmatched_inputs == (
-            frozenset(range(len(s.elements()))) - touched)
+        assert m.parameters == tuple(sorted({p for p, _, _, _, _ in expected}))
         pairs += 1
         with_matches += bool(expected)
     assert pairs == 1000
@@ -222,11 +220,34 @@ def test_criterion_3_identity_lift_reproduces_origin(carve_corpus):
     parameterized = 0
     for _, _, c, origin in entries:
         m = build_mapping(c, origin)
-        values = {p: c.context.resolve(p) for p in hrvar(m)}
+        values = {p: c.context.resolve(p) for p in m.parameters}
         lifted = lift(m, ParamAssignment(values, "identity"), origin)
-        assert lifted.input == origin, (c.start, c.origin)
+        assert lifted == origin, (c.start, c.origin)
         parameterized += bool(values)
     assert parameterized >= 30
+
+
+def test_context_world_replaces_exactly_the_assigned_leaf(carve_corpus):
+    entries, _ = carve_corpus
+    checked = 0
+    for _, _, c, origin in entries:
+        if c.context.truncated:
+            continue
+        before = json.dumps(encode_carve(c))
+        carved = list(c.context.leaves())
+        for path in build_mapping(c, origin).parameters:
+            old = c.context.resolve(path)
+            new = old + b"!" if isinstance(old, bytes) else wrap64(old + 1)
+            args, (globals_, segments) = c.context.world({path: new})
+            roots = {f"arg[{i}]": v for i, v in enumerate(args)}
+            roots.update((f"global:{n}", v) for n, v in globals_.items())
+            rebuilt = Context(roots, segments, False)
+            assert rebuilt.resolve(path) == new
+            assert list(rebuilt.leaves()) == [
+                (p, new if p == path else v) for p, v in carved], path
+            checked += 1
+        assert json.dumps(encode_carve(c)) == before, c.start
+    assert checked >= 30
 
 
 # -- criterion 4: login subject end to end ------------------------------------

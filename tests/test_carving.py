@@ -12,15 +12,15 @@ import json
 import pytest
 
 from carvelift.carving import (
-    SNAPSHOT_VERSION, Context, carve_with_stats, context_to_world,
-    load_snapshot, save_snapshot, snapshot_reachable,
+    SNAPSHOT_VERSION, Context, carve_with_stats, load_snapshot,
+    save_snapshot, snapshot_reachable,
 )
 from carvelift.errors import FormatError
 from carvelift.lang.parser import parse
 from carvelift.rng import Rng
 from carvelift.vm import trace
 from carvelift.vm.interp import RunOptions, call_function, run_with_tracing
-from carvelift.vm.values import Record, Ref
+from carvelift.vm.values import INT64_MAX, INT64_MIN, Record, Ref
 
 from conftest import (
     SUBJECT_NAMES, NaiveCounter, load_subject, mk_input, random_input_for,
@@ -35,7 +35,7 @@ def naive_calls(program, system_input):
 
 
 def replay(program, carved):
-    args, world = context_to_world(carved.context)
+    args, world = carved.context.world()
     return call_function(program, carved.start[0], args, world)
 
 
@@ -363,7 +363,7 @@ def test_resolve_follows_paths():
         ctx.resolve("arg[0][0].missing")
 
 
-def test_context_to_world_isolates_replays(subjects):
+def test_context_world_isolates_replays(subjects):
     prog = subjects["keycheck"]
     result = run_with_tracing(prog, mk_input([b"admin", b"opensesame"]))
     carved = next(c for c in carve_with_stats(result)[0]
@@ -448,6 +448,20 @@ def with_ref(off, seg=0):
     return edit
 
 
+def with_leaf(encoded):
+    def edit(doc):
+        return json.dumps({**doc, "roots": [["arg[0]", encoded]]})
+    return edit
+
+
+def test_int_leaves_at_the_64_bit_bounds_load(tmp_path):
+    path = small_snapshot(tmp_path)
+    doc = json.loads(path.read_text())
+    for v in (INT64_MIN, INT64_MAX):
+        path.write_text(with_leaf({"t": "int", "v": v})(doc))
+        assert load_snapshot(path).context.roots["arg[0]"] == v
+
+
 def test_ref_at_its_segment_end_loads(tmp_path):
     # slice(a, len(a), 0) makes such a ref; it reads nothing.
     path = small_snapshot(tmp_path)
@@ -487,6 +501,20 @@ MALFORMED_SNAPSHOTS = {
         {**doc, "roots": [["arg[0]", {"t": "bytes", "v": "Y!WJj"}]]}),
     "base64-leaf-all-junk": lambda doc: json.dumps(
         {**doc, "roots": [["arg[0]", {"t": "bytes", "v": "!"}]]}),
+    # No run of the language holds an int outside 64 bits.
+    "int-above-int64": with_leaf({"t": "int", "v": 2 ** 70}),
+    "int-below-int64": with_leaf({"t": "int", "v": INT64_MIN - 1}),
+    # int() would read each of these as a number.
+    "int-as-float": with_leaf({"t": "int", "v": 1.5}),
+    "int-as-bool": with_leaf({"t": "int", "v": True}),
+    "int-as-string": with_leaf({"t": "int", "v": "12"}),
+    "ref-offset-float": with_ref(0.9),
+    "ref-offset-bool": with_ref(True),
+    "ref-seg-string": with_ref(0, seg="0"),
+    "record-name-not-a-string": with_leaf(
+        {"t": "record", "name": 1, "fields": []}),
+    "record-field-name-not-a-string": with_leaf(
+        {"t": "record", "name": "R", "fields": [[1, {"t": "int", "v": 1}]]}),
 }
 
 

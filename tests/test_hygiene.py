@@ -4,16 +4,33 @@ A top-level import whose name the module never uses is dead weight and
 hides what the module really depends on.  Package __init__ files are
 left out: they import names to re-export them.  An import that is kept
 on purpose carries a `# noqa: F401` marker.  What a package does export,
-its `__all__`, must name only what it defines.
+its `__all__`, must name only what it defines.  A field of a record one
+stage hands the next must be read somewhere, or no stage needs it.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "carvelift"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "carvelift"
+
+# The records the stages hand on, by defining module.
+STAGE_RECORDS = {
+    "carvelift.mapping": ("Match", "Mapping"),
+    "carvelift.unitgen": ("ParamAssignment", "UnitOutcome", "FuzzStats"),
+    "carvelift.lifting": ("LiftOutcome",),
+    "carvelift.vm.trace": ("CarvedTest", "Context"),
+    "carvelift.campaign": ("FunctionState",),
+}
+# Fields kept although nothing reads them yet, each with its reason.
+UNREAD_ALLOWED = {
+    "ParamAssignment.provenance":
+        "winners per mutator family go into the report (ROADMAP item 5)",
+}
 
 
 def unused_imports(text):
@@ -66,3 +83,23 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_every_name_in_all_resolves(package):
     module = importlib.import_module(package)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def attributes_read(paths):
+    """Every attribute name loaded (`x.name`) in the given sources."""
+    return {n.attr for p in paths for n in ast.walk(ast.parse(p.read_text()))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_stage_record_field_is_read():
+    read = attributes_read([*PACKAGE.rglob("*.py"),
+                            *(ROOT / "bench").rglob("*.py")])
+    unread = {f"{cls}.{f.name}"
+              for module, names in STAGE_RECORDS.items()
+              for cls in names
+              for f in dataclasses.fields(
+                  getattr(importlib.import_module(module), cls))
+              if f.name not in read}
+    assert sorted(unread - UNREAD_ALLOWED.keys()) == []
+    # An allowance goes once its field is read.
+    assert sorted(UNREAD_ALLOWED.keys() - unread) == []

@@ -10,7 +10,7 @@ import pytest
 
 from carvelift.carving import CarvedTest, Context, carve_with_stats
 from carvelift.lifting import UnmappedParameter, lift, validate
-from carvelift.mapping import build_mapping, hrvar
+from carvelift.mapping import build_mapping
 from carvelift.rng import Rng
 from carvelift.unitgen import ParamAssignment, fuzz_unit_with_stats
 from carvelift.vm.interp import run_system, run_with_tracing
@@ -43,9 +43,9 @@ def test_lift_identity_reproduces_origin():
         if not m.parameters:
             continue
         identity = ParamAssignment(
-            {p: carved.context.resolve(p) for p in hrvar(m)}, "identity")
+            {p: carved.context.resolve(p) for p in m.parameters}, "identity")
         li = lift(m, identity, origin)
-        assert li.input == origin
+        assert li == origin
         lifted_any += 1
     assert lifted_any >= 1
 
@@ -58,10 +58,8 @@ def test_lift_replaces_the_mapped_argv_element():
                   if c.start[0] == "check_user")
     m = build_mapping(carved, origin)
     li = lift(m, ParamAssignment({"arg[0]": b"admin"}, "harvested"), origin)
-    assert li.input.argv == (b"admin", b"xczZ7tz")
-    assert li.input.stdin == b""
-    assert li.untouched == {1, 2}
-    assert [enc for _, enc in li.replaced] == [b"admin"]
+    assert li.argv == (b"admin", b"xczZ7tz")
+    assert li.stdin == b""
 
 
 def test_overlapping_matches_collapse():
@@ -70,8 +68,8 @@ def test_overlapping_matches_collapse():
     m = build_mapping(c, origin, min_match_len=2)
     li = lift(m, ParamAssignment({"arg[0]": b"b"}, "t"), origin)
     spans = [(mt.start, mt.end) for mt in m.matches]
-    assert li.input.stdin == reference_rewrite(b"aaa", spans, b"b")
-    assert li.input.stdin == b"b"
+    assert li.stdin == reference_rewrite(b"aaa", spans, b"b")
+    assert li.stdin == b"b"
 
 
 def test_first_occurrence_only_flag():
@@ -81,8 +79,8 @@ def test_first_occurrence_only_flag():
     wide = lift(m, ParamAssignment({"arg[0]": b"X"}, "t"), origin)
     narrow = lift(m, ParamAssignment({"arg[0]": b"X"}, "t"), origin,
                   first_occurrence_only=True)
-    assert wide.input.stdin == b"X X"
-    assert narrow.input.stdin == b"X tok"
+    assert wide.stdin == b"X X"
+    assert narrow.stdin == b"X tok"
 
 
 def test_unequal_length_replacement_shifts_right_to_left():
@@ -90,7 +88,7 @@ def test_unequal_length_replacement_shifts_right_to_left():
     origin = mk_input((), b"num=42, again 42")
     m = build_mapping(c, origin, min_match_len=2)
     li = lift(m, ParamAssignment({"global:n": 31337}, "t"), origin)
-    assert li.input.stdin == b"num=31337, again 31337"
+    assert li.stdin == b"num=31337, again 31337"
 
 
 def test_decimal_matches_encode_assignments_as_decimal():
@@ -98,7 +96,7 @@ def test_decimal_matches_encode_assignments_as_decimal():
     origin = mk_input((b"len:250",))
     m = build_mapping(c, origin)
     li = lift(m, ParamAssignment({"global:n": -7}, "t"), origin)
-    assert li.input.argv == (b"len:-7",)
+    assert li.argv == (b"len:-7",)
 
 
 def test_lift_without_matches_is_rejected():
@@ -133,7 +131,7 @@ def test_lift_against_reference_rewriter_randomized():
             spans = [(mt.start, mt.end) for mt in m.matches
                      if mt.input_index == idx]
             expected = reference_rewrite(elem, spans, enc)
-            assert li.input.elements()[idx] == expected
+            assert li.elements()[idx] == expected
 
 
 # ------------------------------------------------------------ validation
@@ -157,9 +155,9 @@ def test_effective_lift_reaches_the_sought_goal():
     li = lift(m, admin.assignment, origin)
     out = validate(prog, li, admin.new_goals, cov)
     assert out.classification == "effective"
-    assert out.sought & out.discovered
-    assert out.discovered == run_system(prog, li.input).coverage - cov
-    assert li.input.argv[0] == b"admin"
+    assert admin.new_goals & out.discovered
+    assert out.discovered == run_system(prog, li).coverage - cov
+    assert li.argv[0] == b"admin"
 
 
 def test_anonymous_name_lift_is_a_false_positive_once_known():

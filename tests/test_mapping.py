@@ -8,9 +8,7 @@ search strategy.
 import pytest
 
 from carvelift.carving import CarvedTest, Context, carve_with_stats
-from carvelift.mapping import (
-    build_mapping, classify_leaf, hrvar,
-)
+from carvelift.mapping import build_mapping, classify_leaf
 from carvelift.rng import Rng
 from carvelift.vm.interp import run_with_tracing
 from carvelift.vm.values import Record, Ref
@@ -90,9 +88,7 @@ def test_empty_context_maps_nothing():
     c = bare_context({})
     m = build_mapping(c, mk_input((b"one",), b"two"))
     assert m.matches == ()
-    assert m.parameters == frozenset()
-    assert m.unmatched_inputs == {0, 1}
-    assert hrvar(m) == ()
+    assert m.parameters == ()
 
 
 def test_parameters_are_leaves_with_matches():
@@ -103,20 +99,19 @@ def test_parameters_are_leaves_with_matches():
     })
     s = mk_input((b"d7wfv", b"xczZ7tz"))
     m = build_mapping(c, s)
-    assert m.parameters == {"arg[0]"}
-    assert hrvar(m) == ("arg[0]",)
+    assert m.parameters == ("arg[0]",)
     # untouched: the second argv element and the (empty) stdin element
-    assert m.unmatched_inputs == {1, 2}
+    assert {mt.input_index for mt in m.matches} == {0}
 
 
-def test_hrvar_is_path_lexicographic():
+def test_parameters_are_path_lexicographic():
     c = bare_context({
         "global:b": b"xyz",
         "arg[0]": b"xyz",
         "global:a": b"xyz",
     })
     m = build_mapping(c, mk_input((), b"  xyz  "))
-    assert hrvar(m) == ("arg[0]", "global:a", "global:b")
+    assert m.parameters == ("arg[0]", "global:a", "global:b")
 
 
 def test_leaves_in_segments_participate():
@@ -125,7 +120,7 @@ def test_leaves_in_segments_participate():
         {4: [Record("U", {"name": b"admin", "h": 12})]},
     )
     m = build_mapping(c, mk_input((b"admin",)))
-    assert m.parameters == {"global:db[0].name"}
+    assert m.parameters == ("global:db[0].name",)
 
 
 def test_truncated_context_still_maps():
@@ -134,7 +129,7 @@ def test_truncated_context_still_maps():
         Context({"arg[0]": b"token", "global:big": None}, {}, True),
         "test", frozenset())
     m = build_mapping(c, mk_input((), b"a token b"))
-    assert m.parameters == {"arg[0]"}
+    assert m.parameters == ("arg[0]",)
 
 
 def test_match_soundness_and_purity():
@@ -152,7 +147,6 @@ def test_match_soundness_and_purity():
     again = build_mapping(c, s)
     assert again.matches == m.matches
     assert again.parameters == m.parameters
-    assert again.unmatched_inputs == m.unmatched_inputs
 
 
 # ------------------------------------------------------------ oracle property
@@ -199,9 +193,7 @@ def test_mapping_equals_brute_force_scan(min_len):
         m = build_mapping(c, s, min_match_len=min_len)
         expected = oracle_scan(list(c.context.leaves()), s.elements(), min_len)
         assert as_tuples(m.matches) == expected
-        assert m.parameters == {t[0] for t in expected}
-        touched = {t[1] for t in expected}
-        assert m.unmatched_inputs == set(range(len(s.elements()))) - touched
+        assert m.parameters == tuple(sorted({t[0] for t in expected}))
 
 
 # ------------------------------------------------------------ subject behavior
@@ -227,9 +219,9 @@ def test_keycheck_hashed_password_is_never_mapped():
     m_pass = build_mapping(carves["check_pass"], s)
     # the stored name "admin" coincides with argv[0]; the hash argument
     # and the password element stay unmapped
-    assert m_pass.parameters == {"global:db[0].name"}
+    assert m_pass.parameters == ("global:db[0].name",)
     assert "arg[1]" not in m_pass.parameters
-    assert 1 in m_pass.unmatched_inputs
+    assert all(mt.input_index != 1 for mt in m_pass.matches)
 
 
 def test_mini_dc_carves_have_no_parameters_outside_the_tokenizer():
@@ -245,5 +237,5 @@ def test_mini_dc_carves_have_no_parameters_outside_the_tokenizer():
             m = build_mapping(c, s)
             if c.start[0] != "to_internal":
                 seen_other += 1
-                assert m.parameters == frozenset(), (c.start, m.parameters)
+                assert m.parameters == (), (c.start, m.parameters)
     assert seen_other > 10, "sweep never exercised the digit-array functions"

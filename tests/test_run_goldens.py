@@ -25,7 +25,7 @@ import json
 import pytest
 
 from carvelift import resolve_program, resolve_seeds
-from carvelift.carving import carve_with_stats, context_to_world
+from carvelift.carving import carve_with_stats
 from carvelift.lang.parser import parse
 from carvelift.rng import Rng
 from carvelift.sysgen import generate_batch
@@ -67,7 +67,7 @@ def unit_docs(program, seed, opts: RunOptions):
     traced = run_with_tracing(program, seed, opts)
     docs = []
     for carved in carve_with_stats(traced)[0]:
-        args, world = context_to_world(carved.context)
+        args, world = carved.context.world()
         r = call_function(program, carved.start[0], args, world, opts.unit())
         docs.append({"start": list(carved.start),
                      "truncated": carved.context.truncated,
@@ -378,7 +378,7 @@ def budget_sweep_docs() -> list:
         end = None
         limit = 1
         while end is None or limit <= end + 1:
-            args, world = context_to_world(carved.context)
+            args, world = carved.context.world()
             r = call_function(program, carved.start[0], args, world,
                               RunOptions(step_limit=limit))
             if r.status.kind != "budget-exhausted" and end is None:

@@ -7,9 +7,7 @@ coverage.
 
 import pytest
 
-from carvelift.carving import (
-    CarvedTest, Context, carve_with_stats, context_to_world,
-)
+from carvelift.carving import CarvedTest, Context, carve_with_stats
 from carvelift.mapping import build_mapping
 from carvelift.rng import Rng
 from carvelift.unitgen import (
@@ -118,7 +116,7 @@ def test_empty_assignment_is_identity():
         {0: [1, 2]})
     args, (globals_, segments) = apply_assignment(
         carved, ParamAssignment({}, "none"))
-    base_args, (base_globals, base_segments) = context_to_world(carved.context)
+    base_args, (base_globals, base_segments) = carved.context.world()
     assert args == base_args
     assert globals_ == base_globals
     assert segments == base_segments
@@ -191,7 +189,7 @@ def test_fuzz_unit_finds_goals_for_every_parameter():
         prog, carved, mapping, 60, result.coverage, Rng(21))[0]
     hit_paths = set()
     for w in winners:
-        assert not w.crashed
+        assert not w.status.is_crash()
         assert w.new_goals
         hit_paths.update(w.assignment.assignments)
     # the harvested global key unlocks the branch behind each parameter
@@ -235,7 +233,7 @@ fn main() -> int { return f(1); }
     carves, _ = carve_with_stats(result)
     carved = carves[0]
     mapping = build_mapping(carved, s)
-    assert mapping.parameters == frozenset()
+    assert mapping.parameters == ()
     with pytest.raises(NoParameters):
         fuzz_unit_with_stats(prog, carved, mapping, 10, result.coverage,
                              Rng(1))

@@ -312,7 +312,7 @@ def test_recursion_to_the_depth_limit_needs_no_host_stack_setting():
 
 def test_each_program_compiles_once_per_variant(monkeypatch):
     from carvelift import resolve_program
-    from carvelift.carving import carve_with_stats, context_to_world
+    from carvelift.carving import carve_with_stats
     from carvelift.vm import interp
 
     built = []
@@ -330,7 +330,7 @@ def test_each_program_compiles_once_per_variant(monkeypatch):
         run_system(prog, mk_input((b"admin", b"pw")))
         traced = run_with_tracing(prog, mk_input((b"admin", b"pw")))
         for carved in carve_with_stats(traced)[0]:
-            args, world = context_to_world(carved.context)
+            args, world = carved.context.world()
             call_function(prog, carved.start[0], args, world)
     assert built == [prog]      # one code for traced and untraced runs
 
@@ -367,15 +367,15 @@ def test_call_function_sees_an_empty_outside_world():
 
 
 def test_call_function_success_branch_in_a_carved_world():
-    from carvelift.carving import carve_with_stats, context_to_world
+    from carvelift.carving import carve_with_stats
     prog = load_subject("keycheck")
     traced = run_with_tracing(prog, mk_input((b"admin", b"pw")))
     carved = next(c for c in carve_with_stats(traced)[0]
                   if c.start[0] == "check_user")
-    args, world = context_to_world(carved.context)
+    args, world = carved.context.world()
     hit = call_function(prog, "check_user", [b"admin"], world)
     assert hit.return_value == 0
-    args, world = context_to_world(carved.context)
+    args, world = carved.context.world()
     miss = call_function(prog, "check_user", [b"zzz"], world)
     assert miss.return_value == -1
     gained = hit.coverage - miss.coverage
