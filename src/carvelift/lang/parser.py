@@ -33,10 +33,21 @@ BUILTINS = {
 }
 
 
+# How deep a program may nest (docs/minilang.md).  vm/interp.py compiles
+# each function to Python, which allows 20 nested loops and 99 levels of
+# indentation; within these limits every program compiles and no
+# recursive walk over it comes near Python's recursion limit.
+MAX_BLOCK_DEPTH = 20    # statement bodies inside one another
+MAX_EXPR_DEPTH = 64     # expression levels, parentheses included
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.blocks = 0         # statement bodies open around the parser
+        self.open = 0           # expression levels open around the parser
+        self.depths = {}        # id of a node -> its depth, when above 1
 
     # ---------------------------------------------------------- helpers
 
@@ -63,6 +74,25 @@ class _Parser:
         if self.at(kind, text):
             return self.next()
         return None
+
+    def nested(self, pos, depth: int, limit: int, what: str) -> int:
+        if depth > limit:
+            raise MiniSyntaxError(pos, f"{what} nest more than {limit} deep")
+        return depth
+
+    def body(self, parse):
+        """A statement body (`parse()` parses it), one level deeper."""
+        self.blocks = self.nested(self.peek().pos, self.blocks + 1,
+                                  MAX_BLOCK_DEPTH, "statement bodies")
+        stmts = parse()
+        self.blocks -= 1
+        return stmts
+
+    def node(self, e: Expr, *parts: Expr) -> Expr:
+        """`e`, one level deeper than the deepest of its `parts`."""
+        depth = 1 + max((self.depths.get(id(p), 1) for p in parts), default=0)
+        self.depths[id(e)] = self.nested(e.pos, depth, MAX_EXPR_DEPTH, "expressions")
+        return e
 
     # ---------------------------------------------------------- top level
 
@@ -169,8 +199,7 @@ class _Parser:
             self.expect("punct", "(")
             cond = self.expr()
             self.expect("punct", ")")
-            body = self.block()
-            return SWhile(t.pos, cond, body)
+            return SWhile(t.pos, cond, self.body(self.block))
         if self.at("keyword", "return"):
             self.next()
             value = None
@@ -197,60 +226,73 @@ class _Parser:
         self.expect("punct", "(")
         cond = self.expr()
         self.expect("punct", ")")
-        then_body = self.block()
+        then_body = self.body(self.block)
         else_body = None
         if self.accept("keyword", "else"):
             if self.at("keyword", "if"):
-                else_body = [self.if_stmt()]
+                else_body = self.body(lambda: [self.if_stmt()])
             else:
-                else_body = self.block()
+                else_body = self.body(self.block)
         return SIf(pos, cond, then_body, else_body)
 
     # ---------------------------------------------------------- expressions
 
     def expr(self) -> Expr:
-        return self.or_expr()
+        """An expression, one level deeper than the one around it."""
+        self.open = self.nested(self.peek().pos, self.open + 1,
+                                MAX_EXPR_DEPTH, "expressions")
+        e = self.or_expr()
+        self.open -= 1
+        return e
 
     def or_expr(self) -> Expr:
         e = self.and_expr()
         while self.at("punct", "||"):
             pos = self.next().pos
-            e = EBinary(pos, "||", e, self.and_expr())
+            right = self.and_expr()
+            e = self.node(EBinary(pos, "||", e, right), e, right)
         return e
 
     def and_expr(self) -> Expr:
         e = self.cmp_expr()
         while self.at("punct", "&&"):
             pos = self.next().pos
-            e = EBinary(pos, "&&", e, self.cmp_expr())
+            right = self.cmp_expr()
+            e = self.node(EBinary(pos, "&&", e, right), e, right)
         return e
 
     def cmp_expr(self) -> Expr:
         e = self.add_expr()
         if self.peek().text in ("==", "!=", "<", "<=", ">", ">="):
             op = self.next()
-            e = EBinary(op.pos, op.text, e, self.add_expr())
+            right = self.add_expr()
+            e = self.node(EBinary(op.pos, op.text, e, right), e, right)
         return e
 
     def add_expr(self) -> Expr:
         e = self.mul_expr()
         while self.peek().text in ("+", "-") and self.peek().kind == "punct":
             op = self.next()
-            e = EBinary(op.pos, op.text, e, self.mul_expr())
+            right = self.mul_expr()
+            e = self.node(EBinary(op.pos, op.text, e, right), e, right)
         return e
 
     def mul_expr(self) -> Expr:
         e = self.unary_expr()
         while self.peek().text in ("*", "/", "%") and self.peek().kind == "punct":
             op = self.next()
-            e = EBinary(op.pos, op.text, e, self.unary_expr())
+            right = self.unary_expr()
+            e = self.node(EBinary(op.pos, op.text, e, right), e, right)
         return e
 
     def unary_expr(self) -> Expr:
         t = self.peek()
         if t.kind == "punct" and t.text in ("-", "!"):
             self.next()
-            return EUnary(t.pos, t.text, self.unary_expr())
+            self.open = self.nested(t.pos, self.open + 1, MAX_EXPR_DEPTH, "expressions")
+            operand = self.unary_expr()
+            self.open -= 1
+            return self.node(EUnary(t.pos, t.text, operand), operand)
         return self.postfix_expr()
 
     def postfix_expr(self) -> Expr:
@@ -260,11 +302,11 @@ class _Parser:
                 pos = self.next().pos
                 idx = self.expr()
                 self.expect("punct", "]")
-                e = EIndex(pos, e, idx)
+                e = self.node(EIndex(pos, e, idx), e, idx)
             elif self.at("punct", "."):
                 pos = self.next().pos
                 name = self.expect("ident").text
-                e = EField(pos, e, name)
+                e = self.node(EField(pos, e, name), e)
             else:
                 return e
 
@@ -284,7 +326,7 @@ class _Parser:
         if self.accept("punct", "("):
             e = self.expr()
             self.expect("punct", ")")
-            return e
+            return self.node(e, e)      # parentheses are a level too
         if self.at("punct", "["):
             self.next()
             items = []
@@ -293,7 +335,7 @@ class _Parser:
                 if not self.accept("punct", ","):
                     break
             self.expect("punct", "]")
-            return EArrayLit(t.pos, items)
+            return self.node(EArrayLit(t.pos, items), *items)
         if t.kind == "ident":
             self.next()
             if self.at("punct", "("):
@@ -304,7 +346,7 @@ class _Parser:
                     if not self.accept("punct", ","):
                         break
                 self.expect("punct", ")")
-                return ECall(t.pos, t.text, args)
+                return self.node(ECall(t.pos, t.text, args), *args)
             if self.at("punct", "{"):
                 self.next()
                 fields = []
@@ -315,7 +357,7 @@ class _Parser:
                     if not self.accept("punct", ","):
                         break
                 self.expect("punct", "}")
-                return ERecordLit(t.pos, t.text, fields)
+                return self.node(ERecordLit(t.pos, t.text, fields), *(v for _, v in fields))
             return EVar(t.pos, t.text)
         raise MiniSyntaxError(t.pos, f"expected an expression, found {t.text or t.kind!r}")
 

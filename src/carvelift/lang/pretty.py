@@ -57,7 +57,8 @@ def _expr(e: Expr, parent_prec: int = 0) -> str:
         return f"{e.op}{_expr(e.operand, 6)}"
     if isinstance(e, EBinary):
         prec = _PRECEDENCE[e.op]
-        text = f"{_expr(e.left, prec)} {e.op} {_expr(e.right, prec + 1)}"
+        left = prec + 1 if prec == _PRECEDENCE["<"] else prec   # no chains
+        text = f"{_expr(e.left, left)} {e.op} {_expr(e.right, prec + 1)}"
         return f"({text})" if prec < parent_prec else text
     if isinstance(e, ECall):
         return f"{e.name}({', '.join(_expr(a) for a in e.args)})"

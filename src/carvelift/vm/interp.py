@@ -1,4 +1,4 @@
-"""Deterministic VM: each function is compiled once into Python closures.
+"""Deterministic VM: each function is compiled once to Python source.
 
 Three entry points:
 
@@ -7,14 +7,24 @@ Three entry points:
     call_function     execute one function against a carved world
 
 A Program is compiled on its first run, and the code is kept on the
-Program, so it lives exactly as long as the Program does.  Every
-statement and expression becomes a closure `f(state, frame)` (Feeley and
-Lapalme, "Using Closures for Code Generation", 1987).  Operators, call
-targets, branch goals and crash positions are resolved while compiling,
-so a run does no per-node dispatch; the operations themselves are in
-ops.py.  Tracing is run state, not code: every user call checks whether
-its run has a tracer, and branches add to the run state's coverage set,
-which the tracer points at the innermost recorded call's set.
+Program, so it lives exactly as long as the Program does.  `_Code`
+writes the source of one Python function per mini-language function and
+builds them with one compile(), as `dataclasses` builds its methods:
+parameters and lets become Python locals, the int fast paths are
+inline, branch goals, crash positions and builtins are bound into the
+code, and ops.py keeps the slow paths and the builtins.  A call is one
+Python call.  Tracing is run state, not code: each call site takes the
+traced path when its run has a tracer, and branches add to the run
+state's coverage set, which the tracer points at the innermost recorded
+call's set.
+
+Steps are exact.  The code subtracts each node's steps from the run's
+fuel as the node starts, without a test, and subtracts two nodes' steps
+in one line only where no other line lies between them, so a crash has
+been charged exactly the steps before it.  Fuel is checked before every
+call and branch, after a traced call, and before every effect a run can
+show (output, a store to the world, an allocation, the run's end), so
+an exhausted run shows nothing past its limit.
 
 All three are deterministic: the language has no clocks, no randomness,
 and no addresses observable to the subject, so identical inputs yield
@@ -40,7 +50,6 @@ Semantics notes that matter for reproducibility:
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
@@ -48,10 +57,10 @@ from typing import Optional
 from ..errors import ToolError
 from ..inputs import SystemInput
 from ..lang.ast import (
-    ENTRY, EArrayLit, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt,
-    ENull, ERecordLit, EUnary, EVar, FunctionDef, Program, SExpr, SIf,
-    SIndexSet, SLet, SReturn, SWhile, TArray, TBytes, TFloat, TInt, TRecord,
-    TRef, input_reading_functions, iter_stmts,
+    ENTRY, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt, ENull,
+    ERecordLit, EUnary, EVar, Program, SExpr, SIf, SIndexSet, SLet, SReturn,
+    SWhile, TArray, TBytes, TFloat, TInt, TRecord, TRef,
+    input_reading_functions, iter_stmts,
 )
 from ..lang.errors import UnknownFunction
 from ..lang.goals import OUTCOMES_IF, OUTCOMES_WHILE, BranchGoal
@@ -60,7 +69,7 @@ from .ops import Crash, OutOfSteps, fail, spent
 from .trace import CarvedTest, CarveStats, Tracer, encode_carve
 from .values import (
     INT64_MAX, INT64_MIN, Record, Ref, SegmentTable, encode_value,
-    value_type_name,
+    value_type_name, wrap64,
 )
 
 MAX_CALL_DEPTH = 256
@@ -130,12 +139,8 @@ def serialize_run_result(result: RunResult) -> dict:
 # ---------------------------------------------------------------- run state
 
 class _State:
-    """One run.  `fuel` is the steps left.  Nodes subtract their steps
-    without a test.  Every call and loop test checks that fuel is not
-    negative, which bounds the run, and so does whatever could show an
-    effect (a branch, a call's return, output, a store to the world, the
-    run's end), so an exhausted run shows nothing past its limit.
-    `tracer` is None unless the run is traced."""
+    """One run.  `fuel` is the steps left, `depth` the calls open, and
+    `tracer` None unless the run is traced."""
 
     __slots__ = ("opts", "fuel", "coverage", "globals", "segments", "next_seg",
                  "output", "argv", "stdin", "depth", "tracer")
@@ -156,37 +161,52 @@ class _State:
         self.tracer = None
 
 
-def _call(st: _State, at, target: "_Target", args: list):
-    """Enter a user function from a call at `at`."""
+def _global(st, at, name):
+    """The global `name`, read where no local of that name is bound."""
+    try:
+        return st.globals[name]
+    except KeyError:
+        fail(at, "type-error", f"unbound name {name!r}")
+
+
+def _stop(st, at, kind: str, message: str):
+    """A check before a branch or a call failed: the run is out of
+    steps, else it crashes."""
     if st.fuel < 0:
         spent(st)
-    if st.depth >= MAX_CALL_DEPTH:
-        fail(at, "abort", "call stack overflow")
+    fail(at, kind, message)
+
+
+def _traced(st, fn, name, *args):
+    """Call the compiled function `fn` in a traced run."""
     tracer = st.tracer
-    if tracer is not None:
-        call = tracer.enter(st, target.name, args)
-    st.depth += 1
-    flow = target.body(st, dict(zip(target.params, args)))
-    st.depth -= 1
-    if tracer is not None:
-        if st.fuel < 0:
-            spent(st)
-        tracer.leave(st, call)
-    return flow[0] if flow is not None else None
+    call = tracer.enter(st, name, list(args))
+    value = fn(st, *args)
+    if st.fuel < 0:
+        spent(st)
+    tracer.leave(st, call)
+    return value
+
+
+_SLOW = {op: f"S{i}" for i, op in enumerate(ops.BINARY)}
+_NAMESPACE = {
+    "spent": spent, "fail": fail, "U": object(), "Record": Record,
+    "GLOBAL": _global, "STOP": _stop, "TRACED": _traced, "TYPE": value_type_name,
+    "INDEX": ops.index, "STORE": ops.store, "WRAP": wrap64,
+    "NEG": ops.negate, "NOT": ops.logical_not, "FIELD": ops.field,
+    "inf": float("inf"),     # repr() of an overflowing float literal
+    **{_SLOW[op]: f for op, f in ops.BINARY.items()},
+    **{f"B_{name}": f for name, f in ops.BUILTINS.items()},
+}
+# Inline fast paths of builtins: the text before `else` and the call.
+_FAST = {
+    "B_len": "len({0}) if type({0}) is bytes else ",
+    "B_byte_at": "{0}[{1}] if type({0}) is bytes and type({1}) is int and "
+                 "0 <= {1} < len({0}) else ",
+}
 
 
 # ---------------------------------------------------------------- compiler
-
-class _Target:
-    """A user function; `body` is set once all are compiled, so calls can
-    recurse."""
-
-    __slots__ = ("name", "params", "body")
-
-    def __init__(self, fn: FunctionDef):
-        self.name = fn.name
-        self.params = tuple(p for p, _ in fn.params)
-
 
 def _code(program: Program) -> "_Code":
     """`program`'s code, compiled on its first run."""
@@ -196,290 +216,277 @@ def _code(program: Program) -> "_Code":
 
 
 class _Code:
-    """A program compiled into closures `f(st, fr)` over the run state and
-    the frame.  A statement's closure returns None, or (value,) once the
-    function returns.
+    """A program compiled to Python: one function per mini-language
+    function, taking the run state and the arguments, and one for the
+    global initializers, written as source and built with compile().
 
-    While a statement compiles, `at` is its crash position, `bound` the
-    names certain to be in the frame (parameters and the lets before it
-    in enclosing blocks) and `maybe` every name the frame can hold.
-    `frames` bounds the host stack a run can use: MAX_CALL_DEPTH calls at
-    the deepest nesting, at most two Python frames per closure.
+    An expression's code leaves its value in an atom: a literal, the
+    local of a parameter or let (U until the let has run), or a
+    temporary.  While a statement compiles, `at` is its crash position,
+    `bound` the names certain to be bound (parameters and the lets
+    before it in enclosing blocks), `maybe` every name a local can hold,
+    `ints` the atoms certain to hold ints, and `pending` the steps due
+    that no line has subtracted yet; the next line subtracts them first.
     `input_dependent` holds the input-reading functions: never recorded.
     """
 
     def __init__(self, program: Program):
         self.input_dependent = input_reading_functions(program)
         self.global_names = {g.name for g in program.globals}
-        self.targets = {f.name: _Target(f) for f in program.functions}
-        self.nesting = self.deepest = 0
+        self.targets = {f.name: f"F{i}" for i, f in enumerate(program.functions)}
+        self.ns, source = dict(_NAMESPACE), []
         for fn in program.functions:
             self.enter(fn.name, [p for p, _ in fn.params],
                        [s.name for s in iter_stmts(fn.body) if isinstance(s, SLet)])
-            self.targets[fn.name].body = self.block(fn.body)
+            self.line("st.depth += 1")
+            self.block(fn.body)
+            if not fn.body or type(fn.body[-1]) is not SReturn:
+                self.line("st.depth -= 1")
+            params = "".join(f", {self.local(p)}" for p, _ in fn.params)
+            source += [f"def {self.targets[fn.name]}(st{params}):",
+                       *sorted(f" {self.local(n)} = U" for n in self.unset), *self.out]
         self.enter("<init>", (), ())
-        self.inits = [(g.name, self.expr(g.init)) for g in program.globals]
-        self.frames = 2 * MAX_CALL_DEPTH * (self.deepest + 4)
+        for g in program.globals:
+            self.line(f"st.globals[{g.name!r}] = {self.expr(g.init)}")
+        source += ["def INIT(st):", " pass", *self.out]
+        exec(compile("\n".join(source), "<carvelift>", "exec"), self.ns)
+        self.functions = {name: self.ns[py] for name, py in self.targets.items()}
+        self.init = self.ns["INIT"]
+        del self.ns
 
     def enter(self, fn_name: str, params, lets) -> None:
-        self.fn_name, self.at = fn_name, (fn_name, -1)
+        self.fn_name, self.at = fn_name, repr((fn_name, -1))
         self.bound, self.maybe = set(params), frozenset(params) | set(lets)
+        self.locals, self.unset, self.ints = {}, set(), set()
+        self.out, self.depth, self.pending, self.temps, self.free = [], 1, 0, 0, []
 
     def run(self, st: _State, name: str, args: list, init: bool):
         """Call `name` as the outermost call, after the global
         initializers when `init` is set."""
         if init:
-            for gname, value in self.inits:
-                st.globals[gname] = value(st, {})
-        return _call(st, None, self.targets[name], args)   # at depth 0
+            self.init(st)
+        if st.fuel < 0:
+            spent(st)
+        if st.tracer is None:
+            return self.functions[name](st, *args)
+        return _traced(st, self.functions[name], name, *args)
+
+    # ------------------------------------------------------------ emitting
+
+    def flush(self) -> None:
+        if self.pending:
+            self.out.append(f"{' ' * self.depth}st.fuel -= {self.pending}")
+            self.pending = 0
+
+    def line(self, text: str) -> None:
+        self.flush()
+        self.out.append(" " * self.depth + text)
+
+    def indented(self, header: str, *emit) -> None:
+        """`header`, then the lines `emit` and what calling each lambda
+        in it emits, one level deeper."""
+        self.line(header)
+        self.depth += 1
+        for e in emit:
+            self.line(e) if type(e) is str else e()
+        self.flush()
+        self.depth -= 1
+
+    def local(self, name: str) -> str:
+        return self.locals.setdefault(name, f"v{len(self.locals)}")
+
+    def temp(self) -> str:
+        if not self.free:
+            self.free.append(f"t{self.temps}")
+            self.temps += 1
+        t = self.free.pop()
+        self.ints.discard(t)
+        return t
+
+    def release(self, *atoms) -> None:
+        self.free += [a for a in atoms if a[0] == "t" and a not in self.free]
+
+    def is_int(self, atom: str) -> bool:
+        return atom in self.ints or atom.lstrip("-").isdigit()
+
+    def name(self, key: str, value) -> str:
+        """`key`, bound to `value` in the code's namespace."""
+        self.ns[key] = value
+        return key
 
     # ------------------------------------------------------------ statements
 
-    def block(self, body):
+    def block(self, body) -> None:
         outer, self.bound = self.bound, set(self.bound)
-        self.nesting += 2       # the block's closure, then each statement's
-        self.deepest = max(self.deepest, self.nesting)
-        stmts = tuple(self.stmt(s) for s in body)
-        self.nesting -= 2
+        for s in body:
+            self.stmt(s)
         self.bound = outer
 
-        def block(st, fr):
-            for s in stmts:
-                flow = s(st, fr)
-                if flow is not None:
-                    return flow
-        return block
-
-    def stmt(self, s):
-        self.at = at = (self.fn_name, s.stmt_id)
+    def stmt(self, s) -> None:
+        self.at = at = repr((self.fn_name, s.stmt_id))
         cls = type(s)
         if cls is SIf or cls is SWhile:
             return self.branch(s, at)
         if cls is SIndexSet:
-            return self.apply(ops.store, [s.obj, s.index, s.value], 1, at)
+            args = self.operands([s.obj, s.index, s.value], 1)
+            self.release(*args)
+            return self.line(f"STORE(st, {at}, {', '.join(args)})")
         value = (self.expr(s.value, 1) if s.value is not None
                  else self.node(ENull(s.pos), 1))   # a bare return
+        self.release(value)
         if cls is SReturn:
-            return lambda st, fr: (value(st, fr),)
+            return self.line(f"st.depth -= 1; return {value}")
         if cls is SExpr:
-            def expr_stmt(st, fr):
-                value(st, fr)
-            return expr_stmt
+            return None
         name = s.name
         if cls is SLet:
             self.bound.add(name)
         if cls is SLet or name in self.bound or name not in self.global_names:
-            def assign_local(st, fr):
-                fr[name] = value(st, fr)
-            return assign_local
-        maybe_local = name in self.maybe
+            return self.line(f"{self.local(name)} = {value}")
+        if name in self.maybe:
+            v = self.local(name)
+            self.unset.add(name)
+            self.line(f"if {v} is not U: {v} = {value}")
+        self.line(f"{'el' if name in self.maybe else ''}if st.fuel < 0: spent(st)")
+        self.line(f"else: st.globals[{name!r}] = {value}")
 
-        def assign_global(st, fr):
-            v = value(st, fr)
-            if maybe_local and name in fr:
-                fr[name] = v
-                return
-            if st.fuel < 0:
-                spent(st)
-            st.globals[name] = v
-        return assign_global
-
-    def branch(self, s, at):
+    def branch(self, s, at) -> None:
         """An if or a while: its test, the goals it covers, its bodies."""
-        cond = self.expr(s.cond, 1)
         loop = type(s) is SWhile
-        yes, no = (BranchGoal(self.fn_name, s.stmt_id, outcome) for outcome in
-                   (OUTCOMES_WHILE if loop else OUTCOMES_IF))
-        then = self.block(s.body if loop else s.then_body)
-        other = None if loop or s.else_body is None else self.block(s.else_body)
+        yes, no = (self.name(f"G{s.stmt_id}{i}", BranchGoal(self.fn_name, s.stmt_id, o))
+                   for i, o in enumerate(OUTCOMES_WHILE if loop else OUTCOMES_IF))
 
-        def if_stmt(st, fr):
-            c = cond(st, fr)
-            if st.fuel < 0:
-                spent(st)
-            if type(c) is not int:
-                fail(at, "type-error", f"condition must be int, got {value_type_name(c)}")
-            if c:
-                st.coverage.add(yes)
-                return then(st, fr)
-            st.coverage.add(no)
-            if other is not None:
-                return other(st, fr)
+        def test():
+            c = self.expr(s.cond, 1)
+            self.release(c)
+            self.line("if st.fuel < 0: spent(st)" if self.is_int(c) else
+                      f"if st.fuel < 0 or type({c}) is not int: STOP(st, {at}, "
+                      f"'type-error', 'condition must be int, got ' + TYPE({c}))")
+            return c
 
-        def while_stmt(st, fr):
-            st.fuel -= 1
-            while True:
-                c = cond(st, fr)
-                if st.fuel < 0:
-                    spent(st)
-                if type(c) is not int:
-                    fail(at, "type-error", f"condition must be int, got {value_type_name(c)}")
-                if not c:
-                    st.coverage.add(no)
-                    return None
-                st.coverage.add(yes)
-                flow = then(st, fr)
-                if flow is not None:
-                    return flow
-        return while_stmt if loop else if_stmt
+        if loop:
+            self.pending += 1
+            return self.indented(
+                "while True:", lambda: self.line(f"if not {test()}: st.coverage.add({no}); break"),
+                f"st.coverage.add({yes})", lambda: self.block(s.body))
+        self.indented(f"if {test()}:", f"st.coverage.add({yes})", lambda: self.block(s.then_body))
+        self.indented("else:", f"st.coverage.add({no})", lambda: self.block(s.else_body or []))
 
     # ------------------------------------------------------------ expressions
 
     def leaf(self, e):
-        """A closure for `e` when nothing can observe reading it (a
+        """The atom of `e` when nothing can observe reading it (a
         constant, a local bound here), else None."""
         cls = type(e)
-        if cls is EInt or cls is EFloat or cls is EBytes or cls is ENull:
-            value = None if cls is ENull else e.value
-            return lambda st, fr: value
+        if cls is EInt or cls is EFloat or cls is EBytes:
+            return repr(e.value)
+        if cls is ENull:
+            return "None"
         if cls is EVar and e.name in self.bound:
-            name = e.name
-            return lambda st, fr: fr[name]
+            return self.local(e.name)
         return None
 
-    def children(self, exprs, k):
-        """Closures for operands evaluated in order, and the steps their
-        parent subtracts on entry: its own `k`, plus one for each leaf
-        before the first other operand; those leaves subtract nothing."""
-        out, leading = [], True
-        for e in exprs:
-            leaf = self.leaf(e) if leading else None
-            leading = leaf is not None
-            if leading:
-                k += 1
-            out.append(leaf if leading else self.expr(e))
-        return out, k
+    def operands(self, exprs, k) -> list:
+        """Atoms of operands evaluated in order, after their parent's
+        step `k` and one step for each leaf before the first other
+        operand; those leaves subtract nothing themselves."""
+        n = 0
+        while n < len(exprs) and self.leaf(exprs[n]) is not None:
+            n += 1
+        self.pending += k + n
+        return [self.leaf(e) for e in exprs[:n]] + [self.expr(e) for e in exprs[n:]]
 
-    def expr(self, e, extra=0):
-        """A closure evaluating `e`, subtracting its own step and the
-        `extra` steps due just before it."""
-        self.nesting += 1
-        self.deepest = max(self.deepest, self.nesting)
-        closure = self.node(e, extra + 1)
-        self.nesting -= 1
-        return closure
+    def expr(self, e, extra=0) -> str:
+        """The atom of `e`, subtracting its own step and the `extra`
+        steps due just before it."""
+        return self.node(e, extra + 1)
 
-    def node(self, e, k):
+    def node(self, e, k) -> str:
         at, cls = self.at, type(e)
-        if cls is EVar:
-            return self.var(e.name, k, at)
+        atom = self.leaf(e)
+        if atom is not None:
+            self.pending += k
+            return atom
         if cls is EBinary:
             return self.binary(e, k, at)
-        if cls is ECall and e.name in self.targets:
-            return self.call(e, k, at, self.targets[e.name])
+        if cls is EUnary and type(e.operand) is EInt:   # a constant
+            self.pending += k + 1
+            v = e.operand.value
+            return str(wrap64(-v) if e.op == "-" else 0 if v != 0 else 1)
+        if cls is EVar:
+            self.pending += k
+            read = (f"st.globals[{e.name!r}]" if e.name in self.global_names
+                    else f"GLOBAL(st, {at}, {e.name!r})")
+            if e.name in self.maybe:
+                v = self.local(e.name)
+                self.unset.add(e.name)
+                read = f"{v} if {v} is not U else {read}"
+            t = self.temp()
+            self.line(f"{t} = {read}")
+            return t
         if cls is ECall:
-            return self.apply(ops.BUILTINS[e.name], e.args, k, at)
-        if cls is EIndex:
-            return self.apply(ops.index, [e.obj, e.index], k, at)
-        if cls is EField:
-            return self.apply(ops.field(e.name), [e.obj], k, at)
-        if cls is EUnary:
-            return self.apply(ops.UNARY[e.op], [e.operand], k, at)
-        if cls is ERecordLit:
-            rtype, names = e.name, [n for n, _ in e.fields]
-            return self.apply(
-                lambda st, at, *values: Record(rtype, dict(zip(names, values))),
-                [v for _, v in e.fields], k, at)
-        if cls is EArrayLit:
-            return self.apply(lambda st, at, *items: items, e.items, k, at)
-        value = None if cls is ENull else e.value   # a constant
+            op, exprs = self.targets.get(e.name, f"B_{e.name}"), e.args
+        elif cls is EIndex:
+            op, exprs = "INDEX", [e.obj, e.index]
+        elif cls is EField:
+            op, exprs = "FIELD", [e.obj]
+        elif cls is EUnary:
+            op, exprs = "NEG" if e.op == "-" else "NOT", [e.operand]
+        else:   # a record or array literal
+            op, exprs = "", [v for _, v in e.fields] if cls is ERecordLit else e.items
+        args = self.operands(exprs, k)
+        self.release(*args)
+        t, a = self.temp(), ", ".join(args + ([repr(e.name)] if cls is EField else []))
+        if cls is ECall and e.name in self.targets:
+            self.line(f"if st.fuel < 0 or st.depth >= {MAX_CALL_DEPTH}: "
+                      f"STOP(st, {at}, 'abort', 'call stack overflow')")
+            self.line(f"{t} = {op}(st, {a}) if st.tracer is None "
+                      f"else TRACED(st, {op}, {e.name!r}, {a})")
+        elif op == "NOT":
+            self.ints.add(t)
+            self.line(f"{t} = (0 if {a} else 1) if type({a}) is int else NOT(st, {at}, {a})")
+        elif op:    # no fast path on a literal: Python warns at 1[0]
+            fast = _FAST[op].format(*args) if op in _FAST and args[0][0] in "tv" else ""
+            self.line(f"{t} = {fast}{op}(st, {at}, {a})")
+        elif cls is ERecordLit:
+            fields = ", ".join(f"{n!r}: {x}" for (n, _), x in zip(e.fields, args))
+            self.line(f"{t} = Record({e.name!r}, {{{fields}}})")
+        else:   # an array literal
+            self.line(f"{t} = ({a}{',' if len(args) == 1 else ''})")
+        return t
 
-        def const(st, fr):
-            st.fuel -= k
-            return value
-        return const
+    def binary(self, e, k, at) -> str:
+        op = e.op
+        if op == "&&" or op == "||":   # the right operand only sometimes
+            (a,) = self.operands([e.left], k)
+            t = self.temp()
+            fails = f"fail({at}, 'type-error', '{op} needs int operands')"
+            if not self.is_int(a):
+                self.line(f"if type({a}) is not int: {fails}")
+            self.release(a)
+            self.line(f"{t} = {0 if op == '&&' else 1}")
 
-    def var(self, name, k, at):
-        if name in self.bound:
-            def local(st, fr):
-                st.fuel -= k
-                return fr[name]
-            return local
-        maybe_local = name in self.maybe
-
-        def var(st, fr):
-            st.fuel -= k
-            if maybe_local and name in fr:
-                return fr[name]
-            try:
-                return st.globals[name]
-            except KeyError:
-                fail(at, "type-error", f"unbound name {name!r}")
-        return var
-
-    def apply(self, op, exprs, k, at):
-        """Evaluate `exprs` in order, then `op(st, at, *values)`."""
-        args, k = self.children(exprs, k)
-        if len(args) == 1:
-            (a,) = args
-
-            def apply1(st, fr):
-                st.fuel -= k
-                return op(st, at, a(st, fr))
-            return apply1
-
-        def apply(st, fr):
-            st.fuel -= k
-            return op(st, at, *[a(st, fr) for a in args])
-        return apply
-
-    def binary(self, e, k, at):
-        slow, fast = ops.BINARY.get(e.op), ops.FAST.get(e.op)
-        if slow is None:   # && or ||: the right operand only sometimes
-            (left,), k = self.children([e.left], k)
-            right = self.expr(e.right)
-            decided = 0 if e.op == "&&" else 1   # the left value that decides
-            message = f"{e.op} needs int operands"
-
-            def logic(st, fr):
-                st.fuel -= k
-                a = left(st, fr)
-                if type(a) is not int:
-                    fail(at, "type-error", message)
-                if (a != 0) == decided:
-                    return decided
-                b = right(st, fr)
-                if type(b) is not int:
-                    fail(at, "type-error", message)
-                return 1 if b != 0 else 0
-            return logic
-        (left, right), k = self.children([e.left, e.right], k)
-        if fast is None:
-            def division(st, fr):
-                st.fuel -= k
-                return slow(at, left(st, fr), right(st, fr))
-            return division
-        if type(e.left) is EVar and e.left.name in self.bound and type(e.right) is EInt:
-            a_name, b = e.left.name, e.right.value
-
-            def local_const(st, fr):   # the commonest shape: i < 10, n + 1
-                st.fuel -= k
-                a = fr[a_name]
-                if type(a) is int:
-                    r = fast(a, b) + 0   # + 0 makes a comparison's bool 0 or 1
-                    if INT64_MIN <= r <= INT64_MAX:
-                        return r
-                return slow(at, a, b)
-            return local_const
-
-        def binary(st, fr):
-            st.fuel -= k
-            a = left(st, fr)
-            b = right(st, fr)
-            if type(a) is int and type(b) is int:
-                r = fast(a, b) + 0
-                if INT64_MIN <= r <= INT64_MAX:
-                    return r
-            return slow(at, a, b)
-        return binary
-
-    def call(self, e, k, at, target):
-        args, k = self.children(e.args, k)
-
-        def call(st, fr):
-            st.fuel -= k
-            return _call(st, at, target, [a(st, fr) for a in args])
-        return call
+            def right():
+                b = self.expr(e.right)
+                if not self.is_int(b):
+                    self.line(f"if type({b}) is not int: {fails}")
+                self.release(b)
+                self.line(f"{t} = 1 if {b} else 0")
+            self.indented(f"if {a}:" if op == "&&" else f"if not {a}:", right)
+            self.ints.add(t)
+            return t
+        a, b = self.operands([e.left, e.right], k)
+        guard = " and ".join(f"type({x}) is int" for x in (a, b) if not self.is_int(x))
+        self.release(a, b)
+        t, slow = self.temp(), f"{_SLOW[op]}({at}, {a}, {b})"
+        if op in "+-*":
+            fast = f"r if {INT64_MIN} <= (r := {a} {op} {b}) <= {INT64_MAX} else WRAP(r)"
+        elif op not in "/%":    # a comparison: 0 or 1
+            fast = f"1 if {a} {op} {b} else 0"
+            self.ints.add(t)
+        self.line(f"{t} = {slow}" if op in "/%" else
+                  f"{t} = ({fast}) if {guard} else {slow}" if guard else f"{t} = {fast}")
+        return t
 
 
 # ---------------------------------------------------------------- entry points
@@ -487,8 +494,6 @@ class _Code:
 def _finish(st: _State, code: _Code, name: str, args: list, init: bool,
             started: float) -> RunResult:
     """Run `name`, folding crashes and budget exhaustion into a status."""
-    host_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(host_limit, code.frames))
     value = None
     try:
         value = code.run(st, name, args, init)
@@ -499,8 +504,6 @@ def _finish(st: _State, code: _Code, name: str, args: list, init: bool,
                            crash_stmt=stmt, message=message)
     except OutOfSteps:
         pass
-    finally:
-        sys.setrecursionlimit(host_limit)
     if st.fuel < 0:   # the budget ran out before that exit or crash
         st.fuel, value, status = -1, None, RunStatus("budget-exhausted")
     tracer = st.tracer

@@ -2,10 +2,11 @@
 
 Each checks its operands as the language defines (docs/minilang.md) and
 raises Crash at `at`, the position of the statement it was compiled
-into.  Binary operators take (at, left, right); FAST holds the int-int
-fast path of each one that has one.  Every other operation takes the
-run state, `at` and its evaluated operands; those with an effect a run
-can show check the state's fuel first (see interp._State).
+into.  Binary operators take (at, left, right); the compiled code runs
+their int-int fast paths inline and calls them for everything else.
+Every other operation takes the run state, `at` and its evaluated
+operands; those with an effect a run can show check the state's fuel
+first (see interp).
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ BINARY = {
 }
 
 
-def _negate(st, at, v):
+def negate(st, at, v):
     if type(v) is int:
         return wrap64(-v)
     if type(v) is float:
@@ -98,13 +99,10 @@ def _negate(st, at, v):
     fail(at, "type-error", f"unary - on {value_type_name(v)}")
 
 
-def _not(st, at, v):
+def logical_not(st, at, v):
     if type(v) is int:
         return 0 if v != 0 else 1
     fail(at, "type-error", f"unary ! on {value_type_name(v)}")
-
-
-UNARY = {"-": _negate, "!": _not}
 
 
 def _segment(st, at, ref):
@@ -146,16 +144,14 @@ def store(st, at, o, i, v):
     seg[o.off + i] = v
 
 
-def field(name):
-    def field(st, at, o):
-        if isinstance(o, Record):
-            if name in o.fields:
-                return o.fields[name]
-            fail(at, "type-error", f"record {o.rtype!r} has no field {name!r}")
-        if o is None:
-            fail(at, "type-error", "field access on null")
-        fail(at, "type-error", f"field access on {value_type_name(o)}")
-    return field
+def field(st, at, o, name):
+    if isinstance(o, Record):
+        if name in o.fields:
+            return o.fields[name]
+        fail(at, "type-error", f"record {o.rtype!r} has no field {name!r}")
+    if o is None:
+        fail(at, "type-error", "field access on null")
+    fail(at, "type-error", f"field access on {value_type_name(o)}")
 
 
 # ---------------------------------------------------------------- builtins

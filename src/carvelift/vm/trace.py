@@ -305,19 +305,31 @@ def encode_carve(carve: CarvedTest) -> dict:
 def decode_carve(doc: dict) -> CarvedTest:
     """The carve `encode_carve` wrote; FormatError if `doc` is malformed.
 
-    Every ref must point into the segment table, with an offset at most
-    its segment's length (`slice` can leave a ref at the end).
+    The roots must be `arg[0]` to `arg[n-1]` and then distinct globals,
+    as a call's context holds them.  Every ref must point into the
+    segment table, with an offset at most its segment's length (`slice`
+    can leave a ref at the end).
     """
     try:
+        paths = [p for p, _ in doc["roots"]]
+        n = 0
+        while n < len(paths) and paths[n] == f"arg[{n}]":
+            n += 1
+        if not all(type(p) is str and re.fullmatch(r"global:\w+", p) for p in paths[n:]) \
+                or len(set(paths)) != len(paths):
+            raise FormatError(f"roots must be arg[0..n-1] then globals: {paths!r}")
+        call_index, truncated = doc["start"]["call_index"], doc["truncated"]
+        if type(call_index) is not int or type(truncated) is not bool:
+            raise FormatError("call_index must be a JSON integer, truncated a JSON bool")
         ctx = Context({p: decode_value(v) for p, v in doc["roots"]},
-                      decode_segments(doc["segments"]), bool(doc["truncated"]))
+                      decode_segments(doc["segments"]), truncated)
         table = ctx.segments
         for v in chain(ctx.roots.values(), *table.values()):
             for r in iter_refs(v):
                 if r.seg not in table or r.off > len(table[r.seg]):
                     raise FormatError(f"{r} lies outside the segment table")
         return CarvedTest(
-            start=(str(doc["start"]["fn"]), int(doc["start"]["call_index"])),
+            start=(str(doc["start"]["fn"]), call_index),
             context=ctx,
             origin=str(doc["origin"]),
             observed_coverage=frozenset(

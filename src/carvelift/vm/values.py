@@ -190,8 +190,11 @@ def decode_value(obj: object):
         if not INT64_MIN <= v <= INT64_MAX:
             raise FormatError(f"int {v} is outside the signed 64-bit range")
         return v
-    if t == "float":
-        return float(obj["v"])
+    if t == "float":    # repr() of the float, as encode_value writes it
+        v = obj["v"]
+        if type(v) is not str or repr(float(v)) != v:
+            raise FormatError(f"float must be a repr() string: {obj!r}")
+        return float(v)
     if t == "bytes":
         return decode_b64(obj["v"])
     if t == "array":
@@ -222,6 +225,8 @@ def decode_segments(obj: dict) -> SegmentTable:
     for sid, seg in obj.items():
         if not isinstance(seg, list):
             raise FormatError(f"segment {sid} is not a list: {seg!r}")
+        if not sid.lstrip("-").isdecimal() or str(int(sid)) != sid:
+            raise FormatError(f"segment id {sid!r} is not an integer as str() writes it")
         table[int(sid)] = [decode_value(x) for x in seg]
     return table
 

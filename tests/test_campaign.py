@@ -9,7 +9,11 @@ control flow.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -477,3 +481,34 @@ def test_lift_path_report_matches_golden_digest(keycheck_bridge_report):
             r.lift_stats.other_goal, r.lift_stats.false_positive) == (3, 1, 1, 1)
     assert r.effective_inputs and all(r.effective_inputs[0].argv)
     assert timeless_digest(r) == LIFT_PATH_DIGEST
+
+
+# The same two campaigns in fresh interpreters under two hash seeds: set
+# and dict iteration order must not reach a report (nor compiled code).
+HASH_SEED_SCRIPT = """
+import sys
+sys.path.insert(0, {bench!r})
+from workloads import report_digest
+from carvelift import resolve_program, resolve_seeds
+from carvelift.campaign import RunConfig, run_campaign
+for name, mode in (("keycheck", "bridge"), ("mini_sed", "system-only")):
+    program, name = resolve_program(name)
+    cfg = RunConfig(mode=mode, deterministic_clock=100_000, rng_seed=3)
+    print(report_digest(run_campaign(program, resolve_seeds(None, name), cfg,
+                                     program_name=name)))
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    root = Path(__file__).resolve().parent.parent
+    script = HASH_SEED_SCRIPT.format(bench=str(root / "bench"))
+    outputs = []
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([str(root / "src"),
+                                              os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outputs.append(proc.stdout.split())
+    assert len(outputs[0]) == 2 and outputs[0] == outputs[1]

@@ -454,6 +454,19 @@ def with_leaf(encoded):
     return edit
 
 
+def with_roots(paths):
+    def edit(doc):
+        return json.dumps({**doc, "roots": [[p, {"t": "int", "v": 1}] for p in paths]})
+    return edit
+
+
+def with_segment_id(sid, seg):
+    def edit(doc):
+        return json.dumps({**doc, "roots": [["arg[0]", {"t": "ref", "seg": seg, "off": 0}]],
+                           "segments": {sid: [{"t": "int", "v": 7}]}})
+    return edit
+
+
 def test_int_leaves_at_the_64_bit_bounds_load(tmp_path):
     path = small_snapshot(tmp_path)
     doc = json.loads(path.read_text())
@@ -515,6 +528,23 @@ MALFORMED_SNAPSHOTS = {
         {"t": "record", "name": 1, "fields": []}),
     "record-field-name-not-a-string": with_leaf(
         {"t": "record", "name": "R", "fields": [[1, {"t": "int", "v": 1}]]}),
+    # Context.world() would hand call_function only arg[0].
+    "roots-skip-an-argument": with_roots(["arg[0]", "arg[2]"]),
+    "root-not-a-path": with_roots(["arg[0]", "foo"]),
+    "argument-after-a-global": with_roots(["global:g", "arg[0]"]),
+    "root-twice": with_roots(["arg[0]", "global:g", "global:g"]),
+    "truncated-as-string": lambda doc: json.dumps({**doc, "truncated": "no"}),
+    "truncated-as-int": lambda doc: json.dumps({**doc, "truncated": 0}),
+    "call-index-as-string": lambda doc: json.dumps(
+        {**doc, "start": {**doc["start"], "call_index": "3"}}),
+    "call-index-as-float": lambda doc: json.dumps(
+        {**doc, "start": {**doc["start"], "call_index": 3.0}}),
+    # int() would read these as segments 10 and 2.
+    "segment-id-with-underscore": with_segment_id("1_0", 10),
+    "segment-id-with-spaces": with_segment_id(" 2 ", 2),
+    "float-as-bool": with_leaf({"t": "float", "v": True}),
+    "float-as-number": with_leaf({"t": "float", "v": 1.5}),
+    "float-not-a-repr": with_leaf({"t": "float", "v": "1_0"}),
 }
 
 

@@ -15,10 +15,11 @@ from carvelift.lang.errors import (
 )
 from carvelift.lang.goals import BranchGoal, enumerate_goals, goals_in_function
 from carvelift.lang.lexer import tokenize
-from carvelift.lang.parser import parse
+from carvelift.lang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, parse
 from carvelift.lang.pretty import pretty_print
 
 from conftest import SUBJECT_NAMES, load_subject, subject_source
+from progen import nested_sources
 
 
 def token_oracle(source: str) -> int:
@@ -147,6 +148,13 @@ def test_pretty_print_round_trip_is_structurally_identical(name):
     assert [f.name for f in p2.functions] == [f.name for f in p1.functions]
 
 
+def test_pretty_print_keeps_the_parentheses_of_a_compared_comparison():
+    source = "fn main() { let x = (1 < 2) == (3 >= 4); let y = 1 - (2 - 3); }\n"
+    text = pretty_print(parse(source))
+    assert "(1 < 2) == (3 >= 4)" in text and "1 - (2 - 3)" in text
+    assert pretty_print(parse(text)) == text
+
+
 def test_statement_ids_are_stable_and_unique():
     source = subject_source("mini_cut")
     p1, p2 = parse(source), parse(source)
@@ -155,3 +163,46 @@ def test_statement_ids_are_stable_and_unique():
     assert ids1 == ids2
     assert len(ids1) == len(set(ids1))
     assert min(ids1) >= 1
+
+
+# ------------------------------------------------------- nesting limits
+
+def test_programs_nested_to_the_limits_parse_and_one_deeper_do_not():
+    # Nested whiles, nested ifs, an else-if chain, and an expression of
+    # parentheses around operators; then bare parentheses.
+    at_limit = nested_sources(MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH)
+    past = nested_sources(MAX_BLOCK_DEPTH + 1, MAX_EXPR_DEPTH + 1)
+    parens = "fn main() {{ let x = {}1{}; }}"
+    at_limit.append(parens.format("(" * (MAX_EXPR_DEPTH - 1), ")" * (MAX_EXPR_DEPTH - 1)))
+    past.append(parens.format("(" * MAX_EXPR_DEPTH, ")" * MAX_EXPR_DEPTH))
+    for source in at_limit:
+        parse(source)
+    for source in past:
+        with pytest.raises(MiniSyntaxError, match="nest"):
+            parse(source)
+
+
+DEEP_SOURCES = {
+    "parentheses": "fn main() { let x = " + "(" * 2000 + "1" + ")" * 2000 + "; }",
+    "unary": "fn main() { let x = " + "-" * 2000 + "1; }",
+    "sum": "fn main() { let x = " + " + ".join(["1"] * 2000) + "; }",
+    "calls": ("fn f(x: int) -> int { return x; }\nfn main() { let x = "
+              + "f(" * 500 + "1" + ")" * 500 + "; }"),
+    "ifs": "fn main() { " + "if (1) { " * 1000 + "}" * 1000 + " }",
+    "else-ifs": "fn main() { if (1) { } " + "else if (1) { } " * 1000 + "}",
+    "whiles": "fn main() { " + "while (0) { " * 1000 + "}" * 1000 + " }",
+}
+
+
+@pytest.mark.parametrize("source", DEEP_SOURCES.values(), ids=DEEP_SOURCES)
+def test_deep_nesting_is_a_syntax_error_not_a_recursion_error(source):
+    with pytest.raises(MiniSyntaxError, match="nest"):
+        parse(source)
+
+
+def test_bundled_subjects_nest_within_half_the_limits(monkeypatch):
+    from carvelift.lang import parser
+    monkeypatch.setattr(parser, "MAX_BLOCK_DEPTH", MAX_BLOCK_DEPTH // 2)
+    monkeypatch.setattr(parser, "MAX_EXPR_DEPTH", MAX_EXPR_DEPTH // 2)
+    for name in SUBJECT_NAMES:
+        parse(subject_source(name))
