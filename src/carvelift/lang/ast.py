@@ -256,28 +256,28 @@ def iter_stmts(body: list[Stmt]):
             yield from iter_stmts(s.body)
 
 
+def subexpressions(e: Expr) -> list[Expr]:
+    """An expression's direct subexpressions, in evaluation order."""
+    if isinstance(e, EUnary):
+        return [e.operand]
+    if isinstance(e, EBinary):
+        return [e.left, e.right]
+    if isinstance(e, EIndex):
+        return [e.obj, e.index]
+    if isinstance(e, EField):
+        return [e.obj]
+    if isinstance(e, ERecordLit):
+        return [v for _, v in e.fields]
+    if isinstance(e, (ECall, EArrayLit)):
+        return e.args if isinstance(e, ECall) else e.items
+    return []
+
+
 def walk_expr(e: Expr):
     """Pre-order walk over an expression and all its subexpressions."""
     yield e
-    if isinstance(e, EUnary):
-        yield from walk_expr(e.operand)
-    elif isinstance(e, EBinary):
-        yield from walk_expr(e.left)
-        yield from walk_expr(e.right)
-    elif isinstance(e, ECall):
-        for a in e.args:
-            yield from walk_expr(a)
-    elif isinstance(e, EIndex):
-        yield from walk_expr(e.obj)
-        yield from walk_expr(e.index)
-    elif isinstance(e, EField):
-        yield from walk_expr(e.obj)
-    elif isinstance(e, ERecordLit):
-        for _, v in e.fields:
-            yield from walk_expr(v)
-    elif isinstance(e, EArrayLit):
-        for v in e.items:
-            yield from walk_expr(v)
+    for x in subexpressions(e):
+        yield from walk_expr(x)
 
 
 # Builtins that read the outside world.  A function that can reach one of

@@ -11,7 +11,7 @@ from .ast import (
     ENull, ERecordLit, EUnary, EVar, Expr, FunctionDef, GlobalDef, Pos, Program,
     RecordDef, SAssign, SExpr, SIf, SIndexSet, SLet, SReturn, SWhile, Stmt,
     TArray, TBytes, TFloat, TInt, TRecord, TRef, Type,
-    number_statements, stmt_exprs, walk_expr,
+    number_statements, stmt_exprs, subexpressions, walk_expr,
 )
 from .errors import DuplicateDefinition, MiniSyntaxError, UnresolvedReference
 from .lexer import Token, tokenize
@@ -88,9 +88,11 @@ class _Parser:
         self.blocks -= 1
         return stmts
 
-    def node(self, e: Expr, *parts: Expr) -> Expr:
-        """`e`, one level deeper than the deepest of its `parts`."""
-        depth = 1 + max((self.depths.get(id(p), 1) for p in parts), default=0)
+    def node(self, e: Expr, depth: int = 0) -> Expr:
+        """`e`, one level deeper than the deepest of its operands, or at
+        `depth` when that is given."""
+        depth = depth or 1 + max((self.depths.get(id(x), 1) for x in subexpressions(e)),
+                                 default=0)
         self.depths[id(e)] = self.nested(e.pos, depth, MAX_EXPR_DEPTH, "expressions")
         return e
 
@@ -249,40 +251,35 @@ class _Parser:
         e = self.and_expr()
         while self.at("punct", "||"):
             pos = self.next().pos
-            right = self.and_expr()
-            e = self.node(EBinary(pos, "||", e, right), e, right)
+            e = self.node(EBinary(pos, "||", e, self.and_expr()))
         return e
 
     def and_expr(self) -> Expr:
         e = self.cmp_expr()
         while self.at("punct", "&&"):
             pos = self.next().pos
-            right = self.cmp_expr()
-            e = self.node(EBinary(pos, "&&", e, right), e, right)
+            e = self.node(EBinary(pos, "&&", e, self.cmp_expr()))
         return e
 
     def cmp_expr(self) -> Expr:
         e = self.add_expr()
         if self.peek().text in ("==", "!=", "<", "<=", ">", ">="):
             op = self.next()
-            right = self.add_expr()
-            e = self.node(EBinary(op.pos, op.text, e, right), e, right)
+            e = self.node(EBinary(op.pos, op.text, e, self.add_expr()))
         return e
 
     def add_expr(self) -> Expr:
         e = self.mul_expr()
         while self.peek().text in ("+", "-") and self.peek().kind == "punct":
             op = self.next()
-            right = self.mul_expr()
-            e = self.node(EBinary(op.pos, op.text, e, right), e, right)
+            e = self.node(EBinary(op.pos, op.text, e, self.mul_expr()))
         return e
 
     def mul_expr(self) -> Expr:
         e = self.unary_expr()
         while self.peek().text in ("*", "/", "%") and self.peek().kind == "punct":
             op = self.next()
-            right = self.unary_expr()
-            e = self.node(EBinary(op.pos, op.text, e, right), e, right)
+            e = self.node(EBinary(op.pos, op.text, e, self.unary_expr()))
         return e
 
     def unary_expr(self) -> Expr:
@@ -290,9 +287,9 @@ class _Parser:
         if t.kind == "punct" and t.text in ("-", "!"):
             self.next()
             self.open = self.nested(t.pos, self.open + 1, MAX_EXPR_DEPTH, "expressions")
-            operand = self.unary_expr()
+            e = self.node(EUnary(t.pos, t.text, self.unary_expr()))
             self.open -= 1
-            return self.node(EUnary(t.pos, t.text, operand), operand)
+            return e
         return self.postfix_expr()
 
     def postfix_expr(self) -> Expr:
@@ -302,11 +299,11 @@ class _Parser:
                 pos = self.next().pos
                 idx = self.expr()
                 self.expect("punct", "]")
-                e = self.node(EIndex(pos, e, idx), e, idx)
+                e = self.node(EIndex(pos, e, idx))
             elif self.at("punct", "."):
                 pos = self.next().pos
                 name = self.expect("ident").text
-                e = self.node(EField(pos, e, name), e)
+                e = self.node(EField(pos, e, name))
             else:
                 return e
 
@@ -326,7 +323,7 @@ class _Parser:
         if self.accept("punct", "("):
             e = self.expr()
             self.expect("punct", ")")
-            return self.node(e, e)      # parentheses are a level too
+            return self.node(e, self.depths.get(id(e), 1) + 1)   # a level too
         if self.at("punct", "["):
             self.next()
             items = []
@@ -335,7 +332,7 @@ class _Parser:
                 if not self.accept("punct", ","):
                     break
             self.expect("punct", "]")
-            return self.node(EArrayLit(t.pos, items), *items)
+            return self.node(EArrayLit(t.pos, items))
         if t.kind == "ident":
             self.next()
             if self.at("punct", "("):
@@ -346,7 +343,7 @@ class _Parser:
                     if not self.accept("punct", ","):
                         break
                 self.expect("punct", ")")
-                return self.node(ECall(t.pos, t.text, args), *args)
+                return self.node(ECall(t.pos, t.text, args))
             if self.at("punct", "{"):
                 self.next()
                 fields = []
@@ -357,7 +354,7 @@ class _Parser:
                     if not self.accept("punct", ","):
                         break
                 self.expect("punct", "}")
-                return self.node(ERecordLit(t.pos, t.text, fields), *(v for _, v in fields))
+                return self.node(ERecordLit(t.pos, t.text, fields))
             return EVar(t.pos, t.text)
         raise MiniSyntaxError(t.pos, f"expected an expression, found {t.text or t.kind!r}")
 

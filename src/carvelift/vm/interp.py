@@ -60,7 +60,7 @@ from ..lang.ast import (
     ENTRY, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt, ENull,
     ERecordLit, EUnary, EVar, Program, SExpr, SIf, SIndexSet, SLet, SReturn,
     SWhile, TArray, TBytes, TFloat, TInt, TRecord, TRef,
-    input_reading_functions, iter_stmts,
+    input_reading_functions, iter_stmts, subexpressions,
 )
 from ..lang.errors import UnknownFunction
 from ..lang.goals import OUTCOMES_IF, OUTCOMES_WHILE, BranchGoal
@@ -342,7 +342,12 @@ class _Code:
         if cls is SLet:
             self.bound.add(name)
         if cls is SLet or name in self.bound or name not in self.global_names:
-            return self.line(f"{self.local(name)} = {value}")
+            last, v = self.out[-1], self.local(name)
+            if value[0] == "t" and not self.pending and \
+                    last.startswith(f"{' ' * self.depth}{value} ="):
+                self.out[-1] = last.replace(value, v, 1)    # the line computing it assigns it
+                return None
+            return self.line(f"{v} = {value}")
         if name in self.maybe:
             v = self.local(name)
             self.unset.add(name)
@@ -425,16 +430,12 @@ class _Code:
             self.line(f"{t} = {read}")
             return t
         if cls is ECall:
-            op, exprs = self.targets.get(e.name, f"B_{e.name}"), e.args
-        elif cls is EIndex:
-            op, exprs = "INDEX", [e.obj, e.index]
-        elif cls is EField:
-            op, exprs = "FIELD", [e.obj]
+            op = self.targets.get(e.name, f"B_{e.name}")
         elif cls is EUnary:
-            op, exprs = "NEG" if e.op == "-" else "NOT", [e.operand]
-        else:   # a record or array literal
-            op, exprs = "", [v for _, v in e.fields] if cls is ERecordLit else e.items
-        args = self.operands(exprs, k)
+            op = "NEG" if e.op == "-" else "NOT"
+        else:   # "" for a record or array literal
+            op = {EIndex: "INDEX", EField: "FIELD"}.get(cls, "")
+        args = self.operands(subexpressions(e), k)
         self.release(*args)
         t, a = self.temp(), ", ".join(args + ([repr(e.name)] if cls is EField else []))
         if cls is ECall and e.name in self.targets:
