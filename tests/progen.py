@@ -273,10 +273,10 @@ class _Gen:
         for n in range(rng.randint(1, 3)):
             params = [(f"p{j}", self.pick(list(TYPES))) for j in range(rng.randrange(4))]
             scope = {**self.globals, **dict(params)}
-            loops_before = self.names
+            names_before = self.names
             body, _ = self.block(scope, 2, 0, rng.randint(2, 5))
             body.append(SReturn(P0, self.int_expr(scope, 2)))
-            heavy = any(isinstance(s, SWhile) for s in body) or self.names - loops_before > 8
+            heavy = any(isinstance(s, SWhile) for s in body) or self.names - names_before > 8
             name = f"f{n}"
             self.functions.append(FunctionDef(
                 name, [(p, TYPES[t]) for p, t in params], TInt(), body, P0))
