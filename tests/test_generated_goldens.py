@@ -8,26 +8,35 @@ the traced run, with the world each call leaves (`unit_docs`).  The
 programs that nest statements and one expression as deep as the parser
 allows run the same way.
 
-The digest pins what the VM computes, charges, records and reports for
+A second digest pins a few short generated runs, and `call_function`
+over their carves with the worlds they leave, cut at every step limit,
+which is where a fuel check out of place shows.
+
+The digests pin what the VM computes, charges, records and reports for
 a crash on programs nobody wrote by hand.  Set CARVELIFT_GEN_PROGRAMS
 to a pinned count below to run a wider sample.
 """
 
 import os
 
+from carvelift.carving import carve_with_stats
 from carvelift.lang.parser import parse
 from carvelift.rng import Rng
 from carvelift.vm.interp import (
-    RunOptions, run_system, run_with_tracing, serialize_run_result,
+    RunOptions, call_function, run_system, run_with_tracing,
+    serialize_run_result,
 )
 
 from progen import generate, generate_input, nested_sources
-from test_run_goldens import digest, unit_docs
+from test_run_goldens import digest, encode_world, unit_docs
 
 GEN_SEED = 1105
 INPUTS_PER_PROGRAM = 3
 # The parser's limits: statement bodies 20 deep, expressions 64 deep.
 NESTED_BLOCKS, NESTED_EXPR = 20, 64
+
+SWEPT_PROGRAMS, SWEPT_MAX_STEPS = 8, 800
+SWEPT_GOLDEN = "6852c03593d9865ed040779bfdf3f544abd7d74573db88d7c1b28c9f4ee969ec"
 
 GOLDENS = {
     60: "7f12e01fb3d758e614bff638e94a3f2aa5e1ab4bafe67635f3732d6e5e1ba1f5",
@@ -60,6 +69,38 @@ def generated_docs(count: int) -> list:
         inputs = [generate_input(rng) for _ in range(INPUTS_PER_PROGRAM)]
         docs.append(program_docs(parse(source), inputs, rng))
     return docs
+
+
+def swept_docs(count: int, max_steps: int) -> list:
+    """Untraced and traced runs cut at every step limit up to where they
+    end, for the first `count` generated programs whose first input runs
+    at most `max_steps` steps; and so is `call_function` over each carve
+    of the traced run, with the world it leaves."""
+    master, docs = Rng(GEN_SEED), []
+    while count:
+        rng = master.split()
+        program = parse(generate(rng))
+        s = generate_input(rng)
+        full = run_system(program, s).steps
+        if full > max_steps:
+            continue
+        count -= 1
+        for limit in range(1, full + 2):
+            docs += [serialize_run_result(runner(program, s, RunOptions(step_limit=limit)))
+                     for runner in (run_system, run_with_tracing)]
+        for carved in carve_with_stats(run_with_tracing(program, s))[0]:
+            args, world = carved.context.world()
+            end = call_function(program, carved.start[0], args, world).steps
+            for limit in range(1, end + 2):
+                args, world = carved.context.world()
+                r = call_function(program, carved.start[0], args, world,
+                                  RunOptions(step_limit=limit))
+                docs.append({"result": serialize_run_result(r), "world": encode_world(world)})
+    return docs
+
+
+def test_generated_programs_cut_at_every_step_limit_match_golden_digest():
+    assert digest(swept_docs(SWEPT_PROGRAMS, SWEPT_MAX_STEPS)) == SWEPT_GOLDEN
 
 
 def test_generated_program_run_results_match_golden_digest():
