@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import operator
 
-from ..errors import ToolError
-from .values import Record, Ref, value_type_name, wrap64
+from .values import Record, Ref, equal, render, value_type_name, wrap64
 
 
 class Crash(Exception):
@@ -41,7 +40,7 @@ def _equal(at, left, right) -> bool:
     if type(left) is not type(right):
         fail(at, "type-error",
               f"== on {value_type_name(left)} and {value_type_name(right)}")
-    return left == right
+    return equal(left, right)
 
 
 def _numeric(op, bad: str):
@@ -213,7 +212,7 @@ def _arg(st, at, i):
 def _print(st, at, v):
     if st.fuel < 0:
         spent(st)
-    st.output.extend(_render(v) + b"\n")
+    st.output.extend(render(v) + b"\n")
     return 0
 
 
@@ -264,19 +263,3 @@ BUILTINS = {
     "parse_int": _parse_int, "to_string": _to_string,
     "alloc_array": _alloc_array, "abort": _abort,
 }
-
-
-def _render(v) -> bytes:
-    if isinstance(v, (bytes, int, float)):
-        return _to_string(None, None, v)
-    if v is None:
-        return b"null"
-    if isinstance(v, Ref):
-        return f"ref({v.seg}, {v.off})".encode("ascii")
-    if isinstance(v, tuple):
-        return b"[" + b", ".join(_render(x) for x in v) + b"]"
-    if isinstance(v, Record):
-        inner = b", ".join(
-            k.encode("ascii") + b": " + _render(x) for k, x in v.fields.items())
-        return v.rtype.encode("ascii") + b"{" + inner + b"}"
-    raise ToolError(f"cannot render {v!r}")  # pragma: no cover

@@ -93,25 +93,23 @@ class Context:
         reaches them; that also terminates cyclic structures.
         """
         visited: set[int] = set()
-
-        def walk(path, v):
+        todo = list(reversed(self.roots.items()))   # a stack: values nest deep
+        while todo:
+            path, v = todo.pop()
             if isinstance(v, (int, float, bytes)):
                 yield path, v
-            elif isinstance(v, tuple):
-                for i, x in enumerate(v):
-                    yield from walk(f"{path}[{i}]", x)
+                continue
+            if isinstance(v, tuple):
+                inside = [(f"{path}[{i}]", x) for i, x in enumerate(v)]
             elif isinstance(v, Record):
-                for name, x in v.fields.items():
-                    yield from walk(f"{path}.{name}", x)
-            elif isinstance(v, Ref):
-                if v.seg in visited or v.seg not in self.segments:
-                    return
+                inside = [(f"{path}.{name}", x) for name, x in v.fields.items()]
+            elif isinstance(v, Ref) and v.seg not in visited and v.seg in self.segments:
                 visited.add(v.seg)
-                for i, x in enumerate(self.segments[v.seg][v.off:]):
-                    yield from walk(f"{path}[{i}]", x)
-
-        for root, v in self.roots.items():
-            yield from walk(root, v)
+                inside = [(f"{path}[{i}]", x)
+                          for i, x in enumerate(self.segments[v.seg][v.off:])]
+            else:
+                continue
+            todo += reversed(inside)
 
     def resolve(self, path: str):
         """Look up the value a path denotes. Raises KeyError when absent."""
@@ -172,16 +170,19 @@ def _slot(v, step, segments):
 def _replaced(v, steps, new, segments):
     """`v` with the leaf `steps` lead to replaced by `new`; a leaf behind
     a ref is stored into `segments` in place."""
-    if not steps:
-        return new
-    holder, key = _slot(v, steps[0], segments)
-    inner = _replaced(holder[key], steps[1:], new, segments)
-    if isinstance(v, Ref):
-        holder[key] = inner
-        return v
-    if isinstance(v, Record):
-        return v.with_field(key, inner)
-    return v[:key] + (inner,) + v[key + 1:]
+    trail = []
+    for step in steps:
+        holder, key = _slot(v, step, segments)
+        trail.append((v, holder, key))
+        v = holder[key]
+    for v, holder, key in reversed(trail):     # innermost first
+        if isinstance(v, Ref):
+            holder[key], new = new, v
+        elif isinstance(v, Record):
+            new = v.with_field(key, new)
+        else:
+            new = v[:key] + (new,) + v[key + 1:]
+    return new
 
 
 @dataclass
@@ -315,7 +316,8 @@ def decode_carve(doc: dict) -> CarvedTest:
         n = 0
         while n < len(paths) and paths[n] == f"arg[{n}]":
             n += 1
-        if not all(type(p) is str and re.fullmatch(r"global:\w+", p) for p in paths[n:]) \
+        if not all(type(p) is str and p.startswith("global:") and _ROOT.fullmatch(p)
+                   for p in paths[n:]) \
                 or len(set(paths)) != len(paths):
             raise FormatError(f"roots must be arg[0..n-1] then globals: {paths!r}")
         call_index, truncated = doc["start"]["call_index"], doc["truncated"]

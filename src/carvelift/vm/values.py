@@ -92,6 +92,69 @@ def copy_segments(table: SegmentTable) -> SegmentTable:
     return {sid: list(seg) for sid, seg in table.items()}
 
 
+# ---------------------------------------------------------------- walks
+#
+# A run can nest arrays and records deeper than Python's recursion limit,
+# so every walk over a value keeps its own stack.
+
+def walk(v):
+    """`v` and every value inside it, depth first and in order."""
+    todo = [v]
+    while todo:
+        v = todo.pop()
+        yield v
+        if type(v) is tuple:
+            todo += reversed(v)
+        elif type(v) is Record:
+            todo += reversed(v.fields.values())
+
+
+def equal(a, b) -> bool:
+    """Python's `a == b`, with a stack for nested values.  As in Python,
+    an item inside an array or a record equals itself, NaN too."""
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if type(a) is tuple and type(b) is tuple:
+            if len(a) != len(b):
+                return False
+            pairs += [(x, y) for x, y in zip(a, b) if x is not y]
+        elif type(a) is Record and type(b) is Record:
+            if a.rtype != b.rtype or a.fields.keys() != b.fields.keys():
+                return False
+            pairs += [(x, b.fields[k]) for k, x in a.fields.items() if x is not b.fields[k]]
+        elif a != b:
+            return False
+    return True
+
+
+def render(v) -> bytes:
+    """The text `print` writes for `v`.  Punctuation goes on the stack as
+    byte strings, which print as themselves."""
+    out, todo = [], [v]
+    while todo:
+        v = todo.pop()
+        if type(v) is tuple:
+            parts = [b"["]
+            for i, x in enumerate(v):
+                parts += (b", ", x) if i else (x,)
+            todo += reversed(parts + [b"]"])
+        elif type(v) is Record:
+            parts = [v.rtype.encode("ascii") + b"{"]
+            for i, (k, x) in enumerate(v.fields.items()):
+                parts += (b", " if i else b"", k.encode("ascii") + b": ", x)
+            todo += reversed(parts + [b"}"])
+        elif type(v) is bytes:
+            out.append(v)
+        elif type(v) is float:
+            out.append(repr(v).encode("ascii"))
+        elif type(v) is Ref:
+            out.append(f"ref({v.seg}, {v.off})".encode("ascii"))
+        else:
+            out.append(b"null" if v is None else str(v).encode("ascii"))
+    return b"".join(out)
+
+
 def value_type_name(v) -> str:
     if v is None:
         return "null"
@@ -123,15 +186,17 @@ HEADER_SIZE = 8
 
 
 def value_byte_size(v) -> int:
-    if v is None or isinstance(v, (int, float, Ref)):
-        return SCALAR_SIZE
-    if isinstance(v, bytes):
-        return HEADER_SIZE + len(v)
-    if isinstance(v, tuple):
-        return HEADER_SIZE + sum(value_byte_size(x) for x in v)
-    if isinstance(v, Record):
-        return HEADER_SIZE + sum(value_byte_size(x) for x in v.fields.values())
-    raise TypeError(f"not a runtime value: {v!r}")
+    size = 0
+    for x in walk(v) if type(v) is tuple or type(v) is Record else (v,):
+        if x is None or isinstance(x, (int, float, Ref)):
+            size += SCALAR_SIZE
+        elif isinstance(x, bytes):
+            size += HEADER_SIZE + len(x)
+        elif isinstance(x, (tuple, Record)):
+            size += HEADER_SIZE
+        else:
+            raise TypeError(f"not a runtime value: {x!r}")
+    return size
 
 
 def segment_byte_size(seg: list) -> int:
@@ -232,26 +297,31 @@ def decode_segments(obj: dict) -> SegmentTable:
 
 
 def iter_refs(v):
-    """Yield every Ref inside a value tree."""
-    if isinstance(v, Ref):
-        yield v
-    elif isinstance(v, tuple):
-        for x in v:
-            yield from iter_refs(x)
-    elif isinstance(v, Record):
-        for x in v.fields.values():
-            yield from iter_refs(x)
+    """Every Ref inside a value tree, in order."""
+    if type(v) is tuple or type(v) is Record:
+        return [x for x in walk(v) if type(x) is Ref]
+    return (v,) if type(v) is Ref else ()
 
 
 def sever(v, keep):
-    """Replace refs into segments whose ids are not in `keep` with null."""
-    if isinstance(v, Ref):
-        return v if v.seg in keep else None
-    if isinstance(v, tuple):
-        return tuple(sever(x, keep) for x in v)
-    if isinstance(v, Record):
-        return Record(v.rtype, {k: sever(x, keep) for k, x in v.fields.items()})
-    return v
+    """`v` with each ref into a segment whose id is not in `keep` replaced
+    by null; every array and record in it is a new one."""
+    todo, done = [(v, False)], []
+    while todo:
+        v, ready = todo.pop()
+        if type(v) is not tuple and type(v) is not Record:
+            done.append(None if type(v) is Ref and v.seg not in keep else v)
+        elif not ready:     # its items first, then itself from them
+            todo.append((v, True))
+            todo += [(x, False) for x in reversed(v if type(v) is tuple
+                                                  else v.fields.values())]
+        else:
+            n = len(v if type(v) is tuple else v.fields)
+            items = done[len(done) - n:]
+            del done[len(done) - n:]
+            done.append(tuple(items) if type(v) is tuple
+                        else Record(v.rtype, dict(zip(v.fields, items))))
+    return done[0]
 
 
 def snapshot_reachable(roots, table: SegmentTable,

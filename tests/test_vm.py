@@ -19,7 +19,7 @@ from carvelift.vm.interp import (
     run_with_tracing,
     serialize_run_result,
 )
-from carvelift.vm.values import Ref, copy_segments, wrap64
+from carvelift.vm.values import Ref, copy_segments, equal, wrap64
 
 from conftest import (
     SUBJECT_NAMES, NaiveCounter, load_subject, mk_input, random_input_for,
@@ -308,6 +308,89 @@ def test_recursion_to_the_depth_limit_needs_no_host_stack_setting():
     assert (over.status.crash_kind, over.status.crash_fn) == ("abort", "r")
     traced = run_with_tracing(parse(source % 254), mk_input())
     assert traced.output == b"254\n"
+
+
+def test_equality_is_pythons_on_nested_values():
+    # n and m are two NaN floats: unequal, but an item inside an array
+    # or a record equals itself; ints equal floats of the same value.
+    source = """
+record P { x: float, y: [float] }
+fn main() {
+    let f = 1.0; let i = 0;
+    while (i < 400) { f = f * 10.0; i = i + 1; }
+    let n = f - f; let m = f - f;
+    let a = [n, [n]];
+    print(n == n); print(a == a); print([n] == [n]); print([n] == [m]);
+    print(a == [n, [n]]); print(a == [n, [m]]); print([1, 2] == [1, 2.0]);
+    let p = P{x: n, y: [n]};
+    print(p == p); print(p == P{x: n, y: [n]}); print(p == P{x: m, y: [n]});
+    print(p != P{x: n, y: [m]}); print([[1], null] == [[1], null]);
+    print([alloc_array(1, 0)] == [alloc_array(1, 0)]); print(["a", 1] == [1, "a"]);
+}
+"""
+    r = run_system(parse(source), mk_input())
+    assert (r.status.kind, r.output.split()) == ("exit", b"0 1 1 0 1 0 1 1 1 0 1 1 0 0".split())
+
+
+DEEP_VALUES = """
+record Node { v: int, next: Node }
+global g: [int] = [0];
+fn nest(n: int) -> [int] {
+    let a = [0];
+    let i = 0;
+    while (i < n) { a = [i, a]; i = i + 1; }
+    return a;
+}
+fn chain(n: int) -> Node {
+    let r = Node{v: 0, next: null};
+    let i = 0;
+    while (i < n) { r = Node{v: i, next: r}; i = i + 1; }
+    return r;
+}
+fn show(a: [int], b: [int], r: Node, depth: int) -> int {
+    if (depth > 0) { return show(a, b, r, depth - 1); }
+    print(a);
+    print(a == b);
+    print(a == nest(3));
+    print(r == chain(depth_of(r)));
+    g = a;
+    return 0;
+}
+fn depth_of(r: Node) -> int {
+    let n = 0;
+    while (r.next != null) { r = r.next; n = n + 1; }
+    return n;
+}
+fn main() -> int {
+    let n = parse_int(read_all_input());
+    show(nest(n), nest(n), chain(n), 200);
+    print(g == nest(n));
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("n", [600, 1500])
+def test_values_nested_past_the_recursion_limit_print_and_compare(n):
+    # print, == and the tracer's snapshot walk values with their own
+    # stacks, 200 calls deep, so the depth of a value cannot end a run
+    # with an exception.
+    program = parse(DEEP_VALUES)
+    text = "[0]"
+    for i in range(n):
+        text = f"[{i}, {text}]"
+    expected = f"{text}\n1\n0\n1\n1\n".encode()
+    plain = run_system(program, mk_input(stdin=str(n).encode()))
+    traced = run_with_tracing(program, mk_input(stdin=str(n).encode()))
+    for r in (plain, traced):
+        assert (r.status.kind, r.output) == ("exit", expected)
+    carve = next(c for c in traced.trace if c.start[0] == "show")
+    deepest = "arg[0]" + "[1]" * n + "[0]"
+    assert (deepest, 0) in carve.context.leaves()
+    args, _ = carve.context.world({deepest: 7})
+    assert not equal(args[0], args[1]) and equal(args[1], carve.context.roots["arg[0]"])
+    unit = call_function(program, "show", *carve.context.world())
+    assert (unit.status.kind, unit.output) == ("exit", expected[:-2])
 
 
 def test_each_program_compiles_once_per_variant(monkeypatch):
