@@ -35,10 +35,13 @@ BUILTINS = {
 
 # How deep a program may nest (docs/minilang.md).  vm/interp.py compiles
 # each function to Python, which allows 20 nested loops and 99 levels of
-# indentation; within these limits every program compiles and no
-# recursive walk over it comes near Python's recursion limit.
+# indentation; an else-if chain compiles flat, so only the recursive
+# walks over the tree (this parser's among them) bound its length.
+# Within these limits every program compiles, and no such walk comes
+# near Python's recursion limit.
 MAX_BLOCK_DEPTH = 20    # statement bodies inside one another
 MAX_EXPR_DEPTH = 64     # expression levels, parentheses included
+MAX_ELSE_IF = 128       # else-if links open at once
 
 
 class _Parser:
@@ -46,6 +49,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.blocks = 0         # statement bodies open around the parser
+        self.links = 0          # else-if links open around the parser
         self.open = 0           # expression levels open around the parser
         self.depths = {}        # id of a node -> its depth, when above 1
 
@@ -232,7 +236,10 @@ class _Parser:
         else_body = None
         if self.accept("keyword", "else"):
             if self.at("keyword", "if"):
-                else_body = self.body(lambda: [self.if_stmt()])
+                self.links = self.nested(self.peek().pos, self.links + 1,
+                                         MAX_ELSE_IF, "else-if links")
+                else_body = [self.if_stmt()]
+                self.links -= 1
             else:
                 else_body = self.body(self.block)
         return SIf(pos, cond, then_body, else_body)

@@ -58,8 +58,8 @@ from ..errors import ToolError
 from ..inputs import SystemInput
 from ..lang.ast import (
     ENTRY, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt, ENull,
-    ERecordLit, EUnary, EVar, Program, SExpr, SIf, SIndexSet, SLet, SReturn,
-    SWhile, TArray, TBytes, TFloat, TInt, TRecord, TRef,
+    ERecordLit, EUnary, EVar, Program, SAssign, SExpr, SIf, SIndexSet, SLet,
+    SReturn, SWhile, TArray, TBytes, TFloat, TInt, TRecord, TRef,
     input_reading_functions, iter_stmts, subexpressions,
 )
 from ..lang.errors import UnknownFunction
@@ -225,7 +225,7 @@ class _Code:
     temporary.  While a statement compiles, `at` is its crash position,
     `bound` the names certain to be bound (parameters and the lets
     before it in enclosing blocks), `maybe` every name a local can hold,
-    `ints` the atoms certain to hold ints, and `pending` the steps due
+    `ints` the temporaries certain to hold ints, and `pending` the steps due
     that no line has subtracted yet; the next line subtracts them first.
     `input_dependent` holds the input-reading functions: never recorded.
     """
@@ -309,11 +309,6 @@ class _Code:
     def is_int(self, atom: str) -> bool:
         return atom in self.ints or atom.lstrip("-").isdigit()
 
-    def name(self, key: str, value) -> str:
-        """`key`, bound to `value` in the code's namespace."""
-        self.ns[key] = value
-        return key
-
     # ------------------------------------------------------------ statements
 
     def block(self, body) -> None:
@@ -331,51 +326,70 @@ class _Code:
             args = self.operands([s.obj, s.index, s.value], 1)
             self.release(*args)
             return self.line(f"STORE(st, {at}, {', '.join(args)})")
-        value = (self.expr(s.value, 1) if s.value is not None
+        dest = None     # the local the line computing the value assigns
+        if cls is SLet or cls is SAssign and (
+                s.name in self.bound or s.name not in self.global_names):
+            dest = self.local(s.name)
+        value = (self.expr(s.value, 1, dest) if s.value is not None
                  else self.node(ENull(s.pos), 1))   # a bare return
         self.release(value)
         if cls is SReturn:
             return self.line(f"st.depth -= 1; return {value}")
         if cls is SExpr:
             return None
-        name = s.name
         if cls is SLet:
-            self.bound.add(name)
-        if cls is SLet or name in self.bound or name not in self.global_names:
-            last, v = self.out[-1], self.local(name)
-            if value[0] == "t" and not self.pending and \
-                    last.startswith(f"{' ' * self.depth}{value} ="):
-                self.out[-1] = last.replace(value, v, 1)    # the line computing it assigns it
-                return None
-            return self.line(f"{v} = {value}")
-        if name in self.maybe:
-            v = self.local(name)
-            self.unset.add(name)
+            self.bound.add(s.name)
+        if dest:
+            return None if value == dest else self.line(f"{dest} = {value}")
+        if s.name in self.maybe:
+            v = self.local(s.name)
+            self.unset.add(s.name)
             self.line(f"if {v} is not U: {v} = {value}")
-        self.line(f"{'el' if name in self.maybe else ''}if st.fuel < 0: spent(st)")
-        self.line(f"else: st.globals[{name!r}] = {value}")
+        self.line(f"{'el' if s.name in self.maybe else ''}if st.fuel < 0: spent(st)")
+        self.line(f"else: st.globals[{s.name!r}] = {value}")
 
     def branch(self, s, at) -> None:
-        """An if or a while: its test, the goals it covers, its bodies."""
-        loop = type(s) is SWhile
-        yes, no = (self.name(f"G{s.stmt_id}{i}", BranchGoal(self.fn_name, s.stmt_id, o))
-                   for i, o in enumerate(OUTCOMES_WHILE if loop else OUTCOMES_IF))
-
-        def test():
-            c = self.expr(s.cond, 1)
-            self.release(c)
-            self.line("if st.fuel < 0: spent(st)" if self.is_int(c) else
-                      f"if st.fuel < 0 or type({c}) is not int: STOP(st, {at}, "
-                      f"'type-error', 'condition must be int, got ' + TYPE({c}))")
-            return c
-
-        if loop:
+        """An if or a while: its test, the goals it covers, its bodies.
+        An else-if chain compiles flat: each link after the first runs
+        under `if e<id>:`, cleared when an earlier link is taken."""
+        if type(s) is SWhile:
+            yes, no = self.goals(s)
             self.pending += 1
             return self.indented(
-                "while True:", lambda: self.line(f"if not {test()}: st.coverage.add({no}); break"),
+                "while True:",
+                lambda: self.line(f"if not {self.test(s.cond, at)}: st.coverage.add({no}); break"),
                 f"st.coverage.add({yes})", lambda: self.block(s.body))
-        self.indented(f"if {test()}:", f"st.coverage.add({yes})", lambda: self.block(s.then_body))
-        self.indented("else:", f"st.coverage.add({no})", lambda: self.block(s.else_body or []))
+        chain = [s]
+        while (b := chain[-1].else_body) and len(b) == 1 and type(b[0]) is SIf:
+            chain.append(b[0])
+        flag = f"e{s.stmt_id}"
+        self.link(s, flag if len(chain) > 1 else None)
+        for n, s in enumerate(chain[1:], 2):
+            self.indented(f"if {flag}:", lambda: self.link(s, flag if n < len(chain) else None))
+
+    def link(self, s, flag) -> None:
+        """One if of a chain; `flag` is set when its else continues the
+        chain, or None when the else holds its own body."""
+        self.at = at = repr((self.fn_name, s.stmt_id))
+        yes, no = self.goals(s)
+        self.indented(f"if {self.test(s.cond, at)}:", f"st.coverage.add({yes})",
+                      lambda: self.block(s.then_body), *[f"{flag} = 0"] * bool(flag))
+        self.indented("else:", f"st.coverage.add({no})",
+                      f"{flag} = 1" if flag else lambda: self.block(s.else_body or []))
+
+    def goals(self, s) -> list:
+        """The names of `s`'s two branch goals, bound in the code's namespace."""
+        self.ns |= {f"G{s.stmt_id}{i}": BranchGoal(self.fn_name, s.stmt_id, o) for i, o
+                    in enumerate(OUTCOMES_WHILE if type(s) is SWhile else OUTCOMES_IF)}
+        return [f"G{s.stmt_id}0", f"G{s.stmt_id}1"]
+
+    def test(self, cond, at) -> str:
+        c = self.expr(cond, 1)
+        self.release(c)
+        self.line("if st.fuel < 0: spent(st)" if self.is_int(c) else
+                  f"if st.fuel < 0 or type({c}) is not int: STOP(st, {at}, "
+                  f"'type-error', 'condition must be int, got ' + TYPE({c}))")
+        return c
 
     # ------------------------------------------------------------ expressions
 
@@ -401,19 +415,20 @@ class _Code:
         self.pending += k + n
         return [self.leaf(e) for e in exprs[:n]] + [self.expr(e) for e in exprs[n:]]
 
-    def expr(self, e, extra=0) -> str:
+    def expr(self, e, extra=0, dest=None) -> str:
         """The atom of `e`, subtracting its own step and the `extra`
-        steps due just before it."""
-        return self.node(e, extra + 1)
+        steps due just before it; `dest` when given and its value is
+        computed by a line, which then assigns it."""
+        return self.node(e, extra + 1, dest)
 
-    def node(self, e, k) -> str:
+    def node(self, e, k, dest=None) -> str:
         at, cls = self.at, type(e)
         atom = self.leaf(e)
         if atom is not None:
             self.pending += k
             return atom
         if cls is EBinary:
-            return self.binary(e, k, at)
+            return self.binary(e, k, at, dest)
         if cls is EUnary and type(e.operand) is EInt:   # a constant
             self.pending += k + 1
             v = e.operand.value
@@ -426,7 +441,7 @@ class _Code:
                 v = self.local(e.name)
                 self.unset.add(e.name)
                 read = f"{v} if {v} is not U else {read}"
-            t = self.temp()
+            t = dest or self.temp()
             self.line(f"{t} = {read}")
             return t
         if cls is ECall:
@@ -437,14 +452,15 @@ class _Code:
             op = {EIndex: "INDEX", EField: "FIELD"}.get(cls, "")
         args = self.operands(subexpressions(e), k)
         self.release(*args)
-        t, a = self.temp(), ", ".join(args + ([repr(e.name)] if cls is EField else []))
+        t, a = dest or self.temp(), ", ".join(args + ([repr(e.name)] if cls is EField else []))
         if cls is ECall and e.name in self.targets:
             self.line(f"if st.fuel < 0 or st.depth >= {MAX_CALL_DEPTH}: "
                       f"STOP(st, {at}, 'abort', 'call stack overflow')")
             self.line(f"{t} = {op}(st, {a}) if st.tracer is None "
                       f"else TRACED(st, {op}, {e.name!r}, {a})")
         elif op == "NOT":
-            self.ints.add(t)
+            if t != dest:
+                self.ints.add(t)
             self.line(f"{t} = (0 if {a} else 1) if type({a}) is int else NOT(st, {at}, {a})")
         elif op:    # no fast path on a literal: Python warns at 1[0]
             fast = _FAST[op].format(*args) if op in _FAST and args[0][0] in "tv" else ""
@@ -456,7 +472,7 @@ class _Code:
             self.line(f"{t} = ({a}{',' if len(args) == 1 else ''})")
         return t
 
-    def binary(self, e, k, at) -> str:
+    def binary(self, e, k, at, dest) -> str:
         op = e.op
         if op == "&&" or op == "||":   # the right operand only sometimes
             (a,) = self.operands([e.left], k)
@@ -479,12 +495,13 @@ class _Code:
         a, b = self.operands([e.left, e.right], k)
         guard = " and ".join(f"type({x}) is int" for x in (a, b) if not self.is_int(x))
         self.release(a, b)
-        t, slow = self.temp(), f"{_SLOW[op]}({at}, {a}, {b})"
+        t, slow = dest or self.temp(), f"{_SLOW[op]}({at}, {a}, {b})"
         if op in "+-*":
             fast = f"r if {INT64_MIN} <= (r := {a} {op} {b}) <= {INT64_MAX} else WRAP(r)"
         elif op not in "/%":    # a comparison: 0 or 1
             fast = f"1 if {a} {op} {b} else 0"
-            self.ints.add(t)
+            if t != dest:
+                self.ints.add(t)
         self.line(f"{t} = {slow}" if op in "/%" else
                   f"{t} = ({fast}) if {guard} else {slow}" if guard else f"{t} = {fast}")
         return t

@@ -306,7 +306,8 @@ def generate_input(rng) -> SystemInput:
 
 def nested_sources(blocks: int, depth: int) -> list[str]:
     """Programs that nest exactly `blocks` statement bodies deep (while
-    loops, ifs, and an else-if chain) and an expression nested `depth`
+    loops and ifs), an else-if chain of `blocks - 1` links, and an
+    expression nested `depth`
     deep in parentheses, each under a test that depends on the input."""
     def nest(open_, close, inner):
         lines = []
@@ -320,12 +321,22 @@ def nested_sources(blocks: int, depth: int) -> list[str]:
                  lambda d: f"    c{d} = c{d} + 1;\n" + "    " * (d + 1) + "}",
                  "print(c0 + k);")
     ifs = nest(lambda d: f"if (k > {d - 3}) {{", lambda d: "}", "print(k);")
-    chain = "    if (k == 0) { print(0); }\n" + "".join(
-        f"    else if (k == {d}) {{ print({d}); }}\n" for d in range(1, blocks))
+    chain = else_if_chain(blocks - 1)
     # A right-nested && of `depth` levels: a name or literal is one level,
     # and each operator, call and pair of parentheses adds one.
     levels, extra = divmod(depth - 3, 2)
     deep = "(" * extra + "(k > 1 && " * levels + "k > 2" + ")" * (levels + extra)
-    head = "fn main() -> int {\n    let k = len(arg(0));\n"
-    return [head + body + "\n    return k;\n}\n"
+    return [main_source(body)
             for body in (loops, ifs, chain, f"    print({deep});\n    print(k);")]
+
+
+def else_if_chain(links: int) -> str:
+    """An if on `k` with `links` else-if links, the one for k == d printing d."""
+    return "    if (k == 0) { print(0); }\n" + "".join(
+        f"    else if (k == {d}) {{ print({d}); }}\n" for d in range(1, links + 1))
+
+
+def main_source(body: str) -> str:
+    """A program whose main runs `body` with k the length of its first argument."""
+    return ("fn main() -> int {\n    let k = len(arg(0));\n" + body
+            + "\n    return k;\n}\n")

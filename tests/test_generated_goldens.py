@@ -6,7 +6,8 @@ step limit drawn below the run's own length (so it ends
 budget-exhausted), traced, and as `call_function` over every carve of
 the traced run, with the world each call leaves (`unit_docs`).  The
 programs that nest statements and one expression as deep as the parser
-allows run the same way.
+allows run the same way, and so does the longest else-if chain, over
+inputs that take its first, middle and last links and none.
 
 A second digest pins a few short generated runs, and `call_function`
 over their carves with the worlds they leave, cut at every step limit,
@@ -20,6 +21,7 @@ to a pinned count below to run a wider sample.
 import os
 
 from carvelift.carving import carve_with_stats
+from carvelift.inputs import SystemInput
 from carvelift.lang.parser import parse
 from carvelift.rng import Rng
 from carvelift.vm.interp import (
@@ -27,13 +29,18 @@ from carvelift.vm.interp import (
     serialize_run_result,
 )
 
-from progen import generate, generate_input, nested_sources
+from progen import (
+    else_if_chain, generate, generate_input, main_source, nested_sources,
+)
 from test_run_goldens import digest, encode_world, unit_docs
 
 GEN_SEED = 1105
 INPUTS_PER_PROGRAM = 3
 # The parser's limits: statement bodies 20 deep, expressions 64 deep.
 NESTED_BLOCKS, NESTED_EXPR = 20, 64
+CHAIN_LINKS = 128   # the parser's limit on else-if links
+CHAIN_TAKEN = (0, 1, 64, 127, 128, 129)     # k, the link taken
+CHAIN_GOLDEN = "f51ec3af9b3294491a560aada079a9efe8b6128902d339a31f13666f2e6a9bc7"
 
 SWEPT_PROGRAMS, SWEPT_MAX_STEPS = 8, 800
 SWEPT_GOLDEN = "6852c03593d9865ed040779bfdf3f544abd7d74573db88d7c1b28c9f4ee969ec"
@@ -107,3 +114,9 @@ def test_generated_program_run_results_match_golden_digest():
     count = int(os.environ.get("CARVELIFT_GEN_PROGRAMS", "60"))
     assert count in GOLDENS, f"no digest pinned for {count} programs"
     assert digest(generated_docs(count)) == GOLDENS[count]
+
+
+def test_longest_else_if_chain_run_results_match_golden_digest():
+    program = parse(main_source(else_if_chain(CHAIN_LINKS)))
+    inputs = [SystemInput((b"k" * k,), b"") for k in CHAIN_TAKEN]
+    assert digest(program_docs(program, inputs, Rng(GEN_SEED))) == CHAIN_GOLDEN

@@ -15,11 +15,11 @@ from carvelift.lang.errors import (
 )
 from carvelift.lang.goals import BranchGoal, enumerate_goals, goals_in_function
 from carvelift.lang.lexer import tokenize
-from carvelift.lang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, parse
+from carvelift.lang.parser import MAX_BLOCK_DEPTH, MAX_ELSE_IF, MAX_EXPR_DEPTH, parse
 from carvelift.lang.pretty import pretty_print
 
 from conftest import SUBJECT_NAMES, load_subject, subject_source
-from progen import nested_sources
+from progen import else_if_chain, main_source, nested_sources
 
 
 def token_oracle(source: str) -> int:
@@ -172,6 +172,9 @@ def test_programs_nested_to_the_limits_parse_and_one_deeper_do_not():
     # parentheses around operators; then bare parentheses.
     at_limit = nested_sources(MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH)
     past = nested_sources(MAX_BLOCK_DEPTH + 1, MAX_EXPR_DEPTH + 1)
+    del past[2]     # its chain of MAX_BLOCK_DEPTH links is no limit's
+    at_limit.append(main_source(else_if_chain(MAX_ELSE_IF)))
+    past.append(main_source(else_if_chain(MAX_ELSE_IF + 1)))
     parens = "fn main() {{ let x = {}1{}; }}"
     at_limit.append(parens.format("(" * (MAX_EXPR_DEPTH - 1), ")" * (MAX_EXPR_DEPTH - 1)))
     past.append(parens.format("(" * MAX_EXPR_DEPTH, ")" * MAX_EXPR_DEPTH))
@@ -204,5 +207,6 @@ def test_bundled_subjects_nest_within_half_the_limits(monkeypatch):
     from carvelift.lang import parser
     monkeypatch.setattr(parser, "MAX_BLOCK_DEPTH", MAX_BLOCK_DEPTH // 2)
     monkeypatch.setattr(parser, "MAX_EXPR_DEPTH", MAX_EXPR_DEPTH // 2)
+    monkeypatch.setattr(parser, "MAX_ELSE_IF", MAX_ELSE_IF // 2)
     for name in SUBJECT_NAMES:
         parse(subject_source(name))
