@@ -58,8 +58,8 @@ from ..errors import ToolError
 from ..inputs import SystemInput
 from ..lang.ast import (
     ENTRY, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt, ENull,
-    ERecordLit, EUnary, EVar, Program, SAssign, SExpr, SIf, SIndexSet, SLet,
-    SReturn, SWhile, TArray, TBytes, TFloat, TInt, TRecord, TRef,
+    ERecordLit, EUnary, EVar, Program, SExpr, SIf, SIndexSet, SLet, SReturn,
+    SWhile, TArray, TBytes, TFloat, TInt, TRecord, TRef,
     input_reading_functions, iter_stmts, subexpressions,
 )
 from ..lang.errors import UnknownFunction
@@ -225,7 +225,7 @@ class _Code:
     temporary.  While a statement compiles, `at` is its crash position,
     `bound` the names certain to be bound (parameters and the lets
     before it in enclosing blocks), `maybe` every name a local can hold,
-    `ints` the temporaries certain to hold ints, and `pending` the steps due
+    `ints` the atoms certain to hold ints, and `pending` the steps due
     that no line has subtracted yet; the next line subtracts them first.
     `input_dependent` holds the input-reading functions: never recorded.
     """
@@ -326,27 +326,24 @@ class _Code:
             args = self.operands([s.obj, s.index, s.value], 1)
             self.release(*args)
             return self.line(f"STORE(st, {at}, {', '.join(args)})")
-        dest = None     # the local the line computing the value assigns
-        if cls is SLet or cls is SAssign and (
-                s.name in self.bound or s.name not in self.global_names):
-            dest = self.local(s.name)
-        value = (self.expr(s.value, 1, dest) if s.value is not None
+        value = (self.expr(s.value, 1) if s.value is not None
                  else self.node(ENull(s.pos), 1))   # a bare return
         self.release(value)
         if cls is SReturn:
             return self.line(f"st.depth -= 1; return {value}")
         if cls is SExpr:
             return None
+        name = s.name
         if cls is SLet:
-            self.bound.add(s.name)
-        if dest:
-            return None if value == dest else self.line(f"{dest} = {value}")
-        if s.name in self.maybe:
-            v = self.local(s.name)
-            self.unset.add(s.name)
+            self.bound.add(name)
+        if cls is SLet or name in self.bound or name not in self.global_names:
+            return self.line(f"{self.local(name)} = {value}")
+        if name in self.maybe:
+            v = self.local(name)
+            self.unset.add(name)
             self.line(f"if {v} is not U: {v} = {value}")
-        self.line(f"{'el' if s.name in self.maybe else ''}if st.fuel < 0: spent(st)")
-        self.line(f"else: st.globals[{s.name!r}] = {value}")
+        self.line(f"{'el' if name in self.maybe else ''}if st.fuel < 0: spent(st)")
+        self.line(f"else: st.globals[{name!r}] = {value}")
 
     def branch(self, s, at) -> None:
         """An if or a while: its test, the goals it covers, its bodies.
@@ -415,20 +412,19 @@ class _Code:
         self.pending += k + n
         return [self.leaf(e) for e in exprs[:n]] + [self.expr(e) for e in exprs[n:]]
 
-    def expr(self, e, extra=0, dest=None) -> str:
+    def expr(self, e, extra=0) -> str:
         """The atom of `e`, subtracting its own step and the `extra`
-        steps due just before it; `dest` when given and its value is
-        computed by a line, which then assigns it."""
-        return self.node(e, extra + 1, dest)
+        steps due just before it."""
+        return self.node(e, extra + 1)
 
-    def node(self, e, k, dest=None) -> str:
+    def node(self, e, k) -> str:
         at, cls = self.at, type(e)
         atom = self.leaf(e)
         if atom is not None:
             self.pending += k
             return atom
         if cls is EBinary:
-            return self.binary(e, k, at, dest)
+            return self.binary(e, k, at)
         if cls is EUnary and type(e.operand) is EInt:   # a constant
             self.pending += k + 1
             v = e.operand.value
@@ -441,7 +437,7 @@ class _Code:
                 v = self.local(e.name)
                 self.unset.add(e.name)
                 read = f"{v} if {v} is not U else {read}"
-            t = dest or self.temp()
+            t = self.temp()
             self.line(f"{t} = {read}")
             return t
         if cls is ECall:
@@ -452,15 +448,14 @@ class _Code:
             op = {EIndex: "INDEX", EField: "FIELD"}.get(cls, "")
         args = self.operands(subexpressions(e), k)
         self.release(*args)
-        t, a = dest or self.temp(), ", ".join(args + ([repr(e.name)] if cls is EField else []))
+        t, a = self.temp(), ", ".join(args + ([repr(e.name)] if cls is EField else []))
         if cls is ECall and e.name in self.targets:
             self.line(f"if st.fuel < 0 or st.depth >= {MAX_CALL_DEPTH}: "
                       f"STOP(st, {at}, 'abort', 'call stack overflow')")
             self.line(f"{t} = {op}(st, {a}) if st.tracer is None "
                       f"else TRACED(st, {op}, {e.name!r}, {a})")
         elif op == "NOT":
-            if t != dest:
-                self.ints.add(t)
+            self.ints.add(t)
             self.line(f"{t} = (0 if {a} else 1) if type({a}) is int else NOT(st, {at}, {a})")
         elif op:    # no fast path on a literal: Python warns at 1[0]
             fast = _FAST[op].format(*args) if op in _FAST and args[0][0] in "tv" else ""
@@ -472,7 +467,7 @@ class _Code:
             self.line(f"{t} = ({a}{',' if len(args) == 1 else ''})")
         return t
 
-    def binary(self, e, k, at, dest) -> str:
+    def binary(self, e, k, at) -> str:
         op = e.op
         if op == "&&" or op == "||":   # the right operand only sometimes
             (a,) = self.operands([e.left], k)
@@ -495,13 +490,12 @@ class _Code:
         a, b = self.operands([e.left, e.right], k)
         guard = " and ".join(f"type({x}) is int" for x in (a, b) if not self.is_int(x))
         self.release(a, b)
-        t, slow = dest or self.temp(), f"{_SLOW[op]}({at}, {a}, {b})"
+        t, slow = self.temp(), f"{_SLOW[op]}({at}, {a}, {b})"
         if op in "+-*":
             fast = f"r if {INT64_MIN} <= (r := {a} {op} {b}) <= {INT64_MAX} else WRAP(r)"
         elif op not in "/%":    # a comparison: 0 or 1
             fast = f"1 if {a} {op} {b} else 0"
-            if t != dest:
-                self.ints.add(t)
+            self.ints.add(t)
         self.line(f"{t} = {slow}" if op in "/%" else
                   f"{t} = ({fast}) if {guard} else {slow}" if guard else f"{t} = {fast}")
         return t
