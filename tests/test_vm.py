@@ -9,7 +9,7 @@ import pytest
 
 from carvelift.lang.ast import SWhile, input_reading_functions
 from carvelift.lang.goals import enumerate_goals, goals_in_function
-from carvelift.lang.parser import parse
+from carvelift.lang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, parse
 from carvelift.rng import Rng
 from carvelift.vm.interp import (
     DEFAULT_STEP_LIMIT,
@@ -330,6 +330,21 @@ fn main() {
 """
     r = run_system(parse(source), mk_input())
     assert (r.status.kind, r.output.split()) == ("exit", b"0 1 1 0 1 0 1 1 1 0 1 1 0 0".split())
+
+
+def test_else_if_links_nested_to_the_block_limit_compile():
+    # A later link's body is compiled two levels deeper than its chain;
+    # twenty of them around the deepest expression (a right-nested &&,
+    # one level deeper per operand) still fit Python's indentation limit.
+    levels, extra = divmod(MAX_EXPR_DEPTH - 3, 2)
+    inner = ("print(" + "(" * extra + "(k > 1 && " * levels + "k > 2"
+             + ")" * (levels + extra) + ");")
+    for d in range(MAX_BLOCK_DEPTH):
+        inner = f"if (k == 0) {{ }} else if (k == 1) {{ }} else if (k < {d + 9}) {{ {inner} }}"
+    program = parse(f"fn main() {{ let k = len(arg(0)); {inner} }}")
+    for runner in (run_system, run_with_tracing):
+        r = runner(program, mk_input([b"abc"]))
+        assert (r.status.kind, r.output) == ("exit", b"1\n")
 
 
 DEEP_VALUES = """
