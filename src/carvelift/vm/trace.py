@@ -93,23 +93,24 @@ class Context:
         reaches them; that also terminates cyclic structures.
         """
         visited: set[int] = set()
-        todo = list(reversed(self.roots.items()))   # a stack: values nest deep
-        while todo:
-            path, v = todo.pop()
-            if isinstance(v, (int, float, bytes)):
-                yield path, v
-                continue
-            if isinstance(v, tuple):
-                inside = [(f"{path}[{i}]", x) for i, x in enumerate(v)]
-            elif isinstance(v, Record):
-                inside = [(f"{path}.{name}", x) for name, x in v.fields.items()]
-            elif isinstance(v, Ref) and v.seg not in visited and v.seg in self.segments:
-                visited.add(v.seg)
-                inside = [(f"{path}[{i}]", x)
-                          for i, x in enumerate(self.segments[v.seg][v.off:])]
+        open_ = [iter(self.roots.items())]  # a stack, since values nest deep
+        while open_:
+            for path, v in open_[-1]:
+                if isinstance(v, (int, float, bytes)):
+                    yield path, v
+                elif isinstance(v, tuple):
+                    open_.append(iter([(f"{path}[{i}]", x) for i, x in enumerate(v)]))
+                    break
+                elif isinstance(v, Record):
+                    open_.append(iter([(f"{path}.{n}", x) for n, x in v.fields.items()]))
+                    break
+                elif isinstance(v, Ref) and v.seg not in visited and v.seg in self.segments:
+                    visited.add(v.seg)
+                    open_.append(iter([(f"{path}[{i}]", x) for i, x
+                                       in enumerate(self.segments[v.seg][v.off:])]))
+                    break
             else:
-                continue
-            todo += reversed(inside)
+                open_.pop()
 
     def resolve(self, path: str):
         """Look up the value a path denotes. Raises KeyError when absent."""

@@ -97,18 +97,6 @@ def copy_segments(table: SegmentTable) -> SegmentTable:
 # A run can nest arrays and records deeper than Python's recursion limit,
 # so every walk over a value keeps its own stack.
 
-def walk(v):
-    """`v` and every value inside it, depth first and in order."""
-    todo = [v]
-    while todo:
-        v = todo.pop()
-        yield v
-        if type(v) is tuple:
-            todo += reversed(v)
-        elif type(v) is Record:
-            todo += reversed(v.fields.values())
-
-
 def equal(a, b) -> bool:
     """Python's `a == b`, with a stack for nested values.  As in Python,
     an item inside an array or a record equals itself, NaN too."""
@@ -186,16 +174,21 @@ HEADER_SIZE = 8
 
 
 def value_byte_size(v) -> int:
-    size = 0
-    for x in walk(v) if type(v) is tuple or type(v) is Record else (v,):
-        if x is None or isinstance(x, (int, float, Ref)):
+    size, todo = 0, [v]
+    while todo:
+        v = todo.pop()
+        if v is None or type(v) is int or type(v) is float or type(v) is Ref:
             size += SCALAR_SIZE
-        elif isinstance(x, bytes):
-            size += HEADER_SIZE + len(x)
-        elif isinstance(x, (tuple, Record)):
+        elif type(v) is bytes:
+            size += HEADER_SIZE + len(v)
+        elif type(v) is tuple:
             size += HEADER_SIZE
+            todo += v
+        elif type(v) is Record:
+            size += HEADER_SIZE
+            todo += v.fields.values()
         else:
-            raise TypeError(f"not a runtime value: {x!r}")
+            raise TypeError(f"not a runtime value: {v!r}")
     return size
 
 
@@ -296,11 +289,18 @@ def decode_segments(obj: dict) -> SegmentTable:
     return table
 
 
-def iter_refs(v):
+def iter_refs(v) -> list:
     """Every Ref inside a value tree, in order."""
-    if type(v) is tuple or type(v) is Record:
-        return [x for x in walk(v) if type(x) is Ref]
-    return (v,) if type(v) is Ref else ()
+    refs, todo = [], [v]
+    while todo:
+        v = todo.pop()
+        if type(v) is Ref:
+            refs.append(v)
+        elif type(v) is tuple:
+            todo += reversed(v)
+        elif type(v) is Record:
+            todo += reversed(v.fields.values())
+    return refs
 
 
 def sever(v, keep):
