@@ -40,7 +40,9 @@ def _equal(at, left, right) -> bool:
     if type(left) is not type(right):
         fail(at, "type-error",
               f"== on {value_type_name(left)} and {value_type_name(right)}")
-    return equal(left, right)
+    if type(left) is tuple or type(left) is Record:
+        return equal(left, right)
+    return left == right
 
 
 def _numeric(op, bad: str):

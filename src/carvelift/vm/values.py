@@ -119,6 +119,8 @@ def equal(a, b) -> bool:
 def render(v) -> bytes:
     """The text `print` writes for `v`.  Punctuation goes on the stack as
     byte strings, which print as themselves."""
+    if type(v) is not tuple and type(v) is not Record:
+        return _scalar_text(v)
     out, todo = [], [v]
     while todo:
         v = todo.pop()
@@ -132,15 +134,19 @@ def render(v) -> bytes:
             for i, (k, x) in enumerate(v.fields.items()):
                 parts += (b", " if i else b"", k.encode("ascii") + b": ", x)
             todo += reversed(parts + [b"}"])
-        elif type(v) is bytes:
-            out.append(v)
-        elif type(v) is float:
-            out.append(repr(v).encode("ascii"))
-        elif type(v) is Ref:
-            out.append(f"ref({v.seg}, {v.off})".encode("ascii"))
         else:
-            out.append(b"null" if v is None else str(v).encode("ascii"))
+            out.append(_scalar_text(v))
     return b"".join(out)
+
+
+def _scalar_text(v) -> bytes:
+    if type(v) is bytes:
+        return v
+    if type(v) is float:
+        return repr(v).encode("ascii")
+    if type(v) is Ref:
+        return f"ref({v.seg}, {v.off})".encode("ascii")
+    return b"null" if v is None else str(v).encode("ascii")
 
 
 def value_type_name(v) -> str:
