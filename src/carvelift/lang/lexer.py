@@ -77,8 +77,11 @@ def tokenize(source: str) -> list[Token]:
                 text = source[i:j]
                 tokens.append(Token("float", text, float(text), start))
             else:
+                # Wrapped to 64 bits as parse_int wraps: 2**64 divides
+                # 10**64, so the last 64 digits fix the value.
                 text = source[i:j]
-                tokens.append(Token("int", text, int(text), start))
+                v = int(text[-64:]) & 0xFFFF_FFFF_FFFF_FFFF
+                tokens.append(Token("int", text, v - (v >> 63 << 64), start))
             advance(j - i)
             continue
         if ch.isalpha() or ch == "_":

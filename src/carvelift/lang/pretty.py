@@ -43,8 +43,8 @@ def _bytes_literal(b: bytes) -> str:
 
 
 def _expr(e: Expr, parent_prec: int = 0) -> str:
-    if isinstance(e, EInt):
-        return str(e.value)
+    if isinstance(e, EInt):     # a negative one as the literal it wraps from
+        return str(e.value % (1 << 64))
     if isinstance(e, EFloat):
         return repr(e.value)
     if isinstance(e, EBytes):

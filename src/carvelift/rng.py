@@ -9,14 +9,9 @@ of how much each of them is consumed.
 
 from __future__ import annotations
 
-_MASK = (1 << 64) - 1
+_SPAN = 1 << 64
+_MASK = _SPAN - 1
 _GAMMA = 0x9E3779B97F4A7C15
-
-
-def _mix(z: int) -> int:
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-    return z ^ (z >> 31)
 
 
 class Rng:
@@ -28,8 +23,10 @@ class Rng:
         self._state = seed & _MASK
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK
-        return _mix(self._state)
+        z = self._state = (self._state + _GAMMA) & _MASK
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+        return z ^ (z >> 31)
 
     def split(self) -> "Rng":
         """Derive an independent child stream.
@@ -44,7 +41,7 @@ class Rng:
         if n <= 0:
             raise ValueError("randrange needs a positive bound")
         # Rejection sampling keeps the distribution exactly uniform.
-        limit = (_MASK + 1) - ((_MASK + 1) % n)
+        limit = _SPAN - _SPAN % n
         while True:
             x = self.next_u64()
             if x < limit:

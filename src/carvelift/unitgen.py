@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Set
 from dataclasses import dataclass, field
+from itertools import cycle, islice
 
 from .carving import CarvedTest, Context
 from .errors import ToolError
@@ -36,7 +37,7 @@ class UnknownParameter(ToolError):
     """An assignment names a path the context does not contain."""
 
 
-@dataclass(frozen=True)
+@dataclass      # one per unit execution: frozen would double its cost
 class ParamAssignment:
     assignments: dict[str, object]
     provenance: str
@@ -58,17 +59,13 @@ class FuzzStats:
 
 # ---------------------------------------------------------------- streams
 
-def _round_robin(streams):
-    active = list(streams)
-    while active:
-        keep = []
-        for gen in active:
-            try:
-                yield next(gen)
-            except StopIteration:
-                continue
-            keep.append(gen)
-        active = keep
+def _round_robin(streams: list):
+    """The streams' values in turn, each stream dropped once it ends (the
+    `roundrobin` recipe of the itertools docs)."""
+    turns = iter(streams)
+    for active in range(len(streams), 0, -1):
+        turns = cycle(islice(turns, active))
+        yield from map(next, turns)
 
 
 def int_mutations(v: int, rng: Rng):
@@ -120,10 +117,10 @@ def bytes_mutations(v: bytes, ctx: Context, rng: Rng):
         while True:
             yield "bytes-random", rng.randbytes(rng.choice(lengths))
 
-    def rand_ascii():
+    def rand_ascii():       # rng.randint(32, 126) is 32 + rng.randrange(95)
         while True:
             n = rng.choice(lengths)
-            yield "bytes-ascii", bytes(rng.randint(32, 126) for _ in range(n))
+            yield "bytes-ascii", bytes([32 + rng.randrange(95) for _ in range(n)])
 
     def nul_runs():
         while True:
@@ -203,8 +200,8 @@ def fuzz_unit_with_stats(program: Program, c: CarvedTest, m: Mapping,
             streams.append((path, int_mutations(leaf, child)))
 
     working = set(known)
-    unit_opts = opts.unit()
-    stats = FuzzStats()
+    fn, unit_opts = c.start[0], opts.unit()
+    stats = FuzzStats(executions=budget)
     outcomes: list[UnitOutcome] = []
     crash_signatures: set[tuple] = set()
     for k in range(budget):
@@ -212,14 +209,14 @@ def fuzz_unit_with_stats(program: Program, c: CarvedTest, m: Mapping,
         label, value = next(gen)
         assignment = ParamAssignment({path: value}, label)
         args, world = apply_assignment(c, assignment)
-        r = call_function(program, c.start[0], args, world, unit_opts)
-        stats.executions += 1
+        r = call_function(program, fn, args, world, unit_opts)
         stats.steps += r.steps
         stats.wall_times_s.append(r.wall_time_s)
 
-        new_goals = frozenset(r.coverage - working)
-        working |= r.coverage
+        new_goals = r.coverage - working    # a frozenset, as r.coverage is
         keep = bool(new_goals)
+        if keep:
+            working |= new_goals
         if r.status.is_crash():
             signature = (r.status.crash_kind, r.status.crash_fn,
                          r.status.crash_stmt)

@@ -18,6 +18,13 @@ traced path when its run has a tracer, and branches add to the run
 state's coverage set, which the tracer points at the innermost recorded
 call's set.
 
+A unit execution should cost its steps, since a carve is replayed
+thousands of times.  So what a Program fixes is made once, with its
+code: each function's Python function, its argument types and the
+global names.  Per execution, `call_function` compares the argument
+types and global names with those, and builds only the run state and
+the `RunResult`; runs that exit with the same code share one status.
+
 Steps are exact.  The code subtracts each node's steps from the run's
 fuel as the node starts, without a test, and subtracts two nodes' steps
 in one line only where no other line lies between them, so a crash has
@@ -52,6 +59,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 from ..errors import ToolError
@@ -109,6 +117,15 @@ class RunStatus:
         return self.kind == "crash"
 
 
+@lru_cache(maxsize=1024)
+def _exit_status(code: int) -> RunStatus:
+    """A frozen status, so runs that exit alike share one."""
+    return RunStatus("exit", code)
+
+
+_EXHAUSTED = RunStatus("budget-exhausted")
+
+
 @dataclass
 class RunResult:
     status: RunStatus
@@ -145,15 +162,14 @@ class _State:
     __slots__ = ("opts", "fuel", "coverage", "globals", "segments", "next_seg",
                  "output", "argv", "stdin", "depth", "tracer")
 
-    def __init__(self, opts: RunOptions, argv=(), stdin=b"",
-                 globals_: dict | None = None,
-                 segments: SegmentTable | None = None):
+    def __init__(self, opts: RunOptions, argv, stdin, globals_: dict,
+                 segments: SegmentTable):
         self.opts = opts
         self.fuel = opts.step_limit
         self.coverage = set()
-        self.globals = {} if globals_ is None else globals_
-        self.segments = {} if segments is None else segments
-        self.next_seg = max(self.segments, default=-1) + 1
+        self.globals = globals_
+        self.segments = segments
+        self.next_seg = max(segments, default=-1) + 1
         self.output = bytearray()
         self.argv = argv
         self.stdin = stdin
@@ -251,6 +267,9 @@ class _Code:
         source += ["def INIT(st):", " pass", *self.out]
         exec(compile("\n".join(source), "<carvelift>", "exec"), self.ns)
         self.functions = {name: self.ns[py] for name, py in self.targets.items()}
+        # Each function's argument types, when type() alone decides them.
+        self.kinds = {f.name: tuple(_KINDS.get(type(t)) for _, t in f.params)
+                      for f in program.functions}
         self.init = self.ns["INIT"]
         del self.ns
 
@@ -488,7 +507,14 @@ class _Code:
             self.ints.add(t)
             return t
         a, b = self.operands([e.left, e.right], k)
-        guard = " and ".join(f"type({x}) is int" for x in (a, b) if not self.is_int(x))
+        # The fast path takes two ints, or two bytes for == and != with a
+        # bytes literal; there is none beside a float or null literal.
+        lits = {x[0] for x in (a, b) if x[0] not in "tv" and not self.is_int(x)}
+        kind = "int" if not lits else None
+        if lits == {"b"} and op in ("==", "!=") and not any(map(self.is_int, (a, b))):
+            kind = "bytes"
+        guard = " and ".join(f"type({x}) is {kind}" for x in (a, b)
+                             if x[0] in "tv" and not self.is_int(x))
         self.release(a, b)
         t, slow = self.temp(), f"{_SLOW[op]}({at}, {a}, {b})"
         if op in "+-*":
@@ -496,7 +522,7 @@ class _Code:
         elif op not in "/%":    # a comparison: 0 or 1
             fast = f"1 if {a} {op} {b} else 0"
             self.ints.add(t)
-        self.line(f"{t} = {slow}" if op in "/%" else
+        self.line(f"{t} = {slow}" if op in "/%" or kind is None else
                   f"{t} = ({fast}) if {guard} else {slow}" if guard else f"{t} = {fast}")
         return t
 
@@ -509,34 +535,26 @@ def _finish(st: _State, code: _Code, name: str, args: list, init: bool,
     value = None
     try:
         value = code.run(st, name, args, init)
-        status = RunStatus("exit", code=value if type(value) is int else 0)
+        status = _exit_status(value if type(value) is int else 0)
     except Crash as c:
         kind, message, fn, stmt = c.args
-        status = RunStatus("crash", code=0, crash_kind=kind, crash_fn=fn,
-                           crash_stmt=stmt, message=message)
+        status = RunStatus("crash", 0, kind, fn, stmt, message)
     except OutOfSteps:
         pass
     if st.fuel < 0:   # the budget ran out before that exit or crash
-        st.fuel, value, status = -1, None, RunStatus("budget-exhausted")
+        st.fuel, value, status = -1, None, _EXHAUSTED
     tracer = st.tracer
     trace = None if tracer is None else tracer.finish(st)
-    return RunResult(
-        status=status,
-        coverage=frozenset(st.coverage),
-        trace=trace,
-        steps=st.opts.step_limit - st.fuel,
-        wall_time_s=time.perf_counter() - started,
-        output=bytes(st.output),
-        return_value=value,
-        carve_stats=None if tracer is None else tracer.stats,
-    )
+    return RunResult(status, frozenset(st.coverage), trace,
+                     st.opts.step_limit - st.fuel, time.perf_counter() - started,
+                     bytes(st.output), value, tracer and tracer.stats)
 
 
 def _run(program: Program, system_input: SystemInput, opts: RunOptions,
          traced: bool) -> RunResult:
     started = time.perf_counter()
     code = _code(program)
-    st = _State(opts, tuple(system_input.argv), system_input.stdin)
+    st = _State(opts, tuple(system_input.argv), system_input.stdin, {}, {})
     if traced:
         st.tracer = Tracer(opts.per_fn_cap, code.input_dependent, st.coverage)
     return _finish(st, code, ENTRY, [], True, started)
@@ -557,6 +575,9 @@ def run_with_tracing(program: Program, system_input: SystemInput,
     always equal the untraced run's.
     """
     return _run(program, system_input, opts, traced=True)
+
+
+_KINDS = {TInt: int, TFloat: float, TBytes: bytes, TRef: Ref, TArray: tuple}
 
 
 def _arg_fits(value, declared) -> bool:
@@ -589,6 +610,20 @@ def call_function(program: Program, fn_name: str, args: list,
     empty: arg_count() is 0 and read_all_input() returns the empty
     string.
     """
+    code = _code(program)
+    if tuple(map(type, args)) != code.kinds.get(fn_name):
+        _check_args(program, fn_name, args)
+    started = time.perf_counter()
+    globals_, segments = world
+    if not globals_.keys() >= code.global_names:
+        missing = next(g.name for g in program.globals if g.name not in globals_)
+        raise TypeMismatch(f"world is missing global {missing!r}")
+    st = _State(opts, (), b"", globals_, segments)
+    return _finish(st, code, fn_name, args, False, started)
+
+
+def _check_args(program: Program, fn_name: str, args: list) -> None:
+    """Raise unless `fn_name` names a function that takes `args`."""
     fn = program.function(fn_name)
     if fn is None:
         raise UnknownFunction(f"no function named {fn_name!r}")
@@ -600,12 +635,3 @@ def call_function(program: Program, fn_name: str, args: list,
             raise TypeMismatch(
                 f"argument {pname!r} of {fn_name!r} expects {declared}, "
                 f"got {value_type_name(value)}")
-
-    started = time.perf_counter()
-    globals_, segments = world
-    for gdef in program.globals:
-        if gdef.name not in globals_:
-            raise TypeMismatch(f"world is missing global {gdef.name!r}")
-
-    st = _State(opts, globals_=globals_, segments=segments)
-    return _finish(st, _code(program), fn_name, list(args), False, started)

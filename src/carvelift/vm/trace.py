@@ -41,6 +41,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 from ..errors import FormatError
@@ -56,10 +57,11 @@ _ROOT = re.compile(r"arg\[[0-9]+\]|global:\w+")
 _STEP = re.compile(r"\[([0-9]+)\]|\.(\w+)")
 
 
+@lru_cache(maxsize=4096)     # a fuzz round looks up its few paths each execution
 def parse_path(path: str):
     """Split a context path into its root and access steps.
 
-    Returns (root, steps) where steps is a list of ("index", i) and
+    Returns (root, steps) where steps is a tuple of ("index", i) and
     ("field", name) entries.  Raises KeyError on malformed paths so that
     lookup and parse failures surface the same way.
     """
@@ -75,7 +77,7 @@ def parse_path(path: str):
         steps.append(("index", int(step[1])) if step[1] is not None
                       else ("field", step[2]))
         pos = step.end()
-    return path[:m.end()], steps
+    return path[:m.end()], tuple(steps)
 
 
 @dataclass
@@ -131,6 +133,12 @@ class Context:
         the leaf at each path of `assign` (in path order) is replaced by
         its value; the context itself never changes.  Raises KeyError
         for a path `resolve` cannot look up.
+
+        It runs once per unit execution, so it does only what each one
+        needs: the copy, the replaced leaves, and one pass over the roots,
+        which are held in order (`arg[0..n-1]`, then `global:name`), to
+        split them into args and globals.  A path is parsed once
+        (`parse_path` keeps the result), not once per execution.
         """
         segments = copy_segments(self.segments)
         roots = self.roots
@@ -143,11 +151,12 @@ class Context:
                                             segments)
                 except KeyError:
                     raise KeyError(path) from None
-        args = []
-        while f"arg[{len(args)}]" in roots:
-            args.append(roots[f"arg[{len(args)}]"])
-        globals_ = {p[len("global:"):]: v for p, v in roots.items()
-                    if p.startswith("global:")}
+        args, globals_ = [], {}
+        for p, v in roots.items():
+            if p[0] == "a":
+                args.append(v)
+            else:
+                globals_[p[7:]] = v     # after "global:"
         return args, (globals_, segments)
 
 

@@ -210,3 +210,37 @@ def test_bundled_subjects_nest_within_half_the_limits(monkeypatch):
     monkeypatch.setattr(parser, "MAX_ELSE_IF", MAX_ELSE_IF // 2)
     for name in SUBJECT_NAMES:
         parse(subject_source(name))
+
+
+# ------------------------------------------------------- integer literals
+
+def run_main(body):
+    from carvelift.inputs import SystemInput
+    from carvelift.vm.interp import run_system
+    r = run_system(parse("fn main() -> int { " + body + " return 0; }"),
+                   SystemInput((), b""))
+    assert r.status.kind == "exit"
+    return r.output
+
+
+@pytest.mark.parametrize("literal,value", [
+    pytest.param("9223372036854775807", 2**63 - 1, id="int64-max"),
+    pytest.param("9223372036854775808", -2**63, id="2^63"),
+    pytest.param("18446744073709551621", 5, id="2^64+5"),
+    pytest.param("99999999999999999999999", 99999999999999999999999 % 2**64,
+                 id="23-digits"),
+    # 10^5000 - 1, and 2^64 divides 10^5000
+    pytest.param("9" * 5000, -1, id="5000-nines"),
+    pytest.param("0" * 4999 + "7", 7, id="5000-digits"),
+])
+def test_integer_literals_hold_64_bit_values(literal, value):
+    assert tokenize(literal)[0].value == value
+    assert run_main(f"print({literal});") == f"{value}\n".encode()
+    program = parse(f"fn main() {{ let x = {literal}; }}")
+    for p in (program, parse(pretty_print(program))):     # printed, read back
+        assert p.function("main").body[0].value.value == value
+
+
+def test_int64_min_is_written_as_minus_two_to_the_63():
+    assert run_main("print(-9223372036854775808); print(-9223372036854775807 - 1);") \
+        == b"-9223372036854775808\n-9223372036854775808\n"

@@ -5,6 +5,8 @@ reproduce its recorded status; its new goals must be inside the replay's
 coverage.
 """
 
+import hashlib
+
 import pytest
 
 from carvelift.carving import CarvedTest, Context, carve_with_stats
@@ -269,3 +271,41 @@ def test_fuzz_unit_discovers_admin_on_keycheck():
         prog, carved, mapping, 200, result.coverage, Rng(0))[0]
     values = {w.assignment.assignments["arg[0]"] for w in winners}
     assert b"admin" in values
+
+
+# ------------------------------------------------------------ pinned streams
+
+def stream_digest(subject, fn, seed, n=2000):
+    """sha256 of the first `n` pairs of the int stream of `fn`'s first int
+    leaf, then of the bytes stream of its first bytes leaf, on the carve
+    of `fn` from the subject's first seed."""
+    from carvelift import resolve_program, resolve_seeds
+    prog, _ = resolve_program(subject)
+    traced = run_with_tracing(prog, resolve_seeds(None, subject)[0])
+    carved = next(c for c in carve_with_stats(traced)[0] if c.start[0] == fn)
+    ctx = carved.context
+    leaves = list(ctx.leaves())
+    int_leaf = next(v for _, v in leaves if type(v) is int)
+    bytes_leaf = next(v for _, v in leaves if type(v) is bytes)
+    pairs = (take(int_mutations(int_leaf, Rng(seed)), n)
+             + take(bytes_mutations(bytes_leaf, ctx, Rng(seed)), n))
+    return hashlib.sha256(repr(pairs).encode()).hexdigest()
+
+
+# Taken before the value streams were last made faster: the same rng
+# must give the same values, or every campaign's report moves.
+STREAM_DIGESTS = {
+    ("keycheck", "check_user", 3):
+        "05f3f0f05d4483bb104854857f8e6bd903ffea8c15b98cb150da5871de802ff3",
+    ("keycheck", "check_user", 11):
+        "68e8546b7e6bf9aeff2124167ec5252a13ff9e189f9fdb6aec10703f8f31b42e",
+    ("mini_sed", "apply_script", 3):
+        "18c7ce1a3599f2364d379bc1c57922363ccb6db5fa221370313f8934ddeb6a2c",
+    ("mini_sed", "apply_script", 11):
+        "d3f9c3fe5a3227291e86448c8131644e39986162a0c42bb0e278c0e7f053081c",
+}
+
+
+@pytest.mark.parametrize("subject,fn,seed", list(STREAM_DIGESTS))
+def test_mutation_streams_are_pinned(subject, fn, seed):
+    assert stream_digest(subject, fn, seed) == STREAM_DIGESTS[subject, fn, seed]

@@ -5,21 +5,25 @@ interpreter in conftest, which re-executes the program by rule and
 records each call's branch goals between its call and its return.
 """
 
+import re
+
 import pytest
 
 from carvelift.lang.ast import SWhile, input_reading_functions
+from carvelift.lang.errors import UnknownFunction
 from carvelift.lang.goals import enumerate_goals, goals_in_function
 from carvelift.lang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, parse
 from carvelift.rng import Rng
 from carvelift.vm.interp import (
     DEFAULT_STEP_LIMIT,
     RunOptions,
+    TypeMismatch,
     call_function,
     run_system,
     run_with_tracing,
     serialize_run_result,
 )
-from carvelift.vm.values import Ref, copy_segments, equal, wrap64
+from carvelift.vm.values import Record, Ref, copy_segments, equal, wrap64
 
 from conftest import (
     SUBJECT_NAMES, NaiveCounter, load_subject, mk_input, random_input_for,
@@ -263,6 +267,54 @@ def test_int_fast_paths_keep_the_language_semantics():
         "-9223372036854775808", "-3", "-1", "1.5", "-1.5", "1", "1", "1"]
 
 
+def emitted_source(monkeypatch, program) -> str:
+    """The Python source the VM writes for `program`, on its first run."""
+    import carvelift.vm.interp as interp
+    sources = []
+
+    def spy(source, *rest):
+        sources.append(source)
+        return compile(source, *rest)
+    monkeypatch.setattr(interp, "compile", spy, raising=False)
+    run_system(program, mk_input())
+    (source,) = sources
+    return source
+
+
+LITERAL_OPERANDS_SOURCE = """
+fn main() {
+    let b = "d"; let e = "e"; let f = 1.5; let z = null;
+    print(b == "d"); print("d" == b); print(b != "d"); print(e == "d");
+    print("d" == "d"); print("d" != "e"); print(f < 2.5); print(f == 1.5);
+    print(f + 1.5); print(z == null); print(null != b); print(b == null);
+    print(f * 2.0 > 2.5);
+}
+"""
+
+
+def test_a_literal_that_is_not_an_int_gets_no_int_guard(monkeypatch):
+    program = parse(LITERAL_OPERANDS_SOURCE)
+    source = emitted_source(monkeypatch, program)
+    for literal in ("b'd'", "1.5", "None", "2.0"):
+        assert f"type({literal})" not in source
+    assert source.count(" is bytes else ") == 4     # b == "d" to e == "d"
+    r = run_system(program, mk_input())
+    assert (r.status.kind, r.output.split()) == (
+        "exit", b"1 1 0 0 1 1 1 1 3.0 1 1 0 1".split())
+    assert "type(b'" not in emitted_source(monkeypatch, load_subject("mini_dc"))
+
+
+@pytest.mark.parametrize("expr,message", [
+    ("i == \"d\"", "== on int and bytes"), ("\"d\" != a", "== on bytes and array"),
+    ("\"d\" < \"e\"", "cannot order bytes and bytes"), ("i + 1.5", "+ on int and float"),
+    ("n < 1.5", "cannot order int and float"),
+])
+def test_a_literal_operand_of_the_wrong_type_still_crashes(expr, message):
+    r = run_system(parse("fn main() { let i = 1; let a = [1]; let n = arg_count();"
+                         f" print({expr}); }}"), mk_input())
+    assert (r.status.crash_kind, r.status.message) == ("type-error", message)
+
+
 def test_steps_and_crash_positions_follow_the_source():
     def run(source):
         return run_system(parse(source), mk_input())
@@ -478,6 +530,72 @@ def test_call_function_success_branch_in_a_carved_world():
     assert miss.return_value == -1
     gained = hit.coverage - miss.coverage
     assert any(g.outcome == "then" for g in gained)
+
+
+SIGNATURES = """
+record P { x: int }
+global g: int = 1;
+fn f(i: int, x: float, b: bytes, r: ref int, a: [int], p: P) -> int { return g; }
+fn main() { }
+"""
+GOOD_ARGS = [1, 1.5, b"b", None, (1,), Record("P", {"x": 1})]
+
+
+def test_call_function_accepts_each_declared_type():
+    p = parse(SIGNATURES)
+    for args in (GOOD_ARGS, [1, 1.5, b"", Ref(0, 0), (), Record("P", {"x": 2})]):
+        r = call_function(p, "f", list(args), ({"g": 3}, {0: [5]}))
+        assert (r.status.kind, r.return_value) == ("exit", 3)
+
+
+def test_call_function_rejects_an_unknown_function():
+    with pytest.raises(UnknownFunction, match="no function named 'h'"):
+        call_function(parse(SIGNATURES), "h", [], ({"g": 3}, {}))
+
+
+@pytest.mark.parametrize("args,message", [
+    (GOOD_ARGS[:5], "'f' takes 6 arguments, got 5"),
+    (GOOD_ARGS + [1], "'f' takes 6 arguments, got 7"),
+    ([], "'f' takes 6 arguments, got 0"),
+])
+def test_call_function_rejects_the_wrong_arity(args, message):
+    with pytest.raises(TypeMismatch, match=message):
+        call_function(parse(SIGNATURES), "f", args, ({"g": 3}, {}))
+
+
+@pytest.mark.parametrize("position,value,got", [
+    (0, 1.0, "float"), (0, None, "null"), (1, 1, "int"), (2, 0, "int"),
+    (3, 0, "int"), (3, b"", "bytes"), (4, Ref(0, 0), "ref"),
+    (4, Record("P", {"x": 1}), "record:P"), (5, Record("Q", {"x": 1}), "record:Q"),
+    (5, (1,), "array"),
+])
+def test_call_function_rejects_a_wrong_argument_type(position, value, got):
+    p = parse(SIGNATURES)
+    pname, declared = p.function("f").params[position]
+    args = list(GOOD_ARGS)
+    args[position] = value
+    message = f"argument '{pname}' of 'f' expects {declared}, got {got}"
+    with pytest.raises(TypeMismatch, match=f"^{re.escape(message)}$"):
+        call_function(p, "f", args, ({"g": 3}, {}))
+
+
+@pytest.mark.parametrize("position,value", [
+    (0, True), (2, bytearray(b"b")), (2, "b"), (4, [1]),
+])
+def test_call_function_rejects_a_python_value_outside_the_language(position, value):
+    args = list(GOOD_ARGS)
+    args[position] = value
+    with pytest.raises(TypeError, match="runtime value"):
+        call_function(parse(SIGNATURES), "f", args, ({"g": 3}, {}))
+
+
+def test_call_function_rejects_a_world_missing_a_global():
+    p = parse(SIGNATURES)
+    with pytest.raises(TypeMismatch, match="world is missing global 'g'"):
+        call_function(p, "f", GOOD_ARGS, ({"h": 3}, {}))
+    # The arguments are checked first.
+    with pytest.raises(TypeMismatch, match="takes 6 arguments"):
+        call_function(p, "f", [], ({}, {}))
 
 
 def test_call_function_dangling_ref_is_a_unit_crash():
