@@ -10,13 +10,17 @@ A Program is compiled on its first run, and the code is kept on the
 Program, so it lives exactly as long as the Program does.  `_Code`
 writes the source of one Python function per mini-language function and
 builds them with one compile(), as `dataclasses` builds its methods:
-parameters and lets become Python locals, the int fast paths are
-inline, branch goals, crash positions and builtins are bound into the
-code, and ops.py keeps the slow paths and the builtins.  A call is one
-Python call.  Tracing is run state, not code: each call site takes the
-traced path when its run has a tracer, and branches add to the run
-state's coverage set, which the tracer points at the innermost recorded
-call's set.
+parameters and lets become Python locals, branch goals, crash positions
+and builtins are bound into the code, and ops.py keeps the slow paths
+and the builtins.  A call is one Python call.  Inline fast paths cover
+int + - * and comparisons, == and != on two ints, floats or byte
+strings, len of bytes or a ref, byte_at and slice(b, i, j) of bytes,
+indexing and storing through a ref, and a record's field; each takes
+only operands whose result it reads directly and calls ops.py for the
+rest, so ops.py alone defines every result, crash and message.  Tracing
+is run state, not code: each call site takes the traced path when its
+run has a tracer, and branches add to the run state's coverage set,
+which the tracer points at the innermost recorded call's set.
 
 A unit execution should cost its steps, since a carve is replayed
 thousands of times.  So what a Program fixes is made once, with its
@@ -206,19 +210,30 @@ def _traced(st, fn, name, *args):
 
 _SLOW = {op: f"S{i}" for i, op in enumerate(ops.BINARY)}
 _NAMESPACE = {
-    "spent": spent, "fail": fail, "U": object(), "Record": Record,
+    "spent": spent, "fail": fail, "U": object(), "Record": Record, "Ref": Ref,
     "GLOBAL": _global, "STOP": _stop, "TRACED": _traced, "TYPE": value_type_name,
     "INDEX": ops.index, "STORE": ops.store, "WRAP": wrap64,
     "NEG": ops.negate, "NOT": ops.logical_not, "FIELD": ops.field,
     "inf": float("inf"),     # repr() of an overflowing float literal
+    "SCALAR": (int, bytes, float),
     **{_SLOW[op]: f for op, f in ops.BINARY.items()},
     **{f"B_{name}": f for name, f in ops.BUILTINS.items()},
 }
-# Inline fast paths of builtins: the text before `else` and the call.
+# Inline fast paths, by operation and operand count: the text before
+# `else` and the ops call, which decides every other case.
+_REF_AT = ("type({0}) is Ref and type({1}) is int and (s := st.segments.get({0}.seg))"
+           " is not None and 0 <= {1} < len(s) - {0}.off")
 _FAST = {
-    "B_len": "len({0}) if type({0}) is bytes else ",
-    "B_byte_at": "{0}[{1}] if type({0}) is bytes and type({1}) is int and "
-                 "0 <= {1} < len({0}) else ",
+    ("B_len", 1): "len({0}) if type({0}) is bytes else len(s) - {0}.off if type({0}) "
+                  "is Ref and (s := st.segments.get({0}.seg)) is not None else ",
+    ("B_byte_at", 2): "{0}[{1}] if type({0}) is bytes and type({1}) is int and "
+                      "0 <= {1} < len({0}) else ",
+    ("B_slice", 3): "{0}[{1}:{2}] if type({0}) is bytes and type({1}) is int and "
+                    "type({2}) is int and 0 <= {1} <= {2} <= len({0}) else ",
+    ("INDEX", 2): "s[{0}.off + {1}] if " + _REF_AT + " else ",
+    ("FIELD", 2): "{0}.fields[{1}] if type({0}) is Record and {1} in {0}.fields else ",
+    # A statement: the store runs inline, else the next line calls STORE.
+    ("STORE", 3): "if " + _REF_AT + " and st.fuel >= 0: s[{0}.off + {1}] = {2}",
 }
 
 
@@ -344,7 +359,11 @@ class _Code:
         if cls is SIndexSet:
             args = self.operands([s.obj, s.index, s.value], 1)
             self.release(*args)
-            return self.line(f"STORE(st, {at}, {', '.join(args)})")
+            slow = f"STORE(st, {at}, {', '.join(args)})"
+            if args[0][0] not in "tv":
+                return self.line(slow)
+            self.line(_FAST["STORE", 3].format(*args))
+            return self.line("else: " + slow)
         value = (self.expr(s.value, 1) if s.value is not None
                  else self.node(ENull(s.pos), 1))   # a bare return
         self.release(value)
@@ -465,9 +484,9 @@ class _Code:
             op = "NEG" if e.op == "-" else "NOT"
         else:   # "" for a record or array literal
             op = {EIndex: "INDEX", EField: "FIELD"}.get(cls, "")
-        args = self.operands(subexpressions(e), k)
+        args = self.operands(subexpressions(e), k) + ([repr(e.name)] if cls is EField else [])
         self.release(*args)
-        t, a = self.temp(), ", ".join(args + ([repr(e.name)] if cls is EField else []))
+        t, a = self.temp(), ", ".join(args)
         if cls is ECall and e.name in self.targets:
             self.line(f"if st.fuel < 0 or st.depth >= {MAX_CALL_DEPTH}: "
                       f"STOP(st, {at}, 'abort', 'call stack overflow')")
@@ -477,7 +496,8 @@ class _Code:
             self.ints.add(t)
             self.line(f"{t} = (0 if {a} else 1) if type({a}) is int else NOT(st, {at}, {a})")
         elif op:    # no fast path on a literal: Python warns at 1[0]
-            fast = _FAST[op].format(*args) if op in _FAST and args[0][0] in "tv" else ""
+            fast = _FAST.get((op, len(args)))
+            fast = fast.format(*args) if fast and args[0][0] in "tv" else ""
             self.line(f"{t} = {fast}{op}(st, {at}, {a})")
         elif cls is ERecordLit:
             fields = ", ".join(f"{n!r}: {x}" for (n, _), x in zip(e.fields, args))
@@ -513,8 +533,10 @@ class _Code:
         kind = "int" if not lits else None
         if lits == {"b"} and op in ("==", "!=") and not any(map(self.is_int, (a, b))):
             kind = "bytes"
-        guard = " and ".join(f"type({x}) is {kind}" for x in (a, b)
-                             if x[0] in "tv" and not self.is_int(x))
+        unknown = [x for x in (a, b) if x[0] in "tv" and not self.is_int(x)]
+        guard = " and ".join(f"type({x}) is {kind}" for x in unknown)
+        if len(unknown) == 2 and op in ("==", "!="):    # two scalars of one type
+            guard = f"type({a}) is type({b}) and type({a}) in SCALAR"
         self.release(a, b)
         t, slow = self.temp(), f"{_SLOW[op]}({at}, {a}, {b})"
         if op in "+-*":
@@ -578,6 +600,7 @@ def run_with_tracing(program: Program, system_input: SystemInput,
 
 
 _KINDS = {TInt: int, TFloat: float, TBytes: bytes, TRef: Ref, TArray: tuple}
+_VALUE_TYPES = {*_KINDS.values(), Record, type(None)}
 
 
 def _arg_fits(value, declared) -> bool:
@@ -632,6 +655,7 @@ def _check_args(program: Program, fn_name: str, args: list) -> None:
             f"{fn_name!r} takes {len(fn.params)} arguments, got {len(args)}")
     for value, (pname, declared) in zip(args, fn.params):
         if not _arg_fits(value, declared):
+            got = (value_type_name(value) if type(value) in _VALUE_TYPES
+                   else f"Python {type(value).__name__}")
             raise TypeMismatch(
-                f"argument {pname!r} of {fn_name!r} expects {declared}, "
-                f"got {value_type_name(value)}")
+                f"argument {pname!r} of {fn_name!r} expects {declared}, got {got}")

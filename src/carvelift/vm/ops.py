@@ -2,11 +2,13 @@
 
 Each checks its operands as the language defines (docs/minilang.md) and
 raises Crash at `at`, the position of the statement it was compiled
-into.  Binary operators take (at, left, right); the compiled code runs
-their int-int fast paths inline and calls them for everything else.
-Every other operation takes the run state, `at` and its evaluated
-operands; those with an effect a run can show check the state's fuel
-first (see interp).
+into.  Binary operators take (at, left, right); every other operation
+takes the run state, `at` and its evaluated operands; those with an
+effect a run can show check the state's fuel first (see interp).  These
+functions define the semantics: the compiled code inlines only common
+cases of the arithmetic, comparisons, `==`, `index`, `store`, `field`,
+`len`, `byte_at` and `slice`, and calls them as the slow paths for the
+rest, every crash included.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ records each call's branch goals between its call and its return.
 """
 
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,16 +15,19 @@ from carvelift.lang.errors import UnknownFunction
 from carvelift.lang.goals import enumerate_goals, goals_in_function
 from carvelift.lang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, parse
 from carvelift.rng import Rng
+from carvelift.vm import ops
 from carvelift.vm.interp import (
     DEFAULT_STEP_LIMIT,
     RunOptions,
+    RunStatus,
     TypeMismatch,
     call_function,
     run_system,
     run_with_tracing,
     serialize_run_result,
 )
-from carvelift.vm.values import Record, Ref, copy_segments, equal, wrap64
+from carvelift.vm.ops import Crash, OutOfSteps
+from carvelift.vm.values import INT64_MIN, Record, Ref, copy_segments, equal, wrap64
 
 from conftest import (
     SUBJECT_NAMES, NaiveCounter, load_subject, mk_input, random_input_for,
@@ -585,7 +589,7 @@ def test_call_function_rejects_a_wrong_argument_type(position, value, got):
 def test_call_function_rejects_a_python_value_outside_the_language(position, value):
     args = list(GOOD_ARGS)
     args[position] = value
-    with pytest.raises(TypeError, match="runtime value"):
+    with pytest.raises(TypeMismatch, match=f", got Python {type(value).__name__}$"):
         call_function(parse(SIGNATURES), "f", args, ({"g": 3}, {}))
 
 
@@ -610,3 +614,125 @@ def test_call_function_dangling_ref_is_a_unit_crash():
     reads_db = next(s for s in prog.function("check_user").body
                     if isinstance(s, SWhile))    # while (i < len(db))
     assert r.status.crash_stmt == reads_db.stmt_id
+
+
+# ------------------------------------------------------- heap operations
+#
+# The compiled code may take an inline path for an operation on the heap
+# or on two operands of unknown type; `vm/ops.py` defines what each does.
+# Each run below feeds the operands through globals (call_function checks
+# only their names) and must end as a direct call of the ops function on
+# the same operands does.
+
+HEAP_OPS = """
+global a: int = 0;
+global i: int = 0;
+global j: int = 0;
+global v: int = 0;
+fn length() -> int { return len(a); }
+fn at() -> int { return a[i]; }
+fn name() -> int { return a.name; }
+fn eq() -> int { return a == i; }
+fn ne() -> int { return a != i; }
+fn cut() -> int { return slice(a, i, j); }
+fn cut2() -> int { return slice(a, i); }
+fn put() -> int { a[i] = v; return 0; }
+fn main() { }
+"""
+
+SLOW_PATHS = {
+    "length": lambda st, at, g: ops.BUILTINS["len"](st, at, g["a"]),
+    "at": lambda st, at, g: ops.index(st, at, g["a"], g["i"]),
+    "name": lambda st, at, g: ops.field(st, at, g["a"], "name"),
+    "eq": lambda st, at, g: ops.BINARY["=="](at, g["a"], g["i"]),
+    "ne": lambda st, at, g: ops.BINARY["!="](at, g["a"], g["i"]),
+    "cut": lambda st, at, g: ops.BUILTINS["slice"](st, at, g["a"], g["i"], g["j"]),
+    "cut2": lambda st, at, g: ops.BUILTINS["slice"](st, at, g["a"], g["i"]),
+    "put": lambda st, at, g: ops.store(st, at, g["a"], g["i"], g["v"]),
+}
+# Steps charged up to the operation, and up to the function's end.
+HEAP_OP_STEPS = {"length": (3, 3), "at": (4, 4), "name": (3, 3), "eq": (4, 4),
+                 "ne": (4, 4), "cut": (5, 5), "cut2": (4, 4), "put": (4, 6)}
+
+NAN = float("nan")
+# Segment 0 has three elements, segment 1 none; segment 9 is missing.
+REFS = [Ref(0, 0), Ref(0, 2), Ref(0, 3), Ref(1, 0), Ref(9, 0)]
+NOT_REFS = [None, b"abc", 5, 1.5, (10, b"x", None), (), Record("P", {"name": 1})]
+INDEXES = [-1, 0, 1, 2, 3, 1.0, None, b""]
+P, Q = Record("P", {"name": 7, "x": 1}), Record("Q", {"x": 1})
+
+
+def nested(depth: int) -> tuple:
+    a = (0,)
+    for _ in range(depth):
+        a = (1, a)
+    return a
+
+
+EQ_OPERANDS = [
+    (1, 1), (1, 2), (INT64_MIN, INT64_MIN), (NAN, NAN), (-0.0, 0.0), (1.5, 2.5),
+    (b"ab", b"ab"), (b"ab", b"ac"), (b"", b""), (1, b"1"), (b"1", 1), (1, 1.0),
+    (1.0, 1), (None, None), (None, 1), (1, None), (None, Ref(0, 0)),
+    (Ref(0, 0), Ref(0, 0)), (Ref(0, 0), Ref(0, 1)), (Ref(0, 0), 0),
+    ((1, (2,)), (1, (2,))), ((1,), (2,)), ((NAN,), (NAN,)), ((), ()), ((1,), 1),
+    (P, Record("P", {"name": 7, "x": 1})), (P, Q), (P, Record("P", {"name": 7})),
+    (P, (1,)), (nested(1500), nested(1500)),   # deeper than Python's == recurses
+]
+HEAP_OP_CASES = {
+    "length": [{"a": a} for a in REFS + NOT_REFS],
+    "at": [{"a": a, "i": i} for a in REFS + NOT_REFS for i in INDEXES],
+    "name": [{"a": a} for a in [P, Q, Record("P", {}), None, 5, b"name"] + REFS],
+    "eq": [{"a": a, "i": i} for a, i in EQ_OPERANDS],
+    "ne": [{"a": a, "i": i} for a, i in EQ_OPERANDS],
+    "cut": [{"a": b"abcd", "i": i, "j": j} for i, j in [
+        (0, 0), (0, 4), (1, 3), (4, 4), (3, 1), (0, 5), (-1, 2), (2, -1),
+        (5, 5), (1.0, 2), (0, None), (None, 0), (0, 2.0)]]
+    + [{"a": a, "i": 0, "j": 1} for a in [Ref(0, 0), None, 5, (1, 2), 1.5]],
+    "cut2": [{"a": a, "i": i} for a in [b"abcd", Ref(0, 0), Ref(0, 2), Ref(9, 0), None]
+             for i in [-1, 0, 1, 3, 1.0]],
+    "put": [{"a": a, "i": i, "v": b"new"} for a in REFS + NOT_REFS for i in INDEXES],
+}
+
+
+def heap_world(g: dict) -> tuple[dict, dict]:
+    return {"a": 0, "i": 0, "j": 0, "v": 0, **g}, {0: [10, b"x", None], 1: []}
+
+
+def slow_path_result(program, fn: str, g: dict, limit: int):
+    """What the run of `fn` ends as when ops does the operation: status,
+    steps, return value and the segments it leaves."""
+    globals_, segments = heap_world(g)
+    before, total = HEAP_OP_STEPS[fn]
+    at = (fn, program.function(fn).body[0].stmt_id)
+    st = SimpleNamespace(segments=segments, fuel=limit - before)
+    value, steps = None, limit + 1
+    try:
+        value = SLOW_PATHS[fn](st, at, globals_)
+    except Crash as c:
+        kind, message, crash_fn, stmt = c.args
+        status, steps = RunStatus("crash", 0, kind, crash_fn, stmt, message), before
+    except OutOfSteps:
+        status = RunStatus("budget-exhausted")
+    else:
+        value = 0 if fn == "put" else value
+        status, steps = RunStatus("exit", value if type(value) is int else 0), total
+    if limit - steps < 0:
+        status, value, steps = RunStatus("budget-exhausted"), None, limit + 1
+    return status, steps, value, segments
+
+
+@pytest.mark.parametrize("fn", sorted(HEAP_OP_CASES))
+def test_heap_operations_end_as_their_ops_slow_path(fn):
+    program = parse(HEAP_OPS)
+    # A store runs with its fuel at exactly 0, at -1 and with room to spare.
+    limits = [4, 3, DEFAULT_STEP_LIMIT] if fn == "put" else [DEFAULT_STEP_LIMIT]
+    for n, g in enumerate(HEAP_OP_CASES[fn]):
+        for limit in limits:
+            status, steps, value, segments = slow_path_result(program, fn, g, limit)
+            globals_, world = heap_world(g)
+            r = call_function(program, fn, [], (globals_, world), RunOptions(step_limit=limit))
+            case = (fn, n, limit)   # some operands are too deep for repr()
+            assert (r.status, r.steps, r.output) == (status, steps, b""), case
+            assert type(r.return_value) is type(value), case
+            assert equal(r.return_value, value), case
+            assert world == segments, case
