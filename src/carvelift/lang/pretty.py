@@ -83,16 +83,20 @@ def _stmt(s: Stmt, indent: int, out: list[str]) -> None:
     elif isinstance(s, SIndexSet):
         out.append(f"{pad}{_expr(s.obj, 7)}[{_expr(s.index)}] = {_expr(s.value)};")
     elif isinstance(s, SIf):
-        out.append(f"{pad}if ({_expr(s.cond)}) {{")
-        for inner in s.then_body:
-            _stmt(inner, indent + 1, out)
-        if s.else_body is None:
-            out.append(f"{pad}}}")
-        else:
+        head = "if"
+        while True:     # an else whose body is one if, as an else-if link
+            out.append(f"{pad}{head} ({_expr(s.cond)}) {{")
+            for inner in s.then_body:
+                _stmt(inner, indent + 1, out)
+            tail = s.else_body or []
+            if len(tail) != 1 or not isinstance(tail[0], SIf):
+                break
+            s, head = tail[0], "} else if"
+        if s.else_body is not None:
             out.append(f"{pad}}} else {{")
             for inner in s.else_body:
                 _stmt(inner, indent + 1, out)
-            out.append(f"{pad}}}")
+        out.append(f"{pad}}}")
     elif isinstance(s, SWhile):
         out.append(f"{pad}while ({_expr(s.cond)}) {{")
         for inner in s.body:

@@ -17,9 +17,11 @@ from carvelift.lang.goals import BranchGoal, enumerate_goals, goals_in_function
 from carvelift.lang.lexer import tokenize
 from carvelift.lang.parser import MAX_BLOCK_DEPTH, MAX_ELSE_IF, MAX_EXPR_DEPTH, parse
 from carvelift.lang.pretty import pretty_print
+from carvelift.rng import Rng
 
 from conftest import SUBJECT_NAMES, load_subject, subject_source
-from progen import else_if_chain, main_source, nested_sources
+from progen import else_if_chain, generate, main_source, nested_sources
+from test_generated_goldens import GEN_SEED
 
 
 def token_oracle(source: str) -> int:
@@ -138,9 +140,24 @@ def test_unknown_function_is_rejected():
 
 # ---------------------------------------------------------------- stability
 
-@pytest.mark.parametrize("name", SUBJECT_NAMES)
-def test_pretty_print_round_trip_is_structurally_identical(name):
-    p1 = load_subject(name)
+def generated_sources(count: int) -> list[str]:
+    """The first `count` programs of the generated-program goldens."""
+    master = Rng(GEN_SEED)
+    return [generate(master.split()) for _ in range(count)]
+
+
+ROUND_TRIP_SOURCES = {
+    **{name: subject_source(name) for name in SUBJECT_NAMES},
+    **{f"nested-{n}": source for n, source in enumerate(
+        nested_sources(MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH))},
+    "else-if-chain": main_source(else_if_chain(MAX_ELSE_IF)),
+    **{f"generated-{n}": source for n, source in enumerate(generated_sources(5))},
+}
+
+
+@pytest.mark.parametrize("source", ROUND_TRIP_SOURCES.values(), ids=ROUND_TRIP_SOURCES)
+def test_pretty_print_round_trip_is_structurally_identical(source):
+    p1 = parse(source)
     printed = pretty_print(p1)
     p2 = parse(printed)
     assert pretty_print(p2) == printed
