@@ -5,11 +5,14 @@ count over the raw token stream, and a hand-rolled recursive walk over
 statement bodies that never touches the goal module's own traversal.
 """
 
+import hashlib
+
 import pytest
 
 from carvelift.lang.ast import SIf, SWhile, iter_stmts
 from carvelift.lang.errors import (
     DuplicateDefinition,
+    MiniLangError,
     MiniSyntaxError,
     UnresolvedReference,
 )
@@ -218,6 +221,68 @@ DEEP_SOURCES = {
 def test_deep_nesting_is_a_syntax_error_not_a_recursion_error(source):
     with pytest.raises(MiniSyntaxError, match="nest"):
         parse(source)
+
+
+# ------------------------------------------------------- parse outcomes
+
+MUTANT_SEED, MUTANTS = 2024, 300
+MUTANT_TOKENS = ["(", ")", "<", "==", "&&", "||", "-", "!", "+", "*", "[", "]",
+                 ".", ",", "else", "if"]
+PARSE_OUTCOMES_DIGEST = "c5e502d31461aeffc369564029e8129fba1592d1ed34c330f19e4b4928ad8574"
+
+
+def token_spans(source: str) -> list[tuple[int, int]]:
+    """Where each token of `source` starts and ends, the end of text last."""
+    line_starts = [0] + [i + 1 for i, c in enumerate(source) if c == "\n"]
+    spans = []
+    for t in tokenize(source):
+        start = line_starts[t.pos.line - 1] + t.pos.col - 1
+        spans.append((start, start + len(t.text)))
+    return spans
+
+
+def token_mutant(source: str, spans: list, rng: Rng) -> str:
+    """`source` with one token deleted, duplicated or swapped with the
+    next, or with one of MUTANT_TOKENS inserted before a token."""
+    i = rng.randrange(len(spans) - 1)   # not the end of the text
+    (a, b), (c, d) = spans[i], spans[i + 1]
+    edit = rng.randrange(4)
+    if edit == 0:
+        return source[:a] + source[b:]
+    if edit == 1:
+        return source[:b] + " " + source[a:b] + source[b:]
+    if edit == 2:
+        return source[:a] + source[c:d] + source[b:c] + source[a:b] + source[d:]
+    return source[:a] + rng.choice(MUTANT_TOKENS) + " " + source[a:]
+
+
+def parse_outcome(source: str) -> str:
+    """The program's repr, or the diagnostic's class, position and message."""
+    try:
+        return repr(parse(source))
+    except MiniLangError as e:
+        return repr((type(e).__name__, e.pos, e.message))
+
+
+def test_parse_outcomes_match_the_pinned_digest():
+    """Every source gives the same program or the same diagnostic: the
+    subjects, the goldens' generated programs, the programs nested to each
+    limit and one past it, the deep sources, and token mutants of the
+    subjects and generated programs.  Any exception but a MiniLangError
+    fails the test."""
+    sources = [subject_source(n) for n in SUBJECT_NAMES] + generated_sources(60)
+    spans = [token_spans(s) for s in sources]
+    rng = Rng(MUTANT_SEED)
+    mutants = []
+    for _ in range(MUTANTS):
+        k = rng.randrange(len(sources))
+        mutants.append(token_mutant(sources[k], spans[k], rng))
+    for blocks, depth, links in ((MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, MAX_ELSE_IF),
+                                 (MAX_BLOCK_DEPTH + 1, MAX_EXPR_DEPTH + 1, MAX_ELSE_IF + 1)):
+        sources += nested_sources(blocks, depth) + [main_source(else_if_chain(links))]
+    outcomes = [parse_outcome(s) for s in sources + list(DEEP_SOURCES.values()) + mutants]
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == PARSE_OUTCOMES_DIGEST
 
 
 def test_bundled_subjects_nest_within_half_the_limits(monkeypatch):
