@@ -1,7 +1,10 @@
-"""Recursive-descent parser and static checks.
+"""Parser and static checks.
 
-``parse`` is pure: the same source text always yields the same Program,
-with the same statement ids, or raises the same diagnostic.
+Declarations and statements are parsed by recursive descent, binary
+operators by precedence climbing over one table, ``PRECEDENCE``, which
+the printer reads too; an else-if chain is parsed in a loop, link by
+link.  ``parse`` is pure: the same source text always yields the same
+Program, with the same statement ids, or raises the same diagnostic.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from .ast import (
     ENull, ERecordLit, EUnary, EVar, Expr, FunctionDef, GlobalDef, Pos, Program,
     RecordDef, SAssign, SExpr, SIf, SIndexSet, SLet, SReturn, SWhile, Stmt,
     TArray, TBytes, TFloat, TInt, TRecord, TRef, Type,
-    number_statements, stmt_exprs, subexpressions, walk_expr,
+    iter_stmts, number_statements, stmt_exprs, subexpressions, walk_expr,
 )
 from .errors import DuplicateDefinition, MiniSyntaxError, UnresolvedReference
 from .lexer import Token, tokenize
@@ -33,12 +36,22 @@ BUILTINS = {
 }
 
 
+# Binary operators by how tightly they bind.  Each level nests to the
+# left, except that comparisons do not chain: `a < b < c` is an error.
+PRECEDENCE = {
+    "||": 1, "&&": 2,
+    "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
+    "+": 4, "-": 4,
+    "*": 5, "/": 5, "%": 5,
+}
+_COMPARISON, _TIGHTEST = PRECEDENCE["<"], max(PRECEDENCE.values())
+
 # How deep a program may nest (docs/minilang.md).  vm/interp.py compiles
 # each function to Python, which allows 20 nested loops and 99 levels of
-# indentation; an else-if chain compiles flat, so only the recursive
-# walks over the tree (this parser's among them) bound its length.
-# Within these limits every program compiles, and no such walk comes
-# near Python's recursion limit.
+# indentation; an else-if chain compiles, parses and prints flat, so
+# only the recursive walks over the tree (`iter_stmts` and its users)
+# bound its length.  Within these limits every program compiles, and no
+# such walk comes near Python's recursion limit.
 MAX_BLOCK_DEPTH = 20    # statement bodies inside one another
 MAX_EXPR_DEPTH = 64     # expression levels, parentheses included
 MAX_ELSE_IF = 128       # else-if links open at once
@@ -92,6 +105,23 @@ class _Parser:
         self.blocks -= 1
         return stmts
 
+    def items(self, close: str, item) -> list:
+        """`item()` for each entry of a comma-separated list that ends at
+        `close`, with or without a trailing comma."""
+        items = []
+        while not self.at("punct", close):
+            items.append(item())
+            if not self.accept("punct", ","):
+                break
+        self.expect("punct", close)
+        return items
+
+    def field(self, value) -> tuple:
+        """`name: value()`, as a pair."""
+        name = self.expect("ident").text
+        self.expect("punct", ":")
+        return name, value()
+
     def node(self, e: Expr, depth: int = 0) -> Expr:
         """`e`, one level deeper than the deepest of its operands, or at
         `depth` when that is given."""
@@ -122,15 +152,7 @@ class _Parser:
         pos = self.expect("keyword", "record").pos
         name = self.expect("ident").text
         self.expect("punct", "{")
-        fields: list[tuple[str, Type]] = []
-        while not self.at("punct", "}"):
-            fname = self.expect("ident").text
-            self.expect("punct", ":")
-            fields.append((fname, self.type_expr()))
-            if not self.accept("punct", ","):
-                break
-        self.expect("punct", "}")
-        return RecordDef(name, fields, pos)
+        return RecordDef(name, self.items("}", lambda: self.field(self.type_expr)), pos)
 
     def global_def(self) -> GlobalDef:
         pos = self.expect("keyword", "global").pos
@@ -146,14 +168,7 @@ class _Parser:
         pos = self.expect("keyword", "fn").pos
         name = self.expect("ident").text
         self.expect("punct", "(")
-        params: list[tuple[str, Type]] = []
-        while not self.at("punct", ")"):
-            pname = self.expect("ident").text
-            self.expect("punct", ":")
-            params.append((pname, self.type_expr()))
-            if not self.accept("punct", ","):
-                break
-        self.expect("punct", ")")
+        params = self.items(")", lambda: self.field(self.type_expr))
         ret = None
         if self.accept("punct", "->"):
             ret = self.type_expr()
@@ -228,21 +243,27 @@ class _Parser:
         return SExpr(t.pos, e)
 
     def if_stmt(self) -> SIf:
-        pos = self.expect("keyword", "if").pos
-        self.expect("punct", "(")
-        cond = self.expr()
-        self.expect("punct", ")")
-        then_body = self.body(self.block)
-        else_body = None
-        if self.accept("keyword", "else"):
-            if self.at("keyword", "if"):
-                self.links = self.nested(self.peek().pos, self.links + 1,
-                                         MAX_ELSE_IF, "else-if links")
-                else_body = [self.if_stmt()]
-                self.links -= 1
-            else:
-                else_body = self.body(self.block)
-        return SIf(pos, cond, then_body, else_body)
+        """An if and its else-if links: each link is the one statement of
+        the else body of the link before it."""
+        chain: list[SIf] = []
+        while True:
+            pos = self.expect("keyword", "if").pos
+            self.expect("punct", "(")
+            cond = self.expr()
+            self.expect("punct", ")")
+            link = SIf(pos, cond, self.body(self.block), None)
+            if chain:
+                chain[-1].else_body = [link]
+            chain.append(link)
+            if not self.accept("keyword", "else"):
+                break
+            if not self.at("keyword", "if"):
+                link.else_body = self.body(self.block)
+                break
+            self.links = self.nested(self.peek().pos, self.links + 1,
+                                     MAX_ELSE_IF, "else-if links")
+        self.links -= len(chain) - 1
+        return chain[0]
 
     # ---------------------------------------------------------- expressions
 
@@ -250,43 +271,20 @@ class _Parser:
         """An expression, one level deeper than the one around it."""
         self.open = self.nested(self.peek().pos, self.open + 1,
                                 MAX_EXPR_DEPTH, "expressions")
-        e = self.or_expr()
+        e = self.binary(1)
         self.open -= 1
         return e
 
-    def or_expr(self) -> Expr:
-        e = self.and_expr()
-        while self.at("punct", "||"):
-            pos = self.next().pos
-            e = self.node(EBinary(pos, "||", e, self.and_expr()))
-        return e
-
-    def and_expr(self) -> Expr:
-        e = self.cmp_expr()
-        while self.at("punct", "&&"):
-            pos = self.next().pos
-            e = self.node(EBinary(pos, "&&", e, self.cmp_expr()))
-        return e
-
-    def cmp_expr(self) -> Expr:
-        e = self.add_expr()
-        if self.peek().text in ("==", "!=", "<", "<=", ">", ">="):
-            op = self.next()
-            e = self.node(EBinary(op.pos, op.text, e, self.add_expr()))
-        return e
-
-    def add_expr(self) -> Expr:
-        e = self.mul_expr()
-        while self.peek().text in ("+", "-") and self.peek().kind == "punct":
-            op = self.next()
-            e = self.node(EBinary(op.pos, op.text, e, self.mul_expr()))
-        return e
-
-    def mul_expr(self) -> Expr:
-        e = self.unary_expr()
-        while self.peek().text in ("*", "/", "%") and self.peek().kind == "punct":
-            op = self.next()
-            e = self.node(EBinary(op.pos, op.text, e, self.unary_expr()))
+    def binary(self, lowest: int) -> Expr:
+        """Operands joined by operators of precedence `lowest` or above.
+        An operator's right operand binds tighter than it; the next
+        operator may bind as tightly, unless both are comparisons."""
+        e, highest = self.unary_expr(), _TIGHTEST
+        while lowest <= PRECEDENCE.get(self.peek().text, 0) <= highest:
+            op = self.next()    # only punctuation has an operator's text
+            prec = PRECEDENCE[op.text]
+            e = self.node(EBinary(op.pos, op.text, e, self.binary(prec + 1)))
+            highest = prec - 1 if prec == _COMPARISON else prec
         return e
 
     def unary_expr(self) -> Expr:
@@ -331,36 +329,14 @@ class _Parser:
             e = self.expr()
             self.expect("punct", ")")
             return self.node(e, self.depths.get(id(e), 1) + 1)   # a level too
-        if self.at("punct", "["):
-            self.next()
-            items = []
-            while not self.at("punct", "]"):
-                items.append(self.expr())
-                if not self.accept("punct", ","):
-                    break
-            self.expect("punct", "]")
-            return self.node(EArrayLit(t.pos, items))
+        if self.accept("punct", "["):
+            return self.node(EArrayLit(t.pos, self.items("]", self.expr)))
         if t.kind == "ident":
             self.next()
-            if self.at("punct", "("):
-                self.next()
-                args = []
-                while not self.at("punct", ")"):
-                    args.append(self.expr())
-                    if not self.accept("punct", ","):
-                        break
-                self.expect("punct", ")")
-                return self.node(ECall(t.pos, t.text, args))
-            if self.at("punct", "{"):
-                self.next()
-                fields = []
-                while not self.at("punct", "}"):
-                    fname = self.expect("ident").text
-                    self.expect("punct", ":")
-                    fields.append((fname, self.expr()))
-                    if not self.accept("punct", ","):
-                        break
-                self.expect("punct", "}")
+            if self.accept("punct", "("):
+                return self.node(ECall(t.pos, t.text, self.items(")", self.expr)))
+            if self.accept("punct", "{"):
+                fields = self.items("}", lambda: self.field(self.expr))
                 return self.node(ERecordLit(t.pos, t.text, fields))
             return EVar(t.pos, t.text)
         raise MiniSyntaxError(t.pos, f"expected an expression, found {t.text or t.kind!r}")
@@ -445,23 +421,13 @@ def _check_function(program: Program, fn: FunctionDef, global_names: set[str],
     # A let makes its name visible from that point to the end of the
     # function; there is no block scoping.
     bound = {p for p, _ in fn.params} | global_names
-
-    def check_body(body: list[Stmt]) -> None:
-        for s in body:
-            if isinstance(s, SAssign) and s.name not in bound:
-                raise UnresolvedReference(s.pos, f"assignment to unbound name {s.name!r}")
-            for e in stmt_exprs(s):
-                _check_expr(program, e, bound, fn_names, True)
-            if isinstance(s, SLet):
-                bound.add(s.name)
-            elif isinstance(s, SIf):
-                check_body(s.then_body)
-                if s.else_body is not None:
-                    check_body(s.else_body)
-            elif isinstance(s, SWhile):
-                check_body(s.body)
-
-    check_body(fn.body)
+    for s in iter_stmts(fn.body):
+        if isinstance(s, SAssign) and s.name not in bound:
+            raise UnresolvedReference(s.pos, f"assignment to unbound name {s.name!r}")
+        for e in stmt_exprs(s):
+            _check_expr(program, e, bound, fn_names, True)
+        if isinstance(s, SLet):
+            bound.add(s.name)
 
 
 def parse(source: str) -> Program:

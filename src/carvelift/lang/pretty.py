@@ -2,7 +2,9 @@
 
 Reparsing the pretty-printed text yields a structurally identical program:
 the same declarations in the same order, the same statement ids, and the
-same branch goals.
+same branch goals.  Operators get parentheses by the parser's own
+``PRECEDENCE`` table, and an else whose body is one if is written as an
+``else if`` link, so a chain costs no statement-body depth.
 """
 
 from __future__ import annotations
@@ -12,13 +14,7 @@ from .ast import (
     ERecordLit, EUnary, EVar, Expr, Program, SAssign, SExpr, SIf,
     SIndexSet, SLet, SReturn, SWhile, Stmt,
 )
-
-_PRECEDENCE = {
-    "||": 1, "&&": 2,
-    "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
-    "+": 4, "-": 4,
-    "*": 5, "/": 5, "%": 5,
-}
+from .parser import PRECEDENCE
 
 
 def _bytes_literal(b: bytes) -> str:
@@ -56,8 +52,8 @@ def _expr(e: Expr, parent_prec: int = 0) -> str:
     if isinstance(e, EUnary):
         return f"{e.op}{_expr(e.operand, 6)}"
     if isinstance(e, EBinary):
-        prec = _PRECEDENCE[e.op]
-        left = prec + 1 if prec == _PRECEDENCE["<"] else prec   # no chains
+        prec = PRECEDENCE[e.op]
+        left = prec + 1 if prec == PRECEDENCE["<"] else prec    # no chains
         text = f"{_expr(e.left, left)} {e.op} {_expr(e.right, prec + 1)}"
         return f"({text})" if prec < parent_prec else text
     if isinstance(e, ECall):

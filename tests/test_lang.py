@@ -6,6 +6,7 @@ statement bodies that never touches the goal module's own traversal.
 """
 
 import hashlib
+import sys
 
 import pytest
 
@@ -203,6 +204,27 @@ def test_programs_nested_to_the_limits_parse_and_one_deeper_do_not():
     for source in past:
         with pytest.raises(MiniSyntaxError, match="nest"):
             parse(source)
+
+
+def test_the_deepest_program_the_limits_accept_parses_within_450_frames():
+    """19 loops around an if with MAX_ELSE_IF links, the last link's test
+    in 62 pairs of parentheses: every limit reached at once.  The parser
+    spends no frame per else-if link and 5 per pair of parentheses, so
+    this takes about 380 frames above the caller."""
+    loops = MAX_BLOCK_DEPTH - 1
+    parens = MAX_EXPR_DEPTH - 2     # around k == n, itself 2 deep
+    test = "(" * parens + f"k == {MAX_ELSE_IF}" + ")" * parens
+    chain = else_if_chain(MAX_ELSE_IF - 1) + f"    else if ({test}) {{ print(k); }}\n"
+    source = main_source("while (k < 0) { " * loops + chain + "}" * loops)
+    frames, f = 0, sys._getframe()
+    while f is not None:
+        frames, f = frames + 1, f.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + 450)
+    try:
+        parse(source)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 DEEP_SOURCES = {
