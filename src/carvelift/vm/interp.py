@@ -343,6 +343,17 @@ class _Code:
     def is_int(self, atom: str) -> bool:
         return atom in self.ints or atom.lstrip("-").isdigit()
 
+    def fast(self, op: str, args: list) -> str:
+        """`op`'s fast path on `args`, less the guard of an operand known
+        to be an int; none on a literal, where Python warns at 1[0]."""
+        fast = _FAST.get((op, len(args)))
+        if fast is None or args[0][0] not in "tv":
+            return ""
+        for n, atom in enumerate(args):
+            if self.is_int(atom):
+                fast = fast.replace(f"type({{{n}}}) is int and ", "")
+        return fast.format(*args)
+
     # ------------------------------------------------------------ statements
 
     def block(self, body) -> None:
@@ -359,10 +370,10 @@ class _Code:
         if cls is SIndexSet:
             args = self.operands([s.obj, s.index, s.value], 1)
             self.release(*args)
-            slow = f"STORE(st, {at}, {', '.join(args)})"
-            if args[0][0] not in "tv":
+            slow, fast = f"STORE(st, {at}, {', '.join(args)})", self.fast("STORE", args)
+            if not fast:
                 return self.line(slow)
-            self.line(_FAST["STORE", 3].format(*args))
+            self.line(fast)
             return self.line("else: " + slow)
         value = (self.expr(s.value, 1) if s.value is not None
                  else self.node(ENull(s.pos), 1))   # a bare return
@@ -495,10 +506,8 @@ class _Code:
         elif op == "NOT":
             self.ints.add(t)
             self.line(f"{t} = (0 if {a} else 1) if type({a}) is int else NOT(st, {at}, {a})")
-        elif op:    # no fast path on a literal: Python warns at 1[0]
-            fast = _FAST.get((op, len(args)))
-            fast = fast.format(*args) if fast and args[0][0] in "tv" else ""
-            self.line(f"{t} = {fast}{op}(st, {at}, {a})")
+        elif op:
+            self.line(f"{t} = {self.fast(op, args)}{op}(st, {at}, {a})")
         elif cls is ERecordLit:
             fields = ", ".join(f"{n!r}: {x}" for (n, _), x in zip(e.fields, args))
             self.line(f"{t} = Record({e.name!r}, {{{fields}}})")
@@ -600,7 +609,6 @@ def run_with_tracing(program: Program, system_input: SystemInput,
 
 
 _KINDS = {TInt: int, TFloat: float, TBytes: bytes, TRef: Ref, TArray: tuple}
-_VALUE_TYPES = {*_KINDS.values(), Record, type(None)}
 
 
 def _arg_fits(value, declared) -> bool:
@@ -655,7 +663,5 @@ def _check_args(program: Program, fn_name: str, args: list) -> None:
             f"{fn_name!r} takes {len(fn.params)} arguments, got {len(args)}")
     for value, (pname, declared) in zip(args, fn.params):
         if not _arg_fits(value, declared):
-            got = (value_type_name(value) if type(value) in _VALUE_TYPES
-                   else f"Python {type(value).__name__}")
-            raise TypeMismatch(
-                f"argument {pname!r} of {fn_name!r} expects {declared}, got {got}")
+            raise TypeMismatch(f"argument {pname!r} of {fn_name!r} expects {declared}, "
+                               f"got {value_type_name(value)}")

@@ -149,24 +149,16 @@ def _scalar_text(v) -> bytes:
     return b"null" if v is None else str(v).encode("ascii")
 
 
+_TYPE_NAMES = {type(None): "null", int: "int", float: "float", bytes: "bytes",
+               tuple: "array", Ref: "ref"}
+
+
 def value_type_name(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):  # guard: bool is an int subclass but never a value
-        raise TypeError("bool is not a runtime value")
-    if isinstance(v, int):
-        return "int"
-    if isinstance(v, float):
-        return "float"
-    if isinstance(v, bytes):
-        return "bytes"
-    if isinstance(v, tuple):
-        return "array"
-    if isinstance(v, Record):
+    """`v`'s type as messages name it.  A Python value outside the
+    language, a bool among them, is `Python <type>`."""
+    if type(v) is Record:
         return f"record:{v.rtype}"
-    if isinstance(v, Ref):
-        return "ref"
-    raise TypeError(f"not a runtime value: {v!r}")
+    return _TYPE_NAMES.get(type(v)) or f"Python {type(v).__name__}"
 
 
 # ---------------------------------------------------------------- sizing

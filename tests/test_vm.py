@@ -306,6 +306,11 @@ def test_a_literal_that_is_not_an_int_gets_no_int_guard(monkeypatch):
     assert (r.status.kind, r.output.split()) == (
         "exit", b"1 1 0 0 1 1 1 1 3.0 1 1 0 1".split())
     assert "type(b'" not in emitted_source(monkeypatch, load_subject("mini_dc"))
+    # Nor does an int literal: keycheck's byte_at(name, 0) and stores
+    # through a ref at 0, 1 and 2 test only the other operand.
+    keycheck = emitted_source(monkeypatch, load_subject("keycheck"))
+    assert "byte_at" in keycheck and "st.fuel >= 0: s[" in keycheck
+    assert not re.search(r"type\(-?\d+\) is int", keycheck)
 
 
 @pytest.mark.parametrize("expr,message", [
@@ -591,6 +596,19 @@ def test_call_function_rejects_a_python_value_outside_the_language(position, val
     args[position] = value
     with pytest.raises(TypeMismatch, match=f", got Python {type(value).__name__}$"):
         call_function(parse(SIGNATURES), "f", args, ({"g": 3}, {}))
+
+
+@pytest.mark.parametrize("value", [True, "x", [1]])
+@pytest.mark.parametrize("body,message", [
+    ("return len(a);", "len of Python {}"),
+    ("if (a) { return 1; } return 0;", "condition must be int, got Python {}"),
+])
+def test_a_global_holding_a_python_value_outside_the_language_is_a_type_error(
+        body, message, value):
+    p = parse(f"global a: int = 0;\nfn f() -> int {{ {body} }}\nfn main() {{ }}")
+    r = call_function(p, "f", [], ({"a": value}, {}))
+    assert (r.status.crash_kind, r.status.crash_fn, r.status.message) == (
+        "type-error", "f", message.format(type(value).__name__))
 
 
 def test_call_function_rejects_a_world_missing_a_global():
