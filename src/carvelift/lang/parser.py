@@ -108,13 +108,13 @@ class _Parser:
     def items(self, close: str, item) -> list:
         """`item()` for each entry of a comma-separated list that ends at
         `close`, with or without a trailing comma."""
-        items = []
+        entries = []
         while not self.at("punct", close):
-            items.append(item())
+            entries.append(item())
             if not self.accept("punct", ","):
                 break
         self.expect("punct", close)
-        return items
+        return entries
 
     def field(self, value) -> tuple:
         """`name: value()`, as a pair."""
