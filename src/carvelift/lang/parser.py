@@ -280,9 +280,8 @@ class _Parser:
         An operator's right operand binds tighter than it; the next
         operator may bind as tightly, unless both are comparisons."""
         e, highest = self.unary_expr(), _TIGHTEST
-        while lowest <= PRECEDENCE.get(self.peek().text, 0) <= highest:
+        while lowest <= (prec := PRECEDENCE.get(self.peek().text, 0)) <= highest:
             op = self.next()    # only punctuation has an operator's text
-            prec = PRECEDENCE[op.text]
             e = self.node(EBinary(op.pos, op.text, e, self.binary(prec + 1)))
             highest = prec - 1 if prec == _COMPARISON else prec
         return e
