@@ -4,7 +4,10 @@ Reparsing the pretty-printed text yields a structurally identical program:
 the same declarations in the same order, the same statement ids, and the
 same branch goals.  Operators get parentheses by the parser's own
 ``PRECEDENCE`` table, and an else whose body is one if is written as an
-``else if`` link, so a chain costs no statement-body depth.
+``else if`` link, so a chain costs no statement-body depth.  The parser
+counts the links open around each statement against ``MAX_ELSE_IF``, so
+once that many are open such an else is written as an ``else { if … }``
+block instead.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from .ast import (
     ERecordLit, EUnary, EVar, Expr, Program, SAssign, SExpr, SIf,
     SIndexSet, SLet, SReturn, SWhile, Stmt,
 )
-from .parser import PRECEDENCE
+from .parser import MAX_ELSE_IF, PRECEDENCE
 
 
 def _bytes_literal(b: bytes) -> str:
@@ -70,7 +73,8 @@ def _expr(e: Expr, parent_prec: int = 0) -> str:
     raise TypeError(f"unhandled expression {e!r}")
 
 
-def _stmt(s: Stmt, indent: int, out: list[str]) -> None:
+def _stmt(s: Stmt, indent: int, out: list[str], links: int = 0) -> None:
+    """Append `s` at `indent`, inside `links` open else-if links."""
     pad = "    " * indent
     if isinstance(s, SLet):
         out.append(f"{pad}let {s.name} = {_expr(s.value)};")
@@ -83,20 +87,21 @@ def _stmt(s: Stmt, indent: int, out: list[str]) -> None:
         while True:     # an else whose body is one if, as an else-if link
             out.append(f"{pad}{head} ({_expr(s.cond)}) {{")
             for inner in s.then_body:
-                _stmt(inner, indent + 1, out)
+                _stmt(inner, indent + 1, out, links)
             tail = s.else_body or []
-            if len(tail) != 1 or not isinstance(tail[0], SIf):
+            if (len(tail) != 1 or not isinstance(tail[0], SIf)
+                    or links == MAX_ELSE_IF):
                 break
-            s, head = tail[0], "} else if"
+            s, head, links = tail[0], "} else if", links + 1
         if s.else_body is not None:
             out.append(f"{pad}}} else {{")
             for inner in s.else_body:
-                _stmt(inner, indent + 1, out)
+                _stmt(inner, indent + 1, out, links)
         out.append(f"{pad}}}")
     elif isinstance(s, SWhile):
         out.append(f"{pad}while ({_expr(s.cond)}) {{")
         for inner in s.body:
-            _stmt(inner, indent + 1, out)
+            _stmt(inner, indent + 1, out, links)
         out.append(f"{pad}}}")
     elif isinstance(s, SReturn):
         out.append(f"{pad}return;" if s.value is None else f"{pad}return {_expr(s.value)};")

@@ -11,6 +11,13 @@ carved context itself) land within the first few executions even under
 tiny budgets.  Harvesting is the stand-in for a constraint solver here:
 the interesting comparison constants are usually sitting in the context,
 carved out of the program's own state.
+
+A unit execution is a pure function of the carve, the assigned path and
+the value: the VM is deterministic and the carved context never changes.
+So a fuzz round runs each distinct (path, value) draw once.  A draw that
+repeats an earlier one of the same round is charged that execution's
+steps without running it; its coverage and crash signature are already
+known, so it could never have been kept.
 """
 
 from __future__ import annotations
@@ -183,6 +190,12 @@ def fuzz_unit_with_stats(program: Program, c: CarvedTest, m: Mapping,
     executions that crash or reach beyond it are returned, as
     (winners, FuzzStats).  Each returned crash signature appears once
     per batch.  Unit runs get a tenth of the system step budget.
+
+    The round runs each distinct (path, value) draw once and answers a
+    repeat from a memo that lives for this call.  `executions` counts
+    the `budget` draws and `steps` charges every draw, repeats included,
+    so both are what running every draw would give; `wall_times_s` has
+    one entry per execution that ran.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -204,12 +217,18 @@ def fuzz_unit_with_stats(program: Program, c: CarvedTest, m: Mapping,
     stats = FuzzStats(executions=budget)
     outcomes: list[UnitOutcome] = []
     crash_signatures: set[tuple] = set()
+    ran: dict[tuple, int] = {}      # (path, value) -> steps, this round only
     for k in range(budget):
         path, gen = streams[k % len(streams)]
         label, value = next(gen)
+        steps = ran.get((path, value))
+        if steps is not None:       # a repeat: it could not be kept
+            stats.steps += steps
+            continue
         assignment = ParamAssignment({path: value}, label)
         args, world = apply_assignment(c, assignment)
         r = call_function(program, fn, args, world, unit_opts)
+        ran[path, value] = r.steps
         stats.steps += r.steps
         stats.wall_times_s.append(r.wall_time_s)
 

@@ -36,10 +36,13 @@ def fail(at: tuple[str, int], kind: str, message: str):
     raise Crash(kind, message, *at)
 
 
+_EQUATABLE = frozenset((int, float, bytes, tuple, Ref, Record))
+
+
 def _equal(at, left, right) -> bool:
     if left is None or right is None:
         return left is None and right is None
-    if type(left) is not type(right):
+    if type(left) is not type(right) or type(left) not in _EQUATABLE:
         fail(at, "type-error",
               f"== on {value_type_name(left)} and {value_type_name(right)}")
     if type(left) is tuple or type(left) is Record:

@@ -155,6 +155,9 @@ ROUND_TRIP_SOURCES = {
     **{f"nested-{n}": source for n, source in enumerate(
         nested_sources(MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH))},
     "else-if-chain": main_source(else_if_chain(MAX_ELSE_IF)),
+    "else-if-chain-then-a-block": main_source(
+        else_if_chain(MAX_ELSE_IF - 1) + "    else { if (k == 200) { print(1); }"
+        " else if (k == 201) { print(2); } }\n"),
     **{f"generated-{n}": source for n, source in enumerate(generated_sources(5))},
 }
 

@@ -211,17 +211,97 @@ def test_fuzz_unit_winners_replay_exactly():
         assert w.new_goals <= rr.coverage
 
 
+def draws(carved, mapping, budget, rng):
+    """The (path, label, value) draws of a fuzz round, drawn as the fuzzer
+    draws them: one `rng.split()` child per parameter, streams in turn."""
+    streams = []
+    for path in mapping.parameters:
+        leaf = carved.context.resolve(path)
+        child = rng.split()
+        streams.append((path, bytes_mutations(leaf, carved.context, child)
+                        if isinstance(leaf, bytes) else
+                        int_mutations(leaf, child)))
+    for k in range(budget):
+        path, gen = streams[k % len(streams)]
+        label, value = next(gen)
+        yield path, label, value
+
+
 def test_fuzz_unit_respects_budget_and_leaves_the_carve_alone():
     import copy
     prog, result, carved, mapping = harvest_setup()
     before = copy.deepcopy(carved)
     winners, stats = fuzz_unit_with_stats(
         prog, carved, mapping, 37, result.coverage, Rng(5))
+    distinct = {(path, value)
+                for path, _, value in draws(carved, mapping, 37, Rng(5))}
     assert stats.executions == 37
     assert stats.steps > 0
-    assert len(stats.wall_times_s) == 37
+    assert len(stats.wall_times_s) == len(distinct)
     assert carved == before
     assert len(winners) <= 37
+
+
+def reference_fuzz(prog, carved, mapping, budget, known, rng):
+    """Every draw run through apply_assignment and call_function, with
+    the fuzzer's rule for keeping an execution."""
+    working, signatures, winners, steps = set(known), set(), [], 0
+    for path, label, value in draws(carved, mapping, budget, rng):
+        assignment = ParamAssignment({path: value}, label)
+        args, world = apply_assignment(carved, assignment)
+        r = call_function(prog, carved.start[0], args, world,
+                          RunOptions().unit())
+        steps += r.steps
+        new_goals = r.coverage - working
+        working |= new_goals
+        keep = bool(new_goals)
+        if r.status.is_crash():
+            signature = (r.status.crash_kind, r.status.crash_fn,
+                         r.status.crash_stmt)
+            keep = keep or signature not in signatures
+            signatures.add(signature)
+        if keep:
+            winners.append((assignment, r.status, new_goals))
+    return winners, steps
+
+
+def unit_cases():
+    """Seed carves of keycheck and mini_sed, plus a mini_sed carve under a
+    one-byte script whose only parameter is a three-byte line: its byte
+    streams repeat often."""
+    from carvelift import resolve_program, resolve_seeds
+    for subject, inputs in (
+            ("keycheck", resolve_seeds(None, "keycheck")),
+            ("mini_sed", resolve_seeds(None, "mini_sed")
+             + [mk_input((b"p",), b"abc\n")])):
+        prog, _ = resolve_program(subject)
+        for s in inputs:
+            traced = run_with_tracing(prog, s)
+            for carved in carve_with_stats(traced)[0]:
+                mapping = build_mapping(carved, s)
+                if mapping.parameters:
+                    yield prog, traced.coverage, carved, mapping
+
+
+def test_fuzz_unit_runs_each_distinct_draw_once_with_unchanged_results():
+    cases = list(unit_cases())
+    assert len(cases) == 4
+    repeats = 0
+    for prog, known, carved, mapping in cases:
+        for seed in (0, 7, 4099):
+            winners, stats = fuzz_unit_with_stats(
+                prog, carved, mapping, 200, known, Rng(seed))
+            want, want_steps = reference_fuzz(
+                prog, carved, mapping, 200, known, Rng(seed))
+            assert [(w.assignment, w.status, w.new_goals)
+                    for w in winners] == want
+            assert stats.steps == want_steps
+            assert stats.executions == 200
+            distinct = {(path, value) for path, _, value
+                        in draws(carved, mapping, 200, Rng(seed))}
+            assert len(stats.wall_times_s) == len(distinct)
+            repeats += 200 - len(distinct)
+    assert repeats > 0
 
 
 def test_fuzz_unit_requires_parameters():

@@ -602,6 +602,8 @@ def test_call_function_rejects_a_python_value_outside_the_language(position, val
 @pytest.mark.parametrize("body,message", [
     ("return len(a);", "len of Python {}"),
     ("if (a) { return 1; } return 0;", "condition must be int, got Python {}"),
+    ("return a == a;", "== on Python {0} and Python {0}"),
+    ("return a != a;", "== on Python {0} and Python {0}"),
 ])
 def test_a_global_holding_a_python_value_outside_the_language_is_a_type_error(
         body, message, value):
