@@ -156,20 +156,20 @@ def bytes_mutations(v: bytes, ctx: Context, rng: Rng):
 def apply_assignment(c: CarvedTest, a: ParamAssignment):
     """A fresh (args, world) equal to the carve except at assigned leaves.
 
-    Each assigned value must be of its leaf's kind, bytes or int; ints
-    wrap to 64 bits.
+    Each assigned value must be of its leaf's kind, bytes or int, as the
+    context's kept slot records it; ints wrap to 64 bits.
     """
     values = {}
     for path in sorted(a.assignments):
         new_value = a.assignments[path]
         try:
-            old = c.context.resolve(path)
+            kind = c.context.slot(path)[0]
         except KeyError:
             raise UnknownParameter(path) from None
-        if isinstance(old, bytes):
+        if kind is bytes:
             if not isinstance(new_value, bytes):
                 raise TypeMismatch(f"{path} holds bytes, assignment is not")
-        elif isinstance(old, int):
+        elif kind is int:
             if not isinstance(new_value, int) or isinstance(new_value, bool):
                 raise TypeMismatch(f"{path} holds an int, assignment is not")
             new_value = wrap64(new_value)

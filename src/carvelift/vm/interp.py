@@ -173,7 +173,7 @@ class _State:
         self.coverage = set()
         self.globals = globals_
         self.segments = segments
-        self.next_seg = max(segments, default=-1) + 1
+        self.next_seg = max(segments) + 1 if segments else 0
         self.output = bytearray()
         self.argv = argv
         self.stdin = stdin

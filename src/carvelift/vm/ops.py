@@ -39,12 +39,12 @@ def fail(at: tuple[str, int], kind: str, message: str):
 _EQUATABLE = frozenset((int, float, bytes, tuple, Ref, Record))
 
 
-def _equal(at, left, right) -> bool:
+def _equal(at, op, left, right) -> bool:     # op, == or !=, names a crash
     if left is None or right is None:
         return left is None and right is None
     if type(left) is not type(right) or type(left) not in _EQUATABLE:
         fail(at, "type-error",
-              f"== on {value_type_name(left)} and {value_type_name(right)}")
+             f"{op} on {value_type_name(left)} and {value_type_name(right)}")
     if type(left) is tuple or type(left) is Record:
         return equal(left, right)
     return left == right
@@ -92,8 +92,8 @@ BINARY = {
                    lambda a, b: a / b),
     "%": _division("%", "modulo", lambda a, b, q: wrap64(a - wrap64(q * b)),
                    lambda a, b: a - b * float(int(a / b))),
-    "==": lambda at, a, b: 1 if _equal(at, a, b) else 0,
-    "!=": lambda at, a, b: 0 if _equal(at, a, b) else 1,
+    "==": lambda at, a, b: 1 if _equal(at, "==", a, b) else 0,
+    "!=": lambda at, a, b: 0 if _equal(at, "!=", a, b) else 1,
 }
 
 

@@ -28,8 +28,9 @@ Context root paths follow the language's own access syntax:
 
 so a path printed in a report can be read back against the source.
 `Context` alone reads and writes these paths: `leaves` names every
-scalar leaf, `resolve` looks one up, and `world` builds the replay
-world for `call_function` with chosen leaves replaced.
+scalar leaf, `resolve` looks one up, `slot` keeps where it is, and
+`world` builds the replay world for `call_function` with chosen leaves
+replaced; a context never changes, so what it keeps always holds.
 
 One encoding of a carve (`encode_carve`, read back by `decode_carve`)
 serves both the snapshot file and the determinism checks of
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 
@@ -48,7 +49,7 @@ from ..errors import FormatError
 from ..lang.ast import ENTRY
 from ..lang.goals import BranchGoal
 from .values import (
-    Record, Ref, SegmentTable, copy_segments, decode_segments, decode_value,
+    Record, Ref, SegmentTable, decode_segments, decode_value,
     encode_segments, encode_value, iter_refs, sever, snapshot_reachable,
 )
 
@@ -82,11 +83,15 @@ def parse_path(path: str):
 
 @dataclass
 class Context:
-    """Everything one invocation could see: args, globals, reachable heap."""
+    """Everything one invocation could see: args, globals, reachable heap.
+    Roots are `arg[0..n-1]`, then `global:name`; `slots` and `split` keep
+    what every world needs once first found (see `slot` and `world`)."""
 
     roots: dict[str, object]
     segments: SegmentTable
     truncated: bool
+    slots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    split: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def leaves(self):
         """Yield (path, value) for every scalar leaf, argument roots first.
@@ -126,37 +131,41 @@ class Context:
             raise KeyError(path) from None
         return v
 
+    def slot(self, path: str):
+        """(kind, key, steps) of a path `resolve` finds, kept in `slots`:
+        its leaf's kind (bytes or int, else None), its root's args index
+        or global name, and its access steps.  KeyError when absent."""
+        slot = self.slots.get(path)
+        if slot is None:
+            leaf, (root, steps) = self.resolve(path), parse_path(path)
+            kind = bytes if isinstance(leaf, bytes) else int if isinstance(leaf, int) else None
+            key = int(root[4:-1]) if root[0] == "a" else root[7:]   # after "global:"
+            slot = self.slots[path] = (kind, key, steps)
+        return slot
+
     def world(self, assign=None):
         """A fresh (args, (globals, segments)) for `call_function`.
 
-        The segments are copied, since the callee stores into them, and
-        the leaf at each path of `assign` (in path order) is replaced by
-        its value; the context itself never changes.  Raises KeyError
-        for a path `resolve` cannot look up.
-
-        It runs once per unit execution, so it does only what each one
-        needs: the copy, the replaced leaves, and one pass over the roots,
-        which are held in order (`arg[0..n-1]`, then `global:name`), to
-        split them into args and globals.  A path is parsed once
-        (`parse_path` keeps the result), not once per execution.
+        The args, the globals and each segment are copied, since the
+        callee rebinds globals and stores into segments, and the leaf at
+        each path of `assign` (in its order) is replaced by its value
+        through its kept `slot`.  Raises KeyError for a path `resolve`
+        cannot look up.  It runs once per unit execution, so it does
+        only the copies and the replacing; the rest is kept.
         """
-        segments = copy_segments(self.segments)
-        roots = self.roots
+        if self.split is None:
+            self.split = ([v for p, v in self.roots.items() if p[0] == "a"],
+                          {p[7:]: v for p, v in self.roots.items() if p[0] == "g"})
+        args, globals_ = list(self.split[0]), dict(self.split[1])
+        segments = {sid: seg[:] for sid, seg in self.segments.items()}
         if assign:
-            roots = dict(roots)
-            for path in sorted(assign):
-                root, steps = parse_path(path)
+            for path, value in assign.items():
+                _, key, steps = self.slot(path)
+                held = args if type(key) is int else globals_
                 try:
-                    roots[root] = _replaced(roots[root], steps, assign[path],
-                                            segments)
+                    held[key] = _replaced(held[key], steps, value, segments) if steps else value
                 except KeyError:
                     raise KeyError(path) from None
-        args, globals_ = [], {}
-        for p, v in roots.items():
-            if p[0] == "a":
-                args.append(v)
-            else:
-                globals_[p[7:]] = v     # after "global:"
         return args, (globals_, segments)
 
 

@@ -83,15 +83,6 @@ class Record:
 SegmentTable = dict[int, list]
 
 
-def copy_segments(table: SegmentTable) -> SegmentTable:
-    """Copy a table deeply enough that element stores cannot leak across.
-
-    Element values themselves are immutable, so copying each element list
-    is a full isolation boundary.
-    """
-    return {sid: list(seg) for sid, seg in table.items()}
-
-
 # ---------------------------------------------------------------- walks
 #
 # A run can nest arrays and records deeper than Python's recursion limit,

@@ -371,6 +371,40 @@ def bundled_bridge(name):
                         program_name=name)
 
 
+def test_each_executed_draw_builds_one_world_and_makes_one_call(monkeypatch):
+    # A benchmark times the replay world by wrapping unitgen's
+    # apply_assignment and the execution by wrapping its call_function;
+    # the fuzz loop must call both through those names, once for each
+    # draw it runs (one wall time each), or those spans go dead.
+    import carvelift.unitgen as unitgen_module
+    calls = {"apply_assignment": 0, "call_function": 0}
+    ran = []
+
+    def counted(name):
+        fn = getattr(unitgen_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(unitgen_module, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    fuzz = campaign_module.fuzz_unit_with_stats
+
+    def fuzz_round(*args, **kwargs):
+        winners, stats = fuzz(*args, **kwargs)
+        ran.append(len(stats.wall_times_s))
+        return winners, stats
+    monkeypatch.setattr(campaign_module, "fuzz_unit_with_stats", fuzz_round)
+    program, name = resolve_program("keycheck")
+    run_campaign(program, resolve_seeds(None, name),
+                 RunConfig(deterministic_clock=150_000, rng_seed=7),
+                 program_name=name)
+    assert ran and sum(ran) > 0
+    assert calls == {"apply_assignment": sum(ran), "call_function": sum(ran)}
+
+
 def without_carve_counts(report):
     """The serialized report minus wall times and carve counts."""
     doc = json.loads(serialize_report(report))

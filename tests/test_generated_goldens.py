@@ -46,8 +46,8 @@ SWEPT_PROGRAMS, SWEPT_MAX_STEPS = 8, 800
 SWEPT_GOLDEN = "6852c03593d9865ed040779bfdf3f544abd7d74573db88d7c1b28c9f4ee969ec"
 
 GOLDENS = {
-    60: "7f12e01fb3d758e614bff638e94a3f2aa5e1ab4bafe67635f3732d6e5e1ba1f5",
-    600: "ba634301b280dd93a3bbcdcf995b2883702387cf50728100ac6be06d5dc14c8a",
+    60: "a4d9859d885437147e835850813cb01d92bd631beda563c629ffc8ea0f15194a",
+    600: "f66b67d4d044b273260cc59ada851db40d2aba2e7762cc2db7e677bad81feff4",
 }
 
 

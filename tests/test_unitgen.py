@@ -148,11 +148,73 @@ def test_assignment_reaches_into_segments():
 
 
 def test_assignment_rejects_unknown_paths_and_wrong_types():
-    carved = bare_carve({"arg[0]": b"abc"})
+    carved = bare_carve({"arg[0]": b"abc", "arg[1]": 4, "global:r": Ref(0, 0),
+                         "global:t": (1, 2)}, {0: [5]})
     with pytest.raises(UnknownParameter):
         apply_assignment(carved, ParamAssignment({"arg[5]": b"x"}, "t"))
     with pytest.raises(TypeMismatch):
         apply_assignment(carved, ParamAssignment({"arg[0]": 9}, "t"))
+    with pytest.raises(TypeMismatch):       # a bool is not an int
+        apply_assignment(carved, ParamAssignment({"arg[1]": True}, "t"))
+    for path in ("global:r", "global:t"):   # a ref and an array
+        with pytest.raises(TypeMismatch):
+            apply_assignment(carved, ParamAssignment({path: 1}, "t"))
+    # Ints past 64 bits wrap, as the VM's arithmetic does.
+    for value, wrapped in ((INT64_MAX + 1, INT64_MIN), ((1 << 64) + 5, 5),
+                           (INT64_MIN - 1, INT64_MAX)):
+        args, _ = apply_assignment(carved, ParamAssignment({"arg[1]": value}, "t"))
+        assert args == [b"abc", wrapped]
+    # The checks do not depend on whether the path was looked up before.
+    with pytest.raises(TypeMismatch):
+        apply_assignment(carved, ParamAssignment({"arg[1]": b"x"}, "t"))
+
+
+ISOLATION_PROG = """
+global count: int = 0;
+global cells: ref int = alloc_array(2, 0);
+fn touch(r: ref int, n: int) -> int {
+    let before = r[0];
+    r[0] = n;
+    cells = alloc_array(3, n);
+    count = count + n;
+    return before;
+}
+fn main() -> int {
+    return touch(cells, 5);
+}
+"""
+
+
+def test_executions_from_one_carve_never_see_each_others_writes():
+    # The callee stores through its ref argument, allocates and rebinds
+    # two globals.  Neither the carve's context (its roots, segments and
+    # what it keeps) nor the next execution's world shows those writes.
+    from carvelift.lang.parser import parse
+    prog = parse(ISOLATION_PROG)
+    carved = next(c for c in carve_with_stats(run_with_tracing(prog, mk_input()))[0]
+                  if c.start[0] == "touch")
+    ctx = carved.context
+    ref = ctx.roots["arg[0]"]
+    roots = dict(ctx.roots)
+    segments = {sid: list(seg) for sid, seg in ctx.segments.items()}
+    assert roots == {"arg[0]": ref, "arg[1]": 5, "global:cells": ref,
+                     "global:count": 0}
+    assert segments == {ref.seg: [0, 0]}
+    for n in (7, 9):
+        args, world = apply_assignment(carved, ParamAssignment(
+            {"arg[1]": n, "global:cells[1]": n + 1}, "t"))
+        assert (args, world) == ([ref, n], ({"cells": ref, "count": 0},
+                                            {ref.seg: [0, n + 1]}))
+        r = call_function(prog, "touch", args, world)
+        assert (r.status.kind, r.return_value) == ("exit", 0)
+        globals_, table = world
+        fresh = globals_["cells"]
+        assert (globals_["count"], table[ref.seg], table[fresh.seg]) == (
+            n, [n, n + 1], [n, n, n])
+        assert (ctx.roots, ctx.segments) == (roots, segments)
+    assert ctx.slots == {"arg[1]": (int, 1, ()),
+                         "global:cells[1]": (int, "cells", (("index", 1),))}
+    assert ctx.split == ([ref, 5], {"cells": ref, "count": 0})
 
 
 # ------------------------------------------------------------ fuzzing

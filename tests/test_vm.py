@@ -27,7 +27,7 @@ from carvelift.vm.interp import (
     serialize_run_result,
 )
 from carvelift.vm.ops import Crash, OutOfSteps
-from carvelift.vm.values import INT64_MIN, Record, Ref, copy_segments, equal, wrap64
+from carvelift.vm.values import INT64_MIN, Record, Ref, equal, wrap64
 
 from conftest import (
     SUBJECT_NAMES, NaiveCounter, load_subject, mk_input, random_input_for,
@@ -172,7 +172,7 @@ def test_allocation_ids_are_never_reused():
     fn main() { let x = grow(1); }
     """)
     held = {2: [7], 5: [8, 9]}
-    segments = copy_segments(held)
+    segments = {sid: list(seg) for sid, seg in held.items()}
     r = call_function(p, "grow", [4], ({}, segments))
     assert r.status.kind == "exit"
     assert {sid: segments[sid] for sid in held} == held
@@ -314,7 +314,7 @@ def test_a_literal_that_is_not_an_int_gets_no_int_guard(monkeypatch):
 
 
 @pytest.mark.parametrize("expr,message", [
-    ("i == \"d\"", "== on int and bytes"), ("\"d\" != a", "== on bytes and array"),
+    ("i == \"d\"", "== on int and bytes"), ("\"d\" != a", "!= on bytes and array"),
     ("\"d\" < \"e\"", "cannot order bytes and bytes"), ("i + 1.5", "+ on int and float"),
     ("n < 1.5", "cannot order int and float"),
 ])
@@ -603,7 +603,7 @@ def test_call_function_rejects_a_python_value_outside_the_language(position, val
     ("return len(a);", "len of Python {}"),
     ("if (a) { return 1; } return 0;", "condition must be int, got Python {}"),
     ("return a == a;", "== on Python {0} and Python {0}"),
-    ("return a != a;", "== on Python {0} and Python {0}"),
+    ("return a != a;", "!= on Python {0} and Python {0}"),
 ])
 def test_a_global_holding_a_python_value_outside_the_language_is_a_type_error(
         body, message, value):
