@@ -413,3 +413,201 @@ def test_small_program_run_results_match_golden_digests():
 def test_crash_program_hits_every_crash_kind():
     kinds = {d["status"]["crash_kind"] for d in small_program_docs()["crashes"]}
     assert kinds == {"oob", "div-zero", "abort", "type-error", None}
+
+
+# ------------------------------------------------------- loops
+
+# Loops that the compiler could get wrong if it assumed too much about
+# them: counters that change type, locals carried from calls, globals,
+# the heap and record fields, a let bound on one path, crashes in the
+# first iteration and just after a call, counters that wrap, a return
+# from nested loops.  `main` calls each function once with an argument
+# that completes, so the function is carved, then with the input's.
+LOOP_SOURCE = """
+record R { v: int, w: float }
+
+global g: float = 0.25;
+global gi: int = 4;
+global cells: ref int = alloc_array(4, 3);
+
+fn id(x: int) -> int { return x; }
+fn pick(i: int) -> int {
+    if (i == 2) { return 0.5; }
+    return i;
+}
+
+# The counter changes type inside the body: float, bytes or null.
+fn retype(k: int) -> int {
+    let i = 1;
+    let n = 0;
+    while (n < 5) {
+        n = n + 1;
+        if (n == 3) {
+            if (k == 0) { i = 2.5; } else if (k == 1) { i = "b"; } else { i = null; }
+        }
+        if (i != null) { i = i + i; }
+        print(i);
+        if (k == 3 && n == 4) { i = 1; }
+    }
+    while (i < 100) { i = i * 3; }
+    return n;
+}
+
+# Loop-carried locals assigned from a user call, a global, r[i] and a
+# record field; each is then ordered against an int.
+fn carried(k: int, r: ref int, p: R) -> int {
+    let a = 0;
+    let b = 0;
+    let c = 0;
+    let d = 0;
+    let i = 0;
+    while (i < 4) {
+        if (k == 0) { a = pick(i); }
+        if (k == 1) { b = gi; gi = g; }
+        if (k == 2) { c = r[i]; r[3 - i] = 1.5; }
+        if (k == 3) { d = p.v; p = R { v: i, w: 0.5 }; }
+        if (k == 4) { d = p.w; }
+        i = i + 1;
+        if (a < 5 && b < 5 && c < 5 && d < 5) { print(a + b + c + d); }
+    }
+    return a + b + c + d;
+}
+
+# A let bound on one path inside a loop, shadowing a global.
+fn onepath(k: int) -> int {
+    let i = 0;
+    let s = 0;
+    while (i < 4) {
+        if (i == k) { let g = i * 2; g = g + 1; }
+        g = i;
+        let t = 5;
+        if (i == 2 && k == 1) { let t = 1.5; }
+        s = s + t;
+        print(g);
+        i = i + 1;
+    }
+    print(g);
+    return s;
+}
+
+# Crashes in the first iteration and just after a call in the body.
+fn crashes(k: int) -> int {
+    let i = 0;
+    let s = 0;
+    while (i < 3) {
+        s = s + 10 / (i - k);
+        let y = id(i);
+        s = s + y / (i - k + 3);
+        cells[i] = s;
+        i = i + 1;
+    }
+    return s;
+}
+
+# Counters that wrap at INT64_MAX and INT64_MIN.
+fn wrap(k: int) -> int {
+    let i = 9223372036854775805 + k;
+    let n = 0;
+    while (i > 0) {
+        i = i + 1;
+        n = n + 1;
+    }
+    let m = -i * 2;
+    while (n < 8) {
+        m = m - 1;
+        n = n + 1;
+        print(m);
+    }
+    return i * 3 + m;
+}
+
+# A return from inside nested loops; the inner loop is entered once per
+# outer iteration.
+fn nested(n: int) -> int {
+    let i = 0;
+    while (i < n) {
+        let j = 0;
+        while (j < n) {
+            let q = 0;
+            while (q < j) { q = q + 1; }
+            if (i * j == 6) { return i * 100 + j; }
+            j = j + 1;
+        }
+        i = i + 1;
+    }
+    while (0) { i = 1.5; }
+    return -1;
+}
+
+fn main() -> int {
+    let k = parse_int(arg(0));
+    let which = k / 10;
+    k = k % 10;
+    if (which == 0) { print(retype(3)); print(retype(k)); }
+    if (which == 1) {
+        print(carried(3, cells, R { v: 1, w: 2.5 }));
+        print(carried(k, cells, R { v: 1, w: 2.5 }));
+    }
+    if (which == 2) { print(onepath(0)); print(onepath(k)); }
+    if (which == 3) { print(crashes(9)); print(crashes(k)); }
+    if (which == 4) { print(wrap(k)); }
+    if (which == 5) { print(nested(k)); }
+    return k;
+}
+"""
+
+LOOP_ARGV = ["0", "1", "2", "3", "10", "11", "12", "13", "14", "15", "20", "21",
+             "22", "30", "31", "32", "33", "34", "35", "39", "40", "41", "43",
+             "50", "53", "54"]
+LOOP_UNIT_ARGS = range(7)
+
+
+def loop_docs() -> list:
+    """The loop program at every step limit, untraced and traced, and
+    each carved function with first argument 0-6 at every unit limit,
+    with the world it leaves."""
+    program = parse(LOOP_SOURCE)
+    docs, carves = [], {}
+    for a in LOOP_ARGV:
+        s = mk_input((a.encode(),))
+        for limit in range(1, run_system(program, s).steps + 2):
+            for runner in (run_system, run_with_tracing):
+                docs.append(serialize_run_result(
+                    runner(program, s, RunOptions(step_limit=limit))))
+        for carved in carve_with_stats(run_with_tracing(program, s))[0]:
+            carves.setdefault(carved.start[0], carved)
+    for name, carved in sorted(carves.items()):
+        for k in LOOP_UNIT_ARGS:
+            end, limit = None, 1
+            while end is None or limit <= end + 1:
+                args, world = carved.context.world()
+                r = call_function(program, name, [k, *args[1:]], world,
+                                  RunOptions(step_limit=limit))
+                if r.status.kind != "budget-exhausted" and end is None:
+                    end = r.steps
+                docs.append({"result": serialize_run_result(r),
+                             "world": encode_world(world)})
+                limit += 1
+    return docs
+
+
+LOOP_GOLDEN = (
+    "8cc43f96b3e4758efcd73011954c4a1ade992bd060cf4ab832eab6c976727694")
+
+
+def test_loop_programs_match_golden_digest():
+    assert digest(loop_docs()) == LOOP_GOLDEN
+
+
+def test_loop_programs_cover_what_they_claim():
+    program = parse(LOOP_SOURCE)
+    results = [run_with_tracing(program, mk_input((a.encode(),))) for a in LOOP_ARGV]
+    crashes = {(r.status.crash_fn, r.status.message) for r in results}
+    assert {("retype", "cannot order float and int"),
+            ("retype", "+ on bytes and bytes"), ("retype", "cannot order null and int"),
+            ("carried", "cannot order float and int"),
+            ("onepath", "+ on int and float"),
+            ("crashes", "integer division by zero")} <= crashes
+    carved = {c.start[0] for r in results for c in r.trace}
+    assert carved == {"id", "pick", "retype", "carried", "onepath", "crashes",
+                      "wrap", "nested"}
