@@ -324,6 +324,56 @@ def input_reading_functions(program: Program) -> frozenset[str]:
     return frozenset(tainted)
 
 
+# Builtins whose result is an int whenever they return.
+_INT_BUILTINS = ("len", "byte_at", "arg_count", "parse_int", "print")
+
+
+def yields_int(e: Expr, ints) -> bool:
+    """Whether `e` yields an int whenever it yields at all, given that
+    the locals named in `ints` hold ints.  An arithmetic operator takes
+    two ints or two floats, so one int operand is enough."""
+    if isinstance(e, EBinary):
+        return e.op not in ("+", "-", "*", "/", "%") or yields_int(e.left, ints) \
+            or yields_int(e.right, ints)
+    if isinstance(e, EUnary):
+        return e.op == "!" or yields_int(e.operand, ints)
+    return isinstance(e, EInt) or (isinstance(e, EVar) and e.name in ints) or (
+        isinstance(e, ECall) and e.name in _INT_BUILTINS)
+
+
+def int_locals(fn: FunctionDef, global_names) -> dict[int, set[str]]:
+    """For each statement of `fn`, by id, the local names certain to hold
+    ints when it starts, or for a while loop at its test.
+
+    A parameter, and a value read from a global, the heap or a user call,
+    is never known to be an int.  A loop's head holds what holds both on
+    entry and after its body: each walk narrows it, until one narrows
+    none.
+    """
+    before, heads = {}, {}
+
+    def flow(body, ints: set) -> set:
+        for s in body:
+            before[s.stmt_id] = ints = set(ints)
+            if isinstance(s, SWhile):
+                ints &= heads.get(s.stmt_id, ints)
+                heads[s.stmt_id] = ints & flow(s.body, ints)
+            elif isinstance(s, SIf):
+                ints = flow(s.then_body, ints) & flow(s.else_body or (), ints)
+            elif isinstance(s, (SLet, SAssign)):    # before[...] stays as it is
+                if not yields_int(s.value, ints):
+                    ints = ints - {s.name}
+                elif isinstance(s, SLet) or s.name not in global_names:
+                    ints = ints | {s.name}  # else the global may take the value
+        return ints
+
+    last = None
+    while heads != last:
+        last = dict(heads)
+        flow(fn.body, set())
+    return before
+
+
 def number_statements(program: Program) -> None:
     """Assign pre-order statement ids across the whole program.
 

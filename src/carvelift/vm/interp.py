@@ -6,57 +6,39 @@ Three entry points:
     run_with_tracing  same, but record each kept call as a carve (trace.py)
     call_function     execute one function against a carved world
 
-A Program is compiled on its first run, and the code is kept on the
-Program, so it lives exactly as long as the Program does.  `_Code`
-writes the source of one Python function per mini-language function and
-builds them with one compile(), as `dataclasses` builds its methods:
-parameters and lets become Python locals, branch goals, crash positions
-and builtins are bound into the code, and ops.py keeps the slow paths
-and the builtins.  A call is one Python call.  Inline fast paths cover
-int + - * and comparisons, == and != on two ints, floats or byte
-strings, len of bytes or a ref, byte_at and slice(b, i, j) of bytes,
-indexing and storing through a ref, and a record's field; each takes
-only operands whose result it reads directly and calls ops.py for the
-rest, so ops.py alone defines every result, crash and message.  Tracing
-is run state, not code: each call site takes the traced path when its
-run has a tracer, and branches add to the run state's coverage set,
-which the tracer points at the innermost recorded call's set.
+A Program keeps its code from its first run on, with each function's
+argument types and the global names, so a unit execution, replayed
+thousands of times from one carve, builds only its run state and
+`RunResult`, and runs that exit alike share one status.  `_Code` writes
+one Python function per mini-language function and builds them with
+one compile(), as `dataclasses` builds its methods: parameters and lets
+become Python locals, branch goals, crash positions and builtins are
+names bound into the code, and a call is one Python call.  Inline fast
+paths cover int + - * and comparisons, == and != on two ints, floats or
+byte strings, len of bytes or a ref, byte_at and slice(b, i, j) of
+bytes, indexing and storing through a ref, and a record's field.  Each
+takes only the operands whose result it reads directly and calls ops.py
+for the rest, so ops.py alone defines every result, crash and message.
+An operand proven to be an int needs no type test.  Tracing is run
+state, not code: a call site takes the traced path when its run has a
+tracer, and a branch adds its goal to the run's coverage set, which the
+tracer points at the innermost recorded call's set.  A loop adds its
+enter goal once each time it is entered, in its first pass.
 
-A unit execution should cost its steps, since a carve is replayed
-thousands of times.  So what a Program fixes is made once, with its
-code: each function's Python function, its argument types and the
-global names.  Per execution, `call_function` compares the argument
-types and global names with those, and builds only the run state and
-the `RunResult`; runs that exit with the same code share one status.
+Steps are exact.  A function body keeps the run's fuel in a Python
+local and subtracts each node's steps from it as the node starts,
+without a test; a run of nodes that can neither crash, call nor show
+an effect is subtracted in one line.  The local is written back to the
+run state before each line that can crash, call, trace or show an
+effect, and read back after each call, so a crash has been charged
+exactly the steps before it.  Fuel is checked before every call and
+branch, after a traced call, and before every effect a run can show
+(output, a store to the world, an allocation, the run's end), so an
+exhausted run shows nothing past its limit.
 
-Steps are exact.  The code subtracts each node's steps from the run's
-fuel as the node starts, without a test, and subtracts two nodes' steps
-in one line only where no other line lies between them, so a crash has
-been charged exactly the steps before it.  Fuel is checked before every
-call and branch, after a traced call, and before every effect a run can
-show (output, a store to the world, an allocation, the run's end), so
-an exhausted run shows nothing past its limit.
-
-All three are deterministic: the language has no clocks, no randomness,
-and no addresses observable to the subject, so identical inputs yield
-identical results.  Subject failures (crash kinds oob, div-zero, abort,
-type-error) and step-budget exhaustion are statuses, never exceptions.
-
-Semantics notes that matter for reproducibility:
-
-  * int is two's-complement 64-bit; + - * wrap, / and % truncate toward
-    zero, and division by zero (int or float) is a div-zero crash.
-  * conditions must be int; nonzero is true.
-  * == and != compare structurally; null compares equal only to null.
-    Ordering is defined for int/int and float/float only.
-  * every statement, loop test and expression node costs one step.  A
-    run that exceeds the step limit ends budget-exhausted at limit + 1
-    steps, with nothing done past the step that exceeded it.
-  * a crash reports the statement lexically enclosing the failing node,
-    as (function, statement id), or ("<init>", -1) in a global
-    initializer.
-  * the call stack is capped at 256 frames; exceeding it is an abort
-    crash at the caller, keeping the host stack bounded.
+All three are deterministic.  A crash (oob, div-zero, abort,
+type-error) and running out of steps are statuses, never exceptions.
+docs/minilang.md defines the semantics, steps and crash positions.
 """
 
 from __future__ import annotations
@@ -71,8 +53,8 @@ from ..inputs import SystemInput
 from ..lang.ast import (
     ENTRY, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt, ENull,
     ERecordLit, EUnary, EVar, Program, SExpr, SIf, SIndexSet, SLet, SReturn,
-    SWhile, TArray, TBytes, TFloat, TInt, TRecord, TRef,
-    input_reading_functions, iter_stmts, subexpressions,
+    SWhile, TArray, TBytes, TFloat, TInt, TRef, input_reading_functions,
+    int_locals, iter_stmts, subexpressions, yields_int,
 )
 from ..lang.errors import UnknownFunction
 from ..lang.goals import OUTCOMES_IF, OUTCOMES_WHILE, BranchGoal
@@ -168,17 +150,11 @@ class _State:
 
     def __init__(self, opts: RunOptions, argv, stdin, globals_: dict,
                  segments: SegmentTable):
-        self.opts = opts
-        self.fuel = opts.step_limit
-        self.coverage = set()
-        self.globals = globals_
-        self.segments = segments
+        self.opts, self.fuel, self.coverage = opts, opts.step_limit, set()
+        self.globals, self.segments = globals_, segments
         self.next_seg = max(segments) + 1 if segments else 0
-        self.output = bytearray()
-        self.argv = argv
-        self.stdin = stdin
-        self.depth = 0
-        self.tracer = None
+        self.output, self.argv, self.stdin = bytearray(), argv, stdin
+        self.depth, self.tracer = 0, None
 
 
 def _global(st, at, name):
@@ -215,7 +191,7 @@ _NAMESPACE = {
     "INDEX": ops.index, "STORE": ops.store, "WRAP": wrap64,
     "NEG": ops.negate, "NOT": ops.logical_not, "FIELD": ops.field,
     "inf": float("inf"),     # repr() of an overflowing float literal
-    "SCALAR": (int, bytes, float),
+    "SCALAR": (int, bytes, float), "P0": ("<init>", -1),
     **{_SLOW[op]: f for op, f in ops.BINARY.items()},
     **{f"B_{name}": f for name, f in ops.BUILTINS.items()},
 }
@@ -232,8 +208,9 @@ _FAST = {
                     "type({2}) is int and 0 <= {1} <= {2} <= len({0}) else ",
     ("INDEX", 2): "s[{0}.off + {1}] if " + _REF_AT + " else ",
     ("FIELD", 2): "{0}.fields[{1}] if type({0}) is Record and {1} in {0}.fields else ",
-    # A statement: the store runs inline, else the next line calls STORE.
-    ("STORE", 3): "if " + _REF_AT + " and st.fuel >= 0: s[{0}.off + {1}] = {2}",
+    # A statement, after the fuel is written back: the store runs inline,
+    # else the next line calls STORE.
+    ("STORE", 3): "if " + _REF_AT + " and f >= 0: s[{0}.off + {1}] = {2}",
 }
 
 
@@ -253,12 +230,22 @@ class _Code:
 
     An expression's code leaves its value in an atom: a literal, the
     local of a parameter or let (U until the let has run), or a
-    temporary.  While a statement compiles, `at` is its crash position,
-    `bound` the names certain to be bound (parameters and the lets
-    before it in enclosing blocks), `maybe` every name a local can hold,
-    `ints` the atoms certain to hold ints, and `pending` the steps due
-    that no line has subtracted yet; the next line subtracts them first.
-    `input_dependent` holds the input-reading functions: never recorded.
+    temporary.  While a statement compiles, `at` names its crash
+    position, `bound` holds the names certain to be bound (parameters
+    and the lets before it in enclosing blocks), `maybe` every name a
+    local can hold, and `ints` the atoms certain to hold ints: the
+    locals `int_locals` found for the statement (`known`), then its int
+    temporaries.
+
+    Fuel lives in the local `f`.  `pending` is the steps due that no
+    line has subtracted and `stale` is set while `st.fuel` lags `f`.  A
+    line that cannot crash, call or show an effect leaves both alone;
+    `settle` subtracts what is pending before a check of `f`, and `sync`
+    also writes `f` back before every other line.  A block starts and
+    ends settled, so no step is carried into a branch or across a loop's
+    back edge.  A while loop adds its enter goal under a flag set before
+    the loop.  `input_dependent` holds the input-reading functions:
+    never recorded.
     """
 
     def __init__(self, program: Program):
@@ -268,18 +255,21 @@ class _Code:
         self.ns, source = dict(_NAMESPACE), []
         for fn in program.functions:
             self.enter(fn.name, [p for p, _ in fn.params],
-                       [s.name for s in iter_stmts(fn.body) if isinstance(s, SLet)])
-            self.line("st.depth += 1")
+                       [s.name for s in iter_stmts(fn.body) if type(s) is SLet])
+            self.before = int_locals(fn, self.global_names)
+            self.out.append(" st.depth += 1; f = st.fuel")
             self.block(fn.body)
             if not fn.body or type(fn.body[-1]) is not SReturn:
-                self.line("st.depth -= 1")
+                self.line("st.depth -= 1; return None")
             params = "".join(f", {self.local(p)}" for p, _ in fn.params)
             source += [f"def {self.targets[fn.name]}(st{params}):",
                        *sorted(f" {self.local(n)} = U" for n in self.unset), *self.out]
         self.enter("<init>", (), ())
+        self.out.append(" f = st.fuel")
         for g in program.globals:
-            self.line(f"st.globals[{g.name!r}] = {self.expr(g.init)}")
-        source += ["def INIT(st):", " pass", *self.out]
+            self.pure(f"st.globals[{g.name!r}] = {self.node(g.init, 1)}")
+        self.sync()
+        source += ["def INIT(st):", *self.out]
         exec(compile("\n".join(source), "<carvelift>", "exec"), self.ns)
         self.functions = {name: self.ns[py] for name, py in self.targets.items()}
         # Each function's argument types, when type() alone decides them.
@@ -289,42 +279,49 @@ class _Code:
         del self.ns
 
     def enter(self, fn_name: str, params, lets) -> None:
-        self.fn_name, self.at = fn_name, repr((fn_name, -1))
+        self.fn_name, self.at = fn_name, "P0"
         self.bound, self.maybe = set(params), frozenset(params) | set(lets)
-        self.locals, self.unset, self.ints = {}, set(), set()
-        self.out, self.depth, self.pending, self.temps, self.free = [], 1, 0, 0, []
-
-    def run(self, st: _State, name: str, args: list, init: bool):
-        """Call `name` as the outermost call, after the global
-        initializers when `init` is set."""
-        if init:
-            self.init(st)
-        if st.fuel < 0:
-            spent(st)
-        if st.tracer is None:
-            return self.functions[name](st, *args)
-        return _traced(st, self.functions[name], name, *args)
+        self.locals, self.unset, self.ints, self.known = {}, set(), set(), ()
+        self.out, self.depth, self.temps, self.free = [], 1, 0, []
+        self.pending, self.stale = 0, False
 
     # ------------------------------------------------------------ emitting
 
-    def flush(self) -> None:
+    def pure(self, text: str) -> None:
+        """A line that cannot crash, call or show an effect."""
+        self.out.append(" " * self.depth + text)
+
+    def settle(self) -> None:
+        """Subtract the pending steps from `f`, for a check of it."""
         if self.pending:
-            self.out.append(f"{' ' * self.depth}st.fuel -= {self.pending}")
-            self.pending = 0
+            self.pure(f"f -= {self.pending}")
+            self.pending, self.stale = 0, True
+
+    def sync(self) -> None:
+        """Bring `f` and `st.fuel` up to date."""
+        if self.pending:
+            self.pure(f"st.fuel = f = f - {self.pending}")
+        elif self.stale:
+            self.pure("st.fuel = f")
+        self.pending, self.stale = 0, False
 
     def line(self, text: str) -> None:
-        self.flush()
-        self.out.append(" " * self.depth + text)
+        """A line that can crash, call or show an effect."""
+        self.sync()
+        self.pure(text)
 
     def indented(self, header: str, *emit) -> None:
         """`header`, then the lines `emit` and what calling each lambda
         in it emits, one level deeper."""
-        self.line(header)
+        self.settle()
+        self.pure(header)
         self.depth += 1
+        self.stale = True
         for e in emit:
-            self.line(e) if type(e) is str else e()
-        self.flush()
+            self.pure(e) if type(e) is str else e()
+        self.settle()
         self.depth -= 1
+        self.stale = True
 
     def local(self, name: str) -> str:
         return self.locals.setdefault(name, f"v{len(self.locals)}")
@@ -338,7 +335,7 @@ class _Code:
         return t
 
     def release(self, *atoms) -> None:
-        self.free += [a for a in atoms if a[0] == "t" and a not in self.free]
+        self.free += [a for a in atoms if a[0] == "t" and a.isidentifier() and a not in self.free]
 
     def is_int(self, atom: str) -> bool:
         return atom in self.ints or atom.lstrip("-").isdigit()
@@ -362,8 +359,21 @@ class _Code:
             self.stmt(s)
         self.bound = outer
 
+    def start(self, s) -> str:
+        """Start statement `s`: the locals known to hold ints, and the
+        names of its crash position and branch goals (G<id>0, G<id>1),
+        bound in the code's namespace."""
+        self.known, n = self.before[s.stmt_id], s.stmt_id
+        self.ints = {self.local(name) for name in self.known}
+        self.ns[f"P{n}"] = (self.fn_name, n)
+        if type(s) is SIf or type(s) is SWhile:
+            self.ns |= {f"G{n}{i}": BranchGoal(self.fn_name, n, o) for i, o
+                        in enumerate(OUTCOMES_WHILE if type(s) is SWhile else OUTCOMES_IF)}
+        self.at = f"P{n}"
+        return self.at
+
     def stmt(self, s) -> None:
-        self.at = at = repr((self.fn_name, s.stmt_id))
+        at = self.start(s)
         cls = type(s)
         if cls is SIf or cls is SWhile:
             return self.branch(s, at)
@@ -374,41 +384,42 @@ class _Code:
             if not fast:
                 return self.line(slow)
             self.line(fast)
-            return self.line("else: " + slow)
-        value = (self.expr(s.value, 1) if s.value is not None
+            return self.pure("else: " + slow)
+        value = (self.node(s.value, 2) if s.value is not None
                  else self.node(ENull(s.pos), 1))   # a bare return
         self.release(value)
         if cls is SReturn:
             return self.line(f"st.depth -= 1; return {value}")
         if cls is SExpr:
             return None
-        name = s.name
+        name, v = s.name, self.local(s.name)
         if cls is SLet:
             self.bound.add(name)
         if cls is SLet or name in self.bound or name not in self.global_names:
-            return self.line(f"{self.local(name)} = {value}")
+            return self.pure(f"{v} = {value}")
+        self.settle()
         if name in self.maybe:
-            v = self.local(name)
             self.unset.add(name)
-            self.line(f"if {v} is not U: {v} = {value}")
-        self.line(f"{'el' if name in self.maybe else ''}if st.fuel < 0: spent(st)")
-        self.line(f"else: st.globals[{name!r}] = {value}")
+            self.pure(f"if {v} is not U: {v} = {value}")
+        self.pure(f"{'el' if name in self.maybe else ''}if f < 0: spent(st)")
+        self.pure(f"else: st.globals[{name!r}] = {value}")
 
     def branch(self, s, at) -> None:
         """An if or a while: its test, the goals it covers, its bodies.
         An else-if chain compiles flat: each link after the first runs
         under `if e<id>:`, cleared when an earlier link is taken."""
+        flag, yes, no = f"e{s.stmt_id}", f"G{s.stmt_id}0", f"G{s.stmt_id}1"
         if type(s) is SWhile:
-            yes, no = self.goals(s)
+            self.pure(f"{flag} = 1")
             self.pending += 1
             return self.indented(
                 "while True:",
-                lambda: self.line(f"if not {self.test(s.cond, at)}: st.coverage.add({no}); break"),
-                f"st.coverage.add({yes})", lambda: self.block(s.body))
+                lambda: self.pure(f"if not {self.test(s.cond, at)}: "
+                                  f"st.coverage.add({no}); break"),
+                f"if {flag}: {flag} = 0; st.coverage.add({yes})", lambda: self.block(s.body))
         chain = [s]
         while (b := chain[-1].else_body) and len(b) == 1 and type(b[0]) is SIf:
             chain.append(b[0])
-        flag = f"e{s.stmt_id}"
         self.link(s, flag if len(chain) > 1 else None)
         for n, s in enumerate(chain[1:], 2):
             self.indented(f"if {flag}:", lambda: self.link(s, flag if n < len(chain) else None))
@@ -416,25 +427,21 @@ class _Code:
     def link(self, s, flag) -> None:
         """One if of a chain; `flag` is set when its else continues the
         chain, or None when the else holds its own body."""
-        self.at = at = repr((self.fn_name, s.stmt_id))
-        yes, no = self.goals(s)
+        at, yes, no = self.start(s), f"G{s.stmt_id}0", f"G{s.stmt_id}1"
         self.indented(f"if {self.test(s.cond, at)}:", f"st.coverage.add({yes})",
                       lambda: self.block(s.then_body), *[f"{flag} = 0"] * bool(flag))
         self.indented("else:", f"st.coverage.add({no})",
                       f"{flag} = 1" if flag else lambda: self.block(s.else_body or []))
 
-    def goals(self, s) -> list:
-        """The names of `s`'s two branch goals, bound in the code's namespace."""
-        self.ns |= {f"G{s.stmt_id}{i}": BranchGoal(self.fn_name, s.stmt_id, o) for i, o
-                    in enumerate(OUTCOMES_WHILE if type(s) is SWhile else OUTCOMES_IF)}
-        return [f"G{s.stmt_id}0", f"G{s.stmt_id}1"]
-
     def test(self, cond, at) -> str:
-        c = self.expr(cond, 1)
+        c = self.node(cond, 2, fold=True)
         self.release(c)
-        self.line("if st.fuel < 0: spent(st)" if self.is_int(c) else
-                  f"if st.fuel < 0 or type({c}) is not int: STOP(st, {at}, "
-                  f"'type-error', 'condition must be int, got ' + TYPE({c}))")
+        if self.is_int(c):
+            self.settle()
+            self.pure("if f < 0: spent(st)")
+        else:
+            self.line(f"if f < 0 or type({c}) is not int: STOP(st, {at}, "
+                      f"'type-error', 'condition must be int, got ' + TYPE({c}))")
         return c
 
     # ------------------------------------------------------------ expressions
@@ -453,27 +460,25 @@ class _Code:
 
     def operands(self, exprs, k) -> list:
         """Atoms of operands evaluated in order, after their parent's
-        step `k` and one step for each leaf before the first other
-        operand; those leaves subtract nothing themselves."""
-        n = 0
-        while n < len(exprs) and self.leaf(exprs[n]) is not None:
-            n += 1
-        self.pending += k + n
-        return [self.leaf(e) for e in exprs[:n]] + [self.expr(e) for e in exprs[n:]]
+        step `k`."""
+        self.pending += k
+        return [self.node(e, 1) for e in exprs]
 
-    def expr(self, e, extra=0) -> str:
-        """The atom of `e`, subtracting its own step and the `extra`
-        steps due just before it."""
-        return self.node(e, extra + 1)
-
-    def node(self, e, k) -> str:
-        at, cls = self.at, type(e)
+    def node(self, e, k, fold=False) -> str:
+        """The atom of `e`, after its own step and the `k - 1` steps due
+        just before it; with `fold`, an int comparison may come instead,
+        for a test to read directly."""
         atom = self.leaf(e)
         if atom is not None:
             self.pending += k
             return atom
-        if cls is EBinary:
-            return self.binary(e, k, at)
+        atom = self.binary(e, k, fold) if type(e) is EBinary else self.compound(e, k)
+        if yields_int(e, self.known):
+            self.ints.add(atom)
+        return atom
+
+    def compound(self, e, k) -> str:
+        at, cls = self.at, type(e)
         if cls is EUnary and type(e.operand) is EInt:   # a constant
             self.pending += k + 1
             v = e.operand.value
@@ -482,12 +487,13 @@ class _Code:
             self.pending += k
             read = (f"st.globals[{e.name!r}]" if e.name in self.global_names
                     else f"GLOBAL(st, {at}, {e.name!r})")
+            emit = self.pure if e.name in self.global_names else self.line
             if e.name in self.maybe:
                 v = self.local(e.name)
                 self.unset.add(e.name)
                 read = f"{v} if {v} is not U else {read}"
             t = self.temp()
-            self.line(f"{t} = {read}")
+            emit(f"{t} = {read}")
             return t
         if cls is ECall:
             op = self.targets.get(e.name, f"B_{e.name}")
@@ -499,24 +505,26 @@ class _Code:
         self.release(*args)
         t, a = self.temp(), ", ".join(args)
         if cls is ECall and e.name in self.targets:
-            self.line(f"if st.fuel < 0 or st.depth >= {MAX_CALL_DEPTH}: "
+            self.line(f"if f < 0 or st.depth >= {MAX_CALL_DEPTH}: "
                       f"STOP(st, {at}, 'abort', 'call stack overflow')")
-            self.line(f"{t} = {op}(st, {a}) if st.tracer is None "
-                      f"else TRACED(st, {op}, {e.name!r}, {a})")
+            self.pure(f"{t} = {op}(st, {a}) if st.tracer is None "
+                      f"else TRACED(st, {op}, {e.name!r}, {a}); f = st.fuel")
+            return t
+        if op == "NOT" and self.is_int(a):
+            self.pure(f"{t} = 0 if {a} else 1")
         elif op == "NOT":
-            self.ints.add(t)
             self.line(f"{t} = (0 if {a} else 1) if type({a}) is int else NOT(st, {at}, {a})")
         elif op:
             self.line(f"{t} = {self.fast(op, args)}{op}(st, {at}, {a})")
         elif cls is ERecordLit:
             fields = ", ".join(f"{n!r}: {x}" for (n, _), x in zip(e.fields, args))
-            self.line(f"{t} = Record({e.name!r}, {{{fields}}})")
+            self.pure(f"{t} = Record({e.name!r}, {{{fields}}})")
         else:   # an array literal
-            self.line(f"{t} = ({a}{',' if len(args) == 1 else ''})")
+            self.pure(f"{t} = ({a}{',' if len(args) == 1 else ''})")
         return t
 
-    def binary(self, e, k, at) -> str:
-        op = e.op
+    def binary(self, e, k, fold) -> str:
+        op, at = e.op, self.at
         if op == "&&" or op == "||":   # the right operand only sometimes
             (a,) = self.operands([e.left], k)
             t = self.temp()
@@ -524,16 +532,15 @@ class _Code:
             if not self.is_int(a):
                 self.line(f"if type({a}) is not int: {fails}")
             self.release(a)
-            self.line(f"{t} = {0 if op == '&&' else 1}")
+            self.pure(f"{t} = {0 if op == '&&' else 1}")
 
             def right():
-                b = self.expr(e.right)
+                b = self.node(e.right, 1)
                 if not self.is_int(b):
                     self.line(f"if type({b}) is not int: {fails}")
                 self.release(b)
-                self.line(f"{t} = 1 if {b} else 0")
+                self.pure(f"{t} = 1 if {b} else 0")
             self.indented(f"if {a}:" if op == "&&" else f"if not {a}:", right)
-            self.ints.add(t)
             return t
         a, b = self.operands([e.left, e.right], k)
         # The fast path takes two ints, or two bytes for == and != with a
@@ -547,14 +554,19 @@ class _Code:
         if len(unknown) == 2 and op in ("==", "!="):    # two scalars of one type
             guard = f"type({a}) is type({b}) and type({a}) in SCALAR"
         self.release(a, b)
+        if fold and kind == "int" and not guard and op not in "+-*/%":
+            return f"{a} {op} {b}"
         t, slow = self.temp(), f"{_SLOW[op]}({at}, {a}, {b})"
         if op in "+-*":
             fast = f"r if {INT64_MIN} <= (r := {a} {op} {b}) <= {INT64_MAX} else WRAP(r)"
         elif op not in "/%":    # a comparison: 0 or 1
             fast = f"1 if {a} {op} {b} else 0"
-            self.ints.add(t)
-        self.line(f"{t} = {slow}" if op in "/%" or kind is None else
-                  f"{t} = ({fast}) if {guard} else {slow}" if guard else f"{t} = {fast}")
+        if op in "/%" or kind is None:
+            self.line(f"{t} = {slow}")
+        elif guard:
+            self.line(f"{t} = ({fast}) if {guard} else {slow}")
+        else:
+            self.pure(f"{t} = {fast}")
         return t
 
 
@@ -562,10 +574,15 @@ class _Code:
 
 def _finish(st: _State, code: _Code, name: str, args: list, init: bool,
             started: float) -> RunResult:
-    """Run `name`, folding crashes and budget exhaustion into a status."""
-    value = None
+    """Run `name`, after the global initializers when `init` is set,
+    folding crashes and budget exhaustion into a status."""
+    value, fn = None, code.functions[name]
     try:
-        value = code.run(st, name, args, init)
+        if init:
+            code.init(st)
+        if st.fuel < 0:
+            spent(st)
+        value = fn(st, *args) if st.tracer is None else _traced(st, fn, name, *args)
         status = _exit_status(value if type(value) is int else 0)
     except Crash as c:
         kind, message, fn, stmt = c.args
@@ -612,19 +629,12 @@ _KINDS = {TInt: int, TFloat: float, TBytes: bytes, TRef: Ref, TArray: tuple}
 
 
 def _arg_fits(value, declared) -> bool:
-    if isinstance(declared, TInt):
-        return type(value) is int
-    if isinstance(declared, TFloat):
-        return type(value) is float
-    if isinstance(declared, TBytes):
-        return isinstance(value, bytes)
-    if isinstance(declared, TRef):
-        return value is None or isinstance(value, Ref)
-    if isinstance(declared, TArray):
-        return isinstance(value, tuple)
-    if isinstance(declared, TRecord):
+    kind = _KINDS.get(type(declared))
+    if kind is None:    # a record type
         return isinstance(value, Record) and value.rtype == declared.name
-    return False
+    if kind is int or kind is float:
+        return type(value) is kind
+    return isinstance(value, kind) or (kind is Ref and value is None)
 
 
 def call_function(program: Program, fn_name: str, args: list,

@@ -6,9 +6,8 @@ into.  Binary operators take (at, left, right); every other operation
 takes the run state, `at` and its evaluated operands; those with an
 effect a run can show check the state's fuel first (see interp).  These
 functions define the semantics: the compiled code inlines only common
-cases of the arithmetic, comparisons, `==`, `index`, `store`, `field`,
-`len`, `byte_at` and `slice`, and calls them as the slow paths for the
-rest, every crash included.
+cases and calls them as the slow paths for the rest, every crash
+included.
 """
 
 from __future__ import annotations
@@ -80,14 +79,11 @@ def _division(sym, name, int_op, float_op):
     return apply
 
 
-FAST = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-        "==": operator.eq, "!=": operator.ne, "<": operator.lt,
-        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
 BINARY = {
-    **{sym: _numeric(FAST[sym], sym + " on {} and {}") for sym in "+-*"},
-    **{sym: _numeric(FAST[sym], "cannot order {} and {}")
-       for sym in ("<", "<=", ">", ">=")},
+    **{sym: _numeric(f, sym + " on {} and {}")
+       for sym, f in zip("+-*", (operator.add, operator.sub, operator.mul))},
+    **{sym: _numeric(f, "cannot order {} and {}") for sym, f in zip(
+        ("<", "<=", ">", ">="), (operator.lt, operator.le, operator.gt, operator.ge))},
     "/": _division("/", "division", lambda a, b, q: wrap64(q),
                    lambda a, b: a / b),
     "%": _division("%", "modulo", lambda a, b, q: wrap64(a - wrap64(q * b)),
@@ -121,15 +117,11 @@ def _segment(st, at, ref):
 def index(st, at, o, i):
     if type(i) is not int:
         fail(at, "type-error", "index must be int")
-    if isinstance(o, Ref):
-        seg = _segment(st, at, o)
-        if i < 0 or o.off + i >= len(seg):
+    if isinstance(o, (Ref, tuple)):
+        seq, off = (_segment(st, at, o), o.off) if isinstance(o, Ref) else (o, 0)
+        if i < 0 or off + i >= len(seq):
             fail(at, "oob", f"index {i} out of range")
-        return seg[o.off + i]
-    if isinstance(o, tuple):
-        if i < 0 or i >= len(o):
-            fail(at, "oob", f"index {i} out of range")
-        return o[i]
+        return seq[off + i]
     if o is None:
         fail(at, "type-error", "index into null")
     fail(at, "type-error", f"cannot index {value_type_name(o)}")
@@ -237,10 +229,8 @@ def _parse_int(st, at, b):
 
 
 def _to_string(st, at, v):
-    if type(v) is int:
+    if type(v) is int or type(v) is float:   # str() of a float is its repr()
         return str(v).encode("ascii")
-    if type(v) is float:
-        return repr(v).encode("ascii")
     if isinstance(v, bytes):
         return v
     fail(at, "type-error", f"to_string of {value_type_name(v)}")

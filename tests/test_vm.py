@@ -309,7 +309,7 @@ def test_a_literal_that_is_not_an_int_gets_no_int_guard(monkeypatch):
     # Nor does an int literal: keycheck's byte_at(name, 0) and stores
     # through a ref at 0, 1 and 2 test only the other operand.
     keycheck = emitted_source(monkeypatch, load_subject("keycheck"))
-    assert "byte_at" in keycheck and "st.fuel >= 0: s[" in keycheck
+    assert "byte_at" in keycheck and " f >= 0: s[" in keycheck
     assert not re.search(r"type\(-?\d+\) is int", keycheck)
 
 
