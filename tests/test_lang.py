@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from carvelift.lang.ast import SIf, SWhile, iter_stmts
+from carvelift.lang.ast import SIf, SWhile, int_locals, iter_stmts
 from carvelift.lang.errors import (
     DuplicateDefinition,
     MiniLangError,
@@ -351,3 +351,33 @@ def test_integer_literals_hold_64_bit_values(literal, value):
 def test_int64_min_is_written_as_minus_two_to_the_63():
     assert run_main("print(-9223372036854775808); print(-9223372036854775807 - 1);") \
         == b"-9223372036854775808\n-9223372036854775808\n"
+
+
+INT_LOCALS_SOURCE = """
+global g: int = 0;
+fn f(p: int) -> int {
+    let i = 0;
+    let x = p;
+    let y = p * 2;
+    while (i < 10) {
+        g = i;
+        let c = len("ab");
+        if (i == 3) { y = 1.5; }
+        i = i + c;
+    }
+    return y;
+}
+fn main() { }
+"""
+
+
+def test_int_locals_narrows_a_loop_head_to_what_its_body_keeps():
+    fn = parse(INT_LOCALS_SOURCE).function("f")
+    known = int_locals(fn, {"g"})
+    # let i, let x, let y, while, g = i, let c, if, y = 1.5, i = i + c, return
+    before = [known[s.stmt_id] for s in iter_stmts(fn.body)]
+    assert before[:3] == [set(), {"i"}, {"i"}]      # a parameter is not known
+    assert before[3] == {"i"}       # y, an int on entry, turns into a float
+    assert before[4] == before[5] == {"i"}      # the name of a global is not
+    assert before[6] == before[8] == {"i", "c"}
+    assert before[9] == {"i"}

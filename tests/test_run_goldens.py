@@ -12,7 +12,10 @@ fixed set of runs:
   * two small programs run over many inputs: one that computes and
     prints values of every type, and one that crashes in every kind and
     from every kind of position (nested call arguments, loop tests,
-    callees, global initializers, the call-stack limit).
+    callees, global initializers, the call-stack limit);
+  * a program of loops that a compiler could get wrong by assuming too
+    much about them, cut at every step limit, with `call_function` over
+    its carves at every unit limit.
 
 Anything that changes what the VM computes, charges, records or reports
 for a crash moves one of these; such a change must say why in
@@ -421,8 +424,9 @@ def test_crash_program_hits_every_crash_kind():
 # them: counters that change type, locals carried from calls, globals,
 # the heap and record fields, a let bound on one path, crashes in the
 # first iteration and just after a call, counters that wrap, a return
-# from nested loops.  `main` calls each function once with an argument
-# that completes, so the function is carved, then with the input's.
+# from nested loops, a local that turns into an int.  `main` calls each
+# function once with an argument that completes, so the function is
+# carved, then with the input's.
 LOOP_SOURCE = """
 record R { v: int, w: float }
 
@@ -539,6 +543,17 @@ fn nested(n: int) -> int {
     return -1;
 }
 
+# A local that held a float or a parameter's value takes an int from an
+# expression that reads it.
+fn reassign(k: int) -> int {
+    let y = 1.5;
+    if (k > 0) { y = k; }
+    let i = k;
+    while (i < 3) { i = i + 1; }
+    y = len("ab") + y;
+    return y + i;
+}
+
 fn main() -> int {
     let k = parse_int(arg(0));
     let which = k / 10;
@@ -552,13 +567,14 @@ fn main() -> int {
     if (which == 3) { print(crashes(9)); print(crashes(k)); }
     if (which == 4) { print(wrap(k)); }
     if (which == 5) { print(nested(k)); }
+    if (which == 6) { print(reassign(1)); print(reassign(k)); }
     return k;
 }
 """
 
 LOOP_ARGV = ["0", "1", "2", "3", "10", "11", "12", "13", "14", "15", "20", "21",
              "22", "30", "31", "32", "33", "34", "35", "39", "40", "41", "43",
-             "50", "53", "54"]
+             "50", "53", "54", "60", "61"]
 LOOP_UNIT_ARGS = range(7)
 
 
@@ -592,7 +608,7 @@ def loop_docs() -> list:
 
 
 LOOP_GOLDEN = (
-    "8cc43f96b3e4758efcd73011954c4a1ade992bd060cf4ab832eab6c976727694")
+    "0faf78490d43a7c979639c09d586df1a0746b2779879b79bee45dcec979d17f0")
 
 
 def test_loop_programs_match_golden_digest():
@@ -607,7 +623,8 @@ def test_loop_programs_cover_what_they_claim():
             ("retype", "+ on bytes and bytes"), ("retype", "cannot order null and int"),
             ("carried", "cannot order float and int"),
             ("onepath", "+ on int and float"),
-            ("crashes", "integer division by zero")} <= crashes
+            ("crashes", "integer division by zero"),
+            ("reassign", "+ on int and float")} <= crashes
     carved = {c.start[0] for r in results for c in r.trace}
     assert carved == {"id", "pick", "retype", "carried", "onepath", "crashes",
-                      "wrap", "nested"}
+                      "wrap", "nested", "reassign"}

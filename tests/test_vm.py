@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from carvelift.lang.ast import SWhile, input_reading_functions
+from carvelift.lang.ast import SWhile, input_reading_functions, iter_stmts
 from carvelift.lang.errors import UnknownFunction
 from carvelift.lang.goals import enumerate_goals, goals_in_function
 from carvelift.lang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, parse
@@ -311,6 +311,54 @@ def test_a_literal_that_is_not_an_int_gets_no_int_guard(monkeypatch):
     keycheck = emitted_source(monkeypatch, load_subject("keycheck"))
     assert "byte_at" in keycheck and " f >= 0: s[" in keycheck
     assert not re.search(r"type\(-?\d+\) is int", keycheck)
+
+
+def loop_body(source: str, stmt_id: int) -> list[str]:
+    """The emitted lines of while loop `stmt_id`, its test included."""
+    lines = source.split("\n")
+    end = next(i for i, line in enumerate(lines) if f"st.coverage.add(G{stmt_id}1); break" in line)
+    head = max(i for i in range(end) if lines[i].strip() == "while True:")
+    depth = len(lines[head]) - len(lines[head].lstrip())
+    body = []
+    for line in lines[head + 1:]:
+        if len(line) - len(line.lstrip()) <= depth:
+            break
+        body.append(line)
+    return body
+
+
+def test_a_proven_int_loop_keeps_no_guard_and_no_fuel_write(monkeypatch):
+    keycheck = load_subject("keycheck")
+    (stretch,) = [s for s in iter_stmts(keycheck.function("hash_pw").body)
+                  if type(s) is SWhile and getattr(s.cond.right, "value", None) == 600]
+    body = loop_body(emitted_source(monkeypatch, keycheck), stretch.stmt_id)
+    assert len(body) > 5
+    assert not [line for line in body if "type(" in line or "st.fuel" in line]
+
+
+# Characters of each subject's emitted source when crash positions were
+# tuple literals and every loop pass wrote st.fuel; it may only shrink.
+SOURCE_LENGTH_BOUNDS = {"keycheck": 9251, "mini_sed": 13263, "mini_cut": 12934,
+                        "mini_tac": 7790, "mini_dc": 19095}
+
+
+@pytest.mark.parametrize("name", SUBJECT_NAMES)
+def test_emitted_source_does_not_grow(monkeypatch, name):
+    assert len(emitted_source(monkeypatch, load_subject(name))) <= SOURCE_LENGTH_BOUNDS[name]
+
+
+@pytest.mark.parametrize("name", SUBJECT_NAMES)
+def test_each_loop_adds_its_enter_goal_once_per_entry(monkeypatch, name):
+    program = load_subject(name)
+    source = emitted_source(monkeypatch, program)
+    loops = [s.stmt_id for fn in program.functions for s in iter_stmts(fn.body)
+             if type(s) is SWhile]
+    assert loops
+    for n in loops:
+        # Set before the loop, cleared by the pass that adds the goal.
+        assert source.count(f"st.coverage.add(G{n}0)") == 1
+        assert f"if e{n}: e{n} = 0; st.coverage.add(G{n}0)" in source
+        assert re.search(rf"\n *e{n} = 1\n( *f -= \d+\n)? *while True:\n", source)
 
 
 @pytest.mark.parametrize("expr,message", [
