@@ -248,6 +248,45 @@ def test_deep_nesting_is_a_syntax_error_not_a_recursion_error(source):
         parse(source)
 
 
+# ------------------------------------------------------- lexical structure
+
+LEXED_SOURCE = ('fn f() -> float {  # é\n\tlet s = "é\\x7F\\0\\n\\\\\\"";\r\n'
+                '  return 1.5 + x_1 * 600 % 2.;\n}\n')
+
+
+def test_tokens_carry_kind_text_value_and_position():
+    assert [(t.kind, t.text, t.value, *t.pos) for t in tokenize(LEXED_SOURCE)] == [
+        ("keyword", "fn", "fn", 1, 1), ("ident", "f", "f", 1, 4),
+        ("punct", "(", "(", 1, 5), ("punct", ")", ")", 1, 6),
+        ("punct", "->", "->", 1, 8), ("keyword", "float", "float", 1, 11),
+        ("punct", "{", "{", 1, 17), ("keyword", "let", "let", 2, 2),
+        ("ident", "s", "s", 2, 6), ("punct", "=", "=", 2, 8),
+        ("bytes", '"é\\x7F\\0\\n\\\\\\""', b'\xc3\xa9\x7f\x00\n\\"', 2, 10),
+        ("punct", ";", ";", 2, 25), ("keyword", "return", "return", 3, 3),
+        ("float", "1.5", 1.5, 3, 10), ("punct", "+", "+", 3, 14),
+        ("ident", "x_1", "x_1", 3, 16), ("punct", "*", "*", 3, 20),
+        ("int", "600", 600, 3, 22), ("punct", "%", "%", 3, 26),
+        ("int", "2", 2, 3, 28), ("punct", ".", ".", 3, 29),
+        ("punct", ";", ";", 3, 30), ("punct", "}", "}", 4, 1),
+        ("eof", "", None, 5, 1),
+    ]
+
+
+@pytest.mark.parametrize("source,pos,message", [
+    pytest.param('let s = "abc', (1, 9), "unterminated bytes literal", id="unterminated"),
+    pytest.param('let s = "ab\ncd";', (1, 9), "newline in bytes literal", id="newline"),
+    pytest.param('\n  "ab\\', (2, 3), "unterminated escape", id="unterminated-escape"),
+    pytest.param('x "\\x4', (1, 3), "truncated \\x escape", id="truncated-x"),
+    pytest.param('"\\x4"', (1, 1), "bad \\x escape: '4\"'", id="bad-x"),
+    pytest.param('"a\\q\\x"', (1, 1), "unknown escape: \\q", id="unknown-escape"),
+    pytest.param("let x = 1 @ 2;", (1, 11), "unexpected character '@'", id="unexpected"),
+])
+def test_each_lexical_diagnostic_names_its_position_and_cause(source, pos, message):
+    with pytest.raises(MiniSyntaxError) as e:
+        tokenize(source)
+    assert (tuple(e.value.pos), e.value.message) == (pos, message)
+
+
 # ------------------------------------------------------- parse outcomes
 
 MUTANT_SEED, MUTANTS = 2024, 300
