@@ -1,32 +1,51 @@
-"""Tokenizer for the mini-language."""
+"""Tokenizer for the mini-language, by the grammar of docs/minilang.md:
+one pattern with a named group per token kind.  Where no group
+matches is a syntax error; a bytes literal is read up to its first
+fault, which names the diagnostic.
+"""
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from .ast import Pos
 from .errors import MiniSyntaxError
 
-KEYWORDS = {
-    "fn", "let", "if", "else", "while", "return", "global", "record",
-    "null", "int", "float", "bytes", "ref",
-}
+KEYWORDS = set("fn let if else while return global record null int float bytes ref".split())
+PUNCT = "-> == != <= >= && || ( ) { } [ ] , ; : . + - * / % = < > !".split()    # longest first
 
-# Longest first so the scanner is greedy.
-_PUNCT = [
-    "->", "==", "!=", "<=", ">=", "&&", "||",
-    "(", ")", "{", "}", "[", "]", ",", ";", ":", ".",
-    "+", "-", "*", "/", "%", "=", "<", ">", "!",
-]
+# A bytes literal's escapes, after the backslash, and their bytes; `\xHH`
+# is any byte.  The pretty-printer writes literals by this table too.
+ESCAPES = {b"n": b"\n", b"t": b"\t", b"r": b"\r", b"0": b"\x00", b"\\": b"\\", b'"': b'"'}
 
-_ESCAPES = {
-    b"n": b"\n",
-    b"t": b"\t",
-    b"r": b"\r",
-    b"0": b"\x00",
-    b"\\": b"\\",
-    b'"': b'"',
-}
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+# A literal up to its closing quote, or else to its first fault.
+_OPEN = r'"(?:[^"\\\n]|\\[' + re.escape(b"".join(ESCAPES).decode()) + r"]|\\x[0-9A-Fa-f]{2})*"
+_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("skip", r"[ \t\r\n]+|#[^\n]*"),
+    ("float", r"[0-9]+\.[0-9]+"),
+    ("int", r"[0-9]+"),
+    ("ident", IDENT),
+    ("bytes", _OPEN + '"'),
+    ("punct", "|".join(map(re.escape, PUNCT))),
+)))
+_FAULT, _ESCAPE = re.compile(_OPEN), re.compile(rb"\\(?:x(..)|(.))")
+
+
+def _int64(text: str) -> int:
+    # Wrapped to 64 bits as parse_int wraps: 2**64 divides 10**64, so
+    # the last 64 digits fix the value.
+    v = int(text[-64:]) & 0xFFFF_FFFF_FFFF_FFFF
+    return v - (v >> 63 << 64)
+
+
+def _bytes(text: str) -> bytes:
+    return _ESCAPE.sub(lambda m: bytes.fromhex(m[1].decode()) if m[1] else ESCAPES[m[2]],
+                       text[1:-1].encode("utf-8"))
+
+
+_VALUE = {"float": float, "int": _int64, "ident": str, "bytes": _bytes, "punct": str}
 
 
 class Token(NamedTuple):
@@ -36,106 +55,35 @@ class Token(NamedTuple):
     pos: Pos
 
 
+def _refusal(source: str, i: int) -> str:
+    """Why no token starts at `i`."""
+    if source[i] != '"':
+        return f"unexpected character {source[i]!r}"
+    j = _FAULT.match(source, i).end()
+    if j == len(source):
+        return "unterminated bytes literal"
+    if source[j] == "\n":
+        return "newline in bytes literal"
+    esc, digits = source[j + 1:j + 2], source[j + 2:j + 4]     # after a backslash
+    if esc != "x":
+        return f"unknown escape: \\{esc}" if esc else "unterminated escape"
+    return f"bad \\x escape: {digits!r}" if len(digits) == 2 else "truncated \\x escape"
+
+
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    def pos() -> Pos:
-        return Pos(line, col)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        start = pos()
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-                text = source[i:j]
-                tokens.append(Token("float", text, float(text), start))
-            else:
-                # Wrapped to 64 bits as parse_int wraps: 2**64 divides
-                # 10**64, so the last 64 digits fix the value.
-                text = source[i:j]
-                v = int(text[-64:]) & 0xFFFF_FFFF_FFFF_FFFF
-                tokens.append(Token("int", text, v - (v >> 63 << 64), start))
-            advance(j - i)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, text, start))
-            advance(j - i)
-            continue
-        if ch == '"':
-            value = bytearray()
-            j = i + 1
-            while True:
-                if j >= n:
-                    raise MiniSyntaxError(start, "unterminated bytes literal")
-                c = source[j]
-                if c == '"':
-                    j += 1
-                    break
-                if c == "\n":
-                    raise MiniSyntaxError(start, "newline in bytes literal")
-                if c == "\\":
-                    if j + 1 >= n:
-                        raise MiniSyntaxError(start, "unterminated escape")
-                    esc = source[j + 1]
-                    if esc == "x":
-                        if j + 3 >= n:
-                            raise MiniSyntaxError(start, "truncated \\x escape")
-                        hexpart = source[j + 2:j + 4]
-                        try:
-                            value.append(int(hexpart, 16))
-                        except ValueError:
-                            raise MiniSyntaxError(start, f"bad \\x escape: {hexpart!r}") from None
-                        j += 4
-                        continue
-                    enc = _ESCAPES.get(esc.encode())
-                    if enc is None:
-                        raise MiniSyntaxError(start, f"unknown escape: \\{esc}")
-                    value.extend(enc)
-                    j += 2
-                    continue
-                value.extend(c.encode("utf-8"))
-                j += 1
-            tokens.append(Token("bytes", source[i:j], bytes(value), start))
-            advance(j - i)
-            continue
-        for p in _PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token("punct", p, p, start))
-                advance(len(p))
-                break
-        else:
-            raise MiniSyntaxError(start, f"unexpected character {ch!r}")
-    tokens.append(Token("eof", "", None, pos()))
+    i, line, line_start = 0, 1, 0
+    while i < len(source):
+        m = _TOKEN.match(source, i)
+        if m is None:
+            raise MiniSyntaxError(Pos(line, i - line_start + 1), _refusal(source, i))
+        kind, text = m.lastgroup, m.group()
+        if kind == "skip":
+            if "\n" in text:
+                line, line_start = line + text.count("\n"), i + text.rindex("\n") + 1
+        else:   # only an identifier's text can be a keyword
+            tokens.append(Token("keyword" if text in KEYWORDS else kind, text,
+                                _VALUE[kind](text), Pos(line, i - line_start + 1)))
+        i = m.end()
+    tokens.append(Token("eof", "", None, Pos(line, i - line_start + 1)))
     return tokens

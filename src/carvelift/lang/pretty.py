@@ -17,28 +17,18 @@ from .ast import (
     ERecordLit, EUnary, EVar, Expr, Program, SAssign, SExpr, SIf,
     SIndexSet, SLet, SReturn, SWhile, Stmt,
 )
+from .lexer import ESCAPES
 from .parser import MAX_ELSE_IF, PRECEDENCE
 
 
+# Each byte as a bytes literal spells it: by its escape in the lexer's
+# table (but NUL, written \x00), as itself if printable ASCII, else \xHH.
+_ESCAPED = {v[0]: "\\" + k.decode() for k, v in ESCAPES.items() if k != b"0"}
+_SPELLING = [_ESCAPED.get(b, chr(b) if 0x20 <= b < 0x7F else f"\\x{b:02x}") for b in range(256)]
+
+
 def _bytes_literal(b: bytes) -> str:
-    out = ['"']
-    for byte in b:
-        if byte == 0x22:
-            out.append('\\"')
-        elif byte == 0x5C:
-            out.append("\\\\")
-        elif byte == 0x0A:
-            out.append("\\n")
-        elif byte == 0x09:
-            out.append("\\t")
-        elif byte == 0x0D:
-            out.append("\\r")
-        elif 0x20 <= byte < 0x7F:
-            out.append(chr(byte))
-        else:
-            out.append(f"\\x{byte:02x}")
-    out.append('"')
-    return "".join(out)
+    return '"' + "".join([_SPELLING[byte] for byte in b]) + '"'
 
 
 def _expr(e: Expr, parent_prec: int = 0) -> str:

@@ -46,6 +46,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
+from itertools import count
 from typing import Optional
 
 from ..errors import ToolError
@@ -271,6 +272,8 @@ class _Code:
         self.sync()
         source += ["def INIT(st):", *self.out]
         exec(compile("\n".join(source), "<carvelift>", "exec"), self.ns)
+        for name, py in self.targets.items():   # named F1_apply_script in a profile
+            self.ns[py].__code__ = self.ns[py].__code__.replace(co_name=f"{py}_{name}")
         self.functions = {name: self.ns[py] for name, py in self.targets.items()}
         # Each function's argument types, when type() alone decides them.
         self.kinds = {f.name: tuple(_KINDS.get(type(t)) for _, t in f.params)
@@ -282,7 +285,7 @@ class _Code:
         self.fn_name, self.at = fn_name, "P0"
         self.bound, self.maybe = set(params), frozenset(params) | set(lets)
         self.locals, self.unset, self.ints, self.known = {}, set(), set(), ()
-        self.out, self.depth, self.temps, self.free = [], 1, 0, []
+        self.out, self.depth, self.fresh, self.free = [], 1, count(), []
         self.pending, self.stale = 0, False
 
     # ------------------------------------------------------------ emitting
@@ -327,10 +330,7 @@ class _Code:
         return self.locals.setdefault(name, f"v{len(self.locals)}")
 
     def temp(self) -> str:
-        if not self.free:
-            self.free.append(f"t{self.temps}")
-            self.temps += 1
-        t = self.free.pop()
+        t = self.free.pop() if self.free else f"t{next(self.fresh)}"
         self.ints.discard(t)
         return t
 

@@ -42,7 +42,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain
 
 from ..errors import FormatError
@@ -58,7 +57,6 @@ _ROOT = re.compile(r"arg\[[0-9]+\]|global:\w+")
 _STEP = re.compile(r"\[([0-9]+)\]|\.(\w+)")
 
 
-@lru_cache(maxsize=4096)     # a fuzz round looks up its few paths each execution
 def parse_path(path: str):
     """Split a context path into its root and access steps.
 

@@ -23,8 +23,10 @@ and each segment as the list of its encoded elements.
 from __future__ import annotations
 
 import base64
+import re
 
 from ..errors import FormatError
+from ..lang.lexer import IDENT
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -226,6 +228,9 @@ def _decode_int(obj: dict, key: str) -> int:
     return v
 
 
+_NAME = re.compile(IDENT)
+
+
 def decode_value(obj: object):
     if not isinstance(obj, dict) or "t" not in obj:
         raise FormatError(f"malformed value encoding: {obj!r}")
@@ -248,9 +253,9 @@ def decode_value(obj: object):
         return tuple(decode_value(x) for x in obj["v"])
     if t == "record":
         name, fields = obj["name"], obj["fields"]
-        if not isinstance(name, str) or not all(
-                isinstance(k, str) for k, _ in fields):
-            raise FormatError(f"record and field names must be strings: {obj!r}")
+        if not all(isinstance(n, str) and _NAME.fullmatch(n)
+                   for n in (name, *(k for k, _ in fields))):
+            raise FormatError(f"record and field names must be identifiers: {obj!r}")
         return Record(name, {k: decode_value(x) for k, x in fields})
     if t == "ref":
         off = _decode_int(obj, "off")

@@ -528,6 +528,11 @@ MALFORMED_SNAPSHOTS = {
         {"t": "record", "name": 1, "fields": []}),
     "record-field-name-not-a-string": with_leaf(
         {"t": "record", "name": "R", "fields": [[1, {"t": "int", "v": 1}]]}),
+    # print writes names as ASCII: its UnicodeEncodeError would end replay.
+    "record-field-name-not-ascii": with_leaf(
+        {"t": "record", "name": "R", "fields": [["\u00e9", {"t": "int", "v": 1}]]}),
+    "record-name-not-an-identifier": with_leaf(
+        {"t": "record", "name": "1R", "fields": []}),
     # Context.world() would hand call_function only arg[0].
     "roots-skip-an-argument": with_roots(["arg[0]", "arg[2]"]),
     "root-not-a-path": with_roots(["arg[0]", "foo"]),

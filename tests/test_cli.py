@@ -88,6 +88,13 @@ def test_goals_lists_every_branch_goal(capsys):
     assert set(out[:-1]) == {str(g) for g in goals}
 
 
+def test_goals_of_a_source_outside_the_grammar_is_a_usage_error(tmp_path, capsys):
+    program = tmp_path / "super.ml"
+    program.write_text("fn main() { let x = 2\u00b2; }\n", encoding="utf-8")
+    assert main(["goals", "--program", str(program)]) == 2
+    assert capsys.readouterr().err == "error: 1:22: unexpected character '\u00b2'\n"
+
+
 # ------------------------------------------------------------- replay
 
 def test_replay_input_prints_the_run(tmp_path, capsys):
@@ -177,6 +184,30 @@ def test_replay_rejects_old_or_out_of_range_snapshots(tmp_path, capsys):
         assert main(replay + [str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+RECORD_PROGRAM = """
+record R { a: int }
+fn show(r: R) { print(r); }
+fn main() { show(R { a: 1 }); }
+"""
+
+
+def test_replay_rejects_a_field_name_print_cannot_write(tmp_path, capsys):
+    program = tmp_path / "records.ml"
+    program.write_text(RECORD_PROGRAM)
+    snap = tmp_path / "c.snap"
+    save_snapshot(carve_with_stats(run_with_tracing(
+        parse(RECORD_PROGRAM), mk_input()))[0][0], snap)
+    replay = ["replay", "--program", str(program), "--snapshot", str(snap)]
+    assert main(replay) == 0
+    capsys.readouterr()
+    doc = json.loads(snap.read_text())
+    (path, record), = doc["roots"]
+    record["fields"][0][0] = "\u00e9"
+    snap.write_text(json.dumps(doc))
+    assert main(replay) == 2
+    assert capsys.readouterr().err.startswith("error: record and field names must be identifiers")
 
 
 def test_replay_needs_exactly_one_artifact(tmp_path, capsys):

@@ -6,7 +6,9 @@ statement bodies that never touches the goal module's own traversal.
 """
 
 import hashlib
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,7 @@ from carvelift.lang.errors import (
     UnresolvedReference,
 )
 from carvelift.lang.goals import BranchGoal, enumerate_goals, goals_in_function
-from carvelift.lang.lexer import tokenize
+from carvelift.lang.lexer import KEYWORDS, PUNCT, tokenize
 from carvelift.lang.parser import MAX_BLOCK_DEPTH, MAX_ELSE_IF, MAX_EXPR_DEPTH, parse
 from carvelift.lang.pretty import pretty_print
 from carvelift.rng import Rng
@@ -285,6 +287,55 @@ def test_each_lexical_diagnostic_names_its_position_and_cause(source, pos, messa
     with pytest.raises(MiniSyntaxError) as e:
         tokenize(source)
     assert (tuple(e.value.pos), e.value.message) == (pos, message)
+
+
+# Sources outside the documented grammar that an earlier, Unicode-aware
+# lexer read anyway: 2² raised ValueError, ٣ was the int 3, é named a
+# field that print could not write, and int(..., 16) read each \x as
+# one byte, dropping the carriage return from inside the last literal.
+@pytest.mark.parametrize("source,pos,message", [
+    pytest.param("let x = 2²;", (1, 10), "unexpected character '²'", id="superscript"),
+    pytest.param("let x = ٣;", (1, 9), "unexpected character '٣'", id="arabic-indic-digit"),
+    pytest.param("record R { é: int }", (1, 12), "unexpected character 'é'", id="letter"),
+    pytest.param('"\\x+f"', (1, 1), "bad \\x escape: '+f'", id="signed-x"),
+    pytest.param('"\\x f"', (1, 1), "bad \\x escape: ' f'", id="spaced-x"),
+    pytest.param('"\\x4\r"', (1, 1), "bad \\x escape: '4\\r'", id="x-before-cr"),
+])
+def test_sources_outside_the_grammar_are_syntax_errors(source, pos, message):
+    with pytest.raises(MiniSyntaxError) as e:
+        parse(source)
+    assert (tuple(e.value.pos), e.value.message) == (pos, message)
+
+
+ROUND_TRIP_SEED, ROUND_TRIPS = 77, 3000
+# The lexer's alphabet in pieces, so that most random sources lex.
+LEXER_PIECES = [*KEYWORDS, *PUNCT, "x", "_a9", "Z", "0", "42", "3.5", " ", "\t", "\r",
+                "\n", "# c", '"', '"ab"', "\\", "\\x", "4f", "é", "@"]
+
+
+def test_each_token_sits_at_its_position_with_only_space_between():
+    rng, lexed = Rng(ROUND_TRIP_SEED), 0
+    for _ in range(ROUND_TRIPS):
+        source = "".join(rng.choice(LEXER_PIECES) for _ in range(1 + rng.randrange(16)))
+        try:
+            tokens = tokenize(source)
+        except MiniSyntaxError:
+            continue
+        lexed += 1
+        end = 0
+        for t, (start, stop) in zip(tokens, token_spans(source)):
+            assert source[start:stop] == t.text
+            assert re.fullmatch(r"(?:[ \t\r\n]|#[^\n]*)*", source[end:start])
+            end = stop
+        assert tokens[-1].kind == "eof" and end == len(source)
+    assert lexed > ROUND_TRIPS // 4
+
+
+def test_the_documented_keywords_and_punctuation_are_the_lexers():
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "minilang.md").read_text()
+    keywords = re.search(r"^- Keywords: `([^`]*)`", doc, re.M)[1].split()
+    punct = re.search(r"^- Punctuation: `([^`]*)`", doc, re.M)[1].split()
+    assert sorted(keywords) == sorted(KEYWORDS) and punct == PUNCT
 
 
 # ------------------------------------------------------- parse outcomes

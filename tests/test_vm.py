@@ -5,6 +5,8 @@ interpreter in conftest, which re-executes the program by rule and
 records each call's branch goals between its call and its return.
 """
 
+import cProfile
+import pstats
 import re
 from types import SimpleNamespace
 
@@ -345,6 +347,16 @@ SOURCE_LENGTH_BOUNDS = {"keycheck": 9251, "mini_sed": 13263, "mini_cut": 12934,
 @pytest.mark.parametrize("name", SUBJECT_NAMES)
 def test_emitted_source_does_not_grow(monkeypatch, name):
     assert len(emitted_source(monkeypatch, load_subject(name))) <= SOURCE_LENGTH_BOUNDS[name]
+
+
+def test_a_profile_names_each_compiled_function_after_its_source():
+    program = load_subject("keycheck")
+    profile = cProfile.Profile()
+    profile.runcall(run_system, program, mk_input((b"d7wfv", b"xczZ7tz")))
+    names = {name for file, _, name in pstats.Stats(profile).stats if file == "<carvelift>"}
+    numbered = {f"F{i}_{fn.name}" for i, fn in enumerate(program.functions)}
+    assert "INIT" in names and f"F{len(numbered) - 1}_main" in names
+    assert names - {"<module>", "INIT"} <= numbered and len(names & numbered) > 2
 
 
 @pytest.mark.parametrize("name", SUBJECT_NAMES)
