@@ -14,10 +14,7 @@ from .bundled import (
     resolve_program, resolve_seeds,
 )
 from .campaign import FunctionState, RunConfig, run_campaign, select_next
-from .carving import (
-    CarveStats, CarvedTest, Context, carve_with_stats, load_snapshot,
-    save_snapshot,
-)
+from .carving import carve_with_stats
 from .errors import ConfigError, FormatError, SubjectLoadError, ToolError
 from .inputs import SystemInput
 from .lifting import LiftOutcome, UnmappedParameter, lift, validate
@@ -35,6 +32,7 @@ from .unitgen import (
     FuzzStats, NoParameters, ParamAssignment, UnitOutcome, UnknownParameter,
     apply_assignment, fuzz_unit_with_stats,
 )
+from .vm.trace import CarveStats, CarvedTest, Context, load_snapshot, save_snapshot
 
 __version__ = "0.1.0"
 

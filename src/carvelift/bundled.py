@@ -47,13 +47,13 @@ def resolve_program(spec: str) -> tuple[Program, str]:
     """A program from a path, or a bundled subject by name.
 
     Returns (program, display name).  Parse diagnostics propagate as-is;
-    an unreadable or unknown spec is a SubjectLoadError.
+    an unreadable, non-UTF-8 or unknown spec is a SubjectLoadError.
     """
     path = Path(spec)
     if path.is_file():
         try:
             source = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SubjectLoadError(f"cannot read {spec}: {exc}") from exc
         return parse(source), path.stem
     name = spec[:-3] if spec.endswith(".ml") else spec

@@ -29,7 +29,7 @@ import time
 from collections.abc import Set
 from dataclasses import asdict, dataclass, field
 
-from .carving import CarveStats, CarvedTest, carve_with_stats
+from .carving import carve_with_stats
 from .errors import ConfigError
 from .lang.ast import ENTRY, input_reading_functions
 from .lang.goals import BranchGoal, enumerate_goals, goals_in_function
@@ -50,6 +50,7 @@ from .vm.interp import (
     DEFAULT_MAX_DUMP_BYTES, DEFAULT_STEP_LIMIT, RunOptions, run_system,
     run_with_tracing,
 )
+from .vm.trace import CarvedTest, CarveStats
 
 MODES = ("bridge", "system-only")
 FALLBACK_BATCH = 10

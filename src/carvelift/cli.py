@@ -15,13 +15,14 @@ from pathlib import Path
 
 from .bundled import resolve_program, resolve_seeds
 from .campaign import MODES, RunConfig, run_campaign
-from .carving import carve_with_stats, load_snapshot, save_snapshot
+from .carving import carve_with_stats
 from .errors import ConfigError, ToolError
 from .lang.goals import enumerate_goals
 from .reporting import emit_series, serialize_report
 from .sysgen import read_input_file
 from .vm.interp import RunOptions, call_function, run_system, \
     run_with_tracing
+from .vm.trace import load_snapshot, save_snapshot
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -22,3 +22,8 @@ class ConfigError(ToolError):
 
 class SubjectLoadError(ToolError):
     """A subject program or seed corpus could not be loaded."""
+
+
+class TypeMismatch(ToolError):
+    """A value handed to a unit run does not fit where it goes: an
+    argument its function's signature, or an assigned leaf its kind."""

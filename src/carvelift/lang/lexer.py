@@ -20,8 +20,10 @@ PUNCT = "-> == != <= >= && || ( ) { } [ ] , ; : . + - * / % = < > !".split()    
 ESCAPES = {b"n": b"\n", b"t": b"\t", b"r": b"\r", b"0": b"\x00", b"\\": b"\\", b'"': b'"'}
 
 IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-# A literal up to its closing quote, or else to its first fault.
-_OPEN = r'"(?:[^"\\\n]|\\[' + re.escape(b"".join(ESCAPES).decode()) + r"]|\\x[0-9A-Fa-f]{2})*"
+# A literal up to its closing quote, or else to its first fault; a lone
+# surrogate is one, since it has no UTF-8 bytes.
+_OPEN = (r'"(?:[^"\\\n\ud800-\udfff]|\\[' + re.escape(b"".join(ESCAPES).decode())
+         + r"]|\\x[0-9A-Fa-f]{2})*")
 _TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
     ("skip", r"[ \t\r\n]+|#[^\n]*"),
     ("float", r"[0-9]+\.[0-9]+"),
@@ -64,6 +66,8 @@ def _refusal(source: str, i: int) -> str:
         return "unterminated bytes literal"
     if source[j] == "\n":
         return "newline in bytes literal"
+    if "\ud800" <= source[j] <= "\udfff":
+        return "lone surrogate in bytes literal"
     esc, digits = source[j + 1:j + 2], source[j + 2:j + 4]     # after a backslash
     if esc != "x":
         return f"unknown escape: \\{esc}" if esc else "unterminated escape"

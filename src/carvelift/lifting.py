@@ -11,12 +11,12 @@ from __future__ import annotations
 from collections.abc import Set
 from dataclasses import dataclass
 
-from .errors import ToolError
+from .errors import ToolError, TypeMismatch
 from .inputs import SystemInput
 from .lang.goals import BranchGoal
 from .mapping import ENC_RAW, Mapping, Match, leaf_bytes
 from .unitgen import ParamAssignment
-from .vm.interp import RunOptions, RunStatus, TypeMismatch, run_system
+from .vm.interp import RunOptions, RunStatus, run_system
 
 
 class UnmappedParameter(ToolError):

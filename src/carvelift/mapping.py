@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .carving import CarvedTest
 from .inputs import SystemInput
+from .vm.trace import CarvedTest
 
 ENC_RAW = "raw-bytes"
 ENC_DECIMAL = "decimal-int"

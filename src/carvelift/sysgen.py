@@ -28,13 +28,13 @@ class EmptySeedSet(ToolError):
     """generate_batch needs at least one seed input."""
 
 
-def _span(rng: Rng, n: int) -> tuple[int, int]:
+def span(rng: Rng, n: int) -> tuple[int, int]:
     """A random nonempty [a, b) span inside n bytes (n >= 1)."""
     a = rng.randrange(n)
     return a, a + 1 + rng.randrange(n - a)
 
 
-def _bit_flip(data: bytes, rng: Rng) -> bytes:
+def bit_flip(data: bytes, rng: Rng) -> bytes:
     if not data:
         return data
     i = rng.randrange(len(data))
@@ -77,7 +77,7 @@ def _chunk_swap(data: bytes, rng: Rng) -> bytes:
 def _chunk_repeat(data: bytes, rng: Rng) -> bytes:
     if not data:
         return data
-    a, b = _span(rng, len(data))
+    a, b = span(rng, len(data))
     return data[:b] + data[a:b] * (rng.randint(2, 4) - 1) + data[b:]
 
 
@@ -133,7 +133,7 @@ def _append_ascii(data: bytes, rng: Rng) -> bytes:
 
 # The palette; mutate_input picks an operator by its position here.
 MUTATORS = (
-    _bit_flip, _byte_set, _byte_insert, _byte_delete, _byte_duplicate,
+    bit_flip, _byte_set, _byte_insert, _byte_delete, _byte_duplicate,
     _chunk_swap, _chunk_repeat, _int_perturb, _line_delete,
     _line_duplicate, _line_shuffle, _truncate, _append_ascii,
 )

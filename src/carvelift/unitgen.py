@@ -26,13 +26,14 @@ from collections.abc import Set
 from dataclasses import dataclass, field
 from itertools import cycle, islice
 
-from .carving import CarvedTest, Context
 from .errors import ToolError
 from .lang.ast import Program
 from .lang.goals import BranchGoal
 from .mapping import Mapping, leaf_bytes
 from .rng import Rng
-from .vm.interp import RunOptions, RunStatus, TypeMismatch, call_function
+from .sysgen import bit_flip, span
+from .vm.interp import RunOptions, RunStatus, call_function
+from .vm.trace import CarvedTest, Context
 from .vm.values import INT64_MAX, INT64_MIN, wrap64
 
 
@@ -113,12 +114,8 @@ def bytes_mutations(v: bytes, ctx: Context, rng: Rng):
                 yield "harvested", data
 
     def bitflips():
-        if not v:
-            return
-        while True:
-            i = rng.randrange(len(v))
-            flipped = v[i] ^ (1 << rng.randrange(8))
-            yield "bytes-bitflip", v[:i] + bytes([flipped]) + v[i + 1:]
+        while v:
+            yield "bytes-bitflip", bit_flip(v, rng)
 
     def rand_bytes():
         while True:
@@ -138,11 +135,8 @@ def bytes_mutations(v: bytes, ctx: Context, rng: Rng):
             yield "bytes-ff", b"\xff" * rng.choice(lengths)
 
     def repeats():
-        if not v:
-            return
-        while True:
-            a = rng.randrange(len(v))
-            b = a + 1 + rng.randrange(len(v) - a)
+        while v:
+            a, b = span(rng, len(v))
             yield "bytes-repeat", v[a:b] * rng.randint(2, 4)
 
     yield from _round_robin([
@@ -154,29 +148,12 @@ def bytes_mutations(v: bytes, ctx: Context, rng: Rng):
 # ---------------------------------------------------------------- assignment
 
 def apply_assignment(c: CarvedTest, a: ParamAssignment):
-    """A fresh (args, world) equal to the carve except at assigned leaves.
-
-    Each assigned value must be of its leaf's kind, bytes or int, as the
-    context's kept slot records it; ints wrap to 64 bits.
-    """
-    values = {}
-    for path in sorted(a.assignments):
-        new_value = a.assignments[path]
-        try:
-            kind = c.context.slot(path)[0]
-        except KeyError:
-            raise UnknownParameter(path) from None
-        if kind is bytes:
-            if not isinstance(new_value, bytes):
-                raise TypeMismatch(f"{path} holds bytes, assignment is not")
-        elif kind is int:
-            if not isinstance(new_value, int) or isinstance(new_value, bool):
-                raise TypeMismatch(f"{path} holds an int, assignment is not")
-            new_value = wrap64(new_value)
-        else:
-            raise TypeMismatch(f"{path}: only bytes and int leaves take assignments")
-        values[path] = new_value
-    return c.context.world(values)
+    """The carve's `Context.world` with the assigned leaves replaced;
+    UnknownParameter for a path the context does not contain."""
+    try:
+        return c.context.world(a.assignments)
+    except KeyError as exc:
+        raise UnknownParameter(exc.args[0]) from None
 
 
 # ---------------------------------------------------------------- fuzzing

@@ -1,7 +1,9 @@
+from ..errors import TypeMismatch
 from .interp import (
-    CRASH_KINDS, RunOptions, RunResult, RunStatus, TypeMismatch,
-    call_function, run_system, run_with_tracing, serialize_run_result,
+    CRASH_KINDS, RunOptions, RunResult, RunStatus, call_function, run_system,
+    run_with_tracing,
 )
+from .trace import serialize_run_result
 from .values import (
     INT64_MAX, INT64_MIN, Record, Ref, SegmentTable,
     segment_byte_size, value_byte_size, wrap64,

@@ -44,12 +44,12 @@ docs/minilang.md defines the semantics, steps and crash positions.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import count
 from typing import Optional
 
-from ..errors import ToolError
+from ..errors import TypeMismatch
 from ..inputs import SystemInput
 from ..lang.ast import (
     ENTRY, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt, ENull,
@@ -61,10 +61,9 @@ from ..lang.errors import UnknownFunction
 from ..lang.goals import OUTCOMES_IF, OUTCOMES_WHILE, BranchGoal
 from . import ops
 from .ops import Crash, OutOfSteps, fail, spent
-from .trace import CarvedTest, CarveStats, Tracer, encode_carve
+from .trace import CarvedTest, CarveStats, Tracer
 from .values import (
-    INT64_MAX, INT64_MIN, Record, Ref, SegmentTable, encode_value,
-    value_type_name, wrap64,
+    INT64_MAX, INT64_MIN, Record, Ref, SegmentTable, value_type_name, wrap64,
 )
 
 MAX_CALL_DEPTH = 256
@@ -73,10 +72,6 @@ DEFAULT_STEP_LIMIT = 5_000_000
 DEFAULT_MAX_DUMP_BYTES = 65536
 
 CRASH_KINDS = ("oob", "div-zero", "abort", "type-error")
-
-
-class TypeMismatch(ToolError):
-    """Arguments handed to call_function do not fit the declared signature."""
 
 
 @dataclass(frozen=True)
@@ -123,21 +118,6 @@ class RunResult:
     output: bytes
     return_value: object = None
     carve_stats: Optional[CarveStats] = None    # of a traced run
-
-
-def serialize_run_result(result: RunResult) -> dict:
-    """Canonical encoding for determinism checks; wall time is excluded
-    because it is the one field the machine, not the program, decides."""
-    return {
-        "status": asdict(result.status),
-        "coverage": sorted(str(g) for g in result.coverage),
-        "steps": result.steps,
-        "output": result.output.decode("latin-1"),
-        "return_value": encode_value(result.return_value),
-        "trace": None if result.trace is None else {
-            "calls": [encode_carve(c) for c in result.trace],
-            "stats": asdict(result.carve_stats)},
-    }
 
 
 # ---------------------------------------------------------------- run state

@@ -33,24 +33,27 @@ scalar leaf, `resolve` looks one up, `slot` keeps where it is, and
 replaced; a context never changes, so what it keeps always holds.
 
 One encoding of a carve (`encode_carve`, read back by `decode_carve`)
-serves both the snapshot file and the determinism checks of
-`serialize_run_result`; byte strings inside values are base64.
+serves both the snapshot file (`save_snapshot`) and the determinism
+checks of `serialize_run_result`; byte strings inside values are base64.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 
-from ..errors import FormatError
+from ..errors import FormatError, TypeMismatch
 from ..lang.ast import ENTRY
 from ..lang.goals import BranchGoal
 from .values import (
     Record, Ref, SegmentTable, decode_segments, decode_value,
-    encode_segments, encode_value, iter_refs, sever, snapshot_reachable,
+    encode_segments, encode_value, iter_refs, sever, snapshot_reachable, wrap64,
 )
+
+SNAPSHOT_VERSION = 2
 
 
 _ROOT = re.compile(r"arg\[[0-9]+\]|global:\w+")
@@ -146,24 +149,31 @@ class Context:
 
         The args, the globals and each segment are copied, since the
         callee rebinds globals and stores into segments, and the leaf at
-        each path of `assign` (in its order) is replaced by its value
-        through its kept `slot`.  Raises KeyError for a path `resolve`
-        cannot look up.  It runs once per unit execution, so it does
-        only the copies and the replacing; the rest is kept.
+        each path of `assign`, in sorted order, is replaced by its value
+        through its kept `slot`.  KeyError for a path `resolve` cannot
+        look up; TypeMismatch unless the value is of the leaf's kind,
+        bytes or int (an int wraps to 64 bits).  It runs once per unit
+        execution, so it does only the copies, the checks and the
+        replacing; the rest is kept.
         """
         if self.split is None:
             self.split = ([v for p, v in self.roots.items() if p[0] == "a"],
                           {p[7:]: v for p, v in self.roots.items() if p[0] == "g"})
         args, globals_ = list(self.split[0]), dict(self.split[1])
         segments = {sid: seg[:] for sid, seg in self.segments.items()}
-        if assign:
-            for path, value in assign.items():
-                _, key, steps = self.slot(path)
-                held = args if type(key) is int else globals_
-                try:
-                    held[key] = _replaced(held[key], steps, value, segments) if steps else value
-                except KeyError:
-                    raise KeyError(path) from None
+        for path in sorted(assign or ()):
+            kind, key, steps = self.slot(path)
+            value = assign[path]
+            if kind is None:
+                raise TypeMismatch(f"{path}: only bytes and int leaves take assignments")
+            if not isinstance(value, kind) or type(value) is bool:
+                raise TypeMismatch(f"{path} holds {'bytes' if kind is bytes else 'an int'}, "
+                                   "assignment is not")
+            if kind is int:
+                value = wrap64(value)
+            # Only leaves are replaced, so every path leads where it did.
+            held = args if type(key) is int else globals_
+            held[key] = _replaced(held[key], steps, value, segments) if steps else value
         return args, (globals_, segments)
 
 
@@ -356,3 +366,41 @@ def decode_carve(doc: dict) -> CarvedTest:
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(f"carve document is malformed: {exc!r}") from exc
+
+
+def serialize_run_result(result) -> dict:
+    """A `RunResult` as JSON, for determinism checks; wall time is
+    excluded because it is the one field the machine, not the program,
+    decides."""
+    return {
+        "status": asdict(result.status),
+        "coverage": sorted(str(g) for g in result.coverage),
+        "steps": result.steps,
+        "output": result.output.decode("latin-1"),
+        "return_value": encode_value(result.return_value),
+        "trace": None if result.trace is None else {
+            "calls": [encode_carve(c) for c in result.trace],
+            "stats": asdict(result.carve_stats)},
+    }
+
+
+def save_snapshot(carved: CarvedTest, path) -> None:
+    doc = {"version": SNAPSHOT_VERSION, **encode_carve(carved)}
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(doc, fh, sort_keys=True)
+        fh.write("\n")
+
+
+def load_snapshot(path) -> CarvedTest:
+    """The carve save_snapshot wrote; FormatError if the file is malformed."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:   # not JSON, or not ASCII
+        raise FormatError(f"snapshot is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError("snapshot document must be a JSON object")
+    if doc.get("version") != SNAPSHOT_VERSION:
+        raise FormatError(
+            f"unsupported snapshot version: {doc.get('version')!r}")
+    return decode_carve(doc)

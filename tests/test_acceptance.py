@@ -15,11 +15,7 @@ import pytest
 
 from carvelift.bundled import resolve_seeds
 from carvelift.campaign import RunConfig, run_campaign
-from carvelift.carving import (
-    CarvedTest,
-    Context,
-    carve_with_stats,
-)
+from carvelift.carving import carve_with_stats
 from carvelift.inputs import SystemInput
 from carvelift.lang.goals import BranchGoal
 from carvelift.lifting import lift
@@ -32,7 +28,7 @@ from carvelift.vm.interp import (
     run_system,
     run_with_tracing,
 )
-from carvelift.vm.trace import encode_carve
+from carvelift.vm.trace import CarvedTest, Context, encode_carve
 from carvelift.vm.values import Record, Ref, wrap64
 
 from conftest import SUBJECT_NAMES, load_subject, mk_input, random_input_for

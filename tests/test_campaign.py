@@ -27,13 +27,14 @@ from carvelift.campaign import (
     run_campaign,
     select_next,
 )
-from carvelift.carving import CarvedTest, Context, input_reading_functions
 from carvelift.errors import ConfigError
+from carvelift.lang.ast import input_reading_functions
 from carvelift.lang.goals import enumerate_goals, goals_in_function
 from carvelift.lang.parser import parse
 from carvelift.reporting import serialize_report
 from carvelift.rng import Rng
 from carvelift.sysgen import read_corpus
+from carvelift.vm.trace import CarvedTest, Context
 
 from conftest import SUBJECT_NAMES, load_subject, mk_input
 

@@ -11,16 +11,14 @@ import json
 
 import pytest
 
-from carvelift.carving import (
-    SNAPSHOT_VERSION, Context, carve_with_stats, load_snapshot,
-    save_snapshot, snapshot_reachable,
-)
+from carvelift.carving import carve_with_stats
 from carvelift.errors import FormatError
 from carvelift.lang.parser import parse
 from carvelift.rng import Rng
 from carvelift.vm import trace
 from carvelift.vm.interp import RunOptions, call_function, run_with_tracing
-from carvelift.vm.values import INT64_MAX, INT64_MIN, Record, Ref
+from carvelift.vm.trace import SNAPSHOT_VERSION, Context, load_snapshot, save_snapshot
+from carvelift.vm.values import INT64_MAX, INT64_MIN, Record, Ref, snapshot_reachable
 
 from conftest import (
     SUBJECT_NAMES, NaiveCounter, load_subject, mk_input, random_input_for,

@@ -4,13 +4,14 @@ import json
 from dataclasses import asdict
 
 from carvelift.campaign import RunConfig
-from carvelift.carving import carve_with_stats, save_snapshot
+from carvelift.carving import carve_with_stats
 from carvelift.cli import _build_parser, main
 from carvelift.lang.goals import enumerate_goals
 from carvelift.lang.parser import parse
 from carvelift.reporting import parse_report
 from carvelift.sysgen import write_input_file
 from carvelift.vm.interp import run_with_tracing
+from carvelift.vm.trace import load_snapshot, save_snapshot
 
 from conftest import load_subject, mk_input
 
@@ -93,6 +94,14 @@ def test_goals_of_a_source_outside_the_grammar_is_a_usage_error(tmp_path, capsys
     program.write_text("fn main() { let x = 2\u00b2; }\n", encoding="utf-8")
     assert main(["goals", "--program", str(program)]) == 2
     assert capsys.readouterr().err == "error: 1:22: unexpected character '\u00b2'\n"
+
+
+def test_goals_of_a_program_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    program = tmp_path / "latin.ml"
+    program.write_bytes(b"# caf\xff\nfn main() { }\n")
+    assert main(["goals", "--program", str(program)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {program}: ") and err.count("\n") == 1
 
 
 # ------------------------------------------------------------- replay
@@ -225,7 +234,6 @@ def test_carve_dumps_the_pool(tmp_path, capsys):
     assert "check_user" in out
     snaps = sorted(out_dir.glob("*.snap"))
     assert snaps
-    from carvelift.carving import load_snapshot
     loaded = load_snapshot(snaps[0])
     assert loaded.start[0] in {"check_user", "check_pass", "hash_pw"}
 

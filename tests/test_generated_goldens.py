@@ -26,8 +26,8 @@ from carvelift.lang.parser import parse
 from carvelift.rng import Rng
 from carvelift.vm.interp import (
     RunOptions, call_function, run_system, run_with_tracing,
-    serialize_run_result,
 )
+from carvelift.vm.trace import serialize_run_result
 
 from progen import (
     else_if_chain, generate, generate_input, main_source, nested_sources,

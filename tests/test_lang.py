@@ -300,6 +300,8 @@ def test_each_lexical_diagnostic_names_its_position_and_cause(source, pos, messa
     pytest.param('"\\x+f"', (1, 1), "bad \\x escape: '+f'", id="signed-x"),
     pytest.param('"\\x f"', (1, 1), "bad \\x escape: ' f'", id="spaced-x"),
     pytest.param('"\\x4\r"', (1, 1), "bad \\x escape: '4\\r'", id="x-before-cr"),
+    pytest.param('fn main() { print("\ud800"); }', (1, 19), "lone surrogate in bytes literal",
+                 id="lone-surrogate"),
 ])
 def test_sources_outside_the_grammar_are_syntax_errors(source, pos, message):
     with pytest.raises(MiniSyntaxError) as e:

@@ -8,12 +8,14 @@ and the mini_cut backwards-range abort).
 
 import pytest
 
-from carvelift.carving import CarvedTest, Context, carve_with_stats
+from carvelift.carving import carve_with_stats
+from carvelift.errors import TypeMismatch
 from carvelift.lifting import UnmappedParameter, lift, validate
 from carvelift.mapping import build_mapping
 from carvelift.rng import Rng
 from carvelift.unitgen import ParamAssignment, fuzz_unit_with_stats
 from carvelift.vm.interp import run_system, run_with_tracing
+from carvelift.vm.trace import CarvedTest, Context
 
 from conftest import load_subject, mk_input
 
@@ -97,6 +99,9 @@ def test_decimal_matches_encode_assignments_as_decimal():
     m = build_mapping(c, origin)
     li = lift(m, ParamAssignment({"global:n": -7}, "t"), origin)
     assert li.argv == (b"len:-7",)
+    for value in (b"7", 1.5):       # a decimal match takes only an int
+        with pytest.raises(TypeMismatch):
+            lift(m, ParamAssignment({"global:n": value}, "t"), origin)
 
 
 def test_lift_without_matches_is_rejected():

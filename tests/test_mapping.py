@@ -7,10 +7,11 @@ search strategy.
 
 import pytest
 
-from carvelift.carving import CarvedTest, Context, carve_with_stats
+from carvelift.carving import carve_with_stats
 from carvelift.mapping import build_mapping, classify_leaf
 from carvelift.rng import Rng
 from carvelift.vm.interp import run_with_tracing
+from carvelift.vm.trace import CarvedTest, Context
 from carvelift.vm.values import Record, Ref
 
 from conftest import load_subject, mk_input, random_input_for

@@ -34,8 +34,8 @@ from carvelift.rng import Rng
 from carvelift.sysgen import generate_batch
 from carvelift.vm.interp import (
     RunOptions, call_function, run_system, run_with_tracing,
-    serialize_run_result,
 )
+from carvelift.vm.trace import serialize_run_result
 from carvelift.vm.values import encode_segments, encode_value
 
 from conftest import SUBJECT_NAMES, mk_input

@@ -45,7 +45,7 @@ def test_same_seed_same_stream():
 def test_registry_has_the_documented_operator_palette():
     # In order: mutate_input picks an operator by its position.
     assert [m.__name__ for m in MUTATORS] == [
-        "_bit_flip", "_byte_set", "_byte_insert", "_byte_delete",
+        "bit_flip", "_byte_set", "_byte_insert", "_byte_delete",
         "_byte_duplicate", "_chunk_swap", "_chunk_repeat", "_int_perturb",
         "_line_delete", "_line_duplicate", "_line_shuffle", "_truncate",
         "_append_ascii",

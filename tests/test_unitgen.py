@@ -9,14 +9,16 @@ import hashlib
 
 import pytest
 
-from carvelift.carving import CarvedTest, Context, carve_with_stats
+from carvelift.carving import carve_with_stats
+from carvelift.errors import TypeMismatch
 from carvelift.mapping import build_mapping
 from carvelift.rng import Rng
 from carvelift.unitgen import (
     NoParameters, UnknownParameter, ParamAssignment, apply_assignment,
     bytes_mutations, fuzz_unit_with_stats, int_mutations,
 )
-from carvelift.vm.interp import RunOptions, TypeMismatch, call_function, run_with_tracing
+from carvelift.vm.interp import RunOptions, call_function, run_with_tracing
+from carvelift.vm.trace import CarvedTest, Context
 from carvelift.vm.values import INT64_MAX, INT64_MIN, Record, Ref
 
 from conftest import load_subject, mk_input
@@ -147,26 +149,37 @@ def test_assignment_reaches_into_segments():
     assert carved.context.segments[3][1].fields["name"] == b"guest"
 
 
-def test_assignment_rejects_unknown_paths_and_wrong_types():
-    carved = bare_carve({"arg[0]": b"abc", "arg[1]": 4, "global:r": Ref(0, 0),
-                         "global:t": (1, 2)}, {0: [5]})
-    with pytest.raises(UnknownParameter):
-        apply_assignment(carved, ParamAssignment({"arg[5]": b"x"}, "t"))
+@pytest.mark.parametrize("assign,unknown", [
+    pytest.param(lambda c, values: apply_assignment(c, ParamAssignment(values, "t")),
+                 UnknownParameter, id="apply_assignment"),
+    pytest.param(lambda c, values: c.context.world(values), KeyError, id="world"),
+])
+def test_assignment_rejects_unknown_paths_and_wrong_types(assign, unknown):
+    """`Context.world` checks each assigned value; `apply_assignment`
+    only reports an unknown path as an UnknownParameter."""
+    carved = bare_carve({"arg[0]": b"abc", "arg[1]": 4, "global:n": 7,
+                         "global:r": Ref(0, 0), "global:t": (1, 2)}, {0: [5]})
+    with pytest.raises(unknown):
+        assign(carved, {"arg[5]": b"x"})
     with pytest.raises(TypeMismatch):
-        apply_assignment(carved, ParamAssignment({"arg[0]": 9}, "t"))
-    with pytest.raises(TypeMismatch):       # a bool is not an int
-        apply_assignment(carved, ParamAssignment({"arg[1]": True}, "t"))
+        assign(carved, {"arg[0]": 9})
+    with pytest.raises(TypeMismatch):       # paths are checked in sorted order
+        assign(carved, {"arg[5]": b"x", "arg[0]": 9})
+    for path in ("arg[1]", "global:n"):     # a bool or a float is not an int
+        for value in (True, 1.5):
+            with pytest.raises(TypeMismatch):
+                assign(carved, {path: value})
     for path in ("global:r", "global:t"):   # a ref and an array
         with pytest.raises(TypeMismatch):
-            apply_assignment(carved, ParamAssignment({path: 1}, "t"))
+            assign(carved, {path: 1})
     # Ints past 64 bits wrap, as the VM's arithmetic does.
     for value, wrapped in ((INT64_MAX + 1, INT64_MIN), ((1 << 64) + 5, 5),
-                           (INT64_MIN - 1, INT64_MAX)):
-        args, _ = apply_assignment(carved, ParamAssignment({"arg[1]": value}, "t"))
+                           (INT64_MIN - 1, INT64_MAX), (2 ** 70 + 3, 3)):
+        args, _ = assign(carved, {"arg[1]": value})
         assert args == [b"abc", wrapped]
     # The checks do not depend on whether the path was looked up before.
     with pytest.raises(TypeMismatch):
-        apply_assignment(carved, ParamAssignment({"arg[1]": b"x"}, "t"))
+        assign(carved, {"arg[1]": b"x"})
 
 
 ISOLATION_PROG = """

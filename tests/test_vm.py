@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from carvelift.lang.ast import SWhile, input_reading_functions, iter_stmts
+from carvelift.errors import TypeMismatch
 from carvelift.lang.errors import UnknownFunction
 from carvelift.lang.goals import enumerate_goals, goals_in_function
 from carvelift.lang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, parse
@@ -22,13 +23,12 @@ from carvelift.vm.interp import (
     DEFAULT_STEP_LIMIT,
     RunOptions,
     RunStatus,
-    TypeMismatch,
     call_function,
     run_system,
     run_with_tracing,
-    serialize_run_result,
 )
 from carvelift.vm.ops import Crash, OutOfSteps
+from carvelift.vm.trace import serialize_run_result
 from carvelift.vm.values import INT64_MIN, Record, Ref, equal, wrap64
 
 from conftest import (
