@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 
 from .carving import carve_with_stats
 from .errors import ConfigError
-from .lang.ast import ENTRY, input_reading_functions
+from .lang.ast import ENTRY
 from .lang.goals import BranchGoal, enumerate_goals, goals_in_function
 from .lifting import lift, validate
 from .mapping import MIN_MATCH_LEN, build_mapping
@@ -47,7 +47,7 @@ from .rng import Rng
 from .sysgen import generate_batch, mutate_input, write_corpus
 from .unitgen import fuzz_unit_with_stats
 from .vm.interp import (
-    DEFAULT_MAX_DUMP_BYTES, DEFAULT_STEP_LIMIT, RunOptions, run_system,
+    DEFAULT_MAX_DUMP_BYTES, DEFAULT_STEP_LIMIT, RunOptions, compiled, run_system,
     run_with_tracing,
 )
 from .vm.trace import CarvedTest, CarveStats
@@ -149,8 +149,6 @@ def _check(cfg: RunConfig, seeds) -> None:
             raise ConfigError("wall budget must be positive")
     elif cfg.deterministic_clock <= 0:
         raise ConfigError("step budget must be positive")
-    if cfg.max_dump_bytes <= 0:
-        raise ConfigError("max_dump_bytes must be positive")
     if cfg.min_match_len < 1:
         raise ConfigError("min_match_len must be at least 1")
     if cfg.n_per_seed < 1:
@@ -183,7 +181,7 @@ class _Campaign:
         # (elapsed, goal, source) in discovery order; the sources are
         # system-seed, system-gen and lift.
         self.log: list[tuple[float, BranchGoal, str]] = []
-        input_dependent = input_reading_functions(program)
+        input_dependent = compiled(program).input_dependent
         # One record per non-entry function, in name order: selection
         # reads them and the report's function rows are made from them.
         self.fns = {

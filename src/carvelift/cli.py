@@ -16,7 +16,7 @@ from pathlib import Path
 from .bundled import resolve_program, resolve_seeds
 from .campaign import MODES, RunConfig, run_campaign
 from .carving import carve_with_stats
-from .errors import ConfigError, ToolError
+from .errors import ToolError
 from .lang.goals import enumerate_goals
 from .reporting import emit_series, serialize_report
 from .sysgen import read_input_file
@@ -160,12 +160,9 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_carve(args) -> int:
-    if args.max_dump_bytes <= 0:
-        raise ConfigError("max_dump_bytes must be positive")
+    opts = RunOptions(max_dump_bytes=args.max_dump_bytes)
     program, _ = resolve_program(args.program)
-    s = read_input_file(args.input)
-    result = run_with_tracing(
-        program, s, RunOptions(max_dump_bytes=args.max_dump_bytes))
+    result = run_with_tracing(program, read_input_file(args.input), opts)
     pool = carve_with_stats(result, origin=str(args.input))[0]
     print(f"system status: {_describe(result.status)}; "
           f"{len(pool)} carves")

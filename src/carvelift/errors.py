@@ -25,5 +25,6 @@ class SubjectLoadError(ToolError):
 
 
 class TypeMismatch(ToolError):
-    """A value handed to a unit run does not fit where it goes: an
-    argument its function's signature, or an assigned leaf its kind."""
+    """A unit run was handed what does not fit: the wrong number of
+    arguments, a world that lacks a global, or an assigned leaf that is
+    not of its kind."""

@@ -1,7 +1,6 @@
 from ..errors import TypeMismatch
 from .interp import (
-    CRASH_KINDS, RunOptions, RunResult, RunStatus, call_function, run_system,
-    run_with_tracing,
+    RunOptions, RunResult, RunStatus, call_function, run_system, run_with_tracing,
 )
 from .trace import serialize_run_result
 from .values import (
@@ -10,8 +9,8 @@ from .values import (
 )
 
 __all__ = [
-    "CRASH_KINDS", "INT64_MAX", "INT64_MIN", "Record", "Ref", "RunOptions",
-    "RunResult", "RunStatus", "SegmentTable", "TypeMismatch",
+    "INT64_MAX", "INT64_MIN", "Record", "Ref", "RunOptions", "RunResult",
+    "RunStatus", "SegmentTable", "TypeMismatch",
     "call_function", "run_system", "run_with_tracing",
     "segment_byte_size", "serialize_run_result", "value_byte_size", "wrap64",
 ]

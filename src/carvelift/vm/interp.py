@@ -7,7 +7,7 @@ Three entry points:
     call_function     execute one function against a carved world
 
 A Program keeps its code from its first run on, with each function's
-argument types and the global names, so a unit execution, replayed
+arity and the global names, so a unit execution, replayed
 thousands of times from one carve, builds only its run state and
 `RunResult`, and runs that exit alike share one status.  `_Code` writes
 one Python function per mini-language function and builds them with
@@ -49,13 +49,12 @@ from functools import lru_cache
 from itertools import count
 from typing import Optional
 
-from ..errors import TypeMismatch
+from ..errors import ConfigError, TypeMismatch
 from ..inputs import SystemInput
 from ..lang.ast import (
-    ENTRY, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt, ENull,
-    ERecordLit, EUnary, EVar, Program, SExpr, SIf, SIndexSet, SLet, SReturn,
-    SWhile, TArray, TBytes, TFloat, TInt, TRef, input_reading_functions,
-    int_locals, iter_stmts, subexpressions, yields_int,
+    ENTRY, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt, ENull, ERecordLit,
+    EUnary, EVar, Program, SExpr, SIf, SIndexSet, SLet, SReturn, SWhile,
+    input_reading_functions, int_locals, iter_stmts, subexpressions, yields_int,
 )
 from ..lang.errors import UnknownFunction
 from ..lang.goals import OUTCOMES_IF, OUTCOMES_WHILE, BranchGoal
@@ -71,8 +70,6 @@ MAX_CALL_DEPTH = 256
 DEFAULT_STEP_LIMIT = 5_000_000
 DEFAULT_MAX_DUMP_BYTES = 65536
 
-CRASH_KINDS = ("oob", "div-zero", "abort", "type-error")
-
 
 @dataclass(frozen=True)
 class RunOptions:
@@ -80,6 +77,11 @@ class RunOptions:
     trace_limit: int = 500_000      # unread; kept for callers that pass it
     max_dump_bytes: int = DEFAULT_MAX_DUMP_BYTES   # per recorded call snapshot
     per_fn_cap: int = 8     # recorded calls kept per function and run
+
+    def __post_init__(self):
+        for name in ("step_limit", "max_dump_bytes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive")
 
     def unit(self) -> "RunOptions":
         """Budget for carved-unit executions: a tenth of the system budget."""
@@ -197,8 +199,8 @@ _FAST = {
 
 # ---------------------------------------------------------------- compiler
 
-def _code(program: Program) -> "_Code":
-    """`program`'s code, compiled on its first run."""
+def compiled(program: Program) -> "_Code":
+    """`program`'s code, compiled on its first use."""
     if program.compiled is None:
         program.compiled = _Code(program)
     return program.compiled
@@ -255,9 +257,7 @@ class _Code:
         for name, py in self.targets.items():   # named F1_apply_script in a profile
             self.ns[py].__code__ = self.ns[py].__code__.replace(co_name=f"{py}_{name}")
         self.functions = {name: self.ns[py] for name, py in self.targets.items()}
-        # Each function's argument types, when type() alone decides them.
-        self.kinds = {f.name: tuple(_KINDS.get(type(t)) for _, t in f.params)
-                      for f in program.functions}
+        self.arity = {f.name: len(f.params) for f in program.functions}
         self.init = self.ns["INIT"]
         del self.ns
 
@@ -581,7 +581,7 @@ def _finish(st: _State, code: _Code, name: str, args: list, init: bool,
 def _run(program: Program, system_input: SystemInput, opts: RunOptions,
          traced: bool) -> RunResult:
     started = time.perf_counter()
-    code = _code(program)
+    code = compiled(program)
     st = _State(opts, tuple(system_input.argv), system_input.stdin, {}, {})
     if traced:
         st.tracer = Tracer(opts.per_fn_cap, code.input_dependent, st.coverage)
@@ -605,18 +605,6 @@ def run_with_tracing(program: Program, system_input: SystemInput,
     return _run(program, system_input, opts, traced=True)
 
 
-_KINDS = {TInt: int, TFloat: float, TBytes: bytes, TRef: Ref, TArray: tuple}
-
-
-def _arg_fits(value, declared) -> bool:
-    kind = _KINDS.get(type(declared))
-    if kind is None:    # a record type
-        return isinstance(value, Record) and value.rtype == declared.name
-    if kind is int or kind is float:
-        return type(value) is kind
-    return isinstance(value, kind) or (kind is Ref and value is None)
-
-
 def call_function(program: Program, fn_name: str, args: list,
                   world: tuple[dict, SegmentTable],
                   opts: RunOptions = RunOptions()) -> RunResult:
@@ -630,10 +618,17 @@ def call_function(program: Program, fn_name: str, args: list,
     out of the slice to null.  Inside the call the outside world is
     empty: arg_count() is 0 and read_all_input() returns the empty
     string.
+
+    It raises UnknownFunction for a function the program lacks, and
+    TypeMismatch for the wrong number of arguments or a world that lacks
+    a global.  Like a global, an argument meets only dynamic checks.
     """
-    code = _code(program)
-    if tuple(map(type, args)) != code.kinds.get(fn_name):
-        _check_args(program, fn_name, args)
+    code = compiled(program)
+    arity = code.arity.get(fn_name)
+    if arity is None:
+        raise UnknownFunction(f"no function named {fn_name!r}")
+    if len(args) != arity:
+        raise TypeMismatch(f"{fn_name!r} takes {arity} arguments, got {len(args)}")
     started = time.perf_counter()
     globals_, segments = world
     if not globals_.keys() >= code.global_names:
@@ -641,17 +636,3 @@ def call_function(program: Program, fn_name: str, args: list,
         raise TypeMismatch(f"world is missing global {missing!r}")
     st = _State(opts, (), b"", globals_, segments)
     return _finish(st, code, fn_name, args, False, started)
-
-
-def _check_args(program: Program, fn_name: str, args: list) -> None:
-    """Raise unless `fn_name` names a function that takes `args`."""
-    fn = program.function(fn_name)
-    if fn is None:
-        raise UnknownFunction(f"no function named {fn_name!r}")
-    if len(args) != len(fn.params):
-        raise TypeMismatch(
-            f"{fn_name!r} takes {len(fn.params)} arguments, got {len(args)}")
-    for value, (pname, declared) in zip(args, fn.params):
-        if not _arg_fits(value, declared):
-            raise TypeMismatch(f"argument {pname!r} of {fn_name!r} expects {declared}, "
-                               f"got {value_type_name(value)}")

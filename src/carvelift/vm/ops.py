@@ -209,9 +209,13 @@ def _arg(st, at, i):
 
 
 def _print(st, at, v):
+    try:
+        text = render(v)
+    except TypeError as exc:    # a value outside the language
+        fail(at, "type-error", f"print of {exc}")
     if st.fuel < 0:
         spent(st)
-    st.output.extend(render(v) + b"\n")
+    st.output.extend(text + b"\n")
     return 0
 
 

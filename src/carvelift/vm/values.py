@@ -110,8 +110,9 @@ def equal(a, b) -> bool:
 
 
 def render(v) -> bytes:
-    """The text `print` writes for `v`.  Punctuation goes on the stack as
-    byte strings, which print as themselves."""
+    """The text `print` writes for `v`, or a TypeError that names the
+    type of a value in it outside the language.  Punctuation goes on the
+    stack as byte strings, which print as themselves."""
     if type(v) is not tuple and type(v) is not Record:
         return _scalar_text(v)
     out, todo = [], [v]
@@ -139,7 +140,11 @@ def _scalar_text(v) -> bytes:
         return repr(v).encode("ascii")
     if type(v) is Ref:
         return f"ref({v.seg}, {v.off})".encode("ascii")
-    return b"null" if v is None else str(v).encode("ascii")
+    if type(v) is int:
+        return str(v).encode("ascii")
+    if v is None:
+        return b"null"
+    raise TypeError(value_type_name(v))
 
 
 _TYPE_NAMES = {type(None): "null", int: "int", float: "float", bytes: "bytes",

@@ -15,6 +15,17 @@ from carvelift.vm.values import wrap64
 
 SUBJECT_NAMES = ["keycheck", "mini_dc", "mini_sed", "mini_cut", "mini_tac"]
 
+# A program whose run passes bytes to a parameter declared int: declared
+# types are not enforced, so its carves of check must replay as they ran.
+BYTES_AS_INT = """
+fn check(x: int) -> int {
+    if (x == "k3y!") { return 2; }
+    if (len(x) > 3) { return 1; }
+    return 0;
+}
+fn main() -> int { return check(read_all_input()); }
+"""
+
 
 def subject_source(name: str) -> str:
     res = importlib.resources.files("carvelift") / "subjects" / f"{name}.ml"

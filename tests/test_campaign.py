@@ -36,7 +36,7 @@ from carvelift.rng import Rng
 from carvelift.sysgen import read_corpus
 from carvelift.vm.trace import CarvedTest, Context
 
-from conftest import SUBJECT_NAMES, load_subject, mk_input
+from conftest import BYTES_AS_INT, SUBJECT_NAMES, load_subject, mk_input
 
 # five functions with 1, 2, 2, 3, 0 conditional statements
 POOL_PROG = parse("""
@@ -189,6 +189,11 @@ def test_config_validation():
         run_campaign(prog, seeds, RunConfig(n_per_seed=0))
     with pytest.raises(ConfigError):
         run_campaign(prog, [], RunConfig())
+    # Under a negative step limit a run charges the step clock negative
+    # steps, so a campaign on it would never end.
+    for bad in (dict(step_limit=0), dict(step_limit=-5), dict(max_dump_bytes=0)):
+        with pytest.raises(ConfigError, match=f"^{next(iter(bad))} must be positive$"):
+            run_campaign(prog, seeds, RunConfig(budget=1, **bad))
 
 
 # ----------------------------------------------------------- campaigns
@@ -357,6 +362,12 @@ def test_branchless_subject_finishes_with_seed_coverage_only():
     assert r.discovered == 0
     assert r.lift_stats.lift_attempts == 0
     assert r.speedup.system_executions >= 1
+
+
+def test_a_bridge_fuzzes_carves_whose_arguments_defy_their_declared_types():
+    r = run_campaign(parse(BYTES_AS_INT), [mk_input((), b"hello")],
+                     RunConfig(mode="bridge", deterministic_clock=100_000))
+    assert r.speedup.unit_executions > 0
 
 
 # ----------------------------------------------------------- tracing cut

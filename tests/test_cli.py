@@ -13,7 +13,7 @@ from carvelift.sysgen import write_input_file
 from carvelift.vm.interp import run_with_tracing
 from carvelift.vm.trace import load_snapshot, save_snapshot
 
-from conftest import load_subject, mk_input
+from conftest import BYTES_AS_INT, load_subject, mk_input
 
 
 def keycheck_seed_file(tmp_path):
@@ -157,6 +157,20 @@ def test_replay_malformed_snapshot_is_a_usage_error(tmp_path, capsys):
                      "--snapshot", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_carve_replays_with_an_argument_of_another_type(tmp_path, capsys):
+    """check(x: int) ran with bytes; its carve replays as it ran."""
+    program = tmp_path / "bytes_as_int.ml"
+    program.write_text(BYTES_AS_INT)
+    seed = tmp_path / "000.input"
+    write_input_file(seed, mk_input((), b"hello"))
+    snaps = tmp_path / "snaps"
+    assert main(["carve", "--program", str(program), "--input", str(seed),
+                 "--out", str(snaps)]) == 0
+    assert main(["replay", "--program", str(program),
+                 "--snapshot", str(snaps / "000.snap")]) == 0
+    assert "coverage matches" in capsys.readouterr().out
 
 
 REF_PROGRAM = """

@@ -632,45 +632,41 @@ def test_call_function_rejects_the_wrong_arity(args, message):
         call_function(parse(SIGNATURES), "f", args, ({"g": 3}, {}))
 
 
-@pytest.mark.parametrize("position,value,got", [
-    (0, 1.0, "float"), (0, None, "null"), (1, 1, "int"), (2, 0, "int"),
-    (3, 0, "int"), (3, b"", "bytes"), (4, Ref(0, 0), "ref"),
-    (4, Record("P", {"x": 1}), "record:P"), (5, Record("Q", {"x": 1}), "record:Q"),
-    (5, (1,), "array"),
-])
-def test_call_function_rejects_a_wrong_argument_type(position, value, got):
-    p = parse(SIGNATURES)
-    pname, declared = p.function("f").params[position]
-    args = list(GOOD_ARGS)
-    args[position] = value
-    message = f"argument '{pname}' of 'f' expects {declared}, got {got}"
-    with pytest.raises(TypeMismatch, match=f"^{re.escape(message)}$"):
-        call_function(p, "f", args, ({"g": 3}, {}))
-
-
 @pytest.mark.parametrize("position,value", [
-    (0, True), (2, bytearray(b"b")), (2, "b"), (4, [1]),
+    (0, 1.0), (0, None), (1, 1), (2, 0), (3, 0), (3, b""), (4, Ref(0, 0)),
+    (4, Record("P", {"x": 1})), (5, Record("Q", {"x": 1})), (5, (1,)),
 ])
-def test_call_function_rejects_a_python_value_outside_the_language(position, value):
+def test_call_function_runs_an_argument_of_another_type(position, value):
+    """Declared types are not enforced: a replay runs with the arguments
+    its carve recorded, whatever their types."""
     args = list(GOOD_ARGS)
     args[position] = value
-    with pytest.raises(TypeMismatch, match=f", got Python {type(value).__name__}$"):
-        call_function(parse(SIGNATURES), "f", args, ({"g": 3}, {}))
+    r = call_function(parse(SIGNATURES), "f", args, ({"g": 3}, {}))
+    assert (r.status.kind, r.return_value) == ("exit", 3)
 
 
-@pytest.mark.parametrize("value", [True, "x", [1]])
+@pytest.mark.parametrize("where", ["global", "argument"])
+@pytest.mark.parametrize("value", [True, "x", [1], "\u00e9", bytearray(b"b")])
 @pytest.mark.parametrize("body,message", [
     ("return len(a);", "len of Python {}"),
     ("if (a) { return 1; } return 0;", "condition must be int, got Python {}"),
     ("return a == a;", "== on Python {0} and Python {0}"),
     ("return a != a;", "!= on Python {0} and Python {0}"),
+    ("print(a); return 0;", "print of Python {}"),
 ])
 def test_a_global_holding_a_python_value_outside_the_language_is_a_type_error(
-        body, message, value):
-    p = parse(f"global a: int = 0;\nfn f() -> int {{ {body} }}\nfn main() {{ }}")
-    r = call_function(p, "f", [], ({"a": value}, {}))
-    assert (r.status.crash_kind, r.status.crash_fn, r.status.message) == (
-        "type-error", "f", message.format(type(value).__name__))
+        body, message, value, where):
+    """A hand-built world or argument list can hold a Python value the
+    language lacks: it is a type-error where it is used, never an
+    exception out of the run."""
+    if where == "global":
+        p = parse(f"global a: int = 0;\nfn f() -> int {{ {body} }}\nfn main() {{ }}")
+        r = call_function(p, "f", [], ({"a": value}, {}))
+    else:
+        p = parse(f"fn f(a: int) -> int {{ {body} }}\nfn main() {{ }}")
+        r = call_function(p, "f", [value], ({}, {}))
+    assert (r.status.crash_kind, r.status.crash_fn, r.status.message, r.output) == (
+        "type-error", "f", message.format(type(value).__name__), b"")
 
 
 def test_call_function_rejects_a_world_missing_a_global():
