@@ -19,7 +19,9 @@ traced and carved: nothing carved after that point could be fuzzed.
 
 Budgets are charged on one of two clocks: wall time for real runs, or
 an exact count of VM steps (every system and unit execution included)
-for reproducible runs.
+for reproducible runs.  The VM is deterministic, so a system input the
+campaign has already run is not run again untraced: the repeat is
+charged the steps of its first run.
 """
 
 from __future__ import annotations
@@ -198,6 +200,13 @@ class _Campaign:
         self.series: list[tuple[float, float]] = []
         self.carve_totals: dict[str, int] = {
             k: 0 for k in asdict(CarveStats())}
+        # The steps of each system input run so far, by (argv, stdin).
+        # The VM is deterministic and the run options are fixed, so an
+        # untraced repeat is charged these steps instead of running again.
+        self.steps_of: dict[tuple, int] = {}
+        # Executions charged, repeats included; sys_walls holds one wall
+        # time per run that executed.
+        self.system_executions = 0
         self.sys_walls: list[float] = []
         self.unit_walls: list[float] = []
         self.lift = LiftStats()
@@ -249,10 +258,22 @@ class _Campaign:
     # -- execution
 
     def run_one(self, s, origin_id: str, source: str) -> None:
-        if self.cfg.mode == "bridge" and self.selectable():
-            result = run_with_tracing(self.program, s, self.opts)
-        else:
-            result = run_system(self.program, s, self.opts)
+        """Run `s` and take what it covered, and its carves when traced.
+
+        An untraced repeat of an input already run is charged and counted
+        but not run: its goals were recorded the first time.  A traced
+        run always runs, for its carves.
+        """
+        key = (tuple(s.argv), s.stdin)
+        self.system_executions += 1
+        traced = self.cfg.mode == "bridge" and self.selectable()
+        if not traced and key in self.steps_of:
+            self.clock.charge(self.steps_of[key])
+            self.point()
+            return
+        result = (run_with_tracing if traced else run_system)(
+            self.program, s, self.opts)
+        self.steps_of[key] = result.steps
         self.clock.charge(result.steps)
         self.sys_walls.append(result.wall_time_s)
         self.record(result.coverage, source)
@@ -315,6 +336,8 @@ class _Campaign:
             # Recorded before the run's steps are charged: on the step
             # clock a lift goal carries the time its validating run began.
             self.record(out.discovered, "lift")
+            self.steps_of[tuple(lifted.argv), lifted.stdin] = out.steps
+            self.system_executions += 1
             self.clock.charge(out.steps)
             self.sys_walls.append(out.wall_time_s)
             self.point()
@@ -393,7 +416,7 @@ class _Campaign:
             carve_stats=dict(self.carve_totals),
             lift_stats=self.lift,
             speedup=SpeedupStats(
-                system_executions=len(self.sys_walls),
+                system_executions=self.system_executions,
                 unit_executions=self.lift.unit_executions,
                 median_system_ms=med_sys * 1000.0,
                 median_unit_ms=med_unit * 1000.0,

@@ -616,12 +616,11 @@ def call_function(program: Program, fn_name: str, args: list,
     ("dangling reference") where the callee dereferences it, as in any
     run; a carve's context never holds one, since truncation severs refs
     out of the slice to null.  Inside the call the outside world is
-    empty: arg_count() is 0 and read_all_input() returns the empty
-    string.
+    empty: arg_count() is 0 and read_all_input() returns b"".
 
     It raises UnknownFunction for a function the program lacks, and
-    TypeMismatch for the wrong number of arguments or a world that lacks
-    a global.  Like a global, an argument meets only dynamic checks.
+    TypeMismatch for the wrong arity, an int argument outside 64 bits or
+    a world without a global.  Otherwise arguments meet dynamic checks only.
     """
     code = compiled(program)
     arity = code.arity.get(fn_name)
@@ -629,10 +628,11 @@ def call_function(program: Program, fn_name: str, args: list,
         raise UnknownFunction(f"no function named {fn_name!r}")
     if len(args) != arity:
         raise TypeMismatch(f"{fn_name!r} takes {arity} arguments, got {len(args)}")
+    for a in args:
+        if type(a) is int and not INT64_MIN <= a <= INT64_MAX:
+            raise TypeMismatch(f"{fn_name!r} got an int outside the signed 64-bit range")
     started = time.perf_counter()
-    globals_, segments = world
-    if not globals_.keys() >= code.global_names:
-        missing = next(g.name for g in program.globals if g.name not in globals_)
+    if not world[0].keys() >= code.global_names:
+        missing = next(g.name for g in program.globals if g.name not in world[0])
         raise TypeMismatch(f"world is missing global {missing!r}")
-    st = _State(opts, (), b"", globals_, segments)
-    return _finish(st, code, fn_name, args, False, started)
+    return _finish(_State(opts, (), b"", *world), code, fn_name, args, False, started)

@@ -10,6 +10,7 @@ control flow.
 import hashlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 from dataclasses import replace
@@ -558,3 +559,78 @@ def test_reports_do_not_depend_on_the_hash_seed():
         assert proc.returncode == 0, proc.stderr[-2000:]
         outputs.append(proc.stdout.split())
     assert len(outputs[0]) == 2 and outputs[0] == outputs[1]
+
+
+# ----------------------------------------------------------- step memo
+
+def log_system_runs(monkeypatch):
+    """Log each system run that executes, as ("run", key, kind, wall), and
+    each run_one request answered without one, as ("answered", key, None,
+    None).  A key is the input's (argv, stdin); kind is traced, untraced
+    or validation."""
+    import carvelift.lifting as lifting_module
+    log = []
+
+    def logged(module, attr, kind):
+        fn = getattr(module, attr)
+
+        def wrapper(program, s, *args, **kwargs):
+            r = fn(program, s, *args, **kwargs)
+            log.append(("run", (tuple(s.argv), s.stdin), kind, r.wall_time_s))
+            return r
+        monkeypatch.setattr(module, attr, wrapper)
+
+    logged(campaign_module, "run_system", "untraced")
+    logged(campaign_module, "run_with_tracing", "traced")
+    logged(lifting_module, "run_system", "validation")
+    run_one = campaign_module._Campaign.run_one
+
+    def logged_run_one(self, s, *args):
+        before = len(log)
+        run_one(self, s, *args)
+        if len(log) == before:
+            log.append(("answered", (tuple(s.argv), s.stdin), None, None))
+    monkeypatch.setattr(campaign_module._Campaign, "run_one", logged_run_one)
+    return log
+
+
+# The golden campaigns in which a repeat is answered by the steps of a
+# validation run: an effective lift that run_one re-runs untraced.
+ANSWERED_BY_VALIDATION = {("mini_cut", "bridge"): 1}
+
+
+@pytest.mark.parametrize("name,mode", sorted(GOLDEN_DIGESTS))
+def test_no_input_runs_untraced_twice_in_a_campaign(name, mode, monkeypatch):
+    log = log_system_runs(monkeypatch)
+    program, name = resolve_program(name)
+    cfg = RunConfig(mode=mode, deterministic_clock=GOLDEN_CLOCK, rng_seed=7)
+    report = run_campaign(program, resolve_seeds(None, name), cfg,
+                          program_name=name)
+    first_run: dict = {}    # key -> the kind of its first run
+    for event, key, kind, _ in log:
+        if event == "run":
+            assert kind != "untraced" or key not in first_run
+            first_run.setdefault(key, kind)
+        else:   # charged the steps of an earlier run
+            assert key in first_run
+    executed = [e for e in log if e[0] == "run"]
+    answered = [e for e in log if e[0] == "answered"]
+    assert report.speedup.system_executions == len(executed) + len(answered)
+    assert sum(first_run[e[1]] == "validation" for e in answered) == (
+        ANSWERED_BY_VALIDATION.get((name, mode), 0))
+    if mode == "system-only":
+        assert answered
+
+
+def test_wall_times_cover_only_the_runs_that_executed(monkeypatch):
+    log = log_system_runs(monkeypatch)
+    program, name = resolve_program("mini_cut")
+    report = run_campaign(program, resolve_seeds(None, name),
+                          RunConfig(mode="system-only", budget=0.2),
+                          program_name=name)
+    walls = [e[3] for e in log if e[0] == "run"]
+    answered = sum(e[0] == "answered" for e in log)
+    assert answered > 0
+    assert report.speedup.system_executions == len(walls) + answered
+    assert report.speedup.median_system_ms == statistics.median(walls) * 1000.0
+    assert report.system_wall_total_s == pytest.approx(sum(walls))

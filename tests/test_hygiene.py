@@ -7,7 +7,9 @@ on purpose carries a `# noqa: F401` marker, and only a name the
 benchmark's span tracer wraps may be kept so.  What a package does export,
 its `__all__`, must name only what it defines.  A field of a record one
 stage hands the next must be read somewhere, or no stage needs it.  The
-VM (`vm/interp.py` and `vm/ops.py`) stays within its line budget.
+VM (`vm/interp.py` and `vm/ops.py`) stays within its line budget.  Only
+`_Campaign.run_one` runs a system input in `campaign.py`, so every run
+goes through its step memo.
 """
 
 import ast
@@ -145,3 +147,52 @@ def test_the_vm_stays_within_its_line_budget():
     lines = sum(len((PACKAGE / "vm" / name).read_text().splitlines())
                 for name in ("interp.py", "ops.py"))
     assert lines <= VM_LINE_BUDGET
+
+
+# ---------------------------------------------------------------- step memo
+
+SYSTEM_RUNS = {"run_system", "run_with_tracing"}
+
+
+def system_run_references(text):
+    """The qualified name of the function or class around each reference
+    to run_system or run_with_tracing, "<module>" outside any; a lambda
+    counts as the function it is in.  Referring is enough: a function
+    that takes one of them as a value can call it."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id in SYSTEM_RUNS
+                    or isinstance(child, ast.Attribute) and child.attr in SYSTEM_RUNS):
+                found.append(scope or "<module>")
+            visit(child, scope)
+    visit(ast.parse(text), "")
+    return found
+
+
+def test_reference_scanner_names_each_scope():
+    text = (
+        "from x import run_system, run_with_tracing\n"
+        "class C:\n"
+        "    def run_one(self, s):\n"
+        "        return (run_with_tracing if s else run_system)(s)\n"
+        "    def other(self, s):\n"
+        "        f = lambda: m.run_system(s)\n"
+        "def g():\n"
+        "    return run_system\n"
+        "h = run_with_tracing\n"
+    )
+    assert system_run_references(text) == [
+        "C.run_one", "C.run_one", "C.other", "g", "<module>"]
+
+
+def test_only_run_one_runs_a_system_input_in_the_campaign():
+    """A run outside `_Campaign.run_one` would bypass its step memo and
+    could run an input the campaign has already run.  (A lift's
+    validation runs in lifting.py; fuzz_round stores its steps.)"""
+    found = system_run_references((PACKAGE / "campaign.py").read_text())
+    assert sorted(set(found)) == ["_Campaign.run_one"]

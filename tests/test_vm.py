@@ -678,6 +678,19 @@ def test_call_function_rejects_a_world_missing_a_global():
         call_function(p, "f", [], ({}, {}))
 
 
+@pytest.mark.parametrize("value", [2**70, 10**5000, 2**63, -2**63 - 1],
+                         ids=["2**70", "10**5000", "2**63", "-2**63-1"])
+def test_call_function_rejects_an_int_argument_no_run_can_hold(value):
+    """A hand-built argument outside 64 bits is refused before the call:
+    printed, 2**70 would show a value no run holds, and 10**5000 has
+    more digits than Python converts to text."""
+    p = parse("fn f(x: int) -> int { print(x); return 0; }\nfn main() { }")
+    with pytest.raises(TypeMismatch, match="'f' got an int outside the signed 64-bit range"):
+        call_function(p, "f", [value], ({}, {}))
+    for edge in (-2**63, 2**63 - 1):
+        assert call_function(p, "f", [edge], ({}, {})).output == b"%d\n" % edge
+
+
 def test_call_function_dangling_ref_is_a_unit_crash():
     """A ref into a segment the world lacks crashes where it is read."""
     prog = load_subject("keycheck")
