@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import carvelift.campaign as campaign_module
+import carvelift.lifting as lifting_module
 from carvelift.bundled import resolve_program, resolve_seeds
 from carvelift.campaign import (
     FunctionState,
@@ -568,7 +569,6 @@ def log_system_runs(monkeypatch):
     each run_one request answered without one, as ("answered", key, None,
     None).  A key is the input's (argv, stdin); kind is traced, untraced
     or validation."""
-    import carvelift.lifting as lifting_module
     log = []
 
     def logged(module, attr, kind):
