@@ -1,7 +1,9 @@
 """AST for the bundled mini-language.
 
 Programs are a flat list of record declarations, global declarations, and
-function definitions.  Statements carry a program-wide id assigned by
+function definitions.  A declared type is kept as its canonical text
+(`int`, `ref [P]`, `[[int]]`): no stage reads more of it than the one
+record it may name.  Statements carry a program-wide id assigned by
 pre-order traversal after parsing; branch goals are keyed on those ids, so
 they are stable across reparses of the same source.
 """
@@ -17,55 +19,6 @@ class Pos(NamedTuple):
     col: int
 
 
-# ---------------------------------------------------------------- types
-
-@dataclass(frozen=True)
-class Type:
-    pass
-
-
-@dataclass(frozen=True)
-class TInt(Type):
-    def __str__(self) -> str:
-        return "int"
-
-
-@dataclass(frozen=True)
-class TFloat(Type):
-    def __str__(self) -> str:
-        return "float"
-
-
-@dataclass(frozen=True)
-class TBytes(Type):
-    def __str__(self) -> str:
-        return "bytes"
-
-
-@dataclass(frozen=True)
-class TArray(Type):
-    elem: Type
-
-    def __str__(self) -> str:
-        return f"[{self.elem}]"
-
-
-@dataclass(frozen=True)
-class TRef(Type):
-    elem: Type
-
-    def __str__(self) -> str:
-        return f"ref {self.elem}"
-
-
-@dataclass(frozen=True)
-class TRecord(Type):
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
 # ---------------------------------------------------------------- expressions
 
 @dataclass
@@ -74,23 +27,9 @@ class Expr:
 
 
 @dataclass
-class EInt(Expr):
-    value: int
-
-
-@dataclass
-class EFloat(Expr):
-    value: float
-
-
-@dataclass
-class EBytes(Expr):
-    value: bytes
-
-
-@dataclass
-class ENull(Expr):
-    pass
+class ELit(Expr):
+    """An int, float or bytes literal, or null (None)."""
+    value: int | float | bytes | None
 
 
 @dataclass
@@ -195,14 +134,14 @@ class SExpr(Stmt):
 @dataclass
 class RecordDef:
     name: str
-    fields: list[tuple[str, Type]]
+    fields: list[tuple[str, str]]
     pos: Pos
 
 
 @dataclass
 class GlobalDef:
     name: str
-    type: Type
+    type: str
     init: Expr
     pos: Pos
 
@@ -210,8 +149,8 @@ class GlobalDef:
 @dataclass
 class FunctionDef:
     name: str
-    params: list[tuple[str, Type]]
-    ret: Optional[Type]
+    params: list[tuple[str, str]]
+    ret: Optional[str]
     body: list[Stmt]
     pos: Pos
 
@@ -337,7 +276,8 @@ def yields_int(e: Expr, ints) -> bool:
             or yields_int(e.right, ints)
     if isinstance(e, EUnary):
         return e.op == "!" or yields_int(e.operand, ints)
-    return isinstance(e, EInt) or (isinstance(e, EVar) and e.name in ints) or (
+    return (isinstance(e, ELit) and type(e.value) is int) or (
+        isinstance(e, EVar) and e.name in ints) or (
         isinstance(e, ECall) and e.name in _INT_BUILTINS)
 
 

@@ -3,17 +3,17 @@
 Declarations and statements are parsed by recursive descent, binary
 operators by precedence climbing over one table, ``PRECEDENCE``, which
 the printer reads too; an else-if chain is parsed in a loop, link by
-link.  ``parse`` is pure: the same source text always yields the same
-Program, with the same statement ids, or raises the same diagnostic.
+link, and a declared type too, prefix by prefix.  ``parse`` is pure:
+the same source text always yields the same Program, with the same
+statement ids, or raises the same diagnostic.
 """
 
 from __future__ import annotations
 
 from .ast import (
-    ENTRY, EArrayLit, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt,
-    ENull, ERecordLit, EUnary, EVar, Expr, FunctionDef, GlobalDef, Pos, Program,
-    RecordDef, SAssign, SExpr, SIf, SIndexSet, SLet, SReturn, SWhile, Stmt,
-    TArray, TBytes, TFloat, TInt, TRecord, TRef, Type,
+    ENTRY, EArrayLit, EBinary, ECall, EField, EIndex, ELit, ERecordLit, EUnary,
+    EVar, Expr, FunctionDef, GlobalDef, Pos, Program, RecordDef, SAssign, SExpr,
+    SIf, SIndexSet, SLet, SReturn, SWhile, Stmt,
     iter_stmts, number_statements, stmt_exprs, subexpressions, walk_expr,
 )
 from .errors import DuplicateDefinition, MiniSyntaxError, UnresolvedReference
@@ -45,6 +45,9 @@ PRECEDENCE = {
     "*": 5, "/": 5, "%": 5,
 }
 _COMPARISON, _TIGHTEST = PRECEDENCE["<"], max(PRECEDENCE.values())
+
+# The keywords that name a type; any other base type names a record.
+_BASE_TYPES = ("int", "float", "bytes")
 
 # How deep a program may nest (docs/minilang.md).  vm/interp.py compiles
 # each function to Python, which allows 20 nested loops and 99 levels of
@@ -175,24 +178,20 @@ class _Parser:
         body = self.block()
         return FunctionDef(name, params, ret, body, pos)
 
-    def type_expr(self) -> Type:
-        t = self.peek()
-        if self.accept("keyword", "int"):
-            return TInt()
-        if self.accept("keyword", "float"):
-            return TFloat()
-        if self.accept("keyword", "bytes"):
-            return TBytes()
-        if self.accept("keyword", "ref"):
-            return TRef(self.type_expr())
-        if self.accept("punct", "["):
-            elem = self.type_expr()
+    def type_expr(self) -> str:
+        """A declared type, as its canonical text: `ref` and `[` prefixes,
+        a base type, then a `]` for each `[`.  It is read in a loop, so
+        it may nest to any depth."""
+        prefix = ""
+        while t := self.accept("keyword", "ref") or self.accept("punct", "["):
+            prefix += "ref " if t.text == "ref" else "["
+        t = self.next()
+        if t.kind != "ident" and t.text not in _BASE_TYPES:
+            raise MiniSyntaxError(t.pos, f"expected a type, found {t.text or t.kind!r}")
+        closers = "]" * prefix.count("[")
+        for _ in closers:
             self.expect("punct", "]")
-            return TArray(elem)
-        if t.kind == "ident":
-            self.next()
-            return TRecord(t.text)
-        raise MiniSyntaxError(t.pos, f"expected a type, found {t.text or t.kind!r}")
+        return prefix + t.text + closers
 
     # ---------------------------------------------------------- statements
 
@@ -313,17 +312,11 @@ class _Parser:
 
     def primary_expr(self) -> Expr:
         t = self.peek()
-        if t.kind == "int":
+        if t.kind in ("int", "float", "bytes"):
             self.next()
-            return EInt(t.pos, t.value)
-        if t.kind == "float":
-            self.next()
-            return EFloat(t.pos, t.value)
-        if t.kind == "bytes":
-            self.next()
-            return EBytes(t.pos, t.value)
+            return ELit(t.pos, t.value)
         if self.accept("keyword", "null"):
-            return ENull(t.pos)
+            return ELit(t.pos, None)
         if self.accept("punct", "("):
             e = self.expr()
             self.expect("punct", ")")
@@ -367,11 +360,12 @@ def _check_duplicates(program: Program) -> None:
                 raise DuplicateDefinition(fn.pos, f"duplicate parameter {p!r} in {fn.name!r}")
 
 
-def _check_types_resolve(program: Program, ty: Type, pos: Pos) -> None:
-    if isinstance(ty, TRecord) and program.record(ty.name) is None:
-        raise UnresolvedReference(pos, f"unknown record type {ty.name!r}")
-    if isinstance(ty, (TArray, TRef)):
-        _check_types_resolve(program, ty.elem, pos)
+def _check_types_resolve(program: Program, ty: str, pos: Pos) -> None:
+    """A declared type names a record only as its base, the word after
+    its prefixes."""
+    name = ty.split()[-1].strip("[]")
+    if name not in _BASE_TYPES and program.record(name) is None:
+        raise UnresolvedReference(pos, f"unknown record type {name!r}")
 
 
 def _check_expr(program: Program, e: Expr, bound: set[str], fn_names: set[str],

@@ -12,10 +12,12 @@ block instead.
 
 from __future__ import annotations
 
+from decimal import Decimal
+from math import inf
+
 from .ast import (
-    EArrayLit, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt, ENull,
-    ERecordLit, EUnary, EVar, Expr, Program, SAssign, SExpr, SIf,
-    SIndexSet, SLet, SReturn, SWhile, Stmt,
+    EArrayLit, EBinary, ECall, EField, EIndex, ELit, ERecordLit, EUnary, EVar,
+    Expr, Program, SAssign, SExpr, SIf, SIndexSet, SLet, SReturn, SWhile, Stmt,
 )
 from .lexer import ESCAPES
 from .parser import MAX_ELSE_IF, PRECEDENCE
@@ -27,19 +29,24 @@ _ESCAPED = {v[0]: "\\" + k.decode() for k, v in ESCAPES.items() if k != b"0"}
 _SPELLING = [_ESCAPED.get(b, chr(b) if 0x20 <= b < 0x7F else f"\\x{b:02x}") for b in range(256)]
 
 
-def _bytes_literal(b: bytes) -> str:
-    return '"' + "".join([_SPELLING[byte] for byte in b]) + '"'
+def _literal(v) -> str:
+    if v is None:
+        return "null"
+    if type(v) is bytes:
+        return '"' + "".join([_SPELLING[byte] for byte in v]) + '"'
+    if type(v) is int:      # a negative one as the literal it wraps from
+        return str(v % (1 << 64))
+    if v == inf:    # a literal that overflows to it again
+        return "1" + "0" * 309 + ".0"
+    # The lexer reads only digits.digits: repr's shortest digits, written
+    # positionally.
+    text = f"{Decimal(repr(v)):f}"
+    return text if "." in text else text + ".0"
 
 
 def _expr(e: Expr, parent_prec: int = 0) -> str:
-    if isinstance(e, EInt):     # a negative one as the literal it wraps from
-        return str(e.value % (1 << 64))
-    if isinstance(e, EFloat):
-        return repr(e.value)
-    if isinstance(e, EBytes):
-        return _bytes_literal(e.value)
-    if isinstance(e, ENull):
-        return "null"
+    if isinstance(e, ELit):
+        return _literal(e.value)
     if isinstance(e, EVar):
         return e.name
     if isinstance(e, EUnary):

@@ -52,8 +52,8 @@ from typing import Optional
 from ..errors import ConfigError, TypeMismatch
 from ..inputs import SystemInput
 from ..lang.ast import (
-    ENTRY, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt, ENull, ERecordLit,
-    EUnary, EVar, Program, SExpr, SIf, SIndexSet, SLet, SReturn, SWhile,
+    ENTRY, EBinary, ECall, EField, EIndex, ELit, ERecordLit, EUnary, EVar, Program,
+    SExpr, SIf, SIndexSet, SLet, SReturn, SWhile,
     input_reading_functions, int_locals, iter_stmts, subexpressions, yields_int,
 )
 from ..lang.errors import UnknownFunction
@@ -366,7 +366,7 @@ class _Code:
             self.line(fast)
             return self.pure("else: " + slow)
         value = (self.node(s.value, 2) if s.value is not None
-                 else self.node(ENull(s.pos), 1))   # a bare return
+                 else self.node(ELit(s.pos, None), 1))   # a bare return
         self.release(value)
         if cls is SReturn:
             return self.line(f"st.depth -= 1; return {value}")
@@ -430,10 +430,8 @@ class _Code:
         """The atom of `e` when nothing can observe reading it (a
         constant, a local bound here), else None."""
         cls = type(e)
-        if cls is EInt or cls is EFloat or cls is EBytes:
+        if cls is ELit:
             return repr(e.value)
-        if cls is ENull:
-            return "None"
         if cls is EVar and e.name in self.bound:
             return self.local(e.name)
         return None
@@ -459,7 +457,7 @@ class _Code:
 
     def compound(self, e, k) -> str:
         at, cls = self.at, type(e)
-        if cls is EUnary and type(e.operand) is EInt:   # a constant
+        if cls is EUnary and type(e.operand) is ELit and type(e.operand.value) is int:
             self.pending += k + 1
             v = e.operand.value
             return str(wrap64(-v) if e.op == "-" else 0 if v != 0 else 1)

@@ -5,9 +5,8 @@ import pytest
 
 from carvelift.inputs import SystemInput
 from carvelift.lang.ast import (
-    EArrayLit, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt, ENull,
-    ERecordLit, EUnary, EVar, SAssign, SExpr, SIf, SIndexSet, SLet, SReturn,
-    SWhile,
+    EArrayLit, EBinary, ECall, EField, EIndex, ELit, ERecordLit, EUnary, EVar,
+    SAssign, SExpr, SIf, SIndexSet, SLet, SReturn, SWhile,
 )
 from carvelift.lang.goals import BranchGoal
 from carvelift.lang.parser import parse
@@ -207,12 +206,10 @@ class NaiveCounter:
 
     def ev(self, e, frame):
         cls = type(e)
-        if cls in (EInt, EFloat, EBytes):
+        if cls is ELit:
             return e.value
         if cls is EVar:
             return frame[e.name] if e.name in frame else self.globals[e.name]
-        if cls is ENull:
-            return None
         if cls is EUnary:
             v = self.ev(e.operand, frame)
             if e.op == "-":

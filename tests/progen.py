@@ -19,18 +19,17 @@ from __future__ import annotations
 
 from carvelift.inputs import SystemInput
 from carvelift.lang.ast import (
-    EArrayLit, EBinary, EBytes, ECall, EField, EFloat, EIndex, EInt, ENull,
-    ERecordLit, EUnary, EVar, FunctionDef, GlobalDef, Pos, Program,
-    RecordDef, SAssign, SExpr, SIf, SIndexSet, SLet, SReturn, SWhile, TArray,
-    TBytes, TFloat, TInt, TRecord, TRef,
+    EArrayLit, EBinary, ECall, EField, EIndex, ELit, ERecordLit, EUnary, EVar,
+    FunctionDef, GlobalDef, Pos, Program, RecordDef, SAssign, SExpr, SIf,
+    SIndexSet, SLet, SReturn, SWhile,
 )
 from carvelift.lang.pretty import pretty_print
 
 P0 = Pos(1, 1)
 INT64_MAX = 2 ** 63 - 1
-TYPES = {"int": TInt(), "float": TFloat(), "bytes": TBytes(),
-         "ref": TRef(TInt()), "arr": TArray(TInt()), "P": TRecord("P")}
-RECORDS = [RecordDef("P", [("x", TInt()), ("s", TBytes())], P0)]
+TYPES = {"int": "int", "float": "float", "bytes": "bytes",
+         "ref": "ref int", "arr": "[int]", "P": "P"}
+RECORDS = [RecordDef("P", [("x", "int"), ("s", "bytes")], P0)]
 COMPARISONS = ["<", "<=", ">", ">=", "==", "!="]
 WORDS = [b"", b"a", b"ab", b"key", b"0", b"-12", b"x\n\"y\\", b"\x00\xff"]
 
@@ -40,7 +39,7 @@ def v(name):
 
 
 def i(n):
-    return EInt(P0, n) if n >= 0 else EUnary(P0, "-", EInt(P0, -n))
+    return ELit(P0, n) if n >= 0 else EUnary(P0, "-", ELit(P0, -n))
 
 
 def b(op, left, right):
@@ -96,8 +95,8 @@ class _Gen:
         if ty == "float":
             if d > 0 and self.chance(2):
                 return b(self.pick("+-*/%"), self.expr("float", scope, d - 1),
-                         EFloat(P0, self.pick([0.5, 2.25, 3.0, 1e-3])))
-            return EFloat(P0, self.pick([0.5, 1.5, 7.25, 1024.0]))
+                         ELit(P0, self.pick([0.5, 2.25, 3.0, 1e-3])))
+            return ELit(P0, self.pick([0.5, 1.5, 7.25, 1024.0]))
         if ty == "bytes":
             if d > 0:
                 r = self.rng.randrange(4)
@@ -107,9 +106,9 @@ class _Gen:
                 if r == 1:
                     return call("to_string", self.int_expr(scope, d - 1))
                 if r == 2:
-                    s = call("concat", self.expr("bytes", scope, d - 1), EBytes(P0, b"."))
+                    s = call("concat", self.expr("bytes", scope, d - 1), ELit(P0, b"."))
                     return call("slice", s, i(0), nat(self.int_expr(scope, d - 1), call("len", s)))
-            return EBytes(P0, self.pick(WORDS))
+            return ELit(P0, self.pick(WORDS))
         if ty == "ref":
             new = call("alloc_array", i(self.rng.randint(3, 6)), self.int_expr(scope, d - 1))
             if self.chance(3):
@@ -120,7 +119,7 @@ class _Gen:
         if ty == "P":
             return ERecordLit(P0, "P", [("x", self.int_expr(scope, d - 1)),
                                         ("s", self.expr("bytes", scope, d - 1))][::self.pick([1, -1])])
-        return ENull(P0)
+        return ELit(P0, None)
 
     def int_expr(self, scope, d):
         rng = self.rng
@@ -145,7 +144,7 @@ class _Gen:
         if r == 9:
             return call("len", self.expr(self.pick(["bytes", "ref", "arr"]), scope, d - 1))
         if r == 10:
-            s = call("concat", self.expr("bytes", scope, d - 1), EBytes(P0, b"!"))
+            s = call("concat", self.expr("bytes", scope, d - 1), ELit(P0, b"!"))
             return call("byte_at", s, nat(sub(), call("len", s)))
         if r == 11:
             return EIndex(P0, self.expr(self.pick(["ref", "arr"]), scope, d - 1),
@@ -177,8 +176,8 @@ class _Gen:
             lambda: SExpr(P0, call("abort", self.expr("bytes", scope, 1))),
             lambda: SLet(P0, self.fresh("z"), b("/", i(1), b("-", i(3), i(3)))),
             lambda: SLet(P0, self.fresh("z"), EIndex(P0, EArrayLit(P0, [i(1)]), i(4))),
-            lambda: SLet(P0, self.fresh("z"), b("+", i(1), EBytes(P0, b"s"))),
-            lambda: SLet(P0, self.fresh("z"), EField(P0, ENull(P0), "x")),
+            lambda: SLet(P0, self.fresh("z"), b("+", i(1), ELit(P0, b"s"))),
+            lambda: SLet(P0, self.fresh("z"), EField(P0, ELit(P0, None), "x")),
             lambda: SExpr(P0, call("rec", i(300), i(0))),
             lambda: SExpr(P0, call("alloc_array", i(-1), i(0))),
         ])()
@@ -254,7 +253,7 @@ class _Gen:
 
     def program(self) -> Program:
         rng = self.rng
-        globals_ = [GlobalDef("g0", TInt(), i(rng.randrange(50)), P0)]
+        globals_ = [GlobalDef("g0", "int", i(rng.randrange(50)), P0)]
         self.globals["g0"] = "int"
         for n in range(1, rng.randint(2, 4)):
             ty = self.pick(["int", "bytes", "ref", "P", "float"])
@@ -265,7 +264,7 @@ class _Gen:
         rec_scope = {**self.globals, "n": "int", "acc": "int"}
         rec_body, _ = self.block(rec_scope, 1, 1, rng.randint(1, 2))
         self.functions.append(FunctionDef(
-            "rec", [("n", TInt()), ("acc", TInt())], TInt(),
+            "rec", [("n", "int"), ("acc", "int")], "int",
             [SIf(P0, b("<=", v("n"), i(0)), [SReturn(P0, v("acc"))], None)] + rec_body
             + [SReturn(P0, call("rec", b("-", v("n"), i(1)),
                                 b("+", v("acc"), self.int_expr(rec_scope, 1))))], P0))
@@ -279,17 +278,17 @@ class _Gen:
             heavy = any(isinstance(s, SWhile) for s in body) or self.names - names_before > 8
             name = f"f{n}"
             self.functions.append(FunctionDef(
-                name, [(p, TYPES[t]) for p, t in params], TInt(), body, P0))
+                name, [(p, TYPES[t]) for p, t in params], "int", body, P0))
             self.sigs[name] = ([t for _, t in params], heavy)
         scope = {**self.globals, "a": "bytes", "k": "int", "s": "bytes"}
         main = [SLet(P0, "a", call("arg", i(0))),
                 SLet(P0, "s", call("read_all_input")),
                 SLet(P0, "k", b("+", b("*", call("len", v("a")), i(7)),
-                                call("byte_at", call("concat", v("a"), EBytes(P0, b"!")), i(0)))),
+                                call("byte_at", call("concat", v("a"), ELit(P0, b"!")), i(0)))),
                 SExpr(P0, call("print", call("rec", b("%", v("k"), i(6)), call("arg_count"))))]
         body, _ = self.block(scope, 3, 0, rng.randint(4, 8))
         main += body + [SReturn(P0, b("%", self.int_expr(scope, 2), i(256)))]
-        self.functions.append(FunctionDef("main", [], TInt(), main, P0))
+        self.functions.append(FunctionDef("main", [], "int", main, P0))
         return Program(RECORDS, globals_, self.functions)
 
 

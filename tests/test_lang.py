@@ -161,6 +161,10 @@ ROUND_TRIP_SOURCES = {
         else_if_chain(MAX_ELSE_IF - 1) + "    else { if (k == 200) { print(1); }"
         " else if (k == 201) { print(2); } }\n"),
     **{f"generated-{n}": source for n, source in enumerate(generated_sources(5))},
+    # Float literals whose repr() the lexer cannot read: 1e+16, 1e-05, inf.
+    "float-1e16": "fn main() { let x = 10000000000000000.0; }\n",
+    "float-1e-5": "fn main() { let x = 0.00001; }\n",
+    "float-overflow": "fn main() { let x = " + "9" * 400 + ".0; }\n",
 }
 
 
@@ -172,6 +176,21 @@ def test_pretty_print_round_trip_is_structurally_identical(source):
     assert pretty_print(p2) == printed
     assert enumerate_goals(p2) == enumerate_goals(p1)
     assert [f.name for f in p2.functions] == [f.name for f in p1.functions]
+
+
+@pytest.mark.parametrize("literal,text", [
+    pytest.param("10000000000000000.0", "10000000000000000.0", id="1e16"),
+    pytest.param("0.00001", "0.00001", id="1e-5"),
+    pytest.param("2.50", "2.5", id="shortest"),
+    pytest.param("123456789012345678901234.0", "123456789012345690000000.0", id="24-digits"),
+    pytest.param("9" * 400 + ".0", "1" + "0" * 309 + ".0", id="overflow"),
+])
+def test_float_literals_print_as_literals_that_read_back_the_same_value(literal, text):
+    program = parse(f"fn main() {{ let x = {literal}; }}")
+    value = program.function("main").body[0].value.value
+    printed = pretty_print(program)
+    assert f"let x = {text};" in printed
+    assert parse(printed).function("main").body[0].value.value == value
 
 
 def test_pretty_print_keeps_the_parentheses_of_a_compared_comparison():
@@ -248,6 +267,52 @@ DEEP_SOURCES = {
 def test_deep_nesting_is_a_syntax_error_not_a_recursion_error(source):
     with pytest.raises(MiniSyntaxError, match="nest"):
         parse(source)
+
+
+# A declaration at line 2, column 3, in each place a type can appear:
+# its text, the column of its type, and the token after `ref [int` there
+# and its column.
+TYPE_PLACES = {
+    "global": ("global g: {} = null;", 13, "=", 22),
+    "parameter": ("fn f(x: {}) { }", 11, ")", 19),
+    "return": ("fn f() -> {} { }", 13, "{", 22),
+    "field": ("record R { x: {} }", 17, "}", 26),
+}
+
+
+# A type 4,000 levels deep: 2,000 refs and 2,000 pairs of brackets.
+DEEP_TYPE = "ref [" * 2000 + "P" + "]" * 2000
+
+
+@pytest.mark.parametrize("place", TYPE_PLACES)
+def test_type_annotations_parse_and_print_at_any_depth(place):
+    declaration = TYPE_PLACES[place][0].replace("{}", DEEP_TYPE, 1)
+    printed = pretty_print(parse(f"record P {{ }}\n{declaration}\nfn main() {{ }}\n"))
+    assert printed.count(DEEP_TYPE) == 1
+    assert pretty_print(parse(printed)) == printed
+
+
+@pytest.mark.parametrize("place", TYPE_PLACES)
+def test_each_type_diagnostic_names_its_class_position_and_message(place):
+    declaration, col, after, after_col = TYPE_PLACES[place]
+    cases = [
+        ("[]", MiniSyntaxError, (2, col + 1), "expected a type, found ']'"),
+        ("ref [int", MiniSyntaxError, (2, after_col), f"expected ']', found {after!r}"),
+        ("[ref Q]", UnresolvedReference, (2, 3), "unknown record type 'Q'"),
+    ]
+    for ty, error, pos, message in cases:
+        with pytest.raises(error) as e:
+            parse("fn main() { }\n  " + declaration.replace("{}", ty, 1))
+        assert (type(e.value), tuple(e.value.pos), e.value.message) == (error, pos, message)
+
+
+def test_type_diagnostics_come_in_declaration_order():
+    with pytest.raises(UnresolvedReference, match="'C'"):
+        parse("fn f(x: A) -> B { }\nglobal g: C = 1;\nfn main() { }")
+    with pytest.raises(UnresolvedReference, match="'D'"):
+        parse("global g: C = 1;\nrecord R { y: ref D }\nfn main() { }")
+    with pytest.raises(UnresolvedReference, match="'A'"):
+        parse("fn main() { }\nfn f(x: [A]) -> B { }")
 
 
 # ------------------------------------------------------- lexical structure
@@ -345,7 +410,7 @@ def test_the_documented_keywords_and_punctuation_are_the_lexers():
 MUTANT_SEED, MUTANTS = 2024, 300
 MUTANT_TOKENS = ["(", ")", "<", "==", "&&", "||", "-", "!", "+", "*", "[", "]",
                  ".", ",", "else", "if"]
-PARSE_OUTCOMES_DIGEST = "c5e502d31461aeffc369564029e8129fba1592d1ed34c330f19e4b4928ad8574"
+PARSE_OUTCOMES_DIGEST = "23dbd6fe2975c984b3b11889f2d8ad871bfae5ae18bcbce43d99ff90838c0da7"
 
 
 def token_spans(source: str) -> list[tuple[int, int]]:
