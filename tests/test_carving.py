@@ -7,10 +7,14 @@ carve is replayed through call_function to check it reproduces them.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
+import carvelift.campaign as campaign_module
+from carvelift.bundled import resolve_program, resolve_seeds
+from carvelift.campaign import RunConfig, run_campaign
 from carvelift.carving import carve_with_stats
 from carvelift.errors import FormatError
 from carvelift.lang.parser import parse
@@ -268,6 +272,53 @@ def test_snapshot_monotone_in_budget():
         assert prev <= set(got), budget
         prev = set(got)
     assert prev == set(range(10))
+
+
+def carves_of_the_dc_bridge_pool(monkeypatch):
+    """Every carve the dc-bridge campaign at rng seed 7 pools, in the
+    order each function's pool holds them, functions by name."""
+    pools = []
+    report = campaign_module._Campaign.report
+
+    def kept_pool(self, *args):
+        pools.append(self.fns)
+        return report(self, *args)
+    monkeypatch.setattr(campaign_module._Campaign, "report", kept_pool)
+    program, name = resolve_program("mini_dc")
+    run_campaign(program, resolve_seeds(None, name),
+                 RunConfig(mode="bridge", rng_seed=7,
+                           deterministic_clock=600_000),
+                 program_name=name)
+    return [c for st in pools[0].values() for c in st.carves]
+
+
+# sha256 over encode_carve of every carve below, computed before the
+# snapshot walk was rewritten: what a carve holds, not only how many.
+CARVE_CONTENT_DIGEST = (
+    103, 140, "6f49e870e13c6412374b42dab6db6a08dd4627184741f30f71211d458e7d2632")
+
+
+def test_carve_contents_match_golden_digest(monkeypatch):
+    carves = []
+    for name in SUBJECT_NAMES:
+        program, _ = resolve_program(name)
+        for i, s in enumerate(resolve_seeds(None, name)):
+            result = run_with_tracing(program, s)
+            carves += carve_with_stats(result, origin=f"{name}-{i}")[0]
+    program, _ = resolve_program("mini_dc")
+    truncated = 0
+    for budget in (64, 300, 1_000):
+        for i, s in enumerate(resolve_seeds(None, "mini_dc")):
+            result = run_with_tracing(program, s,
+                                      RunOptions(max_dump_bytes=budget))
+            truncated += result.carve_stats.truncated
+            carves += carve_with_stats(result, origin=f"{budget}-{i}")[0]
+    pool = carves_of_the_dc_bridge_pool(monkeypatch)
+    assert truncated and pool
+    h = hashlib.sha256()
+    for c in carves + pool:
+        h.update(json.dumps(trace.encode_carve(c), sort_keys=True).encode())
+    assert (len(carves), len(pool), h.hexdigest()) == CARVE_CONTENT_DIGEST
 
 
 def test_truncated_context_severs_root_refs():
