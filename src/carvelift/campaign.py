@@ -21,7 +21,9 @@ Budgets are charged on one of two clocks: wall time for real runs, or
 an exact count of VM steps (every system and unit execution included)
 for reproducible runs.  The VM is deterministic, so a system input the
 campaign has already run is not run again untraced: the repeat is
-charged the steps of its first run.
+charged the steps of its first run.  Nor is one already traced run
+traced again: the repeat is charged that run's steps and pools its
+carves again, stamped with the repeat's origin.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from .rng import Rng
 from .sysgen import generate_batch, mutate_input, write_corpus
 from .unitgen import fuzz_unit_with_stats
 from .vm.interp import (
-    DEFAULT_MAX_DUMP_BYTES, DEFAULT_STEP_LIMIT, RunOptions, compiled, run_system,
-    run_with_tracing,
+    DEFAULT_MAX_DUMP_BYTES, DEFAULT_STEP_LIMIT, RunOptions, RunResult, compiled,
+    run_system, run_with_tracing,
 )
 from .vm.trace import CarvedTest, CarveStats
 
@@ -202,8 +204,10 @@ class _Campaign:
             k: 0 for k in asdict(CarveStats())}
         # The steps of each system input run so far, by (argv, stdin).
         # The VM is deterministic and the run options are fixed, so an
-        # untraced repeat is charged these steps instead of running again.
+        # untraced repeat is charged these steps instead of running again,
+        # and a traced repeat the steps and carves of its first traced run.
         self.steps_of: dict[tuple, int] = {}
+        self.traced_of: dict[tuple, RunResult] = {}
         # Executions charged, repeats included; sys_walls holds one wall
         # time per run that executed.
         self.system_executions = 0
@@ -260,25 +264,31 @@ class _Campaign:
     def run_one(self, s, origin_id: str, source: str) -> None:
         """Run `s` and take what it covered, and its carves when traced.
 
-        An untraced repeat of an input already run is charged and counted
-        but not run: its goals were recorded the first time.  A traced
-        run always runs, for its carves.
+        A repeat of an input already run is charged and counted but not
+        run: its goals were recorded the first time.  A traced repeat of
+        an input already traced takes that run's carves, stamped with its
+        own origin; one run only untraced so far runs traced, for them.
         """
         key = (tuple(s.argv), s.stdin)
         self.system_executions += 1
         traced = self.cfg.mode == "bridge" and self.selectable()
-        if not traced and key in self.steps_of:
+        if traced and key in self.traced_of:
+            result = self.traced_of[key]
+        elif not traced and key in self.steps_of:
             self.clock.charge(self.steps_of[key])
             self.point()
             return
-        result = (run_with_tracing if traced else run_system)(
-            self.program, s, self.opts)
-        self.steps_of[key] = result.steps
+        else:
+            result = (run_with_tracing if traced else run_system)(
+                self.program, s, self.opts)
+            self.steps_of[key] = result.steps
+            if traced:
+                self.traced_of[key] = result
+            self.sys_walls.append(result.wall_time_s)
         self.clock.charge(result.steps)
-        self.sys_walls.append(result.wall_time_s)
         self.record(result.coverage, source)
         self.point()
-        if result.trace is not None:
+        if traced:
             carves, stats = carve_with_stats(result, origin=origin_id)
             self.origins[origin_id] = s
             for k, v in asdict(stats).items():

@@ -163,36 +163,40 @@ def value_type_name(v) -> str:
 #
 # Deterministic byte accounting used by snapshot budgets.  Scalars and refs
 # cost 8; byte strings and composites cost an 8-byte header plus contents;
-# a segment costs an 8-byte header plus its elements.
+# a segment costs an 8-byte header plus its elements.  A value held in
+# several places counts at each place; a snapshot walks each distinct
+# element of its segments once and adds that walk's size at every place.
 
 SCALAR_SIZE = 8
 HEADER_SIZE = 8
 
 
 def value_byte_size(v) -> int:
-    size, todo = 0, [v]
+    """`v`'s size in the bytes a snapshot budget counts."""
+    return _size_and_refs(v)[0]
+
+
+def _size_and_refs(v) -> tuple[int, list]:
+    """`v`'s byte size and every Ref inside it in order, in one walk."""
+    size, refs, todo = 0, [], [v]
     while todo:
         v = todo.pop()
-        if v is None or type(v) is int or type(v) is float or type(v) is Ref:
-            size += SCALAR_SIZE
-        elif type(v) is bytes:
-            size += HEADER_SIZE + len(v)
-        elif type(v) is tuple:
+        if type(v) is tuple:
             size += HEADER_SIZE
-            todo += v
+            todo += reversed(v)
         elif type(v) is Record:
             size += HEADER_SIZE
-            todo += v.fields.values()
+            todo += reversed(v.fields.values())
+        elif type(v) is Ref:
+            size += SCALAR_SIZE
+            refs.append(v)
+        elif type(v) is bytes:
+            size += HEADER_SIZE + len(v)
+        elif v is None or type(v) is int or type(v) is float:
+            size += SCALAR_SIZE
         else:
             raise TypeError(f"not a runtime value: {v!r}")
-    return size
-
-
-def segment_byte_size(seg: list) -> int:
-    size = HEADER_SIZE
-    for x in seg:   # ints, the common element, skip the call
-        size += SCALAR_SIZE if type(x) is int else value_byte_size(x)
-    return size
+    return size, refs
 
 
 # ---------------------------------------------------------------- encoding
@@ -290,16 +294,7 @@ def decode_segments(obj: dict) -> SegmentTable:
 
 def iter_refs(v) -> list:
     """Every Ref inside a value tree, in order."""
-    refs, todo = [], [v]
-    while todo:
-        v = todo.pop()
-        if type(v) is Ref:
-            refs.append(v)
-        elif type(v) is tuple:
-            todo += reversed(v)
-        elif type(v) is Record:
-            todo += reversed(v.fields.values())
-    return refs
+    return _size_and_refs(v)[1]
 
 
 def sever(v, keep):
@@ -339,15 +334,18 @@ def snapshot_reachable(roots, table: SegmentTable,
     queue: list[int] = []
     seen: set[int] = set()
 
-    def discover(v):
-        for r in iter_refs(v):
+    def discover(refs):
+        for r in refs:
             if r.seg not in seen and r.seg in table:
                 seen.add(r.seg)
                 queue.append(r.seg)
 
     for v in roots:
-        discover(v)
+        discover(iter_refs(v))
 
+    # Each element's walk by its id(); the table holds every element
+    # alive until the call returns, so no id is reused meanwhile.
+    walked: dict[int, tuple[int, list]] = {}
     kept: SegmentTable = {}
     used = 0
     qi = 0
@@ -355,13 +353,21 @@ def snapshot_reachable(roots, table: SegmentTable,
         sid = queue[qi]
         qi += 1
         seg = table[sid]
-        used += segment_byte_size(seg)
+        used += HEADER_SIZE
+        refs = []
+        for elem in seg:
+            if type(elem) is int:   # the common element, walked inline
+                used += SCALAR_SIZE
+                continue
+            walk = walked.get(id(elem))
+            if walk is None:
+                walk = walked[id(elem)] = _size_and_refs(elem)
+            used += walk[0]
+            refs += walk[1]
         if used > max_bytes:
             for k in kept.values():
                 k[:] = [sever(x, kept) for x in k]
             return kept, True
         kept[sid] = list(seg)
-        for elem in seg:
-            if type(elem) is not int:
-                discover(elem)
+        discover(refs)
     return kept, False

@@ -566,9 +566,9 @@ def test_reports_do_not_depend_on_the_hash_seed():
 
 def log_system_runs(monkeypatch):
     """Log each system run that executes, as ("run", key, kind, wall), and
-    each run_one request answered without one, as ("answered", key, None,
+    each run_one request answered without one, as ("answered", key, kind,
     None).  A key is the input's (argv, stdin); kind is traced, untraced
-    or validation."""
+    or validation, and for a request the kind of run it asked for."""
     log = []
 
     def logged(module, attr, kind):
@@ -587,9 +587,11 @@ def log_system_runs(monkeypatch):
 
     def logged_run_one(self, s, *args):
         before = len(log)
+        traced = self.cfg.mode == "bridge" and self.selectable()
         run_one(self, s, *args)
         if len(log) == before:
-            log.append(("answered", (tuple(s.argv), s.stdin), None, None))
+            log.append(("answered", (tuple(s.argv), s.stdin),
+                        "traced" if traced else "untraced", None))
     monkeypatch.setattr(campaign_module._Campaign, "run_one", logged_run_one)
     return log
 
@@ -597,27 +599,37 @@ def log_system_runs(monkeypatch):
 # The golden campaigns in which a repeat is answered by the steps of a
 # validation run: an effective lift that run_one re-runs untraced.
 ANSWERED_BY_VALIDATION = {("mini_cut", "bridge"): 1}
+# The golden campaigns whose traced runs repeat an input already traced.
+TRACED_REPEATS = {("keycheck", "bridge"): 1, ("mini_dc", "bridge"): 2}
 
 
 @pytest.mark.parametrize("name,mode", sorted(GOLDEN_DIGESTS))
 def test_no_input_runs_untraced_twice_in_a_campaign(name, mode, monkeypatch):
+    """Nor traced twice: a traced repeat takes its first traced run's
+    carves."""
     log = log_system_runs(monkeypatch)
     program, name = resolve_program(name)
     cfg = RunConfig(mode=mode, deterministic_clock=GOLDEN_CLOCK, rng_seed=7)
     report = run_campaign(program, resolve_seeds(None, name), cfg,
                           program_name=name)
     first_run: dict = {}    # key -> the kind of its first run
+    traced = set()
     for event, key, kind, _ in log:
         if event == "run":
             assert kind != "untraced" or key not in first_run
+            assert kind != "traced" or key not in traced
             first_run.setdefault(key, kind)
+            if kind == "traced":
+                traced.add(key)
         else:   # charged the steps of an earlier run
-            assert key in first_run
+            assert key in (traced if kind == "traced" else first_run)
     executed = [e for e in log if e[0] == "run"]
     answered = [e for e in log if e[0] == "answered"]
     assert report.speedup.system_executions == len(executed) + len(answered)
     assert sum(first_run[e[1]] == "validation" for e in answered) == (
         ANSWERED_BY_VALIDATION.get((name, mode), 0))
+    assert sum(e[2] == "traced" for e in answered) == (
+        TRACED_REPEATS.get((name, mode), 0))
     if mode == "system-only":
         assert answered
 

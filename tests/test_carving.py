@@ -19,10 +19,12 @@ from carvelift.carving import carve_with_stats
 from carvelift.errors import FormatError
 from carvelift.lang.parser import parse
 from carvelift.rng import Rng
-from carvelift.vm import trace
+from carvelift.vm import trace, values
 from carvelift.vm.interp import RunOptions, call_function, run_with_tracing
 from carvelift.vm.trace import SNAPSHOT_VERSION, Context, load_snapshot, save_snapshot
-from carvelift.vm.values import INT64_MAX, INT64_MIN, Record, Ref, snapshot_reachable
+from carvelift.vm.values import (
+    INT64_MAX, INT64_MIN, Record, Ref, equal, sever, snapshot_reachable,
+)
 
 from conftest import (
     SUBJECT_NAMES, NaiveCounter, load_subject, mk_input, random_input_for,
@@ -272,6 +274,154 @@ def test_snapshot_monotone_in_budget():
         assert prev <= set(got), budget
         prev = set(got)
     assert prev == set(range(10))
+
+
+def reference_byte_size(v):
+    size, todo = 0, [v]
+    while todo:
+        v = todo.pop()
+        if v is None or type(v) in (int, float, Ref):
+            size += 8
+        elif type(v) is bytes:
+            size += 8 + len(v)
+        elif type(v) is tuple:
+            size += 8
+            todo += v
+        elif type(v) is Record:
+            size += 8
+            todo += v.fields.values()
+        else:
+            raise TypeError(f"not a runtime value: {v!r}")
+    return size
+
+
+def reference_snapshot(roots, table, max_bytes):
+    """snapshot_reachable as two walks per segment element, one for its
+    byte size and one for its refs, at every slot that holds it."""
+    queue, seen = [], set()
+
+    def discover(v):
+        refs, todo = [], [v]
+        while todo:
+            v = todo.pop()
+            if type(v) is Ref:
+                refs.append(v)
+            elif type(v) is tuple:
+                todo += reversed(v)
+            elif type(v) is Record:
+                todo += reversed(v.fields.values())
+        for r in refs:
+            if r.seg not in seen and r.seg in table:
+                seen.add(r.seg)
+                queue.append(r.seg)
+
+    for v in roots:
+        discover(v)
+    kept, used, qi = {}, 0, 0
+    while qi < len(queue):
+        seg = table[queue[qi]]
+        used += 8 + sum(reference_byte_size(x) for x in seg)
+        if used > max_bytes:
+            for k in kept.values():
+                k[:] = [sever(x, kept) for x in k]
+            return kept, True
+        kept[queue[qi]] = list(seg)
+        for x in seg:
+            discover(x)
+        qi += 1
+    return kept, False
+
+
+def random_heap(rng, n_segs):
+    """Roots and a segment table whose refs form cycles, point at
+    segments that are not there, and share arrays and records."""
+    shared = []
+
+    def value(depth):
+        k = rng.randrange(10)
+        if k == 0:
+            return None
+        if k == 1:
+            return rng.randrange(1000) / 8
+        if k == 2:
+            return rng.randbytes(rng.randrange(6))
+        if k in (3, 4):
+            return Ref(rng.randrange(n_segs + 2), rng.randrange(2))
+        if k == 5 and shared:
+            return rng.choice(shared)
+        if k in (6, 7) and depth < 4:
+            items = [value(depth + 1) for _ in range(rng.randrange(4))]
+            v = (tuple(items) if k == 6
+                 else Record("R", {f"f{i}": x for i, x in enumerate(items)}))
+            shared.append(v)
+            return v
+        return rng.randint(-9, 9)
+
+    table = {sid: [value(0) for _ in range(rng.randrange(7))]
+             for sid in range(n_segs)}
+    return [value(0) for _ in range(3)] + [Ref(0, 0)], table
+
+
+def deep_heap(depth):
+    v = Record("Leaf", {"next": Ref(1, 0)})
+    for i in range(depth):
+        v = (i, v, Ref(2, 0)) if i % 2 else Record("N", {"a": v, "b": b"x"})
+    return [Ref(0, 0)], {0: [v, v], 1: [v], 2: [7]}
+
+
+def shared_heaps():
+    rec = Record("Num", {"v": 3, "next": Ref(1, 0)})
+    pair = (Ref(2, 0), b"ab", (1.5, None))
+    yield [Ref(0, 0)], {0: [rec] * 1_000, 1: [rec, 4]}
+    yield [Ref(0, 0), pair], {0: [pair, 1], 1: [pair, Ref(0, 0)],
+                              2: [pair, Ref(1, 0)]}
+    yield [Ref(0, 0)], {0: [Ref(0, 0), Ref(1, 0)], 1: [Ref(0, 0), Ref(9, 0)]}
+    yield deep_heap(2_000)
+
+
+def assert_same_snapshot(got, want):
+    assert got[1] == want[1]
+    assert list(got[0]) == list(want[0])    # breadth-first order kept
+    for sid, seg in want[0].items():
+        assert len(got[0][sid]) == len(seg)
+        assert all(equal(x, y) for x, y in zip(got[0][sid], seg)), sid
+
+
+def test_snapshot_matches_the_two_walk_reference():
+    rng = Rng(0x5AFE)
+    heaps = list(shared_heaps()) + [random_heap(rng, rng.randint(1, 12))
+                                    for _ in range(150)]
+    for roots, table in heaps:
+        whole, truncated = reference_snapshot(roots, table, 1 << 60)
+        assert not truncated
+        total = sum(8 + sum(reference_byte_size(x) for x in seg)
+                    for seg in whole.values())
+        for budget in {*range(max(1, total - 16), total + 1),
+                       *range(1, total, max(1, total // 10))}:
+            assert_same_snapshot(snapshot_reachable(roots, table, budget),
+                                 reference_snapshot(roots, table, budget))
+    with pytest.raises(TypeError):
+        snapshot_reachable([Ref(0, 0)], {0: [(1, True)]}, 100)
+
+
+def test_snapshot_walks_a_value_once_per_call(monkeypatch):
+    walks = []
+    walk = values._size_and_refs
+
+    def counted(v):
+        walks.append(v)
+        return walk(v)
+    monkeypatch.setattr(values, "_size_and_refs", counted)
+    rec = Record("Num", {"v": 3, "next": Ref(1, 0)})
+    table = {0: [rec] * 10_000, 1: [5]}
+    total = 8 + 10_000 * 24 + 16    # each slot counts the record's 24 bytes
+    for _ in range(2):
+        assert snapshot_reachable([Ref(0, 0)], table, total) == (
+            {0: [rec] * 10_000, 1: [5]}, False)
+    severed = Record("Num", {"v": 3, "next": None})
+    assert snapshot_reachable([Ref(0, 0)], table, total - 1) == (
+        {0: [severed] * 10_000}, True)
+    assert sum(v is rec for v in walks) == 3     # once per call
 
 
 def carves_of_the_dc_bridge_pool(monkeypatch):
