@@ -17,9 +17,10 @@ out of selection, handing the budget back to system-level batches.
 Once no function can be selected any more, bridge runs stop being
 traced and carved: nothing carved after that point could be fuzzed.
 
-Budgets are charged on one of two clocks: wall time for real runs, or
-an exact count of VM steps (every system and unit execution included)
-for reproducible runs.  The VM is deterministic, so a system input the
+The campaign spends its budget on one of two clocks: wall time for real
+runs, or an exact count of VM steps (every system and unit execution
+included) for reproducible runs.  `_Campaign.charge` charges every
+system execution.  The VM is deterministic, so a system input the
 campaign has already run is not run again untraced: the repeat is
 charged the steps of its first run.  Nor is one already traced run
 traced again: the repeat is charged that run's steps and pools its
@@ -31,6 +32,7 @@ from __future__ import annotations
 import statistics
 import time
 from collections.abc import Set
+from itertools import count
 from dataclasses import asdict, dataclass, field
 
 from .carving import carve_with_stats
@@ -61,30 +63,6 @@ FALLBACK_BATCH = 10
 # A function whose fuzz rounds come back winnerless this many times in a
 # row stops being selected; its goals stay reachable through system runs.
 FUTILE_ROUNDS = 3
-
-
-class WallClock:
-    def __init__(self):
-        self._t0 = time.monotonic()
-
-    def now(self) -> float:
-        return time.monotonic() - self._t0
-
-    def charge(self, steps: int) -> None:
-        pass
-
-
-class StepClock:
-    """Deterministic budget clock: elapsed = VM steps executed."""
-
-    def __init__(self):
-        self.steps = 0
-
-    def now(self) -> float:
-        return float(self.steps)
-
-    def charge(self, steps: int) -> None:
-        self.steps += steps
 
 
 @dataclass
@@ -171,11 +149,11 @@ class _Campaign:
         self.program_name = program_name
         self.opts = RunOptions(step_limit=cfg.step_limit,
                                max_dump_bytes=cfg.max_dump_bytes)
-        self.clock = (StepClock() if cfg.deterministic_clock is not None
-                      else WallClock())
-        self.budget = float(cfg.deterministic_clock
-                            if cfg.deterministic_clock is not None
+        self.step_clock = cfg.deterministic_clock is not None
+        self.budget = float(cfg.deterministic_clock if self.step_clock
                             else cfg.budget)
+        self.steps = 0
+        self.t0 = time.monotonic()
         rng = Rng(cfg.rng_seed)
         self.rng_gen = rng.split()
         self.rng_unit = rng.split()
@@ -209,20 +187,35 @@ class _Campaign:
         self.steps_of: dict[tuple, int] = {}
         self.traced_of: dict[tuple, RunResult] = {}
         # Executions charged, repeats included; sys_walls holds one wall
-        # time per run that executed.
+        # time per run that executed.  Only charge() writes these three.
         self.system_executions = 0
         self.sys_walls: list[float] = []
         self.unit_walls: list[float] = []
         self.lift = LiftStats()
         self.effective: list[tuple[object, tuple[str, ...], str | None]] = []
-        self._gen_i = 0
-        self._lift_i = 0
+        self.gen_ids = (f"gen-{i}" for i in count())
+        self.lift_ids = (f"lift-{i}" for i in count())
         self._rr_seed = 0
 
     # -- budget helpers
 
+    def now(self) -> float:
+        """The budget spent: steps on the step clock, else wall seconds."""
+        if self.step_clock:
+            return float(self.steps)
+        return time.monotonic() - self.t0
+
+    def charge(self, key: tuple, steps: int, wall: float | None) -> None:
+        """Charge one system execution of input `key`: a run that took
+        `wall` seconds, whose repeats take its steps, or (None) a repeat."""
+        self.steps += steps
+        self.system_executions += 1
+        if wall is not None:
+            self.steps_of[key] = steps
+            self.sys_walls.append(wall)
+
     def exhausted(self) -> bool:
-        return self.clock.now() >= self.budget
+        return self.now() >= self.budget
 
     def uncovered(self) -> bool:
         return bool(self.all_goals - self.discovered)
@@ -233,11 +226,11 @@ class _Campaign:
         return len(self.discovered) / len(self.all_goals)
 
     def point(self) -> None:
-        self.series.append((self.clock.now(), self.fraction()))
+        self.series.append((self.now(), self.fraction()))
 
     def record(self, goals: Set[BranchGoal], source: str) -> None:
         """Log the goals not discovered yet, stamped with the clock now."""
-        now = self.clock.now()
+        now = self.now()
         for g in sorted(goals - self.discovered, key=str):
             self.discovered.add(g)
             self.log.append((now, g, source))
@@ -270,22 +263,20 @@ class _Campaign:
         own origin; one run only untraced so far runs traced, for them.
         """
         key = (tuple(s.argv), s.stdin)
-        self.system_executions += 1
         traced = self.cfg.mode == "bridge" and self.selectable()
         if traced and key in self.traced_of:
-            result = self.traced_of[key]
+            result, wall = self.traced_of[key], None
         elif not traced and key in self.steps_of:
-            self.clock.charge(self.steps_of[key])
+            self.charge(key, self.steps_of[key], None)
             self.point()
             return
         else:
             result = (run_with_tracing if traced else run_system)(
                 self.program, s, self.opts)
-            self.steps_of[key] = result.steps
+            wall = result.wall_time_s
             if traced:
                 self.traced_of[key] = result
-            self.sys_walls.append(result.wall_time_s)
-        self.clock.charge(result.steps)
+        self.charge(key, result.steps, wall)
         self.record(result.coverage, source)
         self.point()
         if traced:
@@ -296,10 +287,6 @@ class _Campaign:
             for c in carves:
                 self.fns[c.start[0]].carves.append(c)
 
-    def gen_id(self) -> str:
-        self._gen_i += 1
-        return f"gen-{self._gen_i - 1}"
-
     def system_batch(self) -> None:
         batch = []
         for _ in range(FALLBACK_BATCH):
@@ -309,7 +296,7 @@ class _Campaign:
         for s in batch:
             if self.exhausted() or not self.uncovered():
                 return
-            self.run_one(s, self.gen_id(), "system-gen")
+            self.run_one(s, next(self.gen_ids), "system-gen")
 
     # -- bridge loop
 
@@ -325,7 +312,7 @@ class _Campaign:
             self.program, sel, m, self.cfg.unit_budget,
             self.discovered | self.fp_goals,
             self.rng_unit.split(), self.opts)
-        self.clock.charge(fstats.steps)
+        self.steps += fstats.steps
         self.unit_walls.extend(fstats.wall_times_s)
         self.lift.unit_executions += fstats.executions
         self.lift.unit_winners += len(winners)
@@ -346,10 +333,8 @@ class _Campaign:
             # Recorded before the run's steps are charged: on the step
             # clock a lift goal carries the time its validating run began.
             self.record(out.discovered, "lift")
-            self.steps_of[tuple(lifted.argv), lifted.stdin] = out.steps
-            self.system_executions += 1
-            self.clock.charge(out.steps)
-            self.sys_walls.append(out.wall_time_s)
+            self.charge((tuple(lifted.argv), lifted.stdin), out.steps,
+                        out.wall_time_s)
             self.point()
             if out.classification == "effective":
                 self.lift.effective += 1
@@ -360,9 +345,7 @@ class _Campaign:
                     (lifted,
                      tuple(sorted(str(g) for g in out.discovered)), crash))
                 if not self.exhausted():
-                    self._lift_i += 1
-                    self.run_one(lifted, f"lift-{self._lift_i - 1}",
-                                 "system-gen")
+                    self.run_one(lifted, next(self.lift_ids), "system-gen")
             elif out.classification == "other-goal":
                 self.lift.other_goal += 1
             else:
@@ -380,7 +363,7 @@ class _Campaign:
                                     self.rng_gen):
                 if self.exhausted() or not self.uncovered():
                     break
-                self.run_one(s, self.gen_id(), "system-gen")
+                self.run_one(s, next(self.gen_ids), "system-gen")
         while not self.exhausted() and self.uncovered():
             sel = select_next(self.fns, self.discovered) if bridge else None
             if sel is None:
@@ -432,8 +415,8 @@ class _Campaign:
                 median_unit_ms=med_unit * 1000.0,
                 speedup=speedup),
             effective_inputs=eff,
+            budget_used=self.now(),     # read first: at most total_wall_s
             total_wall_s=time.monotonic() - wall_start,
-            budget_used=self.clock.now(),
             system_wall_total_s=sum(self.sys_walls),
         )
 

@@ -76,7 +76,6 @@ class RunOptions:
     step_limit: int = DEFAULT_STEP_LIMIT
     trace_limit: int = 500_000      # unread; kept for callers that pass it
     max_dump_bytes: int = DEFAULT_MAX_DUMP_BYTES   # per recorded call snapshot
-    per_fn_cap: int = 8     # recorded calls kept per function and run
 
     def __post_init__(self):
         for name in ("step_limit", "max_dump_bytes"):
@@ -582,7 +581,7 @@ def _run(program: Program, system_input: SystemInput, opts: RunOptions,
     code = compiled(program)
     st = _State(opts, tuple(system_input.argv), system_input.stdin, {}, {})
     if traced:
-        st.tracer = Tracer(opts.per_fn_cap, code.input_dependent, st.coverage)
+        st.tracer = Tracer(code.input_dependent, st.coverage)
     return _finish(st, code, ENTRY, [], True, started)
 
 

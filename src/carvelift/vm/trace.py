@@ -9,12 +9,11 @@ goals the call covered.
 
 A traced run records only the calls carving keeps.  The entry function
 and input-reading functions are never recorded.  Any other call is
-recorded, with a snapshot of its context, while fewer than
-`RunOptions.per_fn_cap` recorded calls of its function have returned.
-Of the recorded calls that return, the first `per_fn_cap` of each
-function by call index are kept; a call still open when the run ends
-holds no place under the cap.  The run counts every call it does not
-keep in its `CarveStats`.
+recorded, with a snapshot of its context, while fewer than `PER_FN_CAP`
+recorded calls of its function have returned.  Of the recorded calls
+that return, the first `PER_FN_CAP` of each function by call index are
+kept; a call still open when the run ends holds no place under the cap.
+The run counts every call it does not keep in its `CarveStats`.
 
 A recorded call's coverage is the set of branch goals reached while it
 was open, its callees' included: a branch adds to the innermost open
@@ -54,6 +53,7 @@ from .values import (
 )
 
 SNAPSHOT_VERSION = 2
+PER_FN_CAP = 8      # recorded calls kept per function and run
 
 
 _ROOT = re.compile(r"arg\[[0-9]+\]|global:\w+")
@@ -246,9 +246,7 @@ class Tracer:
     the last, so a branch adds to it without knowing it is traced.
     """
 
-    def __init__(self, per_fn_cap: int, input_dependent: frozenset[str],
-                 coverage: set):
-        self.cap = per_fn_cap
+    def __init__(self, input_dependent: frozenset[str], coverage: set):
         self.input_dependent = input_dependent
         self.calls = 0              # call indices handed out, main's too
         self.returned: Counter[str] = Counter()   # recorded, per function
@@ -264,7 +262,7 @@ class Tracer:
         if name == ENTRY:
             return None
         self.stats.skipped_incomplete += 1      # until it returns
-        if name in self.input_dependent or self.returned[name] >= self.cap:
+        if name in self.input_dependent or self.returned[name] >= PER_FN_CAP:
             return name
         # The context: the arguments, then the globals by name.
         roots = {f"arg[{i}]": v for i, v in enumerate(args)}
@@ -307,7 +305,7 @@ class Tracer:
         kept: list[CarvedTest] = []
         per_fn: Counter[str] = Counter()
         for call in sorted(self.done, key=lambda c: c.start[1]):
-            if per_fn[call.start[0]] >= self.cap:
+            if per_fn[call.start[0]] >= PER_FN_CAP:
                 self.stats.skipped_capped += 1
                 continue
             per_fn[call.start[0]] += 1

@@ -164,8 +164,9 @@ def value_type_name(v) -> str:
 # Deterministic byte accounting used by snapshot budgets.  Scalars and refs
 # cost 8; byte strings and composites cost an 8-byte header plus contents;
 # a segment costs an 8-byte header plus its elements.  A value held in
-# several places counts at each place; a snapshot walks each distinct
-# element of its segments once and adds that walk's size at every place.
+# several places counts at each place.  A walk memoizes the size of each
+# array and record by id(), so it walks each distinct part once, however
+# many places hold it, and adds its size at every one.
 
 SCALAR_SIZE = 8
 HEADER_SIZE = 8
@@ -173,20 +174,33 @@ HEADER_SIZE = 8
 
 def value_byte_size(v) -> int:
     """`v`'s size in the bytes a snapshot budget counts."""
-    return _size_and_refs(v)[0]
+    return _size_and_refs(v, {})[0]
 
 
-def _size_and_refs(v) -> tuple[int, list]:
-    """`v`'s byte size and every Ref inside it in order, in one walk."""
+_CLOSE = object()   # on a walk's stack: the part opened last is done
+
+
+def _size_and_refs(v, sizes: dict[int, int]) -> tuple[int, list]:
+    """`v`'s byte size and the Refs inside it in order, in one walk.
+
+    `sizes` holds the size of each array and record walked so far, by
+    id(): a part already in it adds its size but is not walked again, so
+    its refs are listed only at its first walk.  The caller keeps every
+    part alive while it keeps `sizes`, so no id is reused meanwhile.
+    """
     size, refs, todo = 0, [], [v]
+    opened = []     # (id, size outside it) of each part being walked
     while todo:
         v = todo.pop()
-        if type(v) is tuple:
-            size += HEADER_SIZE
-            todo += reversed(v)
-        elif type(v) is Record:
-            size += HEADER_SIZE
-            todo += reversed(v.fields.values())
+        if type(v) is tuple or type(v) is Record:
+            known = sizes.get(id(v))
+            if known is not None:
+                size += known
+                continue
+            opened.append((id(v), size))
+            size = HEADER_SIZE
+            todo.append(_CLOSE)
+            todo += reversed(v if type(v) is tuple else v.fields.values())
         elif type(v) is Ref:
             size += SCALAR_SIZE
             refs.append(v)
@@ -194,6 +208,10 @@ def _size_and_refs(v) -> tuple[int, list]:
             size += HEADER_SIZE + len(v)
         elif v is None or type(v) is int or type(v) is float:
             size += SCALAR_SIZE
+        elif v is _CLOSE:
+            key, outside = opened.pop()
+            sizes[key] = size
+            size += outside
         else:
             raise TypeError(f"not a runtime value: {v!r}")
     return size, refs
@@ -293,18 +311,27 @@ def decode_segments(obj: dict) -> SegmentTable:
 
 
 def iter_refs(v) -> list:
-    """Every Ref inside a value tree, in order."""
-    return _size_and_refs(v)[1]
+    """Every Ref inside a value, in order; a part held in several places
+    gives its refs at the first."""
+    return _size_and_refs(v, {})[1]
 
 
-def sever(v, keep):
+def sever(v, keep, copies: dict | None = None):
     """`v` with each ref into a segment whose id is not in `keep` replaced
-    by null; every array and record in it is a new one."""
+    by null; every array and record in it is a new one.
+
+    `copies` holds the copy of each array and record severed so far, by
+    id(), as `sizes` does for _size_and_refs: a part held in several
+    places is copied once, and the copies share it as the original did.
+    """
+    copies = {} if copies is None else copies
     todo, done = [(v, False)], []
     while todo:
         v, ready = todo.pop()
         if type(v) is not tuple and type(v) is not Record:
             done.append(None if type(v) is Ref and v.seg not in keep else v)
+        elif id(v) in copies:
+            done.append(copies[id(v)])
         elif not ready:     # its items first, then itself from them
             todo.append((v, True))
             todo += [(x, False) for x in reversed(v if type(v) is tuple
@@ -313,8 +340,9 @@ def sever(v, keep):
             n = len(v if type(v) is tuple else v.fields)
             items = done[len(done) - n:]
             del done[len(done) - n:]
-            done.append(tuple(items) if type(v) is tuple
-                        else Record(v.rtype, dict(zip(v.fields, items))))
+            copies[id(v)] = (tuple(items) if type(v) is tuple
+                             else Record(v.rtype, dict(zip(v.fields, items))))
+            done.append(copies[id(v)])
     return done[0]
 
 
@@ -340,12 +368,12 @@ def snapshot_reachable(roots, table: SegmentTable,
                 seen.add(r.seg)
                 queue.append(r.seg)
 
+    # The size of each array and record walked, roots included; the
+    # roots and the table hold every part alive until the call returns.
+    sizes: dict[int, int] = {}
     for v in roots:
-        discover(iter_refs(v))
+        discover(_size_and_refs(v, sizes)[1])
 
-    # Each element's walk by its id(); the table holds every element
-    # alive until the call returns, so no id is reused meanwhile.
-    walked: dict[int, tuple[int, list]] = {}
     kept: SegmentTable = {}
     used = 0
     qi = 0
@@ -359,14 +387,15 @@ def snapshot_reachable(roots, table: SegmentTable,
             if type(elem) is int:   # the common element, walked inline
                 used += SCALAR_SIZE
                 continue
-            walk = walked.get(id(elem))
-            if walk is None:
-                walk = walked[id(elem)] = _size_and_refs(elem)
-            used += walk[0]
-            refs += walk[1]
+            size = sizes.get(id(elem))
+            if size is None:
+                size, elem_refs = _size_and_refs(elem, sizes)
+                refs += elem_refs
+            used += size
         if used > max_bytes:
+            copies: dict = {}
             for k in kept.values():
-                k[:] = [sever(x, kept) for x in k]
+                k[:] = [sever(x, kept, copies) for x in k]
             return kept, True
         kept[sid] = list(seg)
         discover(refs)

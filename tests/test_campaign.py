@@ -24,8 +24,6 @@ from carvelift.bundled import resolve_program, resolve_seeds
 from carvelift.campaign import (
     FunctionState,
     RunConfig,
-    StepClock,
-    WallClock,
     run_campaign,
     select_next,
 )
@@ -163,19 +161,6 @@ def test_select_matches_brute_force_on_random_pools():
             fn: counts.get(fn, 0) + (fn == picked) for fn in FNS}
 
 
-# ----------------------------------------------------------- clocks
-
-def test_clocks():
-    wall = WallClock()
-    assert wall.now() >= 0.0
-    step = StepClock()
-    step.charge(120)
-    step.charge(30)
-    assert step.now() == 150.0
-    wall.charge(120)
-    assert wall.now() < 120.0
-
-
 # ----------------------------------------------------------- config
 
 def test_config_validation():
@@ -240,6 +225,24 @@ def test_budget_honesty(keycheck_bridge_report):
         r.discovered == r.total_goals
 
 
+@pytest.mark.parametrize("clock", ["wall", "step"])
+def test_budget_used_reads_the_campaigns_clock(clock):
+    """On the wall clock, budget_used is the wall seconds the campaign
+    spent: its whole budget, and no more than the report's total wall
+    time.  On the step clock it is the whole number of VM steps charged."""
+    program, name = resolve_program("mini_dc")
+    cfg = (RunConfig(mode="system-only", budget=0.05) if clock == "wall"
+           else RunConfig(mode="system-only", deterministic_clock=50_000))
+    r = run_campaign(program, resolve_seeds(None, name), cfg,
+                     program_name=name)
+    assert r.discovered < r.total_goals     # so the budget ran out
+    if clock == "wall":
+        assert r.config["budget"] <= r.budget_used <= r.total_wall_s
+    else:
+        assert r.budget_used >= r.config["deterministic_clock"]
+        assert r.budget_used == int(r.budget_used)
+
+
 def test_series_is_monotone_and_bounded(keycheck_bridge_report):
     r = keycheck_bridge_report
     fractions = [f for _, f in r.coverage_series]
@@ -268,22 +271,22 @@ def test_step_clock_campaigns_reproduce_exactly(keycheck_bridge_report):
 
 
 def test_lift_goals_are_stamped_before_validation_is_charged(monkeypatch):
-    clocks, validations = [], []
+    campaigns, validations = [], []
 
-    class LoggedStepClock(campaign_module.StepClock):
-        def __init__(self):
-            super().__init__()
-            clocks.append(self)
+    class LoggedCampaign(campaign_module._Campaign):
+        def __init__(self, *args):
+            super().__init__(*args)
+            campaigns.append(self)
 
     validate = campaign_module.validate
 
     def logged_validate(*args, **kwargs):
-        before = clocks[-1].now()
+        before = campaigns[-1].now()
         out = validate(*args, **kwargs)
         validations.append((before, out))
         return out
 
-    monkeypatch.setattr(campaign_module, "StepClock", LoggedStepClock)
+    monkeypatch.setattr(campaign_module, "_Campaign", LoggedCampaign)
     monkeypatch.setattr(campaign_module, "validate", logged_validate)
     r = run_campaign(load_subject("keycheck"), KEY_SEEDS, bridge_cfg())
     stamps = {str(g): (before, out.steps)

@@ -9,6 +9,7 @@ carve is replayed through call_function to check it reproduces them.
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -116,7 +117,8 @@ fn main() -> int {
     assert stats.skipped_incomplete == 1
 
 
-def test_per_function_cap_keeps_earliest_calls():
+def test_per_function_cap_keeps_earliest_calls(monkeypatch):
+    assert trace.PER_FN_CAP == 8
     prog = parse("""
 fn f(x: int) -> int { return x + 1; }
 fn main() -> int {
@@ -126,7 +128,7 @@ fn main() -> int {
     return acc;
 }
 """)
-    result = run_with_tracing(prog, mk_input(), RunOptions(per_fn_cap=8))
+    result = run_with_tracing(prog, mk_input())
     carves, stats = carve_with_stats(result)
     assert len(carves) == 8
     assert stats.skipped_capped == 12
@@ -134,7 +136,8 @@ fn main() -> int {
     assert indices == sorted(indices)
     # first call captures acc == 0, so the cap kept the earliest calls
     assert carves[0].context.roots["arg[0]"] == 0
-    uncapped = run_with_tracing(prog, mk_input(), RunOptions(per_fn_cap=100))
+    monkeypatch.setattr(trace, "PER_FN_CAP", 100)
+    uncapped = run_with_tracing(prog, mk_input())
     assert len(carve_with_stats(uncapped)[0]) == 20
 
 
@@ -161,7 +164,7 @@ fn main() -> int {
 }
 """)
     taken = counting_snapshots(monkeypatch)
-    result = run_with_tracing(prog, mk_input(), RunOptions(per_fn_cap=8))
+    result = run_with_tracing(prog, mk_input())
     assert len(taken) == 8
     assert len(result.trace) == 8
 
@@ -178,11 +181,12 @@ fn main() -> int { return f(2); }
 """
 
 
-def test_cap_keeps_the_one_inner_call_that_returned_before_a_crash():
+def test_cap_keeps_the_one_inner_call_that_returned_before_a_crash(monkeypatch):
     # All three calls start before any returns, so all are recorded; only
     # f(0) returns, and open calls hold no place under the cap.
     prog = parse(RECURSION.replace("CRASH_AT", "1"))
-    result = run_with_tracing(prog, mk_input(), RunOptions(per_fn_cap=1))
+    monkeypatch.setattr(trace, "PER_FN_CAP", 1)
+    result = run_with_tracing(prog, mk_input())
     assert result.status.crash_kind == "abort"
     carves, stats = carve_with_stats(result)
     assert [c.start for c in carves] == [("f", 3)]
@@ -190,9 +194,10 @@ def test_cap_keeps_the_one_inner_call_that_returned_before_a_crash():
         1, 2, 0)
 
 
-def test_cap_keeps_the_earliest_call_of_a_recursion_that_returns():
+def test_cap_keeps_the_earliest_call_of_a_recursion_that_returns(monkeypatch):
     prog = parse(RECURSION.replace("CRASH_AT", "-1"))
-    result = run_with_tracing(prog, mk_input(), RunOptions(per_fn_cap=1))
+    monkeypatch.setattr(trace, "PER_FN_CAP", 1)
+    result = run_with_tracing(prog, mk_input())
     assert result.status.kind == "exit" and result.status.code == 3
     carves, stats = carve_with_stats(result)
     assert [c.start for c in carves] == [("f", 1)]
@@ -408,9 +413,9 @@ def test_snapshot_walks_a_value_once_per_call(monkeypatch):
     walks = []
     walk = values._size_and_refs
 
-    def counted(v):
+    def counted(v, sizes):
         walks.append(v)
-        return walk(v)
+        return walk(v, sizes)
     monkeypatch.setattr(values, "_size_and_refs", counted)
     rec = Record("Num", {"v": 3, "next": Ref(1, 0)})
     table = {0: [rec] * 10_000, 1: [5]}
@@ -422,6 +427,70 @@ def test_snapshot_walks_a_value_once_per_call(monkeypatch):
     assert snapshot_reachable([Ref(0, 0)], table, total - 1) == (
         {0: [severed] * 10_000}, True)
     assert sum(v is rec for v in walks) == 3     # once per call
+
+
+class CountingMemo(dict):
+    """A memo that counts how often each key is stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = Counter()
+
+    def __setitem__(self, key, value):
+        self.stores[key] += 1
+        super().__setitem__(key, value)
+
+
+def doubled(n, leaf):
+    """What `a = [leaf]; a = [a, a]` n times makes: 2**n paths to the
+    leaf through n + 1 distinct arrays."""
+    a = (leaf,)
+    for _ in range(n):
+        a = (a, a)
+    return a
+
+
+def test_a_shared_part_is_walked_and_severed_once():
+    a = doubled(20, Ref(1, 0))
+    sizes = CountingMemo()
+    size, refs = values._size_and_refs(a, sizes)
+    assert size == 2**20 * 16 + (2**20 - 1) * 8     # every path counts
+    assert refs == [Ref(1, 0)]
+    assert len(sizes.stores) == 21 and set(sizes.stores.values()) == {1}
+    copies = CountingMemo()
+    cut = sever(a, set(), copies)
+    assert len(copies.stores) == 21 and set(copies.stores.values()) == {1}
+    for _ in range(20):
+        assert cut[0] is cut[1] and cut is not a
+        cut, a = cut[0], a[0]
+    assert cut == (None,)
+
+
+DOUBLING = """
+fn f(a: [int]) -> int { return len(a); }
+fn main() -> int {
+    let a = [alloc_array(2, 7)];
+    let i = 0;
+    while (i < 40) { a = [a, a]; i = i + 1; }
+    return f(a);
+}
+"""
+
+
+@pytest.mark.parametrize("budget", [65536, 8])
+def test_a_traced_run_of_a_value_with_2_to_the_40_paths_returns(budget):
+    result = run_with_tracing(parse(DOUBLING), mk_input(),
+                              RunOptions(max_dump_bytes=budget))
+    assert result.status.kind == "exit" and result.status.code == 2
+    [carve] = result.trace
+    root = carve.context.roots["arg[0]"]
+    assert carve.context.truncated == (budget == 8)
+    assert list(carve.context.segments.values()) == (
+        [] if budget == 8 else [[7, 7]])
+    for _ in range(40):
+        assert root[0] is root[1]
+        root = root[0]
+    assert root == ((None,) if budget == 8 else (Ref(root[0].seg, 0),))
 
 
 def carves_of_the_dc_bridge_pool(monkeypatch):

@@ -1,6 +1,6 @@
 """Source hygiene checks over the package's own modules.
 
-A top-level import whose name the module never uses is dead weight and
+The tests import the package from `src/` beside them.  A top-level import whose name the module never uses is dead weight and
 hides what the module really depends on.  Package __init__ files are
 left out: they import names to re-export them.  An import that is kept
 on purpose carries a `# noqa: F401` marker, and only a name the
@@ -9,7 +9,8 @@ its `__all__`, must name only what it defines.  A field of a record one
 stage hands the next must be read somewhere, or no stage needs it.  The
 VM (`vm/interp.py` and `vm/ops.py`) stays within its line budget.  Only
 `_Campaign.run_one` runs a system input in `campaign.py`, so every run
-goes through its step memo.
+goes through its step memo, and only `_Campaign.charge` writes the
+campaign's ledger of system executions.
 """
 
 import ast
@@ -18,6 +19,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+import carvelift
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "carvelift"
@@ -70,6 +73,12 @@ def kept_imports(text):
             for node in ast.parse(text).body
             if isinstance(node, (ast.Import, ast.ImportFrom)) and marked(node, lines)
             for alias in node.names]
+
+
+def test_the_tests_import_the_checkout():
+    """pyproject.toml puts src/ first on the tests' path, so they test
+    the source beside them, never an installed copy."""
+    assert Path(carvelift.__file__).resolve().is_relative_to(PACKAGE)
 
 
 def test_scanner_finds_only_unused_names():
@@ -140,7 +149,7 @@ def test_every_stage_record_field_is_read():
 # ROADMAP item 8's bound on the VM: the compiler and the operations it
 # calls may not grow past it, so new compiler code is paid for by
 # deletions.
-VM_LINE_BUDGET = 902
+VM_LINE_BUDGET = 901
 
 
 def test_the_vm_stays_within_its_line_budget():
@@ -193,6 +202,78 @@ def test_reference_scanner_names_each_scope():
 def test_only_run_one_runs_a_system_input_in_the_campaign():
     """A run outside `_Campaign.run_one` would bypass its step memo and
     could run an input the campaign has already run.  (A lift's
-    validation runs in lifting.py; fuzz_round stores its steps.)"""
+    validation runs in lifting.py; charging it stores its steps.)"""
     found = system_run_references((PACKAGE / "campaign.py").read_text())
     assert sorted(set(found)) == ["_Campaign.run_one"]
+
+
+# ---------------------------------------------------------------- ledger
+
+LEDGER = {"steps_of", "sys_walls", "system_executions"}
+MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove",
+            "clear", "update", "setdefault", "sort", "reverse"}
+
+
+def ledger_writes(text):
+    """(scope, kind) for each write to a ledger attribute, scoped as in
+    system_run_references.  A plain `x.attr = value` binds it; storing
+    into it (`x.attr[k] = v`, `del x.attr[k]`), an augmented assignment
+    (`x.attr += 1`) or a call of a method that changes it
+    (`x.attr.append(w)`) changes it."""
+    found = []
+
+    def ledger(node):
+        return isinstance(node, ast.Attribute) and node.attr in LEDGER
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, (ast.Assign, ast.AnnAssign)):
+                targets = (child.targets if isinstance(child, ast.Assign)
+                           else [child.target])
+                found.extend((scope, "binds") for t in targets if ledger(t))
+            elif isinstance(child, ast.AugAssign) and ledger(child.target):
+                found.append((scope, "changes"))
+            elif (isinstance(child, ast.Subscript) and ledger(child.value)
+                    and isinstance(child.ctx, (ast.Store, ast.Del))
+                    or isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in MUTATORS and ledger(child.func.value)):
+                found.append((scope, "changes"))
+            visit(child, scope)
+    visit(ast.parse(text), "")
+    return found
+
+
+def test_ledger_scanner_names_each_write():
+    text = (
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self.sys_walls: list = []\n"
+        "        self.steps_of = {}\n"
+        "    def a(self, k):\n"
+        "        self.steps_of[k] = 1\n"
+        "        x = self.steps_of[k] + len(self.sys_walls)\n"
+        "        self.steps_of.get(k)\n"
+        "    def b(self, w):\n"
+        "        self.system_executions += 1\n"
+        "        self.sys_walls.append(w)\n"
+        "        del self.steps_of[w]\n"
+        "def f(c):\n"
+        "    c.sys_walls.extend([1])\n"
+    )
+    assert ledger_writes(text) == [
+        ("C.__init__", "binds"), ("C.__init__", "binds"), ("C.a", "changes"),
+        ("C.b", "changes"), ("C.b", "changes"), ("C.b", "changes"),
+        ("f", "changes")]
+
+
+def test_only_charge_writes_the_campaign_ledger():
+    """Every system execution is charged in one place: its steps, its
+    count, and for a run that executed its wall time and its steps for
+    repeats.  `__init__` only creates the ledger."""
+    found = ledger_writes((PACKAGE / "campaign.py").read_text())
+    assert sorted(set(found)) == [("_Campaign.__init__", "binds"),
+                                  ("_Campaign.charge", "changes")]

@@ -18,7 +18,7 @@ from carvelift.lang.errors import UnknownFunction
 from carvelift.lang.goals import enumerate_goals, goals_in_function
 from carvelift.lang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, parse
 from carvelift.rng import Rng
-from carvelift.vm import ops
+from carvelift.vm import ops, trace
 from carvelift.vm.interp import (
     DEFAULT_STEP_LIMIT,
     RunOptions,
@@ -81,9 +81,10 @@ def check_recorded_calls(name, argv, stdin, step_limit=DEFAULT_STEP_LIMIT,
     Returns the run and the oracle's exit code.
     """
     prog = load_subject(name)
-    result = run_with_tracing(prog, mk_input(argv, stdin),
-                              RunOptions(step_limit=step_limit,
-                                         per_fn_cap=10_000))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace, "PER_FN_CAP", 10_000)
+        result = run_with_tracing(prog, mk_input(argv, stdin),
+                                  RunOptions(step_limit=step_limit))
     naive = NaiveCounter(prog, argv, stdin, max_iterations)
     code = naive.run()
     skip = input_reading_functions(prog) | {"main"}
