@@ -218,7 +218,9 @@ class _Campaign:
         return self.now() >= self.budget
 
     def uncovered(self) -> bool:
-        return bool(self.all_goals - self.discovered)
+        # record() logs only goals of the program, so discovered is a
+        # subset of all_goals and comparing the sizes is enough.
+        return len(self.discovered) < len(self.all_goals)
 
     def fraction(self) -> float:
         if not self.all_goals:

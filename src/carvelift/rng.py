@@ -5,28 +5,97 @@ Every randomized component takes one of these instead of the global
 seed.  The generator is splitmix64: a counter-based stream whose children
 are derived from the parent's counter, so sibling streams stay independent
 of how much each of them is consumed.
+
+Output k of a stream is the splitmix64 finalizer applied to
+``seed + k * GAMMA``, so outputs can be computed in any order.  A fresh
+stream computes its first few outputs one at a time (a short-lived child
+of ``split`` pays for nothing it does not draw); after that it fills a
+buffer with the next 64 outputs, and 256 at every later refill, in one
+evaluation of the finalizer over a single Python int that holds one
+128-bit lane per output.  Every value in a lane stays below 2**64, so a
+64x64-bit product fits inside its lane; each xor-shift is masked back to
+the low 64 bits of every lane, so no bits cross from one lane into the
+next.  The lanes are unpacked with one ``to_bytes`` in the host's byte
+order and a ``"Q"`` cast, taking every other word: the low word of each
+lane, read from the end on a little-endian host and from the start on a
+big-endian one, so the buffer is in reverse order and ``pop()`` returns
+the next output.  The streams are exactly those of the one-at-a-time
+generator: every method returns the same values in the same order.
 """
 
 from __future__ import annotations
+
+import sys
+from functools import cache
 
 _SPAN = 1 << 64
 _MASK = _SPAN - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
+SCALAR_DRAWS = 8            # outputs a fresh stream computes one at a time
+FIRST_LANES = 64            # outputs of the first batch
+LANES = 256                 # outputs of every later batch
+
+# The low word of every 128-bit lane, last lane first, from a "Q" cast of
+# the packed lanes written in each byte order.
+LANE_WORDS = {"little": slice(-2, None, -2), "big": slice(1, None, 2)}
+_WORDS = LANE_WORDS[sys.byteorder]
+
+# randrange(n) for n <= 2**32 accepts any draw below this bound without
+# computing 2**64 % n, which is below 2**32 and so leaves every accepted
+# draw accepted.
+_SMALL = 1 << 32
+_UNBIASED = _SPAN - _SMALL
+
+
+@cache
+def _lane_constants(n: int) -> tuple[int, int, int]:
+    """Constants for an n-lane batch: a 1 in every lane, the 64-bit mask
+    of every lane, and lane k's offset (k + 1) * GAMMA."""
+    ones = sum(1 << 128 * k for k in range(n))
+    offsets = sum(((k + 1) * _GAMMA & _MASK) << 128 * k for k in range(n))
+    return ones, ones * _MASK, offsets
+
+
+def _batch(state: int, n: int) -> list[int]:
+    """The n outputs after counter `state`, last one first."""
+    ones, mask, offsets = _lane_constants(n)
+    z = (state * ones + offsets) & mask
+    z = (z ^ z >> 30 & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ z >> 27 & mask) * 0x94D049BB133111EB & mask
+    z ^= z >> 31 & mask
+    return memoryview(z.to_bytes(16 * n, sys.byteorder)).cast("Q")[_WORDS].tolist()
+
 
 class Rng:
     """splitmix64 stream over a 64-bit counter."""
 
-    __slots__ = ("_state",)
+    __slots__ = ("_state", "_buf", "_scalar", "_lanes")
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK
+        self._state = seed & _MASK      # the counter of the last output computed
+        self._buf: list[int] = []       # computed outputs not drawn yet, next last
+        self._scalar = SCALAR_DRAWS
+        self._lanes = FIRST_LANES
 
     def next_u64(self) -> int:
-        z = self._state = (self._state + _GAMMA) & _MASK
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-        return z ^ (z >> 31)
+        buf = self._buf
+        return buf.pop() if buf else self._refill()
+
+    def _refill(self) -> int:
+        """The next output, computed with the outputs after it when the
+        scalar phase is over."""
+        if self._scalar:
+            self._scalar -= 1
+            z = self._state = (self._state + _GAMMA) & _MASK
+            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+            return z ^ (z >> 31)
+        n = self._lanes
+        self._buf = buf = _batch(self._state, n)
+        self._state = (self._state + n * _GAMMA) & _MASK
+        self._lanes = LANES
+        return buf.pop()
 
     def split(self) -> "Rng":
         """Derive an independent child stream.
@@ -38,14 +107,20 @@ class Rng:
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n). n must be positive."""
-        if n <= 0:
+        if 0 < n <= _SMALL:
+            buf = self._buf
+            x = buf.pop() if buf else self._refill()
+            if x < _UNBIASED:
+                return x % n
+        elif n <= 0:
             raise ValueError("randrange needs a positive bound")
+        else:
+            x = self.next_u64()
         # Rejection sampling keeps the distribution exactly uniform.
         limit = _SPAN - _SPAN % n
-        while True:
+        while x >= limit:
             x = self.next_u64()
-            if x < limit:
-                return x % n
+        return x % n
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] inclusive."""
@@ -57,10 +132,9 @@ class Rng:
         return seq[self.randrange(len(seq))]
 
     def randbytes(self, n: int) -> bytes:
-        out = bytearray()
-        while len(out) < n:
-            out.extend(self.next_u64().to_bytes(8, "little"))
-        return bytes(out[:n])
+        """n bytes: the draws' little-endian bytes, in turn."""
+        return b"".join([self.next_u64().to_bytes(8, "little")
+                         for _ in range(0, n, 8)])[:n]
 
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):

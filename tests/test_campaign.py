@@ -637,6 +637,26 @@ def test_no_input_runs_untraced_twice_in_a_campaign(name, mode, monkeypatch):
         assert answered
 
 
+@pytest.mark.parametrize("name,mode", sorted(GOLDEN_DIGESTS))
+def test_every_recorded_goal_is_a_goal_of_the_program(name, mode, monkeypatch):
+    """_Campaign.uncovered compares the discovered count with the goal
+    count, which holds only while record logs goals of the program."""
+    program, name = resolve_program(name)
+    goals = enumerate_goals(program)
+    record = campaign_module._Campaign.record
+    sources = []
+
+    def checked_record(self, found, source):
+        assert found <= goals, sorted(map(str, found - goals))
+        sources.append(source)
+        record(self, found, source)
+    monkeypatch.setattr(campaign_module._Campaign, "record", checked_record)
+    cfg = RunConfig(mode=mode, deterministic_clock=GOLDEN_CLOCK, rng_seed=7)
+    report = run_campaign(program, resolve_seeds(None, name), cfg,
+                          program_name=name)
+    assert sources and report.discovered <= report.total_goals == len(goals)
+
+
 def test_wall_times_cover_only_the_runs_that_executed(monkeypatch):
     log = log_system_runs(monkeypatch)
     program, name = resolve_program("mini_cut")
