@@ -41,9 +41,8 @@ LANES = 256                 # outputs of every later batch
 LANE_WORDS = {"little": slice(-2, None, -2), "big": slice(1, None, 2)}
 _WORDS = LANE_WORDS[sys.byteorder]
 
-# randrange(n) for n <= 2**32 accepts any draw below this bound without
-# computing 2**64 % n, which is below 2**32 and so leaves every accepted
-# draw accepted.
+# For n <= 2**32, 2**64 % n is below 2**32, so randrange(n) accepts any
+# draw below this bound without computing its exact rejection limit.
 _SMALL = 1 << 32
 _UNBIASED = _SPAN - _SMALL
 

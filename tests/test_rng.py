@@ -44,7 +44,7 @@ class Reference:
 
     def randbytes(self, n):
         out = b"".join(self.next_u64().to_bytes(8, "little")
-                       for _ in range(0, max(n, 0), 8))
+                       for _ in range(0, n, 8))
         return out[:n]
 
     def shuffle(self, items):
