@@ -7,20 +7,21 @@ are derived from the parent's counter, so sibling streams stay independent
 of how much each of them is consumed.
 
 Output k of a stream is the splitmix64 finalizer applied to
-``seed + k * GAMMA``, so outputs can be computed in any order.  A fresh
-stream computes its first few outputs one at a time (a short-lived child
-of ``split`` pays for nothing it does not draw); after that it fills a
-buffer with the next 64 outputs, and 256 at every later refill, in one
+``seed + k * GAMMA``, so outputs can be computed in any order.  A stream
+draws from a buffer that each refill fills with the next outputs in one
 evaluation of the finalizer over a single Python int that holds one
-128-bit lane per output.  Every value in a lane stays below 2**64, so a
-64x64-bit product fits inside its lane; each xor-shift is masked back to
-the low 64 bits of every lane, so no bits cross from one lane into the
-next.  The lanes are unpacked with one ``to_bytes`` in the host's byte
-order and a ``"Q"`` cast, taking every other word: the low word of each
-lane, read from the end on a little-endian host and from the start on a
-big-endian one, so the buffer is in reverse order and ``pop()`` returns
-the next output.  The streams are exactly those of the one-at-a-time
-generator: every method returns the same values in the same order.
+128-bit lane per output.  The first refill computes 8 outputs and each
+later one twice as many as the last, up to 256, so a short-lived child of
+``split`` computes few outputs it never draws.  Every value in a lane
+stays below 2**64, so a 64x64-bit product fits inside its lane; each
+xor-shift is masked back to the low 64 bits of every lane, so no bits
+cross from one lane into the next.  The lanes are unpacked with one
+``to_bytes`` in the host's byte order and a ``"Q"`` cast, taking every
+other word: the low word of each lane, read from the end on a
+little-endian host and from the start on a big-endian one, so the buffer
+is in reverse order and ``pop()`` returns the next output.  The streams
+are exactly those of the one-at-a-time generator: every method returns
+the same values in the same order.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ _SPAN = 1 << 64
 _MASK = _SPAN - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
-SCALAR_DRAWS = 8            # outputs a fresh stream computes one at a time
-FIRST_LANES = 64            # outputs of the first batch
-LANES = 256                 # outputs of every later batch
+FIRST_LANES = 8             # outputs of a stream's first refill
+LANES = 256                 # the most outputs of any later refill
 
 # The low word of every 128-bit lane, last lane first, from a "Q" cast of
 # the packed lanes written in each byte order.
@@ -69,31 +69,23 @@ def _batch(state: int, n: int) -> list[int]:
 class Rng:
     """splitmix64 stream over a 64-bit counter."""
 
-    __slots__ = ("_state", "_buf", "_scalar", "_lanes")
+    __slots__ = ("_state", "_buf", "_lanes")
 
     def __init__(self, seed: int):
         self._state = seed & _MASK      # the counter of the last output computed
         self._buf: list[int] = []       # computed outputs not drawn yet, next last
-        self._scalar = SCALAR_DRAWS
-        self._lanes = FIRST_LANES
+        self._lanes = FIRST_LANES       # outputs of the next refill
 
     def next_u64(self) -> int:
         buf = self._buf
         return buf.pop() if buf else self._refill()
 
     def _refill(self) -> int:
-        """The next output, computed with the outputs after it when the
-        scalar phase is over."""
-        if self._scalar:
-            self._scalar -= 1
-            z = self._state = (self._state + _GAMMA) & _MASK
-            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-            return z ^ (z >> 31)
+        """The next output, computed with the outputs after it."""
         n = self._lanes
         self._buf = buf = _batch(self._state, n)
         self._state = (self._state + n * _GAMMA) & _MASK
-        self._lanes = LANES
+        self._lanes = min(2 * n, LANES)
         return buf.pop()
 
     def split(self) -> "Rng":
@@ -106,15 +98,11 @@ class Rng:
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n). n must be positive."""
-        if 0 < n <= _SMALL:
-            buf = self._buf
-            x = buf.pop() if buf else self._refill()
-            if x < _UNBIASED:
-                return x % n
-        elif n <= 0:
+        if n <= 0:
             raise ValueError("randrange needs a positive bound")
-        else:
-            x = self.next_u64()
+        x = self.next_u64()
+        if n <= _SMALL and x < _UNBIASED:
+            return x % n
         # Rejection sampling keeps the distribution exactly uniform.
         limit = _SPAN - _SPAN % n
         while x >= limit:
@@ -131,9 +119,10 @@ class Rng:
         return seq[self.randrange(len(seq))]
 
     def randbytes(self, n: int) -> bytes:
-        """n bytes: the draws' little-endian bytes, in turn."""
-        return b"".join([self.next_u64().to_bytes(8, "little")
-                         for _ in range(0, n, 8)])[:n]
+        out = bytearray()
+        while len(out) < n:
+            out.extend(self.next_u64().to_bytes(8, "little"))
+        return bytes(out[:n])
 
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):

@@ -170,8 +170,9 @@ _SLOW = {op: f"S{i}" for i, op in enumerate(ops.BINARY)}
 _NAMESPACE = {
     "spent": spent, "fail": fail, "U": object(), "Record": Record, "Ref": Ref,
     "GLOBAL": _global, "STOP": _stop, "TRACED": _traced, "TYPE": value_type_name,
-    "INDEX": ops.index, "STORE": ops.store, "NEG": ops.negate, "FIELD": ops.field,
-    "NOT": ops.logical_not, "inf": float("inf"),  # repr() of an overflowing float literal
+    "INDEX": ops.index, "STORE": ops.store, "WRAP": wrap64,
+    "NEG": ops.negate, "NOT": ops.logical_not, "FIELD": ops.field,
+    "inf": float("inf"),     # repr() of an overflowing float literal
     "SCALAR": (int, bytes, float), "P0": ("<init>", -1),
     **{_SLOW[op]: f for op, f in ops.BINARY.items()},
     **{f"B_{name}": f for name, f in ops.BUILTINS.items()},
@@ -534,8 +535,7 @@ class _Code:
             return f"{a} {op} {b}"
         t, slow = self.temp(), f"{_SLOW[op]}({at}, {a}, {b})"
         if op in "+-*":
-            fast = (f"r if {INT64_MIN} <= (r := {a} {op} {b}) <= {INT64_MAX} "
-                    f"else (r + {INT64_MAX + 1} & {2 * INT64_MAX + 1}) - {INT64_MAX + 1}")
+            fast = f"r if {INT64_MIN} <= (r := {a} {op} {b}) <= {INT64_MAX} else WRAP(r)"
         elif op not in "/%":    # a comparison: 0 or 1
             fast = f"1 if {a} {op} {b} else 0"
         if op in "/%" or kind is None:

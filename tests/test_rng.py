@@ -1,16 +1,19 @@
 """The splitmix64 streams: known answers, and every method against a
 one-output-at-a-time reference across the batched refills."""
 
+import os
 import random
+import subprocess
 import sys
 from array import array
 
 import pytest
 
 from carvelift import rng as rng_module
-from carvelift.rng import FIRST_LANES, LANE_WORDS, LANES, SCALAR_DRAWS, Rng
+from carvelift.rng import FIRST_LANES, LANE_WORDS, LANES, Rng
 
 GAMMA = 0x9E3779B97F4A7C15
+SRC = os.path.dirname(os.path.dirname(rng_module.__file__))
 C1, C2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
@@ -75,8 +78,10 @@ def test_known_answers():
     assert Rng(0).next_u64() == 0xE220A8397B1DCDAF
 
 
-# Past the scalar phase, the first batch and two full refills.
-PAST_REFILLS = SCALAR_DRAWS + FIRST_LANES + 2 * LANES + 1
+# The sizes of a stream's refills until they reach LANES: 8, 16, ..., 256.
+RAMP = [FIRST_LANES << i for i in range((LANES // FIRST_LANES).bit_length())]
+# Past every refill of the ramp and one refill of LANES.
+PAST_REFILLS = sum(RAMP) + LANES + 1
 BOUNDS = (1, 2, 95, 256, 2**32 - 1, 2**32, 2**32 + 1, 2**63 + 7, 2**64 - 1, 2**64)
 
 
@@ -126,9 +131,8 @@ def test_every_method_matches_the_scalar_reference(chunk):
             assert new.next_u64() == ref.next_u64()
 
 
-@pytest.mark.parametrize("k", [0, SCALAR_DRAWS - 1, SCALAR_DRAWS,
-                               SCALAR_DRAWS + FIRST_LANES - 1,
-                               SCALAR_DRAWS + FIRST_LANES + 100])
+@pytest.mark.parametrize("k", [0, FIRST_LANES - 1, FIRST_LANES,
+                               sum(RAMP) - 1, sum(RAMP), sum(RAMP) + 100])
 def test_randrange_rejects_exactly_the_draws_the_reference_rejects(k):
     """Draws at or above 2**64 - 2**32 leave the fast path: 2**64 - 1 is
     rejected for n = 3, and 2**64 - 2**32 is accepted for n = 95."""
@@ -165,11 +169,26 @@ def test_lane_words_pick_each_lanes_low_word_in_either_byte_order(order):
     assert words[LANE_WORDS[order]].tolist() == outputs[::-1]
 
 
+def test_refills_double_from_the_first_size_up_to_lanes():
+    r = Rng(11)
+    sizes = []
+    for _ in range(sum(RAMP) + 2 * LANES):
+        refill = not r._buf
+        r.next_u64()
+        if refill:
+            sizes.append(len(r._buf) + 1)
+    assert sizes == RAMP + [LANES, LANES]
+
+
 def test_lane_constants_are_built_on_the_first_refill():
+    imported = subprocess.run(
+        [sys.executable, "-c", "import carvelift.rng as m; "
+         "print(m._lane_constants.cache_info().currsize)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": SRC})
+    assert imported.stdout.strip() == "0"
     rng_module._lane_constants.cache_clear()
     r = Rng(3)
-    for _ in range(SCALAR_DRAWS):
-        r.next_u64()
     assert rng_module._lane_constants.cache_info().currsize == 0
     r.next_u64()
     assert rng_module._lane_constants.cache_info().currsize == 1
