@@ -97,9 +97,12 @@ class Rng:
         return Rng(self.next_u64())
 
     def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n). n must be positive."""
+        """Uniform integer in [0, n). n must be positive and at most 2**64,
+        the span of one draw."""
         if n <= 0:
             raise ValueError("randrange needs a positive bound")
+        if n > _SPAN:
+            raise ValueError("randrange needs a bound of at most 2**64")
         x = self.next_u64()
         if n <= _SMALL and x < _UNBIASED:
             return x % n

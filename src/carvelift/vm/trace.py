@@ -26,10 +26,12 @@ Context root paths follow the language's own access syntax:
     global:db[2].name     ref index, then record field
 
 so a path printed in a report can be read back against the source.
-`Context` alone reads and writes these paths: `leaves` names every
-scalar leaf, `resolve` looks one up, `slot` keeps where it is, and
-`world` builds the replay world for `call_function` with chosen leaves
-replaced; a context never changes, so what it keeps always holds.
+`Context` alone writes these paths, in one walk (`walk`) that keeps,
+for each place it names, the value and where a world stores it:
+`leaves` names every scalar leaf, `resolve` looks one up, and `world`
+builds the replay world for `call_function` with chosen leaves
+replaced.  They accept exactly the paths the walk writes; a context
+never changes, so what it keeps always holds.
 
 One encoding of a carve (`encode_carve`, read back by `decode_carve`)
 serves both the snapshot file (`save_snapshot`) and the determinism
@@ -57,103 +59,77 @@ PER_FN_CAP = 8      # recorded calls kept per function and run
 
 
 _ROOT = re.compile(r"arg\[[0-9]+\]|global:\w+")
-_STEP = re.compile(r"\[([0-9]+)\]|\.(\w+)")
-
-
-def parse_path(path: str):
-    """Split a context path into its root and access steps.
-
-    Returns (root, steps) where steps is a tuple of ("index", i) and
-    ("field", name) entries.  Raises KeyError on malformed paths so that
-    lookup and parse failures surface the same way.
-    """
-    m = _ROOT.match(path)
-    if m is None:
-        raise KeyError(path)
-    steps = []
-    pos = m.end()
-    while pos < len(path):
-        step = _STEP.match(path, pos)
-        if step is None:
-            raise KeyError(path)
-        steps.append(("index", int(step[1])) if step[1] is not None
-                      else ("field", step[2]))
-        pos = step.end()
-    return path[:m.end()], tuple(steps)
 
 
 @dataclass
 class Context:
     """Everything one invocation could see: args, globals, reachable heap.
-    Roots are `arg[0..n-1]`, then `global:name`; `slots` and `split` keep
-    what every world needs once first found (see `slot` and `world`)."""
+    Roots are `arg[0..n-1]`, then `global:name`; `places` and `split` keep
+    what every world needs once first found (see `walk` and `world`)."""
 
     roots: dict[str, object]
     segments: SegmentTable
     truncated: bool
-    slots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    places: dict | None = field(default=None, init=False, repr=False, compare=False)
     split: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def leaves(self):
-        """Yield (path, value) for every scalar leaf, argument roots first.
+    def walk(self) -> dict:
+        """Every place the context names, argument roots first: a root, an
+        array item, a record field or a segment element, kept in `places`.
 
-        Aliased segments are walked once, claimed by the first path that
-        reaches them; that also terminates cyclic structures.
+        Maps each place's path to (value, holder, steps): its holder is
+        where a world stores it, a root's args index or global name or a
+        segment element's (segment id, absolute index), and its steps are
+        the array indices and field names below that holder.  Aliased
+        segments are walked once, named by the first path that reaches
+        them; that also terminates cyclic structures.
         """
-        visited: set[int] = set()
-        open_ = [iter(self.roots.items())]  # a stack, since values nest deep
-        while open_:
-            for path, v in open_[-1]:
-                if isinstance(v, (int, float, bytes)):
-                    yield path, v
-                elif isinstance(v, tuple):
-                    open_.append(iter([(f"{path}[{i}]", x) for i, x in enumerate(v)]))
-                    break
-                elif isinstance(v, Record):
-                    open_.append(iter([(f"{path}.{n}", x) for n, x in v.fields.items()]))
-                    break
-                elif isinstance(v, Ref) and v.seg not in visited and v.seg in self.segments:
-                    visited.add(v.seg)
-                    open_.append(iter([(f"{path}[{i}]", x) for i, x
-                                       in enumerate(self.segments[v.seg][v.off:])]))
-                    break
-            else:
-                open_.pop()
+        if self.places is None:
+            places, visited = {}, set()
+            open_ = [iter([(p, v, int(p[4:-1]) if p[0] == "a" else p[7:], ())
+                           for p, v in self.roots.items()])]   # a stack: values nest deep
+            while open_:
+                for path, v, holder, steps in open_[-1]:
+                    places[path] = v, holder, steps
+                    if isinstance(v, tuple):
+                        open_.append(iter([(f"{path}[{i}]", x, holder, steps + (i,))
+                                           for i, x in enumerate(v)]))
+                        break
+                    if isinstance(v, Record):
+                        open_.append(iter([(f"{path}.{n}", x, holder, steps + (n,))
+                                           for n, x in v.fields.items()]))
+                        break
+                    if isinstance(v, Ref) and v.seg not in visited and v.seg in self.segments:
+                        visited.add(v.seg)
+                        seg = self.segments[v.seg]
+                        open_.append(iter([(f"{path}[{i - v.off}]", seg[i], (v.seg, i), ())
+                                           for i in range(v.off, len(seg))]))
+                        break
+                else:
+                    open_.pop()
+            self.places = places
+        return self.places
+
+    def leaves(self):
+        """Yield (path, value) for every scalar leaf `walk` names, in its order."""
+        for path, (v, _, _) in self.walk().items():
+            if isinstance(v, (int, float, bytes)):
+                yield path, v
 
     def resolve(self, path: str):
-        """Look up the value a path denotes. Raises KeyError when absent."""
-        root, steps = parse_path(path)
-        try:
-            v = self.roots[root]
-            for step in steps:
-                holder, key = _slot(v, step, self.segments)
-                v = holder[key]
-        except KeyError:
-            raise KeyError(path) from None
-        return v
-
-    def slot(self, path: str):
-        """(kind, key, steps) of a path `resolve` finds, kept in `slots`:
-        its leaf's kind (bytes or int, else None), its root's args index
-        or global name, and its access steps.  KeyError when absent."""
-        slot = self.slots.get(path)
-        if slot is None:
-            leaf, (root, steps) = self.resolve(path), parse_path(path)
-            kind = bytes if isinstance(leaf, bytes) else int if isinstance(leaf, int) else None
-            key = int(root[4:-1]) if root[0] == "a" else root[7:]   # after "global:"
-            slot = self.slots[path] = (kind, key, steps)
-        return slot
+        """The value at a path `walk` names. Raises KeyError otherwise."""
+        return self.walk()[path][0]
 
     def world(self, assign=None):
         """A fresh (args, (globals, segments)) for `call_function`.
 
         The args, the globals and each segment are copied, since the
         callee rebinds globals and stores into segments, and the leaf at
-        each path of `assign`, in sorted order, is replaced by its value
-        through its kept `slot`.  KeyError for a path `resolve` cannot
-        look up; TypeMismatch unless the value is of the leaf's kind,
-        bytes or int (an int wraps to 64 bits).  It runs once per unit
-        execution, so it does only the copies, the checks and the
+        each path of `assign`, in sorted order, is stored into its holder,
+        the arrays and records above it rebuilt.  KeyError for a path
+        `walk` does not name; TypeMismatch unless the value is of the
+        leaf's kind, bytes or int (an int wraps to 64 bits).  It runs once
+        per unit execution, so it does only the copies, the checks and the
         replacing; the rest is kept.
         """
         if self.split is None:
@@ -162,8 +138,9 @@ class Context:
         args, globals_ = list(self.split[0]), dict(self.split[1])
         segments = {sid: seg[:] for sid, seg in self.segments.items()}
         for path in sorted(assign or ()):
-            kind, key, steps = self.slot(path)
+            leaf, holder, steps = self.walk()[path]
             value = assign[path]
+            kind = bytes if isinstance(leaf, bytes) else int if isinstance(leaf, int) else None
             if kind is None:
                 raise TypeMismatch(f"{path}: only bytes and int leaves take assignments")
             if not isinstance(value, kind) or type(value) is bool:
@@ -171,44 +148,23 @@ class Context:
                                    "assignment is not")
             if kind is int:
                 value = wrap64(value)
-            # Only leaves are replaced, so every path leads where it did.
-            held = args if type(key) is int else globals_
-            held[key] = _replaced(held[key], steps, value, segments) if steps else value
+            if type(holder) is tuple:       # a segment element
+                held, key = segments[holder[0]], holder[1]
+            else:                           # a root
+                held, key = (args if type(holder) is int else globals_), holder
+            # Only leaves are replaced, so every step leads where it did.
+            held[key] = _rebuilt(held[key], steps, value) if steps else value
         return args, (globals_, segments)
 
 
-def _slot(v, step, segments):
-    """Where one access step from `v` leads: (holder, key) with the value
-    at holder[key], the holder a segment, a tuple or a record's fields.
-    Raises KeyError when the step leads nowhere."""
-    kind, key = step
-    if kind == "field":
-        if isinstance(v, Record) and key in v.fields:
-            return v.fields, key
-    elif isinstance(v, Ref):
-        seg = segments.get(v.seg)
-        if seg is not None and v.off + key < len(seg):
-            return seg, v.off + key
-    elif isinstance(v, tuple) and key < len(v):
-        return v, key
-    raise KeyError(key)
-
-
-def _replaced(v, steps, new, segments):
-    """`v` with the leaf `steps` lead to replaced by `new`; a leaf behind
-    a ref is stored into `segments` in place."""
+def _rebuilt(v, steps, new):
+    """`v` with the item its array and record `steps` lead to replaced by `new`."""
     trail = []
-    for step in steps:
-        holder, key = _slot(v, step, segments)
-        trail.append((v, holder, key))
-        v = holder[key]
-    for v, holder, key in reversed(trail):     # innermost first
-        if isinstance(v, Ref):
-            holder[key], new = new, v
-        elif isinstance(v, Record):
-            new = v.with_field(key, new)
-        else:
-            new = v[:key] + (new,) + v[key + 1:]
+    for key in steps:
+        trail.append((v, key))
+        v = v.fields[key] if type(key) is str else v[key]
+    for v, key in reversed(trail):     # innermost first
+        new = v.with_field(key, new) if type(key) is str else v[:key] + (new,) + v[key + 1:]
     return new
 
 

@@ -27,13 +27,13 @@ from carvelift.campaign import (
     run_campaign,
     select_next,
 )
-from carvelift.errors import ConfigError
+from carvelift.errors import ConfigError, SubjectLoadError
 from carvelift.lang.ast import input_reading_functions
 from carvelift.lang.goals import enumerate_goals, goals_in_function
 from carvelift.lang.parser import parse
 from carvelift.reporting import serialize_report
 from carvelift.rng import Rng
-from carvelift.sysgen import read_corpus
+from carvelift.sysgen import read_corpus, write_input_file
 from carvelift.vm.trace import CarvedTest, Context
 
 from conftest import BYTES_AS_INT, SUBJECT_NAMES, load_subject, mk_input
@@ -175,12 +175,26 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         run_campaign(prog, seeds, RunConfig(n_per_seed=0))
     with pytest.raises(ConfigError):
+        run_campaign(prog, seeds, RunConfig(unit_budget=0))
+    with pytest.raises(ConfigError):
         run_campaign(prog, [], RunConfig())
     # Under a negative step limit a run charges the step clock negative
     # steps, so a campaign on it would never end.
     for bad in (dict(step_limit=0), dict(step_limit=-5), dict(max_dump_bytes=0)):
         with pytest.raises(ConfigError, match=f"^{next(iter(bad))} must be positive$"):
             run_campaign(prog, seeds, RunConfig(budget=1, **bad))
+
+
+def test_seed_directory_gives_its_input_files_in_name_order(tmp_path):
+    # `run --seeds DIR`: only the .input files, sorted by name.
+    inputs = {"b.input": mk_input((b"b",)), "a.input": mk_input((b"a",), b"in"),
+              "c.txt": mk_input((b"c",))}
+    for name, s in inputs.items():
+        write_input_file(tmp_path / name, s)
+    assert resolve_seeds(str(tmp_path), "keycheck") == [inputs["a.input"], inputs["b.input"]]
+    (tmp_path / "empty").mkdir()
+    with pytest.raises(SubjectLoadError, match="has no .input files"):
+        resolve_seeds(str(tmp_path / "empty"), "keycheck")
 
 
 # ----------------------------------------------------------- campaigns

@@ -620,15 +620,43 @@ def test_leaves_terminate_on_cycles():
 
 def test_resolve_follows_paths():
     ctx = Context(
-        roots={"arg[0]": Ref(1, 0)},
+        roots={"arg[0]": Ref(1, 0), "global:g": Ref(1, 0)},
         segments={1: [Record("P", {"a": (10, 20)})]},
         truncated=False,
     )
     assert ctx.resolve("arg[0][0].a[1]") == 20
-    with pytest.raises(KeyError):
-        ctx.resolve("arg[1]")
-    with pytest.raises(KeyError):
-        ctx.resolve("arg[0][0].missing")
+    # Only the paths the walk writes: arg[0] names the segment first, so
+    # neither a second ref to it nor another spelling names a place.
+    for path in ("arg[1]", "arg[0][0].missing", "global:g[0].a[1]", "arg[0][00].a[1]"):
+        with pytest.raises(KeyError) as e:
+            ctx.resolve(path)
+        assert e.value.args == (path,)
+
+
+def test_walk_keeps_each_place_with_its_holder_and_steps():
+    # A ref into the middle of a segment names its elements from its
+    # offset; a later ref to the same segment names nothing.
+    ctx = Context(
+        roots={"arg[0]": Ref(1, 1), "global:g": Ref(1, 0)},
+        segments={1: [9, (Record("P", {"a": (1, 2)}),), 4]},
+        truncated=False,
+    )
+    assert ctx.walk() == {
+        "arg[0]": (Ref(1, 1), 0, ()),
+        "arg[0][0]": ((Record("P", {"a": (1, 2)}),), (1, 1), ()),
+        "arg[0][0][0]": (Record("P", {"a": (1, 2)}), (1, 1), (0,)),
+        "arg[0][0][0].a": ((1, 2), (1, 1), (0, "a")),
+        "arg[0][0][0].a[0]": (1, (1, 1), (0, "a", 0)),
+        "arg[0][0][0].a[1]": (2, (1, 1), (0, "a", 1)),
+        "arg[0][1]": (4, (1, 2), ()),
+        "global:g": (Ref(1, 0), "g", ()),
+    }
+    assert list(ctx.leaves()) == [("arg[0][0][0].a[0]", 1), ("arg[0][0][0].a[1]", 2),
+                                  ("arg[0][1]", 4)]
+    args, (globals_, segments) = ctx.world({"arg[0][0][0].a[1]": 7, "arg[0][1]": 5})
+    assert (args, globals_) == ([Ref(1, 1)], {"g": Ref(1, 0)})
+    assert segments == {1: [9, (Record("P", {"a": (1, 7)}),), 5]}
+    assert ctx.segments == {1: [9, (Record("P", {"a": (1, 2)}),), 4]}
 
 
 def test_context_world_isolates_replays(subjects):

@@ -10,12 +10,14 @@ stage hands the next must be read somewhere, or no stage needs it.  The
 VM (`vm/interp.py` and `vm/ops.py`) stays within its line budget.  Only
 `_Campaign.run_one` runs a system input in `campaign.py`, so every run
 goes through its step memo, and only `_Campaign.charge` writes the
-campaign's ledger of system executions.
+campaign's ledger of system executions.  `docs/formats.md` states the
+versions the code writes.
 """
 
 import ast
 import dataclasses
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -277,3 +279,16 @@ def test_only_charge_writes_the_campaign_ledger():
     found = ledger_writes((PACKAGE / "campaign.py").read_text())
     assert sorted(set(found)) == [("_Campaign.__init__", "binds"),
                                   ("_Campaign.charge", "changes")]
+
+
+@pytest.mark.parametrize("section,module,constant", [
+    ("## Carve snapshots", "carvelift.vm.trace", "SNAPSHOT_VERSION"),
+    ("## Campaign reports", "carvelift.reporting", "REPORT_VERSION"),
+])
+def test_the_formats_document_states_the_versions_the_code_writes(section, module, constant):
+    text = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+    body = text[text.index(section):].split("\n## ", 1)[0]
+    stated = re.findall(r"A single JSON object,? \(?version (\d+)", body)
+    example = re.findall(r'"version": (\d+)', body)
+    version = getattr(importlib.import_module(module), constant)
+    assert (stated, example) == ([str(version)], [str(version)])

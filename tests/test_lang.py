@@ -306,6 +306,43 @@ def test_each_type_diagnostic_names_its_class_position_and_message(place):
         assert (type(e.value), tuple(e.value.pos), e.value.message) == (error, pos, message)
 
 
+# One program per static-check diagnostic outside the type checks: its
+# source, and the class, position and message it must raise.
+STATIC_DIAGNOSTICS = {
+    "assignment-target": ("fn main() {\n  1 = 2;\n}", MiniSyntaxError, (2, 3),
+                          "assignment target must be a name or an index"),
+    "duplicate-record": ("record R { x: int }\nrecord R { y: int }\nfn main() { }",
+                         DuplicateDefinition, (2, 1), "duplicate definition of 'R'"),
+    "duplicate-parameter": ("fn f(a: int, a: int) { }\nfn main() { }",
+                            DuplicateDefinition, (1, 1), "duplicate parameter 'a' in 'f'"),
+    "initializer-call": ("fn f() -> int { return 1; }\nglobal g: int = f();\nfn main() { }",
+                         UnresolvedReference, (2, 17),
+                         "global initializers may not call functions"),
+    "call-arity": ("fn f(a: int) -> int { return a; }\nfn main() {\n  f(1, 2);\n}",
+                   UnresolvedReference, (3, 3), "'f' takes 1 arguments, got 2"),
+    "record-literal-type": ("fn main() {\n  let r = Q { x: 1 };\n}",
+                            UnresolvedReference, (2, 11), "unknown record type 'Q'"),
+    "record-literal-fields": (
+        "record R { x: int, y: int }\nfn main() {\n  let r = R { x: 1, z: 2 };\n}",
+        UnresolvedReference, (3, 11),
+        "record 'R' literal fields ['x', 'z'] do not match ['x', 'y']"),
+    "unbound-assignment": ("fn main() {\n  x = 1;\n}", UnresolvedReference, (2, 3),
+                           "assignment to unbound name 'x'"),
+    "main-parameters": ("fn main(a: int) { }", UnresolvedReference, (1, 1),
+                        "'main' must take no parameters"),
+    "shadowed-builtin": ("fn len(a: int) -> int { return a; }\nfn main() { }",
+                         DuplicateDefinition, (1, 1), "'len' shadows a builtin"),
+}
+
+
+@pytest.mark.parametrize("case", STATIC_DIAGNOSTICS)
+def test_each_static_diagnostic_names_its_class_position_and_message(case):
+    source, error, pos, message = STATIC_DIAGNOSTICS[case]
+    with pytest.raises(MiniLangError) as e:
+        parse(source)
+    assert (type(e.value), tuple(e.value.pos), e.value.message) == (error, pos, message)
+
+
 def test_type_diagnostics_come_in_declaration_order():
     with pytest.raises(UnresolvedReference, match="'C'"):
         parse("fn f(x: A) -> B { }\nglobal g: C = 1;\nfn main() { }")

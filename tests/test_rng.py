@@ -155,6 +155,20 @@ def test_randrange_refuses_a_bound_below_one_without_drawing():
     assert r.next_u64() == ref.next_u64()
 
 
+def test_randrange_refuses_a_bound_past_one_draw_without_drawing():
+    # Past 2**64 no draw lies below the rejection limit.
+    r, ref = Rng(5), Reference(5)
+    for n in (2**64 + 1, 10**30):
+        with pytest.raises(ValueError):
+            r.randrange(n)
+    for lo, hi in ((0, 2**64), (-2**63, 2**63)):
+        with pytest.raises(ValueError):
+            r.randint(lo, hi)
+    assert r.randrange(2**64) == ref.next_u64()
+    assert r.randint(-2**63, 2**63 - 1) == ref.next_u64() - 2**63
+    assert r.next_u64() == ref.next_u64()
+
+
 @pytest.mark.parametrize("order", sorted(LANE_WORDS))
 def test_lane_words_pick_each_lanes_low_word_in_either_byte_order(order):
     """Lane k holds output k in its low word and zero above it; a "Q"

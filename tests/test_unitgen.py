@@ -6,6 +6,7 @@ coverage.
 """
 
 import hashlib
+import re
 
 import pytest
 
@@ -158,9 +159,13 @@ def test_assignment_rejects_unknown_paths_and_wrong_types(assign, unknown):
     """`Context.world` checks each assigned value; `apply_assignment`
     only reports an unknown path as an UnknownParameter."""
     carved = bare_carve({"arg[0]": b"abc", "arg[1]": 4, "global:n": 7,
-                         "global:r": Ref(0, 0), "global:t": (1, 2)}, {0: [5]})
-    with pytest.raises(unknown):
-        assign(carved, {"arg[5]": b"x"})
+                         "global:r": Ref(0, 0), "global:s": Ref(0, 0),
+                         "global:t": (1, 2)}, {0: [5]})
+    # Only the paths `leaves` writes: global:r[0] names the segment's
+    # element, so neither a second ref to it nor another spelling does.
+    for path in ("arg[5]", "global:s[0]", "global:r[00]"):
+        with pytest.raises(unknown, match=re.escape(path)):
+            assign(carved, {path: b"x"})
     with pytest.raises(TypeMismatch):
         assign(carved, {"arg[0]": 9})
     with pytest.raises(TypeMismatch):       # paths are checked in sorted order
@@ -215,7 +220,7 @@ def test_executions_from_one_carve_never_see_each_others_writes():
     assert segments == {ref.seg: [0, 0]}
     for n in (7, 9):
         args, world = apply_assignment(carved, ParamAssignment(
-            {"arg[1]": n, "global:cells[1]": n + 1}, "t"))
+            {"arg[1]": n, "arg[0][1]": n + 1}, "t"))
         assert (args, world) == ([ref, n], ({"cells": ref, "count": 0},
                                             {ref.seg: [0, n + 1]}))
         r = call_function(prog, "touch", args, world)
@@ -225,8 +230,9 @@ def test_executions_from_one_carve_never_see_each_others_writes():
         assert (globals_["count"], table[ref.seg], table[fresh.seg]) == (
             n, [n, n + 1], [n, n, n])
         assert (ctx.roots, ctx.segments) == (roots, segments)
-    assert ctx.slots == {"arg[1]": (int, 1, ()),
-                         "global:cells[1]": (int, "cells", (("index", 1),))}
+    assert ctx.places == {"arg[0]": (ref, 0, ()), "arg[0][0]": (0, (ref.seg, 0), ()),
+                          "arg[0][1]": (0, (ref.seg, 1), ()), "arg[1]": (5, 1, ()),
+                          "global:cells": (ref, "cells", ()), "global:count": (0, "count", ())}
     assert ctx.split == ([ref, 5], {"cells": ref, "count": 0})
 
 
