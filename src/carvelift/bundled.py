@@ -14,7 +14,7 @@ from .errors import SubjectLoadError
 from .inputs import SystemInput
 from .lang.ast import Program
 from .lang.parser import parse
-from .sysgen import decode_input, read_corpus
+from .sysgen import read_corpus
 
 
 def _root():
@@ -38,9 +38,7 @@ def bundled_seeds(name: str) -> list[SystemInput]:
     d = _root() / "seeds" / name
     if not d.is_dir():
         raise SubjectLoadError(f"no bundled seeds for {name!r}")
-    files = sorted((p for p in d.iterdir() if p.name.endswith(".input")),
-                   key=lambda p: p.name)
-    return [decode_input(p.read_bytes(), p.name) for p in files]
+    return read_corpus(d)
 
 
 def resolve_program(spec: str) -> tuple[Program, str]:

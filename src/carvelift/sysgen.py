@@ -172,20 +172,17 @@ def write_input_file(path, s: SystemInput) -> None:
         fh.write(s.stdin)
 
 
-def decode_input(raw: bytes, label: str = "input") -> SystemInput:
+def read_input_file(path) -> SystemInput:
+    raw = Path(path).read_bytes()
     newline = raw.find(b"\n")
     if newline < 0:
-        raise FormatError(f"{label}: missing input header line")
+        raise FormatError(f"{path}: missing input header line")
     try:
         doc = json.loads(raw[:newline])
         argv = tuple(base64.b64decode(x, validate=True) for x in doc["argv"])
     except (ValueError, KeyError, TypeError) as exc:
-        raise FormatError(f"{label}: bad input header: {exc}") from exc
+        raise FormatError(f"{path}: bad input header: {exc}") from exc
     return SystemInput(argv, raw[newline + 1:])
-
-
-def read_input_file(path) -> SystemInput:
-    return decode_input(Path(path).read_bytes(), str(path))
 
 
 def write_corpus(dirpath, inputs) -> list[Path]:

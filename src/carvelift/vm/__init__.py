@@ -3,14 +3,11 @@ from .interp import (
     RunOptions, RunResult, RunStatus, call_function, run_system, run_with_tracing,
 )
 from .trace import serialize_run_result
-from .values import (
-    INT64_MAX, INT64_MIN, Record, Ref, SegmentTable,
-    value_byte_size, wrap64,
-)
+from .values import INT64_MAX, INT64_MIN, Record, Ref, SegmentTable, wrap64
 
 __all__ = [
     "INT64_MAX", "INT64_MIN", "Record", "Ref", "RunOptions", "RunResult",
     "RunStatus", "SegmentTable", "TypeMismatch",
     "call_function", "run_system", "run_with_tracing",
-    "serialize_run_result", "value_byte_size", "wrap64",
+    "serialize_run_result", "wrap64",
 ]

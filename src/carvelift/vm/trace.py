@@ -44,21 +44,18 @@ import json
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import chain
 
 from ..errors import FormatError, TypeMismatch
 from ..lang.ast import ENTRY
 from ..lang.goals import BranchGoal
+from ..lang.lexer import IDENT
 from .values import (
     Record, Ref, SegmentTable, decode_segments, decode_value,
-    encode_segments, encode_value, iter_refs, sever, snapshot_reachable, wrap64,
+    encode_segments, encode_value, sever, snapshot_reachable, wrap64,
 )
 
 SNAPSHOT_VERSION = 2
 PER_FN_CAP = 8      # recorded calls kept per function and run
-
-
-_ROOT = re.compile(r"arg\[[0-9]+\]|global:\w+")
 
 
 @dataclass
@@ -164,7 +161,8 @@ def _rebuilt(v, steps, new):
         trail.append((v, key))
         v = v.fields[key] if type(key) is str else v[key]
     for v, key in reversed(trail):     # innermost first
-        new = v.with_field(key, new) if type(key) is str else v[:key] + (new,) + v[key + 1:]
+        new = (Record(v.rtype, {**v.fields, key: new}) if type(key) is str
+               else v[:key] + (new,) + v[key + 1:])
     return new
 
 
@@ -297,20 +295,16 @@ def decode_carve(doc: dict) -> CarvedTest:
         n = 0
         while n < len(paths) and paths[n] == f"arg[{n}]":
             n += 1
-        if not all(type(p) is str and p.startswith("global:") and _ROOT.fullmatch(p)
+        if not all(type(p) is str and p.startswith("global:") and re.fullmatch(IDENT, p[7:])
                    for p in paths[n:]) \
                 or len(set(paths)) != len(paths):
             raise FormatError(f"roots must be arg[0..n-1] then globals: {paths!r}")
         call_index, truncated = doc["start"]["call_index"], doc["truncated"]
         if type(call_index) is not int or type(truncated) is not bool:
             raise FormatError("call_index must be a JSON integer, truncated a JSON bool")
-        ctx = Context({p: decode_value(v) for p, v in doc["roots"]},
-                      decode_segments(doc["segments"]), truncated)
-        table = ctx.segments
-        for v in chain(ctx.roots.values(), *table.values()):
-            for r in iter_refs(v):
-                if r.seg not in table or r.off > len(table[r.seg]):
-                    raise FormatError(f"{r} lies outside the segment table")
+        table = decode_segments(doc["segments"])
+        lengths = {sid: len(seg) for sid, seg in table.items()}
+        ctx = Context({p: decode_value(v, lengths) for p, v in doc["roots"]}, table, truncated)
         return CarvedTest(
             start=(str(doc["start"]["fn"]), call_index),
             context=ctx,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import base64
 import re
+from dataclasses import dataclass
 
 from ..errors import FormatError
 from ..lang.lexer import IDENT
@@ -39,40 +40,21 @@ def wrap64(v: int) -> int:
     return v - _U64 if v > INT64_MAX else v
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Ref:
-    __slots__ = ("seg", "off")
-
-    def __init__(self, seg: int, off: int):
-        self.seg = seg
-        self.off = off
-
-    def __eq__(self, other):
-        return isinstance(other, Ref) and other.seg == self.seg and other.off == self.off
-
-    def __hash__(self):
-        return hash((Ref, self.seg, self.off))
+    seg: int
+    off: int
 
     def __repr__(self):
         return f"Ref({self.seg}, {self.off})"
 
 
+@dataclass(slots=True)
 class Record:
     """Immutable record value. Field order follows the declaration."""
 
-    __slots__ = ("rtype", "fields")
-
-    def __init__(self, rtype: str, fields: dict):
-        self.rtype = rtype
-        self.fields = fields
-
-    def with_field(self, name: str, value) -> "Record":
-        updated = dict(self.fields)
-        updated[name] = value
-        return Record(self.rtype, updated)
-
-    def __eq__(self, other):
-        return (isinstance(other, Record) and other.rtype == self.rtype
-                and other.fields == self.fields)
+    rtype: str
+    fields: dict
 
     def __hash__(self):
         return hash((Record, self.rtype, tuple(self.fields.items())))
@@ -172,11 +154,6 @@ SCALAR_SIZE = 8
 HEADER_SIZE = 8
 
 
-def value_byte_size(v) -> int:
-    """`v`'s size in the bytes a snapshot budget counts."""
-    return _size_and_refs(v, {})[0]
-
-
 _CLOSE = object()   # on a walk's stack: the part opened last is done
 
 
@@ -258,7 +235,9 @@ def _decode_int(obj: dict, key: str) -> int:
 _NAME = re.compile(IDENT)
 
 
-def decode_value(obj: object):
+def decode_value(obj: object, lengths: dict[int, int]):
+    """The value encode_value wrote; FormatError if it is malformed or
+    holds a ref past its segment's length in `lengths` (by segment id)."""
     if not isinstance(obj, dict) or "t" not in obj:
         raise FormatError(f"malformed value encoding: {obj!r}")
     t = obj["t"]
@@ -277,18 +256,21 @@ def decode_value(obj: object):
     if t == "bytes":
         return decode_b64(obj["v"])
     if t == "array":
-        return tuple(decode_value(x) for x in obj["v"])
+        return tuple(decode_value(x, lengths) for x in obj["v"])
     if t == "record":
         name, fields = obj["name"], obj["fields"]
         if not all(isinstance(n, str) and _NAME.fullmatch(n)
                    for n in (name, *(k for k, _ in fields))):
             raise FormatError(f"record and field names must be identifiers: {obj!r}")
-        return Record(name, {k: decode_value(x) for k, x in fields})
+        return Record(name, {k: decode_value(x, lengths) for k, x in fields})
     if t == "ref":
         off = _decode_int(obj, "off")
         if off < 0:
             raise FormatError(f"ref offset {off} is negative")
-        return Ref(_decode_int(obj, "seg"), off)
+        ref = Ref(_decode_int(obj, "seg"), off)
+        if off > lengths.get(ref.seg, -1):
+            raise FormatError(f"{ref} lies outside the segment table")
+        return ref
     raise FormatError(f"unknown value tag: {t!r}")
 
 
@@ -300,20 +282,16 @@ def encode_segments(table: SegmentTable) -> dict:
 
 
 def decode_segments(obj: dict) -> SegmentTable:
-    table = {}
+    """The table encode_segments wrote.  Every segment's length is known
+    before any element is decoded, so each ref is checked as it is built."""
+    lengths = {}
     for sid, seg in obj.items():
         if not isinstance(seg, list):
             raise FormatError(f"segment {sid} is not a list: {seg!r}")
         if not sid.lstrip("-").isdecimal() or str(int(sid)) != sid:
             raise FormatError(f"segment id {sid!r} is not an integer as str() writes it")
-        table[int(sid)] = [decode_value(x) for x in seg]
-    return table
-
-
-def iter_refs(v) -> list:
-    """Every Ref inside a value, in order; a part held in several places
-    gives its refs at the first."""
-    return _size_and_refs(v, {})[1]
+        lengths[int(sid)] = len(seg)
+    return {int(sid): [decode_value(x, lengths) for x in seg] for sid, seg in obj.items()}
 
 
 def sever(v, keep, copies: dict | None = None):

@@ -9,6 +9,7 @@ carve is replayed through call_function to check it reproduces them.
 import dataclasses
 import hashlib
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -706,6 +707,41 @@ def test_random_snapshot_round_trips(tmp_path):
                 assert load_snapshot(path) == carved
                 seen += 1
     assert seen >= 20
+
+
+def test_floats_and_arrays_round_trip_in_roots_and_segments(tmp_path):
+    carved = trace.CarvedTest(
+        ("f", 1), Context({"arg[0]": (0.1, (b"ab", -7)), "arg[1]": Ref(0, 0),
+                           "global:g": -2.5e300},
+                          {0: [(1.5, ()), 0.0, (Ref(0, 2),)]}, False),
+        "test", frozenset())
+    path = tmp_path / "c.snap"
+    save_snapshot(carved, path)
+    got = load_snapshot(path)
+    assert got == carved
+    assert [type(x) for x in got.context.segments[0]] == [tuple, float, tuple]
+
+
+@pytest.mark.parametrize("roots,segments,ref", [
+    ({"arg[0]": Ref(1, 0)}, {0: [7]}, "Ref(1, 0)"),
+    ({"arg[0]": (Ref(0, 2),)}, {0: [7]}, "Ref(0, 2)"),
+    ({"arg[0]": Ref(0, 0)}, {0: [Record("R", {"a": (Ref(0, 1), Ref(3, 0))})]}, "Ref(3, 0)"),
+])
+def test_a_ref_outside_the_segment_table_does_not_load(tmp_path, roots, segments, ref):
+    path = tmp_path / "c.snap"
+    save_snapshot(trace.CarvedTest(("f", 1), Context(roots, segments, False),
+                                   "test", frozenset()), path)
+    with pytest.raises(FormatError, match=rf"^{re.escape(ref)} lies outside the segment table$"):
+        load_snapshot(path)
+
+
+@pytest.mark.parametrize("name", ["1g", "g-h", "\u00e9", ""])
+def test_a_global_root_must_be_named_as_the_lexer_names_it(tmp_path, name):
+    path = tmp_path / "c.snap"
+    save_snapshot(trace.CarvedTest(("f", 1), Context({f"global:{name}": 1}, {}, False),
+                                   "test", frozenset()), path)
+    with pytest.raises(FormatError, match="roots must be arg"):
+        load_snapshot(path)
 
 
 def small_snapshot(tmp_path):

@@ -142,6 +142,26 @@ def test_replay_snapshot_checks_stored_coverage(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().out
 
 
+def test_replay_snapshot_of_a_call_that_crashes_exits_1(tmp_path, capsys):
+    """The carve of f(2), its argument edited to 0: 10 / 0 crashes."""
+    source = """
+fn f(x: int) -> int { return 10 / x; }
+fn main() -> int { return f(2); }
+"""
+    program = tmp_path / "div.ml"
+    program.write_text(source)
+    snap = tmp_path / "c.snap"
+    save_snapshot(carve_with_stats(run_with_tracing(
+        parse(source), mk_input()))[0][0], snap)
+    doc = json.loads(snap.read_text())
+    doc["roots"] = [["arg[0]", {"t": "int", "v": 0}]]
+    snap.write_text(json.dumps(doc))
+    assert main(["replay", "--program", str(program),
+                 "--snapshot", str(snap)]) == 1
+    out = capsys.readouterr().out
+    assert "div-zero" in out and out.endswith("subject failed under replay\n")
+
+
 def test_replay_malformed_snapshot_is_a_usage_error(tmp_path, capsys):
     good = tmp_path / "c.snap"
     prog = load_subject("keycheck")

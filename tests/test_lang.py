@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from carvelift.lang import ast as lang_ast
 from carvelift.lang.ast import SIf, SWhile, int_locals, iter_stmts
 from carvelift.lang.errors import (
     DuplicateDefinition,
@@ -21,9 +22,10 @@ from carvelift.lang.errors import (
 )
 from carvelift.lang.goals import BranchGoal, enumerate_goals, goals_in_function
 from carvelift.lang.lexer import KEYWORDS, PUNCT, tokenize
-from carvelift.lang.parser import MAX_BLOCK_DEPTH, MAX_ELSE_IF, MAX_EXPR_DEPTH, parse
+from carvelift.lang.parser import BUILTINS, MAX_BLOCK_DEPTH, MAX_ELSE_IF, MAX_EXPR_DEPTH, parse
 from carvelift.lang.pretty import pretty_print
 from carvelift.rng import Rng
+from carvelift.vm import ops
 
 from conftest import SUBJECT_NAMES, load_subject, subject_source
 from progen import else_if_chain, generate, main_source, nested_sources
@@ -440,6 +442,22 @@ def test_the_documented_keywords_and_punctuation_are_the_lexers():
     keywords = re.search(r"^- Keywords: `([^`]*)`", doc, re.M)[1].split()
     punct = re.search(r"^- Punctuation: `([^`]*)`", doc, re.M)[1].split()
     assert sorted(keywords) == sorted(KEYWORDS) and punct == PUNCT
+
+
+def test_the_builtin_tables_agree():
+    """The parser's names and arities, the VM's implementations, the
+    documented signatures and the static analyses' builtin lists name the
+    same builtins.  A builtin the doc lists twice takes either count."""
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "minilang.md").read_text()
+    section = doc.split("\n## Builtins\n")[1].split("\n## ")[0]
+    counts = {}
+    for name, params in re.findall(r"^\| `(\w+)\(([^)]*)\)` \|", section, re.M):
+        counts.setdefault(name, set()).add(len(params.split(",")) if params else 0)
+    documented = {name: (min(n), max(n)) for name, n in counts.items()}
+    assert documented == BUILTINS and documented["slice"] == (2, 3)
+    assert set(ops.BUILTINS) == set(BUILTINS)
+    assert set(lang_ast._INPUT_BUILTINS) <= set(BUILTINS)
+    assert set(lang_ast._INT_BUILTINS) <= set(BUILTINS)
 
 
 # ------------------------------------------------------- parse outcomes

@@ -385,6 +385,36 @@ def test_fuzz_unit_runs_each_distinct_draw_once_with_unchanged_results():
     assert repeats > 0
 
 
+def test_fuzz_unit_fuzzes_an_int_leaf_from_its_constants():
+    from carvelift.lang.goals import goals_in_function
+    from carvelift.lang.parser import parse
+    from carvelift.mapping import ENC_DECIMAL
+    prog = parse("""
+fn gate(n: int) -> int {
+    if (n == 0) { return 1; }
+    return 0;
+}
+fn main() -> int { return gate(parse_int(arg(0))); }
+""")
+    s = mk_input((b"123",))
+    result = run_with_tracing(prog, s)
+    carved = carve_with_stats(result)[0][0]
+    mapping = build_mapping(carved, s)
+    assert mapping.parameters == ("arg[0]",)
+    assert [m.encoding for m in mapping.matches] == [ENC_DECIMAL]
+    drawn = list(draws(carved, mapping, 12, Rng(3)))
+    assert drawn[0] == ("arg[0]", "int-constant", 0)
+    assert [v for _, label, v in drawn if label == "int-constant"] == [
+        0, INT64_MAX, INT64_MIN]
+    winners = fuzz_unit_with_stats(
+        prog, carved, mapping, 12, result.coverage, Rng(3))[0]
+    # Only 0 takes the gated branch; no bit flip of 123 is 0.
+    gated = goals_in_function(prog, "gate") - result.coverage
+    assert [g.outcome for g in gated] == ["then"]
+    assert [(w.assignment.assignments, w.assignment.provenance, w.new_goals)
+            for w in winners] == [({"arg[0]": 0}, "int-constant", gated)]
+
+
 def test_fuzz_unit_requires_parameters():
     from carvelift.lang.parser import parse
     prog = parse("""

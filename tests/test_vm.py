@@ -385,6 +385,15 @@ def test_a_literal_operand_of_the_wrong_type_still_crashes(expr, message):
     assert (r.status.crash_kind, r.status.message) == ("type-error", message)
 
 
+def test_a_store_through_a_literal_is_the_slow_call_and_crashes(monkeypatch):
+    program = parse("fn main() { null[0] = 1; }")
+    source = emitted_source(monkeypatch, program)
+    assert "STORE(st, P" in source and "else: STORE" not in source
+    r = run_system(program, mk_input())
+    assert (r.status.crash_kind, r.status.crash_fn, r.status.message) == (
+        "type-error", "main", "store through null")
+
+
 def test_steps_and_crash_positions_follow_the_source():
     def run(source):
         return run_system(parse(source), mk_input())
