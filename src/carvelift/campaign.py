@@ -24,11 +24,16 @@ system execution.  The VM is deterministic, so a system input the
 campaign has already run is not run again untraced: the repeat is
 charged the steps of its first run.  Nor is one already traced run
 traced again: the repeat is charged that run's steps and pools its
-carves again, stamped with the repeat's origin.
+carves again, stamped with the repeat's origin.  Likewise a unit draw
+already run against the same carved function and context, in any
+earlier round, is charged its steps and judged on what it covered,
+without running again.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import statistics
 import time
 from collections.abc import Set
@@ -57,6 +62,7 @@ from .vm.interp import (
     run_system, run_with_tracing,
 )
 from .vm.trace import CarvedTest, CarveStats
+from .vm.values import encode_segments, encode_value
 
 MODES = ("bridge", "system-only")
 FALLBACK_BATCH = 10
@@ -127,8 +133,8 @@ def _check(cfg: RunConfig, seeds) -> None:
     if cfg.mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
     if cfg.deterministic_clock is None:
-        if cfg.budget <= 0:
-            raise ConfigError("wall budget must be positive")
+        if not 0 < cfg.budget < math.inf:     # a NaN budget fails this too
+            raise ConfigError("wall budget must be positive and finite")
     elif cfg.deterministic_clock <= 0:
         raise ConfigError("step budget must be positive")
     if cfg.min_match_len < 1:
@@ -186,6 +192,14 @@ class _Campaign:
         # and a traced repeat the steps and carves of its first traced run.
         self.steps_of: dict[tuple, int] = {}
         self.traced_of: dict[tuple, RunResult] = {}
+        # Unit executions by (path, value), one memo per carved call:
+        # its function and its context, as encoded.  A unit execution is
+        # a pure function of those and the draw, so fuzz_unit_with_stats
+        # runs a draw only once, whichever of the carves that share a
+        # memo draws it, in whichever round.  memo_of finds a pooled
+        # carve's memo by id(); a pooled carve lives as long as the campaign.
+        self.unit_memos: dict[str, dict] = {}
+        self.memo_of: dict[int, dict] = {}
         # Executions charged, repeats included; sys_walls holds one wall
         # time per run that executed.  Only charge() writes these three.
         self.system_executions = 0
@@ -302,6 +316,16 @@ class _Campaign:
 
     # -- bridge loop
 
+    def unit_memo(self, sel: CarvedTest) -> dict:
+        """The memo of the unit executions of `sel`'s call."""
+        memo = self.memo_of.get(id(sel))
+        if memo is None:
+            ctx = sel.context
+            key = json.dumps([sel.start[0], [[p, encode_value(v)] for p, v in ctx.roots.items()],
+                              encode_segments(ctx.segments)])
+            memo = self.memo_of[id(sel)] = self.unit_memos.setdefault(key, {})
+        return memo
+
     def fuzz_round(self, sel: CarvedTest) -> None:
         st = self.fns[sel.start[0]]
         origin = self.origins[sel.origin]
@@ -313,7 +337,8 @@ class _Campaign:
         winners, fstats = fuzz_unit_with_stats(
             self.program, sel, m, self.cfg.unit_budget,
             self.discovered | self.fp_goals,
-            self.rng_unit.split(), self.opts)
+            self.rng_unit.split(), self.opts,
+            memo=self.unit_memo(sel))
         self.steps += fstats.steps
         self.unit_walls.extend(fstats.wall_times_s)
         self.lift.unit_executions += fstats.executions

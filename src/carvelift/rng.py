@@ -78,15 +78,15 @@ class Rng:
 
     def next_u64(self) -> int:
         buf = self._buf
-        return buf.pop() if buf else self._refill()
+        return buf.pop() if buf else self._refill().pop()
 
-    def _refill(self) -> int:
-        """The next output, computed with the outputs after it."""
+    def _refill(self) -> list[int]:
+        """The empty buffer refilled with the next outputs, next last."""
         n = self._lanes
         self._buf = buf = _batch(self._state, n)
         self._state = (self._state + n * _GAMMA) & _MASK
         self._lanes = min(2 * n, LANES)
-        return buf.pop()
+        return buf
 
     def split(self) -> "Rng":
         """Derive an independent child stream.
@@ -103,10 +103,13 @@ class Rng:
             raise ValueError("randrange needs a positive bound")
         if n > _SPAN:
             raise ValueError("randrange needs a bound of at most 2**64")
-        x = self.next_u64()
-        if n <= _SMALL and x < _UNBIASED:
-            return x % n
-        # Rejection sampling keeps the distribution exactly uniform.
+        buf = self._buf
+        x = buf.pop() if buf else self._refill().pop()
+        return x % n if n <= _SMALL and x < _UNBIASED else self._unbiased(x, n)
+
+    def _unbiased(self, x: int, n: int) -> int:
+        """x % n, after redrawing x while it lies in the last, partial
+        span of n: rejection sampling keeps the result exactly uniform."""
         limit = _SPAN - _SPAN % n
         while x >= limit:
             x = self.next_u64()
@@ -117,9 +120,27 @@ class Rng:
         return lo + self.randrange(hi - lo + 1)
 
     def choice(self, seq):
-        if not seq:
+        """A uniform item of seq: seq[randrange(len(seq))]."""
+        n, buf = len(seq), self._buf
+        if not n:
             raise ValueError("choice on empty sequence")
-        return seq[self.randrange(len(seq))]
+        x = buf.pop() if buf else self._refill().pop()
+        return seq[x % n if n <= _SMALL and x < _UNBIASED else self._unbiased(x, n)]
+
+    def printable(self, n: int) -> bytes:
+        """n printable ASCII bytes: the bytes, from the same draws, of n
+        calls of 32 + randrange(95), taken a buffer's worth at a time."""
+        out = b""
+        while len(out) < n:
+            buf = self._buf or self._refill()
+            k = max(len(buf) - n + len(out), 0)
+            drawn = buf[k:]
+            if max(drawn) < _UNBIASED:
+                del buf[k:]
+                out += bytes([32 + x % 95 for x in reversed(drawn)])
+            else:       # randrange may reject one of these draws
+                out += bytes([32 + self.randrange(95) for _ in drawn])
+        return out
 
     def randbytes(self, n: int) -> bytes:
         out = bytearray()

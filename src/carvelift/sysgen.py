@@ -128,7 +128,7 @@ def _truncate(data: bytes, rng: Rng) -> bytes:
 
 
 def _append_ascii(data: bytes, rng: Rng) -> bytes:
-    return data + bytes(rng.randint(32, 126) for _ in range(rng.randint(1, 8)))
+    return data + rng.printable(rng.randint(1, 8))   # each byte randint(32, 126)
 
 
 # The palette; mutate_input picks an operator by its position here.

@@ -14,10 +14,11 @@ carved out of the program's own state.
 
 A unit execution is a pure function of the carve, the assigned path and
 the value: the VM is deterministic and the carved context never changes.
-So a fuzz round runs each distinct (path, value) draw once.  A draw that
-repeats an earlier one of the same round is charged that execution's
-steps without running it; its coverage and crash signature are already
-known, so it could never have been kept.
+So each distinct (path, value) draw of a carved call runs once: a
+campaign keeps one memo per carved function and context, across all
+the rounds of the carves that share them, and a draw found there is
+charged that execution's steps and judged on its remembered status and
+coverage without running again.
 """
 
 from __future__ import annotations
@@ -121,10 +122,9 @@ def bytes_mutations(v: bytes, ctx: Context, rng: Rng):
         while True:
             yield "bytes-random", rng.randbytes(rng.choice(lengths))
 
-    def rand_ascii():       # rng.randint(32, 126) is 32 + rng.randrange(95)
+    def rand_ascii():
         while True:
-            n = rng.choice(lengths)
-            yield "bytes-ascii", bytes([32 + rng.randrange(95) for _ in range(n)])
+            yield "bytes-ascii", rng.printable(rng.choice(lengths))
 
     def nul_runs():
         while True:
@@ -158,9 +158,12 @@ def apply_assignment(c: CarvedTest, a: ParamAssignment):
 
 # ---------------------------------------------------------------- fuzzing
 
+_NOTHING: frozenset[BranchGoal] = frozenset()
+
+
 def fuzz_unit_with_stats(program: Program, c: CarvedTest, m: Mapping,
                          budget: int, known: Set[BranchGoal], rng: Rng,
-                         opts: RunOptions = RunOptions()):
+                         opts: RunOptions = RunOptions(), memo: dict | None = None):
     """Run up to `budget` single-parameter variations of a carved call.
 
     `known` is the goal set already discovered; it is only read.  Only
@@ -168,11 +171,15 @@ def fuzz_unit_with_stats(program: Program, c: CarvedTest, m: Mapping,
     (winners, FuzzStats).  Each returned crash signature appears once
     per batch.  Unit runs get a tenth of the system step budget.
 
-    The round runs each distinct (path, value) draw once and answers a
-    repeat from a memo that lives for this call.  `executions` counts
-    the `budget` draws and `steps` charges every draw, repeats included,
-    so both are what running every draw would give; `wall_times_s` has
-    one entry per execution that ran.
+    Each distinct (path, value) draw runs once per `memo`, which maps a
+    draw to its (steps, status, coverage).  A campaign passes one memo
+    per carved function and context, kept across rounds; without one,
+    the memo lives for this call.  A draw found there is not run again: it is
+    charged its steps and judged against `known` and this round's
+    winners exactly as a run would be.  `executions` counts the `budget`
+    draws and `steps` charges every draw, repeats included, so both are
+    what running every draw would give; `wall_times_s` has one entry per
+    execution that ran.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -189,36 +196,38 @@ def fuzz_unit_with_stats(program: Program, c: CarvedTest, m: Mapping,
         else:
             streams.append((path, int_mutations(leaf, child)))
 
+    if memo is None:
+        memo = {}
     working = set(known)
     fn, unit_opts = c.start[0], opts.unit()
-    stats = FuzzStats(executions=budget)
+    walls: list[float] = []
     outcomes: list[UnitOutcome] = []
     crash_signatures: set[tuple] = set()
-    ran: dict[tuple, int] = {}      # (path, value) -> steps, this round only
+    total = 0
     for k in range(budget):
         path, gen = streams[k % len(streams)]
         label, value = next(gen)
-        steps = ran.get((path, value))
-        if steps is not None:       # a repeat: it could not be kept
-            stats.steps += steps
-            continue
-        assignment = ParamAssignment({path: value}, label)
-        args, world = apply_assignment(c, assignment)
-        r = call_function(program, fn, args, world, unit_opts)
-        ran[path, value] = r.steps
-        stats.steps += r.steps
-        stats.wall_times_s.append(r.wall_time_s)
-
-        new_goals = r.coverage - working    # a frozenset, as r.coverage is
-        keep = bool(new_goals)
-        if keep:
+        seen = memo.get((path, value))
+        if seen is None:
+            args, world = apply_assignment(c, ParamAssignment({path: value}, label))
+            r = call_function(program, fn, args, world, unit_opts)
+            memo[path, value] = seen = r.steps, r.status, r.coverage
+            walls.append(r.wall_time_s)
+        steps, status, coverage = seen
+        total += steps
+        crashed = status.kind == "crash"
+        if coverage <= working:
+            if not crashed:
+                continue
+            new_goals = _NOTHING
+        else:
+            new_goals = coverage - working  # a frozenset, as coverage is
             working |= new_goals
-        if r.status.is_crash():
-            signature = (r.status.crash_kind, r.status.crash_fn,
-                         r.status.crash_stmt)
+        if crashed:
+            signature = (status.crash_kind, status.crash_fn, status.crash_stmt)
             if signature not in crash_signatures:
                 crash_signatures.add(signature)
-                keep = True
-        if keep:
-            outcomes.append(UnitOutcome(assignment, r.status, new_goals))
-    return outcomes, stats
+            elif not new_goals:
+                continue
+        outcomes.append(UnitOutcome(ParamAssignment({path: value}, label), status, new_goals))
+    return outcomes, FuzzStats(budget, total, walls)

@@ -9,7 +9,7 @@ Three entry points:
 A Program keeps its code from its first run on, with each function's
 arity and the global names, so a unit execution, replayed
 thousands of times from one carve, builds only its run state and
-`RunResult`, and runs that exit alike share one status.  `_Code` writes
+`RunResult`; the common exit statuses are built once.  `_Code` writes
 one Python function per mini-language function and builds them with
 one compile(), as `dataclasses` builds its methods: parameters and lets
 become Python locals, branch goals, crash positions and builtins are
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import count
 from typing import Optional
 
@@ -100,12 +99,8 @@ class RunStatus:
         return self.kind == "crash"
 
 
-@lru_cache(maxsize=1024)
-def _exit_status(code: int) -> RunStatus:
-    """A frozen status, so runs that exit alike share one."""
-    return RunStatus("exit", code)
-
-
+# Built once: runs that exit with a common code share its frozen status.
+_EXITS = {code: RunStatus("exit", code) for code in range(-16, 128)}
 _EXHAUSTED = RunStatus("budget-exhausted")
 
 
@@ -134,7 +129,7 @@ class _State:
                  segments: SegmentTable):
         self.opts, self.fuel, self.coverage = opts, opts.step_limit, set()
         self.globals, self.segments = globals_, segments
-        self.next_seg = max(segments) + 1 if segments else 0
+        self.next_seg = None    # found at the run's first allocation
         self.output, self.argv, self.stdin = bytearray(), argv, stdin
         self.depth, self.tracer = 0, None
 
@@ -560,7 +555,8 @@ def _finish(st: _State, code: _Code, name: str, args: list, init: bool,
         if st.fuel < 0:
             spent(st)
         value = fn(st, *args) if st.tracer is None else _traced(st, fn, name, *args)
-        status = _exit_status(value if type(value) is int else 0)
+        exit_code = value if type(value) is int else 0
+        status = _EXITS.get(exit_code) or RunStatus("exit", exit_code)
     except Crash as c:
         kind, message, fn, stmt = c.args
         status = RunStatus("crash", 0, kind, fn, stmt, message)

@@ -247,8 +247,8 @@ def _alloc_array(st, at, n, init):
         fail(at, "oob", f"alloc_array length {n} is negative")
     if st.fuel < 0:
         spent(st)
-    sid = st.next_seg
-    st.next_seg += 1
+    sid = st.next_seg if st.next_seg is not None else max(st.segments, default=-1) + 1
+    st.next_seg = sid + 1
     st.segments[sid] = [init] * n
     return Ref(sid, 0)
 

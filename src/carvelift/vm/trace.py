@@ -134,8 +134,11 @@ class Context:
                           {p[7:]: v for p, v in self.roots.items() if p[0] == "g"})
         args, globals_ = list(self.split[0]), dict(self.split[1])
         segments = {sid: seg[:] for sid, seg in self.segments.items()}
-        for path in sorted(assign or ()):
-            leaf, holder, steps = self.walk()[path]
+        if not assign:
+            return args, (globals_, segments)
+        places = self.walk()
+        for path in sorted(assign) if len(assign) > 1 else assign:
+            leaf, holder, steps = places[path]
             value = assign[path]
             kind = bytes if isinstance(leaf, bytes) else int if isinstance(leaf, int) else None
             if kind is None:

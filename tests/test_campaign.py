@@ -185,6 +185,15 @@ def test_config_validation():
             run_campaign(prog, seeds, RunConfig(budget=1, **bad))
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf")])
+def test_a_wall_budget_that_is_not_a_positive_finite_number_is_refused(budget):
+    # No clock reading is ever at or past NaN or infinity, so such a
+    # campaign would never end.
+    with pytest.raises(ConfigError, match="^wall budget must be positive and finite$"):
+        run_campaign(load_subject("keycheck"), [mk_input((b"x",))],
+                     RunConfig(budget=budget))
+
+
 def test_seed_directory_gives_its_input_files_in_name_order(tmp_path):
     # `run --seeds DIR`: only the .input files, sorted by name.
     inputs = {"b.input": mk_input((b"b",)), "a.input": mk_input((b"a",), b"in"),
@@ -434,6 +443,41 @@ def test_each_executed_draw_builds_one_world_and_makes_one_call(monkeypatch):
                  program_name=name)
     assert ran and sum(ran) > 0
     assert calls == {"apply_assignment": sum(ran), "call_function": sum(ran)}
+
+
+def test_a_carved_call_runs_each_distinct_draw_once_across_rounds(monkeypatch):
+    # keycheck's carves are fuzzed over many rounds, and each round
+    # draws the harvested values and the int constants again.  With one
+    # memo per carved call the campaign runs fewer unit executions than
+    # with a fresh memo each round, and far fewer than it answers, yet
+    # its report is the same.
+    import carvelift.unitgen as unitgen_module
+    fuzz, call = campaign_module.fuzz_unit_with_stats, unitgen_module.call_function
+    program, name = resolve_program("keycheck")
+
+    def campaign(fresh):
+        ran = []
+
+        def counted(*args, **kwargs):
+            ran.append(1)
+            return call(*args, **kwargs)
+
+        def fresh_memo(*args, memo, **kwargs):
+            return fuzz(*args, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(unitgen_module, "call_function", counted)
+            if fresh:
+                patch.setattr(campaign_module, "fuzz_unit_with_stats", fresh_memo)
+            report = run_campaign(program, resolve_seeds(None, name),
+                                  RunConfig(deterministic_clock=400_000, rng_seed=7),
+                                  program_name=name)
+        return report, len(ran)
+
+    kept, kept_runs = campaign(fresh=False)
+    fresh, fresh_runs = campaign(fresh=True)
+    assert kept_runs < fresh_runs < kept.lift_stats.unit_executions
+    assert kept.lift_stats.unit_winners > 0
+    assert timeless_digest(kept) == timeless_digest(fresh)
 
 
 def without_carve_counts(report):

@@ -37,6 +37,13 @@ def test_bad_flag_value_is_a_usage_error(capsys):
     assert main(["run", "--program", "keycheck", "--budget", "soon"]) == 2
 
 
+def test_a_wall_budget_that_never_runs_out_is_a_usage_error(capsys):
+    for budget in ("nan", "inf"):
+        assert main(["run", "--program", "mini_tac", "--budget", budget]) == 2
+        assert capsys.readouterr().err == (
+            "error: wall budget must be positive and finite\n")
+
+
 def test_contradictory_config_is_a_usage_error(capsys):
     assert main(["run", "--program", "keycheck", "--mode", "sideways"]) == 2
 

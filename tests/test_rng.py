@@ -206,3 +206,41 @@ def test_lane_constants_are_built_on_the_first_refill():
     assert rng_module._lane_constants.cache_info().currsize == 0
     r.next_u64()
     assert rng_module._lane_constants.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("chunk", range(2))
+def test_printable_gives_what_per_byte_randrange_gives(chunk):
+    """Over many seeds and lengths, printable(n) returns the bytes of n
+    calls of 32 + randrange(95) and leaves the stream where they do,
+    across refills and between other draws."""
+    for seed in range(chunk * 100, chunk * 100 + 100):
+        r = random.Random(seed)
+        new, ref = Rng(seed), Reference(seed)
+        while ref.drawn < PAST_REFILLS:
+            n = r.choice((0, 1, 2, FIRST_LANES - 1, FIRST_LANES, FIRST_LANES + 1,
+                          r.randrange(2 * LANES)))
+            assert new.printable(n) == bytes(32 + ref.randrange(95) for _ in range(n))
+            if r.randrange(3) == 0:
+                assert new.next_u64() == ref.next_u64()
+        assert new.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("k", [0, 5, FIRST_LANES - 1, FIRST_LANES,
+                               sum(RAMP) - 1, sum(RAMP) + 100])
+def test_printable_takes_a_draw_past_the_fast_bound_as_randrange_does(k):
+    """Output k at or above 2**64 - 2**32 goes through randrange: 2**64 - 1
+    lies past 95's rejection limit and is redrawn, while 2**64 - 2**32
+    and the limit less one are accepted.  Output k is read by a printable
+    call that starts at output 0, one that starts just before it, and
+    one that starts at it."""
+    limit = 2**64 - 2**64 % 95
+    for output, redrawn in ((2**64 - 1, True), (2**64 - 2**32, False), (limit - 1, False)):
+        seed = seed_with(output, k)
+        for before in sorted({0, max(k - 1, 0), k}):
+            new, ref = Rng(seed), Reference(seed)
+            assert new.printable(before) == bytes(32 + ref.randrange(95)
+                                                  for _ in range(before))
+            n = k - before + 1 + FIRST_LANES
+            assert new.printable(n) == bytes(32 + ref.randrange(95) for _ in range(n))
+            assert ref.drawn == before + n + redrawn
+            assert new.next_u64() == ref.next_u64()

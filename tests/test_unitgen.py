@@ -385,6 +385,52 @@ def test_fuzz_unit_runs_each_distinct_draw_once_with_unchanged_results():
     assert repeats > 0
 
 
+TRIGGER_PROG = """
+global trigger: bytes = "boom";
+
+fn check(a: bytes) -> int {
+    if (a == trigger) { abort("triggered"); }
+    if (a == "never drawn") { return 2; }
+    return 0;
+}
+
+fn main() -> int { return check(arg(0)); }
+"""
+
+
+def test_rounds_sharing_a_memo_keep_what_running_every_draw_keeps():
+    # Two rounds of each carve share one memo, as a campaign's rounds of
+    # one carved call do.  The second runs only the draws the first did
+    # not, yet keeps exactly what running every draw keeps: a remembered
+    # draw that reaches goals `known` lacks, or that crashes, is kept
+    # again.  TRIGGER_PROG's carve crashes on its harvested global in
+    # every round.
+    from carvelift.lang.parser import parse
+    prog = parse(TRIGGER_PROG)
+    s = mk_input((b"hello",))
+    traced = run_with_tracing(prog, s)
+    carved = carve_with_stats(traced)[0][0]
+    cases = list(unit_cases()) + [(prog, traced.coverage, carved, build_mapping(carved, s))]
+    remembered = {"goals": 0, "crash": 0}
+    for prog, known, carved, mapping in cases:
+        memo, ran = {}, set()
+        for seed in (7, 4099):
+            winners, stats = fuzz_unit_with_stats(
+                prog, carved, mapping, 200, known, Rng(seed), memo=memo)
+            want, want_steps = reference_fuzz(prog, carved, mapping, 200, known, Rng(seed))
+            assert [(w.assignment, w.status, w.new_goals) for w in winners] == want
+            assert stats.steps == want_steps
+            drawn = {(path, value) for path, _, value
+                     in draws(carved, mapping, 200, Rng(seed))}
+            assert len(stats.wall_times_s) == len(drawn - ran)
+            for w in winners:
+                if next(iter(w.assignment.assignments.items())) in ran:
+                    remembered["crash" if w.status.is_crash() else "goals"] += 1
+            ran |= drawn
+            assert memo.keys() == ran
+    assert remembered["goals"] > 0 and remembered["crash"] > 0
+
+
 def test_fuzz_unit_fuzzes_an_int_leaf_from_its_constants():
     from carvelift.lang.goals import goals_in_function
     from carvelift.lang.parser import parse
