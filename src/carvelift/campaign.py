@@ -32,7 +32,6 @@ without running again.
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 import time
@@ -62,7 +61,6 @@ from .vm.interp import (
     run_system, run_with_tracing,
 )
 from .vm.trace import CarvedTest, CarveStats
-from .vm.values import encode_segments, encode_value
 
 MODES = ("bridge", "system-only")
 FALLBACK_BATCH = 10
@@ -193,13 +191,11 @@ class _Campaign:
         self.steps_of: dict[tuple, int] = {}
         self.traced_of: dict[tuple, RunResult] = {}
         # Unit executions by (path, value), one memo per carved call:
-        # its function and its context, as encoded.  A unit execution is
+        # its function and its context's encoding.  A unit execution is
         # a pure function of those and the draw, so fuzz_unit_with_stats
         # runs a draw only once, whichever of the carves that share a
-        # memo draws it, in whichever round.  memo_of finds a pooled
-        # carve's memo by id(); a pooled carve lives as long as the campaign.
-        self.unit_memos: dict[str, dict] = {}
-        self.memo_of: dict[int, dict] = {}
+        # memo draws it, in whichever round.
+        self.unit_memos: dict[tuple[str, str], dict] = {}
         # Executions charged, repeats included; sys_walls holds one wall
         # time per run that executed.  Only charge() writes these three.
         self.system_executions = 0
@@ -316,16 +312,6 @@ class _Campaign:
 
     # -- bridge loop
 
-    def unit_memo(self, sel: CarvedTest) -> dict:
-        """The memo of the unit executions of `sel`'s call."""
-        memo = self.memo_of.get(id(sel))
-        if memo is None:
-            ctx = sel.context
-            key = json.dumps([sel.start[0], [[p, encode_value(v)] for p, v in ctx.roots.items()],
-                              encode_segments(ctx.segments)])
-            memo = self.memo_of[id(sel)] = self.unit_memos.setdefault(key, {})
-        return memo
-
     def fuzz_round(self, sel: CarvedTest) -> None:
         st = self.fns[sel.start[0]]
         origin = self.origins[sel.origin]
@@ -338,7 +324,7 @@ class _Campaign:
             self.program, sel, m, self.cfg.unit_budget,
             self.discovered | self.fp_goals,
             self.rng_unit.split(), self.opts,
-            memo=self.unit_memo(sel))
+            memo=self.unit_memos.setdefault((sel.start[0], sel.context.encoding()), {}))
         self.steps += fstats.steps
         self.unit_walls.extend(fstats.wall_times_s)
         self.lift.unit_executions += fstats.executions
@@ -350,13 +336,11 @@ class _Campaign:
         for w in winners:
             if self.exhausted():
                 return
-            unit_crash = ((w.status.crash_kind, w.status.crash_fn)
-                          if w.status.is_crash() else None)
             lifted = lift(m, w.assignment, origin,
                           self.cfg.first_occurrence_only)
             self.lift.lift_attempts += 1
             out = validate(self.program, lifted, w.new_goals,
-                           self.discovered, unit_crash, self.opts)
+                           self.discovered, w.status.site, self.opts)
             # Recorded before the run's steps are charged: on the step
             # clock a lift goal carries the time its validating run began.
             self.record(out.discovered, "lift")
@@ -365,12 +349,10 @@ class _Campaign:
             self.point()
             if out.classification == "effective":
                 self.lift.effective += 1
-                crash = None
-                if out.status.is_crash():
-                    crash = f"{out.status.crash_kind}@{out.status.crash_fn}"
+                site = out.status.site
                 self.effective.append(
-                    (lifted,
-                     tuple(sorted(str(g) for g in out.discovered)), crash))
+                    (lifted, tuple(sorted(str(g) for g in out.discovered)),
+                     None if site is None else "@".join(site)))
                 if not self.exhausted():
                     self.run_one(lifted, next(self.lift_ids), "system-gen")
             elif out.classification == "other-goal":

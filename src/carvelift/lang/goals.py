@@ -3,6 +3,8 @@
 A goal is one outcome of one conditional statement.  Every `if` contributes
 (then, else) and every `while` contributes (loop-enter, loop-exit), so the
 goal count is exactly twice the number of conditional statements.
+`branch_goals` alone names a statement's goals: the goal sets here and the
+goals the VM's compiled code adds are both made by it.
 """
 
 from __future__ import annotations
@@ -30,19 +32,19 @@ class BranchGoal(NamedTuple):
         return cls(fn, int(stmt), outcome)
 
 
+def branch_goals(fn_name: str, stmt) -> tuple[BranchGoal, ...]:
+    """The goals of statement `stmt` of function `fn_name`, in outcome
+    order; none unless it is an `if` or a `while`."""
+    outcomes = (OUTCOMES_IF if isinstance(stmt, SIf)
+                else OUTCOMES_WHILE if isinstance(stmt, SWhile) else ())
+    return tuple(BranchGoal(fn_name, stmt.stmt_id, o) for o in outcomes)
+
+
 def goals_in_function(program: Program, fn_name: str) -> set[BranchGoal]:
     fn = program.function(fn_name)
     if fn is None:
         raise UnknownFunction(f"no function named {fn_name!r}")
-    goals: set[BranchGoal] = set()
-    for s in iter_stmts(fn.body):
-        if isinstance(s, SIf):
-            for outcome in OUTCOMES_IF:
-                goals.add(BranchGoal(fn_name, s.stmt_id, outcome))
-        elif isinstance(s, SWhile):
-            for outcome in OUTCOMES_WHILE:
-                goals.add(BranchGoal(fn_name, s.stmt_id, outcome))
-    return goals
+    return {g for s in iter_stmts(fn.body) for g in branch_goals(fn_name, s)}
 
 
 def enumerate_goals(program: Program) -> set[BranchGoal]:

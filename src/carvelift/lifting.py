@@ -88,11 +88,7 @@ def validate(program, lifted: SystemInput, sought: frozenset,
     result = run_system(program, lifted, opts)
     discovered = frozenset(result.coverage - known)
 
-    reproduced = (
-        unit_crash is not None
-        and result.status.is_crash()
-        and (result.status.crash_kind, result.status.crash_fn) == unit_crash
-    )
+    reproduced = unit_crash is not None and result.status.site == unit_crash
     if (sought & discovered) or reproduced:
         classification = "effective"
     elif discovered:

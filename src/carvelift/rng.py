@@ -121,26 +121,13 @@ class Rng:
 
     def choice(self, seq):
         """A uniform item of seq: seq[randrange(len(seq))]."""
-        n, buf = len(seq), self._buf
-        if not n:
+        if not seq:
             raise ValueError("choice on empty sequence")
-        x = buf.pop() if buf else self._refill().pop()
-        return seq[x % n if n <= _SMALL and x < _UNBIASED else self._unbiased(x, n)]
+        return seq[self.randrange(len(seq))]
 
     def printable(self, n: int) -> bytes:
-        """n printable ASCII bytes: the bytes, from the same draws, of n
-        calls of 32 + randrange(95), taken a buffer's worth at a time."""
-        out = b""
-        while len(out) < n:
-            buf = self._buf or self._refill()
-            k = max(len(buf) - n + len(out), 0)
-            drawn = buf[k:]
-            if max(drawn) < _UNBIASED:
-                del buf[k:]
-                out += bytes([32 + x % 95 for x in reversed(drawn)])
-            else:       # randrange may reject one of these draws
-                out += bytes([32 + self.randrange(95) for _ in drawn])
-        return out
+        """n printable ASCII bytes, each 32 + randrange(95)."""
+        return bytes([32 + self.randrange(95) for _ in range(n)])
 
     def randbytes(self, n: int) -> bytes:
         out = bytearray()

@@ -56,7 +56,7 @@ from ..lang.ast import (
     input_reading_functions, int_locals, iter_stmts, subexpressions, yields_int,
 )
 from ..lang.errors import UnknownFunction
-from ..lang.goals import OUTCOMES_IF, OUTCOMES_WHILE, BranchGoal
+from ..lang.goals import BranchGoal, branch_goals
 from . import ops
 from .ops import Crash, OutOfSteps, fail, spent
 from .trace import CarvedTest, CarveStats, Tracer
@@ -88,6 +88,7 @@ class RunOptions:
 
 @dataclass(frozen=True)
 class RunStatus:
+    """How a run ended; a crash also says where (`site`, `crash_stmt`)."""
     kind: str  # exit | crash | budget-exhausted
     code: int = 0
     crash_kind: Optional[str] = None
@@ -97,6 +98,11 @@ class RunStatus:
 
     def is_crash(self) -> bool:
         return self.kind == "crash"
+
+    @property
+    def site(self) -> tuple[str, str] | None:
+        """A crash's (crash_kind, crash_fn); None for any other status."""
+        return (self.crash_kind, self.crash_fn) if self.kind == "crash" else None
 
 
 # Built once: runs that exit with a common code share its frozen status.
@@ -340,9 +346,7 @@ class _Code:
         self.known, n = self.before[s.stmt_id], s.stmt_id
         self.ints = {self.local(name) for name in self.known}
         self.ns[f"P{n}"] = (self.fn_name, n)
-        if type(s) is SIf or type(s) is SWhile:
-            self.ns |= {f"G{n}{i}": BranchGoal(self.fn_name, n, o) for i, o
-                        in enumerate(OUTCOMES_WHILE if type(s) is SWhile else OUTCOMES_IF)}
+        self.ns |= {f"G{n}{i}": g for i, g in enumerate(branch_goals(self.fn_name, s))}
         self.at = f"P{n}"
         return self.at
 

@@ -36,6 +36,8 @@ never changes, so what it keeps always holds.
 One encoding of a carve (`encode_carve`, read back by `decode_carve`)
 serves both the snapshot file (`save_snapshot`) and the determinism
 checks of `serialize_run_result`; byte strings inside values are base64.
+Its context part, `Context.encode`, kept as text by `Context.encoding`,
+is also the key of the campaign's unit memos.
 """
 
 from __future__ import annotations
@@ -62,13 +64,27 @@ PER_FN_CAP = 8      # recorded calls kept per function and run
 class Context:
     """Everything one invocation could see: args, globals, reachable heap.
     Roots are `arg[0..n-1]`, then `global:name`; `places` and `split` keep
-    what every world needs once first found (see `walk` and `world`)."""
+    what every world needs once first found (see `walk` and `world`), and
+    `encoded` the context's JSON text once made (see `encoding`)."""
 
     roots: dict[str, object]
     segments: SegmentTable
     truncated: bool
     places: dict | None = field(default=None, init=False, repr=False, compare=False)
     split: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    encoded: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    def encode(self) -> dict:
+        """The roots and segments as JSON values, as `encode_carve` writes them."""
+        return {"roots": [[p, encode_value(v)] for p, v in self.roots.items()],
+                "segments": encode_segments(self.segments)}
+
+    def encoding(self) -> str:
+        """`encode` as JSON text, kept in `encoded`: equal texts replay
+        the same world, so a campaign keys its unit memos by it."""
+        if self.encoded is None:
+            self.encoded = json.dumps(self.encode())
+        return self.encoded
 
     def walk(self) -> dict:
         """Every place the context names, argument roots first: a root, an
@@ -279,8 +295,7 @@ def encode_carve(carve: CarvedTest) -> dict:
         "start": {"fn": carve.start[0], "call_index": carve.start[1]},
         "origin": carve.origin,
         "truncated": ctx.truncated,
-        "roots": [[p, encode_value(v)] for p, v in ctx.roots.items()],
-        "segments": encode_segments(ctx.segments),
+        **ctx.encode(),
         "observed_coverage": sorted(str(g) for g in carve.observed_coverage),
     }
 
@@ -302,19 +317,17 @@ def decode_carve(doc: dict) -> CarvedTest:
                    for p in paths[n:]) \
                 or len(set(paths)) != len(paths):
             raise FormatError(f"roots must be arg[0..n-1] then globals: {paths!r}")
-        call_index, truncated = doc["start"]["call_index"], doc["truncated"]
+        fn, call_index = doc["start"]["fn"], doc["start"]["call_index"]
+        origin, truncated = doc["origin"], doc["truncated"]
         if type(call_index) is not int or type(truncated) is not bool:
             raise FormatError("call_index must be a JSON integer, truncated a JSON bool")
+        if type(fn) is not str or not re.fullmatch(IDENT, fn) or type(origin) is not str:
+            raise FormatError("fn must be an identifier, origin a JSON string")
         table = decode_segments(doc["segments"])
         lengths = {sid: len(seg) for sid, seg in table.items()}
         ctx = Context({p: decode_value(v, lengths) for p, v in doc["roots"]}, table, truncated)
-        return CarvedTest(
-            start=(str(doc["start"]["fn"]), call_index),
-            context=ctx,
-            origin=str(doc["origin"]),
-            observed_coverage=frozenset(
-                BranchGoal.parse(g) for g in doc["observed_coverage"]),
-        )
+        return CarvedTest((fn, call_index), ctx, origin, frozenset(
+            BranchGoal.parse(g) for g in doc["observed_coverage"]))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(f"carve document is malformed: {exc!r}") from exc
 

@@ -11,6 +11,13 @@ only and lets that shadow a global, and statements that crash in every
 kind behind input-dependent tests.  `main` derives an int `k` from its
 first argument, so different inputs take different paths.
 
+With `retype=True` the programs also hold int locals that are made
+another type on some paths (in an if, or in a loop's body) and then
+read in arithmetic, in orderings and in loop heads, and now and then
+pass a float where a function declares another type (the VM checks no
+declared type).  The option draws nothing when it is off, so the
+default programs stay as they are.
+
 `generate_input(rng)` draws an input for such a program.  Everything is
 a function of the seed: the same rng state yields the same text.
 """
@@ -63,8 +70,9 @@ def call(name, *args):
 
 
 class _Gen:
-    def __init__(self, rng):
+    def __init__(self, rng, retype=False):
         self.rng = rng
+        self.retype = retype
         self.functions: list[FunctionDef] = []
         self.sigs = {}          # user function -> (param types, heavy)
         self.globals = {}       # global name -> type
@@ -166,6 +174,8 @@ class _Gen:
             return i(0)
         name = self.pick(names)
         params, _ = self.sigs[name]
+        if self.retype:     # now and then a float argument: the VM checks no declared type
+            params = [self.pick([t] * 5 + ["float"]) for t in params]
         return call(name, *(self.expr(t, scope, d - 1) for t in params))
 
     # ------------------------------------------------------------ statements
@@ -192,6 +202,8 @@ class _Gen:
 
     def stmt(self, scope, d, loops):
         rng = self.rng
+        if self.retype and self.chance(8):
+            return self.retyped(scope)
         r = rng.randrange(20)
         ints = [n for n in self.vars_of(scope, "int") if not n.startswith("c")]
         if r < 4:
@@ -238,6 +250,53 @@ class _Gen:
             return [SIf(P0, self.int_expr(scope, 1),
                         [SReturn(P0, self.int_expr(scope, 2))], None)]
         return [SExpr(P0, call("print", self.expr(self.pick(list(TYPES)), scope, 2)))]
+
+    def retyped(self, scope):
+        """An int local made another type on some paths, before a loop
+        or in its body, and read before, after, in the loop's head, and
+        once it holds an int again on every path."""
+        rng = self.rng
+        name, counter = self.fresh("t"), self.fresh("c")
+
+        def read(odds=3):
+            """`name` in arithmetic or an ordering: with itself, which an
+            int or a float takes alike, or (one time in `odds`) with an int
+            literal, whose fast path an int proof would take for a float."""
+            right = v(name) if rng.randrange(odds) else i(rng.randrange(4))
+            return b(self.pick(["+", "-", "*", "<", "<=", ">", "=="]), v(name), right)
+
+        def shift():
+            """`name` = a value of another type, mostly a float, or an int."""
+            if self.chance(3):
+                return SAssign(P0, name, b(self.pick("+*"), v(name), self.int_expr(scope, 1)))
+            other = self.pick(["float", "float", "float", "bytes", "P"])
+            return SAssign(P0, name, self.expr(other, scope, 1))
+
+        def double():
+            """`name` = itself combined with itself, which keeps its type."""
+            return SAssign(P0, name, b(self.pick("+*"), v(name), v(name)))
+
+        out = [SLet(P0, name, self.int_expr(scope, 2)),
+               SExpr(P0, call("print", read()))]
+        if self.chance(2):      # else it is an int until the loop's body
+            out.append(SIf(P0, self.int_expr(scope, 1), [shift()],
+                           [shift()] if self.chance(2) else None))
+            if self.chance(2):
+                out.append(double())
+            out.append(SExpr(P0, call("print", read())))
+        body = [SAssign(P0, counter, b("+", v(counter), i(1)))]
+        when = (b("==", v(counter), i(rng.randrange(2))) if rng.randrange(3)
+                else self.int_expr(scope, 1))
+        body.insert(rng.randrange(2), SIf(P0, when, [shift()], None))
+        if self.chance(2):
+            body.insert(rng.randrange(3), double())
+        head = b("&&", b("<", v(counter), i(rng.randint(2, 4))), read(2))
+        out += [SLet(P0, counter, i(0)), SWhile(P0, head, body),
+                SExpr(P0, call("print", read(2))),
+                SAssign(P0, name, self.int_expr(scope, 1)),
+                SExpr(P0, call("print", read()))]
+        scope[name] = "int"
+        return out
 
     def if_stmt(self, scope, d, loops):
         then, _ = self.block(scope, d - 1, loops, self.rng.randint(1, 3))
@@ -292,9 +351,10 @@ class _Gen:
         return Program(RECORDS, globals_, self.functions)
 
 
-def generate(rng) -> str:
-    """The source text of one generated program."""
-    return pretty_print(_Gen(rng).program())
+def generate(rng, retype=False) -> str:
+    """The source text of one generated program; `retype` adds int
+    locals that change type on some paths (see the module docstring)."""
+    return pretty_print(_Gen(rng, retype).program())
 
 
 def generate_input(rng) -> SystemInput:

@@ -876,6 +876,13 @@ MALFORMED_SNAPSHOTS = {
         {**doc, "start": {**doc["start"], "call_index": "3"}}),
     "call-index-as-float": lambda doc: json.dumps(
         {**doc, "start": {**doc["start"], "call_index": 3.0}}),
+    # str() would read these as the function "['x', 1]" and the origin "None".
+    "fn-not-a-string": lambda doc: json.dumps(
+        {**doc, "start": {**doc["start"], "fn": ["x", 1]}}),
+    "fn-not-an-identifier": lambda doc: json.dumps(
+        {**doc, "start": {**doc["start"], "fn": "f(1)"}}),
+    "origin-null": lambda doc: json.dumps({**doc, "origin": None}),
+    "origin-not-a-string": lambda doc: json.dumps({**doc, "origin": 3}),
     # int() would read these as segments 10 and 2.
     "segment-id-with-underscore": with_segment_id("1_0", 10),
     "segment-id-with-spaces": with_segment_id(" 2 ", 2),

@@ -10,8 +10,10 @@ stage hands the next must be read somewhere, or no stage needs it.  The
 VM (`vm/interp.py` and `vm/ops.py`) stays within its line budget.  Only
 `_Campaign.run_one` runs a system input in `campaign.py`, so every run
 goes through its step memo, and only `_Campaign.charge` writes the
-campaign's ledger of system executions.  `docs/formats.md` states the
-versions the code writes.
+campaign's ledger of system executions.  Each of two jobs has one
+place: only `vm/` encodes and decodes values, and only `lang/goals.py`
+makes a `BranchGoal`.  `docs/formats.md` states the versions the code
+writes.
 """
 
 import ast
@@ -279,6 +281,62 @@ def test_only_charge_writes_the_campaign_ledger():
     found = ledger_writes((PACKAGE / "campaign.py").read_text())
     assert sorted(set(found)) == [("_Campaign.__init__", "binds"),
                                   ("_Campaign.charge", "changes")]
+
+
+# ---------------------------------------------------------------- one place per job
+
+VALUE_CODECS = {"encode_value", "decode_value", "encode_segments", "decode_segments"}
+
+
+def codec_references(text):
+    """(line, name) of each mention of a value encoder or decoder: a
+    name, an attribute or an import."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        names = ([a.name for a in node.names]
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 else [node.id] if isinstance(node, ast.Name)
+                 else [node.attr] if isinstance(node, ast.Attribute) else [])
+        found += [(node.lineno, n) for n in names if n in VALUE_CODECS]
+    return found
+
+
+def branch_goals_made(text):
+    """The line of each call of `BranchGoal`, by name or as an attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Name) and node.func.id == "BranchGoal"
+                 or isinstance(node.func, ast.Attribute) and node.func.attr == "BranchGoal")]
+
+
+def test_the_job_scanners_find_each_use():
+    text = (
+        "from .vm.values import encode_value as ev, sever\n"
+        "from .vm import values\n"
+        "def f(x):\n"
+        "    values.decode_segments(x)\n"
+        "    return BranchGoal('f', 1, 'then'), goals.BranchGoal(*x), BranchGoal.parse(x)\n"
+    )
+    assert sorted(codec_references(text)) == [(1, "encode_value"), (4, "decode_segments")]
+    assert branch_goals_made(text) == [5, 5]
+
+
+def test_only_the_vm_encodes_and_decodes_values():
+    """A carve's encoding has one owner, `vm/trace.py`; a module outside
+    `vm/` that wants one asks it (`Context.encoding`, `encode_carve`)."""
+    found = [f"{p.relative_to(PACKAGE)}:{line}: {name}"
+             for p in sorted(PACKAGE.rglob("*.py")) if p.parent.name != "vm"
+             for line, name in codec_references(p.read_text())]
+    assert found == []
+
+
+def test_only_lang_goals_makes_a_branch_goal():
+    """`branch_goals` names a statement's goals for the goal sets and for
+    the compiled code alike."""
+    found = [f"{p.relative_to(PACKAGE)}:{line}"
+             for p in sorted(PACKAGE.rglob("*.py")) if p != PACKAGE / "lang" / "goals.py"
+             for line in branch_goals_made(p.read_text())]
+    assert found == []
 
 
 @pytest.mark.parametrize("section,module,constant", [
