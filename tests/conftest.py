@@ -1,4 +1,9 @@
+import difflib
 import importlib.resources
+import json
+import os
+from dataclasses import replace
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -10,6 +15,7 @@ from carvelift.lang.ast import (
 )
 from carvelift.lang.goals import BranchGoal
 from carvelift.lang.parser import parse
+from carvelift.reporting import serialize_report
 from carvelift.vm.values import wrap64
 
 SUBJECT_NAMES = ["keycheck", "mini_dc", "mini_sed", "mini_cut", "mini_tac"]
@@ -42,6 +48,57 @@ def mk_input(argv=(), stdin=b"") -> SystemInput:
 @pytest.fixture(scope="session")
 def subjects():
     return {name: load_subject(name) for name in SUBJECT_NAMES}
+
+
+# ------------------------------------------------------------ golden reports
+
+GOLDENS = Path(__file__).resolve().parent / "goldens"
+# Set to rewrite every golden file a test compares with, instead of
+# comparing; a change that moves reports on purpose commits the result.
+REGEN_GOLDENS = "CARVELIFT_REGEN_GOLDENS"
+
+
+def timeless(report):
+    """`report` with every wall-time field zeroed."""
+    return replace(
+        report, total_wall_s=0.0, system_wall_total_s=0.0,
+        speedup=replace(report.speedup, median_system_ms=0.0,
+                        median_unit_ms=0.0, speedup=0.0))
+
+
+def assert_matches_golden(report, name: str) -> None:
+    """The timeless report serializes to `goldens/<name>.json` byte for
+    byte.  A mismatch fails with the count of differing lines and the
+    first 40 lines of a unified diff."""
+    text = serialize_report(timeless(report))
+    path = GOLDENS / f"{name}.json"
+    if os.environ.get(REGEN_GOLDENS):
+        path.write_bytes(text.encode("ascii"))
+        return
+    want = path.read_bytes().decode("ascii")
+    if text != want:
+        diff = list(difflib.unified_diff(
+            want.splitlines(), text.splitlines(), f"goldens/{name}.json",
+            "this run", lineterm=""))
+        changed = sum(line[:1] in "+-" for line in diff[2:])
+        pytest.fail(f"{path.name}: {changed} lines differ\n"
+                    + "\n".join(diff[:40]), pytrace=False)
+
+
+def report_doc(report, drop=()) -> dict:
+    """The serialized report as a JSON document without the keys in
+    `drop`.  A key is a dotted path, and a path through a list names the
+    key in each element: "speedup.speedup", "functions.carves"."""
+    doc = json.loads(serialize_report(report))
+    for path in drop:
+        *parents, last = path.split(".")
+        nodes = [doc]
+        for key in parents:
+            nodes = [n[key] for n in nodes]
+            nodes = [e for n in nodes for e in (n if isinstance(n, list) else [n])]
+        for n in nodes:
+            del n[last]
+    return doc
 
 
 def random_input_for(name: str, rng) -> SystemInput:

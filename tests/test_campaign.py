@@ -8,12 +8,10 @@ control flow.
 """
 
 import hashlib
-import json
 import os
 import statistics
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -31,12 +29,14 @@ from carvelift.errors import ConfigError, SubjectLoadError
 from carvelift.lang.ast import input_reading_functions
 from carvelift.lang.goals import enumerate_goals, goals_in_function
 from carvelift.lang.parser import parse
-from carvelift.reporting import serialize_report
 from carvelift.rng import Rng
 from carvelift.sysgen import read_corpus, write_input_file
 from carvelift.vm.trace import CarvedTest, Context
 
-from conftest import BYTES_AS_INT, SUBJECT_NAMES, load_subject, mk_input
+from conftest import (
+    BYTES_AS_INT, GOLDENS, SUBJECT_NAMES, assert_matches_golden, load_subject,
+    mk_input, report_doc, timeless,
+)
 
 # five functions with 1, 2, 2, 3, 0 conditional statements
 POOL_PROG = parse("""
@@ -477,19 +477,15 @@ def test_a_carved_call_runs_each_distinct_draw_once_across_rounds(monkeypatch):
     fresh, fresh_runs = campaign(fresh=True)
     assert kept_runs < fresh_runs < kept.lift_stats.unit_executions
     assert kept.lift_stats.unit_winners > 0
-    assert timeless_digest(kept) == timeless_digest(fresh)
+    assert report_doc(timeless(kept)) == report_doc(timeless(fresh))
 
 
 def without_carve_counts(report):
     """The serialized report minus wall times and carve counts."""
-    doc = json.loads(serialize_report(report))
-    for key in ("total_wall_s", "system_wall_total_s", "carve_stats"):
-        del doc[key]
-    for key in ("median_system_ms", "median_unit_ms", "speedup"):
-        del doc["speedup"][key]
-    for row in doc["functions"]:
-        del row["carves"]
-    return doc
+    return report_doc(report, drop=(
+        "total_wall_s", "system_wall_total_s", "carve_stats",
+        "speedup.median_system_ms", "speedup.median_unit_ms",
+        "speedup.speedup", "functions.carves"))
 
 
 @pytest.mark.parametrize("name", SUBJECT_NAMES)
@@ -529,11 +525,17 @@ def test_mini_dc_is_not_traced_once_nothing_is_selectable(monkeypatch):
 
 # ----------------------------------------------------------- golden reports
 
-# sha256 of each bundled subject's step-clock report, wall-time fields
-# zeroed, at rng seed 7 and a 100k-step clock.  Anything that changes
-# what a step-clock campaign does or reports changes one of these; such
-# a change must say why in CHANGES.md and pin the new values.
+# Each bundled subject's step-clock report at rng seed 7 and a 100k-step
+# clock, wall-time fields zeroed, is kept in tests/goldens/.  Anything
+# that changes what a step-clock campaign does or reports changes one of
+# these files; such a change must say why in CHANGES.md and commit the
+# files rewritten (see conftest.REGEN_GOLDENS).
 GOLDEN_CLOCK = 100_000
+GOLDEN_CAMPAIGNS = sorted((name, mode) for name in SUBJECT_NAMES
+                          for mode in ("bridge", "system-only"))
+
+# sha256 of each golden file, pinned while the reports were checked by
+# these digests alone.
 GOLDEN_DIGESTS = {
     ("keycheck", "bridge"):
         "e5452091ab691209b00760e2db3f46a4bb39b9d55359062598fb1baad2da8937",
@@ -555,41 +557,37 @@ GOLDEN_DIGESTS = {
         "eb75caa670be7d6ba7fc0605d849d7c19876fbbfb5cf06fb0ca710c9dcfd3bd7",
     ("mini_tac", "system-only"):
         "abd6ff8f97a0e6ab11bb1e5343813c0b14661d3d6aca148e4b2fcdea3fd4ee80",
+    ("keycheck", "lift-path"):
+        "621e69dc2b9c14044a6bd6d79a0d8ca644561aa5e72aeb765c12d1323310622e",
 }
 
 
-def timeless_digest(report):
-    timeless = replace(
-        report, total_wall_s=0.0, system_wall_total_s=0.0,
-        speedup=replace(report.speedup, median_system_ms=0.0,
-                        median_unit_ms=0.0, speedup=0.0))
-    return hashlib.sha256(serialize_report(timeless).encode()).hexdigest()
+def test_golden_files_hash_to_the_digests_they_replace():
+    for (name, mode), digest in GOLDEN_DIGESTS.items():
+        data = (GOLDENS / f"{name}-{mode}.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, (name, mode)
 
 
-@pytest.mark.parametrize("name,mode", sorted(GOLDEN_DIGESTS))
-def test_step_clock_reports_match_golden_digests(name, mode):
+@pytest.mark.parametrize("name,mode", GOLDEN_CAMPAIGNS)
+def test_step_clock_reports_match_golden_files(name, mode):
     program, name = resolve_program(name)
     cfg = RunConfig(mode=mode, deterministic_clock=GOLDEN_CLOCK, rng_seed=7)
     report = run_campaign(program, resolve_seeds(None, name), cfg,
                           program_name=name)
-    assert timeless_digest(report) == GOLDEN_DIGESTS[name, mode]
+    assert_matches_golden(report, f"{name}-{mode}")
 
 
-# The same digest of keycheck_bridge_report (KEY_SEEDS, 2M-step clock, rng
-# seed 7).  Unlike the 100k-step campaigns above it goes down the lift
-# path: three lift attempts, one of each classification, and an effective
+# The keycheck_bridge_report fixture (KEY_SEEDS, 2M-step clock, rng seed
+# 7).  Unlike the 100k-step campaigns above it goes down the lift path:
+# three lift attempts, one of each classification, and an effective
 # input with argv bytes, so the lift stamps, the base64 fields and the
-# derived pct_* values are all in the hashed document.
-LIFT_PATH_DIGEST = (
-    "621e69dc2b9c14044a6bd6d79a0d8ca644561aa5e72aeb765c12d1323310622e")
-
-
-def test_lift_path_report_matches_golden_digest(keycheck_bridge_report):
+# derived pct_* values are all in the pinned document.
+def test_lift_path_report_matches_golden_file(keycheck_bridge_report):
     r = keycheck_bridge_report
     assert (r.lift_stats.lift_attempts, r.lift_stats.effective,
             r.lift_stats.other_goal, r.lift_stats.false_positive) == (3, 1, 1, 1)
     assert r.effective_inputs and all(r.effective_inputs[0].argv)
-    assert timeless_digest(r) == LIFT_PATH_DIGEST
+    assert_matches_golden(r, "keycheck-lift-path")
 
 
 # The same two campaigns in fresh interpreters under two hash seeds: set
@@ -664,7 +662,7 @@ ANSWERED_BY_VALIDATION = {("mini_cut", "bridge"): 1}
 TRACED_REPEATS = {("keycheck", "bridge"): 1, ("mini_dc", "bridge"): 2}
 
 
-@pytest.mark.parametrize("name,mode", sorted(GOLDEN_DIGESTS))
+@pytest.mark.parametrize("name,mode", GOLDEN_CAMPAIGNS)
 def test_no_input_runs_untraced_twice_in_a_campaign(name, mode, monkeypatch):
     """Nor traced twice: a traced repeat takes its first traced run's
     carves."""
@@ -695,7 +693,7 @@ def test_no_input_runs_untraced_twice_in_a_campaign(name, mode, monkeypatch):
         assert answered
 
 
-@pytest.mark.parametrize("name,mode", sorted(GOLDEN_DIGESTS))
+@pytest.mark.parametrize("name,mode", GOLDEN_CAMPAIGNS)
 def test_every_recorded_goal_is_a_goal_of_the_program(name, mode, monkeypatch):
     """_Campaign.uncovered compares the discovered count with the goal
     count, which holds only while record logs goals of the program."""
