@@ -7,7 +7,6 @@ keycheck bridge-vs-baseline behavior predicted by the subject's
 control flow.
 """
 
-import hashlib
 import os
 import statistics
 import subprocess
@@ -34,7 +33,7 @@ from carvelift.sysgen import read_corpus, write_input_file
 from carvelift.vm.trace import CarvedTest, Context
 
 from conftest import (
-    BYTES_AS_INT, GOLDENS, SUBJECT_NAMES, assert_matches_golden, load_subject,
+    BYTES_AS_INT, SUBJECT_NAMES, assert_matches_golden, load_subject,
     mk_input, report_doc, timeless,
 )
 
@@ -533,40 +532,6 @@ def test_mini_dc_is_not_traced_once_nothing_is_selectable(monkeypatch):
 GOLDEN_CLOCK = 100_000
 GOLDEN_CAMPAIGNS = sorted((name, mode) for name in SUBJECT_NAMES
                           for mode in ("bridge", "system-only"))
-
-# sha256 of each golden file, pinned while the reports were checked by
-# these digests alone.
-GOLDEN_DIGESTS = {
-    ("keycheck", "bridge"):
-        "e5452091ab691209b00760e2db3f46a4bb39b9d55359062598fb1baad2da8937",
-    ("keycheck", "system-only"):
-        "05606408e0683e3c4127fe338c91fd705f63cf76a070afa4c0058f6b8cb6ce40",
-    ("mini_dc", "bridge"):
-        "056f77050210eb05570d1b780daccfb9ab296ff9c528e8b50b6f8d986ba17f01",
-    ("mini_dc", "system-only"):
-        "ce80192a95bc7fc616b59e0f372107b312f63bc9c985cf8b1acec9204137fc5f",
-    ("mini_sed", "bridge"):
-        "dca157946e3a3b6d7b3a80a13707dd77f7e659ac86f728412114dbf75ef01ae1",
-    ("mini_sed", "system-only"):
-        "0fe16493f94e6b8fa2904cd44aece4f23257c144788f14e3d4746623b9cb50ef",
-    ("mini_cut", "bridge"):
-        "71ac29d70d805810817b4f5a0996f2d5f8f50e70852df350083a06af6c86b25a",
-    ("mini_cut", "system-only"):
-        "b76a3a0891ab52f373c2ab1fb04b399abdde527c1172369f16449b76d34effae",
-    ("mini_tac", "bridge"):
-        "eb75caa670be7d6ba7fc0605d849d7c19876fbbfb5cf06fb0ca710c9dcfd3bd7",
-    ("mini_tac", "system-only"):
-        "abd6ff8f97a0e6ab11bb1e5343813c0b14661d3d6aca148e4b2fcdea3fd4ee80",
-    ("keycheck", "lift-path"):
-        "621e69dc2b9c14044a6bd6d79a0d8ca644561aa5e72aeb765c12d1323310622e",
-}
-
-
-def test_golden_files_hash_to_the_digests_they_replace():
-    for (name, mode), digest in GOLDEN_DIGESTS.items():
-        data = (GOLDENS / f"{name}-{mode}.json").read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest, (name, mode)
-
 
 @pytest.mark.parametrize("name,mode", GOLDEN_CAMPAIGNS)
 def test_step_clock_reports_match_golden_files(name, mode):
