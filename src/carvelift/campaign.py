@@ -28,13 +28,19 @@ carves again, stamped with the repeat's origin.  Likewise a unit draw
 already run against the same carved function and context, in any
 earlier round, is charged its steps and judged on what it covered,
 without running again.
+
+A campaign's memory grows with what it finds, not with how long it
+runs.  The coverage series gains a point only when the coverage
+fraction moves.  Wall times are summarised in fixed-size histograms.
+The step memo keeps the newest STEP_MEMO_ENTRIES inputs; a repeat it
+has forgotten runs again, at the same steps and with the same goals.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 import time
+from collections import OrderedDict
 from collections.abc import Set
 from itertools import count
 from dataclasses import asdict, dataclass, field
@@ -67,6 +73,48 @@ FALLBACK_BATCH = 10
 # A function whose fuzz rounds come back winnerless this many times in a
 # row stops being selected; its goals stay reachable through system runs.
 FUTILE_ROUNDS = 3
+# The step memo forgets its oldest input past this many.
+STEP_MEMO_ENTRIES = 1 << 16
+
+# Wall times are counted in log-spaced bins, BINS_PER_OCTAVE to each
+# doubling, from 2**WALL_LOW_LOG2 s (about 60 ns) up to 2**8 s; times
+# outside that range count in the end bins.  A median read from the
+# bins is off by at most WALL_REL_ERROR of the exact median (2.2%).
+BINS_PER_OCTAVE = 16
+WALL_LOW_LOG2 = -24
+WALL_LOW = 2.0 ** WALL_LOW_LOG2
+WALL_BINS = 32 * BINS_PER_OCTAVE
+WALL_REL_ERROR = 2 ** (0.5 / BINS_PER_OCTAVE) - 1
+
+
+class WallSummary:
+    """A count of wall times per log-spaced bin, and their median."""
+
+    __slots__ = ("counts", "n")
+
+    def __init__(self):
+        self.counts = [0] * WALL_BINS
+        self.n = 0
+
+    def add(self, t: float) -> None:
+        k = int((math.log2(max(t, WALL_LOW)) - WALL_LOW_LOG2) * BINS_PER_OCTAVE)
+        self.counts[min(k, WALL_BINS - 1)] += 1
+        self.n += 1
+
+    def _at(self, rank: int) -> float:
+        """The geometric middle of the bin of the time at `rank`."""
+        for k, c in enumerate(self.counts):
+            rank -= c
+            if rank < 0:
+                return 2.0 ** (WALL_LOW_LOG2 + (k + 0.5) / BINS_PER_OCTAVE)
+        raise IndexError(rank)
+
+    def median(self) -> float:
+        """The median as statistics.median takes it, read from the bins;
+        0.0 when no time was added."""
+        if not self.n:
+            return 0.0
+        return (self._at((self.n - 1) // 2) + self._at(self.n // 2)) / 2
 
 
 @dataclass
@@ -181,14 +229,18 @@ class _Campaign:
         # (apparently) not system-reachable.  Fuzzing stops chasing them.
         self.fp_goals: set[BranchGoal] = set()
         self.origins: dict[str, object] = {}
+        # A point each time the coverage fraction moves; _pointed is the
+        # discovered count at the last one.
         self.series: list[tuple[float, float]] = []
+        self._pointed = -1
         self.carve_totals: dict[str, int] = {
             k: 0 for k in asdict(CarveStats())}
-        # The steps of each system input run so far, by (argv, stdin).
-        # The VM is deterministic and the run options are fixed, so an
-        # untraced repeat is charged these steps instead of running again,
-        # and a traced repeat the steps and carves of its first traced run.
-        self.steps_of: dict[tuple, int] = {}
+        # The steps of the last STEP_MEMO_ENTRIES system inputs run, by
+        # (argv, stdin).  The VM is deterministic and the run options are
+        # fixed, so an untraced repeat is charged these steps instead of
+        # running again, and a traced repeat the steps and carves of its
+        # first traced run.
+        self.steps_of: OrderedDict[tuple, int] = OrderedDict()
         self.traced_of: dict[tuple, RunResult] = {}
         # Unit executions by (path, value), one memo per carved call:
         # its function and its context's encoding.  A unit execution is
@@ -196,11 +248,13 @@ class _Campaign:
         # runs a draw only once, whichever of the carves that share a
         # memo draws it, in whichever round.
         self.unit_memos: dict[tuple[str, str], dict] = {}
-        # Executions charged, repeats included; sys_walls holds one wall
-        # time per run that executed.  Only charge() writes these three.
+        # Executions charged, repeats included; sys_walls and
+        # sys_wall_total take the wall time of each run that executed.
+        # Only charge() writes these four.
         self.system_executions = 0
-        self.sys_walls: list[float] = []
-        self.unit_walls: list[float] = []
+        self.sys_walls = WallSummary()
+        self.sys_wall_total = 0.0
+        self.unit_walls = WallSummary()
         self.lift = LiftStats()
         self.effective: list[tuple[object, tuple[str, ...], str | None]] = []
         self.gen_ids = (f"gen-{i}" for i in count())
@@ -222,7 +276,10 @@ class _Campaign:
         self.system_executions += 1
         if wall is not None:
             self.steps_of[key] = steps
-            self.sys_walls.append(wall)
+            if len(self.steps_of) > STEP_MEMO_ENTRIES:
+                self.steps_of.popitem(last=False)
+            self.sys_walls.add(wall)
+            self.sys_wall_total += wall
 
     def exhausted(self) -> bool:
         return self.now() >= self.budget
@@ -238,7 +295,10 @@ class _Campaign:
         return len(self.discovered) / len(self.all_goals)
 
     def point(self) -> None:
-        self.series.append((self.now(), self.fraction()))
+        """Stamp the coverage fraction now, if it moved since the last point."""
+        if len(self.discovered) != self._pointed:
+            self._pointed = len(self.discovered)
+            self.series.append((self.now(), self.fraction()))
 
     def record(self, goals: Set[BranchGoal], source: str) -> None:
         """Log the goals not discovered yet, stamped with the clock now."""
@@ -326,7 +386,8 @@ class _Campaign:
             self.rng_unit.split(), self.opts,
             memo=self.unit_memos.setdefault((sel.start[0], sel.context.encoding()), {}))
         self.steps += fstats.steps
-        self.unit_walls.extend(fstats.wall_times_s)
+        for t in fstats.wall_times_s:
+            self.unit_walls.add(t)
         self.lift.unit_executions += fstats.executions
         self.lift.unit_winners += len(winners)
         self.point()
@@ -399,10 +460,12 @@ class _Campaign:
                         carves=len(st.carves), selections=st.selections,
                         parameterized=st.parameterized, skipped=st.skipped)
             for name, st in self.fns.items())
-        med_sys = statistics.median(self.sys_walls) if self.sys_walls else 0.0
-        med_unit = (statistics.median(self.unit_walls)
-                    if self.unit_walls else 0.0)
+        med_sys, med_unit = self.sys_walls.median(), self.unit_walls.median()
         speedup = med_sys / med_unit if med_sys > 0 and med_unit > 0 else 0.0
+        used = self.now()       # read first: at most total_wall_s
+        closing = (used, self.fraction())      # unless the last point is it
+        series = (self.series if self.series[-1:] == [closing]
+                  else [*self.series, closing])
         return CampaignReport(
             version=REPORT_VERSION,
             program=self.program_name,
@@ -411,7 +474,7 @@ class _Campaign:
             config=asdict(cfg),
             total_goals=len(self.all_goals),
             discovered=len(self.discovered),
-            coverage_series=tuple(self.series),
+            coverage_series=tuple(series),
             first_discovery=tuple((e, str(g), src)
                                   for e, g, src in self.log),
             functions=rows,
@@ -424,9 +487,9 @@ class _Campaign:
                 median_unit_ms=med_unit * 1000.0,
                 speedup=speedup),
             effective_inputs=eff,
-            budget_used=self.now(),     # read first: at most total_wall_s
+            budget_used=used,
             total_wall_s=time.monotonic() - wall_start,
-            system_wall_total_s=sum(self.sys_walls),
+            system_wall_total_s=self.sys_wall_total,
         )
 
 

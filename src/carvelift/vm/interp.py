@@ -10,8 +10,8 @@ A Program keeps its code from its first run on, with each function's
 arity and the global names, so a unit execution, replayed
 thousands of times from one carve, builds only its run state and
 `RunResult`; the common exit statuses are built once.  `_Code` writes
-one Python function per mini-language function and builds them with
-one compile(), as `dataclasses` builds its methods: parameters and lets
+one Python function per mini-language function and builds each with
+its own compile(), as `dataclasses` builds its methods: parameters and lets
 become Python locals, branch goals, crash positions and builtins are
 names bound into the code, and a call is one Python call.  Inline fast
 paths cover int + - * and comparisons, == and != on two ints, floats or
@@ -209,7 +209,7 @@ def compiled(program: Program) -> "_Code":
 class _Code:
     """A program compiled to Python: one function per mini-language
     function, taking the run state and the arguments, and one for the
-    global initializers, written as source and built with compile().
+    global initializers, written as source and each compiled on its own.
 
     An expression's code leaves its value in an atom: a literal, the
     local of a parameter or let (U until the let has run), or a
@@ -235,7 +235,7 @@ class _Code:
         self.input_dependent = input_reading_functions(program)
         self.global_names = {g.name for g in program.globals}
         self.targets = {f.name: f"F{i}" for i, f in enumerate(program.functions)}
-        self.ns, source = dict(_NAMESPACE), []
+        self.ns = dict(_NAMESPACE)
         for fn in program.functions:
             self.enter(fn.name, [p for p, _ in fn.params],
                        [s.name for s in iter_stmts(fn.body) if type(s) is SLet])
@@ -245,15 +245,15 @@ class _Code:
             if not fn.body or type(fn.body[-1]) is not SReturn:
                 self.line("st.depth -= 1; return None")
             params = "".join(f", {self.local(p)}" for p, _ in fn.params)
-            source += [f"def {self.targets[fn.name]}(st{params}):",
-                       *sorted(f" {self.local(n)} = U" for n in self.unset), *self.out]
+            self.out[:0] = [f"def {self.targets[fn.name]}(st{params}):",
+                            *sorted(f" {self.local(n)} = U" for n in self.unset)]
+            exec(compile("\n".join(self.out), "<carvelift>", "exec"), self.ns)
         self.enter("<init>", (), ())
-        self.out.append(" f = st.fuel")
+        self.out += ["def INIT(st):", " f = st.fuel"]
         for g in program.globals:
             self.pure(f"st.globals[{g.name!r}] = {self.node(g.init, 1)}")
         self.sync()
-        source += ["def INIT(st):", *self.out]
-        exec(compile("\n".join(source), "<carvelift>", "exec"), self.ns)
+        exec(compile("\n".join(self.out), "<carvelift>", "exec"), self.ns)
         for name, py in self.targets.items():   # named F1_apply_script in a profile
             self.ns[py].__code__ = self.ns[py].__code__.replace(co_name=f"{py}_{name}")
         self.functions = {name: self.ns[py] for name, py in self.targets.items()}

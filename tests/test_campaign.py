@@ -19,8 +19,11 @@ import carvelift.campaign as campaign_module
 import carvelift.lifting as lifting_module
 from carvelift.bundled import resolve_program, resolve_seeds
 from carvelift.campaign import (
+    WALL_BINS,
+    WALL_REL_ERROR,
     FunctionState,
     RunConfig,
+    WallSummary,
     run_campaign,
     select_next,
 )
@@ -688,5 +691,70 @@ def test_wall_times_cover_only_the_runs_that_executed(monkeypatch):
     answered = sum(e[0] == "answered" for e in log)
     assert answered > 0
     assert report.speedup.system_executions == len(walls) + answered
-    assert report.speedup.median_system_ms == statistics.median(walls) * 1000.0
+    assert report.speedup.median_system_ms == pytest.approx(
+        statistics.median(walls) * 1000.0, rel=WALL_REL_ERROR)
     assert report.system_wall_total_s == pytest.approx(sum(walls))
+
+
+# ----------------------------------------------------------- memory bounds
+
+def test_wall_summary_reads_the_median_within_its_stated_error():
+    rng = Rng(11)
+    assert WallSummary().median() == 0.0
+    for n in (1, 2, 3, 10, 101, 1000):
+        # log-uniform from 1 us to 1 s, and runs of equal times
+        times = [10.0 ** (-6 + 6 * rng.randrange(10_000) / 10_000)
+                 for _ in range(n)]
+        times += times[: n // 3]
+        summary = WallSummary()
+        for t in times:
+            summary.add(t)
+        assert summary.n == len(times) and len(summary.counts) == WALL_BINS
+        assert summary.median() == pytest.approx(statistics.median(times),
+                                                 rel=WALL_REL_ERROR)
+    for t in (0.0, 1e-12, 1e6):     # outside the range: the end bins
+        summary.add(t)
+    assert len(summary.counts) == WALL_BINS
+
+
+def test_a_wall_clock_campaign_grows_with_what_it_found(monkeypatch):
+    """About a second of mini_dc bridge runs thousands of executions,
+    yet the series holds at most total_goals + 2 points, the wall
+    summaries keep their fixed size and the step memo its bound."""
+    campaigns = []
+
+    class LoggedCampaign(campaign_module._Campaign):
+        def __init__(self, *args):
+            super().__init__(*args)
+            campaigns.append(self)
+
+    monkeypatch.setattr(campaign_module, "_Campaign", LoggedCampaign)
+    monkeypatch.setattr(campaign_module, "STEP_MEMO_ENTRIES", 256)
+    program, name = resolve_program("mini_dc")
+    r = run_campaign(program, resolve_seeds(None, name),
+                     RunConfig(mode="bridge", budget=1.0, rng_seed=7),
+                     program_name=name)
+    (c,) = campaigns
+    assert r.speedup.system_executions > 10 * (r.total_goals + 2)
+    assert len(r.coverage_series) <= r.total_goals + 2
+    assert r.coverage_series[-1] == (r.budget_used, r.discovered / r.total_goals)
+    moves = [f for _, f in r.coverage_series[:-1]]   # all but the closing point
+    assert len(set(moves)) == len(moves)
+    assert len(c.sys_walls.counts) == len(c.unit_walls.counts) == WALL_BINS
+    assert c.sys_walls.n > len(c.steps_of) == 256
+
+
+def test_a_step_memo_bound_changes_no_report(monkeypatch):
+    """With room for 64 inputs the memo forgets most of them, and their
+    repeats run again: same steps, same goals, the same timeless report."""
+    log = log_system_runs(monkeypatch)
+    monkeypatch.setattr(campaign_module, "STEP_MEMO_ENTRIES", 64)
+    program, name = resolve_program("mini_dc")
+    r = run_campaign(program, resolve_seeds(None, name),
+                     RunConfig(mode="system-only",
+                               deterministic_clock=GOLDEN_CLOCK, rng_seed=7),
+                     program_name=name)
+    runs = [key for event, key, kind, _ in log
+            if event == "run" and kind == "untraced"]
+    assert len(runs) > len(set(runs)) > 64     # forgotten repeats ran again
+    assert_matches_golden(r, f"{name}-system-only")

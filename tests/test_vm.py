@@ -284,8 +284,7 @@ def emitted_source(monkeypatch, program) -> str:
         return compile(source, *rest)
     monkeypatch.setattr(interp, "compile", spy, raising=False)
     run_system(program, mk_input())
-    (source,) = sources
-    return source
+    return "\n".join(sources)
 
 
 LITERAL_OPERANDS_SOURCE = """
