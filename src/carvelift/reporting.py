@@ -16,10 +16,7 @@ from typing import get_args, get_origin, get_type_hints
 from .errors import FormatError
 from .vm.values import decode_b64
 
-# Version 2 stamps a coverage series point only when the fraction moves;
-# a version-1 report, stamped at every execution, still loads.
 REPORT_VERSION = 2
-READABLE_VERSIONS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -143,10 +140,10 @@ def parse_report(text: str) -> CampaignReport:
         raise FormatError(f"report is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("report document must be a JSON object")
-    if doc.get("version") not in READABLE_VERSIONS:
+    if doc.get("version") != REPORT_VERSION:
         raise FormatError(
             f"unsupported report version {doc.get('version')!r}, "
-            f"expected one of {READABLE_VERSIONS}")
+            f"expected {REPORT_VERSION}")
     try:
         return _decode(CampaignReport, doc)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -1,7 +1,6 @@
 """Report document tests: round-trip stability and series emission."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -76,19 +75,7 @@ def test_serialized_form_is_plain_json_with_version():
 
 def test_parse_rejects_other_versions():
     doc = json.loads(serialize_report(sample_report()))
-    doc["version"] = REPORT_VERSION + 1
-    with pytest.raises(FormatError):
-        parse_report(json.dumps(doc))
-
-
-def test_a_version_1_report_still_loads():
-    """Version 1 differs only in how densely its series was stamped."""
-    doc = json.loads(serialize_report(sample_report()))
-    doc["version"] = 1
-    r = parse_report(json.dumps(doc))
-    assert r == replace(sample_report(), version=1)
-    assert parse_report(serialize_report(r)) == r
-    for version in (0, REPORT_VERSION + 1, "2", None):
+    for version in (1, REPORT_VERSION + 1):     # 1 stamped every execution
         doc["version"] = version
         with pytest.raises(FormatError):
             parse_report(json.dumps(doc))
