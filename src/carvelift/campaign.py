@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from collections import OrderedDict
 from collections.abc import Set
 from itertools import count
@@ -77,44 +78,48 @@ FUTILE_ROUNDS = 3
 STEP_MEMO_ENTRIES = 1 << 16
 
 # Wall times are counted in log-spaced bins, BINS_PER_OCTAVE to each
-# doubling, from 2**WALL_LOW_LOG2 s (about 60 ns) up to 2**8 s; times
-# outside that range count in the end bins.  A median read from the
-# bins is off by at most WALL_REL_ERROR of the exact median (2.2%).
+# doubling between the WALL_EDGES 2**-24 s (about 60 ns) and 2**8 s, and
+# in one bin below and one above them.  A median is read as its bin's
+# geometric middle, within WALL_REL_ERROR (2.2%) of the exact median of
+# times inside the edges.
 BINS_PER_OCTAVE = 16
-WALL_LOW_LOG2 = -24
-WALL_LOW = 2.0 ** WALL_LOW_LOG2
-WALL_BINS = 32 * BINS_PER_OCTAVE
+WALL_EDGES = [2.0 ** (k / BINS_PER_OCTAVE - 24)
+              for k in range(32 * BINS_PER_OCTAVE + 1)]
+WALL_BINS = len(WALL_EDGES) + 1
 WALL_REL_ERROR = 2 ** (0.5 / BINS_PER_OCTAVE) - 1
+_WALL_MIDDLES = [WALL_EDGES[0],
+                 *(math.sqrt(lo * hi) for lo, hi in zip(WALL_EDGES, WALL_EDGES[1:])),
+                 WALL_EDGES[-1]]
 
 
 class WallSummary:
     """A count of wall times per log-spaced bin, and their median."""
 
-    __slots__ = ("counts", "n")
+    __slots__ = ("counts",)
 
     def __init__(self):
         self.counts = [0] * WALL_BINS
-        self.n = 0
 
-    def add(self, t: float) -> None:
-        k = int((math.log2(max(t, WALL_LOW)) - WALL_LOW_LOG2) * BINS_PER_OCTAVE)
-        self.counts[min(k, WALL_BINS - 1)] += 1
-        self.n += 1
+    def add(self, times) -> None:
+        counts = self.counts
+        for t in times:
+            counts[bisect_right(WALL_EDGES, t)] += 1
 
     def _at(self, rank: int) -> float:
         """The geometric middle of the bin of the time at `rank`."""
-        for k, c in enumerate(self.counts):
+        for middle, c in zip(_WALL_MIDDLES, self.counts):
             rank -= c
             if rank < 0:
-                return 2.0 ** (WALL_LOW_LOG2 + (k + 0.5) / BINS_PER_OCTAVE)
+                return middle
         raise IndexError(rank)
 
     def median(self) -> float:
         """The median as statistics.median takes it, read from the bins;
         0.0 when no time was added."""
-        if not self.n:
+        n = sum(self.counts)
+        if not n:
             return 0.0
-        return (self._at((self.n - 1) // 2) + self._at(self.n // 2)) / 2
+        return (self._at((n - 1) // 2) + self._at(n // 2)) / 2
 
 
 @dataclass
@@ -278,7 +283,7 @@ class _Campaign:
             self.steps_of[key] = steps
             if len(self.steps_of) > STEP_MEMO_ENTRIES:
                 self.steps_of.popitem(last=False)
-            self.sys_walls.add(wall)
+            self.sys_walls.add((wall,))
             self.sys_wall_total += wall
 
     def exhausted(self) -> bool:
@@ -386,8 +391,7 @@ class _Campaign:
             self.rng_unit.split(), self.opts,
             memo=self.unit_memos.setdefault((sel.start[0], sel.context.encoding()), {}))
         self.steps += fstats.steps
-        for t in fstats.wall_times_s:
-            self.unit_walls.add(t)
+        self.unit_walls.add(fstats.wall_times_s)
         self.lift.unit_executions += fstats.executions
         self.lift.unit_winners += len(winners)
         self.point()

@@ -707,14 +707,14 @@ def test_wall_summary_reads_the_median_within_its_stated_error():
                  for _ in range(n)]
         times += times[: n // 3]
         summary = WallSummary()
-        for t in times:
-            summary.add(t)
-        assert summary.n == len(times) and len(summary.counts) == WALL_BINS
+        summary.add(times)
+        assert sum(summary.counts) == len(times)
+        assert len(summary.counts) == WALL_BINS
         assert summary.median() == pytest.approx(statistics.median(times),
                                                  rel=WALL_REL_ERROR)
-    for t in (0.0, 1e-12, 1e6):     # outside the range: the end bins
-        summary.add(t)
+    summary.add((0.0, 1e-12, 1e6))      # outside the edges: the end bins
     assert len(summary.counts) == WALL_BINS
+    assert summary.counts[0] == 2 and summary.counts[-1] == 1
 
 
 def test_a_wall_clock_campaign_grows_with_what_it_found(monkeypatch):
@@ -741,7 +741,7 @@ def test_a_wall_clock_campaign_grows_with_what_it_found(monkeypatch):
     moves = [f for _, f in r.coverage_series[:-1]]   # all but the closing point
     assert len(set(moves)) == len(moves)
     assert len(c.sys_walls.counts) == len(c.unit_walls.counts) == WALL_BINS
-    assert c.sys_walls.n > len(c.steps_of) == 256
+    assert sum(c.sys_walls.counts) > len(c.steps_of) == 256
 
 
 def test_a_step_memo_bound_changes_no_report(monkeypatch):
