@@ -536,6 +536,7 @@ GOLDEN_CLOCK = 100_000
 GOLDEN_CAMPAIGNS = sorted((name, mode) for name in SUBJECT_NAMES
                           for mode in ("bridge", "system-only"))
 
+
 @pytest.mark.parametrize("name,mode", GOLDEN_CAMPAIGNS)
 def test_step_clock_reports_match_golden_files(name, mode):
     program, name = resolve_program(name)
