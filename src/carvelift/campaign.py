@@ -166,6 +166,7 @@ def select_next(fns: dict[str, FunctionState],
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A campaign's settings: its mode, budget, rng seed and limits."""
     mode: str = "bridge"
     budget: float = 60.0            # wall seconds, unless the step clock is on
     n_per_seed: int = 10

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class SystemInput:
+    """One input of a system run: its argument bytes and its stdin."""
     argv: tuple[bytes, ...] = ()
     stdin: bytes = b""
 

@@ -5,7 +5,6 @@ from .errors import (
 )
 from .goals import BranchGoal, enumerate_goals, goals_in_function
 from .parser import BUILTINS, parse
-from .pretty import pretty_print
 
 __all__ = [
     "BUILTINS",
@@ -19,5 +18,4 @@ __all__ = [
     "enumerate_goals",
     "goals_in_function",
     "parse",
-    "pretty_print",
 ]

@@ -10,7 +10,6 @@ they are stable across reparses of the same source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 
@@ -19,135 +18,146 @@ class Pos(NamedTuple):
     col: int
 
 
+class Node:
+    """Base of the AST nodes.  A node's fields are what its class and
+    its bases annotate, bases first.  The constructor takes them in that
+    order, but for a field with a class-level default (`stmt_id`), which
+    a later stage sets; `==` compares nodes of one class by the same
+    fields, and `repr` shows them all.  A plain attribute
+    (`Program.compiled`) is in none of the three.  Dataclasses would
+    build these methods at a cost of milliseconds to every process."""
+
+    def __init_subclass__(cls):
+        names = dict.fromkeys(n for c in reversed(cls.__mro__)
+                              for n in vars(c).get("__annotations__", ()))
+        cls._fields = tuple(names)
+        cls._args = tuple(n for n in names if not any(n in vars(c) for c in cls.__mro__))
+
+    def __init__(self, *args):
+        if len(args) != len(self._args):
+            raise TypeError(f"{type(self).__name__}() takes {len(self._args)} arguments, "
+                            f"got {len(args)}")
+        self.__dict__.update(zip(self._args, args))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, n) for n in self._args]
+                == [getattr(other, n) for n in self._args])
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
 # ---------------------------------------------------------------- expressions
 
-@dataclass
-class Expr:
+class Expr(Node):
     pos: Pos
 
 
-@dataclass
 class ELit(Expr):
     """An int, float or bytes literal, or null (None)."""
     value: int | float | bytes | None
 
 
-@dataclass
 class EVar(Expr):
     name: str
 
 
-@dataclass
 class EUnary(Expr):
     op: str
     operand: Expr
 
 
-@dataclass
 class EBinary(Expr):
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass
 class ECall(Expr):
     name: str
     args: list[Expr]
 
 
-@dataclass
 class EIndex(Expr):
     obj: Expr
     index: Expr
 
 
-@dataclass
 class EField(Expr):
     obj: Expr
     name: str
 
 
-@dataclass
 class ERecordLit(Expr):
     name: str
     fields: list[tuple[str, Expr]]
 
 
-@dataclass
 class EArrayLit(Expr):
     items: list[Expr]
 
 
 # ---------------------------------------------------------------- statements
 
-@dataclass
-class Stmt:
+class Stmt(Node):
     pos: Pos
-    stmt_id: int = field(default=-1, init=False, compare=False)
+    stmt_id: int = -1      # set by number_statements
 
 
-@dataclass
 class SLet(Stmt):
     name: str
     value: Expr
 
 
-@dataclass
 class SAssign(Stmt):
     name: str
     value: Expr
 
 
-@dataclass
 class SIndexSet(Stmt):
     obj: Expr
     index: Expr
     value: Expr
 
 
-@dataclass
 class SIf(Stmt):
     cond: Expr
     then_body: list[Stmt]
     else_body: Optional[list[Stmt]]
 
 
-@dataclass
 class SWhile(Stmt):
     cond: Expr
     body: list[Stmt]
 
 
-@dataclass
 class SReturn(Stmt):
     value: Optional[Expr]
 
 
-@dataclass
 class SExpr(Stmt):
     value: Expr
 
 
 # ---------------------------------------------------------------- top level
 
-@dataclass
-class RecordDef:
+class RecordDef(Node):
     name: str
     fields: list[tuple[str, str]]
     pos: Pos
 
 
-@dataclass
-class GlobalDef:
+class GlobalDef(Node):
     name: str
     type: str
     init: Expr
     pos: Pos
 
 
-@dataclass
-class FunctionDef:
+class FunctionDef(Node):
     name: str
     params: list[tuple[str, str]]
     ret: Optional[str]
@@ -159,16 +169,14 @@ class FunctionDef:
 ENTRY = "main"
 
 
-@dataclass
-class Program:
+class Program(Node):
     records: list[RecordDef]
     globals: list[GlobalDef]
     functions: list[FunctionDef]
     # The VM's code for this program, built on its first run
     # (vm/interp.py); kept here so it lives exactly as long as the
     # program does.
-    compiled: object = field(default=None, init=False, repr=False,
-                             compare=False)
+    compiled = None
 
     def function(self, name: str) -> FunctionDef | None:
         for f in self.functions:

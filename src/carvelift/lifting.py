@@ -62,6 +62,7 @@ def lift(mapping: Mapping, assignment: ParamAssignment,
 
 @dataclass(frozen=True)
 class LiftOutcome:
+    """How a lifted input's validation run went, and what it cost."""
     classification: str     # effective | other-goal | false-positive
     discovered: frozenset   # system goals new relative to prior coverage
     status: RunStatus

@@ -29,6 +29,7 @@ MIN_MATCH_LEN = 3   # shortest leaf encoding that may match
 
 @dataclass(frozen=True)
 class Match:
+    """Where one leaf's value appears in an input element, and in which encoding."""
     leaf: str
     input_index: int
     start: int

@@ -21,6 +21,7 @@ REPORT_VERSION = 2
 
 @dataclass(frozen=True)
 class FunctionRow:
+    """One function's line in a report: its goals, carves and selection."""
     name: str
     goals: int
     covered: int
@@ -56,6 +57,7 @@ class LiftStats:
 
 @dataclass(frozen=True)
 class SpeedupStats:
+    """System and unit execution counts and median wall times, and their ratio."""
     system_executions: int = 0
     unit_executions: int = 0
     median_system_ms: float = 0.0
@@ -65,6 +67,7 @@ class SpeedupStats:
 
 @dataclass(frozen=True)
 class EffectiveInput:
+    """An effective lift: its input, the goals it found, its crash and corpus file."""
     argv: tuple[bytes, ...]
     stdin: bytes
     goals: tuple[str, ...]
@@ -74,6 +77,7 @@ class EffectiveInput:
 
 @dataclass(frozen=True)
 class CampaignReport:
+    """Everything a campaign reports; docs/formats.md defines each field."""
     version: int
     program: str
     mode: str

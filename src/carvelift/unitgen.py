@@ -48,12 +48,14 @@ class UnknownParameter(ToolError):
 
 @dataclass      # one per unit execution: frozen would double its cost
 class ParamAssignment:
+    """The values a unit execution gives a carve's parameters, and their mutator."""
     assignments: dict[str, object]
     provenance: str
 
 
 @dataclass
 class UnitOutcome:
+    """A unit execution worth lifting, for new goals or a new crash."""
     assignment: ParamAssignment
     status: RunStatus
     new_goals: frozenset[BranchGoal]
@@ -61,6 +63,7 @@ class UnitOutcome:
 
 @dataclass
 class FuzzStats:
+    """A fuzzing round's executions and steps, and the wall time of each it ran."""
     executions: int = 0
     steps: int = 0
     wall_times_s: list[float] = field(default_factory=list)

@@ -46,7 +46,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from itertools import count
-from typing import Optional
 
 from ..errors import ConfigError, TypeMismatch
 from ..inputs import SystemInput
@@ -72,6 +71,7 @@ DEFAULT_MAX_DUMP_BYTES = 65536
 
 @dataclass(frozen=True)
 class RunOptions:
+    """A run's limits: its steps, and the bytes of each recorded snapshot."""
     step_limit: int = DEFAULT_STEP_LIMIT
     trace_limit: int = 500_000      # unread; kept for callers that pass it
     max_dump_bytes: int = DEFAULT_MAX_DUMP_BYTES   # per recorded call snapshot
@@ -91,8 +91,8 @@ class RunStatus:
     """How a run ended; a crash also says where (`site`, `crash_stmt`)."""
     kind: str  # exit | crash | budget-exhausted
     code: int = 0
-    crash_kind: Optional[str] = None
-    crash_fn: Optional[str] = None
+    crash_kind: str | None = None
+    crash_fn: str | None = None
     crash_stmt: int = -1
     message: str = ""
 
@@ -112,14 +112,15 @@ _EXHAUSTED = RunStatus("budget-exhausted")
 
 @dataclass
 class RunResult:
+    """How a run ended, what it covered and printed, and its steps and wall time."""
     status: RunStatus
     coverage: frozenset[BranchGoal]
-    trace: Optional[list[CarvedTest]]   # the carves a traced run kept
+    trace: list[CarvedTest] | None   # the carves a traced run kept
     steps: int
     wall_time_s: float
     output: bytes
     return_value: object = None
-    carve_stats: Optional[CarveStats] = None    # of a traced run
+    carve_stats: CarveStats | None = None    # of a traced run
 
 
 # ---------------------------------------------------------------- run state
@@ -568,11 +569,10 @@ def _finish(st: _State, code: _Code, name: str, args: list, init: bool,
         pass
     if st.fuel < 0:   # the budget ran out before that exit or crash
         st.fuel, value, status = -1, None, _EXHAUSTED
-    tracer = st.tracer
-    trace = None if tracer is None else tracer.finish(st)
+    trace = None if st.tracer is None else st.tracer.finish(st)
     return RunResult(status, frozenset(st.coverage), trace,
                      st.opts.step_limit - st.fuel, time.perf_counter() - started,
-                     bytes(st.output), value, tracer and tracer.stats)
+                     bytes(st.output), value, st.tracer and st.tracer.stats)
 
 
 def _run(program: Program, system_input: SystemInput, opts: RunOptions,

@@ -204,6 +204,7 @@ class CarvedTest:
 
 @dataclass
 class CarveStats:
+    """A traced run's calls: those carved, and those not kept, by reason."""
     carved: int = 0
     truncated: int = 0
     skipped_incomplete: int = 0

@@ -42,6 +42,7 @@ def wrap64(v: int) -> int:
 
 @dataclass(slots=True, unsafe_hash=True)
 class Ref:
+    """A reference: a heap segment's number and an offset into it."""
     seg: int
     off: int
 

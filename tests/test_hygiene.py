@@ -13,13 +13,17 @@ goes through its step memo, and only `_Campaign.charge` writes the
 campaign's ledger of system executions.  Each of two jobs has one
 place: only `vm/` encodes and decodes values, and only `lang/goals.py`
 makes a `BranchGoal`.  `docs/formats.md` states the versions the code
-writes.
+writes.  Every dataclass has a docstring, and importing the package
+loads neither the pretty-printer nor the command line.
 """
 
 import ast
 import dataclasses
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -148,6 +152,58 @@ def test_every_stage_record_field_is_read():
     assert sorted(unread - UNREAD_ALLOWED.keys()) == []
     # An allowance goes once its field is read.
     assert sorted(UNREAD_ALLOWED.keys() - unread) == []
+
+
+def is_dataclass_def(node):
+    """Whether `node` is a class definition decorated `@dataclass`, with
+    or without arguments."""
+    return isinstance(node, ast.ClassDef) and any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list)
+
+
+def test_dataclass_scanner_finds_each_decorated_class():
+    text = (
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int\n"
+        "@dataclass(frozen=True)\n"
+        "class B:\n"
+        "    \"\"\"Documented.\"\"\"\n"
+        "class C:\n"
+        "    pass\n"
+    )
+    found = [(n.name, ast.get_docstring(n)) for n in ast.walk(ast.parse(text))
+             if is_dataclass_def(n)]
+    assert found == [("A", None), ("B", "Documented.")]
+
+
+def test_every_dataclass_has_a_docstring():
+    """A dataclass without a docstring gets a `__doc__` that CPython
+    (3.10 to 3.13) builds from `inspect.signature(cls)` as the class is
+    made, on every import.  A one-line docstring saying what the record
+    holds costs nothing."""
+    found = [f"{p.relative_to(PACKAGE)}:{n.lineno}: {n.name}"
+             for p in sorted(PACKAGE.rglob("*.py"))
+             for n in ast.walk(ast.parse(p.read_text()))
+             if is_dataclass_def(n) and ast.get_docstring(n) is None]
+    assert found == []
+
+
+def test_importing_the_package_loads_neither_the_printer_nor_the_cli():
+    """`import carvelift` is most of a fresh process's set-up; the
+    pretty-printer and the command line are imported only where they are
+    used.  Checked in a fresh interpreter, where no test has imported
+    them already."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    script = ("import sys, carvelift\n"
+              "print(sorted({'carvelift.lang.pretty', 'carvelift.cli'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["[]"]
 
 
 # ROADMAP item 8's bound on the VM: the compiler and the operations it

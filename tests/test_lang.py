@@ -460,6 +460,86 @@ def test_the_builtin_tables_agree():
     assert set(lang_ast._INT_BUILTINS) <= set(BUILTINS)
 
 
+# ------------------------------------------------------- AST nodes
+
+P1, P2 = lang_ast.Pos(1, 1), lang_ast.Pos(2, 1)
+SMALL_PROGRAM = """record P { x: int }
+global g: int = 1;
+fn main() -> int {
+    let a = [g];
+    while (a[0] > 0) { a[0] = -g; }
+    if (P { x: 2 }.x) { print(g); } else { return 1; }
+    return 0;
+}
+"""
+# repr(parse(SMALL_PROGRAM)) as the AST's dataclasses wrote it; every
+# node class appears in it.
+SMALL_PROGRAM_REPR = (
+    "Program(records=[RecordDef(name='P', fields=[('x', 'int')], pos=Pos(line=1, "
+    "col=1))], globals=[GlobalDef(name='g', type='int', "
+    'init=ELit(pos=Pos(line=2, col=17), value=1), pos=Pos(line=2, col=1))], '
+    "functions=[FunctionDef(name='main', params=[], ret='int', "
+    "body=[SLet(pos=Pos(line=4, col=5), stmt_id=1, name='a', "
+    'value=EArrayLit(pos=Pos(line=4, col=13), items=[EVar(pos=Pos(line=4, '
+    "col=14), name='g')])), SWhile(pos=Pos(line=5, col=5), stmt_id=2, "
+    "cond=EBinary(pos=Pos(line=5, col=17), op='>', left=EIndex(pos=Pos(line=5, "
+    "col=13), obj=EVar(pos=Pos(line=5, col=12), name='a'), "
+    'index=ELit(pos=Pos(line=5, col=14), value=0)), right=ELit(pos=Pos(line=5, '
+    'col=19), value=0)), body=[SIndexSet(pos=Pos(line=5, col=24), stmt_id=3, '
+    "obj=EVar(pos=Pos(line=5, col=24), name='a'), index=ELit(pos=Pos(line=5, "
+    "col=26), value=0), value=EUnary(pos=Pos(line=5, col=31), op='-', "
+    "operand=EVar(pos=Pos(line=5, col=32), name='g')))]), SIf(pos=Pos(line=6, "
+    'col=5), stmt_id=4, cond=EField(pos=Pos(line=6, col=19), '
+    "obj=ERecordLit(pos=Pos(line=6, col=9), name='P', fields=[('x', "
+    "ELit(pos=Pos(line=6, col=16), value=2))]), name='x'), "
+    'then_body=[SExpr(pos=Pos(line=6, col=25), stmt_id=5, '
+    "value=ECall(pos=Pos(line=6, col=25), name='print', "
+    "args=[EVar(pos=Pos(line=6, col=31), name='g')]))], "
+    'else_body=[SReturn(pos=Pos(line=6, col=44), stmt_id=6, '
+    'value=ELit(pos=Pos(line=6, col=51), value=1))]), SReturn(pos=Pos(line=7, '
+    'col=5), stmt_id=7, value=ELit(pos=Pos(line=7, col=12), value=0))], '
+    'pos=Pos(line=3, col=1))])'
+)
+
+
+def test_a_parsed_program_has_the_repr_its_dataclasses_had():
+    assert repr(parse(SMALL_PROGRAM)) == SMALL_PROGRAM_REPR
+
+
+def test_nodes_of_two_classes_with_equal_fields_are_unequal():
+    value = lang_ast.ELit(P1, 1)
+    assert lang_ast.SLet(P1, "x", value) == lang_ast.SLet(P1, "x", value)
+    assert lang_ast.SLet(P1, "x", value) != lang_ast.SAssign(P1, "x", value)
+    assert lang_ast.Expr(P1) != lang_ast.Stmt(P1)
+    assert lang_ast.EVar(P1, "x") != lang_ast.EVar(P2, "x")
+
+
+def test_stmt_id_and_compiled_change_neither_equality_nor_arity():
+    a, b = lang_ast.SExpr(P1, lang_ast.EVar(P1, "x")), lang_ast.SExpr(P1, lang_ast.EVar(P1, "x"))
+    assert (a.stmt_id, b.stmt_id) == (-1, -1)
+    b.stmt_id = 7
+    assert a == b and "stmt_id=7" in repr(b)
+    p, q = lang_ast.Program([], [], []), lang_ast.Program([], [], [])
+    assert (p.compiled, q.compiled) == (None, None)
+    q.compiled = object()
+    assert p == q and repr(p) == repr(q) == "Program(records=[], globals=[], functions=[])"
+    with pytest.raises(TypeError):
+        lang_ast.SExpr(P1, lang_ast.EVar(P1, "x"), 7)
+    with pytest.raises(TypeError):
+        lang_ast.Program([], [], [], None)
+
+
+@pytest.mark.parametrize("args", [(), (P1,), (P1, "+", None), (P1, "+", None, None, None)])
+def test_a_wrong_argument_count_is_a_type_error(args):
+    with pytest.raises(TypeError):
+        lang_ast.EBinary(*args)
+
+
+def test_nodes_are_unhashable_as_their_dataclasses_were():
+    with pytest.raises(TypeError):
+        hash(lang_ast.EVar(P1, "x"))
+
+
 # ------------------------------------------------------- parse outcomes
 
 MUTANT_SEED, MUTANTS = 2024, 300
