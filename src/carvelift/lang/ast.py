@@ -21,7 +21,7 @@ class Pos(NamedTuple):
 class Node:
     """Base of the AST nodes.  A node's fields are what its class and
     its bases annotate, bases first.  The constructor takes them in that
-    order, but for a field with a class-level default (`stmt_id`), which
+    order, all but a field with a class-level default (`stmt_id`), which
     a later stage sets; `==` compares nodes of one class by the same
     fields, and `repr` shows them all.  A plain attribute
     (`Program.compiled`) is in none of the three.  Dataclasses would
