@@ -30,10 +30,10 @@ earlier round, is charged its steps and judged on what it covered,
 without running again.
 
 A campaign's memory grows with what it finds, not with how long it
-runs.  The coverage series gains a point only when the coverage
-fraction moves.  Wall times are summarised in fixed-size histograms.
-The step memo keeps the newest STEP_MEMO_ENTRIES inputs; a repeat it
-has forgotten runs again, at the same steps and with the same goals.
+runs.  The coverage series is read off the discovery log, and wall
+times are summarised in fixed-size histograms.  The step memo keeps the
+newest STEP_MEMO_ENTRIES inputs; a repeat it has forgotten runs again,
+at the same steps and with the same goals.
 """
 
 from __future__ import annotations
@@ -218,7 +218,8 @@ class _Campaign:
 
         self.all_goals = enumerate_goals(program)
         self.discovered: set[BranchGoal] = set()
-        # (elapsed, goal, source) in discovery order; the sources are
+        # (elapsed, goal, source) in discovery order, stamped once the
+        # run that found the goal is charged; the sources are
         # system-seed, system-gen and lift.
         self.log: list[tuple[float, BranchGoal, str]] = []
         input_dependent = compiled(program).input_dependent
@@ -235,10 +236,6 @@ class _Campaign:
         # (apparently) not system-reachable.  Fuzzing stops chasing them.
         self.fp_goals: set[BranchGoal] = set()
         self.origins: dict[str, object] = {}
-        # A point each time the coverage fraction moves; _pointed is the
-        # discovered count at the last one.
-        self.series: list[tuple[float, float]] = []
-        self._pointed = -1
         self.carve_totals: dict[str, int] = {
             k: 0 for k in asdict(CarveStats())}
         # The steps of the last STEP_MEMO_ENTRIES system inputs run, by
@@ -277,8 +274,9 @@ class _Campaign:
 
     def charge(self, key: tuple, steps: int, wall: float | None) -> None:
         """Charge one system execution of input `key`: a run that took
-        `wall` seconds, whose repeats take its steps, or (None) a repeat."""
-        self.steps += steps
+        `wall` seconds, whose repeats take its steps, or (None) a repeat.
+        An execution costs at least one step, so the step clock moves."""
+        self.steps += steps or 1
         self.system_executions += 1
         if wall is not None:
             self.steps_of[key] = steps
@@ -299,12 +297,6 @@ class _Campaign:
         if not self.all_goals:
             return 1.0
         return len(self.discovered) / len(self.all_goals)
-
-    def point(self) -> None:
-        """Stamp the coverage fraction now, if it moved since the last point."""
-        if len(self.discovered) != self._pointed:
-            self._pointed = len(self.discovered)
-            self.series.append((self.now(), self.fraction()))
 
     def record(self, goals: Set[BranchGoal], source: str) -> None:
         """Log the goals not discovered yet, stamped with the clock now."""
@@ -346,7 +338,6 @@ class _Campaign:
             result, wall = self.traced_of[key], None
         elif not traced and key in self.steps_of:
             self.charge(key, self.steps_of[key], None)
-            self.point()
             return
         else:
             result = (run_with_tracing if traced else run_system)(
@@ -356,7 +347,6 @@ class _Campaign:
                 self.traced_of[key] = result
         self.charge(key, result.steps, wall)
         self.record(result.coverage, source)
-        self.point()
         if traced:
             carves, stats = carve_with_stats(result, origin=origin_id)
             self.origins[origin_id] = s
@@ -395,7 +385,6 @@ class _Campaign:
         self.unit_walls.add(fstats.wall_times_s)
         self.lift.unit_executions += fstats.executions
         self.lift.unit_winners += len(winners)
-        self.point()
         st.futile = 0 if winners else st.futile + 1
         if st.futile >= FUTILE_ROUNDS:
             st.skipped = True
@@ -407,12 +396,9 @@ class _Campaign:
             self.lift.lift_attempts += 1
             out = validate(self.program, lifted, w.new_goals,
                            self.discovered, w.status.site, self.opts)
-            # Recorded before the run's steps are charged: on the step
-            # clock a lift goal carries the time its validating run began.
-            self.record(out.discovered, "lift")
             self.charge((tuple(lifted.argv), lifted.stdin), out.steps,
                         out.wall_time_s)
-            self.point()
+            self.record(out.discovered, "lift")
             if out.classification == "effective":
                 self.lift.effective += 1
                 site = out.status.site
@@ -468,9 +454,11 @@ class _Campaign:
         med_sys, med_unit = self.sys_walls.median(), self.unit_walls.median()
         speedup = med_sys / med_unit if med_sys > 0 and med_unit > 0 else 0.0
         used = self.now()       # read first: at most total_wall_s
-        closing = (used, self.fraction())      # unless the last point is it
-        series = (self.series if self.series[-1:] == [closing]
-                  else [*self.series, closing])
+        # A point per stamp in the log, at the fraction after its last
+        # goal; the closing point replaces a last point stamped `used`.
+        series = {e: (i + 1) / len(self.all_goals)
+                  for i, (e, _, _) in enumerate(self.log)}
+        series[used] = self.fraction()
         return CampaignReport(
             version=REPORT_VERSION,
             program=self.program_name,
@@ -479,7 +467,7 @@ class _Campaign:
             config=asdict(cfg),
             total_goals=len(self.all_goals),
             discovered=len(self.discovered),
-            coverage_series=tuple(series),
+            coverage_series=tuple(series.items()),
             first_discovery=tuple((e, str(g), src)
                                   for e, g, src in self.log),
             functions=rows,

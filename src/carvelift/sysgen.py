@@ -188,9 +188,12 @@ def read_input_file(path) -> SystemInput:
 def write_corpus(dirpath, inputs) -> list[Path]:
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
+    inputs = list(inputs)
+    # Padded to the last index's width, at least 3 digits: names sort in order.
+    width = max(3, len(str(len(inputs) - 1)))
     paths = []
     for i, s in enumerate(inputs):
-        p = d / f"{i:03d}.input"
+        p = d / f"{i:0{width}d}.input"
         write_input_file(p, s)
         paths.append(p)
     return paths

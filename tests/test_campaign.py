@@ -31,13 +31,15 @@ from carvelift.errors import ConfigError, SubjectLoadError
 from carvelift.lang.ast import input_reading_functions
 from carvelift.lang.goals import enumerate_goals, goals_in_function
 from carvelift.lang.parser import parse
+from carvelift.reporting import parse_report
 from carvelift.rng import Rng
 from carvelift.sysgen import read_corpus, write_input_file
+from carvelift.vm.interp import run_system
 from carvelift.vm.trace import CarvedTest, Context
 
 from conftest import (
-    BYTES_AS_INT, SUBJECT_NAMES, assert_matches_golden, load_subject,
-    mk_input, report_doc, timeless,
+    BYTES_AS_INT, GOLDENS, SUBJECT_NAMES, assert_matches_golden,
+    load_subject, mk_input, report_doc, timeless,
 )
 
 # five functions with 1, 2, 2, 3, 0 conditional statements
@@ -295,7 +297,7 @@ def test_step_clock_campaigns_reproduce_exactly(keycheck_bridge_report):
     assert again.discovered == keycheck_bridge_report.discovered
 
 
-def test_lift_goals_are_stamped_before_validation_is_charged(monkeypatch):
+def test_lift_goals_are_stamped_once_validation_is_charged(monkeypatch):
     campaigns, validations = [], []
 
     class LoggedCampaign(campaign_module._Campaign):
@@ -321,7 +323,69 @@ def test_lift_goals_are_stamped_before_validation_is_charged(monkeypatch):
     for g, e in lifted.items():
         before, steps = stamps[g]
         assert steps > 0
-        assert e == before
+        assert e == before + steps
+
+
+def series_from_log(r):
+    """The coverage series read off `r`'s discovery log: a point at each
+    stamp, at the fraction after the stamp's last goal, then the closing
+    (budget_used, fraction) unless the last point already reads it."""
+    series = []
+    for n, (e, _, _) in enumerate(r.first_discovery, 1):
+        if series and series[-1][0] == e:
+            series.pop()
+        series.append((e, n / r.total_goals))
+    closing = (r.budget_used,
+               r.discovered / r.total_goals if r.total_goals else 1.0)
+    if series[-1:] != [closing]:
+        series.append(closing)
+    return tuple(series)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDENS.glob("*.json")))
+def test_golden_series_are_read_off_the_discovery_log(name):
+    r = parse_report((GOLDENS / f"{name}.json").read_text(encoding="ascii"))
+    assert r.first_discovery
+    assert r.coverage_series == series_from_log(r)
+
+
+# The first seed crashes on the missing argument before the branch.
+FIRST_RUN_BLIND = """
+fn main() -> int {
+    if (byte_at(arg(0), 0) > 100) { return 1; }
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("mode", ["bridge", "system-only"])
+def test_a_series_whose_first_run_finds_nothing_has_no_opening_zero(mode):
+    prog = parse(FIRST_RUN_BLIND)
+    seeds = [mk_input(), mk_input((b"a",))]
+    assert not run_system(prog, seeds[0]).coverage
+    r = run_campaign(prog, seeds, RunConfig(mode=mode,
+                                            deterministic_clock=20_000))
+    first = r.first_discovery[0][0]
+    assert r.coverage_series[0] == (first, 0.5)
+    assert r.coverage_series == series_from_log(r)
+
+
+# main runs in no steps at all; g's goals are never reached.
+ZERO_STEP_MAIN = """
+fn main() { }
+fn g(x: int) -> int { if (x) { return 1; } return 0; }
+"""
+
+
+@pytest.mark.parametrize("mode", ["bridge", "system-only"])
+def test_a_step_clock_campaign_ends_when_its_runs_take_no_steps(mode):
+    prog = parse(ZERO_STEP_MAIN)
+    assert run_system(prog, mk_input()).steps == 0
+    r = run_campaign(prog, [mk_input()],
+                     RunConfig(mode=mode, deterministic_clock=1000))
+    assert r.budget_used == 1000
+    assert r.speedup.system_executions == 1000
+    assert r.discovered == 0
 
 
 def test_recarving_makes_lifted_functions_carvable(keycheck_bridge_report):
@@ -392,6 +456,7 @@ def test_branchless_subject_finishes_with_seed_coverage_only():
     assert r.discovered == 0
     assert r.lift_stats.lift_attempts == 0
     assert r.speedup.system_executions >= 1
+    assert r.coverage_series == ((r.budget_used, 1.0),)   # the closing point only
 
 
 def test_a_bridge_fuzzes_carves_whose_arguments_defy_their_declared_types():
@@ -720,7 +785,7 @@ def test_wall_summary_reads_the_median_within_its_stated_error():
 
 def test_a_wall_clock_campaign_grows_with_what_it_found(monkeypatch):
     """About a second of mini_dc bridge runs thousands of executions,
-    yet the series holds at most total_goals + 2 points, the wall
+    yet the series holds at most total_goals + 1 points, the wall
     summaries keep their fixed size and the step memo its bound."""
     campaigns = []
 
@@ -736,8 +801,9 @@ def test_a_wall_clock_campaign_grows_with_what_it_found(monkeypatch):
                      RunConfig(mode="bridge", budget=1.0, rng_seed=7),
                      program_name=name)
     (c,) = campaigns
+    assert r.coverage_series == series_from_log(r)
     assert r.speedup.system_executions > 10 * (r.total_goals + 2)
-    assert len(r.coverage_series) <= r.total_goals + 2
+    assert len(r.coverage_series) <= r.total_goals + 1
     assert r.coverage_series[-1] == (r.budget_used, r.discovered / r.total_goals)
     moves = [f for _, f in r.coverage_series[:-1]]   # all but the closing point
     assert len(set(moves)) == len(moves)

@@ -164,6 +164,15 @@ def test_corpus_round_trip(tmp_path):
     assert read_corpus(corpus) == inputs
 
 
+def test_corpus_past_a_thousand_inputs_keeps_its_order(tmp_path):
+    # 1000.input would sort before 101.input; every name is padded to 4.
+    inputs = [mk_input((str(i).encode(),)) for i in range(1001)]
+    paths = write_corpus(tmp_path, inputs)
+    assert [p.name for p in paths[::500]] == ["0000.input", "0500.input",
+                                              "1000.input"]
+    assert read_corpus(tmp_path) == inputs
+
+
 def test_single_input_file_round_trip(tmp_path):
     s = mk_input((b"one",), b"stdin\nwith\nnewlines")
     path = tmp_path / "t.input"
