@@ -21,7 +21,7 @@ from .lifting import LiftOutcome, UnmappedParameter, lift, validate
 from .mapping import ENC_DECIMAL, ENC_RAW, Mapping, Match, build_mapping
 from .reporting import (
     CampaignReport, EffectiveInput, FunctionRow, LiftStats, SpeedupStats,
-    emit_series, parse_report, serialize_report,
+    coverage_series, emit_series, parse_report, serialize_report,
 )
 from .rng import Rng
 from .sysgen import (
@@ -70,6 +70,7 @@ __all__ = [
     "bundled_seeds",
     "bundled_subject_names",
     "carve_with_stats",
+    "coverage_series",
     "emit_series",
     "fuzz_unit_with_stats",
     "generate_batch",

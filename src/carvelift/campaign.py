@@ -30,9 +30,10 @@ earlier round, is charged its steps and judged on what it covered,
 without running again.
 
 A campaign's memory grows with what it finds, not with how long it
-runs.  The coverage series is read off the discovery log, and wall
-times are summarised in fixed-size histograms.  The step memo keeps the
-newest STEP_MEMO_ENTRIES inputs; a repeat it has forgotten runs again,
+runs.  The report keeps the discovery log, from which
+reporting.coverage_series reads coverage over time, and wall times are
+summarised in fixed-size histograms.  The step memo keeps the newest
+STEP_MEMO_ENTRIES inputs; a repeat it has forgotten runs again,
 at the same steps and with the same goals.
 """
 
@@ -51,7 +52,7 @@ from .errors import ConfigError
 from .lang.ast import ENTRY
 from .lang.goals import BranchGoal, enumerate_goals, goals_in_function
 from .lifting import lift, validate
-from .mapping import MIN_MATCH_LEN, build_mapping
+from .mapping import build_mapping
 from .reporting import (
     REPORT_VERSION,
     CampaignReport,
@@ -70,6 +71,8 @@ from .vm.interp import (
 from .vm.trace import CarvedTest, CarveStats
 
 MODES = ("bridge", "system-only")
+# A bridge campaign runs this many mutants of each seed after the seeds.
+GENERATED_PER_SEED = 10
 FALLBACK_BATCH = 10
 # A function whose fuzz rounds come back winnerless this many times in a
 # row stops being selected; its goals stay reachable through system runs.
@@ -169,13 +172,10 @@ class RunConfig:
     """A campaign's settings: its mode, budget, rng seed and limits."""
     mode: str = "bridge"
     budget: float = 60.0            # wall seconds, unless the step clock is on
-    n_per_seed: int = 10
     unit_budget: int = 200
     rng_seed: int = 0
     deterministic_clock: int | None = None   # step budget; replaces wall budget
     max_dump_bytes: int = DEFAULT_MAX_DUMP_BYTES
-    min_match_len: int = MIN_MATCH_LEN
-    first_occurrence_only: bool = False
     corpus_out: str | None = None
     step_limit: int = DEFAULT_STEP_LIMIT
     trace_limit: int = 500_000      # unread; every report's config has it
@@ -189,10 +189,6 @@ def _check(cfg: RunConfig, seeds) -> None:
             raise ConfigError("wall budget must be positive and finite")
     elif cfg.deterministic_clock <= 0:
         raise ConfigError("step budget must be positive")
-    if cfg.min_match_len < 1:
-        raise ConfigError("min_match_len must be at least 1")
-    if cfg.n_per_seed < 1:
-        raise ConfigError("n_per_seed must be at least 1")
     if cfg.unit_budget < 1:
         raise ConfigError("unit_budget must be at least 1")
     if not seeds:
@@ -258,6 +254,7 @@ class _Campaign:
         self.sys_walls = WallSummary()
         self.sys_wall_total = 0.0
         self.unit_walls = WallSummary()
+        self.unit_executions = 0
         self.lift = LiftStats()
         self.effective: list[tuple[object, tuple[str, ...], str | None]] = []
         self.gen_ids = (f"gen-{i}" for i in count())
@@ -292,11 +289,6 @@ class _Campaign:
         # record() logs only goals of the program, so discovered is a
         # subset of all_goals and comparing the sizes is enough.
         return len(self.discovered) < len(self.all_goals)
-
-    def fraction(self) -> float:
-        if not self.all_goals:
-            return 1.0
-        return len(self.discovered) / len(self.all_goals)
 
     def record(self, goals: Set[BranchGoal], source: str) -> None:
         """Log the goals not discovered yet, stamped with the clock now."""
@@ -371,7 +363,7 @@ class _Campaign:
     def fuzz_round(self, sel: CarvedTest) -> None:
         st = self.fns[sel.start[0]]
         origin = self.origins[sel.origin]
-        m = build_mapping(sel, origin, self.cfg.min_match_len)
+        m = build_mapping(sel, origin)
         if not m.parameters:
             st.skipped = True
             return
@@ -383,7 +375,7 @@ class _Campaign:
             memo=self.unit_memos.setdefault((sel.start[0], sel.context.encoding()), {}))
         self.steps += fstats.steps
         self.unit_walls.add(fstats.wall_times_s)
-        self.lift.unit_executions += fstats.executions
+        self.unit_executions += fstats.executions
         self.lift.unit_winners += len(winners)
         st.futile = 0 if winners else st.futile + 1
         if st.futile >= FUTILE_ROUNDS:
@@ -391,8 +383,7 @@ class _Campaign:
         for w in winners:
             if self.exhausted():
                 return
-            lifted = lift(m, w.assignment, origin,
-                          self.cfg.first_occurrence_only)
+            lifted = lift(m, w.assignment, origin)
             self.lift.lift_attempts += 1
             out = validate(self.program, lifted, w.new_goals,
                            self.discovered, w.status.site, self.opts)
@@ -420,7 +411,7 @@ class _Campaign:
                 return
             self.run_one(s, f"seed-{i}", "system-seed")
         if bridge:
-            for s in generate_batch(self.seeds, self.cfg.n_per_seed,
+            for s in generate_batch(self.seeds, GENERATED_PER_SEED,
                                     self.rng_gen):
                 if self.exhausted() or not self.uncovered():
                     break
@@ -454,20 +445,12 @@ class _Campaign:
         med_sys, med_unit = self.sys_walls.median(), self.unit_walls.median()
         speedup = med_sys / med_unit if med_sys > 0 and med_unit > 0 else 0.0
         used = self.now()       # read first: at most total_wall_s
-        # A point per stamp in the log, at the fraction after its last
-        # goal; the closing point replaces a last point stamped `used`.
-        series = {e: (i + 1) / len(self.all_goals)
-                  for i, (e, _, _) in enumerate(self.log)}
-        series[used] = self.fraction()
         return CampaignReport(
             version=REPORT_VERSION,
             program=self.program_name,
-            mode=cfg.mode,
-            rng_seed=cfg.rng_seed,
             config=asdict(cfg),
             total_goals=len(self.all_goals),
             discovered=len(self.discovered),
-            coverage_series=tuple(series.items()),
             first_discovery=tuple((e, str(g), src)
                                   for e, g, src in self.log),
             functions=rows,
@@ -475,7 +458,7 @@ class _Campaign:
             lift_stats=self.lift,
             speedup=SpeedupStats(
                 system_executions=self.system_executions,
-                unit_executions=self.lift.unit_executions,
+                unit_executions=self.unit_executions,
                 median_system_ms=med_sys * 1000.0,
                 median_unit_ms=med_unit * 1000.0,
                 speedup=speedup),

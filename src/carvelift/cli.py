@@ -48,20 +48,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           "time (default: off)")
     run.add_argument("--rng-seed", type=int, default=d.rng_seed,
                      help="campaign random seed (default: %(default)s)")
-    run.add_argument("--n-per-seed", type=int, default=d.n_per_seed,
-                     help="generated system tests per seed "
-                          "(default: %(default)s)")
     run.add_argument("--unit-budget", type=int, default=d.unit_budget,
                      help="unit executions per fuzzing round "
                           "(default: %(default)s)")
     run.add_argument("--max-dump-bytes", type=int, default=d.max_dump_bytes,
                      help="context snapshot size budget (default: %(default)s)")
-    run.add_argument("--min-match-len", type=int, default=d.min_match_len,
-                     help="shortest mapped substring (default: %(default)s)")
-    run.add_argument("--first-occurrence-only", action="store_true",
-                     default=d.first_occurrence_only,
-                     help="lift only the first matched occurrence per "
-                          "parameter")
     run.add_argument("--report", default=None, metavar="PATH",
                      help="write the campaign report as JSON")
     run.add_argument("--series", default=None, metavar="PATH",
@@ -111,7 +102,7 @@ def _cmd_run(args) -> int:
     if args.series:
         emit_series(report, args.series)
     ls = report.lift_stats
-    print(f"{name} [{report.mode}] goals {report.discovered}"
+    print(f"{name} [{cfg.mode}] goals {report.discovered}"
           f"/{report.total_goals} in {report.total_wall_s:.2f}s "
           f"(budget used: {report.budget_used:g})")
     print(f"lifts: {ls.lift_attempts} attempted, {ls.effective} effective, "

@@ -24,7 +24,7 @@ class UnmappedParameter(ToolError):
 
 
 def lift(mapping: Mapping, assignment: ParamAssignment,
-         origin: SystemInput, first_occurrence_only: bool = False) -> SystemInput:
+         origin: SystemInput) -> SystemInput:
     """`origin` with every matched occurrence of each assigned
     parameter rewritten to its value.
 
@@ -40,8 +40,6 @@ def lift(mapping: Mapping, assignment: ParamAssignment,
         hits = [mt for mt in mapping.matches if mt.leaf == path]
         if not hits:
             raise UnmappedParameter(f"no input bytes map to {path}")
-        if first_occurrence_only:
-            hits = hits[:1]
         value = assignment.assignments[path]
         enc = leaf_bytes(value)
         if enc is None or isinstance(value, bytes) != (

@@ -3,7 +3,9 @@
 A report is a versioned, self-contained JSON document; every table a
 campaign produces (per-function carve counts, lift effectiveness,
 unit/system speedup, coverage over time) is derivable from it without
-re-running anything.  parse_report(serialize_report(r)) == r.
+re-running anything.  The report states each fact once: coverage over
+time is read off its discovery log by coverage_series.
+parse_report(serialize_report(r)) == r.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import get_args, get_origin, get_type_hints
 from .errors import FormatError
 from .vm.values import decode_b64
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,6 @@ class FunctionRow:
 class LiftStats:
     """Unit-to-system lift tallies; the campaign counts straight into one."""
 
-    unit_executions: int = 0
     unit_winners: int = 0
     lift_attempts: int = 0
     effective: int = 0
@@ -80,12 +81,9 @@ class CampaignReport:
     """Everything a campaign reports; docs/formats.md defines each field."""
     version: int
     program: str
-    mode: str
-    rng_seed: int
     config: dict
     total_goals: int
     discovered: int
-    coverage_series: tuple[tuple[float, float], ...]
     first_discovery: tuple[tuple[float, str, str], ...]
     functions: tuple[FunctionRow, ...]
     carve_stats: dict
@@ -114,32 +112,52 @@ def serialize_report(r: CampaignReport) -> str:
     return json.dumps(doc, indent=2)
 
 
+# The JSON types a declared scalar type accepts: a float field takes a
+# JSON integer too, and no field takes a bool unless it is declared bool.
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,),
+               bool: (bool,), dict: (dict,)}
+
+
 def _decode(tp, value):
     """`value` from a JSON document as the declared type `tp`.
 
     Dataclasses are built field by field (keys they do not declare, such
-    as pct_*, are ignored), tuples element-wise, bytes from base64 and
-    floats with float(); any other value is taken as it is.
+    as pct_*, are ignored), tuples element-wise from JSON arrays, `X |
+    None` from null or as X, bytes from base64, and the scalar types and
+    dict from their own JSON types only (floats with float()).  A value
+    of another type is a TypeError.
     """
     if is_dataclass(tp):
         hints = get_type_hints(tp)
         return tp(**{f.name: _decode(hints[f.name], value[f.name])
                      for f in fields(tp)})
+    args = get_args(tp)
     if get_origin(tp) is tuple:
-        args = get_args(tp)
+        if type(value) is not list:
+            raise TypeError(f"expected a JSON array, got {value!r}")
         if args[-1] is Ellipsis:
             return tuple(_decode(args[0], v) for v in value)
         return tuple(_decode(a, v) for a, v in zip(args, value, strict=True))
+    if type(None) in args:      # X | None
+        return None if value is None else _decode(args[0], value)
     if tp is bytes:
         return decode_b64(value)
-    if tp is float:
-        return float(value)
-    return value
+    if type(value) not in _JSON_TYPES[tp]:
+        raise TypeError(f"expected {tp.__name__}, got {value!r}")
+    return float(value) if tp is float else value
+
+
+def _no_constant(name: str):
+    raise FormatError(f"report holds {name}, which is not a JSON number")
 
 
 def parse_report(text: str) -> CampaignReport:
+    """The report `text` holds.  Besides its shape and types, the
+    discovery log must agree with the counts: one entry per discovered
+    goal, no more than total_goals, stamped in order and no later than
+    budget_used."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_no_constant)
     except json.JSONDecodeError as exc:
         raise FormatError(f"report is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -149,20 +167,46 @@ def parse_report(text: str) -> CampaignReport:
             f"unsupported report version {doc.get('version')!r}, "
             f"expected {REPORT_VERSION}")
     try:
-        return _decode(CampaignReport, doc)
+        r = _decode(CampaignReport, doc)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(f"report document is malformed: {exc!r}") from exc
+    stamps = [e for e, _, _ in r.first_discovery]
+    if not r.discovered == len(stamps) <= r.total_goals:
+        raise FormatError(
+            f"discovered {r.discovered} with {len(stamps)} first_discovery "
+            f"entries and {r.total_goals} goals")
+    if stamps != sorted(stamps) or stamps and stamps[-1] > r.budget_used:
+        raise FormatError("first_discovery stamps must be non-decreasing "
+                          f"and at most budget_used {r.budget_used!r}")
+    return r
+
+
+def coverage_series(r: CampaignReport) -> tuple[tuple[float, float], ...]:
+    """Coverage over time, read off the discovery log.
+
+    One point (elapsed, fraction) per distinct first_discovery stamp, at
+    the fraction after that stamp's last goal, then the closing point
+    (budget_used, discovered / total_goals), unless the last point
+    already is that point.  A report with no goals reads 1.0.
+    """
+    # The closing point replaces a last point stamped budget_used, which
+    # holds the same fraction.
+    series = {e: n / r.total_goals
+              for n, (e, _, _) in enumerate(r.first_discovery, 1)}
+    series[r.budget_used] = (r.discovered / r.total_goals
+                             if r.total_goals else 1.0)
+    return tuple(series.items())
 
 
 def emit_series(report: CampaignReport, path) -> None:
-    """Write the coverage series as two-column plain text.
+    """Write coverage_series(report) as two-column plain text.
 
     Column one is elapsed budget (seconds or steps, per the campaign
     clock), column two the coverage fraction.  Output is byte-stable
     for a given report.
     """
     lines = ["# elapsed coverage_fraction"]
-    for elapsed, fraction in report.coverage_series:
+    for elapsed, fraction in coverage_series(report):
         lines.append(f"{elapsed!r} {fraction!r}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")

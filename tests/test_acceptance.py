@@ -20,6 +20,7 @@ from carvelift.inputs import SystemInput
 from carvelift.lang.goals import BranchGoal
 from carvelift.lifting import lift
 from carvelift.mapping import build_mapping
+from carvelift.reporting import coverage_series
 from carvelift.rng import Rng
 from carvelift.unitgen import ParamAssignment
 from carvelift.vm.interp import (
@@ -58,7 +59,7 @@ def carve_corpus():
 
 def _key_cfg(mode: str, seed: int) -> RunConfig:
     return RunConfig(mode=mode, deterministic_clock=KEY_BUDGET,
-                     rng_seed=seed, n_per_seed=10, unit_budget=200)
+                     rng_seed=seed, unit_budget=200)
 
 
 @pytest.fixture(scope="module")
@@ -278,7 +279,7 @@ def test_criterion_5_false_positives_filtered(keycheck_campaigns):
             ls.effective + ls.other_goal + ls.false_positive)
         assert ls.lift_attempts <= ls.unit_winners
     for r in baseline:
-        assert r.lift_stats.unit_executions == 0
+        assert r.speedup.unit_executions == 0
         assert not r.effective_inputs
 
     listed = 0
@@ -347,9 +348,9 @@ def test_criterion_7_quit_branch_discovery():
         # The discovery lands with sibling goals in the same execution,
         # so the series steps up by at least two goals at once.
         batch = [g for e, g, _ in r.first_discovery if e == t_star]
-        f_pre = max((f for e, f in r.coverage_series if e < t_star),
-                    default=0.0)
-        post = [(e, f) for e, f in r.coverage_series if f > f_pre]
+        series = coverage_series(r)
+        f_pre = max((f for e, f in series if e < t_star), default=0.0)
+        post = [(e, f) for e, f in series if f > f_pre]
         assert post, "coverage series never rises past the discovery"
         e_post, f_post = post[0]
         if (len(batch) >= 2 and e_post >= t_star
@@ -376,7 +377,7 @@ def test_criterion_9_deterministic_campaigns(keycheck_campaigns):
                          "keycheck")
     first = bridge[3]
     assert again.first_discovery == first.first_discovery
-    assert again.coverage_series == first.coverage_series
+    assert coverage_series(again) == coverage_series(first)
     assert again.discovered == first.discovered
     assert again.lift_stats == first.lift_stats
     assert again.budget_used == first.budget_used

@@ -31,7 +31,7 @@ from carvelift.errors import ConfigError, SubjectLoadError
 from carvelift.lang.ast import input_reading_functions
 from carvelift.lang.goals import enumerate_goals, goals_in_function
 from carvelift.lang.parser import parse
-from carvelift.reporting import parse_report
+from carvelift.reporting import coverage_series, parse_report
 from carvelift.rng import Rng
 from carvelift.sysgen import read_corpus, write_input_file
 from carvelift.vm.interp import run_system
@@ -177,8 +177,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         run_campaign(prog, seeds, RunConfig(deterministic_clock=0))
     with pytest.raises(ConfigError):
-        run_campaign(prog, seeds, RunConfig(n_per_seed=0))
-    with pytest.raises(ConfigError):
         run_campaign(prog, seeds, RunConfig(unit_budget=0))
     with pytest.raises(ConfigError):
         run_campaign(prog, [], RunConfig())
@@ -240,7 +238,7 @@ def test_system_only_never_guesses_the_user(keycheck_bridge_report):
                      bridge_cfg(mode="system-only"))
     assert not any(g.startswith("check_pass:") for _, g, _ in r.first_discovery)
     assert r.lift_stats.lift_attempts == 0
-    assert r.lift_stats.unit_executions == 0
+    assert r.speedup.unit_executions == 0
     # and at the same budget the bridge covers strictly more of keycheck
     assert keycheck_bridge_report.discovered > r.discovered
 
@@ -272,8 +270,9 @@ def test_budget_used_reads_the_campaigns_clock(clock):
 
 def test_series_is_monotone_and_bounded(keycheck_bridge_report):
     r = keycheck_bridge_report
-    fractions = [f for _, f in r.coverage_series]
-    elapsed = [e for e, _ in r.coverage_series]
+    series = coverage_series(r)
+    fractions = [f for _, f in series]
+    elapsed = [e for e, _ in series]
     assert fractions == sorted(fractions)
     assert elapsed == sorted(elapsed)
     assert all(0.0 <= f <= 1.0 for f in fractions)
@@ -293,7 +292,7 @@ def test_first_discovery_is_consistent(keycheck_bridge_report):
 def test_step_clock_campaigns_reproduce_exactly(keycheck_bridge_report):
     again = run_campaign(load_subject("keycheck"), KEY_SEEDS, bridge_cfg())
     assert again.first_discovery == keycheck_bridge_report.first_discovery
-    assert again.coverage_series == keycheck_bridge_report.coverage_series
+    assert coverage_series(again) == coverage_series(keycheck_bridge_report)
     assert again.discovered == keycheck_bridge_report.discovered
 
 
@@ -326,27 +325,61 @@ def test_lift_goals_are_stamped_once_validation_is_charged(monkeypatch):
         assert e == before + steps
 
 
-def series_from_log(r):
-    """The coverage series read off `r`'s discovery log: a point at each
-    stamp, at the fraction after the stamp's last goal, then the closing
-    (budget_used, fraction) unless the last point already reads it."""
-    series = []
-    for n, (e, _, _) in enumerate(r.first_discovery, 1):
-        if series and series[-1][0] == e:
-            series.pop()
-        series.append((e, n / r.total_goals))
-    closing = (r.budget_used,
-               r.discovered / r.total_goals if r.total_goals else 1.0)
-    if series[-1:] != [closing]:
-        series.append(closing)
-    return tuple(series)
+# The coverage_series each golden file stored at report version 2, the
+# last version that kept the series beside the discovery log.
+VERSION_2_SERIES = {
+    "keycheck-bridge": (
+        (8685.0, 0.5357142857142857), (109593.0, 0.5357142857142857),
+    ),
+    "keycheck-lift-path": (
+        (8685.0, 0.5357142857142857), (118251.0, 0.6785714285714286),
+        (154760.0, 0.7142857142857143), (599555.0, 0.7857142857142857),
+        (1120724.0, 0.8214285714285714), (2006732.0, 0.8214285714285714),
+    ),
+    "keycheck-system-only": (
+        (8685.0, 0.5357142857142857), (104356.0, 0.5357142857142857),
+    ),
+    "mini_cut-bridge": (
+        (1242.0, 0.8), (2655.0, 0.875), (6005.0, 0.9), (6156.0, 0.925), (33853.0, 0.95),
+        (34177.0, 0.975), (100743.0, 0.975),
+    ),
+    "mini_cut-system-only": (
+        (1242.0, 0.8), (2655.0, 0.875), (6005.0, 0.9), (6156.0, 0.925), (8083.0, 0.95),
+        (45273.0, 0.975), (100450.0, 0.975),
+    ),
+    "mini_dc-bridge": (
+        (759.0, 0.7291666666666666), (2032.0, 0.7708333333333334), (2192.0, 0.8125),
+        (4438.0, 0.8541666666666666), (5471.0, 0.875), (18782.0, 0.8958333333333334),
+        (30295.0, 0.9375), (100243.0, 0.9375),
+    ),
+    "mini_dc-system-only": (
+        (759.0, 0.7291666666666666), (2032.0, 0.7708333333333334), (2192.0, 0.8125),
+        (5393.0, 0.8541666666666666), (20452.0, 0.875), (31965.0, 0.9166666666666666),
+        (37451.0, 0.9375), (100737.0, 0.9375),
+    ),
+    "mini_sed-bridge": (
+        (1617.0, 0.7142857142857143), (4191.0, 0.7380952380952381),
+        (12874.0, 0.7857142857142857), (177580.0, 0.7857142857142857),
+    ),
+    "mini_sed-system-only": (
+        (1617.0, 0.7142857142857143), (4191.0, 0.7380952380952381),
+        (12874.0, 0.7857142857142857), (100790.0, 0.7857142857142857),
+    ),
+    "mini_tac-bridge": (
+        (765.0, 0.75), (4290.0, 0.85), (145198.0, 0.85),
+    ),
+    "mini_tac-system-only": (
+        (765.0, 0.75), (4290.0, 0.85), (12846.0, 0.9), (73317.0, 0.95),
+        (100272.0, 0.95),
+    ),
+}
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDENS.glob("*.json")))
-def test_golden_series_are_read_off_the_discovery_log(name):
-    r = parse_report((GOLDENS / f"{name}.json").read_text(encoding="ascii"))
-    assert r.first_discovery
-    assert r.coverage_series == series_from_log(r)
+def test_the_derived_series_is_the_one_version_2_stored():
+    assert sorted(VERSION_2_SERIES) == sorted(p.stem for p in GOLDENS.glob("*.json"))
+    for name, series in VERSION_2_SERIES.items():
+        r = parse_report((GOLDENS / f"{name}.json").read_text(encoding="ascii"))
+        assert coverage_series(r) == series, name
 
 
 # The first seed crashes on the missing argument before the branch.
@@ -366,8 +399,7 @@ def test_a_series_whose_first_run_finds_nothing_has_no_opening_zero(mode):
     r = run_campaign(prog, seeds, RunConfig(mode=mode,
                                             deterministic_clock=20_000))
     first = r.first_discovery[0][0]
-    assert r.coverage_series[0] == (first, 0.5)
-    assert r.coverage_series == series_from_log(r)
+    assert coverage_series(r)[0] == (first, 0.5)
 
 
 # main runs in no steps at all; g's goals are never reached.
@@ -456,7 +488,7 @@ def test_branchless_subject_finishes_with_seed_coverage_only():
     assert r.discovered == 0
     assert r.lift_stats.lift_attempts == 0
     assert r.speedup.system_executions >= 1
-    assert r.coverage_series == ((r.budget_used, 1.0),)   # the closing point only
+    assert coverage_series(r) == ((r.budget_used, 1.0),)   # the closing point only
 
 
 def test_a_bridge_fuzzes_carves_whose_arguments_defy_their_declared_types():
@@ -542,7 +574,7 @@ def test_a_carved_call_runs_each_distinct_draw_once_across_rounds(monkeypatch):
 
     kept, kept_runs = campaign(fresh=False)
     fresh, fresh_runs = campaign(fresh=True)
-    assert kept_runs < fresh_runs < kept.lift_stats.unit_executions
+    assert kept_runs < fresh_runs < kept.speedup.unit_executions
     assert kept.lift_stats.unit_winners > 0
     assert report_doc(timeless(kept)) == report_doc(timeless(fresh))
 
@@ -801,11 +833,11 @@ def test_a_wall_clock_campaign_grows_with_what_it_found(monkeypatch):
                      RunConfig(mode="bridge", budget=1.0, rng_seed=7),
                      program_name=name)
     (c,) = campaigns
-    assert r.coverage_series == series_from_log(r)
+    series = coverage_series(r)
     assert r.speedup.system_executions > 10 * (r.total_goals + 2)
-    assert len(r.coverage_series) <= r.total_goals + 1
-    assert r.coverage_series[-1] == (r.budget_used, r.discovered / r.total_goals)
-    moves = [f for _, f in r.coverage_series[:-1]]   # all but the closing point
+    assert len(series) <= r.total_goals + 1
+    assert series[-1] == (r.budget_used, r.discovered / r.total_goals)
+    moves = [f for _, f in series[:-1]]   # all but the closing point
     assert len(set(moves)) == len(moves)
     assert len(c.sys_walls.counts) == len(c.unit_walls.counts) == WALL_BINS
     assert sum(c.sys_walls.counts) > len(c.steps_of) == 256

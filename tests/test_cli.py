@@ -55,12 +55,6 @@ def test_non_positive_dump_budget_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: max_dump_bytes")
 
 
-def test_min_match_len_below_one_is_a_usage_error(capsys):
-    assert main(["run", "--program", "keycheck", "--deterministic-clock",
-                 "1000", "--min-match-len", "0"]) == 2
-    assert capsys.readouterr().err.startswith("error: min_match_len")
-
-
 def test_missing_seed_dir_is_a_usage_error(tmp_path, capsys):
     assert main(["run", "--program", "keycheck",
                  "--seeds", str(tmp_path / "nowhere")]) == 2
@@ -69,7 +63,7 @@ def test_missing_seed_dir_is_a_usage_error(tmp_path, capsys):
 def test_run_help_documents_module_defaults(capsys):
     assert main(["run", "--help"]) == 0
     text = capsys.readouterr().out
-    for token in ("10", "200", "65536", "3", "60"):
+    for token in ("200", "65536", "60"):
         assert f"default: {token}" in text
 
 
@@ -294,8 +288,8 @@ def test_run_writes_report_series_and_corpus(tmp_path, capsys):
     assert code == 0
     r = parse_report(report_path.read_text())
     assert r.program == "keycheck"
-    assert r.mode == "bridge"
-    assert r.rng_seed == 7
+    assert r.config["mode"] == "bridge"
+    assert r.config["rng_seed"] == 7
     assert r.lift_stats.effective >= 1
     assert series_path.read_text().startswith("#")
     assert list(corpus_dir.glob("*.input"))
@@ -310,5 +304,5 @@ def test_run_system_only_quick(tmp_path, capsys):
                  "--report", str(report_path)])
     assert code == 0
     r = parse_report(report_path.read_text())
-    assert r.mode == "system-only"
-    assert r.lift_stats.unit_executions == 0
+    assert r.config["mode"] == "system-only"
+    assert r.speedup.unit_executions == 0

@@ -74,17 +74,6 @@ def test_overlapping_matches_collapse():
     assert li.stdin == b"b"
 
 
-def test_first_occurrence_only_flag():
-    c = bare_carve({"arg[0]": b"tok"})
-    origin = mk_input((), b"tok tok")
-    m = build_mapping(c, origin)
-    wide = lift(m, ParamAssignment({"arg[0]": b"X"}, "t"), origin)
-    narrow = lift(m, ParamAssignment({"arg[0]": b"X"}, "t"), origin,
-                  first_occurrence_only=True)
-    assert wide.stdin == b"X X"
-    assert narrow.stdin == b"X tok"
-
-
 def test_unequal_length_replacement_shifts_right_to_left():
     c = bare_carve({"global:n": 42})
     origin = mk_input((), b"num=42, again 42")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from carvelift.reporting import parse_report
+from carvelift.reporting import coverage_series, parse_report
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 PEAK_RSS_LIMIT_KB = 100 * 1024
@@ -50,4 +50,4 @@ def test_a_long_campaign_peaks_under_100_mb_and_reports_under_100_kb(args, tmp_p
           f"last goal at {r.first_discovery[-1][0]:.1f} s")
     assert peak_kb < PEAK_RSS_LIMIT_KB
     assert report.stat().st_size < REPORT_SIZE_LIMIT
-    assert len(r.coverage_series) <= r.total_goals + 1
+    assert len(coverage_series(r)) <= r.total_goals + 1

@@ -1,6 +1,8 @@
-"""Report document tests: round-trip stability and series emission."""
+"""Report document tests: round-trip stability, strict parsing, and the
+coverage series read off the discovery log."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -12,24 +14,21 @@ from carvelift.reporting import (
     FunctionRow,
     LiftStats,
     SpeedupStats,
+    coverage_series,
     emit_series,
     parse_report,
     serialize_report,
 )
 
 
-def sample_report(series=((0.0, 0.0), (12.5, 0.25), (99.0, 1 / 3))):
+def sample_report():
     return CampaignReport(
         version=REPORT_VERSION,
         program="keycheck",
-        mode="bridge",
-        rng_seed=7,
-        config={"mode": "bridge", "budget": 60.0, "n_per_seed": 10,
-                "unit_budget": 200, "deterministic_clock": None,
-                "first_occurrence_only": False},
+        config={"mode": "bridge", "budget": 60.0, "unit_budget": 200,
+                "deterministic_clock": None},
         total_goals=28,
-        discovered=9,
-        coverage_series=tuple(series),
+        discovered=3,
         first_discovery=(
             (0.0, "main:3:then", "system-seed"),
             (12.5, "check_user:11:else", "system-gen"),
@@ -41,9 +40,8 @@ def sample_report(series=((0.0, 0.0), (12.5, 0.25), (99.0, 1 / 3))):
         ),
         carve_stats={"carved": 8, "truncated": 1, "skipped_incomplete": 0,
                      "skipped_capped": 2, "skipped_input_dependent": 3},
-        lift_stats=LiftStats(unit_executions=400, unit_winners=12,
-                             lift_attempts=10, effective=3, other_goal=2,
-                             false_positive=5),
+        lift_stats=LiftStats(unit_winners=12, lift_attempts=10, effective=3,
+                             other_goal=2, false_positive=5),
         speedup=SpeedupStats(system_executions=31, unit_executions=400,
                              median_system_ms=8.0, median_unit_ms=0.5,
                              speedup=16.0),
@@ -98,8 +96,8 @@ def test_parse_rejects_malformed_records():
     def list_for_record(doc):
         doc["speedup"] = [31, 400]
 
-    def short_pair(doc):
-        doc["coverage_series"].append([1.0])
+    def short_entry(doc):
+        doc["first_discovery"][0] = [0.0, "main:3:then"]
 
     def stdin_not_base64(doc):
         doc["effective_inputs"][0]["stdin"] = 5
@@ -110,17 +108,71 @@ def test_parse_rejects_malformed_records():
     def argv_all_junk(doc):     # a lax decoder reads b""
         doc["effective_inputs"][0]["argv"] = ["!"]
 
-    for breakage in (drop_row_key, drop_tally, list_for_record, short_pair,
-                     stdin_not_base64, stdin_with_junk, argv_all_junk):
+    def goals_as_string(doc):
+        doc["total_goals"] = "28"
+
+    def discovered_as_bool(doc):
+        doc["discovered"] = True
+
+    def count_as_float(doc):
+        doc["speedup"]["system_executions"] = 31.0
+
+    def budget_as_string(doc):
+        doc["budget_used"] = "nan"
+
+    def budget_not_a_number(doc):   # json.dumps writes NaN
+        doc["budget_used"] = float("nan")
+
+    def config_as_list(doc):
+        doc["config"] = []
+
+    def program_as_int(doc):
+        doc["program"] = 5
+
+    def flag_as_int(doc):
+        doc["functions"][0]["skipped"] = 0
+
+    def crash_as_int(doc):
+        doc["effective_inputs"][0]["crash"] = 5
+
+    def goals_as_one_string(doc):   # a lax decoder reads one goal a character
+        doc["effective_inputs"][0]["goals"] = "check_pass:20:then"
+
+    def discovered_beyond_log(doc):
+        doc["discovered"] = 15
+
+    def log_beyond_goals(doc):
+        doc["total_goals"] = 2
+
+    def stamps_out_of_order(doc):
+        doc["first_discovery"][0][0] = 50.0
+
+    def stamp_after_budget(doc):
+        doc["budget_used"] = 98.0
+
+    for breakage in (drop_row_key, drop_tally, list_for_record, short_entry,
+                     stdin_not_base64, stdin_with_junk, argv_all_junk,
+                     goals_as_string, discovered_as_bool, count_as_float,
+                     budget_as_string, budget_not_a_number, config_as_list,
+                     program_as_int, flag_as_int, crash_as_int,
+                     goals_as_one_string, discovered_beyond_log,
+                     log_beyond_goals, stamps_out_of_order, stamp_after_budget):
         doc = json.loads(serialize_report(sample_report()))
         breakage(doc)
         with pytest.raises(FormatError):
             parse_report(json.dumps(doc))
 
 
+def test_parse_reads_a_json_integer_as_a_float():
+    doc = json.loads(serialize_report(sample_report()))
+    doc["budget_used"] = 12345
+    r = parse_report(json.dumps(doc))
+    assert r == sample_report() and type(r.budget_used) is float
+
+
 def test_percentages_derive_from_counts():
-    ls = LiftStats(unit_executions=400, unit_winners=12, lift_attempts=10,
-                   effective=3, other_goal=2, false_positive=5)
+    ls = LiftStats(unit_winners=12, lift_attempts=10, effective=3,
+                   other_goal=2, false_positive=5)
     assert ls.pct_effective == pytest.approx(30.0)
     assert ls.pct_lifted == pytest.approx(100.0 * 10 / 12)
     empty = LiftStats()
@@ -134,9 +186,8 @@ def test_emit_series_writes_two_columns(tmp_path):
     emit_series(r, path)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("#")
-    assert len(lines) == 1 + len(r.coverage_series)
     parsed = [tuple(float(tok) for tok in ln.split()) for ln in lines[1:]]
-    assert parsed == [(e, f) for e, f in r.coverage_series]
+    assert parsed == list(coverage_series(r))
     fractions = [f for _, f in parsed]
     assert fractions == sorted(fractions)
 
@@ -149,9 +200,37 @@ def test_emit_series_is_byte_stable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_emit_series_header_only_when_empty(tmp_path):
-    r = sample_report(series=())
-    path = tmp_path / "empty.txt"
-    emit_series(r, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("#")
+# ------------------------------------------------------------- coverage series
+
+def logged(stamps, total_goals, budget_used):
+    """The sample report with one first_discovery entry per stamp."""
+    return replace(
+        sample_report(), total_goals=total_goals, discovered=len(stamps),
+        first_discovery=tuple((e, f"f:{i}:then", "system-gen")
+                              for i, e in enumerate(stamps)),
+        budget_used=budget_used)
+
+
+def test_series_has_a_point_per_stamp_then_the_closing_point():
+    assert coverage_series(sample_report()) == (
+        (0.0, 1 / 28), (12.5, 2 / 28), (99.0, 3 / 28), (12345.0, 3 / 28))
+
+
+def test_series_of_a_report_with_no_goals_is_its_closing_point_at_one():
+    assert coverage_series(logged((), 0, 500.0)) == ((500.0, 1.0),)
+
+
+def test_series_of_a_campaign_whose_first_run_finds_nothing_opens_at_its_first_find():
+    # No (0.0, 0.0) point: the series starts at the first discovery.
+    assert coverage_series(logged((40.0,), 2, 100.0)) == (
+        (40.0, 0.5), (100.0, 0.5))
+
+
+def test_series_takes_one_point_for_goals_found_on_one_stamp():
+    assert coverage_series(logged((10.0, 10.0, 10.0, 30.0), 8, 60.0)) == (
+        (10.0, 3 / 8), (30.0, 4 / 8), (60.0, 4 / 8))
+
+
+def test_series_closes_on_its_last_point_when_that_is_stamped_budget_used():
+    assert coverage_series(logged((10.0, 50.0, 50.0), 4, 50.0)) == (
+        (10.0, 1 / 4), (50.0, 3 / 4))
