@@ -30,11 +30,10 @@ earlier round, is charged its steps and judged on what it covered,
 without running again.
 
 A campaign's memory grows with what it finds, not with how long it
-runs.  The report keeps the discovery log, from which
-reporting.coverage_series reads coverage over time, and wall times are
-summarised in fixed-size histograms.  The step memo keeps the newest
-STEP_MEMO_ENTRIES inputs; a repeat it has forgotten runs again,
-at the same steps and with the same goals.
+runs.  The report keeps the discovery log, not a coverage series, and
+wall times are summarised in fixed-size histograms.  The step memo keeps
+the newest STEP_MEMO_ENTRIES inputs; a repeat it has forgotten runs
+again, at the same steps and with the same goals.
 """
 
 from __future__ import annotations
@@ -411,8 +410,7 @@ class _Campaign:
                 return
             self.run_one(s, f"seed-{i}", "system-seed")
         if bridge:
-            for s in generate_batch(self.seeds, GENERATED_PER_SEED,
-                                    self.rng_gen):
+            for s in generate_batch(self.seeds, GENERATED_PER_SEED, self.rng_gen):
                 if self.exhausted() or not self.uncovered():
                     break
                 self.run_one(s, next(self.gen_ids), "system-gen")

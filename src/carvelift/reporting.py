@@ -3,15 +3,15 @@
 A report is a versioned, self-contained JSON document; every table a
 campaign produces (per-function carve counts, lift effectiveness,
 unit/system speedup, coverage over time) is derivable from it without
-re-running anything.  The report states each fact once: coverage over
-time is read off its discovery log by coverage_series.
-parse_report(serialize_report(r)) == r.
+re-running anything; coverage_series reads coverage over time off the
+discovery log.  parse_report(serialize_report(r)) == r.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -112,20 +112,13 @@ def serialize_report(r: CampaignReport) -> str:
     return json.dumps(doc, indent=2)
 
 
-# The JSON types a declared scalar type accepts: a float field takes a
-# JSON integer too, and no field takes a bool unless it is declared bool.
-_JSON_TYPES = {int: (int,), float: (int, float), str: (str,),
-               bool: (bool,), dict: (dict,)}
-
-
 def _decode(tp, value):
     """`value` from a JSON document as the declared type `tp`.
 
     Dataclasses are built field by field (keys they do not declare, such
-    as pct_*, are ignored), tuples element-wise from JSON arrays, `X |
-    None` from null or as X, bytes from base64, and the scalar types and
-    dict from their own JSON types only (floats with float()).  A value
-    of another type is a TypeError.
+    as pct_*, are ignored), tuples element-wise from arrays, `X | None`
+    from null or as X, bytes from base64, floats from finite numbers and
+    int, str, bool and dict from their own JSON types; else TypeError.
     """
     if is_dataclass(tp):
         hints = get_type_hints(tp)
@@ -142,22 +135,17 @@ def _decode(tp, value):
         return None if value is None else _decode(args[0], value)
     if tp is bytes:
         return decode_b64(value)
-    if type(value) not in _JSON_TYPES[tp]:
+    if (type(value) not in ((int, float) if tp is float else (tp,))
+            or tp is float and not math.isfinite(value)):
         raise TypeError(f"expected {tp.__name__}, got {value!r}")
     return float(value) if tp is float else value
 
 
-def _no_constant(name: str):
-    raise FormatError(f"report holds {name}, which is not a JSON number")
-
-
 def parse_report(text: str) -> CampaignReport:
-    """The report `text` holds.  Besides its shape and types, the
-    discovery log must agree with the counts: one entry per discovered
-    goal, no more than total_goals, stamped in order and no later than
-    budget_used."""
+    """The report in `text`, whose discovery log must agree with its
+    counts, its order and its budget_used."""
     try:
-        doc = json.loads(text, parse_constant=_no_constant)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"report is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -172,12 +160,10 @@ def parse_report(text: str) -> CampaignReport:
         raise FormatError(f"report document is malformed: {exc!r}") from exc
     stamps = [e for e, _, _ in r.first_discovery]
     if not r.discovered == len(stamps) <= r.total_goals:
-        raise FormatError(
-            f"discovered {r.discovered} with {len(stamps)} first_discovery "
-            f"entries and {r.total_goals} goals")
+        raise FormatError(f"discovered {r.discovered} with {len(stamps)} "
+                          f"first_discovery entries of {r.total_goals} goals")
     if stamps != sorted(stamps) or stamps and stamps[-1] > r.budget_used:
-        raise FormatError("first_discovery stamps must be non-decreasing "
-                          f"and at most budget_used {r.budget_used!r}")
+        raise FormatError("first_discovery stamps out of order or past budget_used")
     return r
 
 
@@ -186,15 +172,12 @@ def coverage_series(r: CampaignReport) -> tuple[tuple[float, float], ...]:
 
     One point (elapsed, fraction) per distinct first_discovery stamp, at
     the fraction after that stamp's last goal, then the closing point
-    (budget_used, discovered / total_goals), unless the last point
-    already is that point.  A report with no goals reads 1.0.
+    (budget_used, discovered / total_goals), which replaces a last point
+    stamped budget_used.  A report with no goals reads 1.0.
     """
-    # The closing point replaces a last point stamped budget_used, which
-    # holds the same fraction.
     series = {e: n / r.total_goals
               for n, (e, _, _) in enumerate(r.first_discovery, 1)}
-    series[r.budget_used] = (r.discovered / r.total_goals
-                             if r.total_goals else 1.0)
+    series[r.budget_used] = r.discovered / r.total_goals if r.total_goals else 1.0
     return tuple(series.items())
 
 
