@@ -15,7 +15,7 @@ from carvelift.lang.ast import (
 )
 from carvelift.lang.goals import BranchGoal
 from carvelift.lang.parser import parse
-from carvelift.reporting import serialize_report
+from carvelift.reporting import parse_report, serialize_report
 from carvelift.vm.values import wrap64
 
 SUBJECT_NAMES = ["keycheck", "mini_dc", "mini_sed", "mini_cut", "mini_tac"]
@@ -68,9 +68,10 @@ def timeless(report):
 
 def assert_matches_golden(report, name: str) -> None:
     """The timeless report serializes to `goldens/<name>.json` byte for
-    byte.  A mismatch fails with the count of differing lines and the
-    first 40 lines of a unified diff."""
+    byte, and parses back to itself.  A mismatch fails with the count of
+    differing lines and the first 40 lines of a unified diff."""
     text = serialize_report(timeless(report))
+    assert parse_report(text) == timeless(report)
     path = GOLDENS / f"{name}.json"
     if os.environ.get(REGEN_GOLDENS):
         path.write_bytes(text.encode("ascii"))
