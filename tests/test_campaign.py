@@ -31,14 +31,14 @@ from carvelift.errors import ConfigError, SubjectLoadError
 from carvelift.lang.ast import input_reading_functions
 from carvelift.lang.goals import enumerate_goals, goals_in_function
 from carvelift.lang.parser import parse
-from carvelift.reporting import coverage_series
+from carvelift.reporting import coverage_series, parse_report
 from carvelift.rng import Rng
 from carvelift.sysgen import read_corpus, write_input_file
 from carvelift.vm.interp import run_system
 from carvelift.vm.trace import CarvedTest, Context
 
 from conftest import (
-    BYTES_AS_INT, SUBJECT_NAMES, assert_matches_golden,
+    BYTES_AS_INT, GOLDENS, SUBJECT_NAMES, assert_matches_golden,
     load_subject, mk_input, report_doc, timeless,
 )
 
@@ -323,6 +323,68 @@ def test_lift_goals_are_stamped_once_validation_is_charged(monkeypatch):
         before, steps = stamps[g]
         assert steps > 0
         assert e == before + steps
+
+
+# The coverage series of each golden campaign, as report version 2 stored
+# it beside the discovery log.  Version 3 keeps only the log, so these pin
+# the series that coverage_series reads off it.
+GOLDEN_SERIES = {
+    "keycheck-bridge": (
+        (8685.0, 0.5357142857142857), (109593.0, 0.5357142857142857),
+    ),
+    "keycheck-lift-path": (
+        (8685.0, 0.5357142857142857), (118251.0, 0.6785714285714286),
+        (154760.0, 0.7142857142857143), (599555.0, 0.7857142857142857),
+        (1120724.0, 0.8214285714285714), (2006732.0, 0.8214285714285714),
+    ),
+    "keycheck-system-only": (
+        (8685.0, 0.5357142857142857), (104356.0, 0.5357142857142857),
+    ),
+    "mini_cut-bridge": (
+        (1242.0, 0.8), (2655.0, 0.875), (6005.0, 0.9), (6156.0, 0.925), (33853.0, 0.95),
+        (34177.0, 0.975), (100743.0, 0.975),
+    ),
+    "mini_cut-system-only": (
+        (1242.0, 0.8), (2655.0, 0.875), (6005.0, 0.9), (6156.0, 0.925), (8083.0, 0.95),
+        (45273.0, 0.975), (100450.0, 0.975),
+    ),
+    "mini_dc-bridge": (
+        (759.0, 0.7291666666666666), (2032.0, 0.7708333333333334), (2192.0, 0.8125),
+        (4438.0, 0.8541666666666666), (5471.0, 0.875), (18782.0, 0.8958333333333334),
+        (30295.0, 0.9375), (100243.0, 0.9375),
+    ),
+    "mini_dc-system-only": (
+        (759.0, 0.7291666666666666), (2032.0, 0.7708333333333334), (2192.0, 0.8125),
+        (5393.0, 0.8541666666666666), (20452.0, 0.875), (31965.0, 0.9166666666666666),
+        (37451.0, 0.9375), (100737.0, 0.9375),
+    ),
+    "mini_sed-bridge": (
+        (1617.0, 0.7142857142857143), (4191.0, 0.7380952380952381),
+        (12874.0, 0.7857142857142857), (177580.0, 0.7857142857142857),
+    ),
+    "mini_sed-system-only": (
+        (1617.0, 0.7142857142857143), (4191.0, 0.7380952380952381),
+        (12874.0, 0.7857142857142857), (100790.0, 0.7857142857142857),
+    ),
+    "mini_tac-bridge": (
+        (765.0, 0.75), (4290.0, 0.85), (145198.0, 0.85),
+    ),
+    "mini_tac-system-only": (
+        (765.0, 0.75), (4290.0, 0.85), (12846.0, 0.9), (73317.0, 0.95),
+        (100272.0, 0.95),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDENS.glob("*.json")))
+def test_golden_series_are_read_off_the_discovery_log(name):
+    r = parse_report((GOLDENS / f"{name}.json").read_text(encoding="ascii"))
+    assert r.first_discovery
+    assert coverage_series(r) == GOLDEN_SERIES[name]
+
+
+def test_every_pinned_series_has_its_golden():
+    assert sorted(GOLDEN_SERIES) == sorted(p.stem for p in GOLDENS.glob("*.json"))
 
 
 # The first seed crashes on the missing argument before the branch.
