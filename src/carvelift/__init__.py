@@ -13,15 +13,15 @@ from .bundled import (
     bundled_seeds, bundled_subject_names, load_bundled_program,
     resolve_program, resolve_seeds,
 )
-from .campaign import FunctionState, RunConfig, run_campaign, select_next
+from .campaign import FunctionState, run_campaign, select_next
 from .carving import carve_with_stats
 from .errors import ConfigError, FormatError, SubjectLoadError, ToolError
 from .inputs import SystemInput
 from .lifting import LiftOutcome, UnmappedParameter, lift, validate
 from .mapping import ENC_DECIMAL, ENC_RAW, Mapping, Match, build_mapping
 from .reporting import (
-    CampaignReport, EffectiveInput, FunctionRow, LiftStats, SpeedupStats,
-    coverage_series, emit_series, parse_report, serialize_report,
+    CampaignReport, EffectiveInput, FunctionRow, LiftStats, RunConfig,
+    SpeedupStats, coverage_series, emit_series, parse_report, serialize_report,
 )
 from .rng import Rng
 from .sysgen import (

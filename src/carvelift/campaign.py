@@ -41,10 +41,11 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from collections.abc import Set
 from itertools import count
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from .carving import carve_with_stats
 from .errors import ConfigError
@@ -53,23 +54,15 @@ from .lang.goals import BranchGoal, enumerate_goals, goals_in_function
 from .lifting import lift, validate
 from .mapping import build_mapping
 from .reporting import (
-    REPORT_VERSION,
-    CampaignReport,
-    EffectiveInput,
-    FunctionRow,
-    LiftStats,
-    SpeedupStats,
+    REPORT_VERSION, CampaignReport, EffectiveInput, FunctionRow, LiftStats,
+    RunConfig, SpeedupStats,
 )
 from .rng import Rng
 from .sysgen import generate_batch, mutate_input, write_corpus
 from .unitgen import fuzz_unit_with_stats
-from .vm.interp import (
-    DEFAULT_MAX_DUMP_BYTES, DEFAULT_STEP_LIMIT, RunOptions, RunResult, compiled,
-    run_system, run_with_tracing,
-)
+from .vm.interp import RunOptions, RunResult, compiled, run_system, run_with_tracing
 from .vm.trace import CarvedTest, CarveStats
 
-MODES = ("bridge", "system-only")
 # A bridge campaign runs this many mutants of each seed after the seeds.
 GENERATED_PER_SEED = 10
 FALLBACK_BATCH = 10
@@ -166,34 +159,6 @@ def select_next(fns: dict[str, FunctionState],
     return st.carves[(st.selections - 1) % len(st.carves)]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A campaign's settings: its mode, budget, rng seed and limits."""
-    mode: str = "bridge"
-    budget: float = 60.0            # wall seconds, unless the step clock is on
-    unit_budget: int = 200
-    rng_seed: int = 0
-    deterministic_clock: int | None = None   # step budget; replaces wall budget
-    max_dump_bytes: int = DEFAULT_MAX_DUMP_BYTES
-    corpus_out: str | None = None
-    step_limit: int = DEFAULT_STEP_LIMIT
-    trace_limit: int = 500_000      # unread; every report's config has it
-
-
-def _check(cfg: RunConfig, seeds) -> None:
-    if cfg.mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
-    if cfg.deterministic_clock is None:
-        if not 0 < cfg.budget < math.inf:     # a NaN budget fails this too
-            raise ConfigError("wall budget must be positive and finite")
-    elif cfg.deterministic_clock <= 0:
-        raise ConfigError("step budget must be positive")
-    if cfg.unit_budget < 1:
-        raise ConfigError("unit_budget must be at least 1")
-    if not seeds:
-        raise ConfigError("at least one seed input is required")
-
-
 class _Campaign:
     def __init__(self, program, seeds, cfg: RunConfig, program_name: str):
         self.program = program
@@ -231,8 +196,7 @@ class _Campaign:
         # (apparently) not system-reachable.  Fuzzing stops chasing them.
         self.fp_goals: set[BranchGoal] = set()
         self.origins: dict[str, object] = {}
-        self.carve_totals: dict[str, int] = {
-            k: 0 for k in asdict(CarveStats())}
+        self.carve_totals: Counter[str] = Counter()
         # The steps of the last STEP_MEMO_ENTRIES system inputs run, by
         # (argv, stdin).  The VM is deterministic and the run options are
         # fixed, so an untraced repeat is charged these steps instead of
@@ -341,8 +305,7 @@ class _Campaign:
         if traced:
             carves, stats = carve_with_stats(result, origin=origin_id)
             self.origins[origin_id] = s
-            for k, v in asdict(stats).items():
-                self.carve_totals[k] += v
+            self.carve_totals.update(asdict(stats))
             for c in carves:
                 self.fns[c.start[0]].carves.append(c)
 
@@ -446,13 +409,13 @@ class _Campaign:
         return CampaignReport(
             version=REPORT_VERSION,
             program=self.program_name,
-            config=asdict(cfg),
+            config=cfg,
             total_goals=len(self.all_goals),
             discovered=len(self.discovered),
             first_discovery=tuple((e, str(g), src)
                                   for e, g, src in self.log),
             functions=rows,
-            carve_stats=dict(self.carve_totals),
+            carve_stats=CarveStats(**self.carve_totals),
             lift_stats=self.lift,
             speedup=SpeedupStats(
                 system_executions=self.system_executions,
@@ -469,7 +432,10 @@ class _Campaign:
 
 def run_campaign(program, seeds, cfg: RunConfig,
                  program_name: str = "program") -> CampaignReport:
-    _check(cfg, seeds)
+    if not seeds:
+        raise ConfigError("at least one seed input is required")
+    if cfg.corpus_out is not None and any(Path(cfg.corpus_out).glob("*.input")):
+        raise ConfigError(f"corpus_out {cfg.corpus_out} already holds .input files")
     wall_start = time.monotonic()
     c = _Campaign(program, seeds, cfg, program_name)
     c.run()

@@ -14,11 +14,11 @@ from dataclasses import fields
 from pathlib import Path
 
 from .bundled import resolve_program, resolve_seeds
-from .campaign import MODES, RunConfig, run_campaign
+from .campaign import run_campaign
 from .carving import carve_with_stats
 from .errors import ToolError
 from .lang.goals import enumerate_goals
-from .reporting import emit_series, serialize_report
+from .reporting import MODES, RunConfig, emit_series, serialize_report
 from .sysgen import read_input_file
 from .vm.interp import RunOptions, call_function, run_system, \
     run_with_tracing

@@ -12,13 +12,44 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
+from .vm.interp import DEFAULT_MAX_DUMP_BYTES, DEFAULT_STEP_LIMIT, RunOptions
+from .vm.trace import CarveStats
 from .vm.values import decode_b64
 
-REPORT_VERSION = 3
+REPORT_VERSION = 4
+MODES = ("bridge", "system-only")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A campaign's settings: its mode, budget, rng seed and limits,
+    checked as they are made, in a campaign and a parsed report alike."""
+    mode: str = "bridge"
+    budget: float = 60.0            # wall seconds, unless the step clock is on
+    unit_budget: int = 200
+    rng_seed: int = 0
+    deterministic_clock: int | None = None   # step budget; replaces wall budget
+    max_dump_bytes: int = DEFAULT_MAX_DUMP_BYTES
+    corpus_out: str | None = None
+    step_limit: int = DEFAULT_STEP_LIMIT
+    trace_limit: int = 500_000      # unread; every report's config has it
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.deterministic_clock is None:
+            if not 0 < self.budget < math.inf:    # a NaN budget fails this too
+                raise ConfigError("wall budget must be positive and finite")
+        elif self.deterministic_clock <= 0:
+            raise ConfigError("step budget must be positive")
+        if self.unit_budget < 1:
+            raise ConfigError("unit_budget must be at least 1")
+        RunOptions(step_limit=self.step_limit,      # checks both limits
+                   max_dump_bytes=self.max_dump_bytes)
 
 
 @dataclass(frozen=True)
@@ -42,18 +73,6 @@ class LiftStats:
     effective: int = 0
     other_goal: int = 0
     false_positive: int = 0
-
-    @property
-    def pct_lifted(self) -> float:
-        if not self.unit_winners:
-            return 0.0
-        return 100.0 * self.lift_attempts / self.unit_winners
-
-    @property
-    def pct_effective(self) -> float:
-        if not self.lift_attempts:
-            return 0.0
-        return 100.0 * self.effective / self.lift_attempts
 
 
 @dataclass(frozen=True)
@@ -81,12 +100,12 @@ class CampaignReport:
     """Everything a campaign reports; docs/formats.md defines each field."""
     version: int
     program: str
-    config: dict
+    config: RunConfig
     total_goals: int
     discovered: int
     first_discovery: tuple[tuple[float, str, str], ...]
     functions: tuple[FunctionRow, ...]
-    carve_stats: dict
+    carve_stats: CarveStats
     lift_stats: LiftStats
     speedup: SpeedupStats
     effective_inputs: tuple[EffectiveInput, ...]
@@ -101,11 +120,8 @@ def _b64(data: bytes) -> str:
 
 def serialize_report(r: CampaignReport) -> str:
     """The report as JSON: every dataclass field in declaration order,
-    bytes as base64, and lift_stats followed by its derived pct_* values.
-    """
+    and bytes as base64."""
     doc = asdict(r)
-    doc["lift_stats"].update(pct_lifted=r.lift_stats.pct_lifted,
-                             pct_effective=r.lift_stats.pct_effective)
     for e in doc["effective_inputs"]:
         e["argv"] = [_b64(a) for a in e["argv"]]
         e["stdin"] = _b64(e["stdin"])
@@ -115,15 +131,20 @@ def serialize_report(r: CampaignReport) -> str:
 def _decode(tp, value):
     """`value` from a JSON document as the declared type `tp`.
 
-    Dataclasses are built field by field (keys they do not declare, such
-    as pct_*, are ignored), tuples element-wise from arrays, `X | None`
+    Dataclasses are built field by field from objects with exactly
+    their fields' keys, tuples element-wise from arrays, `X | None`
     from null or as X, bytes from base64, floats from finite numbers and
-    int, str, bool and dict from their own JSON types; else TypeError.
+    int, str and bool from their own JSON types; else TypeError.
     """
     if is_dataclass(tp):
         hints = get_type_hints(tp)
-        return tp(**{f.name: _decode(hints[f.name], value[f.name])
-                     for f in fields(tp)})
+        if type(value) is not dict:
+            raise TypeError(f"expected a JSON object, got {value!r}")
+        if value.keys() != hints.keys():
+            raise TypeError(f"{tp.__name__} keys missing {sorted(hints - value.keys())}"
+                            f", extra {sorted(value.keys() - hints)}")
+        return tp(**{name: _decode(hints[name], value[name])
+                     for name in hints})
     args = get_args(tp)
     if get_origin(tp) is tuple:
         if type(value) is not list:
@@ -156,7 +177,7 @@ def parse_report(text: str) -> CampaignReport:
             f"expected {REPORT_VERSION}")
     try:
         r = _decode(CampaignReport, doc)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise FormatError(f"report document is malformed: {exc!r}") from exc
     stamps = [e for e, _, _ in r.first_discovery]
     if not r.discovered == len(stamps) <= r.total_goals:

@@ -178,8 +178,10 @@ def read_input_file(path) -> SystemInput:
     if newline < 0:
         raise FormatError(f"{path}: missing input header line")
     try:
-        doc = json.loads(raw[:newline])
-        argv = tuple(base64.b64decode(x, validate=True) for x in doc["argv"])
+        argv = json.loads(raw[:newline])["argv"]
+        if type(argv) is not list:
+            raise TypeError(f"argv must be an array, got {argv!r}")
+        argv = tuple(base64.b64decode(x, validate=True) for x in argv)
     except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: bad input header: {exc}") from exc
     return SystemInput(argv, raw[newline + 1:])

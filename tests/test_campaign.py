@@ -33,7 +33,7 @@ from carvelift.lang.goals import enumerate_goals, goals_in_function
 from carvelift.lang.parser import parse
 from carvelift.reporting import coverage_series, parse_report
 from carvelift.rng import Rng
-from carvelift.sysgen import read_corpus, write_input_file
+from carvelift.sysgen import read_corpus, write_corpus, write_input_file
 from carvelift.vm.interp import run_system
 from carvelift.vm.trace import CarvedTest, Context
 
@@ -246,7 +246,7 @@ def test_system_only_never_guesses_the_user(keycheck_bridge_report):
 def test_budget_honesty(keycheck_bridge_report):
     r = keycheck_bridge_report
     assert r.total_wall_s >= r.system_wall_total_s
-    assert r.budget_used >= r.config["deterministic_clock"] or \
+    assert r.budget_used >= r.config.deterministic_clock or \
         r.discovered == r.total_goals
 
 
@@ -262,9 +262,9 @@ def test_budget_used_reads_the_campaigns_clock(clock):
                      program_name=name)
     assert r.discovered < r.total_goals     # so the budget ran out
     if clock == "wall":
-        assert r.config["budget"] <= r.budget_used <= r.total_wall_s
+        assert r.config.budget <= r.budget_used <= r.total_wall_s
     else:
-        assert r.budget_used >= r.config["deterministic_clock"]
+        assert r.budget_used >= r.config.deterministic_clock
         assert r.budget_used == int(r.budget_used)
 
 
@@ -443,6 +443,18 @@ def test_effective_corpus_is_written(tmp_path, keycheck_bridge_report):
     assert {e.argv for e in r.effective_inputs} == stored_argv
 
 
+def test_a_corpus_directory_that_holds_inputs_is_refused(tmp_path, monkeypatch):
+    # write_corpus would overwrite 000.input and leave 001.input, so the
+    # directory would read back as one corpus of two campaigns' inputs.
+    out = tmp_path / "corpus"
+    old = write_corpus(out, [mk_input((b"a",)), mk_input((b"b",))])
+    monkeypatch.setattr(campaign_module, "_Campaign", None)    # nothing runs
+    with pytest.raises(ConfigError, match="already holds .input files"):
+        run_campaign(load_subject("keycheck"), KEY_SEEDS,
+                     bridge_cfg(corpus_out=str(out)))
+    assert sorted(out.iterdir()) == old
+
+
 def test_function_rows_echo_the_program(keycheck_bridge_report):
     prog = load_subject("keycheck")
     r = keycheck_bridge_report
@@ -458,7 +470,7 @@ def test_function_rows_echo_the_program(keycheck_bridge_report):
             assert row.selections >= 1
         if name in input_dependent:
             assert row.carves == 0
-    assert sum(row.carves for row in rows.values()) == r.carve_stats["carved"]
+    assert sum(row.carves for row in rows.values()) == r.carve_stats.carved
 
 
 def test_input_dependent_functions_are_not_selectable(monkeypatch):
@@ -599,7 +611,7 @@ def test_tracing_cut_changes_only_carve_counts(name, monkeypatch):
                         lambda self: True)
     full = bundled_bridge(name)
     assert without_carve_counts(cut) == without_carve_counts(full)
-    assert cut.carve_stats["carved"] <= full.carve_stats["carved"]
+    assert cut.carve_stats.carved <= full.carve_stats.carved
 
 
 def test_mini_dc_is_not_traced_once_nothing_is_selectable(monkeypatch):
@@ -624,7 +636,7 @@ def test_mini_dc_is_not_traced_once_nothing_is_selectable(monkeypatch):
     assert "traced" in log[:cut]
     assert "traced" not in log[cut:]
     assert log[cut:].count("unselectable") > 1   # runs went on, untraced
-    assert report.carve_stats["carved"] > 0
+    assert report.carve_stats.carved > 0
 
 
 # ----------------------------------------------------------- golden reports
@@ -651,8 +663,8 @@ def test_step_clock_reports_match_golden_files(name, mode):
 # The keycheck_bridge_report fixture (KEY_SEEDS, 2M-step clock, rng seed
 # 7).  Unlike the 100k-step campaigns above it goes down the lift path:
 # three lift attempts, one of each classification, and an effective
-# input with argv bytes, so the lift stamps, the base64 fields and the
-# derived pct_* values are all in the pinned document.
+# input with argv bytes, so the lift stamps and the base64 fields are
+# in the pinned document.
 def test_lift_path_report_matches_golden_file(keycheck_bridge_report):
     r = keycheck_bridge_report
     assert (r.lift_stats.lift_attempts, r.lift_stats.effective,

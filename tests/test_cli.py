@@ -9,7 +9,7 @@ from carvelift.cli import _build_parser, main
 from carvelift.lang.goals import enumerate_goals
 from carvelift.lang.parser import parse
 from carvelift.reporting import parse_report
-from carvelift.sysgen import write_input_file
+from carvelift.sysgen import write_corpus, write_input_file
 from carvelift.vm.interp import run_with_tracing
 from carvelift.vm.trace import load_snapshot, save_snapshot
 
@@ -58,6 +58,18 @@ def test_non_positive_dump_budget_is_a_usage_error(tmp_path, capsys):
 def test_missing_seed_dir_is_a_usage_error(tmp_path, capsys):
     assert main(["run", "--program", "keycheck",
                  "--seeds", str(tmp_path / "nowhere")]) == 2
+
+
+def test_run_refuses_a_corpus_directory_that_holds_inputs(tmp_path, capsys):
+    # Two campaigns' inputs in one directory would read back as one corpus.
+    corpus_dir = tmp_path / "corpus"
+    old = write_corpus(corpus_dir, [mk_input((b"old",))])
+    code = main(["run", "--program", "mini_tac", "--mode", "system-only",
+                 "--deterministic-clock", "20000",
+                 "--corpus-out", str(corpus_dir)])
+    assert code == 2
+    assert "already holds .input files" in capsys.readouterr().err
+    assert sorted(corpus_dir.iterdir()) == old
 
 
 def test_run_help_documents_module_defaults(capsys):
@@ -288,8 +300,8 @@ def test_run_writes_report_series_and_corpus(tmp_path, capsys):
     assert code == 0
     r = parse_report(report_path.read_text())
     assert r.program == "keycheck"
-    assert r.config["mode"] == "bridge"
-    assert r.config["rng_seed"] == 7
+    assert r.config.mode == "bridge"
+    assert r.config.rng_seed == 7
     assert r.lift_stats.effective >= 1
     assert series_path.read_text().startswith("#")
     assert list(corpus_dir.glob("*.input"))
@@ -304,5 +316,5 @@ def test_run_system_only_quick(tmp_path, capsys):
                  "--report", str(report_path)])
     assert code == 0
     r = parse_report(report_path.read_text())
-    assert r.config["mode"] == "system-only"
+    assert r.config.mode == "system-only"
     assert r.speedup.unit_executions == 0

@@ -13,8 +13,10 @@ goes through its step memo, and only `_Campaign.charge` writes the
 campaign's ledger of system executions.  Each of two jobs has one
 place: only `vm/` encodes and decodes values, and only `lang/goals.py`
 makes a `BranchGoal`.  `docs/formats.md` states the versions the code
-writes.  Every dataclass has a docstring, and importing the package
-loads neither the pretty-printer nor the command line.
+writes, and every field of the report's records has a type that
+`parse_report` can check.  Every dataclass has a docstring, and
+importing the package loads neither the pretty-printer nor the command
+line.
 """
 
 import ast
@@ -24,6 +26,7 @@ import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -406,3 +409,50 @@ def test_the_formats_document_states_the_versions_the_code_writes(section, modul
     example = re.findall(r'"version": (\d+)', body)
     version = getattr(importlib.import_module(module), constant)
     assert (stated, example) == ([str(version)], [str(version)])
+
+
+# ---------------------------------------------------------------- report schema
+
+UNTYPED = (dict, object, typing.Any)
+
+
+def untyped_fields(record):
+    """`Record.field` for each field, in `record` and the records its
+    fields hold, whose type is or holds `dict`, `object` or `Any`."""
+    found = []
+
+    def visit(tp, where):
+        if dataclasses.is_dataclass(tp):
+            for name, hint in typing.get_type_hints(tp).items():
+                visit(hint, f"{tp.__name__}.{name}")
+        elif tp in UNTYPED or typing.get_origin(tp) is dict:
+            found.append(where)
+        else:
+            for arg in typing.get_args(tp):
+                visit(arg, where)
+    visit(record, record.__name__)
+    return found
+
+
+def test_the_untyped_field_scanner_looks_inside_records_and_types():
+    @dataclasses.dataclass
+    class Inner:
+        """A record with an untyped field."""
+        ok: tuple[int, ...]
+        loose: typing.Any
+
+    @dataclasses.dataclass
+    class Outer:
+        """A record that holds one."""
+        inner: tuple[Inner, ...]
+        table: dict[str, int] | None
+        blob: object
+
+    assert untyped_fields(Outer) == ["Inner.loose", "Outer.table", "Outer.blob"]
+
+
+def test_every_report_field_is_typed():
+    """The report's records are its whole schema: `parse_report` checks
+    each field as its type says, so a field typed `dict`, `object` or
+    `Any` would let any JSON value through."""
+    assert untyped_fields(carvelift.CampaignReport) == []

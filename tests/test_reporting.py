@@ -7,12 +7,14 @@ from dataclasses import replace
 import pytest
 
 from carvelift.errors import FormatError
+from carvelift.vm.trace import CarveStats
 from carvelift.reporting import (
     REPORT_VERSION,
     CampaignReport,
     EffectiveInput,
     FunctionRow,
     LiftStats,
+    RunConfig,
     SpeedupStats,
     coverage_series,
     emit_series,
@@ -25,8 +27,7 @@ def sample_report():
     return CampaignReport(
         version=REPORT_VERSION,
         program="keycheck",
-        config={"mode": "bridge", "budget": 60.0, "unit_budget": 200,
-                "deterministic_clock": None},
+        config=RunConfig(rng_seed=7, corpus_out="out"),
         total_goals=28,
         discovered=3,
         first_discovery=(
@@ -38,8 +39,8 @@ def sample_report():
             FunctionRow("check_pass", 4, 1, 3, 2, True, False),
             FunctionRow("hash_pw", 4, 4, 5, 0, False, True),
         ),
-        carve_stats={"carved": 8, "truncated": 1, "skipped_incomplete": 0,
-                     "skipped_capped": 2, "skipped_input_dependent": 3},
+        carve_stats=CarveStats(carved=8, truncated=1, skipped_incomplete=0,
+                               skipped_capped=2, skipped_input_dependent=3),
         lift_stats=LiftStats(unit_winners=12, lift_attempts=10, effective=3,
                              other_goal=2, false_positive=5),
         speedup=SpeedupStats(system_executions=31, unit_executions=400,
@@ -150,17 +151,51 @@ def test_parse_rejects_malformed_records():
     def stamp_after_budget(doc):
         doc["budget_used"] = 98.0
 
+    def config_empty(doc):
+        doc["config"] = {}
+
+    def unknown_mode(doc):
+        doc["config"]["mode"] = "hybrid"
+
+    def unit_budget_zero(doc):      # RunConfig refuses it, so no campaign ran one
+        doc["config"]["unit_budget"] = 0
+
+    def config_extra_key(doc):      # a version-2 config field
+        doc["config"]["n_per_seed"] = 10
+
+    def carve_stats_empty(doc):
+        doc["carve_stats"] = {}
+
+    def count_as_string(doc):
+        doc["carve_stats"]["carved"] = "8"
+
+    def stray_top_level_key(doc):
+        doc["mode"] = "bridge"
+
+    def leftover_pct(doc):          # version 3 derived it from lift_stats
+        doc["lift_stats"]["pct_lifted"] = 83.3
+
     for breakage in (drop_row_key, drop_tally, list_for_record, short_entry,
                      stdin_not_base64, stdin_with_junk, argv_all_junk,
                      goals_as_string, discovered_as_bool, count_as_float,
                      budget_as_string, budget_not_a_number, config_as_list,
                      program_as_int, flag_as_int, crash_as_int,
                      goals_as_one_string, discovered_beyond_log,
-                     log_beyond_goals, stamps_out_of_order, stamp_after_budget):
+                     log_beyond_goals, stamps_out_of_order, stamp_after_budget,
+                     config_empty, unknown_mode, unit_budget_zero,
+                     config_extra_key, carve_stats_empty, count_as_string,
+                     stray_top_level_key, leftover_pct):
         doc = json.loads(serialize_report(sample_report()))
         breakage(doc)
         with pytest.raises(FormatError):
             parse_report(json.dumps(doc))
+
+
+def test_parse_names_the_missing_and_the_extra_keys():
+    doc = json.loads(serialize_report(sample_report()))
+    doc["speedup"]["speed"] = doc["speedup"].pop("speedup")
+    with pytest.raises(FormatError, match=r"missing \['speedup'\], extra \['speed'\]"):
+        parse_report(json.dumps(doc))
 
 
 def test_parse_reads_a_json_integer_as_a_float():
@@ -168,16 +203,6 @@ def test_parse_reads_a_json_integer_as_a_float():
     doc["budget_used"] = 12345
     r = parse_report(json.dumps(doc))
     assert r == sample_report() and type(r.budget_used) is float
-
-
-def test_percentages_derive_from_counts():
-    ls = LiftStats(unit_winners=12, lift_attempts=10, effective=3,
-                   other_goal=2, false_positive=5)
-    assert ls.pct_effective == pytest.approx(30.0)
-    assert ls.pct_lifted == pytest.approx(100.0 * 10 / 12)
-    empty = LiftStats()
-    assert empty.pct_effective == 0.0
-    assert empty.pct_lifted == 0.0
 
 
 def test_emit_series_writes_two_columns(tmp_path):

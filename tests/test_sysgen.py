@@ -6,6 +6,7 @@ mutators emit, the interpreter must come back with a defined status.
 
 import pytest
 
+from carvelift.errors import FormatError
 from carvelift.inputs import SystemInput
 from carvelift.rng import Rng
 from carvelift.sysgen import (
@@ -178,6 +179,17 @@ def test_single_input_file_round_trip(tmp_path):
     path = tmp_path / "t.input"
     write_input_file(path, s)
     assert read_input_file(path) == s
+
+
+@pytest.mark.parametrize("header", [
+    b'{"argv": {"YWJj": 0}}',   # a lax reader takes the keys as argv (b"abc",)
+    b'{"argv": ""}', b'{"argv": {}}', b'{"argv": [5]}',
+])
+def test_an_input_header_needs_an_argv_array_of_strings(tmp_path, header):
+    path = tmp_path / "t.input"
+    path.write_bytes(header + b"\nstdin")
+    with pytest.raises(FormatError, match="bad input header"):
+        read_input_file(path)
 
 
 def test_read_corpus_on_empty_directory(tmp_path):
