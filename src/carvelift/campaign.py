@@ -30,18 +30,17 @@ earlier round, is charged its steps and judged on what it covered,
 without running again.
 
 A campaign's memory grows with what it finds, not with how long it
-runs.  The report keeps the discovery log, not a coverage series, and
-wall times are summarised in fixed-size histograms.  The step memo keeps
-the newest STEP_MEMO_ENTRIES inputs; a repeat it has forgotten runs
-again, at the same steps and with the same goals.
+runs.  The report keeps the discovery log, not a coverage series.  The
+step memo keeps the newest STEP_MEMO_ENTRIES inputs; a repeat it has
+forgotten runs again, at the same steps and with the same goals.  The
+median system wall is that of the newest STEP_MEMO_ENTRIES executed
+runs, and the median unit wall that of the unit memos' entries.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from bisect import bisect_right
-from collections import Counter, OrderedDict
+from collections import Counter, OrderedDict, deque
 from collections.abc import Set
 from itertools import count
 from dataclasses import asdict, dataclass, field
@@ -69,52 +68,15 @@ FALLBACK_BATCH = 10
 # A function whose fuzz rounds come back winnerless this many times in a
 # row stops being selected; its goals stay reachable through system runs.
 FUTILE_ROUNDS = 3
-# The step memo forgets its oldest input past this many.
+# The step memo forgets its oldest input past this many, and the window
+# of system walls its oldest wall.
 STEP_MEMO_ENTRIES = 1 << 16
 
-# Wall times are counted in log-spaced bins, BINS_PER_OCTAVE to each
-# doubling between the WALL_EDGES 2**-24 s (about 60 ns) and 2**8 s, and
-# in one bin below and one above them.  A median is read as its bin's
-# geometric middle, within WALL_REL_ERROR (2.2%) of the exact median of
-# times inside the edges.
-BINS_PER_OCTAVE = 16
-WALL_EDGES = [2.0 ** (k / BINS_PER_OCTAVE - 24)
-              for k in range(32 * BINS_PER_OCTAVE + 1)]
-WALL_BINS = len(WALL_EDGES) + 1
-WALL_REL_ERROR = 2 ** (0.5 / BINS_PER_OCTAVE) - 1
-_WALL_MIDDLES = [WALL_EDGES[0],
-                 *(math.sqrt(lo * hi) for lo, hi in zip(WALL_EDGES, WALL_EDGES[1:])),
-                 WALL_EDGES[-1]]
 
-
-class WallSummary:
-    """A count of wall times per log-spaced bin, and their median."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self):
-        self.counts = [0] * WALL_BINS
-
-    def add(self, times) -> None:
-        counts = self.counts
-        for t in times:
-            counts[bisect_right(WALL_EDGES, t)] += 1
-
-    def _at(self, rank: int) -> float:
-        """The geometric middle of the bin of the time at `rank`."""
-        for middle, c in zip(_WALL_MIDDLES, self.counts):
-            rank -= c
-            if rank < 0:
-                return middle
-        raise IndexError(rank)
-
-    def median(self) -> float:
-        """The median as statistics.median takes it, read from the bins;
-        0.0 when no time was added."""
-        n = sum(self.counts)
-        if not n:
-            return 0.0
-        return (self._at((n - 1) // 2) + self._at(n // 2)) / 2
+def _median(times) -> float:
+    """The median as statistics.median takes it; 0.0 for no times."""
+    s, n = sorted(times), len(times)
+    return (s[(n - 1) // 2] + s[n // 2]) / 2 if n else 0.0
 
 
 @dataclass
@@ -208,15 +170,16 @@ class _Campaign:
         # its function and its context's encoding.  A unit execution is
         # a pure function of those and the draw, so fuzz_unit_with_stats
         # runs a draw only once, whichever of the carves that share a
-        # memo draws it, in whichever round.
+        # memo draws it, in whichever round.  Its entries keep each
+        # run's wall time for the median.
         self.unit_memos: dict[tuple[str, str], dict] = {}
-        # Executions charged, repeats included; sys_walls and
-        # sys_wall_total take the wall time of each run that executed.
-        # Only charge() writes these four.
+        # Executions charged, repeats included; sys_walls keeps the wall
+        # time of the newest STEP_MEMO_ENTRIES runs that executed and
+        # sys_wall_total sums those of all of them.  Only charge() writes
+        # these three and steps_of.
         self.system_executions = 0
-        self.sys_walls = WallSummary()
+        self.sys_walls: deque[float] = deque(maxlen=STEP_MEMO_ENTRIES)
         self.sys_wall_total = 0.0
-        self.unit_walls = WallSummary()
         self.unit_executions = 0
         self.lift = LiftStats()
         self.effective: list[tuple[object, tuple[str, ...], str | None]] = []
@@ -242,7 +205,7 @@ class _Campaign:
             self.steps_of[key] = steps
             if len(self.steps_of) > STEP_MEMO_ENTRIES:
                 self.steps_of.popitem(last=False)
-            self.sys_walls.add((wall,))
+            self.sys_walls.append(wall)
             self.sys_wall_total += wall
 
     def exhausted(self) -> bool:
@@ -336,7 +299,6 @@ class _Campaign:
             self.rng_unit.split(), self.opts,
             memo=self.unit_memos.setdefault((sel.start[0], sel.context.encoding()), {}))
         self.steps += fstats.steps
-        self.unit_walls.add(fstats.wall_times_s)
         self.unit_executions += fstats.executions
         self.lift.unit_winners += len(winners)
         st.futile = 0 if winners else st.futile + 1
@@ -403,7 +365,9 @@ class _Campaign:
                         carves=len(st.carves), selections=st.selections,
                         parameterized=st.parameterized, skipped=st.skipped)
             for name, st in self.fns.items())
-        med_sys, med_unit = self.sys_walls.median(), self.unit_walls.median()
+        med_sys = _median(self.sys_walls)
+        med_unit = _median([e[3] for memo in self.unit_memos.values()
+                            for e in memo.values()])
         speedup = med_sys / med_unit if med_sys > 0 and med_unit > 0 else 0.0
         used = self.now()       # read first: at most total_wall_s
         return CampaignReport(
@@ -434,8 +398,12 @@ def run_campaign(program, seeds, cfg: RunConfig,
                  program_name: str = "program") -> CampaignReport:
     if not seeds:
         raise ConfigError("at least one seed input is required")
-    if cfg.corpus_out is not None and any(Path(cfg.corpus_out).glob("*.input")):
-        raise ConfigError(f"corpus_out {cfg.corpus_out} already holds .input files")
+    if cfg.corpus_out is not None:
+        out = Path(cfg.corpus_out)
+        if out.exists() and not out.is_dir():
+            raise ConfigError(f"corpus_out {out} is not a directory")
+        if any(out.glob("*.input")):
+            raise ConfigError(f"corpus_out {out} already holds .input files")
     wall_start = time.monotonic()
     c = _Campaign(program, seeds, cfg, program_name)
     c.run()

@@ -24,7 +24,7 @@ coverage without running again.
 from __future__ import annotations
 
 from collections.abc import Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import cycle, islice
 
 from .errors import ToolError
@@ -63,10 +63,9 @@ class UnitOutcome:
 
 @dataclass
 class FuzzStats:
-    """A fuzzing round's executions and steps, and the wall time of each it ran."""
+    """A fuzzing round's executions and steps."""
     executions: int = 0
     steps: int = 0
-    wall_times_s: list[float] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------- streams
@@ -175,14 +174,14 @@ def fuzz_unit_with_stats(program: Program, c: CarvedTest, m: Mapping,
     per batch.  Unit runs get a tenth of the system step budget.
 
     Each distinct (path, value) draw runs once per `memo`, which maps a
-    draw to its (steps, status, coverage).  A campaign passes one memo
-    per carved function and context, kept across rounds; without one,
-    the memo lives for this call.  A draw found there is not run again: it is
-    charged its steps and judged against `known` and this round's
-    winners exactly as a run would be.  `executions` counts the `budget`
-    draws and `steps` charges every draw, repeats included, so both are
-    what running every draw would give; `wall_times_s` has one entry per
-    execution that ran.
+    draw to its (steps, status, coverage, wall_s).  A campaign passes one
+    memo per carved function and context, kept across rounds; without
+    one, the memo lives for this call.  A draw found there is not run
+    again: it is charged its steps and judged against `known` and this
+    round's winners exactly as a run would be.  `executions` counts the
+    `budget` draws and `steps` charges every draw, repeats included, so
+    both are what running every draw would give; the memo gains one
+    entry per execution that ran.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -203,7 +202,6 @@ def fuzz_unit_with_stats(program: Program, c: CarvedTest, m: Mapping,
         memo = {}
     working = set(known)
     fn, unit_opts = c.start[0], opts.unit()
-    walls: list[float] = []
     outcomes: list[UnitOutcome] = []
     crash_signatures: set[tuple] = set()
     total = 0
@@ -214,9 +212,8 @@ def fuzz_unit_with_stats(program: Program, c: CarvedTest, m: Mapping,
         if seen is None:
             args, world = apply_assignment(c, ParamAssignment({path: value}, label))
             r = call_function(program, fn, args, world, unit_opts)
-            memo[path, value] = seen = r.steps, r.status, r.coverage
-            walls.append(r.wall_time_s)
-        steps, status, coverage = seen
+            memo[path, value] = seen = r.steps, r.status, r.coverage, r.wall_time_s
+        steps, status, coverage, _ = seen
         total += steps
         crashed = status.kind == "crash"
         if coverage <= working:
@@ -233,4 +230,4 @@ def fuzz_unit_with_stats(program: Program, c: CarvedTest, m: Mapping,
             elif not new_goals:
                 continue
         outcomes.append(UnitOutcome(ParamAssignment({path: value}, label), status, new_goals))
-    return outcomes, FuzzStats(budget, total, walls)
+    return outcomes, FuzzStats(budget, total)

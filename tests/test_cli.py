@@ -3,6 +3,8 @@
 import json
 from dataclasses import asdict
 
+import carvelift.campaign as campaign_module
+from carvelift.bundled import bundled_seeds
 from carvelift.campaign import RunConfig
 from carvelift.carving import carve_with_stats
 from carvelift.cli import _build_parser, main
@@ -19,6 +21,12 @@ from conftest import BYTES_AS_INT, load_subject, mk_input
 def keycheck_seed_file(tmp_path):
     path = tmp_path / "000.input"
     write_input_file(path, mk_input((b"d7wfv", b"xczZ7tz")))
+    return path
+
+
+def bundled_seed_file(tmp_path, name):
+    path = tmp_path / f"{name}.input"
+    write_input_file(path, bundled_seeds(name)[0])
     return path
 
 
@@ -70,6 +78,21 @@ def test_run_refuses_a_corpus_directory_that_holds_inputs(tmp_path, capsys):
     assert code == 2
     assert "already holds .input files" in capsys.readouterr().err
     assert sorted(corpus_dir.iterdir()) == old
+
+
+def test_run_refuses_a_corpus_path_that_is_a_file_before_running(
+        tmp_path, capsys, monkeypatch):
+    corpus_file, report_path = tmp_path / "corpus", tmp_path / "r.json"
+    corpus_file.write_bytes(b"not a directory")
+    monkeypatch.setattr(campaign_module, "_Campaign", None)    # nothing runs
+    code = main(["run", "--program", "keycheck",
+                 "--deterministic-clock", "400000", "--rng-seed", "7",
+                 "--corpus-out", str(corpus_file), "--report", str(report_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: corpus_out {corpus_file} is not a directory\n")
+    assert corpus_file.read_bytes() == b"not a directory"
+    assert not report_path.exists()
 
 
 def test_run_help_documents_module_defaults(capsys):
@@ -125,6 +148,13 @@ def test_replay_input_prints_the_run(tmp_path, capsys):
                  "--input", str(path)]) == 0
     out = capsys.readouterr().out
     assert "exit" in out and "unknown user" in out
+
+
+def test_replay_input_prints_status_steps_coverage_and_output(tmp_path, capsys):
+    path = bundled_seed_file(tmp_path, "mini_sed")
+    assert main(["replay", "--program", "mini_sed", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "status: exit 0\nsteps: 1617\ncoverage: 30 goals\nalpha\nbeta\ngamma\n")
 
 
 def test_replay_crashing_input_exits_1(tmp_path, capsys):
@@ -283,6 +313,15 @@ def test_carve_dumps_the_pool(tmp_path, capsys):
     assert snaps
     loaded = load_snapshot(snaps[0])
     assert loaded.start[0] in {"check_user", "check_pass", "hash_pw"}
+
+
+def test_carve_prints_each_carve_with_its_leaves_and_goals(tmp_path, capsys):
+    path = bundled_seed_file(tmp_path, "keycheck")
+    assert main(["carve", "--program", "keycheck", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "system status: exit 1; 2 carves\n"
+        "  [000] hash_pw call=1 leaves=8 goals=4\n"
+        "  [001] check_user call=2 leaves=8 goals=5\n")
 
 
 # ------------------------------------------------------------- run

@@ -272,7 +272,7 @@ def test_only_run_one_runs_a_system_input_in_the_campaign():
 
 # ---------------------------------------------------------------- ledger
 
-LEDGER = {"steps_of", "sys_walls", "system_executions"}
+LEDGER = {"steps_of", "sys_walls", "sys_wall_total", "system_executions"}
 MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove",
             "clear", "update", "setdefault", "sort", "reverse"}
 

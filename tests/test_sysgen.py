@@ -165,6 +165,13 @@ def test_corpus_round_trip(tmp_path):
     assert read_corpus(corpus) == inputs
 
 
+def test_write_corpus_makes_a_missing_directory(tmp_path):
+    corpus = tmp_path / "runs" / "corpus"
+    s = mk_input((b"a",), b"in")
+    assert write_corpus(corpus, [s]) == [corpus / "000.input"]
+    assert read_corpus(corpus) == [s]
+
+
 def test_corpus_past_a_thousand_inputs_keeps_its_order(tmp_path):
     # 1000.input would sort before 101.input; every name is padded to 4.
     inputs = [mk_input((str(i).encode(),)) for i in range(1001)]

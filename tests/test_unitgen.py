@@ -312,13 +312,14 @@ def test_fuzz_unit_respects_budget_and_leaves_the_carve_alone():
     import copy
     prog, result, carved, mapping = harvest_setup()
     before = copy.deepcopy(carved)
+    memo = {}
     winners, stats = fuzz_unit_with_stats(
-        prog, carved, mapping, 37, result.coverage, Rng(5))
+        prog, carved, mapping, 37, result.coverage, Rng(5), memo=memo)
     distinct = {(path, value)
                 for path, _, value in draws(carved, mapping, 37, Rng(5))}
     assert stats.executions == 37
     assert stats.steps > 0
-    assert len(stats.wall_times_s) == len(distinct)
+    assert memo.keys() == distinct
     assert carved == before
     assert len(winners) <= 37
 
@@ -370,8 +371,9 @@ def test_fuzz_unit_runs_each_distinct_draw_once_with_unchanged_results():
     repeats = 0
     for prog, known, carved, mapping in cases:
         for seed in (0, 7, 4099):
+            memo = {}
             winners, stats = fuzz_unit_with_stats(
-                prog, carved, mapping, 200, known, Rng(seed))
+                prog, carved, mapping, 200, known, Rng(seed), memo=memo)
             want, want_steps = reference_fuzz(
                 prog, carved, mapping, 200, known, Rng(seed))
             assert [(w.assignment, w.status, w.new_goals)
@@ -380,7 +382,7 @@ def test_fuzz_unit_runs_each_distinct_draw_once_with_unchanged_results():
             assert stats.executions == 200
             distinct = {(path, value) for path, _, value
                         in draws(carved, mapping, 200, Rng(seed))}
-            assert len(stats.wall_times_s) == len(distinct)
+            assert memo.keys() == distinct
             repeats += 200 - len(distinct)
     assert repeats > 0
 
@@ -415,6 +417,7 @@ def test_rounds_sharing_a_memo_keep_what_running_every_draw_keeps():
     for prog, known, carved, mapping in cases:
         memo, ran = {}, set()
         for seed in (7, 4099):
+            before = len(memo)
             winners, stats = fuzz_unit_with_stats(
                 prog, carved, mapping, 200, known, Rng(seed), memo=memo)
             want, want_steps = reference_fuzz(prog, carved, mapping, 200, known, Rng(seed))
@@ -422,7 +425,7 @@ def test_rounds_sharing_a_memo_keep_what_running_every_draw_keeps():
             assert stats.steps == want_steps
             drawn = {(path, value) for path, _, value
                      in draws(carved, mapping, 200, Rng(seed))}
-            assert len(stats.wall_times_s) == len(drawn - ran)
+            assert len(memo) - before == len(drawn - ran)
             for w in winners:
                 if next(iter(w.assignment.assignments.items())) in ran:
                     remembered["crash" if w.status.is_crash() else "goals"] += 1
