@@ -68,18 +68,24 @@ def timeless(report):
 
 def assert_matches_golden(report, name: str) -> None:
     """The timeless report serializes to `goldens/<name>.json` byte for
-    byte, and parses back to itself.  A mismatch fails with the count of
-    differing lines and the first 40 lines of a unified diff."""
+    byte, and parses back to itself."""
     text = serialize_report(timeless(report))
     assert parse_report(text) == timeless(report)
-    path = GOLDENS / f"{name}.json"
+    assert_matches_golden_text(text, f"{name}.json")
+
+
+def assert_matches_golden_text(text: str, filename: str) -> None:
+    """`text` is `goldens/<filename>` byte for byte.  A mismatch fails
+    with the count of differing lines and the first 40 lines of a
+    unified diff."""
+    path = GOLDENS / filename
     if os.environ.get(REGEN_GOLDENS):
         path.write_bytes(text.encode("ascii"))
         return
     want = path.read_bytes().decode("ascii")
     if text != want:
         diff = list(difflib.unified_diff(
-            want.splitlines(), text.splitlines(), f"goldens/{name}.json",
+            want.splitlines(), text.splitlines(), f"goldens/{filename}",
             "this run", lineterm=""))
         changed = sum(line[:1] in "+-" for line in diff[2:])
         pytest.fail(f"{path.name}: {changed} lines differ\n"

@@ -7,7 +7,6 @@ carve is replayed through call_function to check it reproduces them.
 """
 
 import dataclasses
-import hashlib
 import json
 import re
 from collections import Counter
@@ -29,7 +28,8 @@ from carvelift.vm.values import (
 )
 
 from conftest import (
-    SUBJECT_NAMES, NaiveCounter, load_subject, mk_input, random_input_for,
+    SUBJECT_NAMES, NaiveCounter, assert_matches_golden_text, load_subject, mk_input,
+    random_input_for,
 )
 
 
@@ -512,13 +512,9 @@ def carves_of_the_dc_bridge_pool(monkeypatch):
     return [c for st in pools[0].values() for c in st.carves]
 
 
-# sha256 over encode_carve of every carve below, computed before the
-# snapshot walk was rewritten: what a carve holds, not only how many.
-CARVE_CONTENT_DIGEST = (
-    103, 140, "6f49e870e13c6412374b42dab6db6a08dd4627184741f30f71211d458e7d2632")
-
-
-def test_carve_contents_match_golden_digest(monkeypatch):
+# goldens/carves.jsonl holds encode_carve of every carve below, one a
+# line: what a carve holds, not only how many.
+def test_carve_contents_match_golden_file(monkeypatch):
     carves = []
     for name in SUBJECT_NAMES:
         program, _ = resolve_program(name)
@@ -535,10 +531,10 @@ def test_carve_contents_match_golden_digest(monkeypatch):
             carves += carve_with_stats(result, origin=f"{budget}-{i}")[0]
     pool = carves_of_the_dc_bridge_pool(monkeypatch)
     assert truncated and pool
-    h = hashlib.sha256()
-    for c in carves + pool:
-        h.update(json.dumps(trace.encode_carve(c), sort_keys=True).encode())
-    assert (len(carves), len(pool), h.hexdigest()) == CARVE_CONTENT_DIGEST
+    assert (len(carves), len(pool)) == (103, 140)
+    assert_matches_golden_text("".join(
+        json.dumps(trace.encode_carve(c), sort_keys=True) + "\n" for c in carves + pool),
+        "carves.jsonl")
 
 
 def test_truncated_context_severs_root_refs():
