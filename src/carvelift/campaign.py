@@ -400,8 +400,9 @@ def run_campaign(program, seeds, cfg: RunConfig,
         raise ConfigError("at least one seed input is required")
     if cfg.corpus_out is not None:
         out = Path(cfg.corpus_out)
-        if out.exists() and not out.is_dir():
-            raise ConfigError(f"corpus_out {out} is not a directory")
+        nearest = next(p for p in (out, *out.parents) if p.exists())
+        if not nearest.is_dir():    # no corpus could be written there
+            raise ConfigError(f"corpus_out {out}: {nearest} is not a directory")
         if any(out.glob("*.input")):
             raise ConfigError(f"corpus_out {out} already holds .input files")
     wall_start = time.monotonic()

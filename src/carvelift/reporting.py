@@ -167,7 +167,7 @@ def parse_report(text: str) -> CampaignReport:
     counts, its order and its budget_used."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # or nested too deep
         raise FormatError(f"report is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("report document must be a JSON object")

@@ -182,7 +182,7 @@ def read_input_file(path) -> SystemInput:
         if type(argv) is not list:
             raise TypeError(f"argv must be an array, got {argv!r}")
         argv = tuple(base64.b64decode(x, validate=True) for x in argv)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise FormatError(f"{path}: bad input header: {exc}") from exc
     return SystemInput(argv, raw[newline + 1:])
 

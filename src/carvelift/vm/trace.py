@@ -19,7 +19,7 @@ A recorded call's coverage is the set of branch goals reached while it
 was open, its callees' included: a branch adds to the innermost open
 recorded call's set, and a return merges that set into the one below.
 
-Context root paths follow the language's own access syntax:
+Context paths follow the language's own access syntax:
 
     arg[0]                first argument
     global:db             a global
@@ -30,14 +30,14 @@ so a path printed in a report can be read back against the source.
 for each place it names, the value and where a world stores it:
 `leaves` names every scalar leaf, `resolve` looks one up, and `world`
 builds the replay world for `call_function` with chosen leaves
-replaced.  They accept exactly the paths the walk writes; a context
-never changes, so what it keeps always holds.
+replaced.  They accept exactly the paths the walk writes, and nothing
+parses one; a context never changes, so what it keeps always holds.
 
 One encoding of a carve (`encode_carve`, read back by `decode_carve`)
 serves both the snapshot file (`save_snapshot`) and the determinism
-checks of `serialize_run_result`; byte strings inside values are base64.
-Its context part, `Context.encode`, kept as text by `Context.encoding`,
-is also the key of the campaign's unit memos.
+checks of `serialize_run_result`; it writes each array and record once
+(`values.value_encoder`).  Its context part, `Context.encode`, kept as
+text by `Context.encoding`, is also the key of the campaign's unit memos.
 """
 
 from __future__ import annotations
@@ -52,32 +52,34 @@ from ..lang.ast import ENTRY
 from ..lang.goals import BranchGoal
 from ..lang.lexer import IDENT
 from .values import (
-    Record, Ref, SegmentTable, decode_segments, decode_value,
-    encode_segments, encode_value, sever, snapshot_reachable, wrap64,
+    Record, Ref, SegmentTable, snapshot_reachable, value_decoder, value_encoder, wrap64,
 )
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 PER_FN_CAP = 8      # recorded calls kept per function and run
 
 
 @dataclass
 class Context:
-    """Everything one invocation could see: args, globals, reachable heap.
-    Roots are `arg[0..n-1]`, then `global:name`; `places` and `split` keep
-    what every world needs once first found (see `walk` and `world`), and
-    `encoded` the context's JSON text once made (see `encoding`)."""
+    """Everything one invocation could see: its args, its globals by name
+    and the reachable heap.  `places` keeps what every world needs once
+    found (see `walk`), `encoded` the JSON text once made (`encoding`)."""
 
-    roots: dict[str, object]
+    args: tuple
+    globals: dict
     segments: SegmentTable
     truncated: bool
     places: dict | None = field(default=None, init=False, repr=False, compare=False)
-    split: tuple | None = field(default=None, init=False, repr=False, compare=False)
     encoded: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def encode(self) -> dict:
-        """The roots and segments as JSON values, as `encode_carve` writes them."""
-        return {"roots": [[p, encode_value(v)] for p, v in self.roots.items()],
-                "segments": encode_segments(self.segments)}
+        """The args, globals and segments as JSON, as `encode_carve` writes them."""
+        item, parts = value_encoder()
+        return {"args": [item(v) for v in self.args],
+                "globals": [[n, item(v)] for n, v in sorted(self.globals.items())],
+                "segments": {str(sid): [item(x) for x in seg]
+                             for sid, seg in sorted(self.segments.items())},
+                "parts": parts}
 
     def encoding(self) -> str:
         """`encode` as JSON text, kept in `encoded`: equal texts replay
@@ -87,11 +89,12 @@ class Context:
         return self.encoded
 
     def walk(self) -> dict:
-        """Every place the context names, argument roots first: a root, an
-        array item, a record field or a segment element, kept in `places`.
+        """Every place the context names, arguments first: an argument, a
+        global, an array item, a record field or a segment element, kept
+        in `places`.
 
         Maps each place's path to (value, holder, steps): its holder is
-        where a world stores it, a root's args index or global name or a
+        where a world stores it, an argument's index, a global's name or a
         segment element's (segment id, absolute index), and its steps are
         the array indices and field names below that holder.  Aliased
         segments are walked once, named by the first path that reaches
@@ -99,8 +102,8 @@ class Context:
         """
         if self.places is None:
             places, visited = {}, set()
-            open_ = [iter([(p, v, int(p[4:-1]) if p[0] == "a" else p[7:], ())
-                           for p, v in self.roots.items()])]   # a stack: values nest deep
+            open_ = [iter([*((f"arg[{i}]", v, i, ()) for i, v in enumerate(self.args)),
+                           *((f"global:{n}", v, n, ()) for n, v in self.globals.items())])]
             while open_:
                 for path, v, holder, steps in open_[-1]:
                     places[path] = v, holder, steps
@@ -142,13 +145,9 @@ class Context:
         the arrays and records above it rebuilt.  KeyError for a path
         `walk` does not name; TypeMismatch unless the value is of the
         leaf's kind, bytes or int (an int wraps to 64 bits).  It runs once
-        per unit execution, so it does only the copies, the checks and the
-        replacing; the rest is kept.
+        per unit execution, so all else it needs is kept.
         """
-        if self.split is None:
-            self.split = ([v for p, v in self.roots.items() if p[0] == "a"],
-                          {p[7:]: v for p, v in self.roots.items() if p[0] == "g"})
-        args, globals_ = list(self.split[0]), dict(self.split[1])
+        args, globals_ = list(self.args), dict(self.globals)
         segments = {sid: seg[:] for sid, seg in self.segments.items()}
         if not assign:
             return args, (globals_, segments)
@@ -166,7 +165,7 @@ class Context:
                 value = wrap64(value)
             if type(holder) is tuple:       # a segment element
                 held, key = segments[holder[0]], holder[1]
-            else:                           # a root
+            else:                           # an argument or a global
                 held, key = (args if type(holder) is int else globals_), holder
             # Only leaves are replaced, so every step leads where it did.
             held[key] = _rebuilt(held[key], steps, value) if steps else value
@@ -189,10 +188,10 @@ def _rebuilt(v, steps, new):
 class CarvedTest:
     """One recorded call and the context it replays.
 
-    The context's segments are the heap slice reachable from its roots
-    at call time, copied under the run's byte budget.  When it is
-    `truncated`, refs out of the slice (in roots and segments alike) are
-    null.  `observed_coverage` is filled in when the call returns, and
+    The context's segments are the heap slice reachable from its args
+    and globals at call time, copied under the run's byte budget.  When
+    it is `truncated`, refs out of the slice are null wherever they are.
+    `observed_coverage` is filled in when the call returns, and
     `origin` (the system input's id) by `carving.carve_with_stats`.
     """
 
@@ -239,17 +238,13 @@ class Tracer:
         if name in self.input_dependent or self.returned[name] >= PER_FN_CAP:
             return name
         # The context: the arguments, then the globals by name.
-        roots = {f"arg[{i}]": v for i, v in enumerate(args)}
-        for n in sorted(st.globals):
-            roots[f"global:{n}"] = st.globals[n]
-        segments, truncated = snapshot_reachable(
-            roots.values(), st.segments, st.opts.max_dump_bytes)
-        if truncated:
-            roots = {p: sever(v, segments) for p, v in roots.items()}
+        names, n = sorted(st.globals), len(args)
+        roots, segments, truncated = snapshot_reachable(
+            [*args, *(st.globals[g] for g in names)], st.segments, st.opts.max_dump_bytes)
         st.coverage = set()
         self.sets.append(st.coverage)
-        return CarvedTest((name, call_index),
-                          Context(roots, segments, truncated), "", frozenset())
+        return CarvedTest((name, call_index), Context(tuple(roots[:n]), dict(
+            zip(names, roots[n:])), segments, truncated), "", frozenset())
 
     def leave(self, st, call) -> None:
         """The call `enter` returned `call` for has returned."""
@@ -304,29 +299,24 @@ def encode_carve(carve: CarvedTest) -> dict:
 def decode_carve(doc: dict) -> CarvedTest:
     """The carve `encode_carve` wrote; FormatError if `doc` is malformed.
 
-    The roots must be `arg[0]` to `arg[n-1]` and then distinct globals,
-    as a call's context holds them.  Every ref must point into the
-    segment table, with an offset at most its segment's length (`slice`
-    can leave a ref at the end).
+    The globals must be distinct identifiers in name order.  Every ref
+    must point into the segment table, at most at its segment's end
+    (`slice` can leave a ref there).
     """
     try:
-        paths = [p for p, _ in doc["roots"]]
-        n = 0
-        while n < len(paths) and paths[n] == f"arg[{n}]":
-            n += 1
-        if not all(type(p) is str and p.startswith("global:") and re.fullmatch(IDENT, p[7:])
-                   for p in paths[n:]) \
-                or len(set(paths)) != len(paths):
-            raise FormatError(f"roots must be arg[0..n-1] then globals: {paths!r}")
+        names = [n for n, _ in doc["globals"]]
+        if not all(type(n) is str and re.fullmatch(IDENT, n) for n in names) \
+                or names != sorted(set(names)):
+            raise FormatError(f"globals must be distinct identifiers in name order: {names!r}")
         fn, call_index = doc["start"]["fn"], doc["start"]["call_index"]
         origin, truncated = doc["origin"], doc["truncated"]
         if type(call_index) is not int or type(truncated) is not bool:
             raise FormatError("call_index must be a JSON integer, truncated a JSON bool")
         if type(fn) is not str or not re.fullmatch(IDENT, fn) or type(origin) is not str:
             raise FormatError("fn must be an identifier, origin a JSON string")
-        table = decode_segments(doc["segments"])
-        lengths = {sid: len(seg) for sid, seg in table.items()}
-        ctx = Context({p: decode_value(v, lengths) for p, v in doc["roots"]}, table, truncated)
+        item, table = value_decoder(doc["parts"], doc["segments"])
+        ctx = Context(tuple(map(item, doc["args"])),
+                      {n: item(x) for n, x in doc["globals"]}, table, truncated)
         return CarvedTest((fn, call_index), ctx, origin, frozenset(
             BranchGoal.parse(g) for g in doc["observed_coverage"]))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -336,16 +326,18 @@ def decode_carve(doc: dict) -> CarvedTest:
 def serialize_run_result(result) -> dict:
     """A `RunResult` as JSON, for determinism checks; wall time is
     excluded because it is the one field the machine, not the program,
-    decides."""
+    decides.  A returned array or record adds the `parts` its item names."""
+    item, parts = value_encoder()
     return {
         "status": asdict(result.status),
         "coverage": sorted(str(g) for g in result.coverage),
         "steps": result.steps,
         "output": result.output.decode("latin-1"),
-        "return_value": encode_value(result.return_value),
+        "return_value": item(result.return_value),
         "trace": None if result.trace is None else {
             "calls": [encode_carve(c) for c in result.trace],
             "stats": asdict(result.carve_stats)},
+        **({"parts": parts} if parts else {}),     # filled by the items above
     }
 
 
@@ -361,7 +353,7 @@ def load_snapshot(path) -> CarvedTest:
     try:
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
-    except ValueError as exc:   # not JSON, or not ASCII
+    except (ValueError, RecursionError) as exc:   # not JSON or ASCII, or nested too deep
         raise FormatError(f"snapshot is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("snapshot document must be a JSON object")

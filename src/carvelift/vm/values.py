@@ -16,8 +16,9 @@ its elements; its length is fixed at allocation.  A Ref with a nonzero
 offset is a derived pointer: indexing is relative to the offset and the
 remaining length is the segment length minus the offset.
 
-The JSON encoding (docs/formats.md) writes each value as a tagged object
-and each segment as the list of its encoded elements.
+The JSON encoding (docs/formats.md) writes a scalar as a tagged object,
+each array and record once as a part that names its items, and each
+segment as the list of its elements' items.
 """
 
 from __future__ import annotations
@@ -195,26 +196,68 @@ def _size_and_refs(v, sizes: dict[int, int]) -> tuple[int, list]:
     return size, refs
 
 
+# ---------------------------------------------------------------- rebuilding
+
+def rebuilt(v, memo: dict, leaf, part):
+    """`v` rebuilt bottom up in one walk: each scalar as `leaf(x)`, each
+    array and record as `part(x, items)` from its items rebuilt.  `memo`
+    holds each part's result by id(), as `sizes` does for _size_and_refs,
+    so a part held in several places is rebuilt once and every place gets
+    that; the caller keeps every part alive while it keeps `memo`."""
+    todo, done = [(v, False)], []
+    while todo:
+        v, ready = todo.pop()
+        if type(v) is not tuple and type(v) is not Record:
+            done.append(leaf(v))
+        elif id(v) in memo:
+            done.append(memo[id(v)])
+        elif not ready:     # its items first, then itself from them
+            todo.append((v, True))
+            todo += [(x, False) for x in reversed(v if type(v) is tuple
+                                                  else v.fields.values())]
+        else:
+            n = len(v if type(v) is tuple else v.fields)
+            memo[id(v)] = part(v, done[len(done) - n:])
+            done[len(done) - n:] = [memo[id(v)]]
+    return done[0]
+
+
+def sever(v, keep, copies: dict):
+    """`v` with each ref into a segment whose id is not in `keep` null;
+    each array and record in it is copied once into `copies` (`rebuilt`)."""
+    return rebuilt(v, copies, lambda x: None if type(x) is Ref and x.seg not in keep else x,
+                   lambda x, items: tuple(items) if type(x) is tuple
+                   else Record(x.rtype, dict(zip(x.fields, items))))
+
+
 # ---------------------------------------------------------------- encoding
 
-def encode_value(v) -> object:
-    """JSON-able encoding. Bytes go through base64."""
+def _scalar_item(v) -> dict:
+    if type(v) is int:
+        return {"t": "int", "v": v}
+    if type(v) is bytes:
+        return {"t": "bytes", "v": base64.b64encode(v).decode("ascii")}
+    if type(v) is Ref:
+        return {"t": "ref", "seg": v.seg, "off": v.off}
     if v is None:
         return {"t": "null"}
-    if isinstance(v, int):
-        return {"t": "int", "v": v}
-    if isinstance(v, float):
+    if type(v) is float:
         return {"t": "float", "v": repr(v)}
-    if isinstance(v, bytes):
-        return {"t": "bytes", "v": base64.b64encode(v).decode("ascii")}
-    if isinstance(v, tuple):
-        return {"t": "array", "v": [encode_value(x) for x in v]}
-    if isinstance(v, Record):
-        return {"t": "record", "name": v.rtype,
-                "fields": [[k, encode_value(x)] for k, x in v.fields.items()]}
-    if isinstance(v, Ref):
-        return {"t": "ref", "seg": v.seg, "off": v.off}
     raise TypeError(f"not a runtime value: {v!r}")
+
+
+def value_encoder():
+    """(item, parts): `item(v)` is the JSON item of a value the caller
+    keeps alive, and each array and record in it is appended to `parts`
+    once, after every part it holds, as the item that names it."""
+    parts, memo = [], {}
+
+    def part(v, items):
+        parts.append({"t": "array", "v": items} if type(v) is tuple else
+                     {"t": "record", "name": v.rtype, "fields": [*map(list, zip(v.fields, items))]})
+        return {"t": "part", "i": len(parts) - 1}
+    return (lambda v: _scalar_item(v) if type(v) is not tuple and type(v) is not Record
+            else rebuilt(v, memo, _scalar_item, part)), parts
 
 
 def decode_b64(text) -> bytes:
@@ -225,116 +268,80 @@ def decode_b64(text) -> bytes:
         raise FormatError(f"malformed base64 {text!r}: {exc}") from exc
 
 
-def _decode_int(obj: dict, key: str) -> int:
-    """A JSON integer (not a bool, a float or a string) at obj[key]."""
+def _decode_int(obj: dict, key: str, lo=INT64_MIN, hi=INT64_MAX) -> int:
+    """A JSON integer (not a bool, a float or a string) at obj[key], from lo to hi."""
     v = obj[key]
-    if type(v) is not int:
-        raise FormatError(f"{key} must be a JSON integer: {obj!r}")
+    if type(v) is not int or not lo <= v <= hi:
+        raise FormatError(f"{key} must be a JSON integer from {lo} to {hi}: {obj!r}")
     return v
 
 
 _NAME = re.compile(IDENT)
 
 
-def decode_value(obj: object, lengths: dict[int, int]):
-    """The value encode_value wrote; FormatError if it is malformed or
-    holds a ref past its segment's length in `lengths` (by segment id)."""
-    if not isinstance(obj, dict) or "t" not in obj:
-        raise FormatError(f"malformed value encoding: {obj!r}")
-    t = obj["t"]
-    if t == "null":
-        return None
-    if t == "int":
-        v = _decode_int(obj, "v")
-        if not INT64_MIN <= v <= INT64_MAX:
-            raise FormatError(f"int {v} is outside the signed 64-bit range")
-        return v
-    if t == "float":    # repr() of the float, as encode_value writes it
-        v = obj["v"]
-        if type(v) is not str or repr(float(v)) != v:
-            raise FormatError(f"float must be a repr() string: {obj!r}")
-        return float(v)
-    if t == "bytes":
-        return decode_b64(obj["v"])
-    if t == "array":
-        return tuple(decode_value(x, lengths) for x in obj["v"])
-    if t == "record":
-        name, fields = obj["name"], obj["fields"]
-        if not all(isinstance(n, str) and _NAME.fullmatch(n)
-                   for n in (name, *(k for k, _ in fields))):
-            raise FormatError(f"record and field names must be identifiers: {obj!r}")
-        return Record(name, {k: decode_value(x, lengths) for k, x in fields})
-    if t == "ref":
-        off = _decode_int(obj, "off")
-        if off < 0:
-            raise FormatError(f"ref offset {off} is negative")
+def value_decoder(parts: list, segments: dict):
+    """(item, table): `item` decodes an item of the document that holds
+    `parts` and `segments`, `table` is its segments decoded; FormatError
+    if malformed.  Segment lengths are read first, so each ref is checked
+    as it is built, and each part is built in order from items naming
+    only parts built before it, so no document nests or makes a cycle."""
+    lengths = {}
+    for sid, seg in segments.items():
+        if not isinstance(seg, list) or not sid.lstrip("-").isdecimal() or str(int(sid)) != sid:
+            raise FormatError(f"segment {sid!r} must be a list, its id an int as str() writes it")
+        lengths[int(sid)] = len(seg)
+    built = []
+
+    def item(obj):
+        t = obj.get("t") if isinstance(obj, dict) else None
+        if t == "part":
+            k = _decode_int(obj, "i")
+            if not 0 <= k < len(built):
+                raise FormatError(f"part {k} is not one of the {len(built)} built before it")
+            return built[k]
+        if t == "null":
+            return None
+        if t == "int":      # no run of the language holds one past 64 bits
+            return _decode_int(obj, "v")
+        if t == "float":    # repr() of the float, as _scalar_item writes it
+            v = obj["v"]
+            if type(v) is not str or repr(float(v)) != v:
+                raise FormatError(f"float must be a repr() string: {obj!r}")
+            return float(v)
+        if t == "bytes":
+            return decode_b64(obj["v"])
+        if t != "ref":      # an array or a record is written only as a part
+            raise FormatError(f"not an item: {obj!r}")
+        off = _decode_int(obj, "off", 0)
         ref = Ref(_decode_int(obj, "seg"), off)
         if off > lengths.get(ref.seg, -1):
             raise FormatError(f"{ref} lies outside the segment table")
         return ref
-    raise FormatError(f"unknown value tag: {t!r}")
 
-
-def encode_segments(table: SegmentTable) -> dict:
-    """A segment table as JSON: each segment its list of encoded elements,
-    keyed by its id as a string."""
-    return {str(sid): [encode_value(x) for x in seg]
-            for sid, seg in sorted(table.items())}
-
-
-def decode_segments(obj: dict) -> SegmentTable:
-    """The table encode_segments wrote.  Every segment's length is known
-    before any element is decoded, so each ref is checked as it is built."""
-    lengths = {}
-    for sid, seg in obj.items():
-        if not isinstance(seg, list):
-            raise FormatError(f"segment {sid} is not a list: {seg!r}")
-        if not sid.lstrip("-").isdecimal() or str(int(sid)) != sid:
-            raise FormatError(f"segment id {sid!r} is not an integer as str() writes it")
-        lengths[int(sid)] = len(seg)
-    return {int(sid): [decode_value(x, lengths) for x in seg] for sid, seg in obj.items()}
-
-
-def sever(v, keep, copies: dict | None = None):
-    """`v` with each ref into a segment whose id is not in `keep` replaced
-    by null; every array and record in it is a new one.
-
-    `copies` holds the copy of each array and record severed so far, by
-    id(), as `sizes` does for _size_and_refs: a part held in several
-    places is copied once, and the copies share it as the original did.
-    """
-    copies = {} if copies is None else copies
-    todo, done = [(v, False)], []
-    while todo:
-        v, ready = todo.pop()
-        if type(v) is not tuple and type(v) is not Record:
-            done.append(None if type(v) is Ref and v.seg not in keep else v)
-        elif id(v) in copies:
-            done.append(copies[id(v)])
-        elif not ready:     # its items first, then itself from them
-            todo.append((v, True))
-            todo += [(x, False) for x in reversed(v if type(v) is tuple
-                                                  else v.fields.values())]
+    for obj in parts:
+        t = obj.get("t") if isinstance(obj, dict) else None
+        if t == "array":
+            built.append(tuple(map(item, obj["v"])))
+        elif t != "record":
+            raise FormatError(f"a part must be an array or a record: {obj!r}")
+        elif all(type(n) is str and _NAME.fullmatch(n)
+                 for n in (obj["name"], *dict(obj["fields"]))):
+            built.append(Record(obj["name"], {k: item(x) for k, x in obj["fields"]}))
         else:
-            n = len(v if type(v) is tuple else v.fields)
-            items = done[len(done) - n:]
-            del done[len(done) - n:]
-            copies[id(v)] = (tuple(items) if type(v) is tuple
-                             else Record(v.rtype, dict(zip(v.fields, items))))
-            done.append(copies[id(v)])
-    return done[0]
+            raise FormatError(f"record and field names must be identifiers: {obj!r}")
+    return item, {int(sid): list(map(item, seg)) for sid, seg in segments.items()}
 
 
-def snapshot_reachable(roots, table: SegmentTable,
-                       max_bytes: int) -> tuple[SegmentTable, bool]:
+def snapshot_reachable(roots: list, table: SegmentTable,
+                       max_bytes: int) -> tuple[list, SegmentTable, bool]:
     """Copy of the heap slice reachable from `roots`, under a byte budget.
 
     Breadth-first over refs, roots in the order given.  Traversal stops
     entirely at the first segment that would push the accumulated size
     past max_bytes, so growing the budget only ever adds segments.  An
     untruncated slice is closed under ref traversal; in a truncated one,
-    refs out of the kept slice are severed to null (the caller severs the
-    roots).  Returns (kept segments, truncated).
+    refs out of it, in roots and segments alike, are severed to null with
+    one `copies`.  Returns (the roots as it holds them, it, truncated).
     """
     if max_bytes <= 0:
         raise ValueError("max_bytes must be positive")
@@ -375,7 +382,7 @@ def snapshot_reachable(roots, table: SegmentTable,
             copies: dict = {}
             for k in kept.values():
                 k[:] = [sever(x, kept, copies) for x in k]
-            return kept, True
+            return [sever(v, kept, copies) for v in roots], kept, True
         kept[sid] = list(seg)
         discover(refs)
-    return kept, False
+    return roots, kept, False

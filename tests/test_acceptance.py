@@ -133,12 +133,9 @@ def _rand_context(rng) -> Context:
             return Record("T", {"a": _rand_leaf(rng), "b": _rand_leaf(rng)})
         return _rand_leaf(rng)
 
-    roots = {}
-    for i in range(rng.randint(1, 3)):
-        roots[f"arg[{i}]"] = node()
-    for i in range(rng.randrange(3)):
-        roots[f"global:g{i}"] = node()
-    return Context(roots=roots, segments=segments, truncated=False)
+    args = tuple(node() for _ in range(rng.randint(1, 3)))
+    globals_ = {f"g{i}": node() for i in range(rng.randrange(3))}
+    return Context(args, globals_, segments, False)
 
 
 def _rand_input(rng, ctx: Context) -> SystemInput:
@@ -236,9 +233,7 @@ def test_context_world_replaces_exactly_the_assigned_leaf(carve_corpus):
             old = c.context.resolve(path)
             new = old + b"!" if isinstance(old, bytes) else wrap64(old + 1)
             args, (globals_, segments) = c.context.world({path: new})
-            roots = {f"arg[{i}]": v for i, v in enumerate(args)}
-            roots.update((f"global:{n}", v) for n, v in globals_.items())
-            rebuilt = Context(roots, segments, False)
+            rebuilt = Context(tuple(args), globals_, segments, False)
             assert rebuilt.resolve(path) == new
             assert list(rebuilt.leaves()) == [
                 (p, new if p == path else v) for p, v in carved], path

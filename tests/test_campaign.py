@@ -8,6 +8,7 @@ control flow.
 """
 
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -66,7 +67,7 @@ FNS = ("fa", "fb", "fc", "fd", "fe")
 
 
 def fake_carve(fn, idx):
-    return CarvedTest((fn, idx), Context({}, {}, False), f"seed-{idx}",
+    return CarvedTest((fn, idx), Context((), {}, {}, False), f"seed-{idx}",
                       frozenset())
 
 
@@ -452,16 +453,20 @@ def test_a_corpus_directory_that_holds_inputs_is_refused(tmp_path, monkeypatch):
     assert sorted(out.iterdir()) == old
 
 
-def test_a_corpus_path_that_is_a_file_is_refused_before_running(tmp_path, monkeypatch):
+@pytest.mark.parametrize("below", ["", "sub", "sub/dir"])
+def test_a_corpus_path_that_is_or_is_under_a_file_is_refused_before_running(
+        tmp_path, monkeypatch, below):
     # write_corpus could not make the directory, and would fail only once
     # the campaign had run.
-    out = tmp_path / "corpus"
-    out.write_bytes(b"not a directory")
+    file = tmp_path / "corpus"
+    file.write_bytes(b"not a directory")
+    out = file / below
     monkeypatch.setattr(campaign_module, "_Campaign", None)    # nothing runs
-    with pytest.raises(ConfigError, match="is not a directory"):
+    with pytest.raises(ConfigError, match=f"^corpus_out {re.escape(str(out))}: "
+                                          f"{re.escape(str(file))} is not a directory$"):
         run_campaign(load_subject("keycheck"), KEY_SEEDS,
                      bridge_cfg(corpus_out=str(out)))
-    assert out.read_bytes() == b"not a directory"
+    assert file.read_bytes() == b"not a directory"
 
 
 def test_function_rows_echo_the_program(keycheck_bridge_report):

@@ -9,6 +9,7 @@ carve is replayed through call_function to check it reproduces them.
 import dataclasses
 import json
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -136,7 +137,7 @@ fn main() -> int {
     indices = [c.start[1] for c in carves]
     assert indices == sorted(indices)
     # first call captures acc == 0, so the cap kept the earliest calls
-    assert carves[0].context.roots["arg[0]"] == 0
+    assert carves[0].context.args[0] == 0
     monkeypatch.setattr(trace, "PER_FN_CAP", 100)
     uncapped = run_with_tracing(prog, mk_input())
     assert len(carve_with_stats(uncapped)[0]) == 20
@@ -243,13 +244,13 @@ def linked_list(n):
 
 
 def test_snapshot_no_refs_is_empty():
-    got, truncated = snapshot_reachable([7, b"xy", 1.5], {}, 100)
+    _, got, truncated = snapshot_reachable([7, b"xy", 1.5], {}, 100)
     assert got == {} and truncated is False
 
 
 def test_snapshot_whole_closure_when_budget_is_large():
     table = linked_list(10)
-    got, truncated = snapshot_reachable([Ref(0, 0)], table, 10 * NODE_BYTES)
+    _, got, truncated = snapshot_reachable([Ref(0, 0)], table, 10 * NODE_BYTES)
     assert truncated is False
     assert sorted(got) == list(range(10))
     assert got[9][1] is None
@@ -257,7 +258,7 @@ def test_snapshot_whole_closure_when_budget_is_large():
 
 def test_snapshot_budget_cuts_after_four_nodes():
     table = linked_list(10)
-    got, truncated = snapshot_reachable([Ref(0, 0)], table, 100)
+    _, got, truncated = snapshot_reachable([Ref(0, 0)], table, 100)
     assert truncated is True
     assert sorted(got) == [0, 1, 2, 3], (100 // NODE_BYTES)
     # the ref out of the cut is severed, not dangling
@@ -268,7 +269,7 @@ def test_snapshot_budget_cuts_after_four_nodes():
 
 def test_snapshot_zero_keep_still_truncates():
     table = linked_list(3)
-    got, truncated = snapshot_reachable([Ref(0, 0)], table, NODE_BYTES - 1)
+    _, got, truncated = snapshot_reachable([Ref(0, 0)], table, NODE_BYTES - 1)
     assert got == {} and truncated is True
 
 
@@ -276,7 +277,7 @@ def test_snapshot_monotone_in_budget():
     table = linked_list(10)
     prev = set()
     for budget in range(8, 11 * NODE_BYTES, 4):
-        got, _ = snapshot_reachable([Ref(0, 0)], table, budget)
+        _, got, _ = snapshot_reachable([Ref(0, 0)], table, budget)
         assert prev <= set(got), budget
         prev = set(got)
     assert prev == set(range(10))
@@ -329,13 +330,13 @@ def reference_snapshot(roots, table, max_bytes):
         used += 8 + sum(reference_byte_size(x) for x in seg)
         if used > max_bytes:
             for k in kept.values():
-                k[:] = [sever(x, kept) for x in k]
-            return kept, True
+                k[:] = [sever(x, kept, {}) for x in k]
+            return [sever(v, kept, {}) for v in roots], kept, True
         kept[queue[qi]] = list(seg)
         for x in seg:
             discover(x)
         qi += 1
-    return kept, False
+    return roots, kept, False
 
 
 def random_heap(rng, n_segs):
@@ -386,11 +387,14 @@ def shared_heaps():
 
 
 def assert_same_snapshot(got, want):
-    assert got[1] == want[1]
-    assert list(got[0]) == list(want[0])    # breadth-first order kept
-    for sid, seg in want[0].items():
-        assert len(got[0][sid]) == len(seg)
-        assert all(equal(x, y) for x, y in zip(got[0][sid], seg)), sid
+    (got_roots, got, truncated), (want_roots, want, want_truncated) = got, want
+    assert truncated == want_truncated
+    assert len(got_roots) == len(want_roots)
+    assert all(equal(x, y) for x, y in zip(got_roots, want_roots))
+    assert list(got) == list(want)    # breadth-first order kept
+    for sid, seg in want.items():
+        assert len(got[sid]) == len(seg)
+        assert all(equal(x, y) for x, y in zip(got[sid], seg)), sid
 
 
 def test_snapshot_matches_the_two_walk_reference():
@@ -398,7 +402,7 @@ def test_snapshot_matches_the_two_walk_reference():
     heaps = list(shared_heaps()) + [random_heap(rng, rng.randint(1, 12))
                                     for _ in range(150)]
     for roots, table in heaps:
-        whole, truncated = reference_snapshot(roots, table, 1 << 60)
+        _, whole, truncated = reference_snapshot(roots, table, 1 << 60)
         assert not truncated
         total = sum(8 + sum(reference_byte_size(x) for x in seg)
                     for seg in whole.values())
@@ -423,10 +427,10 @@ def test_snapshot_walks_a_value_once_per_call(monkeypatch):
     total = 8 + 10_000 * 24 + 16    # each slot counts the record's 24 bytes
     for _ in range(2):
         assert snapshot_reachable([Ref(0, 0)], table, total) == (
-            {0: [rec] * 10_000, 1: [5]}, False)
+            [Ref(0, 0)], {0: [rec] * 10_000, 1: [5]}, False)
     severed = Record("Num", {"v": 3, "next": None})
     assert snapshot_reachable([Ref(0, 0)], table, total - 1) == (
-        {0: [severed] * 10_000}, True)
+        [Ref(0, 0)], {0: [severed] * 10_000}, True)
     assert sum(v is rec for v in walks) == 3     # once per call
 
 
@@ -484,7 +488,7 @@ def test_a_traced_run_of_a_value_with_2_to_the_40_paths_returns(budget):
                               RunOptions(max_dump_bytes=budget))
     assert result.status.kind == "exit" and result.status.code == 2
     [carve] = result.trace
-    root = carve.context.roots["arg[0]"]
+    root = carve.context.args[0]
     assert carve.context.truncated == (budget == 8)
     assert list(carve.context.segments.values()) == (
         [] if budget == 8 else [[7, 7]])
@@ -492,6 +496,83 @@ def test_a_traced_run_of_a_value_with_2_to_the_40_paths_returns(budget):
         assert root[0] is root[1]
         root = root[0]
     assert root == ((None,) if budget == 8 else (Ref(root[0].seg, 0),))
+
+
+def test_a_value_with_2_to_the_40_paths_saves_and_loads_each_part_once(tmp_path):
+    [carve] = run_with_tracing(parse(DOUBLING), mk_input()).trace
+    path = tmp_path / "c.snap"
+    started = time.perf_counter()
+    save_snapshot(carve, path)
+    loaded = load_snapshot(path)
+    assert time.perf_counter() - started < 1.0
+    assert len(json.loads(path.read_text())["parts"]) == 41
+    assert loaded.context.encoding() == carve.context.encoding()
+    root = loaded.context.args[0]
+    for _ in range(40):
+        assert root[0] is root[1]
+        root = root[0]
+
+
+NESTING = """
+fn f(a: [int]) -> [int] { return a; }
+fn main() -> int {
+    let a = [0];
+    let i = 0;
+    while (i < 10000) { a = [i, a]; i = i + 1; }
+    f(a);
+    return 0;
+}
+"""
+
+
+def test_a_carve_nested_10_000_deep_saves_loads_and_serializes(tmp_path):
+    program = parse(NESTING)
+    traced = run_with_tracing(program, mk_input())
+    [carve] = traced.trace
+    path = tmp_path / "c.snap"
+    save_snapshot(carve, path)
+    assert equal(load_snapshot(path).context.args[0], carve.context.args[0])
+    unit = call_function(program, "f", *carve.context.world())
+    assert equal(unit.return_value, carve.context.args[0])
+    for r in (traced, unit):
+        json.dumps(trace.serialize_run_result(r))
+    assert len(trace.serialize_run_result(unit)["parts"]) == 10_001
+
+
+SHARED_ARGUMENTS = """
+global big: ref int = alloc_array(100, 0);
+fn f(a: [int], b: [int]) -> int { return len(a) + len(b) + len(big); }
+fn main() -> int {
+    let t = [1, 2];
+    return f(t, t);
+}
+"""
+
+
+def test_a_truncated_carve_keeps_what_its_roots_share(tmp_path):
+    result = run_with_tracing(parse(SHARED_ARGUMENTS), mk_input(),
+                              RunOptions(max_dump_bytes=8))
+    [carve] = result.trace
+    assert carve.context.truncated and carve.context.globals == {"big": None}
+    assert carve.context.args[0] is carve.context.args[1]
+    path = tmp_path / "c.snap"
+    save_snapshot(carve, path)
+    assert json.loads(path.read_text())["parts"] == [
+        {"t": "array", "v": [{"t": "int", "v": 1}, {"t": "int", "v": 2}]}]
+    args = load_snapshot(path).context.args
+    assert args == ((1, 2), (1, 2)) and args[0] is args[1]
+
+
+def test_equal_contexts_encode_equally(tmp_path, subjects):
+    """A context's encoding keys the unit memos: two runs of one input
+    carve contexts that encode alike, and so does a saved one loaded."""
+    seed = mk_input((b"d7wfv", b"xczZ7tz"))
+    first, second = (carve_with_stats(run_with_tracing(subjects["keycheck"], seed))[0]
+                     for _ in range(2))
+    assert [c.context.encoding() for c in first] == [c.context.encoding() for c in second]
+    for i, c in enumerate(first):
+        save_snapshot(c, tmp_path / f"{i}.snap")
+        assert load_snapshot(tmp_path / f"{i}.snap").context.encoding() == c.context.encoding()
 
 
 def carves_of_the_dc_bridge_pool(monkeypatch):
@@ -545,7 +626,7 @@ def test_truncated_context_severs_root_refs():
     assert carves, "expected carves even under a tiny budget"
     for c in carves:
         assert c.context.truncated is True
-        assert c.context.roots["global:db"] is None
+        assert c.context.globals["db"] is None
         assert c.context.segments == {}
 
 
@@ -566,7 +647,7 @@ fn main() -> int {
     result = run_with_tracing(prog, mk_input())
     carved = next(c for c in carve_with_stats(result)[0]
                   if c.start[0] == "bump")
-    ref = carved.context.roots["arg[0]"]
+    ref = carved.context.args[0]
     assert carved.context.segments[ref.seg] == [1, 0]
     assert replay(prog, carved).return_value == 1
 
@@ -575,10 +656,8 @@ fn main() -> int {
 
 def test_leaves_enumeration_order_and_paths():
     ctx = Context(
-        roots={
-            "arg[0]": b"abc",
-            "global:g": Ref(0, 0),
-        },
+        args=(b"abc",),
+        globals={"g": Ref(0, 0)},
         segments={
             0: [
                 Record("P", {"a": 1, "b": (2.5, b"zz")}),
@@ -599,7 +678,8 @@ def test_leaves_enumeration_order_and_paths():
 
 def test_leaves_deduplicate_aliased_segments():
     ctx = Context(
-        roots={"global:a": Ref(0, 0), "global:b": Ref(0, 0)},
+        args=(),
+        globals={"a": Ref(0, 0), "b": Ref(0, 0)},
         segments={0: [7]},
         truncated=False,
     )
@@ -608,7 +688,8 @@ def test_leaves_deduplicate_aliased_segments():
 
 def test_leaves_terminate_on_cycles():
     ctx = Context(
-        roots={"global:a": Ref(0, 0)},
+        args=(),
+        globals={"a": Ref(0, 0)},
         segments={0: [Ref(0, 0), 5]},
         truncated=False,
     )
@@ -617,7 +698,8 @@ def test_leaves_terminate_on_cycles():
 
 def test_resolve_follows_paths():
     ctx = Context(
-        roots={"arg[0]": Ref(1, 0), "global:g": Ref(1, 0)},
+        args=(Ref(1, 0),),
+        globals={"g": Ref(1, 0)},
         segments={1: [Record("P", {"a": (10, 20)})]},
         truncated=False,
     )
@@ -634,7 +716,8 @@ def test_walk_keeps_each_place_with_its_holder_and_steps():
     # A ref into the middle of a segment names its elements from its
     # offset; a later ref to the same segment names nothing.
     ctx = Context(
-        roots={"arg[0]": Ref(1, 1), "global:g": Ref(1, 0)},
+        args=(Ref(1, 1),),
+        globals={"g": Ref(1, 0)},
         segments={1: [9, (Record("P", {"a": (1, 2)}),), 4]},
         truncated=False,
     )
@@ -676,7 +759,7 @@ def test_keycheck_snapshot_round_trip(tmp_path, subjects):
     result = run_with_tracing(prog, mk_input([b"d7wfv", b"xczZ7tz"]))
     carves = carve_with_stats(result, origin="seed-0")[0]
     target = next(c for c in carves if c.start[0] == "check_user")
-    assert target.context.roots["arg[0]"] == b"d7wfv"
+    assert target.context.args[0] == b"d7wfv"
     names = [
         seg[0].fields["name"]
         for seg in target.context.segments.values()
@@ -707,8 +790,7 @@ def test_random_snapshot_round_trips(tmp_path):
 
 def test_floats_and_arrays_round_trip_in_roots_and_segments(tmp_path):
     carved = trace.CarvedTest(
-        ("f", 1), Context({"arg[0]": (0.1, (b"ab", -7)), "arg[1]": Ref(0, 0),
-                           "global:g": -2.5e300},
+        ("f", 1), Context(((0.1, (b"ab", -7)), Ref(0, 0)), {"g": -2.5e300},
                           {0: [(1.5, ()), 0.0, (Ref(0, 2),)]}, False),
         "test", frozenset())
     path = tmp_path / "c.snap"
@@ -718,14 +800,14 @@ def test_floats_and_arrays_round_trip_in_roots_and_segments(tmp_path):
     assert [type(x) for x in got.context.segments[0]] == [tuple, float, tuple]
 
 
-@pytest.mark.parametrize("roots,segments,ref", [
-    ({"arg[0]": Ref(1, 0)}, {0: [7]}, "Ref(1, 0)"),
-    ({"arg[0]": (Ref(0, 2),)}, {0: [7]}, "Ref(0, 2)"),
-    ({"arg[0]": Ref(0, 0)}, {0: [Record("R", {"a": (Ref(0, 1), Ref(3, 0))})]}, "Ref(3, 0)"),
+@pytest.mark.parametrize("arg,segments,ref", [
+    (Ref(1, 0), {0: [7]}, "Ref(1, 0)"),
+    ((Ref(0, 2),), {0: [7]}, "Ref(0, 2)"),
+    (Ref(0, 0), {0: [Record("R", {"a": (Ref(0, 1), Ref(3, 0))})]}, "Ref(3, 0)"),
 ])
-def test_a_ref_outside_the_segment_table_does_not_load(tmp_path, roots, segments, ref):
+def test_a_ref_outside_the_segment_table_does_not_load(tmp_path, arg, segments, ref):
     path = tmp_path / "c.snap"
-    save_snapshot(trace.CarvedTest(("f", 1), Context(roots, segments, False),
+    save_snapshot(trace.CarvedTest(("f", 1), Context((arg,), {}, segments, False),
                                    "test", frozenset()), path)
     with pytest.raises(FormatError, match=rf"^{re.escape(ref)} lies outside the segment table$"):
         load_snapshot(path)
@@ -734,9 +816,9 @@ def test_a_ref_outside_the_segment_table_does_not_load(tmp_path, roots, segments
 @pytest.mark.parametrize("name", ["1g", "g-h", "\u00e9", ""])
 def test_a_global_root_must_be_named_as_the_lexer_names_it(tmp_path, name):
     path = tmp_path / "c.snap"
-    save_snapshot(trace.CarvedTest(("f", 1), Context({f"global:{name}": 1}, {}, False),
+    save_snapshot(trace.CarvedTest(("f", 1), Context((), {name: 1}, {}, False),
                                    "test", frozenset()), path)
-    with pytest.raises(FormatError, match="roots must be arg"):
+    with pytest.raises(FormatError, match="globals must be distinct identifiers"):
         load_snapshot(path)
 
 
@@ -770,29 +852,42 @@ def with_coverage(entry):
 
 def with_ref(off, seg=0):
     def edit(doc):
-        return json.dumps({**doc, "roots": [
-            ["arg[0]", {"t": "ref", "seg": seg, "off": off}]],
-            "segments": {"0": [{"t": "int", "v": 7}] * 6}})
+        return json.dumps({**doc, "args": [{"t": "ref", "seg": seg, "off": off}],
+                           "segments": {"0": [{"t": "int", "v": 7}] * 6}})
     return edit
 
 
 def with_leaf(encoded):
     def edit(doc):
-        return json.dumps({**doc, "roots": [["arg[0]", encoded]]})
+        return json.dumps({**doc, "args": [encoded]})
     return edit
 
 
-def with_roots(paths):
+def with_parts(*parts, arg=0):
+    """The one argument is part `arg` of `parts`."""
     def edit(doc):
-        return json.dumps({**doc, "roots": [[p, {"t": "int", "v": 1}] for p in paths]})
+        return json.dumps({**doc, "args": [{"t": "part", "i": arg}], "parts": list(parts)})
+    return edit
+
+
+def with_globals(names):
+    def edit(doc):
+        return json.dumps({**doc, "globals": [[n, {"t": "int", "v": 1}] for n in names]})
     return edit
 
 
 def with_segment_id(sid, seg):
     def edit(doc):
-        return json.dumps({**doc, "roots": [["arg[0]", {"t": "ref", "seg": seg, "off": 0}]],
+        return json.dumps({**doc, "args": [{"t": "ref", "seg": seg, "off": 0}],
                            "segments": {sid: [{"t": "int", "v": 7}]}})
     return edit
+
+
+def as_version_2(doc):
+    """The document as version 2 wrote it: its arguments as paths."""
+    old = {k: v for k, v in doc.items() if k not in ("args", "globals", "parts")}
+    return json.dumps({**old, "version": 2, "roots": [
+        [f"arg[{i}]", x] for i, x in enumerate(doc["args"])]})
 
 
 def test_int_leaves_at_the_64_bit_bounds_load(tmp_path):
@@ -800,14 +895,14 @@ def test_int_leaves_at_the_64_bit_bounds_load(tmp_path):
     doc = json.loads(path.read_text())
     for v in (INT64_MIN, INT64_MAX):
         path.write_text(with_leaf({"t": "int", "v": v})(doc))
-        assert load_snapshot(path).context.roots["arg[0]"] == v
+        assert load_snapshot(path).context.args[0] == v
 
 
 def test_ref_at_its_segment_end_loads(tmp_path):
     # slice(a, len(a), 0) makes such a ref; it reads nothing.
     path = small_snapshot(tmp_path)
     path.write_text(with_ref(6)(json.loads(path.read_text())))
-    assert load_snapshot(path).context.roots["arg[0]"] == Ref(0, 6)
+    assert load_snapshot(path).context.args[0] == Ref(0, 6)
 
 
 # A version-1 segment: its elements and a type, length and origin.
@@ -820,6 +915,9 @@ MALFORMED_SNAPSHOTS = {
     "version-only": lambda doc: json.dumps({"version": SNAPSHOT_VERSION}),
     "version-1": lambda doc: json.dumps(
         {**doc, "version": 1, "segments": V1_SEGMENTS}),
+    "version-2": as_version_2,
+    # json's own parser raises RecursionError on it.
+    "nested-past-the-recursion-limit": lambda doc: "[" * 100_000,
     "segment-not-a-list": lambda doc: json.dumps(
         {**doc, "segments": V1_SEGMENTS}),
     # Python's negative indexing would read from the segment's end.
@@ -834,14 +932,11 @@ MALFORMED_SNAPSHOTS = {
     "goal-without-outcome": with_coverage("f:1"),
     "goal-with-text-stmt": with_coverage("f:one:then"),
     "goal-not-a-string": with_coverage(7),
-    "roots-not-pairs": lambda doc: json.dumps({**doc, "roots": 3}),
-    "bad-base64-leaf": lambda doc: json.dumps(
-        {**doc, "roots": [["arg[0]", {"t": "bytes", "v": "abc"}]]}),
+    "globals-not-pairs": lambda doc: json.dumps({**doc, "globals": 3}),
+    "bad-base64-leaf": with_leaf({"t": "bytes", "v": "abc"}),
     # Non-alphabet characters: a lax decoder drops them ("Y!WJj" -> b"abc").
-    "base64-leaf-with-junk": lambda doc: json.dumps(
-        {**doc, "roots": [["arg[0]", {"t": "bytes", "v": "Y!WJj"}]]}),
-    "base64-leaf-all-junk": lambda doc: json.dumps(
-        {**doc, "roots": [["arg[0]", {"t": "bytes", "v": "!"}]]}),
+    "base64-leaf-with-junk": with_leaf({"t": "bytes", "v": "Y!WJj"}),
+    "base64-leaf-all-junk": with_leaf({"t": "bytes", "v": "!"}),
     # No run of the language holds an int outside 64 bits.
     "int-above-int64": with_leaf({"t": "int", "v": 2 ** 70}),
     "int-below-int64": with_leaf({"t": "int", "v": INT64_MIN - 1}),
@@ -852,20 +947,28 @@ MALFORMED_SNAPSHOTS = {
     "ref-offset-float": with_ref(0.9),
     "ref-offset-bool": with_ref(True),
     "ref-seg-string": with_ref(0, seg="0"),
-    "record-name-not-a-string": with_leaf(
+    "record-name-not-a-string": with_parts(
         {"t": "record", "name": 1, "fields": []}),
-    "record-field-name-not-a-string": with_leaf(
+    "record-field-name-not-a-string": with_parts(
         {"t": "record", "name": "R", "fields": [[1, {"t": "int", "v": 1}]]}),
     # print writes names as ASCII: its UnicodeEncodeError would end replay.
-    "record-field-name-not-ascii": with_leaf(
+    "record-field-name-not-ascii": with_parts(
         {"t": "record", "name": "R", "fields": [["\u00e9", {"t": "int", "v": 1}]]}),
-    "record-name-not-an-identifier": with_leaf(
+    "record-name-not-an-identifier": with_parts(
         {"t": "record", "name": "1R", "fields": []}),
-    # Context.world() would hand call_function only arg[0].
-    "roots-skip-an-argument": with_roots(["arg[0]", "arg[2]"]),
-    "root-not-a-path": with_roots(["arg[0]", "foo"]),
-    "argument-after-a-global": with_roots(["global:g", "arg[0]"]),
-    "root-twice": with_roots(["arg[0]", "global:g", "global:g"]),
+    # A part names only parts built before it, so none nests or cycles.
+    "part-forward-reference": with_parts(
+        {"t": "array", "v": [{"t": "part", "i": 1}]}, {"t": "array", "v": []}),
+    "part-self-reference": with_parts({"t": "array", "v": [{"t": "part", "i": 0}]}),
+    # Python's negative indexing would read the last part.
+    "part-index-negative": with_parts({"t": "array", "v": []}, arg=-1),
+    "part-index-past-the-end": with_parts({"t": "array", "v": []}, arg=1),
+    "part-index-as-string": with_parts({"t": "array", "v": []}, arg="0"),
+    "part-not-an-array-or-record": with_parts({"t": "int", "v": 1}),
+    "array-inside-an-item": with_leaf({"t": "array", "v": []}),
+    "record-inside-an-item": with_leaf({"t": "record", "name": "R", "fields": []}),
+    "global-twice": with_globals(["g", "g"]),
+    "globals-out-of-order": with_globals(["h", "g"]),
     "truncated-as-string": lambda doc: json.dumps({**doc, "truncated": "no"}),
     "truncated-as-int": lambda doc: json.dumps({**doc, "truncated": 0}),
     "call-index-as-string": lambda doc: json.dumps(

@@ -3,6 +3,8 @@
 import json
 from dataclasses import asdict
 
+import pytest
+
 import carvelift.campaign as campaign_module
 from carvelift.bundled import bundled_seeds
 from carvelift.campaign import RunConfig
@@ -80,17 +82,18 @@ def test_run_refuses_a_corpus_directory_that_holds_inputs(tmp_path, capsys):
     assert sorted(corpus_dir.iterdir()) == old
 
 
+@pytest.mark.parametrize("below", ["", "sub"])
 def test_run_refuses_a_corpus_path_that_is_a_file_before_running(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, capsys, monkeypatch, below):
     corpus_file, report_path = tmp_path / "corpus", tmp_path / "r.json"
     corpus_file.write_bytes(b"not a directory")
     monkeypatch.setattr(campaign_module, "_Campaign", None)    # nothing runs
     code = main(["run", "--program", "keycheck",
                  "--deterministic-clock", "400000", "--rng-seed", "7",
-                 "--corpus-out", str(corpus_file), "--report", str(report_path)])
+                 "--corpus-out", str(corpus_file / below), "--report", str(report_path)])
     assert code == 2
     assert capsys.readouterr().err == (
-        f"error: corpus_out {corpus_file} is not a directory\n")
+        f"error: corpus_out {corpus_file / below}: {corpus_file} is not a directory\n")
     assert corpus_file.read_bytes() == b"not a directory"
     assert not report_path.exists()
 
@@ -197,7 +200,7 @@ fn main() -> int { return f(2); }
     save_snapshot(carve_with_stats(run_with_tracing(
         parse(source), mk_input()))[0][0], snap)
     doc = json.loads(snap.read_text())
-    doc["roots"] = [["arg[0]", {"t": "int", "v": 0}]]
+    doc["args"] = [{"t": "int", "v": 0}]
     snap.write_text(json.dumps(doc))
     assert main(["replay", "--program", str(program),
                  "--snapshot", str(snap)]) == 1
@@ -242,6 +245,16 @@ fn main() -> int { return f(alloc_array(1, 7)); }
 """
 
 
+def test_replay_of_a_file_nested_past_the_recursion_limit_is_a_usage_error(
+        tmp_path, capsys):
+    deep = tmp_path / "deep"
+    deep.write_text("[" * 100_000 + "\n")
+    for flag in ("--snapshot", "--input"):
+        assert main(["replay", "--program", "keycheck", flag, str(deep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_replay_rejects_old_or_out_of_range_snapshots(tmp_path, capsys):
     """A version-1 file, a segment that is not a list, and a ref with a
     negative offset (which would read from the segment's end), an offset
@@ -262,7 +275,7 @@ def test_replay_rejects_old_or_out_of_range_snapshots(tmp_path, capsys):
             {**doc, "segments": v1_segments}]
     for seg, off in ((0, -5), (0, -1), (0, 5), (1, 0)):
         docs.append({**doc,
-                     "roots": [["arg[0]", {"t": "ref", "seg": seg, "off": off}]],
+                     "args": [{"t": "ref", "seg": seg, "off": off}],
                      "segments": {"0": [{"t": "int", "v": 7}]}})
     for i, bad_doc in enumerate(docs):
         bad = tmp_path / f"bad-{i}.snap"
@@ -289,7 +302,7 @@ def test_replay_rejects_a_field_name_print_cannot_write(tmp_path, capsys):
     assert main(replay) == 0
     capsys.readouterr()
     doc = json.loads(snap.read_text())
-    (path, record), = doc["roots"]
+    record, = doc["parts"]
     record["fields"][0][0] = "\u00e9"
     snap.write_text(json.dumps(doc))
     assert main(replay) == 2

@@ -43,10 +43,10 @@ CHAIN_TAKEN = (0, 1, 64, 127, 128, 129)     # k, the link taken
 CHAIN_GOLDEN = "f51ec3af9b3294491a560aada079a9efe8b6128902d339a31f13666f2e6a9bc7"
 
 SWEPT_PROGRAMS, SWEPT_MAX_STEPS = 8, 800
-SWEPT_GOLDEN = "6852c03593d9865ed040779bfdf3f544abd7d74573db88d7c1b28c9f4ee969ec"
+SWEPT_GOLDEN = "35fa81e1ac61f6b3261cca3f5715266ccc2cb1497cc18cf96acf8552f4640f83"
 
 GOLDENS = {
-    60: "a4d9859d885437147e835850813cb01d92bd631beda563c629ffc8ea0f15194a",
+    60: "ffd3021379901aef2a13ae0e0d1f4b6684855faa8075e91243ac5b8a7d361322",
     600: "f66b67d4d044b273260cc59ada851db40d2aba2e7762cc2db7e677bad81feff4",
 }
 

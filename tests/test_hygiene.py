@@ -344,7 +344,7 @@ def test_only_charge_writes_the_campaign_ledger():
 
 # ---------------------------------------------------------------- one place per job
 
-VALUE_CODECS = {"encode_value", "decode_value", "encode_segments", "decode_segments"}
+VALUE_CODECS = {"value_encoder", "value_decoder"}
 
 
 def codec_references(text):
@@ -370,13 +370,13 @@ def branch_goals_made(text):
 
 def test_the_job_scanners_find_each_use():
     text = (
-        "from .vm.values import encode_value as ev, sever\n"
+        "from .vm.values import value_encoder as ev, sever\n"
         "from .vm import values\n"
         "def f(x):\n"
-        "    values.decode_segments(x)\n"
+        "    values.value_decoder(x)\n"
         "    return BranchGoal('f', 1, 'then'), goals.BranchGoal(*x), BranchGoal.parse(x)\n"
     )
-    assert sorted(codec_references(text)) == [(1, "encode_value"), (4, "decode_segments")]
+    assert sorted(codec_references(text)) == [(1, "value_encoder"), (4, "value_decoder")]
     assert branch_goals_made(text) == [5, 5]
 
 
@@ -387,6 +387,34 @@ def test_only_the_vm_encodes_and_decodes_values():
              for p in sorted(PACKAGE.rglob("*.py")) if p.parent.name != "vm"
              for line, name in codec_references(p.read_text())]
     assert found == []
+
+
+def self_callers(text):
+    """Each function that calls itself by name, as `f(...)` or `self.f(...)`."""
+    found = []
+    for fn in ast.walk(ast.parse(text)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(call, ast.Call)
+                and (isinstance(call.func, ast.Name) and call.func.id == fn.name
+                     or isinstance(call.func, ast.Attribute) and call.func.attr == fn.name
+                     and isinstance(call.func.value, ast.Name) and call.func.value.id == "self")
+                for call in ast.walk(fn)):
+            found.append(fn.name)
+    return found
+
+
+def test_the_self_call_scanner_finds_each_form():
+    text = ("def f(x):\n    return f(x - 1)\n"
+            "class C:\n    def g(self):\n        return self.g()\n"
+            "    def h(self, o):\n        return o.h() + g()\n")
+    assert self_callers(text) == ["f", "g"]
+
+
+@pytest.mark.parametrize("module", ["values.py", "trace.py"])
+def test_no_value_walk_in_vm_recurses(module):
+    """Values nest deeper than Python's recursion limit, so every walk
+    over one keeps its own stack (`vm/values.py`'s header)."""
+    assert self_callers((PACKAGE / "vm" / module).read_text()) == []
 
 
 def test_only_lang_goals_makes_a_branch_goal():

@@ -20,8 +20,8 @@ from carvelift.vm.trace import CarvedTest, Context
 from conftest import load_subject, mk_input
 
 
-def bare_carve(roots, segments=None):
-    return CarvedTest(("f", 1), Context(roots, segments or {}, False),
+def bare_carve(args=(), globals_=None):
+    return CarvedTest(("f", 1), Context(tuple(args), globals_ or {}, {}, False),
                       "test", frozenset())
 
 
@@ -65,7 +65,7 @@ def test_lift_replaces_the_mapped_argv_element():
 
 
 def test_overlapping_matches_collapse():
-    c = bare_carve({"arg[0]": b"aa"})
+    c = bare_carve((b"aa",))
     origin = mk_input((), b"aaa")
     m = build_mapping(c, origin, min_match_len=2)
     li = lift(m, ParamAssignment({"arg[0]": b"b"}, "t"), origin)
@@ -75,7 +75,7 @@ def test_overlapping_matches_collapse():
 
 
 def test_unequal_length_replacement_shifts_right_to_left():
-    c = bare_carve({"global:n": 42})
+    c = bare_carve((), {"n": 42})
     origin = mk_input((), b"num=42, again 42")
     m = build_mapping(c, origin, min_match_len=2)
     li = lift(m, ParamAssignment({"global:n": 31337}, "t"), origin)
@@ -83,7 +83,7 @@ def test_unequal_length_replacement_shifts_right_to_left():
 
 
 def test_decimal_matches_encode_assignments_as_decimal():
-    c = bare_carve({"global:n": 250})
+    c = bare_carve((), {"n": 250})
     origin = mk_input((b"len:250",))
     m = build_mapping(c, origin)
     li = lift(m, ParamAssignment({"global:n": -7}, "t"), origin)
@@ -111,7 +111,7 @@ def test_lift_against_reference_rewriter_randomized():
     alphabet = b"abc01 "
     for _ in range(300):
         leaf = bytes(rng.choice(alphabet) for _ in range(rng.randint(3, 5)))
-        c = bare_carve({"arg[0]": leaf})
+        c = bare_carve((leaf,))
         argv = tuple(bytes(rng.choice(alphabet) for _ in range(rng.randrange(10)))
                      for _ in range(rng.randrange(3)))
         stdin = bytes(rng.choice(alphabet) for _ in range(rng.randrange(16)))

@@ -41,8 +41,8 @@ def as_tuples(matches):
             for m in matches}
 
 
-def bare_context(roots, segments=None):
-    return CarvedTest(("f", 1), Context(roots, segments or {}, False),
+def bare_context(args=(), globals_=None, segments=None):
+    return CarvedTest(("f", 1), Context(tuple(args), globals_ or {}, segments or {}, False),
                       "test", frozenset())
 
 
@@ -86,18 +86,14 @@ def test_argv_elements_come_before_stdin():
 # ------------------------------------------------------------ build_mapping
 
 def test_empty_context_maps_nothing():
-    c = bare_context({})
+    c = bare_context()
     m = build_mapping(c, mk_input((b"one",), b"two"))
     assert m.matches == ()
     assert m.parameters == ()
 
 
 def test_parameters_are_leaves_with_matches():
-    c = bare_context({
-        "arg[0]": b"d7wfv",
-        "arg[1]": 9,
-        "global:tag": b"none",
-    })
+    c = bare_context((b"d7wfv", 9), {"tag": b"none"})
     s = mk_input((b"d7wfv", b"xczZ7tz"))
     m = build_mapping(c, s)
     assert m.parameters == ("arg[0]",)
@@ -106,20 +102,14 @@ def test_parameters_are_leaves_with_matches():
 
 
 def test_parameters_are_path_lexicographic():
-    c = bare_context({
-        "global:b": b"xyz",
-        "arg[0]": b"xyz",
-        "global:a": b"xyz",
-    })
+    c = bare_context((b"xyz",), {"b": b"xyz", "a": b"xyz"})
     m = build_mapping(c, mk_input((), b"  xyz  "))
     assert m.parameters == ("arg[0]", "global:a", "global:b")
 
 
 def test_leaves_in_segments_participate():
-    c = bare_context(
-        {"global:db": Ref(4, 0)},
-        {4: [Record("U", {"name": b"admin", "h": 12})]},
-    )
+    c = bare_context((), {"db": Ref(4, 0)},
+                     {4: [Record("U", {"name": b"admin", "h": 12})]})
     m = build_mapping(c, mk_input((b"admin",)))
     assert m.parameters == ("global:db[0].name",)
 
@@ -127,14 +117,14 @@ def test_leaves_in_segments_participate():
 def test_truncated_context_still_maps():
     c = CarvedTest(
         ("f", 3),
-        Context({"arg[0]": b"token", "global:big": None}, {}, True),
+        Context((b"token",), {"big": None}, {}, True),
         "test", frozenset())
     m = build_mapping(c, mk_input((), b"a token b"))
     assert m.parameters == ("arg[0]",)
 
 
 def test_match_soundness_and_purity():
-    c = bare_context({"arg[0]": b"aba", "arg[1]": 421})
+    c = bare_context((b"aba", 421))
     s = mk_input((b"aba421",), b"ababa 421421")
     m = build_mapping(c, s)
     elements = s.elements()
@@ -167,23 +157,20 @@ def random_leaf_value(rng):
 
 
 def random_pair(rng):
-    roots = {}
+    args = [random_leaf_value(rng) for _ in range(rng.randrange(3))]
     segments = {}
-    for i in range(rng.randrange(3)):
-        roots[f"arg[{i}]"] = random_leaf_value(rng)
     shape = rng.randrange(3)
     if shape == 0:
-        roots["global:g"] = (random_leaf_value(rng), random_leaf_value(rng))
+        g = (random_leaf_value(rng), random_leaf_value(rng))
     elif shape == 1:
-        roots["global:g"] = Ref(0, 0)
+        g = Ref(0, 0)
         segments[0] = [random_leaf_value(rng), random_leaf_value(rng)]
     else:
-        roots["global:g"] = Record("P", {"a": random_leaf_value(rng),
-                                         "b": random_leaf_value(rng)})
+        g = Record("P", {"a": random_leaf_value(rng), "b": random_leaf_value(rng)})
     argv = tuple(bytes(rng.choice(ALPHABET) for _ in range(rng.randrange(9)))
                  for _ in range(rng.randrange(3)))
     stdin = bytes(rng.choice(ALPHABET) for _ in range(rng.randrange(14)))
-    return bare_context(roots, segments), mk_input(argv, stdin)
+    return bare_context(args, {"g": g}, segments), mk_input(argv, stdin)
 
 
 @pytest.mark.parametrize("min_len", [1, 2, 3])

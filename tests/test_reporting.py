@@ -83,6 +83,8 @@ def test_parse_rejects_other_versions():
 def test_parse_rejects_malformed_documents():
     with pytest.raises(FormatError):
         parse_report("not json at all {")
+    with pytest.raises(FormatError):    # json's own parser raises RecursionError
+        parse_report("[" * 100_000)
     with pytest.raises(FormatError):
         parse_report(json.dumps({"version": REPORT_VERSION}))
 

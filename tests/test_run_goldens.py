@@ -36,7 +36,7 @@ from carvelift.vm.interp import (
     RunOptions, call_function, run_system, run_with_tracing,
 )
 from carvelift.vm.trace import serialize_run_result
-from carvelift.vm.values import encode_segments, encode_value
+from carvelift.vm.values import value_encoder
 
 from conftest import SUBJECT_NAMES, mk_input
 
@@ -52,8 +52,11 @@ def digest(docs) -> str:
 
 def encode_world(world) -> dict:
     globals_, segments = world
-    return {"globals": {k: encode_value(v) for k, v in sorted(globals_.items())},
-            "segments": encode_segments(segments)}
+    item, parts = value_encoder()
+    return {"globals": {k: item(v) for k, v in sorted(globals_.items())},
+            "segments": {str(sid): [item(x) for x in seg]
+                         for sid, seg in sorted(segments.items())},
+            "parts": parts}
 
 
 def subject_inputs(name):
@@ -86,61 +89,61 @@ SUBJECT_GOLDENS = {
         "system":
             "910f3df84cee4efad8e4e6be6472012682c3428eb4dad94462bcea444e27df90",
         "traced":
-            "1e1c1441f17c1a3102b65892f07ce5437b8a58f42a096e66ca4fc79422678b5d",
+            "1b823e00da3027672a8679b8361f0017b033a14dd0b24dcbf1ab26179079f57e",
         "budget":
             "19ce55338401780160c23bbe7d74ed485baeda901ab4049b00eb6d42478f29cc",
         "units":
-            "221db6adc809b821c074f504320f56a8b9d16ffb4a5f8f8beb8a12f5e591c6a2",
+            "abb4237f638ac076ad49170a053495a103fd4fb50ea5b9a65c5ccd3e7841ecf1",
         "units_truncated":
-            "39917365add5993cd1931f8268c330e879b05e07b20d0e0ac753ff39efb32409",
+            "810571ddbdf9a6e617314b736bde75ca25d57c1f78e7a66df19423e0820b5013",
     },
     "mini_cut": {
         "system":
             "9b63ca3e09dd5b1655cba08e641957561b2c13a362ea3f1ba24fc85f79a8ff41",
         "traced":
-            "7fa362f0f1f36001e20aa71486b5e4af682721617e3d8384ed0417e53032ae5b",
+            "b9058aa221935ffdf78ab4da1b36425a90f6c13de34e0a01e3611a8e4c1e8580",
         "budget":
-            "e965214439a58f049cfe976419ace79cfbd9d961259ec73efae4e40c65c45258",
+            "cef94d4f557a362f3ea56168546d8ba1f2026a97afbec6cb18c8a993e671bbbb",
         "units":
-            "df48d0bb91eea67100e4272393951f4a2be99c202f9692024d15e2a88436c8f5",
+            "c1365fbda413b946ce322b747e45ea60fa3b554ad20573222dda6c9ac6ae0db2",
         "units_truncated":
-            "df48d0bb91eea67100e4272393951f4a2be99c202f9692024d15e2a88436c8f5",
+            "c1365fbda413b946ce322b747e45ea60fa3b554ad20573222dda6c9ac6ae0db2",
     },
     "mini_dc": {
         "system":
             "d350402c400fbc21dafa37d5bb4c2e8a4821c54d95bd17f188440758ef215623",
         "traced":
-            "0f65f1eeeb8a42adc1afeaaec0ac4c467a3651d8e4204e6f2ef69590331dcfe1",
+            "d5af50c572932da29296ebdec1375282e879dcadd37f216eff82c0e9fa5fa8b3",
         "budget":
             "4b1c6d5ec45b430cd4f80c9e40cc0c907086b32e7c016b6add339884baa842fd",
         "units":
-            "ed485180b7c87eb106ff62f647947cbb93d79d7f9226cb3945f40d73b637d8a2",
+            "ec637ecdbdd67ae8dc8cb027ddc7dd3e31333766307d72c0e40b0f2facb28f68",
         "units_truncated":
-            "aa2c0c7ffed804a17ab36a066b3327b73037409ba1925699e468769baa158b0c",
+            "b575d585968eeaba815b03a9229b22fc3bc32c68b8f448117fdd53ee7fef016d",
     },
     "mini_sed": {
         "system":
             "1bc7b421ad17bb881432127d8d1fc9f645f420efed0b1e82b3c5955d9939baef",
         "traced":
-            "f2f8259a294381cf452b5d2e8f5ebe66fe6e78356280b37ace20528017a6611e",
+            "d9be3a93e18557ff976050ce0c93b1b26db0dcc0fd07a4bb1040b1e05e9f4571",
         "budget":
             "793472740ab8e67ab5f2b188917a4b84c135acbef998db994a1201c6ce1b82d0",
         "units":
-            "c53e7fa5e12a06185c46855e0485b8cfcec0f92731dd733d8610e8fcbd892f9f",
+            "c81aceab05dd3c279c181088446e755196fd90458db6fd9299b2bab945cf0001",
         "units_truncated":
-            "052f42c9a2de3457703bb664dabbfcd8a991cc1fde8f165310efe46b03356777",
+            "01ba0d1dce6e8d07880b7d8ed1ecefa63202017921e23d9cd7e6385d1ee5870e",
     },
     "mini_tac": {
         "system":
             "c7e7beee91657b123104f6cb78064f90757cbb28498221b9b7a3aacf333c2e3e",
         "traced":
-            "f70519b3b16f91d4a63b0972e004c4b3f29bcb7c2025a417209a10360e6d588d",
+            "f686483531461b80cfa341e00656244464f76f6e43a2c62f5cfc3dda49f8394c",
         "budget":
             "a548c1c1eaaf49dc62bb9de61e7a1bef24df394f0996af3f4d612986383ee534",
         "units":
-            "08f6f4cd1d66b97d16443c857c3c38cec53a02b01867c22d98db0059aeb474e0",
+            "de4b27100598f4d4c150669a3a2475005810a05b03bcb8fcdb3e9b63455c6211",
         "units_truncated":
-            "08f6f4cd1d66b97d16443c857c3c38cec53a02b01867c22d98db0059aeb474e0",
+            "de4b27100598f4d4c150669a3a2475005810a05b03bcb8fcdb3e9b63455c6211",
     },
 }
 
@@ -393,7 +396,7 @@ def budget_sweep_docs() -> list:
 
 
 BUDGET_SWEEP_GOLDEN = (
-    "f3eb9296335e89c5b0a1af0660c5a98fbc558d9a45b4390ca4a52836257a6abb")
+    "e11ba33472af16ebe4ed5ecb33e447faf5e62d1fd66962205de530c4c667bd02")
 
 
 def test_budget_sweep_matches_golden_digest():
@@ -402,9 +405,9 @@ def test_budget_sweep_matches_golden_digest():
 
 SMALL_PROGRAM_GOLDENS = {
     "values":
-        "fdc1cd16011921027b687bc911fb999ed140afe0b21412ea489557799320b3b4",
+        "40e171537c3d61a7fa86029c17b9cfe8c087d707333817b787106351c2252db6",
     "crashes":
-        "9eb22a09330416ceec6e2e0b2ad2acbca360702b45fc194b87197a7ef2512793",
+        "4477a75731df29c1a57d7522501890e41bc428a19e96b7d20a85e94e09331063",
 }
 
 
@@ -608,7 +611,7 @@ def loop_docs() -> list:
 
 
 LOOP_GOLDEN = (
-    "0faf78490d43a7c979639c09d586df1a0746b2779879b79bee45dcec979d17f0")
+    "74251413ebdc3f474c05f78003ca4845a041a7bac71719c8d06f4b5dde83a248")
 
 
 def test_loop_programs_match_golden_digest():

@@ -24,8 +24,8 @@ from carvelift.vm.values import INT64_MAX, INT64_MIN, Record, Ref
 from conftest import assert_matches_golden_text, load_subject, mk_input
 
 
-def bare_carve(roots, segments=None, start=("f", 1)):
-    return CarvedTest(start, Context(roots, segments or {}, False),
+def bare_carve(args=(), globals_=None, segments=None, start=("f", 1)):
+    return CarvedTest(start, Context(tuple(args), globals_ or {}, segments or {}, False),
                       "test", frozenset())
 
 
@@ -68,7 +68,7 @@ def test_int_stream_stays_in_64_bit_range():
 # ------------------------------------------------------------ bytes streams
 
 def empty_ctx():
-    return Context({}, {}, False)
+    return Context((), {}, {}, False)
 
 
 def test_bytes_stream_total_on_empty_value():
@@ -80,7 +80,7 @@ def test_bytes_stream_total_on_empty_value():
 
 def test_harvested_values_lead_the_stream():
     ctx = Context(
-        {"arg[0]": b"d7wfv", "global:db": Ref(0, 0)},
+        (b"d7wfv",), {"db": Ref(0, 0)},
         {0: [Record("U", {"name": b"admin", "hash": 1234567})]},
         False)
     got = take(bytes_mutations(b"d7wfv", ctx, Rng(4)), 40)
@@ -106,7 +106,7 @@ def test_nul_and_ff_run_lengths_follow_the_value():
 
 
 def test_bytes_stream_reproducible():
-    ctx = Context({"arg[0]": b"seed"}, {}, False)
+    ctx = Context((b"seed",), {}, {}, False)
     a = take(bytes_mutations(b"seed", ctx, Rng(11)), 200)
     b = take(bytes_mutations(b"seed", ctx, Rng(11)), 200)
     assert a == b
@@ -115,9 +115,7 @@ def test_bytes_stream_reproducible():
 # ------------------------------------------------------------ assignments
 
 def test_empty_assignment_is_identity():
-    carved = bare_carve(
-        {"arg[0]": b"abc", "global:n": 7, "global:p": Ref(0, 0)},
-        {0: [1, 2]})
+    carved = bare_carve((b"abc",), {"n": 7, "p": Ref(0, 0)}, {0: [1, 2]})
     args, (globals_, segments) = apply_assignment(
         carved, ParamAssignment({}, "none"))
     base_args, (base_globals, base_segments) = carved.context.world()
@@ -127,17 +125,17 @@ def test_empty_assignment_is_identity():
 
 
 def test_assignment_replaces_only_the_target_leaf():
-    carved = bare_carve({"arg[0]": b"d7wfv", "arg[1]": 4, "global:t": b"x"})
+    carved = bare_carve((b"d7wfv", 4), {"t": b"x"})
     args, (globals_, _) = apply_assignment(
         carved, ParamAssignment({"arg[0]": b"admin"}, "harvested"))
     assert args == [b"admin", 4]
     assert globals_ == {"t": b"x"}
-    assert carved.context.roots["arg[0]"] == b"d7wfv"  # original untouched
+    assert carved.context.args[0] == b"d7wfv"  # original untouched
 
 
 def test_assignment_reaches_into_segments():
     carved = bare_carve(
-        {"global:db": Ref(3, 0)},
+        (), {"db": Ref(3, 0)},
         {3: [
             Record("U", {"name": b"admin", "h": 1}),
             Record("U", {"name": b"guest", "h": 2}),
@@ -157,9 +155,8 @@ def test_assignment_reaches_into_segments():
 def test_assignment_rejects_unknown_paths_and_wrong_types(assign, unknown):
     """`Context.world` checks each assigned value; `apply_assignment`
     only reports an unknown path as an UnknownParameter."""
-    carved = bare_carve({"arg[0]": b"abc", "arg[1]": 4, "global:n": 7,
-                         "global:r": Ref(0, 0), "global:s": Ref(0, 0),
-                         "global:t": (1, 2)}, {0: [5]})
+    carved = bare_carve((b"abc", 4), {"n": 7, "r": Ref(0, 0), "s": Ref(0, 0),
+                                      "t": (1, 2)}, {0: [5]})
     # Only the paths `leaves` writes: global:r[0] names the segment's
     # element, so neither a second ref to it nor another spelling does.
     for path in ("arg[5]", "global:s[0]", "global:r[00]"):
@@ -204,18 +201,17 @@ fn main() -> int {
 
 def test_executions_from_one_carve_never_see_each_others_writes():
     # The callee stores through its ref argument, allocates and rebinds
-    # two globals.  Neither the carve's context (its roots, segments and
+    # two globals.  Neither the carve's context (its args, globals, segments and
     # what it keeps) nor the next execution's world shows those writes.
     from carvelift.lang.parser import parse
     prog = parse(ISOLATION_PROG)
     carved = next(c for c in carve_with_stats(run_with_tracing(prog, mk_input()))[0]
                   if c.start[0] == "touch")
     ctx = carved.context
-    ref = ctx.roots["arg[0]"]
-    roots = dict(ctx.roots)
+    ref = ctx.args[0]
+    before = dict(ctx.globals)
     segments = {sid: list(seg) for sid, seg in ctx.segments.items()}
-    assert roots == {"arg[0]": ref, "arg[1]": 5, "global:cells": ref,
-                     "global:count": 0}
+    assert (ctx.args, before) == ((ref, 5), {"cells": ref, "count": 0})
     assert segments == {ref.seg: [0, 0]}
     for n in (7, 9):
         args, world = apply_assignment(carved, ParamAssignment(
@@ -228,11 +224,10 @@ def test_executions_from_one_carve_never_see_each_others_writes():
         fresh = globals_["cells"]
         assert (globals_["count"], table[ref.seg], table[fresh.seg]) == (
             n, [n, n + 1], [n, n, n])
-        assert (ctx.roots, ctx.segments) == (roots, segments)
+        assert (ctx.args, ctx.globals, ctx.segments) == ((ref, 5), before, segments)
     assert ctx.places == {"arg[0]": (ref, 0, ()), "arg[0][0]": (0, (ref.seg, 0), ()),
                           "arg[0][1]": (0, (ref.seg, 1), ()), "arg[1]": (5, 1, ()),
                           "global:cells": (ref, "cells", ()), "global:count": (0, "count", ())}
-    assert ctx.split == ([ref, 5], {"cells": ref, "count": 0})
 
 
 # ------------------------------------------------------------ fuzzing

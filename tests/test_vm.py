@@ -533,7 +533,7 @@ def test_values_nested_past_the_recursion_limit_print_and_compare(n):
     deepest = "arg[0]" + "[1]" * n + "[0]"
     assert (deepest, 0) in carve.context.leaves()
     args, _ = carve.context.world({deepest: 7})
-    assert not equal(args[0], args[1]) and equal(args[1], carve.context.roots["arg[0]"])
+    assert not equal(args[0], args[1]) and equal(args[1], carve.context.args[0])
     unit = call_function(program, "show", *carve.context.world())
     assert (unit.status.kind, unit.output) == ("exit", expected[:-2])
 
