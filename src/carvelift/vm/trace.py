@@ -243,8 +243,8 @@ class Tracer:
             [*args, *(st.globals[g] for g in names)], st.segments, st.opts.max_dump_bytes)
         st.coverage = set()
         self.sets.append(st.coverage)
-        return CarvedTest((name, call_index), Context(tuple(roots[:n]), dict(
-            zip(names, roots[n:])), segments, truncated), "", frozenset())
+        ctx = Context(tuple(roots[:n]), dict(zip(names, roots[n:])), segments, truncated)
+        return CarvedTest((name, call_index), ctx, "", frozenset())
 
     def leave(self, st, call) -> None:
         """The call `enter` returned `call` for has returned."""

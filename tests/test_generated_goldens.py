@@ -47,7 +47,7 @@ SWEPT_GOLDEN = "35fa81e1ac61f6b3261cca3f5715266ccc2cb1497cc18cf96acf8552f4640f83
 
 GOLDENS = {
     60: "ffd3021379901aef2a13ae0e0d1f4b6684855faa8075e91243ac5b8a7d361322",
-    600: "f66b67d4d044b273260cc59ada851db40d2aba2e7762cc2db7e677bad81feff4",
+    600: "ac16e808c7d9b3299b1f30db6ab0dfd9ba6c5e260d57a44814749660ecf9b353",
 }
 
 
